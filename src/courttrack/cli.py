@@ -249,7 +249,17 @@ def load_frame_series(frames_dir) -> list[FrameRaster]:
     expected = list(range(len(indexed)))
     if sorted(indexed) != expected:
         raise InputFormatError(frames_dir, "frame files are not consecutive from 0")
-    return [read_ppm(indexed[i]) for i in expected]
+    frames = []
+    for i in expected:
+        frame = read_ppm(indexed[i])
+        # the tracker normalizes every distance by frame 0's diagonal
+        if frames and frame.dims != frames[0].dims:
+            first = frames[0].dims
+            raise InputFormatError(
+                indexed[i], f"frame is {frame.dims.w}x{frame.dims.h}, frame 0 is {first.w}x{first.h}"
+            )
+        frames.append(frame)
+    return frames
 
 
 def write_scenario(seq: SyntheticSequence, outdir) -> None:

@@ -12,7 +12,7 @@ import colorsys
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -169,6 +169,37 @@ def patch_mean_abs_diff(
     patch2 = f2.data[y2 + dy_lo : y2 + dy_hi + 1, x2 + dx_lo : x2 + dx_hi + 1]
     diff = np.abs(patch1.astype(np.int16) - patch2.astype(np.int16))
     return float(diff.mean() / 255.0)
+
+
+def keypoint_patches(
+    frame: FrameRaster, points: Sequence[Point2], win: PatchWindow = PatchWindow()
+) -> tuple[np.ndarray, np.ndarray]:
+    """One side of patch_mean_abs_diff for many keypoints of one frame.
+
+    Returns (k, side, side, 3) uint8 patches, where cell [i, dy + he,
+    dx + he] holds the pixel at offset (dx, dy) from the i-th rounded
+    keypoint and is zero where that pixel lies outside the frame, and the
+    (k, 4) half-open cell rectangles (y0, y1, x0, x1) that lie inside
+    it. A rectangle is empty (y0 >= y1 or x0 >= x1) when no offset lands
+    in the frame. The valid offsets of a pair of patches are the
+    intersection of their two rectangles.
+    """
+    h, w = frame.data.shape[:2]
+    he, side = win.half_extent, win.side
+    xy = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+    # same rounding as _round_half_up; points beyond the window's reach of
+    # the frame are clamped there, which keeps their rectangles empty
+    xy = np.floor(xy + 0.5).clip(-side, [w + side, h + side]).astype(np.int64)
+    offsets = np.arange(-he, he)
+    cols, rows = xy[:, 0, None] + offsets, xy[:, 1, None] + offsets
+    inside = ((rows >= 0) & (rows < h))[:, :, None] & ((cols >= 0) & (cols < w))[:, None, :]
+    pixels = rows.clip(0, h - 1)[:, :, None] * w + cols.clip(0, w - 1)[:, None, :]
+    patches = frame.data.reshape(-1, 3).take(pixels, axis=0)
+    patches *= inside[..., None]
+    rects = np.stack(
+        [he - xy[:, 1], he + h - xy[:, 1], he - xy[:, 0], he + w - xy[:, 0]], axis=1
+    ).clip(0, side)
+    return patches, rects
 
 
 def mask_fraction(mask: BinaryMask, region: Callable[[Point2], bool]) -> float:

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .cost import CostWeights, ObservedBox, default_weights, similarity_cost
+from .cost import CostWeights, ObservedBox, cost_matrix, default_weights
 from .detect import Detection
 from .errors import InconsistentFrameIndexing
 from .geometry import FrameDims, Homography
@@ -46,20 +46,18 @@ class MatchConfig:
 class Track:
     """A persistent identity with its per-frame observation history."""
 
-    __slots__ = ("id", "history")
+    __slots__ = ("id", "history", "last_seen")
 
     def __init__(self, track_id: int, t: int, obs: ObservedBox) -> None:
         self.id = track_id
         self.history: dict[int, ObservedBox] = {t: obs}
-
-    @property
-    def last_seen(self) -> int:
-        return max(self.history)
+        self.last_seen = t
 
     def observe(self, t: int, obs: ObservedBox) -> None:
         if t <= self.last_seen:
             raise ValueError(f"track {self.id} already observed at or after frame {t}")
         self.history[t] = obs
+        self.last_seen = t
 
     def __repr__(self) -> str:
         return f"Track(id={self.id}, frames={sorted(self.history)})"
@@ -183,13 +181,14 @@ def match_frame(
 
     assignments: dict[int, Track] = {}
     if eligible and dets:
-        raw = np.empty((len(dets), len(eligible)), dtype=float)
-        for j, track in enumerate(eligible):
-            reps = [track.history[f] for f in _representative_frames(track, t, cfg.memory_depth)]
-            for i, det in enumerate(dets):
-                raw[i, j] = min(
-                    similarity_cost(det, rep, cfg.weights, dims, cfg.patch) for rep in reps
-                )
+        reps: list[ObservedBox] = []
+        first_col = []
+        for track in eligible:
+            first_col.append(len(reps))
+            reps += [track.history[f] for f in _representative_frames(track, t, cfg.memory_depth)]
+        costs = cost_matrix(dets, reps, cfg.weights, dims, cfg.patch)
+        # each eligible track has a representative at its last_seen, so no run is empty
+        raw = np.minimum.reduceat(costs, first_col, axis=1)
         pad = 10.0 * cfg.gate if math.isfinite(cfg.gate) else 10.0 * (1.0 + float(raw.max()))
         clamped = np.where(raw <= cfg.gate, raw, pad)
         for i, j in solve_assignment(CostMatrix(clamped, pad)):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from courttrack.cli import _build_parser, build_run_config, main
-from courttrack.imaging import BinaryMask, write_pgm
+from courttrack.geometry import FrameDims
+from courttrack.imaging import BinaryMask, FrameRaster, write_pgm, write_ppm
 from courttrack.metrics import read_mot_csv
 
 
@@ -111,6 +112,18 @@ class TestTrackCommand:
         )
         assert code == 1
         assert "nope.json" in err
+
+    def test_frame_of_other_size_fails_naming_it(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen, width=320, height=200))
+        odd = scen / "frames" / "frame_000002.ppm"
+        write_ppm(FrameRaster.filled(FrameDims(160, 100), (0, 0, 0)), odd)
+        out_csv = tmp_path / "t.csv"
+        code, _, err = run(capsys, *track_args(scen, out_csv))
+        assert code == 1
+        assert "frame_000002.ppm" in err
+        assert "160x100" in err and "320x200" in err
+        assert not out_csv.exists()
 
     def test_empty_detections_writes_header_only(self, tmp_path, capsys):
         scen = tmp_path / "scen"

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from courttrack.cost import (
     CostWeights,
@@ -9,6 +11,7 @@ from courttrack.cost import (
     cost_content,
     cost_distance,
     cost_iou,
+    cost_matrix,
     default_weights,
     similarity_cost,
 )
@@ -214,3 +217,80 @@ class TestSimilarityCost:
             )
             costs.append(similarity_cost(a, b, w, DIMS))
         assert costs[0] < costs[1] < costs[2]
+
+
+@st.composite
+def frames(draw) -> FrameRaster:
+    w, h = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    pixels = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return FrameRaster(pixels.integers(0, 256, (h, w, 3), dtype=np.uint8))
+
+
+homographies = st.one_of(
+    st.just(Homography.identity()),
+    st.tuples(
+        *[st.floats(0.8, 1.2)] * 2,
+        *[st.floats(-0.2, 0.2)] * 2,
+        *[st.floats(-15.0, 15.0)] * 2,
+        *[st.floats(-1e-3, 1e-3)] * 2,
+    ).map(
+        lambda v: Homography([[v[0], v[2], v[4]], [v[3], v[1], v[5]], [v[6], v[7], 1.0]])
+    ),
+)
+
+
+@st.composite
+def observations(draw, frame: FrameRaster, homography: Homography, reach: int) -> ObservedBox:
+    """Keypoints of a random part subset, up to `reach` pixels beyond the frame.
+
+    A third of the coordinates are whole and a third end in .5, where
+    keypoint rounding breaks ties.
+    """
+    parts = sorted(draw(st.sets(st.integers(0, 16), min_size=1, max_size=17)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = frame.dims
+    xy = rng.uniform(-reach, [d.w + reach, d.h + reach], size=(len(parts), 2))
+    snap = rng.integers(0, 3, size=xy.shape)  # 0: as drawn, 1: whole, 2: halves
+    scale = np.maximum(snap, 1)
+    xy = np.where(snap == 0, xy, np.round(xy * scale) / scale)
+    kps = [Keypoint(p, Point2(float(x), float(y)), 0.9) for p, (x, y) in zip(parts, xy)]
+    return ObservedBox(Detection.from_keypoints(kps, SourceStage.EXTERNAL), homography, frame)
+
+
+@st.composite
+def scored_frames(draw):
+    """Detections of one frame against representatives from up to two others."""
+    win = draw(st.sampled_from([PatchWindow(1), PatchWindow()]))
+    reach = win.half_extent + 1
+    det_frame, det_h = draw(frames()), draw(homographies)
+    dets = draw(st.lists(observations(det_frame, det_h, reach), min_size=1, max_size=4))
+    sources = draw(st.lists(st.tuples(frames(), homographies), min_size=1, max_size=2))
+    reps = [
+        draw(observations(*draw(st.sampled_from(sources)), reach))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    alpha = draw(st.floats(0.0, 1.0))
+    weights = CostWeights(alpha, draw(st.floats(0.0, 1.0 - alpha)))
+    dims = FrameDims(draw(st.integers(1, 60)), draw(st.integers(1, 60)))
+    return dets, reps, weights, dims, win
+
+
+class TestCostMatrix:
+    @given(scored_frames())
+    @settings(max_examples=200)
+    def test_equals_similarity_cost_bit_for_bit(self, scene):
+        dets, reps, weights, dims, win = scene
+        expected = [[similarity_cost(d, r, weights, dims, win) for r in reps] for d in dets]
+        assert cost_matrix(dets, reps, weights, dims, win).tolist() == expected
+
+    def test_distance_rounds_like_math_hypot(self):
+        # np.hypot(dx, dy) is one ulp above math.hypot here
+        a = obs(det_with_parts([(0, 7.416754906970224, 24.12183124566043)]))
+        b = obs(det_with_parts([(0, 0.0, 0.0)]), t=1)
+        distance_only = CostWeights(1.0, 0.0)
+        assert cost_matrix([a], [b], distance_only, DIMS)[0, 0] == cost_distance(a, b, DIMS)
+
+    def test_shape_of_an_empty_side(self):
+        a = obs(det_with_parts([(0, 100.0, 100.0)]))
+        assert cost_matrix([a], [], default_weights(), DIMS).shape == (1, 0)
+        assert cost_matrix([], [a], default_weights(), DIMS).shape == (0, 1)

@@ -116,6 +116,23 @@ class TestMatchFrame:
         assert result.assignments == {0: track}
         assert sorted(track.history) == [0, 2]
 
+    def test_t_minus_2_representative_wins_the_min(self):
+        # the t-1 representative is gated out, so only the t-2 one can match
+        track = Track(0, 0, obs_box(50, 50, 70, 90, 0))
+        track.observe(1, obs_box(150, 150, 170, 190, 1))
+        dets = [obs_box(50, 50, 70, 90, 2)]
+        result = match_frame([track], dets, MatchConfig(gate=0.05), DIMS)
+        assert result.assignments == {0: track}
+        assert track.last_seen == 2
+
+    def test_out_of_order_observation_rejected(self):
+        track = Track(0, 3, obs_box(50, 50, 70, 90, 3))
+        for t in (2, 3):
+            with pytest.raises(ValueError, match="already observed"):
+                track.observe(t, obs_box(50, 50, 70, 90, t))
+        assert track.last_seen == 3
+        assert sorted(track.history) == [3]
+
     def test_without_memory_track_is_retired(self):
         track = Track(0, 0, obs_box(50, 50, 70, 90, 0))
         dets = [obs_box(50, 50, 70, 90, 2)]
