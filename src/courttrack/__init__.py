@@ -14,13 +14,10 @@ from .geometry import (
 from .imaging import (
     BinaryMask,
     FrameRaster,
-    HsvPixel,
     PatchWindow,
-    mask_fraction,
     patch_mean_abs_diff,
     read_pgm,
     read_ppm,
-    rgb_to_hsv,
     write_pgm,
     write_ppm,
 )

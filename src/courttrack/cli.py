@@ -11,11 +11,13 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .cost import CostWeights
+from .cost import DEFAULT_ALPHA, DEFAULT_BETA, CostWeights
 from .court import (
+    DEFAULT_CANDIDATES,
+    DEFAULT_DROP_TOL,
+    DEFAULT_STEP_PX,
     CourtRegion,
     HsvFilter,
     Orientation,
@@ -36,90 +38,16 @@ from .errors import (
 from .geometry import BBox, FrameDims, Homography, Line2
 from .imaging import BinaryMask, FrameRaster, PatchWindow, read_pgm, read_ppm, write_ppm
 from .metrics import (
+    MOT_IOU_THRESHOLD,
     eval_detections,
     eval_mot_records,
     read_mot_csv,
     write_mot_csv,
 )
 from .synth import ScenarioSpec, SyntheticSequence, degrade, generate
-from .track import FrameObservations, MatchConfig, run_tracker, write_tracks_csv
+from .track import DEFAULT_GATE, FrameObservations, MatchConfig, run_tracker, write_tracks_csv
 
 FRAME_FILE_PATTERN = "frame_%06d.ppm"
-
-_DEFAULTS = {
-    "alpha": 0.65,
-    "beta": 0.05,
-    "gate": 0.5,
-    "memory": 2,
-    "patch": 12,
-    "dup_iou": 0.5,
-    "mot_iou": 0.5,
-    "candidates": 10,
-    "step": 2.0,
-    "drop_tol": 0.005,
-    "court": "none",
-    "hsv": None,
-    "seed": 0,
-}
-
-_VALUE_TYPES = {
-    "alpha": float,
-    "beta": float,
-    "gate": float,
-    "memory": int,
-    "patch": int,
-    "dup_iou": float,
-    "mot_iou": float,
-    "candidates": int,
-    "step": float,
-    "drop_tol": float,
-    "court": str,
-    "hsv": str,
-    "seed": int,
-    "frames": str,
-    "detections": str,
-    "homographies": str,
-    "segments": str,
-    "mask": str,
-    "gt": str,
-    "hyp": str,
-    "out": str,
-}
-
-
-@dataclass
-class RunConfig:
-    """Merged command configuration: flag > config file > default."""
-
-    alpha: float
-    beta: float
-    gate: float
-    memory: int
-    patch: int
-    dup_iou: float
-    mot_iou: float
-    candidates: int
-    step: float
-    drop_tol: float
-    court: str
-    hsv: HsvFilter | None
-    seed: int
-    frames: str | None = None
-    detections: str | None = None
-    homographies: str | None = None
-    segments: str | None = None
-    mask: str | None = None
-    gt: str | None = None
-    hyp: str | None = None
-    out: str | None = None
-
-    def match_config(self) -> MatchConfig:
-        return MatchConfig(
-            gate=self.gate,
-            memory_depth=self.memory,
-            weights=CostWeights(self.alpha, self.beta),
-            patch=PatchWindow(self.patch),
-        )
 
 
 def parse_hsv_filter(text: str) -> HsvFilter:
@@ -137,8 +65,49 @@ def parse_hsv_filter(text: str) -> HsvFilter:
     return HsvFilter(h_lo, h_hi, s_lo, s_hi, v_lo, v_hi)
 
 
-def read_config_file(path) -> dict:
-    """Flat key=value configuration; '#' starts a comment line."""
+def court_variant(text: str) -> str:
+    if text not in ("european", "nba"):
+        raise ValueError(f"expected european or nba, got {text!r}")
+    return text
+
+
+# name -> (type, default, help). A flag and a config-file value both go
+# through the type; a None default means the setting is absent unless
+# given (the commands reject a missing required one).
+SETTINGS = {
+    "frames": (str, None, "frame directory (frame_%%06d.ppm); court also takes one PPM"),
+    "detections": (str, None, "detections JSONL file"),
+    "homographies": (str, None, "homographies JSON file"),
+    "segments": (str, None, "line-segments CSV file"),
+    "mask": (str, None, "people-mask PGM file"),
+    "gt": (str, None, "ground-truth CSV file"),
+    "hyp": (str, None, "hypothesis CSV/JSONL file"),
+    "out": (str, None, "output path"),
+    "alpha": (float, DEFAULT_ALPHA, "distance-term weight"),
+    "beta": (float, DEFAULT_BETA, "overlap-term weight"),
+    "gate": (float, DEFAULT_GATE, "maximum acceptable matching cost"),
+    "memory": (int, MatchConfig.memory_depth, "memory depth in frames, 1 or 2"),
+    "patch": (int, PatchWindow.half_extent, "patch half-extent in pixels"),
+    "mot_iou": (float, MOT_IOU_THRESHOLD, "CLEAR-MOT IoU threshold"),
+    "candidates": (int, DEFAULT_CANDIDATES, "dominant lines fed to boundary search"),
+    "step": (float, DEFAULT_STEP_PX, "NBA convergence step in pixels"),
+    "drop_tol": (float, DEFAULT_DROP_TOL, "NBA drop tolerance"),
+    "court": (court_variant, None, "court variant, european or nba"),
+    "hsv": (parse_hsv_filter, None, "HSV filter 'h0:h1,s0:s1,v0:v1'"),
+    "seed": (int, ScenarioSpec.seed, "random seed"),
+}
+
+# the settings each command reads, as flags and as config-file keys
+COMMAND_SETTINGS = {
+    "track": ("frames", "detections", "homographies", "out", "alpha", "beta", "gate", "memory", "patch"),
+    "eval": ("gt", "hyp", "out", "mot_iou"),
+    "court": ("court", "segments", "frames", "mask", "hsv", "candidates", "step", "drop_tol", "out"),
+    "synth": ("out", "seed"),
+}
+
+
+def read_config_file(path, names) -> dict:
+    """Flat key=value configuration of the settings `names`; '#' starts a comment line."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -149,10 +118,10 @@ def read_config_file(path) -> dict:
                 raise InputFormatError(path, "expected key=value", line=lineno)
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _VALUE_TYPES:
+            if key not in names:
                 raise InputFormatError(path, f"unknown key {key!r}", line=lineno, field=key)
             try:
-                values[key] = _VALUE_TYPES[key](value.strip())
+                values[key] = SETTINGS[key][0](value.strip())
             except ValueError:
                 raise InputFormatError(
                     path, f"bad value {value.strip()!r}", line=lineno, field=key
@@ -160,45 +129,13 @@ def read_config_file(path) -> dict:
     return values
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        merged.update(read_config_file(args.config))
-    for key in _VALUE_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    hsv = merged.get("hsv")
-    if isinstance(hsv, str):
-        try:
-            hsv = parse_hsv_filter(hsv)
-        except ValueError as exc:
-            raise InputFormatError("hsv", str(exc)) from None
-    if merged["court"] not in ("european", "nba", "none"):
-        raise InputFormatError("court", f"unknown court variant {merged['court']!r}")
-    return RunConfig(
-        alpha=float(merged["alpha"]),
-        beta=float(merged["beta"]),
-        gate=float(merged["gate"]),
-        memory=int(merged["memory"]),
-        patch=int(merged["patch"]),
-        dup_iou=float(merged["dup_iou"]),
-        mot_iou=float(merged["mot_iou"]),
-        candidates=int(merged["candidates"]),
-        step=float(merged["step"]),
-        drop_tol=float(merged["drop_tol"]),
-        court=str(merged["court"]),
-        hsv=hsv,
-        seed=int(merged["seed"]),
-        frames=merged.get("frames"),
-        detections=merged.get("detections"),
-        homographies=merged.get("homographies"),
-        segments=merged.get("segments"),
-        mask=merged.get("mask"),
-        gt=merged.get("gt"),
-        hyp=merged.get("hyp"),
-        out=merged.get("out"),
-    )
+def resolve_settings(args: argparse.Namespace) -> None:
+    """Fill each of the command's settings in args: flag > config file > default."""
+    names = COMMAND_SETTINGS[args.command]
+    from_file = read_config_file(args.config, names) if args.config else {}
+    for name in names:
+        if getattr(args, name) is None:
+            setattr(args, name, from_file.get(name, SETTINGS[name][1]))
 
 
 # --- homographies JSON ---------------------------------------------------------
@@ -225,6 +162,8 @@ def read_homographies_json(path) -> dict[int, Homography]:
             matrix = entry["h"]
         except (KeyError, TypeError, ValueError):
             raise InputFormatError(path, f"entry {idx} needs 'frame' and 'h'", field="frame")
+        if frame in out:
+            raise InputFormatError(path, f"entry {idx}: frame {frame} repeats", field="frame")
         try:
             out[frame] = Homography(matrix)
         except ValueError as exc:
@@ -275,20 +214,30 @@ def write_scenario(seq: SyntheticSequence, outdir) -> None:
 
 # --- commands --------------------------------------------------------------------
 
-def cmd_track(cfg: RunConfig) -> int:
+def cmd_track(args: argparse.Namespace) -> int:
     for name in ("detections", "homographies", "frames", "out"):
-        if getattr(cfg, name) is None:
+        if getattr(args, name) is None:
             raise InputFormatError(name, "required for the track command")
-    detections = read_detections_jsonl(cfg.detections)
-    homographies = read_homographies_json(cfg.homographies)
-    frames = load_frame_series(cfg.frames)
+    config = MatchConfig(
+        gate=args.gate,
+        memory_depth=args.memory,
+        weights=CostWeights(args.alpha, args.beta),
+        patch=PatchWindow(args.patch),
+    )
+    detections = read_detections_jsonl(args.detections)
+    homographies = read_homographies_json(args.homographies)
+    frames = load_frame_series(args.frames)
 
     n = len(frames)
-    bad = [t for t in detections if not 0 <= t < n]
-    if bad:
-        raise InputFormatError(
-            cfg.detections, f"detections reference frames {sorted(bad)} outside 0..{n - 1}"
-        )
+    for path, per_frame, what in (
+        (args.detections, detections, "detections"),
+        (args.homographies, homographies, "homographies"),
+    ):
+        bad = [t for t in per_frame if not 0 <= t < n]
+        if bad:
+            raise InputFormatError(
+                path, f"{what} reference frames {sorted(bad)} outside 0..{n - 1}"
+            )
     sequence = []
     for t in range(n):
         h = homographies.get(t)
@@ -297,38 +246,39 @@ def cmd_track(cfg: RunConfig) -> int:
             h = Homography.identity()
         sequence.append(FrameObservations(t, detections.get(t, []), h, frames[t]))
 
-    tracks = run_tracker(sequence, cfg.match_config())
-    write_tracks_csv(tracks, cfg.out)
+    tracks = run_tracker(sequence, config)
+    write_tracks_csv(tracks, args.out)
     return 0
 
 
-def _report_out(report_dict: dict, cfg: RunConfig) -> None:
-    text = json.dumps(report_dict, sort_keys=True)
+def _report_out(payload: dict, args: argparse.Namespace) -> None:
+    text = json.dumps(payload, sort_keys=True)
     print(text)
-    if cfg.out:
-        Path(cfg.out).write_text(text + "\n")
+    if args.out:
+        Path(args.out).write_text(text + "\n")
 
 
-def cmd_eval(cfg: RunConfig, mode: str) -> int:
+def cmd_eval(args: argparse.Namespace) -> int:
     for name in ("gt", "hyp"):
-        if getattr(cfg, name) is None:
+        if getattr(args, name) is None:
             raise InputFormatError(name, "required for the eval command")
-    gt = read_mot_csv(cfg.gt)
+    mot = args.mode == "mot"
+    gt = read_mot_csv(args.gt, unique_ids=mot)
     if not gt:
-        raise EmptyGroundTruth(f"{cfg.gt} holds no ground-truth boxes")
-    if mode == "mot":
-        hyp = read_mot_csv(cfg.hyp)
-        report = eval_mot_records(gt, hyp, cfg.mot_iou)
+        raise EmptyGroundTruth(f"{args.gt} holds no ground-truth boxes")
+    if mot:
+        hyp = read_mot_csv(args.hyp, unique_ids=True)
+        report = eval_mot_records(gt, hyp, args.mot_iou)
     else:
         per_frame: dict[int, list[BBox]] = {}
-        if str(cfg.hyp).endswith(".jsonl"):
-            for t, dets in read_detections_jsonl(cfg.hyp).items():
+        if str(args.hyp).endswith(".jsonl"):
+            for t, dets in read_detections_jsonl(args.hyp).items():
                 per_frame[t] = [d.bbox for d in dets]
         else:
-            for rec in read_mot_csv(cfg.hyp):
+            for rec in read_mot_csv(args.hyp):
                 per_frame.setdefault(rec.frame, []).append(rec.bbox)
         report = eval_detections(gt, per_frame)
-    _report_out(report.to_json_dict(), cfg)
+    _report_out(report.to_json_dict(), args)
     return 0
 
 
@@ -348,29 +298,29 @@ def _rows_between(top: Line2, bottom: Line2, dims: FrameDims) -> tuple[int, int]
     return r0, r1
 
 
-def cmd_court(cfg: RunConfig) -> int:
-    if cfg.segments is None:
+def cmd_court(args: argparse.Namespace) -> int:
+    if args.segments is None:
         raise InputFormatError("segments", "required for the court command")
-    if cfg.court not in ("european", "nba"):
+    if args.court is None:
         raise InputFormatError("court", "court command needs --court european or nba")
-    segments = read_segments_csv(cfg.segments)
+    segments = read_segments_csv(args.segments)
 
-    if cfg.court == "european":
-        if cfg.frames is None:
+    if args.court == "european":
+        if args.frames is None:
             raise InputFormatError("frames", "european variant needs a frame image")
-        if cfg.hsv is None:
+        if args.hsv is None:
             raise InputFormatError("hsv", "european variant needs an --hsv filter")
-        frame_path = Path(cfg.frames)
+        frame_path = Path(args.frames)
         if frame_path.is_dir():
             frame_path = frame_path / (FRAME_FILE_PATTERN % 0)
         frame = read_ppm(frame_path)
         dims = frame.dims
-        candidates = [v.line for v in vote_dominant_lines(segments, dims)[: cfg.candidates]]
-        top = select_boundary_european(candidates, frame, cfg.hsv, Orientation.HORIZONTAL)
+        candidates = [v.line for v in vote_dominant_lines(segments, dims)[: args.candidates]]
+        top = select_boundary_european(candidates, frame, args.hsv, Orientation.HORIZONTAL)
         bottom = Line2.horizontal_at(float(dims.h))
         left = right = None
         try:
-            side = select_boundary_european(candidates, frame, cfg.hsv, Orientation.VERTICAL)
+            side = select_boundary_european(candidates, frame, args.hsv, Orientation.VERTICAL)
             # assign by which half of the frame the line crosses at mid-height
             x_mid = (
                 -(side.b * dims.h / 2.0 + side.c) / side.a if abs(side.a) > 1e-9 else dims.w
@@ -383,15 +333,15 @@ def cmd_court(cfg: RunConfig) -> int:
             pass
         region = CourtRegion.from_boundaries(top, bottom, left, right, dims)
     else:
-        if cfg.mask is None:
+        if args.mask is None:
             raise InputFormatError("mask", "nba variant needs a people-mask")
-        mask = read_pgm(cfg.mask)
+        mask = read_pgm(args.mask)
         dims = mask.dims
-        votes = vote_dominant_lines(segments, dims)[: cfg.candidates]
+        votes = vote_dominant_lines(segments, dims)[: args.candidates]
         horiz = [v.line for v in votes if classify_orientation(v.line, dims) == Orientation.HORIZONTAL]
         if not horiz:
             raise NoCandidates("no horizontal dominant line among the top candidates")
-        top, bottom = converge_boundaries_nba(mask, horiz[0], cfg.step, cfg.drop_tol)
+        top, bottom = converge_boundaries_nba(mask, horiz[0], args.step, args.drop_tol)
         left = right = None
         vert = [v.line for v in votes if classify_orientation(v.line, dims) == Orientation.VERTICAL]
         if vert:
@@ -399,7 +349,7 @@ def cmd_court(cfg: RunConfig) -> int:
             if r1 - r0 >= 2:
                 band = BinaryMask(mask.bits[r0:r1])
                 try:
-                    l_raw, r_raw = converge_boundaries_nba(band, vert[0], cfg.step, cfg.drop_tol)
+                    l_raw, r_raw = converge_boundaries_nba(band, vert[0], args.step, args.drop_tol)
                     left = Line2(l_raw.a, l_raw.b, l_raw.c - l_raw.b * r0)
                     right = Line2(r_raw.a, r_raw.b, r_raw.c - r_raw.b * r0)
                 except DegenerateCourt:
@@ -412,15 +362,12 @@ def cmd_court(cfg: RunConfig) -> int:
         "left": _line_json(region.left),
         "right": _line_json(region.right),
     }
-    text = json.dumps(payload, sort_keys=True)
-    print(text)
-    if cfg.out:
-        Path(cfg.out).write_text(text + "\n")
+    _report_out(payload, args)
     return 0
 
 
-def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if cfg.out is None:
+def cmd_synth(args: argparse.Namespace) -> int:
+    if args.out is None:
         raise InputFormatError("out", "synth command needs an output directory")
     pan = (0.0, 0.0)
     if args.pan:
@@ -435,12 +382,12 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
         pan=pan,
         dropout_rate=args.dropout,
         jitter_sigma=args.jitter,
-        seed=cfg.seed,
+        seed=args.seed,
     )
     seq = generate(spec)
     if args.extra_dropout > 0.0:
-        seq = degrade(seq, args.extra_dropout, cfg.seed)
-    write_scenario(seq, cfg.out)
+        seq = degrade(seq, args.extra_dropout, args.seed)
+    write_scenario(seq, args.out)
     return 0
 
 
@@ -452,39 +399,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Tracking-by-detection pipeline for single-camera basketball video",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    helps = {
+        "track": "link detections into identity tracks",
+        "eval": "evaluate detections or tracks",
+        "court": "estimate the court region",
+        "synth": "generate a synthetic scenario",
+    }
+    commands = {}
+    for command, names in COMMAND_SETTINGS.items():
+        p = commands[command] = sub.add_parser(command, help=helps[command])
+        p.add_argument("--config", help="flat key=value config file")
+        for name in names:
+            kind, _, text = SETTINGS[name]
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=text)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--frames", help="frame directory (frame_%%06d.ppm)")
-    common.add_argument("--detections", help="detections JSONL file")
-    common.add_argument("--homographies", help="homographies JSON file")
-    common.add_argument("--segments", help="line-segments CSV file")
-    common.add_argument("--mask", help="people-mask PGM file")
-    common.add_argument("--gt", help="ground-truth CSV file")
-    common.add_argument("--hyp", help="hypothesis CSV/JSONL file")
-    common.add_argument("--out", help="output path")
-    common.add_argument("--alpha", type=float, help="distance-term weight")
-    common.add_argument("--beta", type=float, help="overlap-term weight")
-    common.add_argument("--gate", type=float, help="maximum acceptable matching cost")
-    common.add_argument("--memory", type=int, choices=(1, 2), help="memory depth in frames")
-    common.add_argument("--patch", type=int, help="patch half-extent in pixels")
-    common.add_argument("--dup-iou", dest="dup_iou", type=float, help="duplicate-IoU threshold")
-    common.add_argument("--mot-iou", dest="mot_iou", type=float, help="CLEAR-MOT IoU threshold")
-    common.add_argument("--candidates", type=int, help="dominant lines fed to boundary search")
-    common.add_argument("--step", type=float, help="NBA convergence step in pixels")
-    common.add_argument("--drop-tol", dest="drop_tol", type=float, help="NBA drop tolerance")
-    common.add_argument("--court", choices=("european", "nba", "none"), help="court variant")
-    common.add_argument("--hsv", help="HSV filter 'h0:h1,s0:s1,v0:v1'")
-    common.add_argument("--seed", type=int, help="random seed")
+    commands["eval"].add_argument("--mode", choices=("det", "mot"), required=True)
 
-    sub.add_parser("track", parents=[common], help="link detections into identity tracks")
-
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate detections or tracks")
-    p_eval.add_argument("--mode", choices=("det", "mot"), required=True)
-
-    sub.add_parser("court", parents=[common], help="estimate the court region")
-
-    p_synth = sub.add_parser("synth", parents=[common], help="generate a synthetic scenario")
+    p_synth = commands["synth"]
     p_synth.add_argument("--targets", type=int, default=10)
     p_synth.add_argument("--num-frames", dest="num_frames", type=int, default=40)
     p_synth.add_argument("--width", type=int, default=640)
@@ -497,6 +428,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {"track": cmd_track, "eval": cmd_eval, "court": cmd_court, "synth": cmd_synth}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -505,16 +439,8 @@ def main(argv=None) -> int:
         # degenerate results here, so remap usage problems to 1
         return 0 if exc.code in (0, None) else 1
     try:
-        cfg = build_run_config(args)
-        if args.command == "track":
-            return cmd_track(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.mode)
-        if args.command == "court":
-            return cmd_court(cfg)
-        if args.command == "synth":
-            return cmd_synth(cfg, args)
-        raise AssertionError(f"unhandled command {args.command}")
+        resolve_settings(args)
+        return COMMANDS[args.command](args)
     except DegenerateCourt as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -251,13 +251,12 @@ def converge_boundaries_nba(
 
     Both lines share the orientation of `orientation_line` and start at
     the extreme ends of the mask. Each iteration moves the unfixed lines
-    one step inward and evaluates (a) the people fraction beyond the top
-    line, (b) the people fraction beyond the bottom line, and (c) the
-    non-people fraction between them. A line whose own fraction drops by
-    more than `drop_tol` against the previous iteration is fixed at its
-    previous position. A fraction that starts at zero cannot fix its line
-    until it first becomes positive; if the lines meet while neither is
-    fixed the court is degenerate.
+    one step inward and evaluates the people fraction beyond the top line
+    and the people fraction beyond the bottom line. A line whose own
+    fraction drops by more than `drop_tol` against the previous iteration
+    is fixed at its previous position. A fraction that starts at zero
+    cannot fix its line until it first becomes positive; if the lines
+    meet while neither is fixed the court is degenerate.
     """
     if step < 1.0:
         raise ValueError("step must be >= 1 pixel")
@@ -285,14 +284,6 @@ def converge_boundaries_nba(
         count = n_pixels - k
         return float(total_people - people_prefix[k]) / count if count > 0 else 0.0
 
-    def frac_clear_between(rho_lo: float, rho_hi: float) -> float:
-        k_lo = int(np.searchsorted(proj_sorted, rho_lo, side="left"))
-        k_hi = int(np.searchsorted(proj_sorted, rho_hi, side="right"))
-        count = k_hi - k_lo
-        if count <= 0:
-            return 0.0
-        return 1.0 - float(people_prefix[k_hi] - people_prefix[k_lo]) / count
-
     rho_top = float(proj_sorted[0])
     rho_bottom = float(proj_sorted[-1])
     prev_top = frac_above(rho_top)
@@ -319,7 +310,6 @@ def converge_boundaries_nba(
             break
         pct_top = frac_above(rho_top)
         pct_bottom = frac_below(rho_bottom)
-        frac_clear_between(rho_top, rho_bottom)  # term (c) of the product objective
         if not fixed_top:
             if seen_top and pct_top < prev_top - drop_tol:
                 rho_top -= step

@@ -126,11 +126,6 @@ class ScalePlan:
         if self.coarse_scale <= 0.0:
             raise ValueError("coarse_scale must be positive")
 
-    @classmethod
-    def for_frame(cls, dims: FrameDims, overlap: float = 0.5) -> "ScalePlan":
-        """Width-anchored coarse scale: downscale to twice the model width."""
-        return cls(coarse_scale=min(1.0, 2.0 * 432 / dims.w), overlap=overlap)
-
     @property
     def stride_x(self) -> int:
         return max(1, round(self.model_w * (1.0 - self.overlap)))
@@ -316,8 +311,13 @@ def read_detections_jsonl(path) -> dict[int, list[Detection]]:
                 raise InputFormatError(
                     path, f"unknown stage {obj.get('stage')!r}", line=lineno, field="stage"
                 )
+            raw_kps = obj.get("keypoints", [])
+            if not isinstance(raw_kps, list):
+                raise InputFormatError(
+                    path, "keypoints must be a list", line=lineno, field="keypoints"
+                )
             kps = []
-            for k in obj.get("keypoints", []):
+            for k in raw_kps:
                 try:
                     kps.append(
                         Keypoint(int(k["part"]), Point2(float(k["x"]), float(k["y"])), float(k["c"]))
@@ -328,7 +328,9 @@ def read_detections_jsonl(path) -> dict[int, list[Detection]]:
                     ) from None
             if not kps:
                 raise InputFormatError(path, "detection without keypoints", line=lineno, field="keypoints")
-            per_frame.setdefault(frame_idx, []).append(
-                Detection.from_keypoints(kps, stage)
-            )
+            try:
+                det = Detection.from_keypoints(kps, stage)
+            except ValueError as exc:
+                raise InputFormatError(path, str(exc), line=lineno, field="keypoints") from None
+            per_frame.setdefault(frame_idx, []).append(det)
     return per_frame

@@ -13,10 +13,6 @@ class EmptyOverlap(CourtTrackError):
     """Patch comparison with no offset valid in both frames."""
 
 
-class EmptyRegion(CourtTrackError):
-    """Mask region predicate selects no pixel inside the frame."""
-
-
 class NoSegments(CourtTrackError):
     """Line voting invoked with an empty segment list."""
 

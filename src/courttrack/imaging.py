@@ -8,29 +8,15 @@ PPM (P6) is the conformance format for frames and PGM (P5) for masks.
 
 from __future__ import annotations
 
-import colorsys
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyOverlap, EmptyRegion, InputFormatError
+from .errors import EmptyOverlap, InputFormatError
 from .geometry import FrameDims, Point2
-
-
-@dataclass(frozen=True)
-class HsvPixel:
-    """Hue in degrees [0, 360), saturation and value in [0, 1]."""
-
-    h: float
-    s: float
-    v: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.h < 360.0 and 0.0 <= self.s <= 1.0 and 0.0 <= self.v <= 1.0):
-            raise ValueError(f"HSV out of range: ({self.h}, {self.s}, {self.v})")
 
 
 class FrameRaster:
@@ -95,22 +81,6 @@ class PatchWindow:
     @property
     def cell_count(self) -> int:
         return self.side * self.side
-
-
-def rgb_to_hsv(rgb: tuple[int, int, int]) -> HsvPixel:
-    """Standard hexcone HSV of an 8-bit RGB triple; achromatic hue is 0."""
-    r, g, b = rgb
-    for v in (r, g, b):
-        if not 0 <= v <= 255:
-            raise ValueError(f"channel out of range in {rgb}")
-    h, s, v = colorsys.rgb_to_hsv(r / 255.0, g / 255.0, b / 255.0)
-    return HsvPixel(h * 360.0 % 360.0, s, v)
-
-
-def hsv_to_rgb(p: HsvPixel) -> tuple[int, int, int]:
-    """Inverse of rgb_to_hsv, rounded back to 8-bit channels."""
-    r, g, b = colorsys.hsv_to_rgb(p.h / 360.0, p.s, p.v)
-    return (round(r * 255.0), round(g * 255.0), round(b * 255.0))
 
 
 def frame_to_hsv(frame: FrameRaster) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,27 +170,6 @@ def keypoint_patches(
         [he - xy[:, 1], he + h - xy[:, 1], he - xy[:, 0], he + w - xy[:, 0]], axis=1
     ).clip(0, side)
     return patches, rects
-
-
-def mask_fraction(mask: BinaryMask, region: Callable[[Point2], bool]) -> float:
-    """Fraction of mask-true pixels among the pixels selected by region.
-
-    The predicate is evaluated at integer pixel coordinates (x, y).
-    """
-    bits = mask.bits
-    h, w = bits.shape
-    selected = 0
-    people = 0
-    for y in range(h):
-        row = bits[y]
-        for x in range(w):
-            if region(Point2(float(x), float(y))):
-                selected += 1
-                if row[x]:
-                    people += 1
-    if selected == 0:
-        raise EmptyRegion("region predicate selects no pixel inside the frame")
-    return people / selected
 
 
 def resize_nearest(frame: FrameRaster, dims: FrameDims) -> FrameRaster:

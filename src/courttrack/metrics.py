@@ -9,7 +9,6 @@ mean IoU of matched pairs (higher is better).
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,31 +206,16 @@ def eval_mot_records(
     return MotReport.from_counts(misses, false_positives, id_switches, len(gt), motp)
 
 
-def mean_detection_reports(reports: list[DetectionReport]) -> dict:
-    """Per-sequence averaging mode (the default pooling is eval_detections)."""
-    if not reports:
-        raise ValueError("need at least one report to average")
-    return {
-        "precision": math.fsum(r.precision for r in reports) / len(reports),
-        "recall": math.fsum(r.recall for r in reports) / len(reports),
-        "f1": math.fsum(r.f1 for r in reports) / len(reports),
-    }
-
-
-def mean_mot_reports(reports: list[MotReport]) -> dict:
-    if not reports:
-        raise ValueError("need at least one report to average")
-    return {
-        "mota": math.fsum(r.mota for r in reports) / len(reports),
-        "motp": math.fsum(r.motp for r in reports) / len(reports),
-    }
-
-
 # --- MOT-style CSV ingestion ----------------------------------------------------
 
-def read_mot_csv(path) -> list[GroundTruthBox]:
-    """Read "frame,id,x_min,y_min,width,height" rows; header optional."""
+def read_mot_csv(path, unique_ids: bool = False) -> list[GroundTruthBox]:
+    """Read "frame,id,x_min,y_min,width,height" rows; header optional.
+
+    With unique_ids a (frame, id) pair may occur on one row only, as
+    CLEAR-MOT needs; detection files may repeat ids (MOT uses -1 for all).
+    """
     records: list[GroundTruthBox] = []
+    first_row: dict[tuple[int, int], int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -250,11 +234,30 @@ def read_mot_csv(path) -> list[GroundTruthBox]:
                     raise InputFormatError(
                         path, f"not a number: {cell!r}", line=lineno, field=name
                     ) from None
+            for name, cell, value in zip(names[:2], row, values):
+                if not value.is_integer():
+                    raise InputFormatError(
+                        path, f"not an integer: {cell!r}", line=lineno, field=name
+                    )
             frame, track_id = int(values[0]), int(values[1])
             x, y, w, h = values[2:]
             if w < 0 or h < 0:
                 raise InputFormatError(path, "negative box size", line=lineno, field="width")
-            records.append(GroundTruthBox(frame, track_id, BBox(x, y, x + w, y + h)))
+            try:
+                bbox = BBox(x, y, x + w, y + h)
+            except ValueError as exc:
+                raise InputFormatError(path, str(exc), line=lineno) from None
+            if unique_ids:
+                key = (frame, track_id)
+                if key in first_row:
+                    raise InputFormatError(
+                        path,
+                        f"frame {frame} id {track_id} repeats line {first_row[key]}",
+                        line=lineno,
+                        field="id",
+                    )
+                first_row[key] = lineno
+            records.append(GroundTruthBox(frame, track_id, bbox))
     return records
 
 

@@ -37,7 +37,7 @@ class MatchConfig:
     patch: PatchWindow = field(default_factory=PatchWindow)
 
     def __post_init__(self):
-        if self.gate <= 0.0:
+        if not self.gate > 0.0:
             raise ValueError("gate must be positive")
         if self.memory_depth not in (1, 2):
             raise ValueError("memory_depth must be 1 or 2")

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from courttrack.cli import _build_parser, build_run_config, main
+from courttrack.cli import _build_parser, main, resolve_settings
 from courttrack.geometry import FrameDims
 from courttrack.imaging import BinaryMask, FrameRaster, write_pgm, write_ppm
 from courttrack.metrics import read_mot_csv
@@ -157,6 +157,36 @@ class TestTrackCommand:
         assert "identity" in err
 
 
+    @pytest.mark.parametrize("frame", [-1, 6])
+    def test_homography_frame_outside_frames_fails(self, tmp_path, capsys, frame):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen, frames=6))
+        payload = json.loads((scen / "homographies.json").read_text())
+        payload.append({"frame": frame, "h": [1, 0, 0, 0, 1, 0, 0, 0, 1]})
+        (scen / "homographies.json").write_text(json.dumps(payload))
+        code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
+        assert code == 1
+        assert "homographies.json" in err and f"[{frame}]" in err
+
+    def test_repeated_homography_frame_fails(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen))
+        payload = json.loads((scen / "homographies.json").read_text())
+        (scen / "homographies.json").write_text(json.dumps(payload + payload[:1]))
+        code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
+        assert code == 1
+        assert "homographies.json" in err and "frame 0 repeats" in err
+
+    def test_nan_gate_fails(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen))
+        out_csv = tmp_path / "t.csv"
+        code, _, err = run(capsys, *track_args(scen, out_csv), "--gate", "nan")
+        assert code == 1
+        assert "gate" in err
+        assert not out_csv.exists()
+
+
 class TestEvalCommand:
     def test_detection_fixture(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
@@ -216,6 +246,29 @@ class TestEvalCommand:
             motas[memory] = json.loads(out)
         assert motas[2]["mota"] > motas[1]["mota"]
         assert motas[2]["id_switches"] < motas[1]["id_switches"]
+
+
+    @pytest.mark.parametrize("repeated", ["gt", "hyp"])
+    def test_repeated_mot_row_fails_naming_its_line(self, tmp_path, capsys, repeated):
+        row = "0,1,0.0,0.0,10.0,10.0\n"
+        files = {"gt": tmp_path / "gt.csv", "hyp": tmp_path / "hyp.csv"}
+        for name, path in files.items():
+            path.write_text(row + "1,1,0.0,0.0,10.0,10.0\n" + (row if name == repeated else ""))
+        code, _, err = run(
+            capsys, "eval", "--mode", "mot", "--gt", str(files["gt"]), "--hyp", str(files["hyp"])
+        )
+        assert code == 1
+        assert f"{repeated}.csv:3" in err
+
+    def test_det_mode_accepts_repeated_ids(self, tmp_path, capsys):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("0,-1,0.0,0.0,10.0,10.0\n0,-1,50.0,50.0,10.0,10.0\n")
+        hyp = tmp_path / "hyp.csv"
+        hyp.write_text("0,-1,0.0,0.0,10.0,10.0\n0,-1,90.0,90.0,10.0,10.0\n")
+        code, out, _ = run(capsys, "eval", "--mode", "det", "--gt", str(gt), "--hyp", str(hyp))
+        assert code == 0
+        report = json.loads(out)
+        assert (report["tp"], report["fp"], report["fn"]) == (1, 1, 1)
 
 
 class TestCourtCommand:
@@ -333,10 +386,10 @@ class TestConfigPrecedence:
         args = _build_parser().parse_args(
             ["track", "--config", str(config), "--alpha", "0.7"]
         )
-        cfg = build_run_config(args)
-        assert cfg.alpha == 0.7  # flag wins
-        assert cfg.gate == 0.9  # config wins over default
-        assert cfg.beta == 0.05  # default
+        resolve_settings(args)
+        assert args.alpha == 0.7  # flag wins
+        assert args.gate == 0.9  # config wins over default
+        assert args.beta == 0.05  # default
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -345,7 +398,7 @@ class TestConfigPrecedence:
         from courttrack.errors import InputFormatError
 
         with pytest.raises(InputFormatError):
-            build_run_config(args)
+            resolve_settings(args)
 
     def test_bad_hsv_flag_is_input_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -359,3 +412,44 @@ class TestConfigPrecedence:
             "not-a-filter",
         )
         assert code == 1
+
+
+class TestCommandSurface:
+    COMMANDS = {
+        "track": ["track"],
+        "eval": ["eval", "--mode", "mot"],
+        "court": ["court"],
+        "synth": ["synth"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("track", "--court", "nba"),
+            ("eval", "--alpha", "0.1"),
+            ("court", "--gate", "0.3"),
+            ("synth", "--mot-iou", "0.5"),
+        ]
+        + [(command, "--dup-iou", "0.5") for command in ("track", "eval", "court", "synth")],
+    )
+    def test_flag_of_another_command_rejected(self, capsys, command, flag, value):
+        code, _, err = run(capsys, *self.COMMANDS[command], flag, value)
+        assert code == 1
+        assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("track", "court=nba"), ("eval", "alpha=0.1"), ("court", "gate=0.3"), ("synth", "mot_iou=0.5")],
+    )
+    def test_config_key_of_another_command_rejected(self, tmp_path, capsys, command, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"out={tmp_path / 'x'}\n{key}\n")
+        code, _, err = run(capsys, *self.COMMANDS[command], "--config", str(config))
+        assert code == 1
+        assert "run.cfg:2" in err and key.partition("=")[0] in err
+
+    @pytest.mark.parametrize("command", ["track", "eval", "court", "synth"])
+    def test_help_exits_zero(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert f"courttrack {command}" in out

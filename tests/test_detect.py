@@ -85,9 +85,9 @@ class TestDetectionType:
 
 class TestCoarsePass:
     def test_downscale_target_is_twice_model_width(self):
-        plan = ScalePlan.for_frame(HD)
-        assert plan.coarse_scale == pytest.approx(0.45)
+        plan = ScalePlan()
         assert coarse_scale_dims(HD, plan) == FrameDims(864, 486)
+        assert coarse_scale_dims(HD, plan).w == 2 * plan.model_w
 
     def test_detector_sees_downscaled_window_and_maps_back(self):
         calls = []
@@ -347,3 +347,20 @@ class TestDetectionsJsonl:
         with pytest.raises(InputFormatError) as err:
             read_detections_jsonl(path)
         assert ":2" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "keypoints",
+        [
+            "5",
+            '[{"part": 4, "x": 1, "y": 2, "c": 0.5}, {"part": 4, "x": 3, "y": 4, "c": 0.5}]',
+        ],
+    )
+    def test_bad_keypoints_report_line(self, tmp_path, keypoints):
+        from courttrack.errors import InputFormatError
+
+        path = tmp_path / "dets.jsonl"
+        good = '{"frame": 0, "keypoints": [{"part": 0, "x": 1, "y": 2, "c": 0.5}]}'
+        path.write_text(f'{good}\n{{"frame": 1, "keypoints": {keypoints}}}\n')
+        with pytest.raises(InputFormatError) as err:
+            read_detections_jsonl(path)
+        assert err.value.line == 2 and err.value.field == "keypoints"

@@ -1,58 +1,46 @@
+import colorsys
 import random
 
 import numpy as np
 import pytest
 
-from courttrack.errors import EmptyOverlap, EmptyRegion, InputFormatError
+from courttrack.errors import EmptyOverlap, InputFormatError
 from courttrack.geometry import FrameDims, Point2
 from courttrack.imaging import (
     BinaryMask,
     FrameRaster,
-    HsvPixel,
     PatchWindow,
     frame_to_hsv,
-    hsv_to_rgb,
-    mask_fraction,
     patch_mean_abs_diff,
     read_pgm,
     read_ppm,
-    rgb_to_hsv,
     write_pgm,
     write_ppm,
 )
 
 
+def hsv_of(rgb):
+    h, s, v = frame_to_hsv(FrameRaster(np.array(rgb, dtype=np.uint8).reshape(1, 1, 3)))
+    return h[0, 0], s[0, 0], v[0, 0]
+
+
 class TestRgbToHsv:
     def test_pure_red(self):
-        p = rgb_to_hsv((255, 0, 0))
-        assert (p.h, p.s, p.v) == (0.0, 1.0, 1.0)
+        assert hsv_of((255, 0, 0)) == (0.0, 1.0, 1.0)
 
     def test_gray_is_achromatic(self):
-        p = rgb_to_hsv((128, 128, 128))
-        assert p.h == 0.0
-        assert p.s == 0.0
-        assert p.v == pytest.approx(128 / 255)
+        h, s, v = hsv_of((128, 128, 128))
+        assert h == 0.0
+        assert s == 0.0
+        assert v == pytest.approx(128 / 255)
 
     def test_hexcone_formula_hand_computed(self):
         # (0, 128, 255): v = 1, s = 1, max channel is blue:
         # h = 60 * (4 + (r - g) / delta) = 60 * (4 - 128/255) = 209.88235...
-        p = rgb_to_hsv((0, 128, 255))
-        assert p.v == 1.0
-        assert p.s == 1.0
-        assert p.h == pytest.approx(209.88235294117646, abs=1e-9)
-
-    def test_out_of_range_channel_rejected(self):
-        with pytest.raises(ValueError):
-            rgb_to_hsv((0, 300, 0))
-
-    def test_round_trip_on_16_cubed_grid(self):
-        for r in range(0, 256, 17):
-            for g in range(0, 256, 17):
-                for b in range(0, 256, 17):
-                    rr, gg, bb = hsv_to_rgb(rgb_to_hsv((r, g, b)))
-                    assert abs(rr - r) <= 1
-                    assert abs(gg - g) <= 1
-                    assert abs(bb - b) <= 1
+        h, s, v = hsv_of((0, 128, 255))
+        assert v == 1.0
+        assert s == 1.0
+        assert h == pytest.approx(209.88235294117646, abs=1e-9)
 
     def test_vectorized_matches_scalar(self):
         rng = random.Random(42)
@@ -61,16 +49,12 @@ class TestRgbToHsv:
         ]
         frame = FrameRaster(np.array(pixels, dtype=np.uint8).reshape(8, 8, 3))
         h, s, v = frame_to_hsv(frame)
-        for idx, rgb in enumerate(pixels):
-            expect = rgb_to_hsv(rgb)
+        for idx, (r, g, b) in enumerate(pixels):
+            eh, es, ev = colorsys.rgb_to_hsv(r / 255.0, g / 255.0, b / 255.0)
             y, x = divmod(idx, 8)
-            assert h[y, x] == pytest.approx(expect.h, abs=1e-9)
-            assert s[y, x] == pytest.approx(expect.s, abs=1e-12)
-            assert v[y, x] == pytest.approx(expect.v, abs=1e-12)
-
-    def test_hsv_range_validation(self):
-        with pytest.raises(ValueError):
-            HsvPixel(360.0, 0.0, 0.0)
+            assert h[y, x] == pytest.approx(eh * 360.0 % 360.0, abs=1e-9)
+            assert s[y, x] == pytest.approx(es, abs=1e-12)
+            assert v[y, x] == pytest.approx(ev, abs=1e-12)
 
 
 class TestPatchMeanAbsDiff:
@@ -125,38 +109,6 @@ class TestPatchMeanAbsDiff:
         win = PatchWindow()
         assert win.side == 24
         assert win.cell_count == 576
-
-
-class TestMaskFraction:
-    def test_all_true(self):
-        mask = BinaryMask(np.ones((8, 8), dtype=bool))
-        assert mask_fraction(mask, lambda p: True) == 1.0
-
-    def test_all_false(self):
-        mask = BinaryMask(np.zeros((8, 8), dtype=bool))
-        assert mask_fraction(mask, lambda p: True) == 0.0
-
-    def test_planted_band_fraction_exact(self):
-        bits = np.zeros((10, 10), dtype=bool)
-        bits[2:4, :] = True  # 20 true pixels in the 50-pixel band of rows 2..6
-        mask = BinaryMask(bits)
-        frac = mask_fraction(mask, lambda p: 2 <= p.y <= 6)
-        assert frac == 20 / 50
-
-    def test_empty_region_raises(self):
-        mask = BinaryMask(np.ones((4, 4), dtype=bool))
-        with pytest.raises(EmptyRegion):
-            mask_fraction(mask, lambda p: False)
-
-    def test_partition_mass_identity(self):
-        rng = np.random.default_rng(3)
-        bits = rng.random((12, 16)) < 0.3
-        mask = BinaryMask(bits)
-        left = mask_fraction(mask, lambda p: p.x < 7)
-        right = mask_fraction(mask, lambda p: p.x >= 7)
-        n_left = 12 * 7
-        n_right = 12 * 9
-        assert left * n_left + right * n_right == pytest.approx(bits.sum(), abs=1e-9)
 
 
 class TestPnmIO:

@@ -11,8 +11,6 @@ from courttrack.metrics import (
     eval_detections,
     eval_mot,
     eval_mot_records,
-    mean_detection_reports,
-    mean_mot_reports,
     read_mot_csv,
     write_mot_csv,
 )
@@ -143,21 +141,6 @@ class TestEvalMot:
         assert report.motp == 1.0
 
 
-class TestMeans:
-    def test_mean_detection_reports(self):
-        a = DetectionReport.from_counts(10, 0, 0)
-        b = DetectionReport.from_counts(5, 5, 5)
-        means = mean_detection_reports([a, b])
-        assert means["precision"] == pytest.approx((1.0 + 0.5) / 2)
-
-    def test_mean_mot_reports(self):
-        gt = [rec(t, 0, 0, 0, 10, 10) for t in range(4)]
-        r1 = eval_mot_records(gt, [rec(t, 1, 0, 0, 10, 10) for t in range(4)])
-        r2 = eval_mot_records(gt, [rec(t, 1, 0, 0, 10, 10) for t in range(2)])
-        means = mean_mot_reports([r1, r2])
-        assert means["mota"] == pytest.approx((r1.mota + r2.mota) / 2)
-
-
 class TestMotCsv:
     def test_round_trip(self, tmp_path):
         records = [rec(0, 1, 5, 6, 25, 46), rec(1, 2, 0.5, 1.5, 10.5, 21.5)]
@@ -178,3 +161,27 @@ class TestMotCsv:
         with pytest.raises(InputFormatError) as err:
             read_mot_csv(path)
         assert "x_min" in str(err.value)
+
+    @pytest.mark.parametrize("field, row", [("frame", "1.5,1"), ("id", "1,2.5"), ("frame", "inf,1")])
+    def test_non_integer_frame_or_id_rejected(self, tmp_path, field, row):
+        path = tmp_path / "gt.csv"
+        path.write_text(f"0,1,5.0,6.0,20.0,40.0\n{row},5.0,6.0,20.0,40.0\n")
+        with pytest.raises(InputFormatError) as err:
+            read_mot_csv(path)
+        assert err.value.line == 2 and err.value.field == field
+
+    @pytest.mark.parametrize("cells", ["nan,6.0,20.0,40.0", "5.0,inf,20.0,40.0", "5.0,6.0,nan,40.0"])
+    def test_non_finite_coordinate_rejected(self, tmp_path, cells):
+        path = tmp_path / "gt.csv"
+        path.write_text(f"0,1,5.0,6.0,20.0,40.0\n1,1,{cells}\n")
+        with pytest.raises(InputFormatError) as err:
+            read_mot_csv(path)
+        assert str(path) in str(err.value) and err.value.line == 2
+
+    def test_repeated_frame_and_id_rejected_only_when_unique(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("0,1,5.0,6.0,20.0,40.0\n0,2,5.0,6.0,20.0,40.0\n0,1,9.0,6.0,20.0,40.0\n")
+        assert len(read_mot_csv(path)) == 3
+        with pytest.raises(InputFormatError) as err:
+            read_mot_csv(path, unique_ids=True)
+        assert err.value.line == 3 and "line 1" in str(err.value)

@@ -215,6 +215,10 @@ class TestRunTracker:
         tracks = run_tracker(frames, MatchConfig(gate=math.inf))
         assert len(tracks) == 1
 
+    def test_nan_gate_rejected(self):
+        with pytest.raises(ValueError):
+            MatchConfig(gate=math.nan)
+
     def test_every_detection_in_exactly_one_track(self):
         spec = ScenarioSpec(n_targets=4, n_frames=15, dims=FrameDims(640, 360), seed=2, dropout_rate=0.15)
         seq = generate(spec)
