@@ -63,7 +63,6 @@ from .track import (
     match_frame,
     run_tracker,
     solve_assignment,
-    write_tracks_csv,
 )
 from .metrics import (
     DetectionReport,

@@ -12,6 +12,7 @@ import json
 import re
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .cost import DEFAULT_ALPHA, DEFAULT_BETA, CostWeights
 from .court import (
@@ -34,18 +35,20 @@ from .errors import (
     EmptyGroundTruth,
     InputFormatError,
     NoCandidates,
+    json_int,
 )
 from .geometry import BBox, FrameDims, Homography, Line2
-from .imaging import BinaryMask, FrameRaster, PatchWindow, read_pgm, read_ppm, write_ppm
+from .imaging import BinaryMask, PatchWindow, read_pgm, read_ppm, write_ppm
 from .metrics import (
     MOT_IOU_THRESHOLD,
     eval_detections,
     eval_mot_records,
     read_mot_csv,
+    tracks_to_records,
     write_mot_csv,
 )
 from .synth import ScenarioSpec, SyntheticSequence, degrade, generate
-from .track import DEFAULT_GATE, FrameObservations, MatchConfig, run_tracker, write_tracks_csv
+from .track import DEFAULT_GATE, FrameObservations, MatchConfig, run_tracker
 
 FRAME_FILE_PATTERN = "frame_%06d.ppm"
 
@@ -158,10 +161,10 @@ def read_homographies_json(path) -> dict[int, Homography]:
     out: dict[int, Homography] = {}
     for idx, entry in enumerate(payload):
         try:
-            frame = int(entry["frame"])
-            matrix = entry["h"]
-        except (KeyError, TypeError, ValueError):
-            raise InputFormatError(path, f"entry {idx} needs 'frame' and 'h'", field="frame")
+            raw_frame, matrix = entry["frame"], entry["h"]
+        except (KeyError, TypeError):
+            raise InputFormatError(path, f"entry {idx} needs 'frame' and 'h'", field="frame") from None
+        frame = json_int(raw_frame, path, "frame", entry=idx)
         if frame in out:
             raise InputFormatError(path, f"entry {idx}: frame {frame} repeats", field="frame")
         try:
@@ -173,8 +176,8 @@ def read_homographies_json(path) -> dict[int, Homography]:
 
 # --- frame directory -----------------------------------------------------------
 
-def load_frame_series(frames_dir) -> list[FrameRaster]:
-    """Read frame_%06d.ppm files indexed consecutively from 0."""
+def list_frame_files(frames_dir) -> list[Path]:
+    """Paths of the frame_%06d.ppm files, indexed consecutively from 0."""
     root = Path(frames_dir)
     if not root.is_dir():
         raise InputFormatError(frames_dir, "not a directory of frames")
@@ -188,17 +191,25 @@ def load_frame_series(frames_dir) -> list[FrameRaster]:
     expected = list(range(len(indexed)))
     if sorted(indexed) != expected:
         raise InputFormatError(frames_dir, "frame files are not consecutive from 0")
-    frames = []
-    for i in expected:
-        frame = read_ppm(indexed[i])
+    return [indexed[i] for i in expected]
+
+
+def decode_frames(paths, detections, homographies) -> Iterator[FrameObservations]:
+    """Read one frame at a time and pair it with its detections and homography."""
+    for t, path in enumerate(paths):
+        raster = read_ppm(path)
         # the tracker normalizes every distance by frame 0's diagonal
-        if frames and frame.dims != frames[0].dims:
-            first = frames[0].dims
+        if t == 0:
+            first = raster.dims
+        elif raster.dims != first:
             raise InputFormatError(
-                indexed[i], f"frame is {frame.dims.w}x{frame.dims.h}, frame 0 is {first.w}x{first.h}"
+                path, f"frame is {raster.dims.w}x{raster.dims.h}, frame 0 is {first.w}x{first.h}"
             )
-        frames.append(frame)
-    return frames
+        h = homographies.get(t)
+        if h is None:
+            print(f"warning: no homography for frame {t}, assuming identity", file=sys.stderr)
+            h = Homography.identity()
+        yield FrameObservations(t, detections.get(t, []), h, raster)
 
 
 def write_scenario(seq: SyntheticSequence, outdir) -> None:
@@ -226,9 +237,9 @@ def cmd_track(args: argparse.Namespace) -> int:
     )
     detections = read_detections_jsonl(args.detections)
     homographies = read_homographies_json(args.homographies)
-    frames = load_frame_series(args.frames)
+    paths = list_frame_files(args.frames)
 
-    n = len(frames)
+    n = len(paths)
     for path, per_frame, what in (
         (args.detections, detections, "detections"),
         (args.homographies, homographies, "homographies"),
@@ -238,16 +249,8 @@ def cmd_track(args: argparse.Namespace) -> int:
             raise InputFormatError(
                 path, f"{what} reference frames {sorted(bad)} outside 0..{n - 1}"
             )
-    sequence = []
-    for t in range(n):
-        h = homographies.get(t)
-        if h is None:
-            print(f"warning: no homography for frame {t}, assuming identity", file=sys.stderr)
-            h = Homography.identity()
-        sequence.append(FrameObservations(t, detections.get(t, []), h, frames[t]))
-
-    tracks = run_tracker(sequence, config)
-    write_tracks_csv(tracks, args.out)
+    tracks = run_tracker(decode_frames(paths, detections, homographies), config)
+    write_mot_csv(tracks_to_records(tracks), args.out)
     return 0
 
 
@@ -303,6 +306,8 @@ def cmd_court(args: argparse.Namespace) -> int:
         raise InputFormatError("segments", "required for the court command")
     if args.court is None:
         raise InputFormatError("court", "court command needs --court european or nba")
+    if args.candidates < 1:
+        raise InputFormatError("candidates", f"must be at least 1, got {args.candidates}")
     segments = read_segments_csv(args.segments)
 
     if args.court == "european":

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Protocol
 
 from .court import CourtRegion, point_in_court
-from .errors import EmptyKeypoints, InputFormatError
+from .errors import EmptyKeypoints, InputFormatError, json_int
 from .geometry import BBox, FrameDims, Point2, iou
 from .imaging import FrameRaster, crop, resize_nearest
 
@@ -302,9 +302,10 @@ def read_detections_jsonl(path) -> dict[int, list[Detection]]:
             except json.JSONDecodeError as exc:
                 raise InputFormatError(path, f"invalid JSON: {exc}", line=lineno) from None
             try:
-                frame_idx = int(obj["frame"])
-            except (KeyError, TypeError, ValueError):
-                raise InputFormatError(path, "missing integer field", line=lineno, field="frame")
+                raw_frame = obj["frame"]
+            except (KeyError, TypeError):
+                raise InputFormatError(path, "missing field", line=lineno, field="frame") from None
+            frame_idx = json_int(raw_frame, path, "frame", line=lineno)
             try:
                 stage = SourceStage(obj.get("stage", "external"))
             except ValueError:
@@ -319,9 +320,8 @@ def read_detections_jsonl(path) -> dict[int, list[Detection]]:
             kps = []
             for k in raw_kps:
                 try:
-                    kps.append(
-                        Keypoint(int(k["part"]), Point2(float(k["x"]), float(k["y"])), float(k["c"]))
-                    )
+                    part = json_int(k["part"], path, "part", line=lineno)
+                    kps.append(Keypoint(part, Point2(float(k["x"]), float(k["y"])), float(k["c"])))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise InputFormatError(
                         path, f"bad keypoint: {exc}", line=lineno, field="keypoints"

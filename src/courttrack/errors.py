@@ -1,4 +1,4 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the JSON integer check."""
 
 
 class CourtTrackError(Exception):
@@ -62,3 +62,18 @@ class InputFormatError(CourtTrackError):
         if field is not None:
             loc += f" (field '{field}')"
         super().__init__(f"{loc}: {message}")
+
+
+def json_int(value, path, field, line=None, entry=None) -> int:
+    """The integer a JSON number stands for, or InputFormatError.
+
+    A bool, a string, a fraction or a non-finite number is rejected
+    rather than truncated. `entry` names the array element when the
+    file has no line to point at.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    where = "" if entry is None else f"entry {entry}: "
+    raise InputFormatError(path, f"{where}expected an integer, got {value!r}", line=line, field=field)

@@ -16,9 +16,10 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import EmptyGroundTruth, InputFormatError
 from .geometry import BBox, iou
-from .track import TRACK_CSV_HEADER, Track
+from .track import Track
 
 MOT_IOU_THRESHOLD = 0.5
+TRACK_CSV_HEADER = ["frame", "id", "x_min", "y_min", "width", "height"]
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,8 @@ def tracks_to_records(tracks: list[Track]) -> list[GroundTruthBox]:
     """Flatten tracker output into per-frame hypothesis box records."""
     records = []
     for track in tracks:
-        for t, obs in sorted(track.history.items()):
-            records.append(GroundTruthBox(t, track.id, obs.detection.bbox))
+        for t, bbox in track.history.items():
+            records.append(GroundTruthBox(t, track.id, bbox))
     return records
 
 
@@ -138,8 +139,11 @@ def eval_mot_records(
     Correspondences surviving from the previous frame (still above the
     IoU threshold) are kept; the remainder is matched by an optimal
     assignment maximizing IoU. A ground-truth identity whose hypothesis
-    differs from its last known one counts as an id switch.
+    differs from its last known one counts as an id switch. The IoU
+    threshold must lie in [0, 1).
     """
+    if not 0.0 <= iou_threshold < 1.0:
+        raise ValueError(f"IoU threshold must lie in [0, 1), got {iou_threshold}")
     if not gt:
         raise EmptyGroundTruth("tracking evaluation needs ground-truth boxes")
 

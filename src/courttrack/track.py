@@ -4,16 +4,16 @@ Per frame, current detections are matched against active tracks through
 one optimal assignment where the candidate cost of a track is the best
 similarity against its representatives at t-1 and t-2 (the two-frame
 memory criterion). Gated-out detections spawn fresh ids; tracks unseen
-for longer than the memory depth are retired.
+for longer than the memory depth are retired. Frames stream through: a
+track keeps its box per frame and only its last two observations.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -21,7 +21,7 @@ from scipy.optimize import linear_sum_assignment
 from .cost import CostWeights, ObservedBox, cost_matrix, default_weights
 from .detect import Detection
 from .errors import InconsistentFrameIndexing
-from .geometry import FrameDims, Homography
+from .geometry import BBox, FrameDims, Homography
 from .imaging import FrameRaster, PatchWindow
 
 DEFAULT_GATE = 0.5
@@ -44,19 +44,21 @@ class MatchConfig:
 
 
 class Track:
-    """A persistent identity with its per-frame observation history."""
+    """A persistent identity: its box per frame and its last two observations."""
 
-    __slots__ = ("id", "history", "last_seen")
+    __slots__ = ("id", "history", "recent", "last_seen")
 
     def __init__(self, track_id: int, t: int, obs: ObservedBox) -> None:
         self.id = track_id
-        self.history: dict[int, ObservedBox] = {t: obs}
+        self.history: dict[int, BBox] = {t: obs.detection.bbox}
+        self.recent: tuple[ObservedBox, ...] = (obs,)
         self.last_seen = t
 
     def observe(self, t: int, obs: ObservedBox) -> None:
         if t <= self.last_seen:
             raise ValueError(f"track {self.id} already observed at or after frame {t}")
-        self.history[t] = obs
+        self.history[t] = obs.detection.bbox
+        self.recent = (self.recent[-1], obs)
         self.last_seen = t
 
     def __repr__(self) -> str:
@@ -143,10 +145,6 @@ class MatchResult:
     retired: list[Track]
 
 
-def _representative_frames(track: Track, t: int, depth: int) -> list[int]:
-    return [f for f in (t - 1, t - 2) if f >= t - depth and f in track.history]
-
-
 def match_frame(
     active: list[Track],
     dets: list[ObservedBox],
@@ -177,6 +175,8 @@ def match_frame(
 
     eligible = [tr for tr in active if tr.last_seen >= t - cfg.memory_depth]
     retired = [tr for tr in active if tr.last_seen < t - cfg.memory_depth]
+    for track in retired:
+        track.recent = ()  # never matched again, so its rasters can go
     eligible.sort(key=lambda tr: tr.id)
 
     assignments: dict[int, Track] = {}
@@ -185,7 +185,7 @@ def match_frame(
         first_col = []
         for track in eligible:
             first_col.append(len(reps))
-            reps += [track.history[f] for f in _representative_frames(track, t, cfg.memory_depth)]
+            reps += [o for o in track.recent if o.t >= t - cfg.memory_depth]
         costs = cost_matrix(dets, reps, cfg.weights, dims, cfg.patch)
         # each eligible track has a representative at its last_seen, so no run is empty
         raw = np.minimum.reduceat(costs, first_col, axis=1)
@@ -216,25 +216,20 @@ class FrameObservations:
 
 
 def run_tracker(
-    sequence: Sequence[FrameObservations],
-    cfg: MatchConfig = MatchConfig(),
-    dims: FrameDims | None = None,
+    frames: Iterable[FrameObservations], cfg: MatchConfig = MatchConfig()
 ) -> list[Track]:
-    """Stream the matcher over a frame sequence; returns all tracks ever created."""
-    for pos, frame in enumerate(sequence):
-        if frame.index != pos:
-            raise InconsistentFrameIndexing(
-                f"expected frame index {pos}, got {frame.index}"
-            )
-    if not sequence:
-        return []
-    if dims is None:
-        dims = sequence[0].raster.dims
+    """Stream the matcher over frames indexed 0, 1, ...; returns all tracks ever created.
 
+    Distances are normalized by the first frame's diagonal.
+    """
     ids = count(0)
     active: list[Track] = []
     finished: list[Track] = []
-    for frame in sequence:
+    for pos, frame in enumerate(frames):
+        if frame.index != pos:
+            raise InconsistentFrameIndexing(f"expected frame index {pos}, got {frame.index}")
+        if pos == 0:
+            dims = frame.raster.dims
         obs = [
             ObservedBox(det, frame.homography, frame.raster, frame.index)
             for det in frame.detections
@@ -244,23 +239,3 @@ def run_tracker(
         active = [tr for tr in active if tr.id not in retired_ids] + result.new_tracks
         finished.extend(result.retired)
     return sorted(finished + active, key=lambda tr: tr.id)
-
-
-# --- MOT-style CSV output ------------------------------------------------------
-
-TRACK_CSV_HEADER = ["frame", "id", "x_min", "y_min", "width", "height"]
-
-
-def write_tracks_csv(tracks: list[Track], path) -> None:
-    """MOT-style rows "frame,id,x_min,y_min,width,height", frames 0-based."""
-    rows = []
-    for track in tracks:
-        for t, obs in sorted(track.history.items()):
-            b = obs.detection.bbox
-            rows.append((t, track.id, b.x_min, b.y_min, b.width, b.height))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACK_CSV_HEADER)
-        for row in rows:
-            writer.writerow([row[0], row[1]] + [repr(float(v)) for v in row[2:]])

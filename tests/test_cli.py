@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,22 @@ class TestTrackCommand:
         assert "160x100" in err and "320x200" in err
         assert not out_csv.exists()
 
+    def test_peak_memory_does_not_grow_with_frame_count(self, tmp_path, capsys):
+        # frames are decoded one at a time, so 40 frames peak near what 10 do
+        peaks = {}
+        for n in (10, 40):
+            scen = tmp_path / f"scen{n}"
+            spec = synth_args(scen, targets=6, frames=n, width=640, height=360)
+            assert run(capsys, *spec)[0] == 0
+            tracemalloc.start()
+            try:
+                code = main(track_args(scen, tmp_path / f"tracks{n}.csv"))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[40] / peaks[10] < 1.5
+
     def test_empty_detections_writes_header_only(self, tmp_path, capsys):
         scen = tmp_path / "scen"
         run(capsys, *synth_args(scen))
@@ -167,6 +184,17 @@ class TestTrackCommand:
         code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
         assert code == 1
         assert "homographies.json" in err and f"[{frame}]" in err
+
+    @pytest.mark.parametrize("frame", [1.5, True, "1"])
+    def test_non_integer_homography_frame_fails(self, tmp_path, capsys, frame):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen))
+        payload = json.loads((scen / "homographies.json").read_text())
+        payload[1]["frame"] = frame
+        (scen / "homographies.json").write_text(json.dumps(payload))
+        code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
+        assert code == 1
+        assert "homographies.json" in err and "'frame'" in err and "entry 1" in err
 
     def test_repeated_homography_frame_fails(self, tmp_path, capsys):
         scen = tmp_path / "scen"
@@ -260,6 +288,17 @@ class TestEvalCommand:
         assert code == 1
         assert f"{repeated}.csv:3" in err
 
+    @pytest.mark.parametrize("threshold", ["1.5", "-1", "nan"])
+    def test_mot_iou_outside_unit_interval_fails(self, tmp_path, capsys, threshold):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("0,1,0.0,0.0,10.0,10.0\n1,1,0.0,0.0,10.0,10.0\n")
+        code, out, err = run(
+            capsys, "eval", "--mode", "mot", "--gt", str(gt), "--hyp", str(gt), "--mot-iou", threshold
+        )
+        assert code == 1
+        assert out == ""
+        assert "IoU threshold" in err
+
     def test_det_mode_accepts_repeated_ids(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
         gt.write_text("0,-1,0.0,0.0,10.0,10.0\n0,-1,50.0,50.0,10.0,10.0\n")
@@ -272,15 +311,14 @@ class TestEvalCommand:
 
 
 class TestCourtCommand:
-    def test_nba_planted_mask(self, tmp_path, capsys):
+    @staticmethod
+    def planted_nba_args(tmp_path, out_json):
         bits = np.random.default_rng(0).random((400, 192)) < 0.04
         bits[:80] = True
         bits[320:] = True
         write_pgm(BinaryMask(bits), tmp_path / "mask.pgm")
         (tmp_path / "segments.csv").write_text("0,200,191,200\n")
-        out_json = tmp_path / "court.json"
-        code, out, _ = run(
-            capsys,
+        return [
             "court",
             "--court",
             "nba",
@@ -290,7 +328,11 @@ class TestCourtCommand:
             str(tmp_path / "mask.pgm"),
             "--out",
             str(out_json),
-        )
+        ]
+
+    def test_nba_planted_mask(self, tmp_path, capsys):
+        out_json = tmp_path / "court.json"
+        code, out, _ = run(capsys, *self.planted_nba_args(tmp_path, out_json))
         assert code == 0
         payload = json.loads(out_json.read_text())
         a, b, c = payload["top"]
@@ -298,6 +340,15 @@ class TestCourtCommand:
         a, b, c = payload["bottom"]
         assert abs(abs(c / b) - 320.0) <= 4.0
         assert payload["left"] is None and payload["right"] is None
+
+    @pytest.mark.parametrize("candidates", ["0", "-1"])
+    def test_candidates_below_one_is_input_error(self, tmp_path, capsys, candidates):
+        out_json = tmp_path / "court.json"
+        argv = self.planted_nba_args(tmp_path, out_json) + ["--candidates", candidates]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "candidates" in err
+        assert not out_json.exists()
 
     def test_european_planted_frame(self, tmp_path, capsys):
         from courttrack.imaging import FrameRaster, write_ppm

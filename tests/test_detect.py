@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -364,3 +365,18 @@ class TestDetectionsJsonl:
         with pytest.raises(InputFormatError) as err:
             read_detections_jsonl(path)
         assert err.value.line == 2 and err.value.field == "keypoints"
+
+    @pytest.mark.parametrize("value", [1.5, True, "1"])
+    @pytest.mark.parametrize("field", ["frame", "part"])
+    def test_non_integer_frame_or_part_reports_line(self, tmp_path, field, value):
+        from courttrack.errors import InputFormatError
+
+        path = tmp_path / "dets.jsonl"
+        good = '{"frame": 0, "keypoints": [{"part": 0, "x": 1, "y": 2, "c": 0.5}]}'
+        bad = {"frame": 1, "keypoints": [{"part": 3, "x": 1, "y": 2, "c": 0.5}]}
+        (bad if field == "frame" else bad["keypoints"][0])[field] = value
+        path.write_text(f"{good}\n{json.dumps(bad)}\n")
+        with pytest.raises(InputFormatError) as err:
+            read_detections_jsonl(path)
+        assert err.value.line == 2 and err.value.field == field
+        assert "dets.jsonl:2" in str(err.value)

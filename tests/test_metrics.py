@@ -123,6 +123,16 @@ class TestEvalMot:
         assert base.mota - degraded.mota == pytest.approx(1.0 / len(gt), abs=1e-12)
         assert degraded.motp == base.motp
 
+    @pytest.mark.parametrize("threshold", [1.0, 1.5, -1.0, float("nan")])
+    def test_iou_threshold_outside_unit_interval_rejected(self, threshold):
+        gt = [rec(0, 1, 0, 0, 10, 10)]
+        with pytest.raises(ValueError, match="IoU threshold"):
+            eval_mot_records(gt, gt, threshold)
+
+    def test_zero_iou_threshold_accepted(self):
+        gt = [rec(0, 1, 0, 0, 10, 10)]
+        assert eval_mot_records(gt, gt, 0.0).mota == 1.0
+
     def test_empty_ground_truth_rejected(self):
         with pytest.raises(EmptyGroundTruth):
             eval_mot_records([], [rec(0, 1, 0, 0, 5, 5)])

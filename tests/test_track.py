@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from courttrack.detect import Detection, Keypoint, SourceStage
 from courttrack.errors import InconsistentFrameIndexing
 from courttrack.geometry import FrameDims, Homography, Point2
 from courttrack.imaging import FrameRaster
-from courttrack.metrics import eval_mot
+from courttrack.metrics import eval_mot, tracks_to_records, write_mot_csv
 from courttrack.synth import ScenarioSpec, brute_force_assignment, generate
 from courttrack.track import (
     CostMatrix,
@@ -19,7 +21,6 @@ from courttrack.track import (
     match_frame,
     run_tracker,
     solve_assignment,
-    write_tracks_csv,
 )
 
 DIMS = FrameDims(200, 200)
@@ -248,8 +249,8 @@ class TestRunTracker:
         ]
         tracks = run_tracker(frames)
         by_id = {tr.id: tr for tr in tracks}
-        assert by_id[0].history[0].detection.bbox.x_min == 10
-        assert by_id[1].history[0].detection.bbox.x_min == 100
+        assert by_id[0].history[0].x_min == 10
+        assert by_id[1].history[0].x_min == 100
 
     def test_inconsistent_indexing_rejected(self):
         frames = [
@@ -259,10 +260,32 @@ class TestRunTracker:
         with pytest.raises(InconsistentFrameIndexing):
             run_tracker(frames)
 
+    def test_streamed_frames_release_their_rasters(self):
+        # one target stays for all 30 frames, one leaves after frame 9 and
+        # is retired; each frame decodes into its own raster
+        rasters = []
+
+        def frames():
+            for t in range(30):
+                raster = FrameRaster.filled(DIMS, (90, 90, 90))
+                rasters.append(weakref.ref(raster.data))
+                dets = [det_box(50.0, 50.0, 70.0, 90.0)]
+                if t < 10:
+                    dets.append(det_box(120.0, 120.0, 140.0, 160.0))
+                yield FrameObservations(t, dets, Homography.identity(), raster)
+
+        cfg = MatchConfig()
+        tracks = run_tracker(frames(), cfg)
+        assert [sorted(tr.history) for tr in tracks] == [list(range(30)), list(range(10))]
+        assert tracks[1].recent == ()
+        gc.collect()
+        assert len(rasters) == 30
+        assert sum(ref() is not None for ref in rasters) <= cfg.memory_depth
+
     def test_id_stability_when_cross_costs_exceed_gate(self):
         # single-frame dropouts only, and a gate below every inter-target
         # cost: two-frame memory must produce zero switches
-        from courttrack.metrics import eval_mot
+        from courttrack.metrics import eval_mot, tracks_to_records, write_mot_csv
         from courttrack.synth import degrade
 
         spec = ScenarioSpec(n_targets=4, n_frames=30, dims=FrameDims(640, 360), seed=13)
@@ -277,7 +300,7 @@ class TestTracksCsv:
     def test_csv_layout(self, tmp_path):
         tracks = run_tracker(single_target_sequence(2))
         path = tmp_path / "tracks.csv"
-        write_tracks_csv(tracks, path)
+        write_mot_csv(tracks_to_records(tracks), path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "frame,id,x_min,y_min,width,height"
         assert lines[1] == "0,0,50.0,50.0,20.0,40.0"
