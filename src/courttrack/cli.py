@@ -36,6 +36,7 @@ from .errors import (
     InputFormatError,
     NoCandidates,
     json_int,
+    json_number,
 )
 from .geometry import BBox, FrameDims, Homography, Line2
 from .imaging import BinaryMask, PatchWindow, read_pgm, read_ppm, write_ppm
@@ -167,8 +168,10 @@ def read_homographies_json(path) -> dict[int, Homography]:
         frame = json_int(raw_frame, path, "frame", entry=idx)
         if frame in out:
             raise InputFormatError(path, f"entry {idx}: frame {frame} repeats", field="frame")
+        if not isinstance(matrix, list) or len(matrix) != 9:
+            raise InputFormatError(path, f"entry {idx}: expected a flat array of 9 numbers", field="h")
         try:
-            out[frame] = Homography(matrix)
+            out[frame] = Homography([json_number(v, path, "h", entry=idx) for v in matrix])
         except ValueError as exc:
             raise InputFormatError(path, f"entry {idx}: {exc}", field="h") from None
     return out
@@ -209,7 +212,7 @@ def decode_frames(paths, detections, homographies) -> Iterator[FrameObservations
         if h is None:
             print(f"warning: no homography for frame {t}, assuming identity", file=sys.stderr)
             h = Homography.identity()
-        yield FrameObservations(t, detections.get(t, []), h, raster)
+        yield FrameObservations(detections.get(t, []), h, raster)
 
 
 def write_scenario(seq: SyntheticSequence, outdir) -> None:
@@ -321,11 +324,12 @@ def cmd_court(args: argparse.Namespace) -> int:
         frame = read_ppm(frame_path)
         dims = frame.dims
         candidates = [v.line for v in vote_dominant_lines(segments, dims)[: args.candidates]]
-        top = select_boundary_european(candidates, frame, args.hsv, Orientation.HORIZONTAL)
+        match = args.hsv.match_array(frame)
+        top = select_boundary_european(candidates, match, Orientation.HORIZONTAL)
         bottom = Line2.horizontal_at(float(dims.h))
         left = right = None
         try:
-            side = select_boundary_european(candidates, frame, args.hsv, Orientation.VERTICAL)
+            side = select_boundary_european(candidates, match, Orientation.VERTICAL)
             # assign by which half of the frame the line crosses at mid-height
             x_mid = (
                 -(side.b * dims.h / 2.0 + side.c) / side.a if abs(side.a) > 1e-9 else dims.w
@@ -446,10 +450,7 @@ def main(argv=None) -> int:
     try:
         resolve_settings(args)
         return COMMANDS[args.command](args)
-    except DegenerateCourt as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NoCandidates as exc:
+    except (DegenerateCourt, NoCandidates) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CourtTrackError, OSError, ValueError) as exc:

@@ -38,21 +38,20 @@ DEFAULT_BETA = 0.05
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Term weights (alpha, beta, gamma); gamma defaults to 1 - alpha - beta."""
+    """Term weights alpha and beta; gamma is what is left of 1."""
 
     alpha: float
     beta: float
-    gamma: float = float("nan")
 
     def __post_init__(self):
-        if math.isnan(self.gamma):
-            object.__setattr__(self, "gamma", 1.0 - (self.alpha + self.beta))
         if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
             raise ValueError("alpha and beta must lie in [0, 1]")
         if self.gamma < -1e-12:
             raise ValueError("gamma = 1 - (alpha + beta) must be >= 0")
-        if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
+
+    @property
+    def gamma(self) -> float:
+        return 1.0 - (self.alpha + self.beta)
 
 
 def default_weights() -> CostWeights:

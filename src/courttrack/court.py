@@ -201,24 +201,21 @@ def classify_orientation(line: Line2, dims: FrameDims) -> Orientation:
 # --- boundary selection: European HSV variant -------------------------------
 
 def select_boundary_european(
-    candidates: list[Line2],
-    frame: FrameRaster,
-    hsv_filter: HsvFilter,
-    axis: Orientation,
+    candidates: list[Line2], match: np.ndarray, axis: Orientation
 ) -> Line2:
     """Pick the candidate with the largest filter-response contrast.
 
-    For each candidate of the requested axis, the fraction of
-    filter-matching pixels is computed on each side half-plane; the
-    candidate maximizing the absolute difference wins, first in input
-    order on ties.
+    `match` is the frame's HSV filter response (HsvFilter.match_array),
+    one bool per pixel. For each candidate of the requested axis, the
+    fraction of filter-matching pixels is computed on each side
+    half-plane; the candidate maximizing the absolute difference wins,
+    first in input order on ties.
     """
-    dims = frame.dims
+    dims = FrameDims(match.shape[1], match.shape[0])
     axis_cands = [c for c in candidates if classify_orientation(c, dims) == axis]
     if not axis_cands:
         raise NoCandidates(f"no candidate line of axis {axis.value}")
 
-    match = hsv_filter.match_array(frame)
     xs = np.arange(dims.w, dtype=np.float64)
     ys = np.arange(dims.h, dtype=np.float64)
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Protocol
+from typing import Protocol, Sequence
 
 from .court import CourtRegion, point_in_court
-from .errors import EmptyKeypoints, InputFormatError, json_int
+from .errors import EmptyKeypoints, InputFormatError, json_int, json_number
 from .geometry import BBox, FrameDims, Point2, iou
 from .imaging import FrameRaster, crop, resize_nearest
 
@@ -44,7 +44,7 @@ class Keypoint:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
 
 
-def skeleton_bbox(keypoints: list[Keypoint]) -> BBox:
+def skeleton_bbox(keypoints: Sequence[Keypoint]) -> BBox:
     """Tight axis-aligned box over the keypoint positions, no padding."""
     if not keypoints:
         raise EmptyKeypoints("cannot build a box from zero keypoints")
@@ -55,11 +55,11 @@ def skeleton_bbox(keypoints: list[Keypoint]) -> BBox:
 
 @dataclass(frozen=True)
 class Detection:
-    """A person hypothesis: keypoints plus their derived bounding box."""
+    """A person hypothesis: keypoints, and the skeleton box derived from them."""
 
     keypoints: tuple[Keypoint, ...]
-    bbox: BBox
     source_stage: SourceStage
+    bbox: BBox = field(init=False)
 
     def __post_init__(self):
         if not self.keypoints:
@@ -67,18 +67,7 @@ class Detection:
         ids = [k.part_id for k in self.keypoints]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate part ids in detection: {sorted(ids)}")
-        derived = skeleton_bbox(list(self.keypoints))
-        if (
-            abs(derived.x_min - self.bbox.x_min) > 1e-6
-            or abs(derived.y_min - self.bbox.y_min) > 1e-6
-            or abs(derived.x_max - self.bbox.x_max) > 1e-6
-            or abs(derived.y_max - self.bbox.y_max) > 1e-6
-        ):
-            raise ValueError("bbox does not match the skeleton keypoints")
-
-    @classmethod
-    def from_keypoints(cls, keypoints: list[Keypoint], stage: SourceStage) -> "Detection":
-        return cls(tuple(keypoints), skeleton_bbox(keypoints), stage)
+        object.__setattr__(self, "bbox", skeleton_bbox(self.keypoints))
 
     @property
     def mean_confidence(self) -> float:
@@ -170,7 +159,6 @@ def refine_pass(
     coarse: list[Detection],
     detector: DetectorContract,
     plan: ScalePlan,
-    dup_iou: float = DUPLICATE_IOU,
 ) -> list[Detection]:
     """Requery a full-resolution model window around each coarse detection."""
     dims = frame.dims
@@ -181,7 +169,7 @@ def refine_pass(
         ox, oy = refine_window_origin(det.bbox.centroid, dims, plan)
         window = crop(frame, ox, oy, plan.model_w, plan.model_h)
         found.extend(detector(window, Point2(float(ox), float(oy)), 1.0))
-    return dedup_detections(found, dup_iou)
+    return dedup_detections(found)
 
 
 def sliding_origins(dims: FrameDims, plan: ScalePlan) -> list[tuple[int, int]]:
@@ -204,7 +192,6 @@ def sliding_pass(
     frame: FrameRaster,
     detector: DetectorContract,
     plan: ScalePlan,
-    dup_iou: float = DUPLICATE_IOU,
 ) -> list[Detection]:
     """Query every window of the overlapping full-resolution grid."""
     _require_frame_fits(frame.dims, plan)
@@ -212,13 +199,13 @@ def sliding_pass(
     for ox, oy in sliding_origins(frame.dims, plan):
         window = crop(frame, ox, oy, plan.model_w, plan.model_h)
         found.extend(detector(window, Point2(float(ox), float(oy)), 1.0))
-    return dedup_detections(found, dup_iou)
+    return dedup_detections(found)
 
 
-def dedup_detections(dets: list[Detection], dup_iou: float = DUPLICATE_IOU) -> list[Detection]:
+def dedup_detections(dets: list[Detection]) -> list[Detection]:
     """Drop near-duplicates within one pass.
 
-    Among detections whose boxes overlap at IoU >= dup_iou the one with
+    Among detections whose boxes overlap at IoU >= DUPLICATE_IOU the one with
     more keypoints survives, ties broken by higher mean confidence, then
     by input order. Output keeps input order.
     """
@@ -228,22 +215,20 @@ def dedup_detections(dets: list[Detection], dup_iou: float = DUPLICATE_IOU) -> l
     )
     kept: list[int] = []
     for i in order:
-        if all(iou(dets[i].bbox, dets[j].bbox) < dup_iou for j in kept):
+        if all(iou(dets[i].bbox, dets[j].bbox) < DUPLICATE_IOU for j in kept):
             kept.append(i)
     return [dets[i] for i in sorted(kept)]
 
 
-def merge_detections(
-    primary: list[Detection], extra: list[Detection], dup_iou: float = DUPLICATE_IOU
-) -> list[Detection]:
+def merge_detections(primary: list[Detection], extra: list[Detection]) -> list[Detection]:
     """Keep all of `primary`; add the extras not already found there.
 
     An extra duplicates a primary detection when their box IoU reaches
-    dup_iou (threshold inclusive).
+    DUPLICATE_IOU (threshold inclusive).
     """
     out = list(primary)
     for det in extra:
-        if all(iou(det.bbox, p.bbox) < dup_iou for p in primary):
+        if all(iou(det.bbox, p.bbox) < DUPLICATE_IOU for p in primary):
             out.append(det)
     return out
 
@@ -252,14 +237,13 @@ def detect_frame(
     frame: FrameRaster,
     detector: DetectorContract,
     plan: ScalePlan,
-    dup_iou: float = DUPLICATE_IOU,
 ) -> list[Detection]:
     """Full pipeline: coarse pass, refinement, then sliding-window fill-in."""
     coarse = coarse_pass(frame, detector, plan)
-    refined = refine_pass(frame, coarse, detector, plan, dup_iou)
-    stage1 = merge_detections(refined, coarse, dup_iou)
-    sliding = sliding_pass(frame, detector, plan, dup_iou)
-    return merge_detections(stage1, sliding, dup_iou)
+    refined = refine_pass(frame, coarse, detector, plan)
+    stage1 = merge_detections(refined, coarse)
+    sliding = sliding_pass(frame, detector, plan)
+    return merge_detections(stage1, sliding)
 
 
 def filter_by_court(dets: list[Detection], region: CourtRegion) -> list[Detection]:
@@ -321,7 +305,8 @@ def read_detections_jsonl(path) -> dict[int, list[Detection]]:
             for k in raw_kps:
                 try:
                     part = json_int(k["part"], path, "part", line=lineno)
-                    kps.append(Keypoint(part, Point2(float(k["x"]), float(k["y"])), float(k["c"])))
+                    x, y, c = (json_number(k[name], path, name, line=lineno) for name in "xyc")
+                    kps.append(Keypoint(part, Point2(x, y), c))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise InputFormatError(
                         path, f"bad keypoint: {exc}", line=lineno, field="keypoints"
@@ -329,7 +314,7 @@ def read_detections_jsonl(path) -> dict[int, list[Detection]]:
             if not kps:
                 raise InputFormatError(path, "detection without keypoints", line=lineno, field="keypoints")
             try:
-                det = Detection.from_keypoints(kps, stage)
+                det = Detection(tuple(kps), stage)
             except ValueError as exc:
                 raise InputFormatError(path, str(exc), line=lineno, field="keypoints") from None
             per_frame.setdefault(frame_idx, []).append(det)

@@ -1,4 +1,6 @@
-"""Exception types shared across the engine, and the JSON integer check."""
+"""Exception types shared across the engine, and the JSON number checks."""
+
+import math
 
 
 class CourtTrackError(Exception):
@@ -25,16 +27,8 @@ class DegenerateCourt(CourtTrackError):
     """Court boundary search collapsed without a usable region."""
 
 
-class DetectorFailure(CourtTrackError):
-    """Raised by detector adapters; propagated unchanged by the passes."""
-
-
 class EmptyKeypoints(CourtTrackError):
     """Skeleton box requested for an empty keypoint list."""
-
-
-class InconsistentFrameIndexing(CourtTrackError):
-    """Tracker input frames not indexed consecutively from 0."""
 
 
 class EmptyGroundTruth(CourtTrackError):
@@ -77,3 +71,21 @@ def json_int(value, path, field, line=None, entry=None) -> int:
         return int(value)
     where = "" if entry is None else f"entry {entry}: "
     raise InputFormatError(path, f"{where}expected an integer, got {value!r}", line=line, field=field)
+
+
+def json_number(value, path, field, line=None, entry=None) -> float:
+    """The finite float a JSON number stands for, or InputFormatError.
+
+    A bool or a string is rejected rather than converted, and so is a
+    number that is infinite or too large for a float. `entry` names the
+    array element when the file has no line to point at.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    where = "" if entry is None else f"entry {entry}: "
+    raise InputFormatError(path, f"{where}expected a finite number, got {value!r}", line=line, field=field)

@@ -81,9 +81,7 @@ class SyntheticSequence:
     def frame_observations(self) -> list[FrameObservations]:
         """Repackage for run_tracker."""
         return [
-            FrameObservations(
-                t, self.detections.get(t, []), self.homographies[t], self.frames[t]
-            )
+            FrameObservations(self.detections.get(t, []), self.homographies[t], self.frames[t])
             for t in range(self.spec.n_frames)
         ]
 
@@ -148,7 +146,7 @@ def _stencil_detection(box: BBox, stage: SourceStage) -> Detection:
         )
         for part_id, rx, ry in KEYPOINT_STENCIL
     ]
-    return Detection.from_keypoints(keypoints, stage)
+    return Detection(tuple(keypoints), stage)
 
 
 def generate(spec: ScenarioSpec) -> SyntheticSequence:

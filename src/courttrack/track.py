@@ -20,7 +20,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .cost import CostWeights, ObservedBox, cost_matrix, default_weights
 from .detect import Detection
-from .errors import InconsistentFrameIndexing
 from .geometry import BBox, FrameDims, Homography
 from .imaging import FrameRaster, PatchWindow
 
@@ -117,10 +116,8 @@ def solve_assignment(m: CostMatrix) -> list[tuple[int, int]]:
     free_cols = list(range(size))
     for row in range(n_rows):
         remaining_rows = list(range(row + 1, size))
-        # real columns in ascending order first, then dummy columns
-        candidates = [c for c in free_cols if c < n_cols] + [c for c in free_cols if c >= n_cols]
         chosen = None
-        for col in candidates:
+        for col in free_cols:
             rest_cols = [c for c in free_cols if c != col]
             if remaining_rows:
                 rest = _optimal_entries(padded[np.ix_(remaining_rows, rest_cols)])
@@ -209,7 +206,6 @@ def match_frame(
 class FrameObservations:
     """Input of one frame: detections plus stabilization and pixels."""
 
-    index: int
     detections: list[Detection]
     homography: Homography
     raster: FrameRaster
@@ -218,23 +214,18 @@ class FrameObservations:
 def run_tracker(
     frames: Iterable[FrameObservations], cfg: MatchConfig = MatchConfig()
 ) -> list[Track]:
-    """Stream the matcher over frames indexed 0, 1, ...; returns all tracks ever created.
+    """Stream the matcher over frames 0, 1, ... in order; returns all tracks ever created.
 
     Distances are normalized by the first frame's diagonal.
     """
     ids = count(0)
     active: list[Track] = []
     finished: list[Track] = []
-    for pos, frame in enumerate(frames):
-        if frame.index != pos:
-            raise InconsistentFrameIndexing(f"expected frame index {pos}, got {frame.index}")
-        if pos == 0:
+    for t, frame in enumerate(frames):
+        if t == 0:
             dims = frame.raster.dims
-        obs = [
-            ObservedBox(det, frame.homography, frame.raster, frame.index)
-            for det in frame.detections
-        ]
-        result = match_frame(active, obs, cfg, dims, ids, t=frame.index)
+        obs = [ObservedBox(det, frame.homography, frame.raster, t) for det in frame.detections]
+        result = match_frame(active, obs, cfg, dims, ids, t=t)
         retired_ids = {tr.id for tr in result.retired}
         active = [tr for tr in active if tr.id not in retired_ids] + result.new_tracks
         finished.extend(result.retired)

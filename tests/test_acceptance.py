@@ -114,7 +114,7 @@ def _random_in_frame_observation(rng: random.Random, frame: FrameRaster, t: int)
         parts.append(
             Keypoint(pid, Point2(rng.uniform(x0, x1), rng.uniform(y0, y1)), 0.9)
         )
-    det = Detection.from_keypoints(parts, SourceStage.EXTERNAL)
+    det = Detection(tuple(parts), SourceStage.EXTERNAL)
     return ObservedBox(det, Homography.identity(), frame, t)
 
 
@@ -281,7 +281,8 @@ def test_criterion_8_court_recovery():
         decoys = [r for r in (15, 25, 95, 105) if abs(r - row) > 5]
         candidates = [Line2.horizontal_at(float(r)) for r in decoys]
         candidates.insert(rng.randrange(len(candidates)), Line2.horizontal_at(float(row)))
-        best = select_boundary_european(candidates, frame, GREEN_FILTER, Orientation.HORIZONTAL)
+        match = GREEN_FILTER.match_array(frame)
+        best = select_boundary_european(candidates, match, Orientation.HORIZONTAL)
         assert abs(-best.c / best.b - row) < 1e-9
 
     for seed in (5, 6, 7):

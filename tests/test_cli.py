@@ -196,6 +196,37 @@ class TestTrackCommand:
         assert code == 1
         assert "homographies.json" in err and "'frame'" in err and "entry 1" in err
 
+    @pytest.mark.parametrize(
+        "h",
+        [
+            ["1", 0, 0, 0, 1, 0, 0, 0, 1],
+            [True, 0, 0, 0, 1, 0, 0, 0, 1],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        ],
+    )
+    def test_homography_entries_must_be_nine_numbers(self, tmp_path, capsys, h):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen))
+        payload = json.loads((scen / "homographies.json").read_text())
+        payload[1]["h"] = h
+        (scen / "homographies.json").write_text(json.dumps(payload))
+        code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
+        assert code == 1
+        assert "homographies.json" in err and "'h'" in err and "entry 1" in err
+
+    @pytest.mark.parametrize("field, value", [("x", "12"), ("y", False), ("c", True)])
+    def test_non_number_keypoint_fails_naming_its_line(self, tmp_path, capsys, field, value):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen))
+        lines = (scen / "detections.jsonl").read_text().splitlines()
+        bad = json.loads(lines[1])
+        bad["keypoints"][0][field] = value
+        lines[1] = json.dumps(bad)
+        (scen / "detections.jsonl").write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
+        assert code == 1
+        assert f"detections.jsonl:2 (field '{field}')" in err
+
     def test_repeated_homography_frame_fails(self, tmp_path, capsys):
         scen = tmp_path / "scen"
         run(capsys, *synth_args(scen))
@@ -376,6 +407,39 @@ class TestCourtCommand:
         payload = json.loads(out)
         a, b, c = payload["top"]
         assert abs(-c / b - 30.0) < 1e-6
+
+    @pytest.mark.parametrize(
+        "court_cols, side_x, side", [((0, 70), 70.0, "right"), ((30, 100), 30.0, "left")]
+    )
+    def test_european_side_follows_mid_height_crossing(
+        self, tmp_path, capsys, court_cols, side_x, side
+    ):
+        # green court below row 30 and between court_cols; the strongest
+        # vertical candidate is the court's edge at side_x
+        arr = np.full((100, 100, 3), (120, 120, 130), dtype=np.uint8)
+        arr[30:, court_cols[0] : court_cols[1]] = (40, 180, 60)
+        write_ppm(FrameRaster(arr), tmp_path / "frame.ppm")
+        (tmp_path / "segments.csv").write_text(
+            f"0,30,99,30\n{side_x},0,{side_x},99\n50,0,50,60\n"
+        )
+        code, out, _ = run(
+            capsys,
+            "court",
+            "--court",
+            "european",
+            "--segments",
+            str(tmp_path / "segments.csv"),
+            "--frames",
+            str(tmp_path / "frame.ppm"),
+            "--hsv",
+            "90:150,0.4:1,0.2:1",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        other = "left" if side == "right" else "right"
+        assert payload[other] is None
+        a, b, c = payload[side]
+        assert abs(-c / a - side_x) < 1e-6
 
     def test_no_segments_is_input_error(self, tmp_path, capsys):
         (tmp_path / "segments.csv").write_text("")

@@ -24,7 +24,7 @@ DIMS = FrameDims(1920, 1080)
 
 def det_with_parts(parts: list[tuple[int, float, float]]) -> Detection:
     kps = [Keypoint(pid, Point2(x, y), 0.9) for pid, x, y in parts]
-    return Detection.from_keypoints(kps, SourceStage.EXTERNAL)
+    return Detection(tuple(kps), SourceStage.EXTERNAL)
 
 
 def gray(dims=DIMS, value=(90, 90, 90)) -> FrameRaster:
@@ -254,7 +254,7 @@ def observations(draw, frame: FrameRaster, homography: Homography, reach: int) -
     scale = np.maximum(snap, 1)
     xy = np.where(snap == 0, xy, np.round(xy * scale) / scale)
     kps = [Keypoint(p, Point2(float(x), float(y)), 0.9) for p, (x, y) in zip(parts, xy)]
-    return ObservedBox(Detection.from_keypoints(kps, SourceStage.EXTERNAL), homography, frame)
+    return ObservedBox(Detection(tuple(kps), SourceStage.EXTERNAL), homography, frame)
 
 
 @st.composite

@@ -165,30 +165,31 @@ class TestSelectBoundaryEuropean:
         dims = FrameDims(100, 100)
         frame = two_band_frame(dims, 30)
         candidates = [Line2.horizontal_at(10.0), Line2.horizontal_at(30.0), Line2.horizontal_at(60.0)]
-        best = select_boundary_european(candidates, frame, GREEN_FILTER, Orientation.HORIZONTAL)
+        match = GREEN_FILTER.match_array(frame)
+        best = select_boundary_european(candidates, match, Orientation.HORIZONTAL)
         assert best is candidates[1]
 
     def test_uniform_frame_ties_to_first(self):
         dims = FrameDims(60, 60)
         frame = FrameRaster.filled(dims, GREEN)
         candidates = [Line2.horizontal_at(20.0), Line2.horizontal_at(40.0)]
-        best = select_boundary_european(candidates, frame, GREEN_FILTER, Orientation.HORIZONTAL)
+        match = GREEN_FILTER.match_array(frame)
+        best = select_boundary_european(candidates, match, Orientation.HORIZONTAL)
         assert best is candidates[0]
 
     def test_single_candidate_returned(self):
         dims = FrameDims(60, 60)
         frame = two_band_frame(dims, 25)
         only = Line2.horizontal_at(13.0)
-        assert (
-            select_boundary_european([only], frame, GREEN_FILTER, Orientation.HORIZONTAL) is only
-        )
+        match = GREEN_FILTER.match_array(frame)
+        assert select_boundary_european([only], match, Orientation.HORIZONTAL) is only
 
     def test_no_candidate_of_axis_raises(self):
         dims = FrameDims(60, 60)
         frame = two_band_frame(dims, 25)
         with pytest.raises(NoCandidates):
             select_boundary_european(
-                [Line2.horizontal_at(10.0)], frame, GREEN_FILTER, Orientation.VERTICAL
+                [Line2.horizontal_at(10.0)], GREEN_FILTER.match_array(frame), Orientation.VERTICAL
             )
 
     def test_seeded_two_region_frames(self):
@@ -202,7 +203,7 @@ class TestSelectBoundaryEuropean:
             candidates = [Line2.horizontal_at(float(r)) for r in decoys]
             candidates.insert(rng.randrange(len(candidates)), Line2.horizontal_at(float(row)))
             best = select_boundary_european(
-                candidates, frame, GREEN_FILTER, Orientation.HORIZONTAL
+                candidates, GREEN_FILTER.match_array(frame), Orientation.HORIZONTAL
             )
             assert abs(-best.c / best.b - row) < 1e-9
 
@@ -223,7 +224,8 @@ class TestSelectBoundaryEuropean:
         arr[:, 40:] = GRAY
         frame = FrameRaster(arr)
         candidates = [Line2.vertical_at(20.0), Line2.vertical_at(40.0), Line2.vertical_at(70.0)]
-        best = select_boundary_european(candidates, frame, GREEN_FILTER, Orientation.VERTICAL)
+        match = GREEN_FILTER.match_array(frame)
+        best = select_boundary_european(candidates, match, Orientation.VERTICAL)
         assert best is candidates[1]
 
 

@@ -33,7 +33,7 @@ PLAN = ScalePlan()
 
 def det_at(points, stage=SourceStage.EXTERNAL, conf=0.9):
     kps = [Keypoint(i, Point2(float(x), float(y)), conf) for i, (x, y) in enumerate(points)]
-    return Detection.from_keypoints(kps, stage)
+    return Detection(tuple(kps), stage)
 
 
 def box_det(x0, y0, x1, y1, n_extra=0, stage=SourceStage.EXTERNAL, conf=0.9):
@@ -73,15 +73,16 @@ class TestSkeletonBBox:
 
 
 class TestDetectionType:
-    def test_bbox_must_match_keypoints(self):
-        kps = (Keypoint(0, Point2(0.0, 0.0), 0.5),)
-        with pytest.raises(ValueError):
-            Detection(kps, BBox(0, 0, 50, 50), SourceStage.EXTERNAL)
+    def test_bbox_is_derived_not_passed(self):
+        kps = (Keypoint(0, Point2(1.0, 2.0), 0.5), Keypoint(1, Point2(5.0, 9.0), 0.5))
+        assert Detection(kps, SourceStage.EXTERNAL).bbox == BBox(1.0, 2.0, 5.0, 9.0)
+        with pytest.raises(TypeError):
+            Detection(kps, BBox(1.0, 2.0, 5.0, 9.0), SourceStage.EXTERNAL)
 
     def test_duplicate_part_ids_rejected(self):
         kps = [Keypoint(4, Point2(0.0, 0.0), 0.5), Keypoint(4, Point2(1.0, 1.0), 0.5)]
         with pytest.raises(ValueError):
-            Detection.from_keypoints(kps, SourceStage.EXTERNAL)
+            Detection(tuple(kps), SourceStage.EXTERNAL)
 
 
 class TestCoarsePass:
@@ -365,6 +366,23 @@ class TestDetectionsJsonl:
         with pytest.raises(InputFormatError) as err:
             read_detections_jsonl(path)
         assert err.value.line == 2 and err.value.field == "keypoints"
+
+    @pytest.mark.parametrize(
+        "value",
+        ['"12"', "false", "true", "null", "Infinity", "NaN", "1e400", pytest.param("1" + "0" * 400, id="int-401-digits")],
+    )
+    @pytest.mark.parametrize("field", ["x", "y", "c"])
+    def test_non_number_keypoint_value_reports_line(self, tmp_path, field, value):
+        from courttrack.errors import InputFormatError
+
+        path = tmp_path / "dets.jsonl"
+        literals = {"part": "0", "x": "1", "y": "2", "c": "0.5", field: value}
+        bad = "{" + ", ".join(f'"{k}": {v}' for k, v in literals.items()) + "}"
+        good = '{"frame": 0, "keypoints": [{"part": 0, "x": 1, "y": 2, "c": 0.5}]}'
+        path.write_text(f'{good}\n{{"frame": 1, "keypoints": [{bad}]}}\n')
+        with pytest.raises(InputFormatError) as err:
+            read_detections_jsonl(path)
+        assert err.value.line == 2 and err.value.field == field
 
     @pytest.mark.parametrize("value", [1.5, True, "1"])
     @pytest.mark.parametrize("field", ["frame", "part"])

@@ -141,8 +141,8 @@ class TestEvalMot:
         dims = FrameDims(200, 200)
         gray = FrameRaster.filled(dims, (90, 90, 90))
         frames = [
-            FrameObservations(t, [det_box(50.0, 50.0, 70.0, 90.0)], Homography.identity(), gray)
-            for t in range(4)
+            FrameObservations([det_box(50.0, 50.0, 70.0, 90.0)], Homography.identity(), gray)
+            for _ in range(4)
         ]
         tracks = run_tracker(frames)
         gt = [rec(t, 0, 50, 50, 70, 90) for t in range(4)]

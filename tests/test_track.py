@@ -8,7 +8,6 @@ import pytest
 
 from courttrack.cost import ObservedBox
 from courttrack.detect import Detection, Keypoint, SourceStage
-from courttrack.errors import InconsistentFrameIndexing
 from courttrack.geometry import FrameDims, Homography, Point2
 from courttrack.imaging import FrameRaster
 from courttrack.metrics import eval_mot, tracks_to_records, write_mot_csv
@@ -33,7 +32,7 @@ def mat(entries, pad=100.0) -> CostMatrix:
 
 def det_box(x0, y0, x1, y1) -> Detection:
     kps = [Keypoint(0, Point2(x0, y0), 0.9), Keypoint(1, Point2(x1, y1), 0.9)]
-    return Detection.from_keypoints(kps, SourceStage.EXTERNAL)
+    return Detection(tuple(kps), SourceStage.EXTERNAL)
 
 
 def obs_box(x0, y0, x1, y1, t, frame=GRAY) -> ObservedBox:
@@ -169,7 +168,7 @@ def single_target_sequence(n_frames, skip=frozenset(), dims=DIMS):
     frames = []
     for t in range(n_frames):
         dets = [] if t in skip else [det_box(50.0, 50.0, 70.0, 90.0)]
-        frames.append(FrameObservations(t, dets, Homography.identity(), GRAY))
+        frames.append(FrameObservations(dets, Homography.identity(), GRAY))
     return frames
 
 
@@ -206,12 +205,10 @@ class TestRunTracker:
     def test_infinite_gate_single_detection_single_track(self):
         frames = []
         rng = random.Random(3)
-        for t in range(12):
+        for _ in range(12):
             x, y = rng.uniform(5, 150), rng.uniform(5, 150)
             frames.append(
-                FrameObservations(
-                    t, [det_box(x, y, x + 20.0, y + 40.0)], Homography.identity(), GRAY
-                )
+                FrameObservations([det_box(x, y, x + 20.0, y + 40.0)], Homography.identity(), GRAY)
             )
         tracks = run_tracker(frames, MatchConfig(gate=math.inf))
         assert len(tracks) == 1
@@ -241,7 +238,6 @@ class TestRunTracker:
     def test_new_ids_follow_detection_order(self):
         frames = [
             FrameObservations(
-                0,
                 [det_box(10, 10, 30, 50), det_box(100, 100, 120, 140)],
                 Homography.identity(),
                 GRAY,
@@ -251,14 +247,6 @@ class TestRunTracker:
         by_id = {tr.id: tr for tr in tracks}
         assert by_id[0].history[0].x_min == 10
         assert by_id[1].history[0].x_min == 100
-
-    def test_inconsistent_indexing_rejected(self):
-        frames = [
-            FrameObservations(0, [], Homography.identity(), GRAY),
-            FrameObservations(2, [], Homography.identity(), GRAY),
-        ]
-        with pytest.raises(InconsistentFrameIndexing):
-            run_tracker(frames)
 
     def test_streamed_frames_release_their_rasters(self):
         # one target stays for all 30 frames, one leaves after frame 9 and
@@ -272,7 +260,7 @@ class TestRunTracker:
                 dets = [det_box(50.0, 50.0, 70.0, 90.0)]
                 if t < 10:
                     dets.append(det_box(120.0, 120.0, 140.0, 160.0))
-                yield FrameObservations(t, dets, Homography.identity(), raster)
+                yield FrameObservations(dets, Homography.identity(), raster)
 
         cfg = MatchConfig()
         tracks = run_tracker(frames(), cfg)
