@@ -37,6 +37,8 @@ from .errors import (
     NoCandidates,
     json_int,
     json_number,
+    open_text,
+    text_lines,
 )
 from .geometry import BBox, FrameDims, Homography, Line2
 from .imaging import BinaryMask, PatchWindow, read_pgm, read_ppm, write_ppm
@@ -113,8 +115,8 @@ COMMAND_SETTINGS = {
 def read_config_file(path, names) -> dict:
     """Flat key=value configuration of the settings `names`; '#' starts a comment line."""
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open_text(path) as fh:
+        for lineno, raw in text_lines(fh, path):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -154,8 +156,8 @@ def write_homographies_json(homographies: list[Homography], path) -> None:
 
 def read_homographies_json(path) -> dict[int, Homography]:
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # also a byte that is not UTF-8, or an integer beyond int()'s digit limit
         raise InputFormatError(path, f"invalid JSON: {exc}") from None
     if not isinstance(payload, list):
         raise InputFormatError(path, "expected a JSON array")

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .errors import DegenerateCourt, InputFormatError, NoCandidates, NoSegments
+from .errors import (
+    DegenerateCourt,
+    InputFormatError,
+    NoCandidates,
+    NoSegments,
+    open_text,
+    text_lines,
+)
 from .geometry import FrameDims, Line2, Point2
 from .imaging import BinaryMask, FrameRaster, frame_to_hsv
 
@@ -444,8 +451,9 @@ def read_segments_csv(path) -> list[LineSegment]:
     """Read segments from CSV rows "x0,y0,x1,y1" (no header)."""
     segments: list[LineSegment] = []
     fields = ("x0", "y0", "x1", "y1")
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(line for _, line in text_lines(fh, path))
+        for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 4:

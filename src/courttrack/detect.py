@@ -15,7 +15,14 @@ from enum import Enum
 from typing import Protocol, Sequence
 
 from .court import CourtRegion, point_in_court
-from .errors import EmptyKeypoints, InputFormatError, json_int, json_number
+from .errors import (
+    EmptyKeypoints,
+    InputFormatError,
+    json_int,
+    json_number,
+    open_text,
+    text_lines,
+)
 from .geometry import BBox, FrameDims, Point2, iou
 from .imaging import FrameRaster, crop, resize_nearest
 
@@ -276,14 +283,14 @@ def write_detections_jsonl(per_frame: dict[int, list[Detection]], path) -> None:
 
 def read_detections_jsonl(path) -> dict[int, list[Detection]]:
     per_frame: dict[int, list[Detection]] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open_text(path) as fh:
+        for lineno, raw in text_lines(fh, path):
             raw = raw.strip()
             if not raw:
                 continue
             try:
                 obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer literal beyond int()'s digit limit
                 raise InputFormatError(path, f"invalid JSON: {exc}", line=lineno) from None
             try:
                 raw_frame = obj["frame"]

@@ -1,6 +1,7 @@
-"""Exception types shared across the engine, and the JSON number checks."""
+"""Exception types shared across the engine, and the input checks they share."""
 
 import math
+import re
 
 
 class CourtTrackError(Exception):
@@ -40,7 +41,7 @@ class TargetOutOfFrame(CourtTrackError):
 
 
 class TooLarge(CourtTrackError):
-    """Brute-force assignment limited to 9 rows/columns."""
+    """A request beyond a fixed capacity (brute force, synthetic colours)."""
 
 
 class InputFormatError(CourtTrackError):
@@ -89,3 +90,21 @@ def json_number(value, path, field, line=None, entry=None) -> float:
             return number
     where = "" if entry is None else f"entry {entry}: "
     raise InputFormatError(path, f"{where}expected a finite number, got {value!r}", line=line, field=field)
+
+
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what errors="surrogateescape" makes of a bad byte
+
+
+def open_text(path, newline=None):
+    """Open a UTF-8 text input for text_lines: a byte that is not UTF-8
+    reads as a lone surrogate instead of failing somewhere ahead."""
+    return open(path, encoding="utf-8", errors="surrogateescape", newline=newline)
+
+
+def text_lines(fh, path):
+    """(line number, line) of a file from open_text; a line holding a
+    byte that is not UTF-8 is an InputFormatError naming it."""
+    for lineno, line in enumerate(fh, start=1):
+        if _NOT_UTF8.search(line):
+            raise InputFormatError(path, "not UTF-8 text", line=lineno)
+        yield lineno, line

@@ -190,15 +190,21 @@ def crop(frame: FrameRaster, x0: int, y0: int, w: int, h: int) -> FrameRaster:
 
 # --- PPM / PGM input and output ------------------------------------------
 
-def _read_pnm_tokens(data: bytes, path, count: int) -> tuple[list[int], int]:
-    """Read `count` ASCII header tokens after the magic, skipping comments.
+MAX_HEADER_DIGITS = 9  # a PNM width, height or maxval of at most 999,999,999
 
-    Returns the tokens and the offset just past the single whitespace
-    byte that terminates the header.
+
+def _read_pnm_header(data: bytes, path, magic: bytes) -> tuple[int, int, int]:
+    """Width, height and pixel offset of a binary PNM with maxval 255.
+
+    Reads the three ASCII header numbers after the magic, skipping
+    comments; the pixels start just past the single whitespace byte
+    that ends the header.
     """
+    if data[:2] != magic:
+        raise InputFormatError(path, f"expected {magic.decode()} magic, got {data[:2]!r}")
     tokens: list[int] = []
     i = 2  # past the 2-byte magic
-    while len(tokens) < count:
+    while len(tokens) < 3:
         if i >= len(data):
             raise InputFormatError(path, "truncated header")
         ch = data[i : i + 1]
@@ -211,25 +217,28 @@ def _read_pnm_tokens(data: bytes, path, count: int) -> tuple[list[int], int]:
             i = nl + 1
         elif ch.isdigit():
             j = i
-            while j < len(data) and data[j : j + 1].isdigit():
+            while j < len(data) and data[j : j + 1].isdigit() and j - i <= MAX_HEADER_DIGITS:
                 j += 1
+            if j - i > MAX_HEADER_DIGITS:
+                raise InputFormatError(path, f"header number longer than {MAX_HEADER_DIGITS} digits")
             tokens.append(int(data[i:j]))
             i = j
         else:
             raise InputFormatError(path, f"unexpected header byte {ch!r}")
     if i >= len(data) or data[i : i + 1] not in b" \t\r\n":
         raise InputFormatError(path, "missing whitespace after header")
-    return tokens, i + 1
+    w, h, maxval = tokens
+    if maxval != 255:
+        raise InputFormatError(path, f"unsupported maxval {maxval}")
+    if w == 0 or h == 0:
+        raise InputFormatError(path, f"empty {w}x{h} image")
+    return w, h, i + 1
 
 
 def read_ppm(path) -> FrameRaster:
     """Read a binary PPM (P6, maxval 255) frame."""
     data = Path(path).read_bytes()
-    if data[:2] != b"P6":
-        raise InputFormatError(path, f"expected P6 magic, got {data[:2]!r}")
-    (w, h, maxval), offset = _read_pnm_tokens(data, path, 3)
-    if maxval != 255:
-        raise InputFormatError(path, f"unsupported maxval {maxval}")
+    w, h, offset = _read_pnm_header(data, path, b"P6")
     need = w * h * 3
     raw = data[offset : offset + need]
     if len(raw) != need:
@@ -246,11 +255,7 @@ def write_ppm(frame: FrameRaster, path) -> None:
 def read_pgm(path) -> BinaryMask:
     """Read a binary PGM (P5) mask; any nonzero byte is a people-pixel."""
     data = Path(path).read_bytes()
-    if data[:2] != b"P5":
-        raise InputFormatError(path, f"expected P5 magic, got {data[:2]!r}")
-    (w, h, maxval), offset = _read_pnm_tokens(data, path, 3)
-    if maxval != 255:
-        raise InputFormatError(path, f"unsupported maxval {maxval}")
+    w, h, offset = _read_pnm_header(data, path, b"P5")
     need = w * h
     raw = data[offset : offset + need]
     if len(raw) != need:

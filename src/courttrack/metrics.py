@@ -12,11 +12,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .errors import EmptyGroundTruth, InputFormatError
+from .errors import EmptyGroundTruth, InputFormatError, open_text, text_lines
 from .geometry import BBox, iou
-from .track import Track
+from .track import Track, linear_sum_assignment
 
 MOT_IOU_THRESHOLD = 0.5
 TRACK_CSV_HEADER = ["frame", "id", "x_min", "y_min", "width", "height"]
@@ -188,7 +187,7 @@ def eval_mot_records(
                     overlap = iou(gt_left[gid], hyp_left[hid])
                     if overlap > iou_threshold:
                         gains[i, j] = overlap
-            rows, cols = linear_sum_assignment(-gains)
+            rows, cols, _, _ = linear_sum_assignment(-gains)
             for i, j in zip(rows, cols):
                 if gains[i, j] > 0.0:
                     gid, hid = free_gt[i], free_hyp[j]
@@ -220,8 +219,8 @@ def read_mot_csv(path, unique_ids: bool = False) -> list[GroundTruthBox]:
     """
     records: list[GroundTruthBox] = []
     first_row: dict[tuple[int, int], int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(line for _, line in text_lines(fh, path))
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue

@@ -16,7 +16,6 @@ from itertools import count
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .cost import CostWeights, ObservedBox, cost_matrix, default_weights
 from .detect import Detection
@@ -89,9 +88,97 @@ class CostMatrix:
         return self.entries.shape[1]
 
 
-def _optimal_entries(matrix: np.ndarray) -> list[float]:
-    rows, cols = linear_sum_assignment(matrix)
-    return [float(matrix[r, c]) for r, c in zip(rows, cols)]
+def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum-cost rectangular assignment: (rows, cols, u, v).
+
+    A numpy port of scipy.optimize.linear_sum_assignment: Crouse's
+    shortest augmenting path ("On implementing 2D rectangular assignment
+    algorithms", IEEE TAES 2016; Jonker & Volgenant 1987). It keeps
+    scipy's tie rules, so it picks the same pairs, ties included: the
+    remaining columns are scanned in swap-remove order, an unassigned
+    column wins an equal path length, and a tall matrix is solved
+    transposed, then its pairs are sorted by row. u and v are optimal
+    duals of the rows and columns: cost - u[:, None] - v is >= 0 up to
+    rounding, and 0 on the chosen pairs.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2:
+        raise ValueError("cost matrix must be 2-dimensional")
+    if np.isnan(c).any() or (c == -np.inf).any():
+        raise ValueError("cost matrix contains nan or -inf entries")
+    transpose = c.shape[1] < c.shape[0]
+    if transpose:
+        c = c.T
+    nr, nc = c.shape
+    u = np.zeros(nr)
+    v = np.zeros(nc)
+    col4row = np.full(nr, -1, dtype=np.intp)
+    row4col = np.full(nc, -1, dtype=np.intp)
+    path = np.full(nc, -1, dtype=np.intp)
+    for cur_row in range(nr):
+        # Dijkstra over reduced costs from cur_row to the nearest unassigned column
+        dist = np.full(nc, np.inf)
+        in_rows = np.zeros(nr, dtype=bool)
+        in_cols = np.zeros(nc, dtype=bool)
+        remaining = np.arange(nc - 1, -1, -1)  # reversed: a constant matrix gives the identity
+        n_remaining = nc
+        min_val = 0.0
+        i = cur_row
+        while True:
+            in_rows[i] = True
+            rem = remaining[:n_remaining]
+            reduced = min_val + c[i, rem] - u[i] - v[rem]
+            shorter = reduced < dist[rem]
+            path[rem[shorter]] = i
+            dist[rem[shorter]] = reduced[shorter]
+            scanned = dist[rem]
+            min_val = scanned.min()
+            if min_val == np.inf:
+                raise ValueError("cost matrix is infeasible")
+            ties = np.flatnonzero(scanned == min_val)
+            free = ties[row4col[rem[ties]] == -1]
+            index = free[-1] if free.size else ties[0]
+            j = rem[index]
+            in_cols[j] = True
+            n_remaining -= 1
+            remaining[index] = remaining[n_remaining]
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        u[cur_row] += min_val
+        in_rows[cur_row] = False
+        u[in_rows] += min_val - dist[col4row[in_rows]]
+        v[in_cols] -= min_val - dist[in_cols]
+        while True:  # augment along the path back to cur_row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order, v, u
+    return np.arange(nr), col4row, u, v
+
+
+def _columns_reaching(tight: np.ndarray, owner: np.ndarray, row: int, target: int) -> np.ndarray:
+    """Columns c with an alternating path c, owner[c], c2, owner[c2], ..., target.
+
+    owner[c] is the row holding column c in the reference assignment,
+    each step from a row to the next column follows a tight edge, and
+    every row on the path lies below `row`. These are the columns that
+    `row` could take from the reference, giving `target` up in return,
+    along tight edges only.
+    """
+    moves = tight[owner]  # moves[c, c2]: the row holding c has a tight edge to c2
+    below = owner > row
+    reach = np.zeros(len(owner), dtype=bool)
+    reach[target] = True
+    while True:
+        grown = reach | (below & moves[:, reach].any(axis=1))
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
 
 
 def solve_assignment(m: CostMatrix) -> list[tuple[int, int]]:
@@ -101,6 +188,14 @@ def solve_assignment(m: CostMatrix) -> list[tuple[int, int]]:
     Among equal-cost optima the lexicographically smallest (row, col)
     pair list is returned; totals are compared with exact compensated
     summation, so the tie set is the mathematical one.
+
+    One solve gives a reference optimum and its duals u, v. Every
+    optimum uses only tight edges, whose reduced cost c - u - v is zero
+    (here: at most a rounding allowance), and differs from the reference
+    by alternating cycles of them. So row by row, a free column left of
+    the reference column is tried only if it is tight and such a cycle
+    through it exists; trying it solves the rows below, and the first
+    column whose total equals the optimum becomes the new reference.
     """
     n_rows, n_cols = m.n_rows, m.n_cols
     if n_rows == 0 or n_cols == 0:
@@ -109,25 +204,32 @@ def solve_assignment(m: CostMatrix) -> list[tuple[int, int]]:
     padded = np.full((size, size), m.pad_value, dtype=float)
     padded[:n_rows, :n_cols] = m.entries
 
-    best_total = math.fsum(_optimal_entries(padded))
+    _, cols, u, v = linear_sum_assignment(padded)
+    ref = cols.tolist()
+    best_total = math.fsum(padded[np.arange(size), cols])
+    tight = padded - u[:, None] - v <= 1e-9 * (1.0 + float(np.abs(padded).max()))
 
     pairs: list[tuple[int, int]] = []
     fixed_cost: list[float] = []
     free_cols = list(range(size))
     for row in range(n_rows):
-        remaining_rows = list(range(row + 1, size))
-        chosen = None
-        for col in free_cols:
+        tried = [c for c in free_cols if c < ref[row] and tight[row, c]]
+        if tried:
+            owner = np.argsort(ref)
+            reach = _columns_reaching(tight, owner, row, ref[row])
+            tried = [c for c in tried if reach[c]]
+        rest_rows = list(range(row + 1, size))
+        for col in tried:
             rest_cols = [c for c in free_cols if c != col]
-            if remaining_rows:
-                rest = _optimal_entries(padded[np.ix_(remaining_rows, rest_cols)])
-            else:
-                rest = []
-            total = math.fsum(fixed_cost + [float(padded[row, col])] + rest)
-            if total == best_total:
-                chosen = col
+            rest_ref = []
+            if rest_rows:
+                _, rest, _, _ = linear_sum_assignment(padded[np.ix_(rest_rows, rest_cols)])
+                rest_ref = [rest_cols[k] for k in rest]
+            rest_cost = padded[rest_rows, rest_ref].tolist()
+            if math.fsum(fixed_cost + [float(padded[row, col])] + rest_cost) == best_total:
+                ref[row:] = [col] + rest_ref
                 break
-        assert chosen is not None, "refinement lost the optimal total"
+        chosen = ref[row]
         fixed_cost.append(float(padded[row, chosen]))
         free_cols.remove(chosen)
         if chosen < n_cols:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from courttrack.cli import _build_parser, main, resolve_settings
+from courttrack.cli import _build_parser, main, read_homographies_json, resolve_settings
 from courttrack.geometry import FrameDims
 from courttrack.imaging import BinaryMask, FrameRaster, write_pgm, write_ppm
 from courttrack.metrics import read_mot_csv
@@ -226,6 +226,16 @@ class TestTrackCommand:
         code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
         assert code == 1
         assert f"detections.jsonl:2 (field '{field}')" in err
+
+    def test_homography_integer_beyond_digit_limit_names_file(self, tmp_path):
+        from courttrack.errors import InputFormatError
+
+        path = tmp_path / "homographies.json"
+        h = ["1" * 5000] + ["0"] * 3 + ["1"] + ["0"] * 3 + ["1"]
+        path.write_text('[{"frame": 0, "h": [' + ", ".join(h) + "]}]")
+        with pytest.raises(InputFormatError) as err:
+            read_homographies_json(path)
+        assert str(path) in str(err.value)
 
     def test_repeated_homography_frame_fails(self, tmp_path, capsys):
         scen = tmp_path / "scen"
@@ -514,6 +524,16 @@ class TestConfigPrecedence:
 
         with pytest.raises(InputFormatError):
             resolve_settings(args)
+
+    def test_non_utf8_config_byte_reports_line(self, tmp_path):
+        from courttrack.errors import InputFormatError
+
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"gate=0.9\nalpha=\xff\xfe\n")
+        args = _build_parser().parse_args(["track", "--config", str(config)])
+        with pytest.raises(InputFormatError, match="UTF-8") as err:
+            resolve_settings(args)
+        assert err.value.line == 2 and "run.cfg:2" in str(err.value)
 
     def test_bad_hsv_flag_is_input_error(self, tmp_path, capsys):
         code, _, err = run(

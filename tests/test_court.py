@@ -345,3 +345,10 @@ class TestSegmentsCsv:
         path.write_text("1,2,3\n")
         with pytest.raises(InputFormatError):
             read_segments_csv(path)
+
+    def test_non_utf8_byte_reports_line(self, tmp_path):
+        path = tmp_path / "segments.csv"
+        path.write_bytes(b"0,100,10,100\n1,2,\xff\xfe,4\n")
+        with pytest.raises(InputFormatError, match="UTF-8") as err:
+            read_segments_csv(path)
+        assert err.value.line == 2 and str(path) in str(err.value)

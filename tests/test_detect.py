@@ -350,6 +350,27 @@ class TestDetectionsJsonl:
             read_detections_jsonl(path)
         assert ":2" in str(err.value)
 
+    def test_integer_beyond_digit_limit_reports_line(self, tmp_path):
+        from courttrack.errors import InputFormatError
+
+        path = tmp_path / "dets.jsonl"
+        good = '{"frame": 0, "keypoints": [{"part": 0, "x": 1, "y": 2, "c": 0.5}]}'
+        bad = '{"frame": 1, "keypoints": [{"part": 0, "x": ' + "1" * 5000 + ', "y": 2, "c": 0.5}]}'
+        path.write_text(f"{good}\n{bad}\n")
+        with pytest.raises(InputFormatError) as err:
+            read_detections_jsonl(path)
+        assert err.value.line == 2 and "dets.jsonl:2" in str(err.value)
+
+    def test_non_utf8_byte_reports_line(self, tmp_path):
+        from courttrack.errors import InputFormatError
+
+        path = tmp_path / "dets.jsonl"
+        good = b'{"frame": 0, "keypoints": [{"part": 0, "x": 1, "y": 2, "c": 0.5}]}'
+        path.write_bytes(good + b"\n" + good.replace(b"0.5", b"\xff\xfe") + b"\n")
+        with pytest.raises(InputFormatError, match="UTF-8") as err:
+            read_detections_jsonl(path)
+        assert err.value.line == 2 and "dets.jsonl:2" in str(err.value)
+
     @pytest.mark.parametrize(
         "keypoints",
         [

@@ -149,6 +149,23 @@ class TestPnmIO:
         with pytest.raises(InputFormatError):
             read_ppm(path)
 
+    @pytest.mark.parametrize("reader, magic", [(read_ppm, b"P6"), (read_pgm, b"P5")])
+    @pytest.mark.parametrize("size", [b"0 0", b"0 4", b"3 0"])
+    def test_zero_width_or_height_rejected(self, tmp_path, reader, magic, size):
+        path = tmp_path / "empty.pnm"
+        path.write_bytes(magic + b"\n" + size + b"\n255\n")
+        with pytest.raises(InputFormatError, match="empty") as err:
+            reader(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("reader, magic", [(read_ppm, b"P6"), (read_pgm, b"P5")])
+    def test_overlong_header_number_rejected(self, tmp_path, reader, magic):
+        path = tmp_path / "wide.pnm"
+        path.write_bytes(magic + b"\n" + b"9" * 5000 + b" 1\n255\n" + bytes(3))
+        with pytest.raises(InputFormatError, match="longer than") as err:
+            reader(path)
+        assert str(path) in str(err.value)
+
     def test_raster_is_read_only(self):
         frame = FrameRaster.filled(FrameDims(4, 4), (1, 2, 3))
         with pytest.raises(ValueError):

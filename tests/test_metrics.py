@@ -188,6 +188,13 @@ class TestMotCsv:
             read_mot_csv(path)
         assert str(path) in str(err.value) and err.value.line == 2
 
+    def test_non_utf8_byte_reports_line(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_bytes(b"0,1,5.0,6.0,20.0,40.0\n1,1,\xff\xfe,6.0,20.0,40.0\n")
+        with pytest.raises(InputFormatError, match="UTF-8") as err:
+            read_mot_csv(path)
+        assert err.value.line == 2 and str(path) in str(err.value)
+
     def test_repeated_frame_and_id_rejected_only_when_unique(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("0,1,5.0,6.0,20.0,40.0\n0,2,5.0,6.0,20.0,40.0\n0,1,9.0,6.0,20.0,40.0\n")

@@ -4,6 +4,9 @@ import pytest
 from courttrack.errors import TargetOutOfFrame, TooLarge
 from courttrack.geometry import FrameDims, apply_homography
 from courttrack.synth import (
+    BACKGROUND_COLOR,
+    MIN_COLOR_DISTANCE,
+    _target_colors,
     ScenarioSpec,
     brute_force_assignment,
     degrade,
@@ -74,6 +77,17 @@ class TestGenerate:
         seq = generate(spec)
         assert len(seq.gt) == 30
         assert sum(len(d) for d in seq.detections.values()) < 30
+
+    def test_many_targets_get_distinct_separated_colors(self):
+        colors = _target_colors(40, seed=7)
+        assert len(set(colors)) == 40
+        for i, a in enumerate(colors):
+            for b in colors[i + 1 :] + [BACKGROUND_COLOR]:
+                assert max(abs(x - y) for x, y in zip(a, b)) >= MIN_COLOR_DISTANCE
+
+    def test_targets_beyond_color_capacity_rejected(self):
+        with pytest.raises(TooLarge):
+            _target_colors(57, seed=7)
 
     def test_target_colors_well_separated(self):
         seq = generate(SMALL)
