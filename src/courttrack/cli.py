@@ -157,7 +157,7 @@ def write_homographies_json(homographies: list[Homography], path) -> None:
 def read_homographies_json(path) -> dict[int, Homography]:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # also a byte that is not UTF-8, or an integer beyond int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # non-UTF-8, over-long integer, deep nesting
         raise InputFormatError(path, f"invalid JSON: {exc}") from None
     if not isinstance(payload, list):
         raise InputFormatError(path, "expected a JSON array")

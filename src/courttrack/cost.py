@@ -5,11 +5,11 @@ computed between two observations of (detection, stabilizing homography,
 frame raster). All three terms are dissimilarities in [0, 1] for
 in-frame stabilized centroids.
 
-The tracker scores a frame with cost_matrix, which extracts each
-observation's stabilized centroid, stabilized box and keypoint patches
-once and fills the detections-by-representatives matrix with array
-operations. similarity_cost and its three terms are the scalar
-reference: every entry of cost_matrix equals it bit for bit.
+The tracker extracts each frame's stabilized centroids, stabilized
+boxes and keypoint patches once with features, and cost_matrix fills
+the matrix of two such feature sets with array operations.
+similarity_cost and its three terms are the scalar reference: every
+entry of cost_matrix equals it bit for bit.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ class ObservedBox:
     detection: Detection
     homography: Homography
     frame: FrameRaster = field(repr=False)
-    t: int = 0
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("frame index must be >= 0")
 
 
 def cost_distance(a: ObservedBox, b: ObservedBox, dims: FrameDims) -> float:
@@ -139,15 +134,16 @@ class _PartPatches:
 
 
 @dataclass(frozen=True)
-class _Features:
-    """What one side of cost_matrix needs of each observation, computed once."""
+class Features:
+    """What one side of cost_matrix needs of each observation; holds no raster."""
 
     centroids: np.ndarray  # (n, 2) stabilized box centroids
     boxes: np.ndarray  # (n, 4) stabilized boxes (x_min, y_min, x_max, y_max)
     parts: dict[int, _PartPatches]
 
 
-def _features(observations: Sequence[ObservedBox], win: PatchWindow) -> _Features:
+def features(observations: Sequence[ObservedBox], win: PatchWindow = PatchWindow()) -> Features:
+    """Extract the stabilized centroid, box and keypoint patches of each observation."""
     centroids, boxes = [], []
     owners, part_ids, points = [], [], []
     by_frame: dict[FrameRaster, list[int]] = {}  # rasters hash by identity
@@ -180,7 +176,7 @@ def _features(observations: Sequence[ObservedBox], win: PatchWindow) -> _Feature
     for part_id in np.unique(part_ids).tolist():
         sel = np.flatnonzero(part_ids == part_id)
         parts[part_id] = _PartPatches(owners[sel], patches[sel], rects[sel], integral, sel)
-    return _Features(
+    return Features(
         np.array(centroids, dtype=float).reshape(-1, 2),
         np.array(boxes, dtype=float).reshape(-1, 4),
         parts,
@@ -209,20 +205,14 @@ def _part_content(a: _PartPatches, b: _PartPatches) -> np.ndarray:
     return np.where(empty, 1.0, total / (3 * np.where(empty, 1, cells)) / 255.0)
 
 
-def cost_matrix(
-    dets: Sequence[ObservedBox],
-    reps: Sequence[ObservedBox],
-    weights: CostWeights,
-    dims: FrameDims,
-    win: PatchWindow = PatchWindow(),
-) -> np.ndarray:
-    """similarity_cost of every (detection, representative) pair in one batch.
+def cost_matrix(rows: Features, cols: Features, weights: CostWeights, dims: FrameDims) -> np.ndarray:
+    """similarity_cost of every (row, column) observation pair in one batch.
 
-    Entry [i, j] equals similarity_cost(dets[i], reps[j], weights, dims,
-    win) bit for bit: each float operation of the scalar path happens
-    once per pair in the same order, and patch sums are exact integers.
+    With rows = features(a, win) and cols = features(b, win), entry
+    [i, j] equals similarity_cost(a[i], b[j], weights, dims, win) bit for
+    bit: each float operation of the scalar path happens once per pair
+    in the same order, and patch sums are exact integers.
     """
-    rows, cols = _features(dets, win), _features(reps, win)
     n, m = len(rows.centroids), len(cols.centroids)
 
     dx = rows.centroids[:, None, 0] - cols.centroids[None, :, 0]

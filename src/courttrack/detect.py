@@ -290,7 +290,7 @@ def read_detections_jsonl(path) -> dict[int, list[Detection]]:
                 continue
             try:
                 obj = json.loads(raw)
-            except ValueError as exc:  # also an integer literal beyond int()'s digit limit
+            except (ValueError, RecursionError) as exc:  # over-long integer, deep nesting
                 raise InputFormatError(path, f"invalid JSON: {exc}", line=lineno) from None
             try:
                 raw_frame = obj["frame"]

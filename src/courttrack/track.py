@@ -1,23 +1,25 @@
 """Identity assignment across frames.
 
-Per frame, current detections are matched against active tracks through
-one optimal assignment where the candidate cost of a track is the best
-similarity against its representatives at t-1 and t-2 (the two-frame
-memory criterion). Gated-out detections spawn fresh ids; tracks unseen
-for longer than the memory depth are retired. Frames stream through: a
-track keeps its box per frame and only its last two observations.
+Per frame, the detections are matched against the tracks seen in the
+last memory_depth frames through one optimal assignment, where the
+candidate cost of a track is the best similarity against its detections
+at t-1 and t-2 (the two-frame memory criterion). Gated-out detections
+spawn fresh ids. Frames stream through: the tracker keeps the features
+of the last memory_depth frames' detections and the track of each, so a
+track that leaves that window is never matched again, and a track keeps
+only its box per frame.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cost import CostWeights, ObservedBox, cost_matrix, default_weights
+from .cost import CostWeights, Features, ObservedBox, cost_matrix, default_weights, features
 from .detect import Detection
 from .geometry import BBox, FrameDims, Homography
 from .imaging import FrameRaster, PatchWindow
@@ -42,22 +44,22 @@ class MatchConfig:
 
 
 class Track:
-    """A persistent identity: its box per frame and its last two observations."""
+    """A persistent identity: its box in each frame it was seen in."""
 
-    __slots__ = ("id", "history", "recent", "last_seen")
+    __slots__ = ("id", "history")
 
-    def __init__(self, track_id: int, t: int, obs: ObservedBox) -> None:
+    def __init__(self, track_id: int, t: int, bbox: BBox) -> None:
         self.id = track_id
-        self.history: dict[int, BBox] = {t: obs.detection.bbox}
-        self.recent: tuple[ObservedBox, ...] = (obs,)
-        self.last_seen = t
+        self.history: dict[int, BBox] = {t: bbox}
 
-    def observe(self, t: int, obs: ObservedBox) -> None:
+    @property
+    def last_seen(self) -> int:
+        return next(reversed(self.history))  # observe keeps the frames increasing
+
+    def observe(self, t: int, bbox: BBox) -> None:
         if t <= self.last_seen:
             raise ValueError(f"track {self.id} already observed at or after frame {t}")
-        self.history[t] = obs.detection.bbox
-        self.recent = (self.recent[-1], obs)
-        self.last_seen = t
+        self.history[t] = bbox
 
     def __repr__(self) -> str:
         return f"Track(id={self.id}, frames={sorted(self.history)})"
@@ -237,71 +239,34 @@ def solve_assignment(m: CostMatrix) -> list[tuple[int, int]]:
     return pairs
 
 
-@dataclass
-class MatchResult:
-    assignments: dict[int, Track]  # detection index -> matched track
-    new_tracks: list[Track]
-    retired: list[Track]
-
-
 def match_frame(
-    active: list[Track],
-    dets: list[ObservedBox],
+    window: Sequence[tuple[Features, list[Track]]],
+    dets: Features,
     cfg: MatchConfig,
     dims: FrameDims,
-    id_source: Iterator[int] | None = None,
-    t: int | None = None,
-) -> MatchResult:
-    """Assign the frame's detections to tracks; spawn and retire as needed.
+) -> dict[int, Track]:
+    """Match the frame's detections to tracks: detection index -> track.
 
-    All detections must carry the same frame index t (pass `t` explicitly
-    for a frame with no detections, so retirement still advances). The
-    cost of a (detection, track) pair is the minimum similarity against
-    the track's representatives at t-1 and t-2; costs above the gate are
-    treated as impossible.
+    The window holds, for each of the last memory_depth frames, its
+    detections' features and the track of each, so the eligible tracks
+    are exactly the ones found there. The cost of a (detection, track)
+    pair is the minimum similarity against that track's detections in
+    the window; costs above the gate are treated as impossible. The
+    detections left unmatched are for the caller to spawn.
     """
-    if id_source is None:
-        start = max((tr.id for tr in active), default=-1) + 1
-        id_source = count(start)
-    if t is None:
-        if not dets:
-            raise ValueError("frame index required when there are no detections")
-        t = dets[0].t
-    if any(d.t != t for d in dets):
-        raise ValueError("detections of one frame must share the frame index")
-    if any(tr.last_seen >= t for tr in active):
-        raise ValueError("active tracks must predate the current frame")
-
-    eligible = [tr for tr in active if tr.last_seen >= t - cfg.memory_depth]
-    retired = [tr for tr in active if tr.last_seen < t - cfg.memory_depth]
-    for track in retired:
-        track.recent = ()  # never matched again, so its rasters can go
-    eligible.sort(key=lambda tr: tr.id)
-
-    assignments: dict[int, Track] = {}
-    if eligible and dets:
-        reps: list[ObservedBox] = []
-        first_col = []
-        for track in eligible:
-            first_col.append(len(reps))
-            reps += [o for o in track.recent if o.t >= t - cfg.memory_depth]
-        costs = cost_matrix(dets, reps, cfg.weights, dims, cfg.patch)
-        # each eligible track has a representative at its last_seen, so no run is empty
-        raw = np.minimum.reduceat(costs, first_col, axis=1)
-        pad = 10.0 * cfg.gate if math.isfinite(cfg.gate) else 10.0 * (1.0 + float(raw.max()))
-        clamped = np.where(raw <= cfg.gate, raw, pad)
-        for i, j in solve_assignment(CostMatrix(clamped, pad)):
-            if raw[i, j] <= cfg.gate:
-                assignments[i] = eligible[j]
-
-    new_tracks: list[Track] = []
-    for i, det in enumerate(dets):
-        if i in assignments:
-            assignments[i].observe(t, det)
-        else:
-            track = Track(next(id_source), t, det)
-            new_tracks.append(track)
-    return MatchResult(assignments, new_tracks, retired)
+    eligible = sorted({tr for _, owners in window for tr in owners}, key=lambda tr: tr.id)
+    n = len(dets.centroids)
+    if not eligible or not n:
+        return {}
+    column = {tr: j for j, tr in enumerate(eligible)}
+    raw = np.full((n, len(eligible)), np.inf)
+    for reps, owners in window:
+        cols = [column[tr] for tr in owners]  # a track has at most one detection per frame
+        raw[:, cols] = np.minimum(raw[:, cols], cost_matrix(dets, reps, cfg.weights, dims))
+    pad = 10.0 * cfg.gate if math.isfinite(cfg.gate) else 10.0 * (1.0 + float(raw.max()))
+    clamped = np.where(raw <= cfg.gate, raw, pad)
+    pairs = solve_assignment(CostMatrix(clamped, pad))
+    return {i: eligible[j] for i, j in pairs if raw[i, j] <= cfg.gate}
 
 
 @dataclass(frozen=True)
@@ -316,19 +281,28 @@ class FrameObservations:
 def run_tracker(
     frames: Iterable[FrameObservations], cfg: MatchConfig = MatchConfig()
 ) -> list[Track]:
-    """Stream the matcher over frames 0, 1, ... in order; returns all tracks ever created.
+    """Stream the matcher over frames 0, 1, ... in order; returns all tracks in id order.
 
-    Distances are normalized by the first frame's diagonal.
+    Distances are normalized by the first frame's diagonal. Each frame's
+    detection features are extracted once and kept while the frame is in
+    the window.
     """
-    ids = count(0)
-    active: list[Track] = []
-    finished: list[Track] = []
+    tracks: list[Track] = []
+    window: deque[tuple[Features, list[Track]]] = deque(maxlen=cfg.memory_depth)
     for t, frame in enumerate(frames):
         if t == 0:
             dims = frame.raster.dims
-        obs = [ObservedBox(det, frame.homography, frame.raster, t) for det in frame.detections]
-        result = match_frame(active, obs, cfg, dims, ids, t=t)
-        retired_ids = {tr.id for tr in result.retired}
-        active = [tr for tr in active if tr.id not in retired_ids] + result.new_tracks
-        finished.extend(result.retired)
-    return sorted(finished + active, key=lambda tr: tr.id)
+        obs = [ObservedBox(det, frame.homography, frame.raster) for det in frame.detections]
+        dets = features(obs, cfg.patch)
+        matched = match_frame(window, dets, cfg, dims)
+        owners = []
+        for i, det in enumerate(frame.detections):
+            track = matched.get(i)
+            if track is None:
+                track = Track(len(tracks), t, det.bbox)
+                tracks.append(track)
+            else:
+                track.observe(t, det.bbox)
+            owners.append(track)
+        window.append((dets, owners))
+    return tracks

@@ -104,7 +104,7 @@ def test_criterion_2_geometry_oracles():
     )
 
 
-def _random_in_frame_observation(rng: random.Random, frame: FrameRaster, t: int) -> ObservedBox:
+def _random_in_frame_observation(rng: random.Random, frame: FrameRaster) -> ObservedBox:
     # nondegenerate skeleton: two spanning corners plus up to three inner parts
     ids = rng.sample(range(17), rng.randrange(2, 6))
     x0, y0 = rng.uniform(2, 1800), rng.uniform(2, 950)
@@ -115,7 +115,7 @@ def _random_in_frame_observation(rng: random.Random, frame: FrameRaster, t: int)
             Keypoint(pid, Point2(rng.uniform(x0, x1), rng.uniform(y0, y1)), 0.9)
         )
     det = Detection(tuple(parts), SourceStage.EXTERNAL)
-    return ObservedBox(det, Homography.identity(), frame, t)
+    return ObservedBox(det, Homography.identity(), frame)
 
 
 def test_criterion_3_cost_bounds_and_identity():
@@ -127,8 +127,8 @@ def test_criterion_3_cost_bounds_and_identity():
     weights = default_weights()
     win = PatchWindow()
     for _ in range(500):
-        a = _random_in_frame_observation(rng, f1, 0)
-        b = _random_in_frame_observation(rng, f2, 1)
+        a = _random_in_frame_observation(rng, f1)
+        b = _random_in_frame_observation(rng, f2)
         combined = similarity_cost(a, b, weights, dims, win)
         assert 0.0 <= combined <= 1.0
         recomposed = (
@@ -208,7 +208,7 @@ def test_criterion_6_stabilization_equivariance():
     seq = generate(spec)
     dims = spec.dims
     observations = [
-        ObservedBox(seq.detections[t][0], seq.homographies[t], seq.frames[t], t)
+        ObservedBox(seq.detections[t][0], seq.homographies[t], seq.frames[t])
         for t in range(spec.n_frames)
     ]
     for i in range(spec.n_frames):
@@ -217,7 +217,7 @@ def test_criterion_6_stabilization_equivariance():
 
     identity = Homography.identity()
     unstabilized = [
-        ObservedBox(o.detection, identity, o.frame, o.t) for o in observations
+        ObservedBox(o.detection, identity, o.frame) for o in observations
     ]
     pan_norm = math.hypot(*pan)
     slope = pan_norm / dims.diagonal

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -236,6 +237,24 @@ class TestTrackCommand:
         with pytest.raises(InputFormatError) as err:
             read_homographies_json(path)
         assert str(path) in str(err.value)
+
+    def test_deeply_nested_homographies_fail_naming_the_file(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen))
+        (scen / "homographies.json").write_text("[" * 100000 + "]" * 100000)
+        code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
+        assert code == 1
+        assert "homographies.json" in err and "invalid JSON" in err
+
+    def test_deeply_nested_keypoints_fail_naming_their_line(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen))
+        lines = (scen / "detections.jsonl").read_text().splitlines()
+        lines[1] = '{"frame": 1, "keypoints": ' + "[" * 100000 + "]" * 100000 + "}"
+        (scen / "detections.jsonl").write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
+        assert code == 1
+        assert "detections.jsonl:2" in err and "invalid JSON" in err
 
     def test_repeated_homography_frame_fails(self, tmp_path, capsys):
         scen = tmp_path / "scen"
@@ -502,6 +521,24 @@ class TestDeterminism:
         run(capsys, *track_args(scen, out1))
         run(capsys, *track_args(scen, out2))
         assert out1.read_bytes() == out2.read_bytes()
+
+
+    # a change to these bytes must be stated and justified, like the benchmark's golden pins
+    @pytest.mark.parametrize(
+        "flag, value, digest",
+        [
+            ("--memory", "1", "a395ee3482a5cbb68332aa362a124c6e4bff02f7bf35d5176a4089bbf7c497f5"),
+            ("--gate", "0.4", "cb3b3030cc00fa530681fc218584273d2a6eef3531281fb8da91553eb5bb18e3"),
+            ("--gate", "inf", "57a9a86200e668f221243163de7f662dea90451d939276bdfd13c978db30c623"),
+            ("--patch", "3", "820f6f27bf992224f8bcb48d9c2ec164680cce36866760f6db57fc4554ef354d"),
+        ],
+    )
+    def test_non_default_settings_keep_pinned_bytes(self, tmp_path, capsys, flag, value, digest):
+        scen, out = tmp_path / "scen", tmp_path / "tracks.csv"
+        synth = synth_args(scen, targets=12, frames=16, width=240, height=135, seed=3, pan="3,1")
+        assert run(capsys, *synth, "--jitter", "20", "--dropout", "0.3")[0] == 0
+        assert run(capsys, *track_args(scen, out), flag, value)[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestConfigPrecedence:

@@ -13,6 +13,7 @@ from courttrack.cost import (
     cost_iou,
     cost_matrix,
     default_weights,
+    features,
     similarity_cost,
 )
 from courttrack.detect import Detection, Keypoint, SourceStage
@@ -31,12 +32,11 @@ def gray(dims=DIMS, value=(90, 90, 90)) -> FrameRaster:
     return FrameRaster.filled(dims, value)
 
 
-def obs(detection, homography=None, frame=None, t=0) -> ObservedBox:
+def obs(detection, homography=None, frame=None) -> ObservedBox:
     return ObservedBox(
         detection,
         homography or Homography.identity(),
         frame if frame is not None else gray(),
-        t,
     )
 
 
@@ -64,7 +64,7 @@ class TestCostDistance:
 
     def test_opposite_corners_is_one(self):
         a = obs(det_with_parts([(0, 0.0, 0.0)]))
-        b = obs(det_with_parts([(0, 1920.0, 1080.0)]), t=1)
+        b = obs(det_with_parts([(0, 1920.0, 1080.0)]))
         assert cost_distance(a, b, DIMS) == pytest.approx(1.0, rel=1e-15)
 
     def test_pan_cancelling_homographies(self):
@@ -74,7 +74,7 @@ class TestCostDistance:
         for t in range(6):
             shifted = [(pid, x - 7.0 * t, y - 3.0 * t) for pid, x, y in world]
             observations.append(
-                obs(det_with_parts(shifted), Homography.translation(7.0 * t, 3.0 * t), t=t)
+                obs(det_with_parts(shifted), Homography.translation(7.0 * t, 3.0 * t))
             )
         for i in range(6):
             for j in range(6):
@@ -91,11 +91,10 @@ class TestCostDistance:
             b = obs(
                 det_with_parts([(0, rng.uniform(0, 800), rng.uniform(0, 800))]),
                 Homography.translation(rng.uniform(-5, 5), rng.uniform(-5, 5)),
-                t=1,
             )
             base = cost_distance(a, b, DIMS)
-            moved_a = ObservedBox(a.detection, g.compose(a.homography), a.frame, a.t)
-            moved_b = ObservedBox(b.detection, g.compose(b.homography), b.frame, b.t)
+            moved_a = ObservedBox(a.detection, g.compose(a.homography), a.frame)
+            moved_b = ObservedBox(b.detection, g.compose(b.homography), b.frame)
             assert cost_distance(moved_a, moved_b, DIMS) == pytest.approx(base, abs=1e-12)
 
 
@@ -106,12 +105,12 @@ class TestCostIou:
 
     def test_disjoint_boxes_one(self):
         a = obs(det_with_parts([(0, 0.0, 0.0), (1, 10.0, 10.0)]))
-        b = obs(det_with_parts([(0, 500.0, 500.0), (1, 510.0, 510.0)]), t=1)
+        b = obs(det_with_parts([(0, 500.0, 500.0), (1, 510.0, 510.0)]))
         assert cost_iou(a, b) == 1.0
 
     def test_third_overlap_gives_two_thirds(self):
         a = obs(det_with_parts([(0, 0.0, 0.0), (1, 10.0, 10.0)]))
-        b = obs(det_with_parts([(0, 5.0, 0.0), (1, 15.0, 10.0)]), t=1)
+        b = obs(det_with_parts([(0, 5.0, 0.0), (1, 15.0, 10.0)]))
         assert cost_iou(a, b) == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
@@ -123,7 +122,7 @@ class TestCostContent:
 
     def test_no_shared_parts_is_one(self):
         a = obs(det_with_parts([(0, 100.0, 100.0), (1, 150.0, 150.0)]))
-        b = obs(det_with_parts([(5, 100.0, 100.0), (6, 150.0, 150.0)]), t=1)
+        b = obs(det_with_parts([(5, 100.0, 100.0), (6, 150.0, 150.0)]))
         assert cost_content(a, b) == 1.0
 
     def test_two_parts_with_planted_diffs_average(self):
@@ -135,12 +134,12 @@ class TestCostContent:
         arr[:, 300:] = 102
         f2 = FrameRaster(arr)
         a = obs(det_with_parts([(0, 100.0, 100.0), (5, 450.0, 100.0)]), frame=f1)
-        b = obs(det_with_parts([(0, 100.0, 100.0), (5, 450.0, 100.0)]), frame=f2, t=1)
+        b = obs(det_with_parts([(0, 100.0, 100.0), (5, 450.0, 100.0)]), frame=f2)
         assert cost_content(a, b) == pytest.approx(0.3, rel=1e-12)
 
     def test_part_without_comparable_pixels_counts_as_one(self):
         a = obs(det_with_parts([(0, -500.0, 50.0)]))
-        b = obs(det_with_parts([(0, 50.0, 50.0)]), t=1)
+        b = obs(det_with_parts([(0, 50.0, 50.0)]))
         assert cost_content(a, b) == 1.0
 
     def test_symmetry(self):
@@ -148,17 +147,17 @@ class TestCostContent:
         f1 = FrameRaster(rng.integers(0, 256, (100, 100, 3), dtype=np.uint8))
         f2 = FrameRaster(rng.integers(0, 256, (100, 100, 3), dtype=np.uint8))
         a = obs(det_with_parts([(0, 20.0, 20.0), (3, 70.0, 60.0)]), frame=f1)
-        b = obs(det_with_parts([(0, 40.0, 30.0), (3, 60.0, 80.0)]), frame=f2, t=1)
+        b = obs(det_with_parts([(0, 40.0, 30.0), (3, 60.0, 80.0)]), frame=f2)
         assert cost_content(a, b) == cost_content(b, a)
 
 
-def random_observation(rng: random.Random, frame: FrameRaster, t: int) -> ObservedBox:
+def random_observation(rng: random.Random, frame: FrameRaster) -> ObservedBox:
     n_parts = rng.randrange(1, 6)
     parts = []
     ids = rng.sample(range(17), n_parts)
     for pid in ids:
         parts.append((pid, rng.uniform(5, 1915), rng.uniform(5, 1075)))
-    return ObservedBox(det_with_parts(parts), Homography.identity(), frame, t)
+    return ObservedBox(det_with_parts(parts), Homography.identity(), frame)
 
 
 class TestSimilarityCost:
@@ -174,8 +173,8 @@ class TestSimilarityCost:
         w = default_weights()
         win = PatchWindow()
         for _ in range(40):
-            a = random_observation(rng, f1, 0)
-            b = random_observation(rng, f2, 1)
+            a = random_observation(rng, f1)
+            b = random_observation(rng, f2)
             combined = similarity_cost(a, b, w, DIMS, win)
             expected = (
                 w.alpha * cost_distance(a, b, DIMS)
@@ -189,8 +188,8 @@ class TestSimilarityCost:
         f = gray()
         w = default_weights()
         for _ in range(20):
-            a = random_observation(rng, f, 0)
-            b = random_observation(rng, f, 1)
+            a = random_observation(rng, f)
+            b = random_observation(rng, f)
             assert similarity_cost(a, b, w, DIMS) == similarity_cost(b, a, w, DIMS)
 
     def test_in_frame_pairs_bounded_by_unit_interval(self):
@@ -198,8 +197,8 @@ class TestSimilarityCost:
         f = gray()
         w = default_weights()
         for _ in range(100):
-            a = random_observation(rng, f, 0)
-            b = random_observation(rng, f, 1)
+            a = random_observation(rng, f)
+            b = random_observation(rng, f)
             c = similarity_cost(a, b, w, DIMS)
             assert 0.0 <= c <= 1.0
 
@@ -213,7 +212,6 @@ class TestSimilarityCost:
             b = obs(
                 det_with_parts([(0, 100.0 + shift, 100.0), (1, 120.0 + shift, 140.0)]),
                 frame=f,
-                t=1,
             )
             costs.append(similarity_cost(a, b, w, DIMS))
         assert costs[0] < costs[1] < costs[2]
@@ -281,16 +279,18 @@ class TestCostMatrix:
     def test_equals_similarity_cost_bit_for_bit(self, scene):
         dets, reps, weights, dims, win = scene
         expected = [[similarity_cost(d, r, weights, dims, win) for r in reps] for d in dets]
-        assert cost_matrix(dets, reps, weights, dims, win).tolist() == expected
+        assert cost_matrix(features(dets, win), features(reps, win), weights, dims).tolist() == expected
 
     def test_distance_rounds_like_math_hypot(self):
         # np.hypot(dx, dy) is one ulp above math.hypot here
         a = obs(det_with_parts([(0, 7.416754906970224, 24.12183124566043)]))
-        b = obs(det_with_parts([(0, 0.0, 0.0)]), t=1)
+        b = obs(det_with_parts([(0, 0.0, 0.0)]))
         distance_only = CostWeights(1.0, 0.0)
-        assert cost_matrix([a], [b], distance_only, DIMS)[0, 0] == cost_distance(a, b, DIMS)
+        scored = cost_matrix(features([a]), features([b]), distance_only, DIMS)
+        assert scored[0, 0] == cost_distance(a, b, DIMS)
 
     def test_shape_of_an_empty_side(self):
         a = obs(det_with_parts([(0, 100.0, 100.0)]))
-        assert cost_matrix([a], [], default_weights(), DIMS).shape == (1, 0)
-        assert cost_matrix([], [a], default_weights(), DIMS).shape == (0, 1)
+        a, none = features([a]), features([])
+        assert cost_matrix(a, none, default_weights(), DIMS).shape == (1, 0)
+        assert cost_matrix(none, a, default_weights(), DIMS).shape == (0, 1)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from courttrack.cost import ObservedBox
+from courttrack.cost import Features, ObservedBox, features
 from courttrack.detect import Detection, Keypoint, SourceStage
 from courttrack.geometry import FrameDims, Homography, Point2
 from courttrack.imaging import FrameRaster
@@ -35,8 +35,13 @@ def det_box(x0, y0, x1, y1) -> Detection:
     return Detection(tuple(kps), SourceStage.EXTERNAL)
 
 
-def obs_box(x0, y0, x1, y1, t, frame=GRAY) -> ObservedBox:
-    return ObservedBox(det_box(x0, y0, x1, y1), Homography.identity(), frame, t)
+def frame_features(*boxes) -> Features:
+    """Features of one frame's detections, one per (x0, y0, x1, y1) box."""
+    return features([ObservedBox(det_box(*b), Homography.identity(), GRAY) for b in boxes])
+
+
+def new_track(track_id, t, box) -> Track:
+    return Track(track_id, t, det_box(*box).bbox)
 
 
 class TestSolveAssignment:
@@ -100,68 +105,83 @@ class TestSolveAssignment:
             mat([[1.0, float("inf")]])
 
 
+A = (50, 50, 70, 90)
+
+
 class TestMatchFrame:
     def test_identical_detection_reassociated(self):
-        track = Track(0, 0, obs_box(50, 50, 70, 90, 0))
-        dets = [obs_box(50, 50, 70, 90, 1)]
-        result = match_frame([track], dets, MatchConfig(), DIMS)
-        assert result.assignments == {0: track}
-        assert result.new_tracks == []
-        assert track.last_seen == 1
+        track = new_track(0, 0, A)
+        window = [(frame_features(A), [track])]
+        assert match_frame(window, frame_features(A), MatchConfig(), DIMS) == {0: track}
 
     def test_memory_recovers_track_missed_one_frame(self):
-        track = Track(0, 0, obs_box(50, 50, 70, 90, 0))
-        dets = [obs_box(50, 50, 70, 90, 2)]
-        result = match_frame([track], dets, MatchConfig(memory_depth=2), DIMS)
-        assert result.assignments == {0: track}
-        assert sorted(track.history) == [0, 2]
+        track = new_track(0, 0, A)
+        window = [(frame_features(A), [track]), (frame_features(), [])]
+        matched = match_frame(window, frame_features(A), MatchConfig(memory_depth=2), DIMS)
+        assert matched == {0: track}
 
     def test_t_minus_2_representative_wins_the_min(self):
         # the t-1 representative is gated out, so only the t-2 one can match
-        track = Track(0, 0, obs_box(50, 50, 70, 90, 0))
-        track.observe(1, obs_box(150, 150, 170, 190, 1))
-        dets = [obs_box(50, 50, 70, 90, 2)]
-        result = match_frame([track], dets, MatchConfig(gate=0.05), DIMS)
-        assert result.assignments == {0: track}
-        assert track.last_seen == 2
+        track = new_track(0, 0, A)
+        track.observe(1, det_box(150, 150, 170, 190).bbox)
+        window = [(frame_features(A), [track]), (frame_features((150, 150, 170, 190)), [track])]
+        matched = match_frame(window, frame_features(A), MatchConfig(gate=0.05), DIMS)
+        assert matched == {0: track}
 
     def test_out_of_order_observation_rejected(self):
-        track = Track(0, 3, obs_box(50, 50, 70, 90, 3))
+        track = new_track(0, 3, A)
         for t in (2, 3):
             with pytest.raises(ValueError, match="already observed"):
-                track.observe(t, obs_box(50, 50, 70, 90, t))
+                track.observe(t, det_box(*A).bbox)
         assert track.last_seen == 3
         assert sorted(track.history) == [3]
 
+    def test_last_seen_follows_history(self):
+        track = new_track(0, 0, A)
+        track.observe(2, det_box(*A).bbox)
+        assert track.last_seen == 2
+        assert sorted(track.history) == [0, 2]
+
     def test_without_memory_track_is_retired(self):
-        track = Track(0, 0, obs_box(50, 50, 70, 90, 0))
-        dets = [obs_box(50, 50, 70, 90, 2)]
-        result = match_frame([track], dets, MatchConfig(memory_depth=1), DIMS)
-        assert result.assignments == {}
-        assert result.retired == [track]
-        assert len(result.new_tracks) == 1
+        # memory depth 1 after a missed frame: the window holds only that empty frame
+        assert match_frame([(frame_features(), [])], frame_features(A), MatchConfig(), DIMS) == {}
 
     def test_crossing_costs_keep_identities(self):
-        a = Track(0, 0, obs_box(20, 20, 40, 60, 0))
-        b = Track(1, 0, obs_box(160, 20, 180, 60, 0))
+        left, right = (20, 20, 40, 60), (160, 20, 180, 60)
+        a, b = new_track(0, 0, left), new_track(1, 0, right)
+        window = [(frame_features(left, right), [a, b])]
         # detections arrive in swapped order
-        dets = [obs_box(160, 20, 180, 60, 1), obs_box(20, 20, 40, 60, 1)]
-        result = match_frame([a, b], dets, MatchConfig(), DIMS)
-        assert result.assignments[0] is b
-        assert result.assignments[1] is a
+        matched = match_frame(window, frame_features(right, left), MatchConfig(), DIMS)
+        assert matched == {0: b, 1: a}
+
+    def test_ties_go_to_tracks_in_id_order(self):
+        # eligible tracks are ordered by id, not by their place in the window
+        tracks = [new_track(i, 0, A) for i in range(8)]
+        window = [(frame_features(*[A] * 8), tracks[::-1])]
+        matched = match_frame(window, frame_features(A, A, A), MatchConfig(), DIMS)
+        assert matched == {0: tracks[0], 1: tracks[1], 2: tracks[2]}
 
     def test_gated_detection_spawns_new_track(self):
-        track = Track(0, 0, obs_box(10, 10, 20, 30, 0))
-        dets = [obs_box(180, 180, 190, 199, 1)]
-        result = match_frame([track], dets, MatchConfig(gate=0.05), DIMS)
-        assert result.assignments == {}
-        assert len(result.new_tracks) == 1
-        assert result.new_tracks[0].id == 1
+        near, far = (10, 10, 20, 30), (180, 180, 190, 199)
+        track = new_track(0, 0, near)
+        window = [(frame_features(near), [track])]
+        assert match_frame(window, frame_features(far), MatchConfig(gate=0.05), DIMS) == {}
+        frames = [
+            FrameObservations([det_box(*near)], Homography.identity(), GRAY),
+            FrameObservations([det_box(*far)], Homography.identity(), GRAY),
+        ]
+        tracks = run_tracker(frames, MatchConfig(gate=0.05))
+        assert [(tr.id, sorted(tr.history)) for tr in tracks] == [(0, [0]), (1, [1])]
 
     def test_empty_frame_still_retires(self):
-        track = Track(0, 0, obs_box(10, 10, 20, 30, 0))
-        result = match_frame([track], [], MatchConfig(memory_depth=1), DIMS, t=3)
-        assert result.retired == [track]
+        # two frames without detections push the track out of a depth-2 window
+        tracks = run_tracker(single_target_sequence(10, skip={5, 6}), MatchConfig(memory_depth=2))
+        assert [sorted(tr.history) for tr in tracks] == [[0, 1, 2, 3, 4], [7, 8, 9]]
+
+    def test_empty_window_or_frame_matches_nothing(self):
+        track = new_track(0, 0, A)
+        assert match_frame([], frame_features(A), MatchConfig(), DIMS) == {}
+        assert match_frame([(frame_features(A), [track])], frame_features(), MatchConfig(), DIMS) == {}
 
 
 def single_target_sequence(n_frames, skip=frozenset(), dims=DIMS):
@@ -250,11 +270,15 @@ class TestRunTracker:
 
     def test_streamed_frames_release_their_rasters(self):
         # one target stays for all 30 frames, one leaves after frame 9 and
-        # is retired; each frame decodes into its own raster
+        # is retired; each frame decodes into its own raster, and when frame
+        # t is yielded at most the raster of frame t-1 may still be alive
         rasters = []
+        alive_before = []
 
         def frames():
             for t in range(30):
+                gc.collect()
+                alive_before.append(sum(ref() is not None for ref in rasters))
                 raster = FrameRaster.filled(DIMS, (90, 90, 90))
                 rasters.append(weakref.ref(raster.data))
                 dets = [det_box(50.0, 50.0, 70.0, 90.0)]
@@ -262,13 +286,10 @@ class TestRunTracker:
                     dets.append(det_box(120.0, 120.0, 140.0, 160.0))
                 yield FrameObservations(dets, Homography.identity(), raster)
 
-        cfg = MatchConfig()
-        tracks = run_tracker(frames(), cfg)
+        tracks = run_tracker(frames(), MatchConfig())
         assert [sorted(tr.history) for tr in tracks] == [list(range(30)), list(range(10))]
-        assert tracks[1].recent == ()
-        gc.collect()
-        assert len(rasters) == 30
-        assert sum(ref() is not None for ref in rasters) <= cfg.memory_depth
+        assert len(alive_before) == 30
+        assert max(alive_before) <= 1
 
     def test_id_stability_when_cross_costs_exceed_gate(self):
         # single-frame dropouts only, and a gate below every inter-target
