@@ -76,7 +76,6 @@ from .synth import (
     ScenarioSpec,
     SyntheticSequence,
     brute_force_assignment,
-    degrade,
     generate,
 )
 

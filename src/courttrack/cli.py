@@ -50,10 +50,11 @@ from .metrics import (
     tracks_to_records,
     write_mot_csv,
 )
-from .synth import ScenarioSpec, SyntheticSequence, degrade, generate
+from .synth import ScenarioSpec, SyntheticSequence, generate
 from .track import DEFAULT_GATE, FrameObservations, MatchConfig, run_tracker
 
 FRAME_FILE_PATTERN = "frame_%06d.ppm"
+FRAME_FILE_RE = re.compile(r"frame_(\d{6})\.ppm")
 
 
 def parse_hsv_filter(text: str) -> HsvFilter:
@@ -188,7 +189,7 @@ def list_frame_files(frames_dir) -> list[Path]:
         raise InputFormatError(frames_dir, "not a directory of frames")
     indexed = {}
     for p in root.iterdir():
-        match = re.fullmatch(r"frame_(\d{6})\.ppm", p.name)
+        match = FRAME_FILE_RE.fullmatch(p.name)
         if match:
             indexed[int(match.group(1))] = p
     if not indexed:
@@ -380,6 +381,10 @@ def cmd_court(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.out is None:
         raise InputFormatError("out", "synth command needs an output directory")
+    # frames left over from a longer scenario would be read by track as part of this one
+    frames_dir = Path(args.out) / "frames"
+    if frames_dir.is_dir() and any(FRAME_FILE_RE.fullmatch(p.name) for p in frames_dir.iterdir()):
+        raise InputFormatError(frames_dir, "already holds frame files; synth needs a fresh directory")
     pan = (0.0, 0.0)
     if args.pan:
         parts = args.pan.split(",")
@@ -393,12 +398,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         pan=pan,
         dropout_rate=args.dropout,
         jitter_sigma=args.jitter,
+        extra_dropout=args.extra_dropout,
         seed=args.seed,
     )
-    seq = generate(spec)
-    if args.extra_dropout > 0.0:
-        seq = degrade(seq, args.extra_dropout, args.seed)
-    write_scenario(seq, args.out)
+    write_scenario(generate(spec), args.out)
     return 0
 
 

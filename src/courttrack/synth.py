@@ -3,8 +3,11 @@
 Generated sequences stand in for real annotated footage: targets are
 solid-color rectangles on a flat background, the camera pans at a
 constant rate, and the per-frame homographies cancel that pan exactly.
-Ground truth covers every target in every frame; dropout and jitter
-only degrade the detections.
+Ground truth covers every target in every frame; dropout, extra dropout
+and jitter only degrade the detections. Extra dropout removes single
+detections that a two-frame memory can bridge: it drops a target's
+detection only when that target is detected in the frame before and the
+base dropout keeps it in the frame after.
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ class ScenarioSpec:
 
     motion is one (vx, vy) velocity per target in world pixels/frame
     (None places stationary targets); pan is the constant camera
-    translation per frame. Dropout removes whole detections, jitter
-    perturbs detection box corners; neither touches the ground truth.
+    translation per frame. Dropout removes whole detections, extra
+    dropout removes single-frame ones (see the module docstring), jitter
+    perturbs detection box corners; none touches the ground truth.
     """
 
     n_targets: int = 10
@@ -59,6 +63,7 @@ class ScenarioSpec:
     pan: tuple[float, float] = (0.0, 0.0)
     dropout_rate: float = 0.0
     jitter_sigma: float = 0.0
+    extra_dropout: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -68,8 +73,10 @@ class ScenarioSpec:
             raise ValueError("need at least two frames")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.jitter_sigma < 0.0:
+        if not self.jitter_sigma >= 0.0:
             raise ValueError("jitter_sigma must be >= 0")
+        if not 0.0 <= self.extra_dropout < 1.0:
+            raise ValueError("extra_dropout must lie in [0, 1)")
         if self.motion is not None and len(self.motion) != self.n_targets:
             raise ValueError("motion needs one velocity per target")
 
@@ -168,6 +175,11 @@ def _stencil_detection(box: BBox, stage: SourceStage) -> Detection:
     return Detection(tuple(keypoints), stage)
 
 
+def _kept_by_dropout(spec: ScenarioSpec, t: int, i: int) -> bool:
+    """Whether the base dropout keeps target i's detection in frame t."""
+    return SplitMix64(spec.seed, 0xD809, t, i).uniform() >= spec.dropout_rate
+
+
 def generate(spec: ScenarioSpec) -> SyntheticSequence:
     """Deterministic scenario synthesis; same spec, same bytes."""
     motion = spec.motion if spec.motion is not None else ((0.0, 0.0),) * spec.n_targets
@@ -179,6 +191,7 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
     detections: dict[int, list[Detection]] = {}
     homographies: list[Homography] = []
     frames: list[FrameRaster] = []
+    detected = [True] * spec.n_targets  # each target in the previous frame; frame -1 counts
 
     for t in range(spec.n_frames):
         pan_x, pan_y = spec.pan[0] * t, spec.pan[1] * t
@@ -198,8 +211,13 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
             x1, y1 = round(box.x_max), round(box.y_max)
             raster[max(0, y0) : y1, max(0, x0) : x1] = colors[i]
 
-            drop_rng = SplitMix64(spec.seed, 0xD809, t, i)
-            if spec.dropout_rate > 0.0 and drop_rng.uniform() < spec.dropout_rate:
+            kept = _kept_by_dropout(spec, t, i) and not (
+                detected[i]
+                and SplitMix64(spec.seed, 0xDE64ADE, t, i).uniform() < spec.extra_dropout
+                and (t == spec.n_frames - 1 or _kept_by_dropout(spec, t + 1, i))
+            )
+            detected[i] = kept
+            if not kept:
                 continue
             det_box = box
             if spec.jitter_sigma > 0.0:
@@ -222,69 +240,6 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
         frames.append(FrameRaster(raster))
 
     return SyntheticSequence(spec, gt, detections, homographies, frames)
-
-
-def degrade(seq: SyntheticSequence, extra_dropout: float, seed: int) -> SyntheticSequence:
-    """Remove additional single-frame detections.
-
-    A detection is removed only when the same target is detected in the
-    adjacent frames (and the following frame is then protected), so no
-    target ever misses two consecutive frames and a two-frame memory can
-    always recover.
-    """
-    if not 0.0 <= extra_dropout < 1.0:
-        raise ValueError("extra_dropout must lie in [0, 1)")
-    if extra_dropout == 0.0:
-        return SyntheticSequence(
-            seq.spec,
-            list(seq.gt),
-            {t: list(dets) for t, dets in seq.detections.items()},
-            list(seq.homographies),
-            list(seq.frames),
-        )
-
-    spec = seq.spec
-    # match detections back to targets through the ground-truth boxes
-    gt_box = {(g.frame, g.id): g.bbox for g in seq.gt}
-    present: dict[tuple[int, int], Detection] = {}
-    for t, dets in seq.detections.items():
-        for det in dets:
-            target = _closest_target(det, t, spec.n_targets, gt_box)
-            present[(t, target)] = det
-
-    protected: set[tuple[int, int]] = set()
-    for i in range(spec.n_targets):
-        for t in range(spec.n_frames):
-            key = (t, i)
-            if key not in present or key in protected:
-                continue
-            before_ok = t == 0 or (t - 1, i) in present
-            after_ok = t == spec.n_frames - 1 or (t + 1, i) in present
-            if not (before_ok and after_ok):
-                continue
-            if SplitMix64(seed, 0xDE64ADE, t, i).uniform() < extra_dropout:
-                del present[key]
-                protected.add((t + 1, i))
-
-    detections: dict[int, list[Detection]] = {t: [] for t in range(spec.n_frames)}
-    for (t, i), det in sorted(present.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        detections[t].append(det)
-    return SyntheticSequence(
-        spec, list(seq.gt), detections, list(seq.homographies), list(seq.frames)
-    )
-
-
-def _closest_target(
-    det: Detection, t: int, n_targets: int, gt_box: dict[tuple[int, int], BBox]
-) -> int:
-    cx, cy = det.bbox.centroid.x, det.bbox.centroid.y
-    best, best_d = 0, float("inf")
-    for i in range(n_targets):
-        box = gt_box[(t, i)]
-        d = math.hypot(box.centroid.x - cx, box.centroid.y - cy)
-        if d < best_d:
-            best, best_d = i, d
-    return best
 
 
 def brute_force_assignment(m: CostMatrix) -> tuple[list[tuple[int, int]], float]:

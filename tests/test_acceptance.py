@@ -44,7 +44,7 @@ from courttrack.metrics import (
     eval_mot,
     eval_mot_records,
 )
-from courttrack.synth import ScenarioSpec, brute_force_assignment, degrade, generate
+from courttrack.synth import ScenarioSpec, brute_force_assignment, generate
 from courttrack.track import CostMatrix, MatchConfig, run_tracker, solve_assignment
 
 from tests.test_court import banded_mask, seg as make_seg, two_band_frame, GREEN_FILTER
@@ -180,9 +180,10 @@ def test_criterion_5_memory_ablation_ordering():
             n_frames=40,
             dims=FrameDims(640, 360),
             pan=(3.0, 0.0),
+            extra_dropout=0.1,
             seed=seed,
         )
-        degraded = degrade(generate(spec), extra_dropout=0.1, seed=seed)
+        degraded = generate(spec)
         removed = 40 * 10 - sum(len(d) for d in degraded.detections.values())
         assert removed > 0, "degradation must remove at least one detection"
         reports = {}

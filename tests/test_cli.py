@@ -503,6 +503,28 @@ class TestCourtCommand:
         assert code == 2
 
 
+class TestSynthCommand:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--jitter", "nan"), ("--extra-dropout", "-0.5"), ("--extra-dropout", "nan")],
+    )
+    def test_out_of_range_noise_fails(self, tmp_path, capsys, flag, value):
+        scen = tmp_path / "scen"
+        code, _, err = run(capsys, *synth_args(scen), flag, value)
+        assert code == 1
+        assert flag.lstrip("-").replace("-", "_") in err
+        assert not scen.exists()
+
+    def test_directory_with_frames_fails_before_writing(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        assert run(capsys, *synth_args(scen, frames=10))[0] == 0
+        before = {p: p.read_bytes() for p in scen.rglob("*") if p.is_file()}
+        code, _, err = run(capsys, *synth_args(scen, frames=5, seed=2))
+        assert code == 1
+        assert str(scen / "frames") in err
+        assert {p: p.read_bytes() for p in scen.rglob("*") if p.is_file()} == before
+
+
 class TestDeterminism:
     def test_synth_twice_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -539,6 +561,20 @@ class TestDeterminism:
         assert run(capsys, *synth, "--jitter", "20", "--dropout", "0.3")[0] == 0
         assert run(capsys, *track_args(scen, out), flag, value)[0] == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (1, "fa42dc523d48a300b0e2a3ea1113087b440c0e9f2b2d9169d3f20dfb84f4a30d"),
+            (5, "186210fadd6cb66a3b8db3bb9c84c9d851bef33c16ff1acc08abf621d9bf9d3e"),
+        ],
+    )
+    def test_extra_dropout_keeps_pinned_bytes(self, tmp_path, capsys, seed, digest):
+        scen = tmp_path / "scen"
+        synth = synth_args(scen, targets=10, frames=40, width=640, height=360, seed=seed, pan="3,0")
+        assert run(capsys, *synth, "--extra-dropout", "0.1")[0] == 0
+        detections = (scen / "detections.jsonl").read_bytes()
+        assert hashlib.sha256(detections).hexdigest() == digest
 
 
 class TestConfigPrecedence:

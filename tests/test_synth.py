@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,26 +11,23 @@ from courttrack.synth import (
     _target_colors,
     ScenarioSpec,
     brute_force_assignment,
-    degrade,
     generate,
 )
+from courttrack.rng import SplitMix64
 from courttrack.track import CostMatrix
 
 SMALL = ScenarioSpec(n_targets=4, n_frames=10, dims=FrameDims(640, 360), seed=1)
 
 
 def detections_by_target(seq):
-    """Map (frame, nearest gt target) -> detection bbox."""
-    out = {}
-    gt_box = {(g.frame, g.id): g.bbox for g in seq.gt}
-    for t, dets in seq.detections.items():
-        for det in dets:
-            best = min(
-                range(seq.spec.n_targets),
-                key=lambda i: abs(gt_box[(t, i)].centroid.x - det.bbox.centroid.x)
-                + abs(gt_box[(t, i)].centroid.y - det.bbox.centroid.y),
-            )
-            out[(t, best)] = det.bbox
+    """Map (frame, target) -> detection bbox.
+
+    Jitter draws are keyed by frame and target, so the same spec without
+    dropout lists target i's detection at index i of every frame.
+    """
+    full = generate(replace(seq.spec, dropout_rate=0.0, extra_dropout=0.0)).detections
+    out = {(t, full[t].index(det)): det.bbox for t, dets in seq.detections.items() for det in dets}
+    assert len(out) == sum(len(dets) for dets in seq.detections.values())
     return out
 
 
@@ -124,34 +123,65 @@ class TestGenerate:
 
 
 class TestDegrade:
-    BASE = generate(ScenarioSpec(n_targets=10, n_frames=40, dims=FrameDims(640, 360), seed=11))
+    SPEC = ScenarioSpec(n_targets=10, n_frames=40, dims=FrameDims(640, 360), seed=11)
+    BASE = generate(SPEC)
 
     def test_zero_extra_dropout_is_identity(self):
-        out = degrade(self.BASE, 0.0, seed=1)
-        assert out.detections == self.BASE.detections
+        for rate in (0.0, 1e-9):  # no draw here falls below 1e-9
+            out = generate(replace(self.SPEC, extra_dropout=rate))
+            assert out.detections == self.BASE.detections
 
     def test_same_seed_same_output(self):
-        a = degrade(self.BASE, 0.1, seed=5)
-        b = degrade(self.BASE, 0.1, seed=5)
+        a = generate(replace(self.SPEC, extra_dropout=0.1))
+        b = generate(replace(self.SPEC, extra_dropout=0.1))
         assert a.detections == b.detections
 
     def test_removal_count_near_rate(self):
-        out = degrade(self.BASE, 0.1, seed=5)
+        out = generate(replace(self.SPEC, extra_dropout=0.1))
         removed = sum(len(d) for d in self.BASE.detections.values()) - sum(
             len(d) for d in out.detections.values()
         )
         assert 20 <= removed <= 60  # ~10% of 400, protection skews low
 
     def test_never_two_consecutive_gaps(self):
-        out = degrade(self.BASE, 0.25, seed=8)
+        out = generate(replace(self.SPEC, extra_dropout=0.25))
         present = detections_by_target(out)
         for i in range(out.spec.n_targets):
             for t in range(out.spec.n_frames - 1):
                 assert (t, i) in present or (t + 1, i) in present
 
     def test_gt_untouched(self):
-        out = degrade(self.BASE, 0.2, seed=3)
+        out = generate(replace(self.SPEC, extra_dropout=0.2))
         assert out.gt == self.BASE.gt
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_close_targets_lose_only_drawn_detections(self, seed):
+        # jitter 20 on 12 boxes at 240x135 puts detections nearer to other
+        # targets than to their own: matching by position would mix them up
+        spec = ScenarioSpec(
+            n_targets=12,
+            n_frames=16,
+            dims=FrameDims(240, 135),
+            pan=(3.0, 1.0),
+            dropout_rate=0.3,
+            jitter_sigma=20.0,
+            extra_dropout=0.2,
+            seed=seed,
+        )
+        base = detections_by_target(generate(replace(spec, extra_dropout=0.0)))
+        kept = detections_by_target(generate(spec))
+        assert all(base.get(key) == box for key, box in kept.items())
+
+        dropped = set(base) - set(kept)
+        drawn = {
+            (t, i)
+            for t, i in base
+            if SplitMix64(seed, 0xDE64ADE, t, i).uniform() < spec.extra_dropout
+        }
+        assert dropped and dropped <= drawn
+        for t, i in base:
+            if (t + 1, i) in base:
+                assert (t, i) in kept or (t + 1, i) in kept, f"target {i} misses frames {t}, {t + 1}"
 
 
 class TestBruteForceAssignment:

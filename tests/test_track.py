@@ -295,10 +295,11 @@ class TestRunTracker:
         # single-frame dropouts only, and a gate below every inter-target
         # cost: two-frame memory must produce zero switches
         from courttrack.metrics import eval_mot, tracks_to_records, write_mot_csv
-        from courttrack.synth import degrade
 
-        spec = ScenarioSpec(n_targets=4, n_frames=30, dims=FrameDims(640, 360), seed=13)
-        seq = degrade(generate(spec), extra_dropout=0.15, seed=13)
+        spec = ScenarioSpec(
+            n_targets=4, n_frames=30, dims=FrameDims(640, 360), extra_dropout=0.15, seed=13
+        )
+        seq = generate(spec)
         cfg = MatchConfig(gate=0.1, memory_depth=2)
         tracks = run_tracker(seq.frame_observations(), cfg)
         report = eval_mot(seq.gt, tracks)
