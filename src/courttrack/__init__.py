@@ -58,18 +58,16 @@ from .cost import (
 from .track import (
     CostMatrix,
     FrameObservations,
+    GroundTruthBox,
     MatchConfig,
-    Track,
     match_frame,
     run_tracker,
     solve_assignment,
 )
 from .metrics import (
     DetectionReport,
-    GroundTruthBox,
     MotReport,
     eval_detections,
-    eval_mot,
     eval_mot_records,
 )
 from .synth import (

@@ -47,7 +47,6 @@ from .metrics import (
     eval_detections,
     eval_mot_records,
     read_mot_csv,
-    tracks_to_records,
     write_mot_csv,
 )
 from .synth import ScenarioSpec, SyntheticSequence, generate
@@ -255,8 +254,7 @@ def cmd_track(args: argparse.Namespace) -> int:
             raise InputFormatError(
                 path, f"{what} reference frames {sorted(bad)} outside 0..{n - 1}"
             )
-    tracks = run_tracker(decode_frames(paths, detections, homographies), config)
-    write_mot_csv(tracks_to_records(tracks), args.out)
+    write_mot_csv(run_tracker(decode_frames(paths, detections, homographies), config), args.out)
     return 0
 
 
@@ -378,20 +376,15 @@ def cmd_court(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    if args.out is None:
-        raise InputFormatError("out", "synth command needs an output directory")
-    # frames left over from a longer scenario would be read by track as part of this one
-    frames_dir = Path(args.out) / "frames"
-    if frames_dir.is_dir() and any(FRAME_FILE_RE.fullmatch(p.name) for p in frames_dir.iterdir()):
-        raise InputFormatError(frames_dir, "already holds frame files; synth needs a fresh directory")
-    pan = (0.0, 0.0)
+def scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
+    """The ScenarioSpec that the synth command's parsed arguments ask for."""
+    pan = ScenarioSpec.pan
     if args.pan:
         parts = args.pan.split(",")
         if len(parts) != 2:
             raise InputFormatError("pan", f"expected 'px,py', got {args.pan!r}")
         pan = (float(parts[0]), float(parts[1]))
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         n_targets=args.targets,
         n_frames=args.num_frames,
         dims=FrameDims(args.width, args.height),
@@ -401,7 +394,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
         extra_dropout=args.extra_dropout,
         seed=args.seed,
     )
-    write_scenario(generate(spec), args.out)
+
+
+def cmd_synth(args: argparse.Namespace) -> int:
+    if args.out is None:
+        raise InputFormatError("out", "synth command needs an output directory")
+    # frames left over from a longer scenario would be read by track as part of this one
+    frames_dir = Path(args.out) / "frames"
+    if frames_dir.is_dir() and any(FRAME_FILE_RE.fullmatch(p.name) for p in frames_dir.iterdir()):
+        raise InputFormatError(frames_dir, "already holds frame files; synth needs a fresh directory")
+    write_scenario(generate(scenario_spec(args)), args.out)
     return 0
 
 
@@ -430,14 +432,17 @@ def _build_parser() -> argparse.ArgumentParser:
     commands["eval"].add_argument("--mode", choices=("det", "mot"), required=True)
 
     p_synth = commands["synth"]
-    p_synth.add_argument("--targets", type=int, default=10)
-    p_synth.add_argument("--num-frames", dest="num_frames", type=int, default=40)
-    p_synth.add_argument("--width", type=int, default=640)
-    p_synth.add_argument("--height", type=int, default=360)
+    spec = ScenarioSpec()
+    p_synth.add_argument("--targets", type=int, default=spec.n_targets)
+    p_synth.add_argument("--num-frames", dest="num_frames", type=int, default=spec.n_frames)
+    p_synth.add_argument("--width", type=int, default=spec.dims.w)
+    p_synth.add_argument("--height", type=int, default=spec.dims.h)
     p_synth.add_argument("--pan", help="camera pan 'px,py' in pixels/frame")
-    p_synth.add_argument("--dropout", type=float, default=0.0)
-    p_synth.add_argument("--jitter", type=float, default=0.0)
-    p_synth.add_argument("--extra-dropout", dest="extra_dropout", type=float, default=0.0)
+    p_synth.add_argument("--dropout", type=float, default=spec.dropout_rate)
+    p_synth.add_argument("--jitter", type=float, default=spec.jitter_sigma)
+    p_synth.add_argument(
+        "--extra-dropout", dest="extra_dropout", type=float, default=spec.extra_dropout
+    )
 
     return parser
 

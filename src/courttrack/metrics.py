@@ -15,19 +15,10 @@ import numpy as np
 
 from .errors import EmptyGroundTruth, InputFormatError, open_text, text_lines
 from .geometry import BBox, iou
-from .track import Track, linear_sum_assignment
+from .track import GroundTruthBox, linear_sum_assignment
 
 MOT_IOU_THRESHOLD = 0.5
 TRACK_CSV_HEADER = ["frame", "id", "x_min", "y_min", "width", "height"]
-
-
-@dataclass(frozen=True)
-class GroundTruthBox:
-    """One annotated (or hypothesized) box of one identity in one frame."""
-
-    frame: int
-    id: int
-    bbox: BBox
 
 
 @dataclass(frozen=True)
@@ -113,19 +104,6 @@ def eval_detections(gt: list[GroundTruthBox], dets: dict[int, list[BBox]]) -> De
         fn += len(gt_boxes) - len(used_gt)
         fp += len(det_boxes) - len(used_det)
     return DetectionReport.from_counts(tp, fp, fn)
-
-
-def tracks_to_records(tracks: list[Track]) -> list[GroundTruthBox]:
-    """Flatten tracker output into per-frame hypothesis box records."""
-    records = []
-    for track in tracks:
-        for t, bbox in track.history.items():
-            records.append(GroundTruthBox(t, track.id, bbox))
-    return records
-
-
-def eval_mot(gt: list[GroundTruthBox], tracks: list[Track]) -> MotReport:
-    return eval_mot_records(gt, tracks_to_records(tracks))
 
 
 def eval_mot_records(

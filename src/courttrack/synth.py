@@ -22,9 +22,8 @@ from .detect import Detection, Keypoint, SourceStage
 from .errors import TargetOutOfFrame, TooLarge
 from .geometry import BBox, FrameDims, Homography, Point2
 from .imaging import FrameRaster
-from .metrics import GroundTruthBox
 from .rng import SplitMix64
-from .track import CostMatrix, FrameObservations
+from .track import CostMatrix, FrameObservations, GroundTruthBox
 
 # Keypoint stencil: (part_id, relative x, relative y) inside the box. The
 # hull of the stencil spans the whole box, so a detection's skeleton box
@@ -73,8 +72,10 @@ class ScenarioSpec:
             raise ValueError("need at least two frames")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if not self.jitter_sigma >= 0.0:
-            raise ValueError("jitter_sigma must be >= 0")
+        if not 0.0 <= self.jitter_sigma < math.inf:
+            raise ValueError("jitter_sigma must be finite and >= 0")
+        if not all(math.isfinite(p) for p in self.pan):
+            raise ValueError("pan components must be finite")
         if not 0.0 <= self.extra_dropout < 1.0:
             raise ValueError("extra_dropout must lie in [0, 1)")
         if self.motion is not None and len(self.motion) != self.n_targets:
@@ -234,6 +235,10 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
                         box.y_max + jit.gauss(0.0, spec.jitter_sigma),
                     )
                 )
+                # an infinite corner makes its span non-finite too, and finite
+                # corners can still be too far apart for the span to be finite
+                if not (math.isfinite(xs[1] - xs[0]) and math.isfinite(ys[1] - ys[0])):
+                    raise ValueError(f"jitter_sigma {spec.jitter_sigma} overflows a box at t={t}")
                 det_box = BBox(xs[0], ys[0], xs[1], ys[1])
             frame_dets.append(_stencil_detection(det_box, SourceStage.EXTERNAL))
         detections[t] = frame_dets

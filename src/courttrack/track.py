@@ -1,13 +1,13 @@
 """Identity assignment across frames.
 
-Per frame, the detections are matched against the tracks seen in the
-last memory_depth frames through one optimal assignment, where the
-candidate cost of a track is the best similarity against its detections
-at t-1 and t-2 (the two-frame memory criterion). Gated-out detections
-spawn fresh ids. Frames stream through: the tracker keeps the features
-of the last memory_depth frames' detections and the track of each, so a
-track that leaves that window is never matched again, and a track keeps
-only its box per frame.
+Per frame, the detections are matched against the ids seen in the last
+memory_depth frames through one optimal assignment, where the candidate
+cost of an id is the best similarity against its detections at t-1 and
+t-2 (the two-frame memory criterion). Gated-out detections get fresh
+ids. Frames stream through: the tracker keeps only the features of the
+last memory_depth frames' detections and the id of each, so an id that
+leaves that window is never matched again. Its output is one
+(frame, id, box) row per detection.
 """
 
 from __future__ import annotations
@@ -43,31 +43,18 @@ class MatchConfig:
             raise ValueError("memory_depth must be 1 or 2")
 
 
-class Track:
-    """A persistent identity: its box in each frame it was seen in."""
+@dataclass(frozen=True)
+class GroundTruthBox:
+    """One annotated (or hypothesized) box of one identity in one frame."""
 
-    __slots__ = ("id", "history")
-
-    def __init__(self, track_id: int, t: int, bbox: BBox) -> None:
-        self.id = track_id
-        self.history: dict[int, BBox] = {t: bbox}
-
-    @property
-    def last_seen(self) -> int:
-        return next(reversed(self.history))  # observe keeps the frames increasing
-
-    def observe(self, t: int, bbox: BBox) -> None:
-        if t <= self.last_seen:
-            raise ValueError(f"track {self.id} already observed at or after frame {t}")
-        self.history[t] = bbox
-
-    def __repr__(self) -> str:
-        return f"Track(id={self.id}, frames={sorted(self.history)})"
+    frame: int
+    id: int
+    bbox: BBox
 
 
 @dataclass
 class CostMatrix:
-    """Detections-by-tracks cost table plus the dummy-cell sentinel."""
+    """Detections-by-ids cost table plus the dummy-cell sentinel."""
 
     entries: np.ndarray
     pad_value: float
@@ -240,28 +227,28 @@ def solve_assignment(m: CostMatrix) -> list[tuple[int, int]]:
 
 
 def match_frame(
-    window: Sequence[tuple[Features, list[Track]]],
+    window: Sequence[tuple[Features, list[int]]],
     dets: Features,
     cfg: MatchConfig,
     dims: FrameDims,
-) -> dict[int, Track]:
-    """Match the frame's detections to tracks: detection index -> track.
+) -> dict[int, int]:
+    """Match the frame's detections to ids: detection index -> id.
 
     The window holds, for each of the last memory_depth frames, its
-    detections' features and the track of each, so the eligible tracks
-    are exactly the ones found there. The cost of a (detection, track)
-    pair is the minimum similarity against that track's detections in
-    the window; costs above the gate are treated as impossible. The
-    detections left unmatched are for the caller to spawn.
+    detections' features and the id of each, so the eligible ids are
+    exactly the ones found there. The cost of a (detection, id) pair is
+    the minimum similarity against that id's detections in the window;
+    costs above the gate are treated as impossible. The detections left
+    unmatched are for the caller to give new ids.
     """
-    eligible = sorted({tr for _, owners in window for tr in owners}, key=lambda tr: tr.id)
+    eligible = sorted({track_id for _, owners in window for track_id in owners})
     n = len(dets.centroids)
     if not eligible or not n:
         return {}
-    column = {tr: j for j, tr in enumerate(eligible)}
+    column = {track_id: j for j, track_id in enumerate(eligible)}
     raw = np.full((n, len(eligible)), np.inf)
     for reps, owners in window:
-        cols = [column[tr] for tr in owners]  # a track has at most one detection per frame
+        cols = [column[track_id] for track_id in owners]  # at most one detection per id and frame
         raw[:, cols] = np.minimum(raw[:, cols], cost_matrix(dets, reps, cfg.weights, dims))
     pad = 10.0 * cfg.gate if math.isfinite(cfg.gate) else 10.0 * (1.0 + float(raw.max()))
     clamped = np.where(raw <= cfg.gate, raw, pad)
@@ -280,15 +267,17 @@ class FrameObservations:
 
 def run_tracker(
     frames: Iterable[FrameObservations], cfg: MatchConfig = MatchConfig()
-) -> list[Track]:
-    """Stream the matcher over frames 0, 1, ... in order; returns all tracks in id order.
+) -> list[GroundTruthBox]:
+    """Stream the matcher over frames 0, 1, ... in order; returns one row per detection.
 
-    Distances are normalized by the first frame's diagonal. Each frame's
-    detection features are extracted once and kept while the frame is in
-    the window.
+    The rows come frame by frame in detection order. A detection left
+    unmatched gets the next unused id. Distances are normalized by the
+    first frame's diagonal. Each frame's detection features are
+    extracted once and kept while the frame is in the window.
     """
-    tracks: list[Track] = []
-    window: deque[tuple[Features, list[Track]]] = deque(maxlen=cfg.memory_depth)
+    rows: list[GroundTruthBox] = []
+    next_id = 0
+    window: deque[tuple[Features, list[int]]] = deque(maxlen=cfg.memory_depth)
     for t, frame in enumerate(frames):
         if t == 0:
             dims = frame.raster.dims
@@ -297,12 +286,10 @@ def run_tracker(
         matched = match_frame(window, dets, cfg, dims)
         owners = []
         for i, det in enumerate(frame.detections):
-            track = matched.get(i)
-            if track is None:
-                track = Track(len(tracks), t, det.bbox)
-                tracks.append(track)
-            else:
-                track.observe(t, det.bbox)
-            owners.append(track)
+            track_id = matched.get(i)
+            if track_id is None:
+                track_id, next_id = next_id, next_id + 1
+            owners.append(track_id)
+            rows.append(GroundTruthBox(t, track_id, det.bbox))
         window.append((dets, owners))
-    return tracks
+    return rows

@@ -41,7 +41,6 @@ from courttrack.imaging import FrameRaster, PatchWindow
 from courttrack.metrics import (
     GroundTruthBox,
     eval_detections,
-    eval_mot,
     eval_mot_records,
 )
 from courttrack.synth import ScenarioSpec, brute_force_assignment, generate
@@ -158,8 +157,7 @@ CLEAN_SPEC = ScenarioSpec(
 def test_criterion_4_clean_scenario_perfection():
     start = time.perf_counter()
     seq = generate(CLEAN_SPEC)
-    tracks = run_tracker(seq.frame_observations(), MatchConfig())
-    mot = eval_mot(seq.gt, tracks)
+    mot = eval_mot_records(seq.gt, run_tracker(seq.frame_observations(), MatchConfig()))
     elapsed = time.perf_counter() - start
     assert mot.mota == 1.0, f"MOTA {mot.mota}"
     assert mot.motp >= 0.999, f"MOTP {mot.motp}"
@@ -188,10 +186,8 @@ def test_criterion_5_memory_ablation_ordering():
         assert removed > 0, "degradation must remove at least one detection"
         reports = {}
         for depth in (1, 2):
-            tracks = run_tracker(
-                degraded.frame_observations(), MatchConfig(memory_depth=depth)
-            )
-            reports[depth] = eval_mot(degraded.gt, tracks)
+            rows = run_tracker(degraded.frame_observations(), MatchConfig(memory_depth=depth))
+            reports[depth] = eval_mot_records(degraded.gt, rows)
         assert reports[2].mota > reports[1].mota, f"seed {seed}: {reports}"
         assert reports[2].id_switches < reports[1].id_switches, f"seed {seed}: {reports}"
         results.append(

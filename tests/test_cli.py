@@ -6,10 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from courttrack.cli import _build_parser, main, read_homographies_json, resolve_settings
+from courttrack.cli import (
+    _build_parser,
+    main,
+    read_homographies_json,
+    resolve_settings,
+    scenario_spec,
+)
 from courttrack.geometry import FrameDims
 from courttrack.imaging import BinaryMask, FrameRaster, write_pgm, write_ppm
 from courttrack.metrics import read_mot_csv
+from courttrack.synth import ScenarioSpec
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -506,7 +513,14 @@ class TestCourtCommand:
 class TestSynthCommand:
     @pytest.mark.parametrize(
         "flag, value",
-        [("--jitter", "nan"), ("--extra-dropout", "-0.5"), ("--extra-dropout", "nan")],
+        [
+            ("--jitter", "nan"),
+            ("--jitter", "inf"),
+            ("--jitter", "1e308"),
+            ("--pan", "nan,0"),
+            ("--extra-dropout", "-0.5"),
+            ("--extra-dropout", "nan"),
+        ],
     )
     def test_out_of_range_noise_fails(self, tmp_path, capsys, flag, value):
         scen = tmp_path / "scen"
@@ -514,6 +528,11 @@ class TestSynthCommand:
         assert code == 1
         assert flag.lstrip("-").replace("-", "_") in err
         assert not scen.exists()
+
+    def test_defaults_are_the_default_scenario(self, tmp_path):
+        args = _build_parser().parse_args(["synth", "--out", str(tmp_path / "scen")])
+        resolve_settings(args)
+        assert scenario_spec(args) == ScenarioSpec()
 
     def test_directory_with_frames_fails_before_writing(self, tmp_path, capsys):
         scen = tmp_path / "scen"

@@ -9,7 +9,6 @@ from courttrack.metrics import (
     DetectionReport,
     GroundTruthBox,
     eval_detections,
-    eval_mot,
     eval_mot_records,
     read_mot_csv,
     write_mot_csv,
@@ -137,16 +136,15 @@ class TestEvalMot:
         with pytest.raises(EmptyGroundTruth):
             eval_mot_records([], [rec(0, 1, 0, 0, 5, 5)])
 
-    def test_accepts_track_objects(self):
+    def test_accepts_tracker_rows(self):
         dims = FrameDims(200, 200)
         gray = FrameRaster.filled(dims, (90, 90, 90))
         frames = [
             FrameObservations([det_box(50.0, 50.0, 70.0, 90.0)], Homography.identity(), gray)
             for _ in range(4)
         ]
-        tracks = run_tracker(frames)
         gt = [rec(t, 0, 50, 50, 70, 90) for t in range(4)]
-        report = eval_mot(gt, tracks)
+        report = eval_mot_records(gt, run_tracker(frames))
         assert report.mota == 1.0
         assert report.motp == 1.0
 

@@ -10,13 +10,12 @@ from courttrack.cost import Features, ObservedBox, features
 from courttrack.detect import Detection, Keypoint, SourceStage
 from courttrack.geometry import FrameDims, Homography, Point2
 from courttrack.imaging import FrameRaster
-from courttrack.metrics import eval_mot, tracks_to_records, write_mot_csv
+from courttrack.metrics import eval_mot_records, write_mot_csv
 from courttrack.synth import ScenarioSpec, brute_force_assignment, generate
 from courttrack.track import (
     CostMatrix,
     FrameObservations,
     MatchConfig,
-    Track,
     match_frame,
     run_tracker,
     solve_assignment,
@@ -40,8 +39,12 @@ def frame_features(*boxes) -> Features:
     return features([ObservedBox(det_box(*b), Homography.identity(), GRAY) for b in boxes])
 
 
-def new_track(track_id, t, box) -> Track:
-    return Track(track_id, t, det_box(*box).bbox)
+def frames_by_id(rows) -> dict[int, list[int]]:
+    """The frames of each id's rows, ids in order."""
+    frames: dict[int, list[int]] = {}
+    for row in sorted(rows, key=lambda r: (r.id, r.frame)):
+        frames.setdefault(row.id, []).append(row.frame)
+    return frames
 
 
 class TestSolveAssignment:
@@ -110,37 +113,19 @@ A = (50, 50, 70, 90)
 
 class TestMatchFrame:
     def test_identical_detection_reassociated(self):
-        track = new_track(0, 0, A)
-        window = [(frame_features(A), [track])]
-        assert match_frame(window, frame_features(A), MatchConfig(), DIMS) == {0: track}
+        window = [(frame_features(A), [0])]
+        assert match_frame(window, frame_features(A), MatchConfig(), DIMS) == {0: 0}
 
     def test_memory_recovers_track_missed_one_frame(self):
-        track = new_track(0, 0, A)
-        window = [(frame_features(A), [track]), (frame_features(), [])]
+        window = [(frame_features(A), [0]), (frame_features(), [])]
         matched = match_frame(window, frame_features(A), MatchConfig(memory_depth=2), DIMS)
-        assert matched == {0: track}
+        assert matched == {0: 0}
 
     def test_t_minus_2_representative_wins_the_min(self):
         # the t-1 representative is gated out, so only the t-2 one can match
-        track = new_track(0, 0, A)
-        track.observe(1, det_box(150, 150, 170, 190).bbox)
-        window = [(frame_features(A), [track]), (frame_features((150, 150, 170, 190)), [track])]
+        window = [(frame_features(A), [0]), (frame_features((150, 150, 170, 190)), [0])]
         matched = match_frame(window, frame_features(A), MatchConfig(gate=0.05), DIMS)
-        assert matched == {0: track}
-
-    def test_out_of_order_observation_rejected(self):
-        track = new_track(0, 3, A)
-        for t in (2, 3):
-            with pytest.raises(ValueError, match="already observed"):
-                track.observe(t, det_box(*A).bbox)
-        assert track.last_seen == 3
-        assert sorted(track.history) == [3]
-
-    def test_last_seen_follows_history(self):
-        track = new_track(0, 0, A)
-        track.observe(2, det_box(*A).bbox)
-        assert track.last_seen == 2
-        assert sorted(track.history) == [0, 2]
+        assert matched == {0: 0}
 
     def test_without_memory_track_is_retired(self):
         # memory depth 1 after a missed frame: the window holds only that empty frame
@@ -148,40 +133,36 @@ class TestMatchFrame:
 
     def test_crossing_costs_keep_identities(self):
         left, right = (20, 20, 40, 60), (160, 20, 180, 60)
-        a, b = new_track(0, 0, left), new_track(1, 0, right)
-        window = [(frame_features(left, right), [a, b])]
+        window = [(frame_features(left, right), [0, 1])]
         # detections arrive in swapped order
         matched = match_frame(window, frame_features(right, left), MatchConfig(), DIMS)
-        assert matched == {0: b, 1: a}
+        assert matched == {0: 1, 1: 0}
 
     def test_ties_go_to_tracks_in_id_order(self):
-        # eligible tracks are ordered by id, not by their place in the window
-        tracks = [new_track(i, 0, A) for i in range(8)]
-        window = [(frame_features(*[A] * 8), tracks[::-1])]
+        # eligible ids are taken in increasing order, not in their order in the window
+        window = [(frame_features(*[A] * 8), list(range(8))[::-1])]
         matched = match_frame(window, frame_features(A, A, A), MatchConfig(), DIMS)
-        assert matched == {0: tracks[0], 1: tracks[1], 2: tracks[2]}
+        assert matched == {0: 0, 1: 1, 2: 2}
 
     def test_gated_detection_spawns_new_track(self):
         near, far = (10, 10, 20, 30), (180, 180, 190, 199)
-        track = new_track(0, 0, near)
-        window = [(frame_features(near), [track])]
+        window = [(frame_features(near), [0])]
         assert match_frame(window, frame_features(far), MatchConfig(gate=0.05), DIMS) == {}
         frames = [
             FrameObservations([det_box(*near)], Homography.identity(), GRAY),
             FrameObservations([det_box(*far)], Homography.identity(), GRAY),
         ]
-        tracks = run_tracker(frames, MatchConfig(gate=0.05))
-        assert [(tr.id, sorted(tr.history)) for tr in tracks] == [(0, [0]), (1, [1])]
+        rows = run_tracker(frames, MatchConfig(gate=0.05))
+        assert [(r.frame, r.id) for r in rows] == [(0, 0), (1, 1)]
 
     def test_empty_frame_still_retires(self):
-        # two frames without detections push the track out of a depth-2 window
-        tracks = run_tracker(single_target_sequence(10, skip={5, 6}), MatchConfig(memory_depth=2))
-        assert [sorted(tr.history) for tr in tracks] == [[0, 1, 2, 3, 4], [7, 8, 9]]
+        # two frames without detections push the id out of a depth-2 window
+        rows = run_tracker(single_target_sequence(10, skip={5, 6}), MatchConfig(memory_depth=2))
+        assert frames_by_id(rows) == {0: [0, 1, 2, 3, 4], 1: [7, 8, 9]}
 
     def test_empty_window_or_frame_matches_nothing(self):
-        track = new_track(0, 0, A)
         assert match_frame([], frame_features(A), MatchConfig(), DIMS) == {}
-        assert match_frame([(frame_features(A), [track])], frame_features(), MatchConfig(), DIMS) == {}
+        assert match_frame([(frame_features(A), [0])], frame_features(), MatchConfig(), DIMS) == {}
 
 
 def single_target_sequence(n_frames, skip=frozenset(), dims=DIMS):
@@ -194,9 +175,8 @@ def single_target_sequence(n_frames, skip=frozenset(), dims=DIMS):
 
 class TestRunTracker:
     def test_single_stationary_target(self):
-        tracks = run_tracker(single_target_sequence(10))
-        assert len(tracks) == 1
-        assert sorted(tracks[0].history) == list(range(10))
+        rows = run_tracker(single_target_sequence(10))
+        assert frames_by_id(rows) == {0: list(range(10))}
 
     def test_two_separated_targets_no_switches(self):
         spec = ScenarioSpec(
@@ -207,20 +187,19 @@ class TestRunTracker:
             seed=5,
         )
         seq = generate(spec)
-        tracks = run_tracker(seq.frame_observations())
-        assert len(tracks) == 2
-        report = eval_mot(seq.gt, tracks)
+        rows = run_tracker(seq.frame_observations())
+        assert len(frames_by_id(rows)) == 2
+        report = eval_mot_records(seq.gt, rows)
         assert report.mota == 1.0
         assert report.id_switches == 0
 
     def test_single_frame_dropout_bridged_by_memory(self):
-        tracks = run_tracker(single_target_sequence(10, skip={5}), MatchConfig(memory_depth=2))
-        assert len(tracks) == 1
-        assert 5 not in tracks[0].history
+        rows = run_tracker(single_target_sequence(10, skip={5}), MatchConfig(memory_depth=2))
+        assert frames_by_id(rows) == {0: [0, 1, 2, 3, 4, 6, 7, 8, 9]}
 
     def test_single_frame_dropout_splits_without_memory(self):
-        tracks = run_tracker(single_target_sequence(10, skip={5}), MatchConfig(memory_depth=1))
-        assert len(tracks) == 2
+        rows = run_tracker(single_target_sequence(10, skip={5}), MatchConfig(memory_depth=1))
+        assert frames_by_id(rows) == {0: [0, 1, 2, 3, 4], 1: [6, 7, 8, 9]}
 
     def test_infinite_gate_single_detection_single_track(self):
         frames = []
@@ -230,8 +209,8 @@ class TestRunTracker:
             frames.append(
                 FrameObservations([det_box(x, y, x + 20.0, y + 40.0)], Homography.identity(), GRAY)
             )
-        tracks = run_tracker(frames, MatchConfig(gate=math.inf))
-        assert len(tracks) == 1
+        rows = run_tracker(frames, MatchConfig(gate=math.inf))
+        assert frames_by_id(rows) == {0: list(range(12))}
 
     def test_nan_gate_rejected(self):
         with pytest.raises(ValueError):
@@ -240,19 +219,19 @@ class TestRunTracker:
     def test_every_detection_in_exactly_one_track(self):
         spec = ScenarioSpec(n_targets=4, n_frames=15, dims=FrameDims(640, 360), seed=2, dropout_rate=0.15)
         seq = generate(spec)
-        tracks = run_tracker(seq.frame_observations())
-        total_dets = sum(len(d) for d in seq.detections.values())
-        assert sum(len(tr.history) for tr in tracks) == total_dets
-        for tr in tracks:
-            frames = sorted(tr.history)
+        rows = run_tracker(seq.frame_observations())
+        assert [(r.frame, r.bbox) for r in rows] == [
+            (t, det.bbox) for t in range(spec.n_frames) for det in seq.detections[t]
+        ]
+        for frames in frames_by_id(rows).values():
             assert all(b - a <= 2 for a, b in zip(frames, frames[1:]))  # gaps <= depth-1 missed
 
     def test_no_duplicate_track_per_frame(self):
         spec = ScenarioSpec(n_targets=5, n_frames=12, dims=FrameDims(640, 360), seed=9)
         seq = generate(spec)
-        tracks = run_tracker(seq.frame_observations())
+        rows = run_tracker(seq.frame_observations())
         for t in range(spec.n_frames):
-            ids = [tr.id for tr in tracks if t in tr.history]
+            ids = [r.id for r in rows if r.frame == t]
             assert len(ids) == len(set(ids))
 
     def test_new_ids_follow_detection_order(self):
@@ -263,10 +242,8 @@ class TestRunTracker:
                 GRAY,
             )
         ]
-        tracks = run_tracker(frames)
-        by_id = {tr.id: tr for tr in tracks}
-        assert by_id[0].history[0].x_min == 10
-        assert by_id[1].history[0].x_min == 100
+        rows = run_tracker(frames)
+        assert [(r.frame, r.id, r.bbox.x_min) for r in rows] == [(0, 0, 10), (0, 1, 100)]
 
     def test_streamed_frames_release_their_rasters(self):
         # one target stays for all 30 frames, one leaves after frame 9 and
@@ -286,31 +263,28 @@ class TestRunTracker:
                     dets.append(det_box(120.0, 120.0, 140.0, 160.0))
                 yield FrameObservations(dets, Homography.identity(), raster)
 
-        tracks = run_tracker(frames(), MatchConfig())
-        assert [sorted(tr.history) for tr in tracks] == [list(range(30)), list(range(10))]
+        rows = run_tracker(frames(), MatchConfig())
+        assert frames_by_id(rows) == {0: list(range(30)), 1: list(range(10))}
         assert len(alive_before) == 30
         assert max(alive_before) <= 1
 
     def test_id_stability_when_cross_costs_exceed_gate(self):
         # single-frame dropouts only, and a gate below every inter-target
         # cost: two-frame memory must produce zero switches
-        from courttrack.metrics import eval_mot, tracks_to_records, write_mot_csv
-
         spec = ScenarioSpec(
             n_targets=4, n_frames=30, dims=FrameDims(640, 360), extra_dropout=0.15, seed=13
         )
         seq = generate(spec)
         cfg = MatchConfig(gate=0.1, memory_depth=2)
-        tracks = run_tracker(seq.frame_observations(), cfg)
-        report = eval_mot(seq.gt, tracks)
+        rows = run_tracker(seq.frame_observations(), cfg)
+        report = eval_mot_records(seq.gt, rows)
         assert report.id_switches == 0
 
 
 class TestTracksCsv:
     def test_csv_layout(self, tmp_path):
-        tracks = run_tracker(single_target_sequence(2))
         path = tmp_path / "tracks.csv"
-        write_mot_csv(tracks_to_records(tracks), path)
+        write_mot_csv(run_tracker(single_target_sequence(2)), path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "frame,id,x_min,y_min,width,height"
         assert lines[1] == "0,0,50.0,50.0,20.0,40.0"
