@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -312,6 +313,10 @@ def cmd_court(args: argparse.Namespace) -> int:
         raise InputFormatError("court", "court command needs --court european or nba")
     if args.candidates < 1:
         raise InputFormatError("candidates", f"must be at least 1, got {args.candidates}")
+    if not 1.0 <= args.step < math.inf:
+        raise InputFormatError("step", f"must be a finite number of pixels >= 1, got {args.step}")
+    if not 0.0 <= args.drop_tol < 1.0:
+        raise InputFormatError("drop_tol", f"must lie in [0, 1), got {args.drop_tol}")
     segments = read_segments_csv(args.segments)
 
     if args.court == "european":

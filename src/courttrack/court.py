@@ -78,16 +78,33 @@ class HsvFilter:
     v_hi: float = 1.0
 
     def __post_init__(self):
+        bounds = (self.h_lo, self.h_hi, self.s_lo, self.s_hi, self.v_lo, self.v_hi)
+        if not all(math.isfinite(x) for x in bounds):
+            raise ValueError(f"HSV bounds must be finite, got {bounds}")
         if self.s_lo > self.s_hi or self.v_lo > self.v_hi:
             raise ValueError("saturation/value bounds must satisfy lo <= hi")
 
     def match_array(self, frame: FrameRaster) -> np.ndarray:
-        h, s, v = frame_to_hsv(frame)
+        """Per-pixel filter response as an (h, w) bool array.
+
+        A pixel's response depends only on its (r, g, b), so the HSV test
+        runs once per distinct colour of the frame and is looked up by
+        each pixel's 24-bit colour key.
+        """
+        rgb = frame.data.astype(np.uint32)
+        keys = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+        table = np.zeros(1 << 24, dtype=bool)
+        table[keys] = True
+        colours = np.flatnonzero(table)
+        palette = np.stack([colours >> 16, (colours >> 8) & 0xFF, colours & 0xFF], axis=-1)
+        h, s, v = frame_to_hsv(FrameRaster(palette[None]))
         if self.h_lo <= self.h_hi:
             hue_ok = (h >= self.h_lo) & (h <= self.h_hi)
         else:
             hue_ok = (h >= self.h_lo) | (h <= self.h_hi)
-        return hue_ok & (s >= self.s_lo) & (s <= self.s_hi) & (v >= self.v_lo) & (v <= self.v_hi)
+        ok = hue_ok & (s >= self.s_lo) & (s <= self.s_hi) & (v >= self.v_lo) & (v <= self.v_hi)
+        table[colours] = ok[0]
+        return table[keys]
 
 
 # --- dominant-line voting --------------------------------------------------
@@ -207,6 +224,31 @@ def classify_orientation(line: Line2, dims: FrameDims) -> Orientation:
 
 # --- boundary selection: European HSV variant -------------------------------
 
+def _row_runs(line: Line2, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row y, the run [start[y], stop[y]) of x with `signed >= 0`.
+
+    In a row, `(a*x + b*y) + c` is monotone in x under IEEE rounding, so
+    those pixels form one run at one end of the row: [end, w) when
+    a >= 0 (a == 0, -0.0 included, gives the whole row or none of it)
+    and [0, end) when a < 0. The end is found by a bisection over
+    integer x that evaluates the same float expression in the same
+    order as a full-frame `a*xs + b*ys + c`, so every run is exact.
+    """
+    a, c = line.a, line.c
+    by = line.b * np.arange(h, dtype=np.float64)
+    want = a >= 0.0  # the test's value on [end, w)
+    lo = np.zeros(h, dtype=np.int64)
+    hi = np.full(h, w, dtype=np.int64)
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        at_or_past = ((a * mid.astype(np.float64) + by) + c >= 0.0) == want
+        hi = np.where(open_ & at_or_past, mid, hi)
+        lo = np.where(open_ & ~at_or_past, mid + 1, lo)
+    if want:
+        return lo, np.full(h, w, dtype=np.int64)
+    return np.zeros(h, dtype=np.int64), lo
+
+
 def select_boundary_european(
     candidates: list[Line2], match: np.ndarray, axis: Orientation
 ) -> Line2:
@@ -216,25 +258,30 @@ def select_boundary_european(
     one bool per pixel. For each candidate of the requested axis, the
     fraction of filter-matching pixels is computed on each side
     half-plane; the candidate maximizing the absolute difference wins,
-    first in input order on ties.
+    first in input order on ties. A side is counted from per-row runs
+    (`_row_runs`) against row prefix sums of `match`, so the counts
+    are those of the full-frame `a*x + b*y + c >= 0` test.
     """
     dims = FrameDims(match.shape[1], match.shape[0])
     axis_cands = [c for c in candidates if classify_orientation(c, dims) == axis]
     if not axis_cands:
         raise NoCandidates(f"no candidate line of axis {axis.value}")
 
-    xs = np.arange(dims.w, dtype=np.float64)
-    ys = np.arange(dims.h, dtype=np.float64)
+    rows = np.arange(dims.h)
+    # prefix[y, x] = matching pixels among the first x of row y
+    prefix = np.zeros((dims.h, dims.w + 1), dtype=np.int32)
+    np.cumsum(match, axis=1, out=prefix[:, 1:])
+    n_match = int(prefix[:, -1].sum())
 
     best: Line2 | None = None
     best_contrast = -1.0
     for cand in axis_cands:
-        signed = cand.a * xs[None, :] + cand.b * ys[:, None] + cand.c
-        side = signed >= 0.0
-        n_side = int(side.sum())
-        n_other = side.size - n_side
-        frac_side = float(match[side].sum()) / n_side if n_side else 0.0
-        frac_other = float(match[~side].sum()) / n_other if n_other else 0.0
+        start, stop = _row_runs(cand, dims.h, dims.w)
+        n_side = int((stop - start).sum())
+        m_side = int((prefix[rows, stop] - prefix[rows, start]).sum())
+        n_other = dims.w * dims.h - n_side
+        frac_side = float(m_side) / n_side if n_side else 0.0
+        frac_other = float(n_match - m_side) / n_other if n_other else 0.0
         contrast = abs(frac_side - frac_other)
         if contrast > best_contrast:
             best_contrast = contrast
@@ -262,8 +309,8 @@ def converge_boundaries_nba(
     cannot fix its line until it first becomes positive; if the lines
     meet while neither is fixed the court is degenerate.
     """
-    if step < 1.0:
-        raise ValueError("step must be >= 1 pixel")
+    if not 1.0 <= step < math.inf:
+        raise ValueError(f"step must be a finite number of pixels >= 1, got {step}")
     a, b = orientation_line.a, orientation_line.b
     if b < -_EDGE_TOL or (abs(b) <= _EDGE_TOL and a < 0.0):
         a, b = -a, -b

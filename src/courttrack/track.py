@@ -43,7 +43,7 @@ class MatchConfig:
             raise ValueError("memory_depth must be 1 or 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthBox:
     """One annotated (or hypothesized) box of one identity in one frame."""
 

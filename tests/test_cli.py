@@ -417,18 +417,33 @@ class TestCourtCommand:
         assert "candidates" in err
         assert not out_json.exists()
 
-    def test_european_planted_frame(self, tmp_path, capsys):
-        from courttrack.imaging import FrameRaster, write_ppm
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--step", "nan", "step"),
+            ("--step", "inf", "step"),
+            ("--step", "0.5", "step"),
+            ("--drop-tol", "nan", "drop_tol"),
+            ("--drop-tol", "-1", "drop_tol"),
+            ("--drop-tol", "1", "drop_tol"),
+        ],
+    )
+    def test_out_of_range_nba_setting_is_input_error(self, tmp_path, capsys, flag, value, name):
+        out_json = tmp_path / "court.json"
+        argv = self.planted_nba_args(tmp_path, out_json) + [flag, value]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert name in err
+        assert not out_json.exists()
 
+    @staticmethod
+    def planted_european_args(tmp_path):
         arr = np.empty((100, 100, 3), dtype=np.uint8)
         arr[:30] = (40, 180, 60)
         arr[30:] = (120, 120, 130)
         write_ppm(FrameRaster(arr), tmp_path / "frame.ppm")
-        (tmp_path / "segments.csv").write_text(
-            "0,30,99,30\n10,10,40,10\n10,60,30,60\n"
-        )
-        code, out, _ = run(
-            capsys,
+        (tmp_path / "segments.csv").write_text("0,30,99,30\n10,10,40,10\n10,60,30,60\n")
+        return [
             "court",
             "--court",
             "european",
@@ -436,8 +451,25 @@ class TestCourtCommand:
             str(tmp_path / "segments.csv"),
             "--frames",
             str(tmp_path / "frame.ppm"),
-            "--hsv",
-            "90:150,0.4:1,0.2:1",
+        ]
+
+    @pytest.mark.parametrize("hsv", ["nan:150,0.4:1,0.2:1", "90:150,nan:1,0.2:1", "90:inf,0.4:1,0.2:1"])
+    def test_non_finite_hsv_bound_is_input_error(self, tmp_path, capsys, hsv):
+        code, out, err = run(capsys, *self.planted_european_args(tmp_path), "--hsv", hsv)
+        assert code == 1 and not out
+        assert "--hsv" in err
+
+        config = tmp_path / "run.cfg"
+        config.write_text(f"hsv={hsv}\n")
+        code, out, err = run(
+            capsys, *self.planted_european_args(tmp_path), "--config", str(config)
+        )
+        assert code == 1 and not out
+        assert "run.cfg:1" in err and "hsv" in err
+
+    def test_european_planted_frame(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys, *self.planted_european_args(tmp_path), "--hsv", "90:150,0.4:1,0.2:1"
         )
         assert code == 0
         payload = json.loads(out)

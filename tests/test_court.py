@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from courttrack.errors import DegenerateCourt, InputFormatError, NoCandidates, NoSegments
 from courttrack.court import (
@@ -10,6 +12,7 @@ from courttrack.court import (
     HsvFilter,
     LineSegment,
     Orientation,
+    _row_runs,
     classify_orientation,
     converge_boundaries_nba,
     point_in_court,
@@ -18,7 +21,7 @@ from courttrack.court import (
     vote_dominant_lines,
 )
 from courttrack.geometry import FrameDims, Line2, Point2
-from courttrack.imaging import BinaryMask, FrameRaster
+from courttrack.imaging import BinaryMask, FrameRaster, frame_to_hsv
 
 DIMS = FrameDims(1920, 1080)
 
@@ -229,6 +232,163 @@ class TestSelectBoundaryEuropean:
         assert best is candidates[1]
 
 
+# --- exactness of the per-colour mask and the per-row half-plane counts ----------
+
+def full_frame_match(hsv_filter: HsvFilter, frame: FrameRaster) -> np.ndarray:
+    """The filter's thresholds applied to frame_to_hsv on every pixel."""
+    h, s, v = frame_to_hsv(frame)
+    if hsv_filter.h_lo <= hsv_filter.h_hi:
+        hue_ok = (h >= hsv_filter.h_lo) & (h <= hsv_filter.h_hi)
+    else:
+        hue_ok = (h >= hsv_filter.h_lo) | (h <= hsv_filter.h_hi)
+    return (
+        hue_ok
+        & (s >= hsv_filter.s_lo)
+        & (s <= hsv_filter.s_hi)
+        & (v >= hsv_filter.v_lo)
+        & (v <= hsv_filter.v_hi)
+    )
+
+
+def full_frame_side(line: Line2, h: int, w: int) -> np.ndarray:
+    xs = np.arange(w, dtype=np.float64)
+    ys = np.arange(h, dtype=np.float64)
+    return line.a * xs[None, :] + line.b * ys[:, None] + line.c >= 0.0
+
+
+def full_frame_select(candidates, match, axis):
+    """select_boundary_european with one full-frame half-plane per candidate."""
+    dims = FrameDims(match.shape[1], match.shape[0])
+    best, best_contrast = None, -1.0
+    for cand in candidates:
+        if classify_orientation(cand, dims) != axis:
+            continue
+        side = full_frame_side(cand, dims.h, dims.w)
+        n_side = int(side.sum())
+        n_other = side.size - n_side
+        frac_side = float(match[side].sum()) / n_side if n_side else 0.0
+        frac_other = float(match[~side].sum()) / n_other if n_other else 0.0
+        contrast = abs(frac_side - frac_other)
+        if contrast > best_contrast:
+            best, best_contrast = cand, contrast
+    return best
+
+
+channel = st.integers(0, 255)
+pixels = st.one_of(
+    st.tuples(channel, channel, channel),
+    channel.map(lambda g: (g, g, g)),
+    st.tuples(channel, st.integers(-1, 1), st.integers(-1, 1)).map(
+        lambda p: (p[0], min(255, max(0, p[0] + p[1])), min(255, max(0, p[0] + p[2])))
+    ),
+)
+
+
+@st.composite
+def frames_and_filters(draw):
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    arr = np.array(draw(st.lists(pixels, min_size=h * w, max_size=h * w)), dtype=np.uint8)
+    frame = FrameRaster(arr.reshape(h, w, 3))
+    hue, sat, val = (c.ravel().tolist() for c in frame_to_hsv(frame))
+
+    def bound(seen, lo, hi):
+        # a bound equal to some pixel's own value tests the closed ends
+        return draw(st.one_of(st.sampled_from(seen), st.floats(lo, hi), st.just(lo)))
+
+    h_lo, h_hi = bound(hue, 0.0, 360.0), bound(hue, 0.0, 360.0)
+    s_lo, s_hi = sorted((bound(sat, 0.0, 1.0), bound(sat, 0.0, 1.0)))
+    v_lo, v_hi = sorted((bound(val, 0.0, 1.0), bound(val, 0.0, 1.0)))
+    return frame, HsvFilter(h_lo, h_hi, s_lo, s_hi, v_lo, v_hi)
+
+
+SPECIAL_NORMALS = [
+    (0.0, 1.0),
+    (-0.0, 1.0),
+    (-0.0, -1.0),
+    (1.0, 0.0),
+    (-1.0, -0.0),
+    (1.0, 6.123233995736766e-17),
+    (-1.0, 6.123233995736766e-17),
+]
+
+
+@st.composite
+def lines(draw, h: int, w: int):
+    a, b = draw(
+        st.one_of(
+            st.sampled_from(SPECIAL_NORMALS),
+            st.floats(-math.pi, math.pi).map(lambda t: (math.cos(t), math.sin(t))),
+        )
+    )
+    # mostly through a pixel centre (where the rounding of a*x + b*y + c
+    # decides the side), else anywhere, or far outside the frame
+    x0, y0 = draw(st.integers(-1, w)), draw(st.integers(-1, h))
+    c = draw(
+        st.one_of(
+            st.just(-(a * x0 + b * y0)),
+            st.just(-(a * x0 + b * y0)),
+            st.floats(-2.0 * (w + h), 2.0 * (w + h)),
+            st.sampled_from([-1e6, 1e6]),
+        )
+    )
+    return Line2(a, b, c)
+
+
+@st.composite
+def masks_and_lines(draw):
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    bits = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    match = np.array(bits, dtype=bool).reshape(h, w)
+    candidates = draw(st.lists(lines(h, w), min_size=1, max_size=6))
+    return match, candidates
+
+
+class TestEuropeanExactness:
+    @settings(max_examples=300)
+    @given(frames_and_filters())
+    def test_match_array_equals_full_frame_thresholds(self, case):
+        frame, hsv_filter = case
+        match = hsv_filter.match_array(frame)
+        assert match.dtype == bool and match.shape == frame.data.shape[:2]
+        assert np.array_equal(match, full_frame_match(hsv_filter, frame))
+
+    def test_match_array_on_every_grey(self):
+        arr = np.repeat(np.arange(256, dtype=np.uint8), 3).reshape(16, 16, 3)
+        frame = FrameRaster(arr)
+        for hsv_filter in (HsvFilter(0.0, 0.0), HsvFilter(350.0, 0.0, 0.0, 0.0, 0.5, 1.0)):
+            assert np.array_equal(hsv_filter.match_array(frame), full_frame_match(hsv_filter, frame))
+
+    @settings(max_examples=300)
+    @given(masks_and_lines())
+    def test_row_runs_equal_full_frame_half_plane(self, case):
+        match, candidates = case
+        h, w = match.shape
+        xs = np.arange(w)[None, :]
+        for line in candidates:
+            start, stop = _row_runs(line, h, w)
+            runs = (xs >= start[:, None]) & (xs < stop[:, None])
+            assert np.array_equal(runs, full_frame_side(line, h, w))
+
+    @settings(max_examples=300)
+    @given(masks_and_lines(), st.sampled_from([Orientation.HORIZONTAL, Orientation.VERTICAL]))
+    def test_selection_equals_full_frame_oracle(self, case, axis):
+        match, candidates = case
+        expected = full_frame_select(candidates, match, axis)
+        if expected is None:
+            with pytest.raises(NoCandidates):
+                select_boundary_european(candidates, match, axis)
+        else:
+            assert select_boundary_european(candidates, match, axis) is expected
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(6))
+    def test_non_finite_bound_rejected(self, bound, field):
+        bounds = [90.0, 150.0, 0.4, 1.0, 0.2, 1.0]
+        bounds[field] = bound
+        with pytest.raises(ValueError, match="finite"):
+            HsvFilter(*bounds)
+
+
 def banded_mask(w: int, h: int, top_rows: int, bottom_start: int, sparse: float, seed: int):
     rng = np.random.default_rng(seed)
     bits = rng.random((h, w)) < sparse
@@ -284,6 +444,13 @@ class TestConvergeBoundariesNba:
         mask = BinaryMask(np.ones((10, 10), dtype=bool))
         with pytest.raises(ValueError):
             converge_boundaries_nba(mask, Line2.horizontal_at(0.0), step=0.5)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_non_finite_step_rejected(self, step):
+        # a NaN step never reaches the other line, so the loop would not end
+        mask = BinaryMask(np.ones((10, 10), dtype=bool))
+        with pytest.raises(ValueError, match="finite"):
+            converge_boundaries_nba(mask, Line2.horizontal_at(0.0), step=step)
 
 
 class TestCourtRegion:
