@@ -235,11 +235,19 @@ def cmd_track(args: argparse.Namespace) -> int:
     for name in ("detections", "homographies", "frames", "out"):
         if getattr(args, name) is None:
             raise InputFormatError(name, "required for the track command")
+    for name, ok, need in (
+        ("gate", args.gate > 0.0, "must be positive"),
+        ("memory", args.memory in (1, 2), "must be 1 or 2"),
+        ("patch", args.patch >= 1, "must be at least 1"),
+    ):
+        if not ok:
+            raise InputFormatError(name, f"{need}, got {getattr(args, name)}")
+    try:
+        weights = CostWeights(args.alpha, args.beta)
+    except ValueError as exc:
+        raise InputFormatError("alpha/beta", f"{exc}, got {args.alpha} and {args.beta}") from None
     config = MatchConfig(
-        gate=args.gate,
-        memory_depth=args.memory,
-        weights=CostWeights(args.alpha, args.beta),
-        patch=PatchWindow(args.patch),
+        gate=args.gate, memory_depth=args.memory, weights=weights, patch=PatchWindow(args.patch)
     )
     detections = read_detections_jsonl(args.detections)
     homographies = read_homographies_json(args.homographies)
@@ -270,6 +278,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for name in ("gt", "hyp"):
         if getattr(args, name) is None:
             raise InputFormatError(name, "required for the eval command")
+    if not 0.0 <= args.mot_iou < 1.0:
+        raise InputFormatError("mot_iou", f"IoU threshold must lie in [0, 1), got {args.mot_iou}")
     mot = args.mode == "mot"
     gt = read_mot_csv(args.gt, unique_ids=mot)
     if not gt:

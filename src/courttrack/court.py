@@ -260,7 +260,8 @@ def select_boundary_european(
     half-plane; the candidate maximizing the absolute difference wins,
     first in input order on ties. A side is counted from per-row runs
     (`_row_runs`) against row prefix sums of `match`, so the counts
-    are those of the full-frame `a*x + b*y + c >= 0` test.
+    are those of the full-frame `a*x + b*y + c >= 0` test. A filter
+    that matches no pixel or every pixel is a DegenerateCourt.
     """
     dims = FrameDims(match.shape[1], match.shape[0])
     axis_cands = [c for c in candidates if classify_orientation(c, dims) == axis]
@@ -272,6 +273,9 @@ def select_boundary_european(
     prefix = np.zeros((dims.h, dims.w + 1), dtype=np.int32)
     np.cumsum(match, axis=1, out=prefix[:, 1:])
     n_match = int(prefix[:, -1].sum())
+    if n_match in (0, dims.w * dims.h):
+        # every candidate then has contrast 0: the filter tells no side from the other
+        raise DegenerateCourt(f"the HSV filter matches {'no' if n_match == 0 else 'every'} pixel")
 
     best: Line2 | None = None
     best_contrast = -1.0

@@ -74,15 +74,6 @@ class Homography:
     def translation(cls, tx: float, ty: float) -> "Homography":
         return cls([[1.0, 0.0, tx], [0.0, 1.0, ty], [0.0, 0.0, 1.0]])
 
-    @classmethod
-    def rotation(cls, angle_rad: float) -> "Homography":
-        c, s = math.cos(angle_rad), math.sin(angle_rad)
-        return cls([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-    def compose(self, other: "Homography") -> "Homography":
-        """Return the transform applying `other` first, then `self`."""
-        return Homography(self.m @ other.m)
-
     def flat(self) -> list[float]:
         """Row-major entries, e.g. for JSON serialization."""
         return [float(v) for v in self.m.reshape(-1)]

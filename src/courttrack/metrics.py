@@ -165,7 +165,7 @@ def eval_mot_records(
                     overlap = iou(gt_left[gid], hyp_left[hid])
                     if overlap > iou_threshold:
                         gains[i, j] = overlap
-            rows, cols, _, _ = linear_sum_assignment(-gains)
+            rows, cols = linear_sum_assignment(-gains)
             for i, j in zip(rows, cols):
                 if gains[i, j] > 0.0:
                     gid, hid = free_gt[i], free_hyp[j]

@@ -77,8 +77,8 @@ class CostMatrix:
         return self.entries.shape[1]
 
 
-def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Minimum-cost rectangular assignment: (rows, cols, u, v).
+def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost rectangular assignment: (rows, cols).
 
     A numpy port of scipy.optimize.linear_sum_assignment: Crouse's
     shortest augmenting path ("On implementing 2D rectangular assignment
@@ -86,9 +86,7 @@ def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     scipy's tie rules, so it picks the same pairs, ties included: the
     remaining columns are scanned in swap-remove order, an unassigned
     column wins an equal path length, and a tall matrix is solved
-    transposed, then its pairs are sorted by row. u and v are optimal
-    duals of the rows and columns: cost - u[:, None] - v is >= 0 up to
-    rounding, and 0 on the chosen pairs.
+    transposed, then its pairs are sorted by row.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2:
@@ -146,45 +144,17 @@ def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
                 break
     if transpose:
         order = np.argsort(col4row)
-        return col4row[order], order, v, u
-    return np.arange(nr), col4row, u, v
-
-
-def _columns_reaching(tight: np.ndarray, owner: np.ndarray, row: int, target: int) -> np.ndarray:
-    """Columns c with an alternating path c, owner[c], c2, owner[c2], ..., target.
-
-    owner[c] is the row holding column c in the reference assignment,
-    each step from a row to the next column follows a tight edge, and
-    every row on the path lies below `row`. These are the columns that
-    `row` could take from the reference, giving `target` up in return,
-    along tight edges only.
-    """
-    moves = tight[owner]  # moves[c, c2]: the row holding c has a tight edge to c2
-    below = owner > row
-    reach = np.zeros(len(owner), dtype=bool)
-    reach[target] = True
-    while True:
-        grown = reach | (below & moves[:, reach].any(axis=1))
-        if np.array_equal(grown, reach):
-            return reach
-        reach = grown
+        return col4row[order], order
+    return np.arange(nr), col4row
 
 
 def solve_assignment(m: CostMatrix) -> list[tuple[int, int]]:
     """Minimum-cost matching on the pad-squared matrix.
 
-    Pairs touching dummy rows or columns are dropped from the result.
-    Among equal-cost optima the lexicographically smallest (row, col)
-    pair list is returned; totals are compared with exact compensated
-    summation, so the tie set is the mathematical one.
-
-    One solve gives a reference optimum and its duals u, v. Every
-    optimum uses only tight edges, whose reduced cost c - u - v is zero
-    (here: at most a rounding allowance), and differs from the reference
-    by alternating cycles of them. So row by row, a free column left of
-    the reference column is tried only if it is tight and such a cycle
-    through it exists; trying it solves the rows below, and the first
-    column whose total equals the optimum becomes the new reference.
+    One linear_sum_assignment solve per matrix, so among equal-cost
+    optima the pairs are those scipy's tie rules pick, the same rule
+    that eval's CLEAR-MOT matching uses. Pairs touching dummy rows or
+    columns are dropped from the result.
     """
     n_rows, n_cols = m.n_rows, m.n_cols
     if n_rows == 0 or n_cols == 0:
@@ -192,38 +162,8 @@ def solve_assignment(m: CostMatrix) -> list[tuple[int, int]]:
     size = max(n_rows, n_cols)
     padded = np.full((size, size), m.pad_value, dtype=float)
     padded[:n_rows, :n_cols] = m.entries
-
-    _, cols, u, v = linear_sum_assignment(padded)
-    ref = cols.tolist()
-    best_total = math.fsum(padded[np.arange(size), cols])
-    tight = padded - u[:, None] - v <= 1e-9 * (1.0 + float(np.abs(padded).max()))
-
-    pairs: list[tuple[int, int]] = []
-    fixed_cost: list[float] = []
-    free_cols = list(range(size))
-    for row in range(n_rows):
-        tried = [c for c in free_cols if c < ref[row] and tight[row, c]]
-        if tried:
-            owner = np.argsort(ref)
-            reach = _columns_reaching(tight, owner, row, ref[row])
-            tried = [c for c in tried if reach[c]]
-        rest_rows = list(range(row + 1, size))
-        for col in tried:
-            rest_cols = [c for c in free_cols if c != col]
-            rest_ref = []
-            if rest_rows:
-                _, rest, _, _ = linear_sum_assignment(padded[np.ix_(rest_rows, rest_cols)])
-                rest_ref = [rest_cols[k] for k in rest]
-            rest_cost = padded[rest_rows, rest_ref].tolist()
-            if math.fsum(fixed_cost + [float(padded[row, col])] + rest_cost) == best_total:
-                ref[row:] = [col] + rest_ref
-                break
-        chosen = ref[row]
-        fixed_cost.append(float(padded[row, chosen]))
-        free_cols.remove(chosen)
-        if chosen < n_cols:
-            pairs.append((row, chosen))
-    return pairs
+    rows, cols = linear_sum_assignment(padded)
+    return [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if r < n_rows and c < n_cols]
 
 
 def match_frame(

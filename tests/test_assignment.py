@@ -1,8 +1,10 @@
-"""The assignment solver: the numpy LSAP port and the tie-refined matching.
+"""The assignment solver: the numpy LSAP port and the frame matching on it.
 
 scipy is a test dependency only: its linear_sum_assignment is the oracle
-of the port, and the refinement that re-solved every (row, free column)
-pair with it is the oracle of solve_assignment.
+of the port, and on the pad-squared matrix, with the pairs that touch a
+dummy row or column dropped, the oracle of solve_assignment. So among
+equal-cost optima the matching keeps scipy's tie rules, one solve per
+frame, the rule eval's CLEAR-MOT matching uses too.
 """
 
 import math
@@ -22,43 +24,15 @@ from courttrack.synth import brute_force_assignment
 from courttrack.track import CostMatrix, linear_sum_assignment, solve_assignment
 
 
-def resolve_every_pair(m: CostMatrix) -> list[tuple[int, int]]:
-    """solve_assignment as it was before the dual pruning, solving with scipy.
-
-    Row by row, each free column is tried in order by solving the rows
-    below it, and the first whose compensated total equals the optimum
-    is kept.
-    """
-
-    def optimal_entries(matrix):
-        rows, cols = scipy_lsap(matrix)
-        return [float(matrix[r, c]) for r, c in zip(rows, cols)]
-
-    n_rows, n_cols = m.n_rows, m.n_cols
-    if n_rows == 0 or n_cols == 0:
+def scipy_solve_assignment(m: CostMatrix) -> list[tuple[int, int]]:
+    """scipy's pairs on the pad-squared matrix, dummy pairs dropped."""
+    if m.n_rows == 0 or m.n_cols == 0:
         return []
-    size = max(n_rows, n_cols)
-    padded = np.full((size, size), m.pad_value, dtype=float)
-    padded[:n_rows, :n_cols] = m.entries
-    best_total = math.fsum(optimal_entries(padded))
-    pairs: list[tuple[int, int]] = []
-    fixed_cost: list[float] = []
-    free_cols = list(range(size))
-    for row in range(n_rows):
-        remaining_rows = list(range(row + 1, size))
-        chosen = None
-        for col in free_cols:
-            rest_cols = [c for c in free_cols if c != col]
-            rest = optimal_entries(padded[np.ix_(remaining_rows, rest_cols)]) if remaining_rows else []
-            if math.fsum(fixed_cost + [float(padded[row, col])] + rest) == best_total:
-                chosen = col
-                break
-        assert chosen is not None, "refinement lost the optimal total"
-        fixed_cost.append(float(padded[row, chosen]))
-        free_cols.remove(chosen)
-        if chosen < n_cols:
-            pairs.append((row, chosen))
-    return pairs
+    size = max(m.n_rows, m.n_cols)
+    padded = np.full((size, size), m.pad_value)
+    padded[: m.n_rows, : m.n_cols] = m.entries
+    rows, cols = scipy_lsap(padded)
+    return [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if r < m.n_rows and c < m.n_cols]
 
 
 @st.composite
@@ -82,7 +56,7 @@ def lsap_matrices(draw, max_side=9):
 @st.composite
 def repeated_column_matrices(draw, max_side=7):
     """CostMatrix inputs of random floats where columns repeat: swapping
-    two equal columns is an exact tie, but the duals carry rounding."""
+    two equal columns is an exact tie."""
     rows = draw(st.integers(1, max_side))
     distinct = draw(st.integers(1, max_side))
     base = draw(
@@ -112,33 +86,22 @@ class TestLinearSumAssignment:
     @settings(max_examples=400)
     @given(lsap_matrices())
     def test_matches_scipy_ties_included(self, cost):
-        rows, cols, _, _ = linear_sum_assignment(cost)
+        rows, cols = linear_sum_assignment(cost)
         want_rows, want_cols = scipy_lsap(cost)
         assert rows.tolist() == want_rows.tolist()
         assert cols.tolist() == want_cols.tolist()
 
-    @settings(max_examples=200)
-    @given(lsap_matrices())
-    def test_duals_are_feasible_and_tight_on_the_assignment(self, cost):
-        rows, cols, u, v = linear_sum_assignment(cost)
-        assert u.shape == (cost.shape[0],) and v.shape == (cost.shape[1],)
-        if cost.size:
-            reduced = cost - u[:, None] - v
-            scale = 1e-9 * (1.0 + np.abs(cost).max())
-            assert reduced.min() >= -scale
-            assert np.abs(reduced[rows, cols]).max() <= scale
-
     def test_constant_matrix_gives_identity(self):
-        rows, cols, _, _ = linear_sum_assignment(np.zeros((4, 4)))
+        rows, cols = linear_sum_assignment(np.zeros((4, 4)))
         assert cols.tolist() == [0, 1, 2, 3]
 
     def test_tall_matrix_is_sorted_by_row(self):
-        rows, cols, _, _ = linear_sum_assignment(np.array([[9.0, 1.0], [0.0, 9.0], [5.0, 5.0]]))
+        rows, cols = linear_sum_assignment(np.array([[9.0, 1.0], [0.0, 9.0], [5.0, 5.0]]))
         assert rows.tolist() == [0, 1]
         assert cols.tolist() == [1, 0]
 
     def test_infinite_cells_are_avoided(self):
-        rows, cols, _, _ = linear_sum_assignment(np.array([[np.inf, 1.0], [2.0, np.inf]]))
+        rows, cols = linear_sum_assignment(np.array([[np.inf, 1.0], [2.0, np.inf]]))
         assert cols.tolist() == [1, 0]
 
     @pytest.mark.parametrize(
@@ -156,30 +119,17 @@ class TestLinearSumAssignment:
 
 
 class TestSolveAssignmentRefinement:
-    @settings(max_examples=300)
-    @given(exact_cost_matrices())
-    def test_matches_resolving_every_pair(self, m):
-        assert solve_assignment(m) == resolve_every_pair(m)
-
-    @settings(max_examples=200)
-    @given(repeated_column_matrices())
-    def test_matches_resolving_every_pair_on_repeated_columns(self, m):
-        assert solve_assignment(m) == resolve_every_pair(m)
-
-    def test_difference_below_rounding_allowance_is_no_tie(self):
-        # (0, 0) is tight within the allowance, but its total is 1e-12 worse
-        m = CostMatrix(np.array([[1e-12, 0.0], [0.0, 0.0]]), 10.0)
-        assert solve_assignment(m) == [(0, 1), (1, 0)]
+    @settings(max_examples=600)  # about 300 of each kind
+    @given(st.one_of(exact_cost_matrices(), repeated_column_matrices()))
+    def test_matches_scipy_on_the_padded_matrix(self, m):
+        assert solve_assignment(m) == scipy_solve_assignment(m)
 
     @settings(max_examples=200)
     @given(exact_cost_matrices())
     def test_matches_brute_force(self, m):
         pairs = solve_assignment(m)
-        oracle_pairs, oracle_total = brute_force_assignment(m)
+        _, oracle_total = brute_force_assignment(m)
         assert math.fsum(m.entries[r, c] for r, c in pairs) == oracle_total
-        if m.n_rows <= m.n_cols:
-            # no dummy columns: the first optimum in lexicographic order is the oracle's
-            assert pairs == oracle_pairs
 
     def test_one_solve_when_the_first_optimum_is_smallest(self, monkeypatch):
         import courttrack.track as track
@@ -191,7 +141,7 @@ class TestSolveAssignmentRefinement:
             return linear_sum_assignment(cost)
 
         monkeypatch.setattr(track, "linear_sum_assignment", counted)
-        # every cell of an unmatched row is a tie; none is worth a re-solve
+        # every cell of an unmatched row is a tie; ties take no second solve
         pad = 5.0
         entries = np.full((6, 6), pad)
         entries[np.arange(1, 6), np.arange(5)] = 0.1
@@ -199,8 +149,8 @@ class TestSolveAssignmentRefinement:
         assert calls == [(6, 6)]
 
     def test_near_ties_keep_an_optimum(self):
-        # decimal costs whose float sums differ in the last bit, so near ties
-        # are no ties; resolve_every_pair fails its own assertion here
+        # decimal costs whose float sums differ in the last bit, so near
+        # ties are no ties
         entries = np.array(
             [
                 [0.6, 0.8, 0.4, 0.7, 0.6, 0.4, 0.7, 0.8, 0.6],

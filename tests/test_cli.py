@@ -281,6 +281,36 @@ class TestTrackCommand:
         assert "gate" in err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--memory", "3"], "memory"),
+            (["--memory", "0"], "memory"),
+            (["--patch", "0"], "patch"),
+            (["--gate", "0"], "gate"),
+            (["--gate", "-1"], "gate"),
+            (["--alpha", "1.5"], "alpha/beta"),
+            (["--beta", "-0.1"], "alpha/beta"),
+            (["--alpha", "0.7", "--beta", "0.5"], "alpha/beta"),
+        ],
+    )
+    def test_out_of_range_track_setting_is_input_error(self, tmp_path, capsys, flags, name):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen))
+        out_csv = tmp_path / "t.csv"
+        code, _, err = run(capsys, *track_args(scen, out_csv), *flags)
+        assert code == 1
+        assert f"{name}:" in err
+        assert not out_csv.exists()
+
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{k[2:]}={v}\n" for k, v in zip(flags[::2], flags[1::2])))
+        argv = track_args(scen, out_csv)[:-2]  # without "--memory 2", which would beat the file
+        code, _, err = run(capsys, *argv, "--config", str(config))
+        assert code == 1
+        assert f"{name}:" in err
+        assert not out_csv.exists()
+
 
 class TestEvalCommand:
     def test_detection_fixture(self, tmp_path, capsys):
@@ -364,7 +394,7 @@ class TestEvalCommand:
         )
         assert code == 1
         assert out == ""
-        assert "IoU threshold" in err
+        assert "mot_iou" in err and "IoU threshold" in err
 
     def test_det_mode_accepts_repeated_ids(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
@@ -466,6 +496,16 @@ class TestCourtCommand:
         )
         assert code == 1 and not out
         assert "run.cfg:1" in err and "hsv" in err
+
+    @pytest.mark.parametrize("hsv", ["400:500,0.4:1,0.2:1", "0:360,0:1,0:1"])
+    def test_filter_matching_no_or_every_pixel_is_degenerate(self, tmp_path, capsys, hsv):
+        # hue never exceeds 360, and the full ranges hold every colour
+        out_json = tmp_path / "court.json"
+        argv = self.planted_european_args(tmp_path) + ["--hsv", hsv, "--out", str(out_json)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert "HSV filter" in err
+        assert not out_json.exists()
 
     def test_european_planted_frame(self, tmp_path, capsys):
         code, out, _ = run(

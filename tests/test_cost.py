@@ -19,6 +19,7 @@ from courttrack.cost import (
 from courttrack.detect import Detection, Keypoint, SourceStage
 from courttrack.geometry import FrameDims, Homography, Point2
 from courttrack.imaging import FrameRaster, PatchWindow
+from tests.test_geometry import compose, rotation
 
 DIMS = FrameDims(1920, 1080)
 
@@ -82,7 +83,7 @@ class TestCostDistance:
 
     def test_rigid_motion_on_both_sides_preserves_distance(self):
         rng = random.Random(21)
-        g = Homography.rotation(0.3).compose(Homography.translation(12.0, -5.0))
+        g = compose(rotation(0.3), Homography.translation(12.0, -5.0))
         for _ in range(30):
             a = obs(
                 det_with_parts([(0, rng.uniform(0, 800), rng.uniform(0, 800))]),
@@ -93,8 +94,8 @@ class TestCostDistance:
                 Homography.translation(rng.uniform(-5, 5), rng.uniform(-5, 5)),
             )
             base = cost_distance(a, b, DIMS)
-            moved_a = ObservedBox(a.detection, g.compose(a.homography), a.frame)
-            moved_b = ObservedBox(b.detection, g.compose(b.homography), b.frame)
+            moved_a = ObservedBox(a.detection, compose(g, a.homography), a.frame)
+            moved_b = ObservedBox(b.detection, compose(g, b.homography), b.frame)
             assert cost_distance(moved_a, moved_b, DIMS) == pytest.approx(base, abs=1e-12)
 
 

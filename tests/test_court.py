@@ -172,13 +172,24 @@ class TestSelectBoundaryEuropean:
         best = select_boundary_european(candidates, match, Orientation.HORIZONTAL)
         assert best is candidates[1]
 
-    def test_uniform_frame_ties_to_first(self):
-        dims = FrameDims(60, 60)
-        frame = FrameRaster.filled(dims, GREEN)
-        candidates = [Line2.horizontal_at(20.0), Line2.horizontal_at(40.0)]
-        match = GREEN_FILTER.match_array(frame)
+    def test_equal_contrast_ties_to_first(self):
+        # green above row 20 and below row 40: both lines part 1.0 from 0.5
+        arr = np.full((60, 60, 3), GRAY, dtype=np.uint8)
+        arr[:20] = GREEN
+        arr[40:] = GREEN
+        candidates = [Line2.horizontal_at(39.5), Line2.horizontal_at(19.5)]
+        match = GREEN_FILTER.match_array(FrameRaster(arr))
         best = select_boundary_european(candidates, match, Orientation.HORIZONTAL)
         assert best is candidates[0]
+
+    @pytest.mark.parametrize("colour", [GREEN, GRAY])
+    def test_uniform_frame_is_degenerate(self, colour):
+        # the filter matches every pixel or none: no candidate has contrast
+        frame = FrameRaster.filled(FrameDims(60, 60), colour)
+        candidates = [Line2.horizontal_at(20.0), Line2.horizontal_at(40.0)]
+        match = GREEN_FILTER.match_array(frame)
+        with pytest.raises(DegenerateCourt):
+            select_boundary_european(candidates, match, Orientation.HORIZONTAL)
 
     def test_single_candidate_returned(self):
         dims = FrameDims(60, 60)
@@ -376,6 +387,9 @@ class TestEuropeanExactness:
         expected = full_frame_select(candidates, match, axis)
         if expected is None:
             with pytest.raises(NoCandidates):
+                select_boundary_european(candidates, match, axis)
+        elif not match.any() or match.all():
+            with pytest.raises(DegenerateCourt):
                 select_boundary_european(candidates, match, axis)
         else:
             assert select_boundary_european(candidates, match, axis) is expected

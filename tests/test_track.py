@@ -89,6 +89,7 @@ class TestSolveAssignment:
         assert new_total == base_total + 5.0
 
     def test_ties_resolve_lexicographically(self):
+        # scipy's tie rules give the identity on a constant matrix
         assert solve_assignment(mat([[1.0, 1.0], [1.0, 1.0]])) == [(0, 0), (1, 1)]
         assert solve_assignment(mat([[0.0] * 3] * 3)) == [(0, 0), (1, 1), (2, 2)]
 
