@@ -13,7 +13,7 @@ import math
 import re
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .cost import DEFAULT_ALPHA, DEFAULT_BETA, CostWeights
 from .court import (
@@ -59,62 +59,100 @@ FRAME_FILE_RE = re.compile(r"frame_(\d{6})\.ppm")
 
 def parse_hsv_filter(text: str) -> HsvFilter:
     """Parse "h0:h1,s0:s1,v0:v1" into an HsvFilter."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected 3 comma-separated ranges in {text!r}")
-    bounds = []
-    for part in parts:
-        lo_hi = part.split(":")
-        if len(lo_hi) != 2:
-            raise ValueError(f"expected lo:hi in {part!r}")
-        bounds.append((float(lo_hi[0]), float(lo_hi[1])))
-    (h_lo, h_hi), (s_lo, s_hi), (v_lo, v_hi) = bounds
-    return HsvFilter(h_lo, h_hi, s_lo, s_hi, v_lo, v_hi)
+    (h_lo, h_hi), (s_lo, s_hi), (v_lo, v_hi) = (part.split(":") for part in text.split(","))
+    return HsvFilter(*map(float, (h_lo, h_hi, s_lo, s_hi, v_lo, v_hi)))
 
 
-def court_variant(text: str) -> str:
-    if text not in ("european", "nba"):
-        raise ValueError(f"expected european or nba, got {text!r}")
-    return text
+def parse_pan(text: str) -> tuple[float, float]:
+    """Parse "px,py", a camera pan in pixels per frame."""
+    px, py = text.split(",")
+    return float(px), float(py)
 
 
-# name -> (type, default, help). A flag and a config-file value both go
-# through the type; a None default means the setting is absent unless
-# given (the commands reject a missing required one).
+def one_of(*options: str) -> Callable[[str], str]:
+    """Parse type that accepts only one of `options`."""
+
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(text)
+        return text
+
+    parse.__name__ = " or ".join(options)  # argparse names the type in its error
+    return parse
+
+
+class Setting(NamedTuple):
+    """A CLI setting: parse type, default (None: unset unless given), help
+    and, where it has one, its range as a test and the words for it."""
+
+    kind: Callable[[str], object]
+    default: object
+    help: str
+    in_range: Callable[[object], bool] = lambda value: True
+    need: str = ""
+
+    def check(self, value, path, line=None, field=None) -> None:
+        """InputFormatError at path (line, field) when value is out of range."""
+        if not self.in_range(value):
+            raise InputFormatError(path, f"{self.need}, got {value}", line=line, field=field)
+
+
+AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+UNIT_INTERVAL = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
+SCENE = ScenarioSpec()  # the defaults of synth's settings
+
+# every setting of every command; a flag and a config-file value both go
+# through the type and the range
 SETTINGS = {
-    "frames": (str, None, "frame directory (frame_%%06d.ppm); court also takes one PPM"),
-    "detections": (str, None, "detections JSONL file"),
-    "homographies": (str, None, "homographies JSON file"),
-    "segments": (str, None, "line-segments CSV file"),
-    "mask": (str, None, "people-mask PGM file"),
-    "gt": (str, None, "ground-truth CSV file"),
-    "hyp": (str, None, "hypothesis CSV/JSONL file"),
-    "out": (str, None, "output path"),
-    "alpha": (float, DEFAULT_ALPHA, "distance-term weight"),
-    "beta": (float, DEFAULT_BETA, "overlap-term weight"),
-    "gate": (float, DEFAULT_GATE, "maximum acceptable matching cost"),
-    "memory": (int, MatchConfig.memory_depth, "memory depth in frames, 1 or 2"),
-    "patch": (int, PatchWindow.half_extent, "patch half-extent in pixels"),
-    "mot_iou": (float, MOT_IOU_THRESHOLD, "CLEAR-MOT IoU threshold"),
-    "candidates": (int, DEFAULT_CANDIDATES, "dominant lines fed to boundary search"),
-    "step": (float, DEFAULT_STEP_PX, "NBA convergence step in pixels"),
-    "drop_tol": (float, DEFAULT_DROP_TOL, "NBA drop tolerance"),
-    "court": (court_variant, None, "court variant, european or nba"),
-    "hsv": (parse_hsv_filter, None, "HSV filter 'h0:h1,s0:s1,v0:v1'"),
-    "seed": (int, ScenarioSpec.seed, "random seed"),
+    "frames": Setting(str, None, "frame directory (frame_%%06d.ppm); court also takes one PPM"),
+    "detections": Setting(str, None, "detections JSONL file"),
+    "homographies": Setting(str, None, "homographies JSON file"),
+    "segments": Setting(str, None, "line-segments CSV file"),
+    "mask": Setting(str, None, "people-mask PGM file"),
+    "gt": Setting(str, None, "ground-truth CSV file"),
+    "hyp": Setting(str, None, "hypothesis CSV/JSONL file"),
+    "out": Setting(str, None, "output path"),
+    "alpha": Setting(float, DEFAULT_ALPHA, "distance-term weight"),
+    "beta": Setting(float, DEFAULT_BETA, "overlap-term weight"),
+    "gate": Setting(float, DEFAULT_GATE, "maximum acceptable matching cost",
+                    lambda v: v > 0.0, "must be positive"),
+    "memory": Setting(int, MatchConfig.memory_depth, "memory depth in frames, 1 or 2",
+                      lambda v: v in (1, 2), "must be 1 or 2"),
+    "patch": Setting(int, PatchWindow.half_extent, "patch half-extent in pixels", *AT_LEAST_1),
+    "mode": Setting(one_of("det", "mot"), None, "evaluation mode, det or mot"),
+    "mot_iou": Setting(float, MOT_IOU_THRESHOLD, "CLEAR-MOT IoU threshold", *UNIT_INTERVAL),
+    "court": Setting(one_of("european", "nba"), None, "court variant, european or nba"),
+    "hsv": Setting(parse_hsv_filter, None, "HSV filter 'h0:h1,s0:s1,v0:v1'"),
+    "candidates": Setting(int, DEFAULT_CANDIDATES, "dominant lines fed to boundary search", *AT_LEAST_1),
+    "step": Setting(float, DEFAULT_STEP_PX, "NBA convergence step in pixels",
+                    lambda v: 1.0 <= v < math.inf, "must be a finite number of pixels >= 1"),
+    "drop_tol": Setting(float, DEFAULT_DROP_TOL, "NBA drop tolerance", *UNIT_INTERVAL),
+    "seed": Setting(int, SCENE.seed, "random seed"),
+    "targets": Setting(int, SCENE.n_targets, "number of targets", *AT_LEAST_1),
+    "num_frames": Setting(int, SCENE.n_frames, "number of frames", lambda v: v >= 2, "must be at least 2"),
+    "width": Setting(int, SCENE.dims.w, "frame width in pixels", *AT_LEAST_1),
+    "height": Setting(int, SCENE.dims.h, "frame height in pixels", *AT_LEAST_1),
+    "pan": Setting(parse_pan, SCENE.pan, "camera pan 'px,py' in pixels/frame",
+                   lambda v: all(map(math.isfinite, v)), "components must be finite"),
+    "dropout": Setting(float, SCENE.dropout_rate, "share of detections dropped", *UNIT_INTERVAL),
+    "jitter": Setting(float, SCENE.jitter_sigma, "box-corner jitter sigma in pixels",
+                      lambda v: 0.0 <= v < math.inf, "must be finite and >= 0"),
+    "extra_dropout": Setting(float, SCENE.extra_dropout, "share of single-frame drops", *UNIT_INTERVAL),
 }
 
-# the settings each command reads, as flags and as config-file keys
+# command -> (the settings it requires, the others it reads), as flags and as config-file keys
 COMMAND_SETTINGS = {
-    "track": ("frames", "detections", "homographies", "out", "alpha", "beta", "gate", "memory", "patch"),
-    "eval": ("gt", "hyp", "out", "mot_iou"),
-    "court": ("court", "segments", "frames", "mask", "hsv", "candidates", "step", "drop_tol", "out"),
-    "synth": ("out", "seed"),
+    "track": (("frames", "detections", "homographies", "out"), ("alpha", "beta", "gate", "memory", "patch")),
+    "eval": (("mode", "gt", "hyp"), ("out", "mot_iou")),
+    "court": (("court", "segments"), ("frames", "mask", "hsv", "candidates", "step", "drop_tol", "out")),
+    "synth": (("out",), ("seed", "targets", "num_frames", "width", "height", "pan", "dropout", "jitter",
+                         "extra_dropout")),
 }
 
 
 def read_config_file(path, names) -> dict:
-    """Flat key=value configuration of the settings `names`; '#' starts a comment line."""
+    """Flat key=value configuration of the settings `names` as {key: (value,
+    line)}; '#' starts a comment line."""
     values = {}
     with open_text(path) as fh:
         for lineno, raw in text_lines(fh, path):
@@ -128,21 +166,31 @@ def read_config_file(path, names) -> dict:
             if key not in names:
                 raise InputFormatError(path, f"unknown key {key!r}", line=lineno, field=key)
             try:
-                values[key] = SETTINGS[key][0](value.strip())
+                values[key] = (SETTINGS[key].kind(value.strip()), lineno)
             except ValueError:
-                raise InputFormatError(
-                    path, f"bad value {value.strip()!r}", line=lineno, field=key
-                ) from None
+                raise InputFormatError(path, f"bad value {value.strip()!r}", line=lineno, field=key) from None
     return values
 
 
 def resolve_settings(args: argparse.Namespace) -> None:
-    """Fill each of the command's settings in args: flag > config file > default."""
-    names = COMMAND_SETTINGS[args.command]
-    from_file = read_config_file(args.config, names) if args.config else {}
-    for name in names:
-        if getattr(args, name) is None:
-            setattr(args, name, from_file.get(name, SETTINGS[name][1]))
+    """Fill each of the command's settings in args: flag > config file > default.
+
+    An unset required setting, or a flag or config-file value out of its
+    range, is an InputFormatError; a config-file one names file, line and key.
+    """
+    required, optional = COMMAND_SETTINGS[args.command]
+    from_file = read_config_file(args.config, required + optional) if args.config else {}
+    for name, (value, line) in from_file.items():
+        SETTINGS[name].check(value, args.config, line, field=name)
+    for name in required + optional:
+        value = getattr(args, name)
+        if value is None:
+            value = from_file.get(name, (SETTINGS[name].default,))[0]
+        else:
+            SETTINGS[name].check(value, name)
+        if value is None and name in required:
+            raise InputFormatError(name, f"required for the {args.command} command")
+        setattr(args, name, value)
 
 
 # --- homographies JSON ---------------------------------------------------------
@@ -232,16 +280,6 @@ def write_scenario(seq: SyntheticSequence, outdir) -> None:
 # --- commands --------------------------------------------------------------------
 
 def cmd_track(args: argparse.Namespace) -> int:
-    for name in ("detections", "homographies", "frames", "out"):
-        if getattr(args, name) is None:
-            raise InputFormatError(name, "required for the track command")
-    for name, ok, need in (
-        ("gate", args.gate > 0.0, "must be positive"),
-        ("memory", args.memory in (1, 2), "must be 1 or 2"),
-        ("patch", args.patch >= 1, "must be at least 1"),
-    ):
-        if not ok:
-            raise InputFormatError(name, f"{need}, got {getattr(args, name)}")
     try:
         weights = CostWeights(args.alpha, args.beta)
     except ValueError as exc:
@@ -275,11 +313,6 @@ def _report_out(payload: dict, args: argparse.Namespace) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    for name in ("gt", "hyp"):
-        if getattr(args, name) is None:
-            raise InputFormatError(name, "required for the eval command")
-    if not 0.0 <= args.mot_iou < 1.0:
-        raise InputFormatError("mot_iou", f"IoU threshold must lie in [0, 1), got {args.mot_iou}")
     mot = args.mode == "mot"
     gt = read_mot_csv(args.gt, unique_ids=mot)
     if not gt:
@@ -317,16 +350,6 @@ def _rows_between(top: Line2, bottom: Line2, dims: FrameDims) -> tuple[int, int]
 
 
 def cmd_court(args: argparse.Namespace) -> int:
-    if args.segments is None:
-        raise InputFormatError("segments", "required for the court command")
-    if args.court is None:
-        raise InputFormatError("court", "court command needs --court european or nba")
-    if args.candidates < 1:
-        raise InputFormatError("candidates", f"must be at least 1, got {args.candidates}")
-    if not 1.0 <= args.step < math.inf:
-        raise InputFormatError("step", f"must be a finite number of pixels >= 1, got {args.step}")
-    if not 0.0 <= args.drop_tol < 1.0:
-        raise InputFormatError("drop_tol", f"must lie in [0, 1), got {args.drop_tol}")
     segments = read_segments_csv(args.segments)
 
     if args.court == "european":
@@ -392,18 +415,12 @@ def cmd_court(args: argparse.Namespace) -> int:
 
 
 def scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
-    """The ScenarioSpec that the synth command's parsed arguments ask for."""
-    pan = ScenarioSpec.pan
-    if args.pan:
-        parts = args.pan.split(",")
-        if len(parts) != 2:
-            raise InputFormatError("pan", f"expected 'px,py', got {args.pan!r}")
-        pan = (float(parts[0]), float(parts[1]))
+    """The ScenarioSpec that the synth command's resolved settings ask for."""
     return ScenarioSpec(
         n_targets=args.targets,
         n_frames=args.num_frames,
         dims=FrameDims(args.width, args.height),
-        pan=pan,
+        pan=args.pan,
         dropout_rate=args.dropout,
         jitter_sigma=args.jitter,
         extra_dropout=args.extra_dropout,
@@ -412,8 +429,6 @@ def scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.out is None:
-        raise InputFormatError("out", "synth command needs an output directory")
     # frames left over from a longer scenario would be read by track as part of this one
     frames_dir = Path(args.out) / "frames"
     if frames_dir.is_dir() and any(FRAME_FILE_RE.fullmatch(p.name) for p in frames_dir.iterdir()):
@@ -436,29 +451,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "court": "estimate the court region",
         "synth": "generate a synthetic scenario",
     }
-    commands = {}
-    for command, names in COMMAND_SETTINGS.items():
-        p = commands[command] = sub.add_parser(command, help=helps[command])
+    for command, (required, optional) in COMMAND_SETTINGS.items():
+        p = sub.add_parser(command, help=helps[command])
         p.add_argument("--config", help="flat key=value config file")
-        for name in names:
-            kind, _, text = SETTINGS[name]
-            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=text)
-
-    commands["eval"].add_argument("--mode", choices=("det", "mot"), required=True)
-
-    p_synth = commands["synth"]
-    spec = ScenarioSpec()
-    p_synth.add_argument("--targets", type=int, default=spec.n_targets)
-    p_synth.add_argument("--num-frames", dest="num_frames", type=int, default=spec.n_frames)
-    p_synth.add_argument("--width", type=int, default=spec.dims.w)
-    p_synth.add_argument("--height", type=int, default=spec.dims.h)
-    p_synth.add_argument("--pan", help="camera pan 'px,py' in pixels/frame")
-    p_synth.add_argument("--dropout", type=float, default=spec.dropout_rate)
-    p_synth.add_argument("--jitter", type=float, default=spec.jitter_sigma)
-    p_synth.add_argument(
-        "--extra-dropout", dest="extra_dropout", type=float, default=spec.extra_dropout
-    )
-
+        for name in required + optional:
+            setting = SETTINGS[name]
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=setting.kind, help=setting.help)
     return parser
 
 

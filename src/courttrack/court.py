@@ -504,7 +504,8 @@ def read_segments_csv(path) -> list[LineSegment]:
     fields = ("x0", "y0", "x1", "y1")
     with open_text(path, newline="") as fh:
         reader = csv.reader(line for _, line in text_lines(fh, path))
-        for lineno, row in enumerate(reader, start=1):
+        for row in reader:
+            lineno = reader.line_num  # a quoted field may span lines
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 4:

@@ -14,7 +14,6 @@ import numpy as np
 from .errors import DegenerateProjection
 
 SINGULAR_TOL = 1e-12
-LINE_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -147,9 +147,10 @@ def eval_mot_records(
         # 1. carry forward still-valid correspondences
         for gt_id, hyp_id in current.items():
             if gt_id in gt_left and hyp_id in hyp_left:
-                if iou(gt_left[gt_id], hyp_left[hyp_id]) > iou_threshold:
+                overlap = iou(gt_left[gt_id], hyp_left[hyp_id])
+                if overlap > iou_threshold:
                     frame_matches[gt_id] = hyp_id
-                    matched_iou_sum += iou(gt_left[gt_id], hyp_left[hyp_id])
+                    matched_iou_sum += overlap
                     matched_count += 1
         for gt_id, hyp_id in frame_matches.items():
             del gt_left[gt_id]
@@ -199,7 +200,8 @@ def read_mot_csv(path, unique_ids: bool = False) -> list[GroundTruthBox]:
     first_row: dict[tuple[int, int], int] = {}
     with open_text(path, newline="") as fh:
         reader = csv.reader(line for _, line in text_lines(fh, path))
-        for lineno, row in enumerate(reader, start=1):
+        for row in reader:
+            lineno = reader.line_num  # a quoted field may span lines
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if lineno == 1 and row == TRACK_CSV_HEADER:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from courttrack.cli import (
+    SETTINGS,
     _build_parser,
     main,
     read_homographies_json,
@@ -308,7 +309,8 @@ class TestTrackCommand:
         argv = track_args(scen, out_csv)[:-2]  # without "--memory 2", which would beat the file
         code, _, err = run(capsys, *argv, "--config", str(config))
         assert code == 1
-        assert f"{name}:" in err
+        # the joint alpha/beta check is the command's and names no line
+        assert ("alpha/beta:" if name == "alpha/beta" else f"run.cfg:1 (field '{name}')") in err
         assert not out_csv.exists()
 
 
@@ -394,7 +396,7 @@ class TestEvalCommand:
         )
         assert code == 1
         assert out == ""
-        assert "mot_iou" in err and "IoU threshold" in err
+        assert "mot_iou: must lie in [0, 1)" in err
 
     def test_det_mode_accepts_repeated_ids(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
@@ -668,12 +670,72 @@ class TestDeterminism:
         assert hashlib.sha256(detections).hexdigest() == digest
 
 
+# one out-of-range value of each ranged setting, by command
+OUT_OF_RANGE = [
+    ("track", "gate", "-1"),
+    ("track", "memory", "3"),
+    ("track", "patch", "0"),
+    ("eval", "mot_iou", "2"),
+    ("court", "candidates", "0"),
+    ("court", "step", "0.5"),
+    ("court", "drop_tol", "1"),
+    ("synth", "targets", "0"),
+    ("synth", "num_frames", "1"),
+    ("synth", "width", "0"),
+    ("synth", "height", "0"),
+    ("synth", "dropout", "1"),
+    ("synth", "jitter", "-1"),
+    ("synth", "extra_dropout", "1"),
+    ("synth", "pan", "nan,0"),
+]
+
+
+class TestSettingRanges:
+    def test_every_ranged_setting_is_covered(self):
+        assert {name for _, name, _ in OUT_OF_RANGE} == {n for n, s in SETTINGS.items() if s.need}
+
+    @staticmethod
+    def command_args(tmp_path, capsys, command):
+        """argv of a run of `command` that writes only `out`, and `out`."""
+        if command == "track":
+            scen, out = tmp_path / "scen", tmp_path / "tracks.csv"
+            assert run(capsys, *synth_args(scen))[0] == 0
+            return track_args(scen, out)[:-2], out  # without "--memory 2"
+        if command == "eval":
+            gt, out = tmp_path / "gt.csv", tmp_path / "report.json"
+            gt.write_text("0,1,0.0,0.0,10.0,10.0\n1,1,0.0,0.0,10.0,10.0\n")
+            return ["eval", "--mode", "mot", "--gt", str(gt), "--hyp", str(gt), "--out", str(out)], out
+        if command == "court":
+            out = tmp_path / "court.json"
+            return TestCourtCommand.planted_nba_args(tmp_path, out), out
+        out = tmp_path / "scen"
+        return ["synth", "--out", str(out)], out
+
+    @pytest.mark.parametrize("command, name, value", OUT_OF_RANGE)
+    def test_flag_and_config_value_out_of_range_fail_alike(self, tmp_path, capsys, command, name, value):
+        argv, out = self.command_args(tmp_path, capsys, command)
+        need = SETTINGS[name].need
+
+        code, stdout, err = run(capsys, *argv, "--" + name.replace("_", "-"), value)
+        assert code == 1 and stdout == ""
+        assert f"{name}: {need}" in err
+        assert not out.exists()
+
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# line 2 is out of range\n{name}={value}\n")
+        code, stdout, err = run(capsys, *argv, "--config", str(config))
+        assert code == 1 and stdout == ""
+        assert f"run.cfg:2 (field '{name}'): {need}" in err
+        assert not out.exists()
+
+
 class TestConfigPrecedence:
     def test_flag_beats_config_beats_default(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("gate=0.9\nalpha=0.5\n# comment line\n")
+        required = ["--frames", "f", "--detections", "d", "--homographies", "h", "--out", "o"]
         args = _build_parser().parse_args(
-            ["track", "--config", str(config), "--alpha", "0.7"]
+            ["track", *required, "--config", str(config), "--alpha", "0.7"]
         )
         resolve_settings(args)
         assert args.alpha == 0.7  # flag wins

@@ -521,6 +521,14 @@ class TestSegmentsCsv:
         assert "2" in str(err.value)
         assert "x1" in str(err.value)
 
+    def test_error_names_the_file_line_after_a_multi_line_field(self, tmp_path):
+        # the quoted "30\n" spans lines 1 and 2, so the bad y0 is on line 3
+        path = tmp_path / "seg.csv"
+        path.write_text('0,"30\n",99,30\n10,x,40,10\n')
+        with pytest.raises(InputFormatError) as err:
+            read_segments_csv(path)
+        assert err.value.line == 3 and err.value.field == "y0" and "seg.csv:3" in str(err.value)
+
     def test_wrong_arity_rejected(self, tmp_path):
         path = tmp_path / "segments.csv"
         path.write_text("1,2,3\n")

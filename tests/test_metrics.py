@@ -193,6 +193,14 @@ class TestMotCsv:
             read_mot_csv(path)
         assert err.value.line == 2 and str(path) in str(err.value)
 
+    def test_error_names_the_file_line_after_a_multi_line_field(self, tmp_path):
+        # the quoted "2\n" spans lines 2 and 3, so the bad id is on line 4
+        path = tmp_path / "gt.csv"
+        path.write_text('frame,id,x_min,y_min,width,height\n0,1,"2\n",3,4,5\n0,x,1,1,1,1\n')
+        with pytest.raises(InputFormatError) as err:
+            read_mot_csv(path)
+        assert err.value.line == 4 and err.value.field == "id" and "gt.csv:4" in str(err.value)
+
     def test_repeated_frame_and_id_rejected_only_when_unique(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("0,1,5.0,6.0,20.0,40.0\n0,2,5.0,6.0,20.0,40.0\n0,1,9.0,6.0,20.0,40.0\n")
