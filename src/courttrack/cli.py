@@ -99,6 +99,7 @@ class Setting(NamedTuple):
 
 AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 UNIT_INTERVAL = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
+WEIGHT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 SCENE = ScenarioSpec()  # the defaults of synth's settings
 
 # every setting of every command; a flag and a config-file value both go
@@ -112,8 +113,8 @@ SETTINGS = {
     "gt": Setting(str, None, "ground-truth CSV file"),
     "hyp": Setting(str, None, "hypothesis CSV/JSONL file"),
     "out": Setting(str, None, "output path"),
-    "alpha": Setting(float, DEFAULT_ALPHA, "distance-term weight"),
-    "beta": Setting(float, DEFAULT_BETA, "overlap-term weight"),
+    "alpha": Setting(float, DEFAULT_ALPHA, "distance-term weight", *WEIGHT),
+    "beta": Setting(float, DEFAULT_BETA, "overlap-term weight", *WEIGHT),
     "gate": Setting(float, DEFAULT_GATE, "maximum acceptable matching cost",
                     lambda v: v > 0.0, "must be positive"),
     "memory": Setting(int, MatchConfig.memory_depth, "memory depth in frames, 1 or 2",
@@ -152,7 +153,7 @@ COMMAND_SETTINGS = {
 
 def read_config_file(path, names) -> dict:
     """Flat key=value configuration of the settings `names` as {key: (value,
-    line)}; '#' starts a comment line."""
+    line)}; '#' starts a comment line, and a key may appear once."""
     values = {}
     with open_text(path) as fh:
         for lineno, raw in text_lines(fh, path):
@@ -165,6 +166,9 @@ def read_config_file(path, names) -> dict:
             key = key.strip().replace("-", "_")
             if key not in names:
                 raise InputFormatError(path, f"unknown key {key!r}", line=lineno, field=key)
+            if key in values:
+                first = values[key][1]
+                raise InputFormatError(path, f"repeated key, first set on line {first}", line=lineno, field=key)
             try:
                 values[key] = (SETTINGS[key].kind(value.strip()), lineno)
             except ValueError:

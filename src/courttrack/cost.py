@@ -142,27 +142,26 @@ class Features:
     parts: dict[int, _PartPatches]
 
 
-def features(observations: Sequence[ObservedBox], win: PatchWindow = PatchWindow()) -> Features:
-    """Extract the stabilized centroid, box and keypoint patches of each observation."""
+def features(
+    detections: Sequence[Detection],
+    homography: Homography,
+    raster: FrameRaster,
+    win: PatchWindow = PatchWindow(),
+) -> Features:
+    """Extract the stabilized centroid, box and keypoint patches of one frame's detections."""
     centroids, boxes = [], []
     owners, part_ids, points = [], [], []
-    by_frame: dict[FrameRaster, list[int]] = {}  # rasters hash by identity
-    for n, o in enumerate(observations):
-        q = apply_homography(o.homography, o.detection.bbox.centroid)
+    for n, det in enumerate(detections):
+        q = apply_homography(homography, det.bbox.centroid)
         centroids.append((q.x, q.y))
-        b = transform_bbox(o.homography, o.detection.bbox)
+        b = transform_bbox(homography, det.bbox)
         boxes.append((b.x_min, b.y_min, b.x_max, b.y_max))
-        rows = by_frame.setdefault(o.frame, [])
-        for k in o.detection.keypoints:
-            rows.append(len(owners))
+        for k in det.keypoints:
             owners.append(n)
             part_ids.append(k.part_id)
             points.append(k.position)
 
-    patches = np.empty((len(owners), win.side, win.side, 3), dtype=np.uint8)
-    rects = np.empty((len(owners), 4), dtype=np.int64)
-    for frame, rows in by_frame.items():
-        patches[rows], rects[rows] = keypoint_patches(frame, [points[r] for r in rows], win)
+    patches, rects = keypoint_patches(raster, points, win)
     integral = np.zeros((len(owners), win.side + 1, win.side + 1), dtype=np.int64)
     cells = integral[:, 1:, 1:]
     np.add(patches[..., 0], patches[..., 1], out=cells, dtype=np.int64)
@@ -208,10 +207,11 @@ def _part_content(a: _PartPatches, b: _PartPatches) -> np.ndarray:
 def cost_matrix(rows: Features, cols: Features, weights: CostWeights, dims: FrameDims) -> np.ndarray:
     """similarity_cost of every (row, column) observation pair in one batch.
 
-    With rows = features(a, win) and cols = features(b, win), entry
-    [i, j] equals similarity_cost(a[i], b[j], weights, dims, win) bit for
-    bit: each float operation of the scalar path happens once per pair
-    in the same order, and patch sums are exact integers.
+    With rows = features(a, ha, fa, win) and cols = features(b, hb, fb,
+    win), entry [i, j] equals similarity_cost(ObservedBox(a[i], ha, fa),
+    ObservedBox(b[j], hb, fb), weights, dims, win) bit for bit: each
+    float operation of the scalar path happens once per pair in the same
+    order, and patch sums are exact integers.
     """
     n, m = len(rows.centroids), len(cols.centroids)
 

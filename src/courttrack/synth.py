@@ -23,7 +23,7 @@ from .errors import TargetOutOfFrame, TooLarge
 from .geometry import BBox, FrameDims, Homography, Point2
 from .imaging import FrameRaster
 from .rng import SplitMix64
-from .track import CostMatrix, FrameObservations, GroundTruthBox
+from .track import FrameObservations, GroundTruthBox
 
 # Keypoint stencil: (part_id, relative x, relative y) inside the box. The
 # hull of the stencil spans the whole box, so a detection's skeleton box
@@ -247,18 +247,17 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
     return SyntheticSequence(spec, gt, detections, homographies, frames)
 
 
-def brute_force_assignment(m: CostMatrix) -> tuple[list[tuple[int, int]], float]:
+def brute_force_assignment(entries: np.ndarray) -> tuple[list[tuple[int, int]], float]:
     """Exhaustive minimum over all injections of the smaller side.
 
     Oracle counterpart of solve_assignment; totals use compensated
     summation so ties are mathematical ties.
     """
-    n_rows, n_cols = m.n_rows, m.n_cols
+    n_rows, n_cols = entries.shape
     if max(n_rows, n_cols) > 9:
         raise TooLarge("brute force limited to 9 rows/columns")
     if n_rows == 0 or n_cols == 0:
         return [], 0.0
-    entries = m.entries
     best_pairs: list[tuple[int, int]] | None = None
     best_total = math.inf
     if n_rows <= n_cols:

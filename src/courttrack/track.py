@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cost import CostWeights, Features, ObservedBox, cost_matrix, default_weights, features
+from .cost import CostWeights, Features, cost_matrix, default_weights, features
 from .detect import Detection
 from .geometry import BBox, FrameDims, Homography
 from .imaging import FrameRaster, PatchWindow
@@ -50,31 +50,6 @@ class GroundTruthBox:
     frame: int
     id: int
     bbox: BBox
-
-
-@dataclass
-class CostMatrix:
-    """Detections-by-ids cost table plus the dummy-cell sentinel."""
-
-    entries: np.ndarray
-    pad_value: float
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        if self.entries.ndim != 2:
-            raise ValueError("cost matrix must be 2-dimensional")
-        if self.entries.size and not np.all(np.isfinite(self.entries)):
-            raise ValueError("cost matrix entries must be finite")
-        if not math.isfinite(self.pad_value):
-            raise ValueError("pad_value must be finite")
-
-    @property
-    def n_rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.entries.shape[1]
 
 
 def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
@@ -148,20 +123,23 @@ def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(nr), col4row
 
 
-def solve_assignment(m: CostMatrix) -> list[tuple[int, int]]:
-    """Minimum-cost matching on the pad-squared matrix.
+def solve_assignment(entries: np.ndarray, pad: float) -> list[tuple[int, int]]:
+    """Minimum-cost matching of the 2-d `entries`, squared up with `pad` cells.
 
     One linear_sum_assignment solve per matrix, so among equal-cost
     optima the pairs are those scipy's tie rules pick, the same rule
     that eval's CLEAR-MOT matching uses. Pairs touching dummy rows or
-    columns are dropped from the result.
+    columns are dropped from the result. A non-finite entry or pad is a
+    ValueError: the solver would take +inf as a forbidden cell.
     """
-    n_rows, n_cols = m.n_rows, m.n_cols
+    n_rows, n_cols = entries.shape
+    if not (math.isfinite(pad) and np.isfinite(entries).all()):
+        raise ValueError("cost entries and pad must be finite")
     if n_rows == 0 or n_cols == 0:
         return []
     size = max(n_rows, n_cols)
-    padded = np.full((size, size), m.pad_value, dtype=float)
-    padded[:n_rows, :n_cols] = m.entries
+    padded = np.full((size, size), pad, dtype=float)
+    padded[:n_rows, :n_cols] = entries
     rows, cols = linear_sum_assignment(padded)
     return [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if r < n_rows and c < n_cols]
 
@@ -192,7 +170,7 @@ def match_frame(
         raw[:, cols] = np.minimum(raw[:, cols], cost_matrix(dets, reps, cfg.weights, dims))
     pad = 10.0 * cfg.gate if math.isfinite(cfg.gate) else 10.0 * (1.0 + float(raw.max()))
     clamped = np.where(raw <= cfg.gate, raw, pad)
-    pairs = solve_assignment(CostMatrix(clamped, pad))
+    pairs = solve_assignment(clamped, pad)
     return {i: eligible[j] for i, j in pairs if raw[i, j] <= cfg.gate}
 
 
@@ -221,8 +199,7 @@ def run_tracker(
     for t, frame in enumerate(frames):
         if t == 0:
             dims = frame.raster.dims
-        obs = [ObservedBox(det, frame.homography, frame.raster) for det in frame.detections]
-        dets = features(obs, cfg.patch)
+        dets = features(frame.detections, frame.homography, frame.raster, cfg.patch)
         matched = match_frame(window, dets, cfg, dims)
         owners = []
         for i, det in enumerate(frame.detections):

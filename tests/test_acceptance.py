@@ -44,7 +44,7 @@ from courttrack.metrics import (
     eval_mot_records,
 )
 from courttrack.synth import ScenarioSpec, brute_force_assignment, generate
-from courttrack.track import CostMatrix, MatchConfig, run_tracker, solve_assignment
+from courttrack.track import MatchConfig, run_tracker, solve_assignment
 
 from tests.test_court import banded_mask, seg as make_seg, two_band_frame, GREEN_FILTER
 from tests.test_geometry import pixel_iou_oracle, project_oracle
@@ -62,10 +62,9 @@ def test_criterion_1_assignment_optimality():
         rows = rng.randrange(1, 8)
         cols = rng.randrange(1, 8)
         entries = np.array([[rng.random() for _ in range(cols)] for _ in range(rows)])
-        m = CostMatrix(entries, pad_value=100.0)
-        pairs = solve_assignment(m)
-        total = math.fsum(m.entries[r, c] for r, c in pairs)
-        _, oracle_total = brute_force_assignment(m)
+        pairs = solve_assignment(entries, 100.0)
+        total = math.fsum(entries[r, c] for r, c in pairs)
+        _, oracle_total = brute_force_assignment(entries)
         assert total == oracle_total, f"solver {total} != brute force {oracle_total}"
         checked += 1
     elapsed = time.perf_counter() - start

@@ -21,18 +21,19 @@ from scipy.optimize import linear_sum_assignment as scipy_lsap
 
 import courttrack
 from courttrack.synth import brute_force_assignment
-from courttrack.track import CostMatrix, linear_sum_assignment, solve_assignment
+from courttrack.track import linear_sum_assignment, solve_assignment
 
 
-def scipy_solve_assignment(m: CostMatrix) -> list[tuple[int, int]]:
+def scipy_solve_assignment(entries: np.ndarray, pad: float) -> list[tuple[int, int]]:
     """scipy's pairs on the pad-squared matrix, dummy pairs dropped."""
-    if m.n_rows == 0 or m.n_cols == 0:
+    n_rows, n_cols = entries.shape
+    if n_rows == 0 or n_cols == 0:
         return []
-    size = max(m.n_rows, m.n_cols)
-    padded = np.full((size, size), m.pad_value)
-    padded[: m.n_rows, : m.n_cols] = m.entries
+    size = max(n_rows, n_cols)
+    padded = np.full((size, size), pad)
+    padded[:n_rows, :n_cols] = entries
     rows, cols = scipy_lsap(padded)
-    return [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if r < m.n_rows and c < m.n_cols]
+    return [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if r < n_rows and c < n_cols]
 
 
 @st.composite
@@ -55,8 +56,8 @@ def lsap_matrices(draw, max_side=9):
 
 @st.composite
 def repeated_column_matrices(draw, max_side=7):
-    """CostMatrix inputs of random floats where columns repeat: swapping
-    two equal columns is an exact tie."""
+    """(entries, pad) inputs of random floats where columns repeat:
+    swapping two equal columns is an exact tie."""
     rows = draw(st.integers(1, max_side))
     distinct = draw(st.integers(1, max_side))
     base = draw(
@@ -64,13 +65,13 @@ def repeated_column_matrices(draw, max_side=7):
     )
     picks = draw(st.lists(st.integers(0, distinct - 1), min_size=1, max_size=max_side))
     entries = np.array(base).reshape(rows, distinct)[:, picks]
-    return CostMatrix(entries, draw(st.sampled_from([0.5, 10.0])))
+    return entries, draw(st.sampled_from([0.5, 10.0]))
 
 
 @st.composite
 def exact_cost_matrices(draw, max_side=7):
-    """CostMatrix inputs whose sums are exact in floating point, so that
-    every tie is a true tie for any summation order."""
+    """(entries, pad) inputs whose sums are exact in floating point, so
+    that every tie is a true tie for any summation order."""
     rows = draw(st.integers(1, max_side))
     cols = draw(st.integers(1, max_side))
     quarters = draw(st.integers(1, 16))
@@ -79,7 +80,7 @@ def exact_cost_matrices(draw, max_side=7):
     if draw(st.booleans()):  # pad-dominated: most cells gated out
         cell = st.one_of(st.just(pad), st.just(pad), cell)
     values = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
-    return CostMatrix(np.array(values).reshape(rows, cols), pad)
+    return np.array(values).reshape(rows, cols), pad
 
 
 class TestLinearSumAssignment:
@@ -121,15 +122,16 @@ class TestLinearSumAssignment:
 class TestSolveAssignmentRefinement:
     @settings(max_examples=600)  # about 300 of each kind
     @given(st.one_of(exact_cost_matrices(), repeated_column_matrices()))
-    def test_matches_scipy_on_the_padded_matrix(self, m):
-        assert solve_assignment(m) == scipy_solve_assignment(m)
+    def test_matches_scipy_on_the_padded_matrix(self, matrix):
+        assert solve_assignment(*matrix) == scipy_solve_assignment(*matrix)
 
     @settings(max_examples=200)
     @given(exact_cost_matrices())
-    def test_matches_brute_force(self, m):
-        pairs = solve_assignment(m)
-        _, oracle_total = brute_force_assignment(m)
-        assert math.fsum(m.entries[r, c] for r, c in pairs) == oracle_total
+    def test_matches_brute_force(self, matrix):
+        entries, pad = matrix
+        pairs = solve_assignment(entries, pad)
+        _, oracle_total = brute_force_assignment(entries)
+        assert math.fsum(entries[r, c] for r, c in pairs) == oracle_total
 
     def test_one_solve_when_the_first_optimum_is_smallest(self, monkeypatch):
         import courttrack.track as track
@@ -145,7 +147,7 @@ class TestSolveAssignmentRefinement:
         pad = 5.0
         entries = np.full((6, 6), pad)
         entries[np.arange(1, 6), np.arange(5)] = 0.1
-        assert solve_assignment(CostMatrix(entries, pad)) == [(0, 5), (1, 0), (2, 1), (3, 2), (4, 3), (5, 4)]
+        assert solve_assignment(entries, pad) == [(0, 5), (1, 0), (2, 1), (3, 2), (4, 3), (5, 4)]
         assert calls == [(6, 6)]
 
     def test_near_ties_keep_an_optimum(self):
@@ -163,11 +165,10 @@ class TestSolveAssignmentRefinement:
                 [0.7, 0.1, 0.9, 0.5, 1.0, 0.5, 0.2, 0.7, 0.2],
             ]
         )
-        m = CostMatrix(entries, 0.1)
-        pairs = solve_assignment(m)
-        _, oracle_total = brute_force_assignment(m)
+        pairs = solve_assignment(entries, 0.1)
+        _, oracle_total = brute_force_assignment(entries)
         assert [r for r, _ in pairs] == list(range(8))
-        assert math.fsum(m.entries[r, c] for r, c in pairs) == oracle_total
+        assert math.fsum(entries[r, c] for r, c in pairs) == oracle_total
 
 
 def test_cli_import_loads_no_scipy():

@@ -290,8 +290,8 @@ class TestTrackCommand:
             (["--patch", "0"], "patch"),
             (["--gate", "0"], "gate"),
             (["--gate", "-1"], "gate"),
-            (["--alpha", "1.5"], "alpha/beta"),
-            (["--beta", "-0.1"], "alpha/beta"),
+            (["--alpha", "1.5"], "alpha"),
+            (["--beta", "-0.1"], "beta"),
             (["--alpha", "0.7", "--beta", "0.5"], "alpha/beta"),
         ],
     )
@@ -309,8 +309,11 @@ class TestTrackCommand:
         argv = track_args(scen, out_csv)[:-2]  # without "--memory 2", which would beat the file
         code, _, err = run(capsys, *argv, "--config", str(config))
         assert code == 1
-        # the joint alpha/beta check is the command's and names no line
-        assert ("alpha/beta:" if name == "alpha/beta" else f"run.cfg:1 (field '{name}')") in err
+        if name == "alpha/beta":  # the joint bound is the command's and names no line
+            assert "alpha/beta: gamma = 1 - (alpha + beta) must be >= 0" in err
+        else:
+            value = SETTINGS[name].kind(flags[1])
+            assert f"run.cfg:1 (field '{name}'): {SETTINGS[name].need}, got {value}" in err
         assert not out_csv.exists()
 
 
@@ -672,6 +675,8 @@ class TestDeterminism:
 
 # one out-of-range value of each ranged setting, by command
 OUT_OF_RANGE = [
+    ("track", "alpha", "1.5"),
+    ("track", "beta", "-0.1"),
     ("track", "gate", "-1"),
     ("track", "memory", "3"),
     ("track", "patch", "0"),
@@ -760,6 +765,20 @@ class TestConfigPrecedence:
         with pytest.raises(InputFormatError, match="UTF-8") as err:
             resolve_settings(args)
         assert err.value.line == 2 and "run.cfg:2" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "command, lines, key",
+        [
+            (["track"], ["gate=0.9", "# comment line", "gate=0.3"], "gate"),
+            (["synth"], ["extra-dropout=0.1", "seed=3", "extra_dropout=0.2"], "extra_dropout"),
+        ],
+    )
+    def test_repeated_config_key_rejected(self, tmp_path, capsys, command, lines, key):
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(line + "\n" for line in lines))
+        code, stdout, err = run(capsys, *command, "--config", str(config))
+        assert code == 1 and stdout == ""
+        assert f"run.cfg:3 (field '{key}'): repeated key, first set on line 1" in err
 
     def test_bad_hsv_flag_is_input_error(self, tmp_path, capsys):
         code, _, err = run(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from courttrack.cost import (
     CostWeights,
+    Features,
     ObservedBox,
     cost_content,
     cost_distance,
@@ -258,40 +259,52 @@ def observations(draw, frame: FrameRaster, homography: Homography, reach: int) -
 
 @st.composite
 def scored_frames(draw):
-    """Detections of one frame against representatives from up to two others."""
+    """Detections of one frame against representatives from up to two
+    others, each frame as (homography, frame, observations)."""
     win = draw(st.sampled_from([PatchWindow(1), PatchWindow()]))
     reach = win.half_extent + 1
     det_frame, det_h = draw(frames()), draw(homographies)
     dets = draw(st.lists(observations(det_frame, det_h, reach), min_size=1, max_size=4))
-    sources = draw(st.lists(st.tuples(frames(), homographies), min_size=1, max_size=2))
+    sources = draw(st.lists(st.tuples(homographies, frames()), min_size=1, max_size=2))
+    picks = draw(st.lists(st.integers(0, len(sources) - 1), min_size=1, max_size=5))
     reps = [
-        draw(observations(*draw(st.sampled_from(sources)), reach))
-        for _ in range(draw(st.integers(1, 5)))
+        (h, frame, [draw(observations(frame, h, reach)) for _ in range(picks.count(s))])
+        for s, (h, frame) in enumerate(sources)
     ]
     alpha = draw(st.floats(0.0, 1.0))
     weights = CostWeights(alpha, draw(st.floats(0.0, 1.0 - alpha)))
     dims = FrameDims(draw(st.integers(1, 60)), draw(st.integers(1, 60)))
-    return dets, reps, weights, dims, win
+    return (det_h, det_frame, dets), reps, weights, dims, win
+
+
+def features_of(homography, frame, observed, win=PatchWindow()) -> Features:
+    """features of observations that all lie in `frame` under `homography`."""
+    return features([o.detection for o in observed], homography, frame, win)
 
 
 class TestCostMatrix:
     @given(scored_frames())
     @settings(max_examples=200)
     def test_equals_similarity_cost_bit_for_bit(self, scene):
-        dets, reps, weights, dims, win = scene
-        expected = [[similarity_cost(d, r, weights, dims, win) for r in reps] for d in dets]
-        assert cost_matrix(features(dets, win), features(reps, win), weights, dims).tolist() == expected
+        dets, sources, weights, dims, win = scene
+        reps = [r for _, _, observed in sources for r in observed]
+        expected = [[similarity_cost(d, r, weights, dims, win) for r in reps] for d in dets[2]]
+        # one features call per source frame, concatenated as match_frame scores its window
+        rows = features_of(*dets, win)
+        columns = [cost_matrix(rows, features_of(*source, win), weights, dims) for source in sources]
+        assert np.concatenate(columns, axis=1).tolist() == expected
 
     def test_distance_rounds_like_math_hypot(self):
         # np.hypot(dx, dy) is one ulp above math.hypot here
         a = obs(det_with_parts([(0, 7.416754906970224, 24.12183124566043)]))
         b = obs(det_with_parts([(0, 0.0, 0.0)]))
         distance_only = CostWeights(1.0, 0.0)
-        scored = cost_matrix(features([a]), features([b]), distance_only, DIMS)
+        rows, cols = features_of(a.homography, a.frame, [a]), features_of(b.homography, b.frame, [b])
+        scored = cost_matrix(rows, cols, distance_only, DIMS)
         assert scored[0, 0] == cost_distance(a, b, DIMS)
 
     def test_shape_of_an_empty_side(self):
         a = obs(det_with_parts([(0, 100.0, 100.0)]))
-        a, none = features([a]), features([])
+        a, none = features_of(a.homography, a.frame, [a]), features_of(a.homography, a.frame, [])
         assert cost_matrix(a, none, default_weights(), DIMS).shape == (1, 0)
         assert cost_matrix(none, a, default_weights(), DIMS).shape == (0, 1)

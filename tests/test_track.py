@@ -6,14 +6,13 @@ import weakref
 import numpy as np
 import pytest
 
-from courttrack.cost import Features, ObservedBox, features
+from courttrack.cost import Features, features
 from courttrack.detect import Detection, Keypoint, SourceStage
 from courttrack.geometry import FrameDims, Homography, Point2
 from courttrack.imaging import FrameRaster
 from courttrack.metrics import eval_mot_records, write_mot_csv
 from courttrack.synth import ScenarioSpec, brute_force_assignment, generate
 from courttrack.track import (
-    CostMatrix,
     FrameObservations,
     MatchConfig,
     match_frame,
@@ -25,8 +24,8 @@ DIMS = FrameDims(200, 200)
 GRAY = FrameRaster.filled(DIMS, (90, 90, 90))
 
 
-def mat(entries, pad=100.0) -> CostMatrix:
-    return CostMatrix(np.array(entries, dtype=float), pad)
+def solve(entries, pad=100.0) -> list[tuple[int, int]]:
+    return solve_assignment(np.array(entries, dtype=float), pad)
 
 
 def det_box(x0, y0, x1, y1) -> Detection:
@@ -36,7 +35,7 @@ def det_box(x0, y0, x1, y1) -> Detection:
 
 def frame_features(*boxes) -> Features:
     """Features of one frame's detections, one per (x0, y0, x1, y1) box."""
-    return features([ObservedBox(det_box(*b), Homography.identity(), GRAY) for b in boxes])
+    return features([det_box(*b) for b in boxes], Homography.identity(), GRAY)
 
 
 def frames_by_id(rows) -> dict[int, list[int]]:
@@ -49,13 +48,13 @@ def frames_by_id(rows) -> dict[int, list[int]]:
 
 class TestSolveAssignment:
     def test_single_cell(self):
-        assert solve_assignment(mat([[0.2]])) == [(0, 0)]
+        assert solve([[0.2]]) == [(0, 0)]
 
     def test_diagonal_dominance(self):
-        assert solve_assignment(mat([[1.0, 10.0], [10.0, 1.0]])) == [(0, 0), (1, 1)]
+        assert solve([[1.0, 10.0], [10.0, 1.0]]) == [(0, 0), (1, 1)]
 
     def test_anti_diagonal(self):
-        assert solve_assignment(mat([[10.0, 1.0], [1.0, 10.0]])) == [(0, 1), (1, 0)]
+        assert solve([[10.0, 1.0], [1.0, 10.0]]) == [(0, 1), (1, 0)]
 
     def test_matches_brute_force_on_random_matrices(self):
         rng = random.Random(2024)
@@ -63,50 +62,52 @@ class TestSolveAssignment:
             rows = rng.randrange(1, 8)
             cols = rng.randrange(1, 8)
             entries = [[rng.random() for _ in range(cols)] for _ in range(rows)]
-            m = mat(entries)
-            pairs = solve_assignment(m)
-            total = math.fsum(m.entries[r, c] for r, c in pairs)
+            m = np.array(entries)
+            pairs = solve_assignment(m, 100.0)
+            total = math.fsum(m[r, c] for r, c in pairs)
             _, oracle_total = brute_force_assignment(m)
             assert total == oracle_total
 
     def test_row_constant_shift_moves_total_by_constant(self):
         entries = [[3.0, 7.0, 1.0], [4.0, 2.0, 9.0], [8.0, 5.0, 6.0]]
-        base = mat(entries)
-        base_total = sum(base.entries[r, c] for r, c in solve_assignment(base))
+        base = np.array(entries)
+        base_total = sum(base[r, c] for r, c in solve(base))
         shifted = [row[:] for row in entries]
         shifted[1] = [v + 11.0 for v in shifted[1]]
-        new = mat(shifted)
-        new_total = sum(new.entries[r, c] for r, c in solve_assignment(new))
+        new = np.array(shifted)
+        new_total = sum(new[r, c] for r, c in solve(new))
         assert new_total == base_total + 11.0
 
     def test_column_constant_shift_moves_total_by_constant(self):
         entries = [[3.0, 7.0, 1.0], [4.0, 2.0, 9.0], [8.0, 5.0, 6.0]]
-        base = mat(entries)
-        base_total = sum(base.entries[r, c] for r, c in solve_assignment(base))
+        base = np.array(entries)
+        base_total = sum(base[r, c] for r, c in solve(base))
         shifted = [[v + (5.0 if c == 2 else 0.0) for c, v in enumerate(row)] for row in entries]
-        new = mat(shifted)
-        new_total = sum(new.entries[r, c] for r, c in solve_assignment(new))
+        new = np.array(shifted)
+        new_total = sum(new[r, c] for r, c in solve(new))
         assert new_total == base_total + 5.0
 
     def test_ties_resolve_lexicographically(self):
         # scipy's tie rules give the identity on a constant matrix
-        assert solve_assignment(mat([[1.0, 1.0], [1.0, 1.0]])) == [(0, 0), (1, 1)]
-        assert solve_assignment(mat([[0.0] * 3] * 3)) == [(0, 0), (1, 1), (2, 2)]
+        assert solve([[1.0, 1.0], [1.0, 1.0]]) == [(0, 0), (1, 1)]
+        assert solve([[0.0] * 3] * 3) == [(0, 0), (1, 1), (2, 2)]
 
     def test_wide_matrix_excludes_dummy_rows(self):
-        pairs = solve_assignment(mat([[1.0, 5.0, 0.1], [5.0, 0.2, 9.0]]))
+        pairs = solve([[1.0, 5.0, 0.1], [5.0, 0.2, 9.0]])
         assert pairs == [(0, 2), (1, 1)]
 
     def test_tall_matrix_excludes_dummy_columns(self):
-        pairs = solve_assignment(mat([[9.0, 9.0], [0.1, 9.0], [9.0, 0.2]]))
+        pairs = solve([[9.0, 9.0], [0.1, 9.0], [9.0, 0.2]])
         assert pairs == [(1, 0), (2, 1)]
 
     def test_empty_matrix(self):
-        assert solve_assignment(mat(np.zeros((0, 3)))) == []
+        assert solve(np.zeros((0, 3))) == []
 
     def test_nonfinite_entries_rejected(self):
         with pytest.raises(ValueError):
-            mat([[1.0, float("inf")]])
+            solve([[1.0, float("inf")]])
+        with pytest.raises(ValueError):
+            solve([[1.0]], pad=float("nan"))
 
 
 A = (50, 50, 70, 90)
