@@ -141,11 +141,19 @@ SETTINGS = {
     "extra_dropout": Setting(float, SCENE.extra_dropout, "share of single-frame drops", *UNIT_INTERVAL),
 }
 
+# court variant -> (the settings it requires, the others it reads); a
+# court run rejects the settings that only the other variant reads
+COURT_VARIANTS = {
+    "european": (("frames", "hsv"), ()),
+    "nba": (("mask",), ("step", "drop_tol")),
+}
+VARIANT_SETTINGS = tuple(name for needs, reads in COURT_VARIANTS.values() for name in needs + reads)
+
 # command -> (the settings it requires, the others it reads), as flags and as config-file keys
 COMMAND_SETTINGS = {
     "track": (("frames", "detections", "homographies", "out"), ("alpha", "beta", "gate", "memory", "patch")),
     "eval": (("mode", "gt", "hyp"), ("out", "mot_iou")),
-    "court": (("court", "segments"), ("frames", "mask", "hsv", "candidates", "step", "drop_tol", "out")),
+    "court": (("court", "segments"), ("candidates", "out") + VARIANT_SETTINGS),
     "synth": (("out",), ("seed", "targets", "num_frames", "width", "height", "pan", "dropout", "jitter",
                          "extra_dropout")),
 }
@@ -181,11 +189,27 @@ def resolve_settings(args: argparse.Namespace) -> None:
 
     An unset required setting, or a flag or config-file value out of its
     range, is an InputFormatError; a config-file one names file, line and key.
+    A court run requires its variant's settings, and a flag or config-file
+    value of a setting only the other variant reads is an InputFormatError.
     """
     required, optional = COMMAND_SETTINGS[args.command]
     from_file = read_config_file(args.config, required + optional) if args.config else {}
     for name, (value, line) in from_file.items():
         SETTINGS[name].check(value, args.config, line, field=name)
+    run = f"the {args.command} command"
+    if args.command == "court" and (args.court or "court" in from_file):
+        variant = args.court or from_file["court"][0]
+        needs, reads = COURT_VARIANTS[variant]
+        run = f"court --court {variant}"
+        for name in VARIANT_SETTINGS:
+            if name in needs + reads:
+                continue
+            if getattr(args, name) is not None:
+                raise InputFormatError(name, f"not read by {run}")
+            if name in from_file:
+                raise InputFormatError(args.config, f"not read by {run}", line=from_file[name][1], field=name)
+        required += needs
+        optional = tuple(name for name in optional if name not in VARIANT_SETTINGS) + reads
     for name in required + optional:
         value = getattr(args, name)
         if value is None:
@@ -193,7 +217,7 @@ def resolve_settings(args: argparse.Namespace) -> None:
         else:
             SETTINGS[name].check(value, name)
         if value is None and name in required:
-            raise InputFormatError(name, f"required for the {args.command} command")
+            raise InputFormatError(name, f"required for {run}")
         setattr(args, name, value)
 
 
@@ -357,10 +381,6 @@ def cmd_court(args: argparse.Namespace) -> int:
     segments = read_segments_csv(args.segments)
 
     if args.court == "european":
-        if args.frames is None:
-            raise InputFormatError("frames", "european variant needs a frame image")
-        if args.hsv is None:
-            raise InputFormatError("hsv", "european variant needs an --hsv filter")
         frame_path = Path(args.frames)
         if frame_path.is_dir():
             frame_path = frame_path / (FRAME_FILE_PATTERN % 0)
@@ -385,8 +405,6 @@ def cmd_court(args: argparse.Namespace) -> int:
             pass
         region = CourtRegion.from_boundaries(top, bottom, left, right, dims)
     else:
-        if args.mask is None:
-            raise InputFormatError("mask", "nba variant needs a people-mask")
         mask = read_pgm(args.mask)
         dims = mask.dims
         votes = vote_dominant_lines(segments, dims)[: args.candidates]

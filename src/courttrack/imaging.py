@@ -235,15 +235,20 @@ def _read_pnm_header(data: bytes, path, magic: bytes) -> tuple[int, int, int]:
     return w, h, i + 1
 
 
+def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
+    """The (h, w, channels) uint8 pixels of a binary PNM file that holds
+    exactly one image: any other byte count after the header is an error."""
+    data = Path(path).read_bytes()
+    w, h, offset = _read_pnm_header(data, path, magic)
+    need, got = w * h * channels, len(data) - offset
+    if got != need:
+        raise InputFormatError(path, f"expected {need} pixel bytes after the header, got {got}")
+    return np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(h, w, channels)
+
+
 def read_ppm(path) -> FrameRaster:
     """Read a binary PPM (P6, maxval 255) frame."""
-    data = Path(path).read_bytes()
-    w, h, offset = _read_pnm_header(data, path, b"P6")
-    need = w * h * 3
-    raw = data[offset : offset + need]
-    if len(raw) != need:
-        raise InputFormatError(path, f"expected {need} pixel bytes, got {len(raw)}")
-    return FrameRaster(np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3))
+    return FrameRaster(_read_pnm(path, b"P6", 3))
 
 
 def write_ppm(frame: FrameRaster, path) -> None:
@@ -254,13 +259,7 @@ def write_ppm(frame: FrameRaster, path) -> None:
 
 def read_pgm(path) -> BinaryMask:
     """Read a binary PGM (P5) mask; any nonzero byte is a people-pixel."""
-    data = Path(path).read_bytes()
-    w, h, offset = _read_pnm_header(data, path, b"P5")
-    need = w * h
-    raw = data[offset : offset + need]
-    if len(raw) != need:
-        raise InputFormatError(path, f"expected {need} pixel bytes, got {len(raw)}")
-    return BinaryMask(np.frombuffer(raw, dtype=np.uint8).reshape(h, w) != 0)
+    return BinaryMask(_read_pnm(path, b"P5", 1)[:, :, 0] != 0)
 
 
 def write_pgm(mask: BinaryMask, path) -> None:

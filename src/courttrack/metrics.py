@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyGroundTruth, InputFormatError, open_text, text_lines
 from .geometry import BBox, iou
-from .track import GroundTruthBox, linear_sum_assignment
+from .track import GroundTruthBox, solve_assignment
 
 MOT_IOU_THRESHOLD = 0.5
 TRACK_CSV_HEADER = ["frame", "id", "x_min", "y_min", "width", "height"]
@@ -166,8 +166,7 @@ def eval_mot_records(
                     overlap = iou(gt_left[gid], hyp_left[hid])
                     if overlap > iou_threshold:
                         gains[i, j] = overlap
-            rows, cols = linear_sum_assignment(-gains)
-            for i, j in zip(rows, cols):
+            for i, j in solve_assignment(-gains):
                 if gains[i, j] > 0.0:
                     gid, hid = free_gt[i], free_hyp[j]
                     frame_matches[gid] = hid

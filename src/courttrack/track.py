@@ -52,16 +52,19 @@ class GroundTruthBox:
     bbox: BBox
 
 
-def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-cost rectangular assignment: (rows, cols).
+def solve_assignment(cost) -> list[tuple[int, int]]:
+    """Minimum-cost rectangular assignment: its (row, column) pairs, sorted by row.
 
-    A numpy port of scipy.optimize.linear_sum_assignment: Crouse's
-    shortest augmenting path ("On implementing 2D rectangular assignment
-    algorithms", IEEE TAES 2016; Jonker & Volgenant 1987). It keeps
-    scipy's tie rules, so it picks the same pairs, ties included: the
-    remaining columns are scanned in swap-remove order, an unassigned
-    column wins an equal path length, and a tall matrix is solved
-    transposed, then its pairs are sorted by row.
+    scipy's rectangular LSAP solver written out on Python lists:
+    Crouse's shortest augmenting path ("On implementing 2D rectangular
+    assignment algorithms", IEEE TAES 2016; Jonker & Volgenant 1987).
+    It keeps scipy's tie rules, so it picks the same pairs, ties
+    included: the remaining columns are scanned in swap-remove order, an
+    unassigned column wins an equal path length, and a tall matrix is
+    solved transposed. Every row of a wide matrix, and every column of a
+    tall one, is matched. +inf is a forbidden cell; a matrix that is not
+    2-d, holds nan or -inf, or has no complete finite matching is a
+    ValueError.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2:
@@ -69,48 +72,45 @@ def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
     if np.isnan(c).any() or (c == -np.inf).any():
         raise ValueError("cost matrix contains nan or -inf entries")
     transpose = c.shape[1] < c.shape[0]
-    if transpose:
-        c = c.T
-    nr, nc = c.shape
-    u = np.zeros(nr)
-    v = np.zeros(nc)
-    col4row = np.full(nr, -1, dtype=np.intp)
-    row4col = np.full(nc, -1, dtype=np.intp)
-    path = np.full(nc, -1, dtype=np.intp)
+    rows = (c.T if transpose else c).tolist()
+    nr, nc = sorted(c.shape)  # solved with no more rows than columns
+    u = [0.0] * nr
+    v = [0.0] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    path = [-1] * nc
     for cur_row in range(nr):
         # Dijkstra over reduced costs from cur_row to the nearest unassigned column
-        dist = np.full(nc, np.inf)
-        in_rows = np.zeros(nr, dtype=bool)
-        in_cols = np.zeros(nc, dtype=bool)
-        remaining = np.arange(nc - 1, -1, -1)  # reversed: a constant matrix gives the identity
-        n_remaining = nc
+        dist = [math.inf] * nc
+        remaining = list(range(nc - 1, -1, -1))  # reversed: a constant matrix gives the identity
+        scanned = []
         min_val = 0.0
         i = cur_row
         while True:
-            in_rows[i] = True
-            rem = remaining[:n_remaining]
-            reduced = min_val + c[i, rem] - u[i] - v[rem]
-            shorter = reduced < dist[rem]
-            path[rem[shorter]] = i
-            dist[rem[shorter]] = reduced[shorter]
-            scanned = dist[rem]
-            min_val = scanned.min()
-            if min_val == np.inf:
+            row, ui = rows[i], u[i]
+            lowest, index = math.inf, -1
+            for k, j in enumerate(remaining):
+                d = min_val + row[j] - ui - v[j]
+                if d < dist[j]:
+                    path[j] = i
+                    dist[j] = d
+                else:
+                    d = dist[j]
+                if d < lowest or (d == lowest and row4col[j] == -1):
+                    lowest, index = d, k
+            min_val = lowest
+            if min_val == math.inf:
                 raise ValueError("cost matrix is infeasible")
-            ties = np.flatnonzero(scanned == min_val)
-            free = ties[row4col[rem[ties]] == -1]
-            index = free[-1] if free.size else ties[0]
-            j = rem[index]
-            in_cols[j] = True
-            n_remaining -= 1
-            remaining[index] = remaining[n_remaining]
+            remaining[index], remaining[-1] = remaining[-1], remaining[index]
+            j = remaining.pop()
             if row4col[j] == -1:
                 break
+            scanned.append(j)
             i = row4col[j]
         u[cur_row] += min_val
-        in_rows[cur_row] = False
-        u[in_rows] += min_val - dist[col4row[in_rows]]
-        v[in_cols] -= min_val - dist[in_cols]
+        for k in scanned:  # the columns passed on the way and the rows that held them
+            u[row4col[k]] += min_val - dist[k]
+            v[k] -= min_val - dist[k]
         while True:  # augment along the path back to cur_row
             i = path[j]
             row4col[j] = i
@@ -118,30 +118,8 @@ def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
             if i == cur_row:
                 break
     if transpose:
-        order = np.argsort(col4row)
-        return col4row[order], order
-    return np.arange(nr), col4row
-
-
-def solve_assignment(entries: np.ndarray, pad: float) -> list[tuple[int, int]]:
-    """Minimum-cost matching of the 2-d `entries`, squared up with `pad` cells.
-
-    One linear_sum_assignment solve per matrix, so among equal-cost
-    optima the pairs are those scipy's tie rules pick, the same rule
-    that eval's CLEAR-MOT matching uses. Pairs touching dummy rows or
-    columns are dropped from the result. A non-finite entry or pad is a
-    ValueError: the solver would take +inf as a forbidden cell.
-    """
-    n_rows, n_cols = entries.shape
-    if not (math.isfinite(pad) and np.isfinite(entries).all()):
-        raise ValueError("cost entries and pad must be finite")
-    if n_rows == 0 or n_cols == 0:
-        return []
-    size = max(n_rows, n_cols)
-    padded = np.full((size, size), pad, dtype=float)
-    padded[:n_rows, :n_cols] = entries
-    rows, cols = linear_sum_assignment(padded)
-    return [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if r < n_rows and c < n_cols]
+        return sorted((r, k) for k, r in enumerate(col4row))
+    return list(enumerate(col4row))
 
 
 def match_frame(
@@ -156,7 +134,9 @@ def match_frame(
     detections' features and the id of each, so the eligible ids are
     exactly the ones found there. The cost of a (detection, id) pair is
     the minimum similarity against that id's detections in the window;
-    costs above the gate are treated as impossible. The detections left
+    costs above the gate are treated as impossible. One solve_assignment
+    per frame, so among equal-cost optima scipy's tie rules pick the
+    pairs, as in eval's CLEAR-MOT matching. The detections left
     unmatched are for the caller to give new ids.
     """
     eligible = sorted({track_id for _, owners in window for track_id in owners})
@@ -168,9 +148,7 @@ def match_frame(
     for reps, owners in window:
         cols = [column[track_id] for track_id in owners]  # at most one detection per id and frame
         raw[:, cols] = np.minimum(raw[:, cols], cost_matrix(dets, reps, cfg.weights, dims))
-    pad = 10.0 * cfg.gate if math.isfinite(cfg.gate) else 10.0 * (1.0 + float(raw.max()))
-    clamped = np.where(raw <= cfg.gate, raw, pad)
-    pairs = solve_assignment(clamped, pad)
+    pairs = solve_assignment(np.where(raw <= cfg.gate, raw, 10.0 * cfg.gate))
     return {i: eligible[j] for i, j in pairs if raw[i, j] <= cfg.gate}
 
 

@@ -62,7 +62,7 @@ def test_criterion_1_assignment_optimality():
         rows = rng.randrange(1, 8)
         cols = rng.randrange(1, 8)
         entries = np.array([[rng.random() for _ in range(cols)] for _ in range(rows)])
-        pairs = solve_assignment(entries, 100.0)
+        pairs = solve_assignment(entries)
         total = math.fsum(entries[r, c] for r, c in pairs)
         _, oracle_total = brute_force_assignment(entries)
         assert total == oracle_total, f"solver {total} != brute force {oracle_total}"

@@ -554,6 +554,57 @@ class TestCourtCommand:
         a, b, c = payload[side]
         assert abs(-c / a - side_x) < 1e-6
 
+    def variant_args(self, tmp_path, variant, out_json):
+        """A court run of `variant` on its planted input that exits 0."""
+        if variant == "nba":
+            return self.planted_nba_args(tmp_path, out_json)
+        return self.planted_european_args(tmp_path) + ["--hsv", "90:150,0.4:1,0.2:1", "--out", str(out_json)]
+
+    @pytest.mark.parametrize(
+        "variant, flag, value",
+        [
+            ("european", "--mask", "mask.pgm"),
+            ("european", "--step", "7"),
+            ("european", "--drop-tol", "0.2"),
+            ("nba", "--frames", "frame.ppm"),
+            ("nba", "--hsv", "90:150,0.4:1,0.2:1"),
+        ],
+    )
+    def test_other_variant_flag_rejected(self, tmp_path, capsys, variant, flag, value):
+        out_json = tmp_path / "court.json"
+        code, out, err = run(capsys, *self.variant_args(tmp_path, variant, out_json), flag, value)
+        assert code == 1 and not out
+        assert flag.lstrip("-").replace("-", "_") in err and f"--court {variant}" in err
+        assert not out_json.exists()
+
+    @pytest.mark.parametrize("variant, key", [("european", "drop_tol=0.2"), ("nba", "frames=frame.ppm")])
+    def test_other_variant_config_key_rejected(self, tmp_path, capsys, variant, key):
+        out_json = tmp_path / "court.json"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"candidates=4\n{key}\n")
+        argv = self.variant_args(tmp_path, variant, out_json) + ["--config", str(config)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert "run.cfg:2" in err and key.partition("=")[0] in err
+        assert not out_json.exists()
+
+    @pytest.mark.parametrize("variant, dropped", [("european", "--hsv"), ("european", "--frames"), ("nba", "--mask")])
+    @pytest.mark.parametrize("variant_in_config", [False, True])
+    def test_variant_setting_required(self, tmp_path, capsys, variant, dropped, variant_in_config):
+        out_json = tmp_path / "court.json"
+        argv = self.variant_args(tmp_path, variant, out_json)
+        at = argv.index(dropped)
+        del argv[at : at + 2]
+        if variant_in_config:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"court={variant}\n")
+            at = argv.index("--court")
+            argv[at : at + 2] = ["--config", str(config)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert dropped.lstrip("-") in err and f"--court {variant}" in err
+        assert not out_json.exists()
+
     def test_no_segments_is_input_error(self, tmp_path, capsys):
         (tmp_path / "segments.csv").write_text("")
         bits = np.ones((50, 50), dtype=bool)

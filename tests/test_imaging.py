@@ -143,11 +143,20 @@ class TestPnmIO:
         with pytest.raises(InputFormatError):
             read_ppm(path)
 
-    def test_truncated_pixels_rejected(self, tmp_path):
-        path = tmp_path / "short.ppm"
-        path.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
-        with pytest.raises(InputFormatError):
-            read_ppm(path)
+    @pytest.mark.parametrize("reader, magic, channels", [(read_ppm, b"P6", 3), (read_pgm, b"P5", 1)])
+    @pytest.mark.parametrize("tail", ["one_byte_short", "one_byte_extra", "appended_image"])
+    def test_truncated_pixels_rejected(self, tmp_path, reader, magic, channels, tail):
+        # a frame or mask file holds exactly one image
+        header = magic + b"\n2 2\n255\n"
+        image = header + bytes(range(1, 4 * channels + 1))
+        data = {"one_byte_short": image[:-1], "one_byte_extra": image + b"\0", "appended_image": image + image}[tail]
+        path = tmp_path / "frame.pnm"
+        path.write_bytes(data)
+        with pytest.raises(InputFormatError) as err:
+            reader(path)
+        message = str(err.value)
+        assert str(path) in message
+        assert f"expected {4 * channels} pixel bytes" in message and f"got {len(data) - len(header)}" in message
 
     @pytest.mark.parametrize("reader, magic", [(read_ppm, b"P6"), (read_pgm, b"P5")])
     @pytest.mark.parametrize("size", [b"0 0", b"0 4", b"3 0"])

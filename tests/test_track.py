@@ -24,8 +24,8 @@ DIMS = FrameDims(200, 200)
 GRAY = FrameRaster.filled(DIMS, (90, 90, 90))
 
 
-def solve(entries, pad=100.0) -> list[tuple[int, int]]:
-    return solve_assignment(np.array(entries, dtype=float), pad)
+def solve(entries) -> list[tuple[int, int]]:
+    return solve_assignment(np.array(entries, dtype=float))
 
 
 def det_box(x0, y0, x1, y1) -> Detection:
@@ -63,7 +63,7 @@ class TestSolveAssignment:
             cols = rng.randrange(1, 8)
             entries = [[rng.random() for _ in range(cols)] for _ in range(rows)]
             m = np.array(entries)
-            pairs = solve_assignment(m, 100.0)
+            pairs = solve_assignment(m)
             total = math.fsum(m[r, c] for r, c in pairs)
             _, oracle_total = brute_force_assignment(m)
             assert total == oracle_total
@@ -105,9 +105,8 @@ class TestSolveAssignment:
 
     def test_nonfinite_entries_rejected(self):
         with pytest.raises(ValueError):
-            solve([[1.0, float("inf")]])
-        with pytest.raises(ValueError):
-            solve([[1.0]], pad=float("nan"))
+            solve([[1.0, float("nan")]])
+        assert solve([[float("inf"), 1.0], [0.5, 2.0]]) == [(0, 1), (1, 0)]
 
 
 A = (50, 50, 70, 90)
