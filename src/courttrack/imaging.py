@@ -4,11 +4,15 @@ Rasters and masks wrap read-only numpy arrays; every operation here is
 pure, so values can be shared freely across threads.
 
 PPM (P6) is the conformance format for frames and PGM (P5) for masks.
+A frame file is mapped read-only and its raster is a view of the map, so
+only the pages that a caller touches are ever read.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -19,22 +23,43 @@ from .errors import EmptyOverlap, InputFormatError
 from .geometry import FrameDims, Point2
 
 
+def _read_only(data, dtype) -> np.ndarray:
+    """`data` itself when it is a read-only C-contiguous ndarray of
+    `dtype`, else a read-only copy of it.
+
+    Only a writeable source can change under the wrapper, so only that
+    is copied; a read-only view of a mapped file stays a view. A strided
+    view such as a crop is copied too, so that it does not keep its whole
+    parent alive.
+    """
+    if (
+        type(data) is np.ndarray
+        and data.dtype == dtype
+        and data.flags.c_contiguous
+        and not data.flags.writeable
+    ):
+        return data
+    arr = np.array(data, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 class FrameRaster:
     """RGB frame stored as a read-only (h, w, 3) uint8 array."""
 
     __slots__ = ("data",)
 
     def __init__(self, data) -> None:
-        arr = np.array(data, dtype=np.uint8)
+        arr = _read_only(data, np.uint8)
         if arr.ndim != 3 or arr.shape[2] != 3 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"frame raster needs shape (h, w, 3), got {arr.shape}")
-        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @classmethod
     def filled(cls, dims: FrameDims, color: tuple[int, int, int]) -> "FrameRaster":
         arr = np.empty((dims.h, dims.w, 3), dtype=np.uint8)
         arr[:, :] = color
+        arr.flags.writeable = False
         return cls(arr)
 
     @property
@@ -48,10 +73,9 @@ class BinaryMask:
     __slots__ = ("bits",)
 
     def __init__(self, bits) -> None:
-        arr = np.array(bits, dtype=bool)
+        arr = _read_only(bits, bool)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"mask needs shape (h, w), got {arr.shape}")
-        arr.flags.writeable = False
         object.__setattr__(self, "bits", arr)
 
     @property
@@ -177,7 +201,9 @@ def resize_nearest(frame: FrameRaster, dims: FrameDims) -> FrameRaster:
     h, w = frame.data.shape[:2]
     ys = np.minimum((np.arange(dims.h) * h / dims.h).astype(int), h - 1)
     xs = np.minimum((np.arange(dims.w) * w / dims.w).astype(int), w - 1)
-    return FrameRaster(frame.data[np.ix_(ys, xs)])
+    arr = frame.data[np.ix_(ys, xs)]
+    arr.flags.writeable = False
+    return FrameRaster(arr)
 
 
 def crop(frame: FrameRaster, x0: int, y0: int, w: int, h: int) -> FrameRaster:
@@ -193,7 +219,7 @@ def crop(frame: FrameRaster, x0: int, y0: int, w: int, h: int) -> FrameRaster:
 MAX_HEADER_DIGITS = 9  # a PNM width, height or maxval of at most 999,999,999
 
 
-def _read_pnm_header(data: bytes, path, magic: bytes) -> tuple[int, int, int]:
+def _read_pnm_header(data: bytes | mmap.mmap, path, magic: bytes) -> tuple[int, int, int]:
     """Width, height and pixel offset of a binary PNM with maxval 255.
 
     Reads the three ASCII header numbers after the magic, skipping
@@ -237,8 +263,17 @@ def _read_pnm_header(data: bytes, path, magic: bytes) -> tuple[int, int, int]:
 
 def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
     """The (h, w, channels) uint8 pixels of a binary PNM file that holds
-    exactly one image: any other byte count after the header is an error."""
-    data = Path(path).read_bytes()
+    exactly one image: any other byte count after the header is an error.
+
+    The result is a read-only view of the file mapped read-only; the map
+    is released with the last array that views it.
+    """
+    with open(path, "rb") as fh:
+        # mmap refuses an empty file; the header check then names the path
+        if os.fstat(fh.fileno()).st_size == 0:
+            data = b""
+        else:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     w, h, offset = _read_pnm_header(data, path, magic)
     need, got = w * h * channels, len(data) - offset
     if got != need:
@@ -259,7 +294,9 @@ def write_ppm(frame: FrameRaster, path) -> None:
 
 def read_pgm(path) -> BinaryMask:
     """Read a binary PGM (P5) mask; any nonzero byte is a people-pixel."""
-    return BinaryMask(_read_pnm(path, b"P5", 1)[:, :, 0] != 0)
+    bits = _read_pnm(path, b"P5", 1)[:, :, 0] != 0
+    bits.flags.writeable = False
+    return BinaryMask(bits)
 
 
 def write_pgm(mask: BinaryMask, path) -> None:

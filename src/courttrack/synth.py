@@ -242,6 +242,7 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
                 det_box = BBox(xs[0], ys[0], xs[1], ys[1])
             frame_dets.append(_stencil_detection(det_box, SourceStage.EXTERNAL))
         detections[t] = frame_dets
+        raster.flags.writeable = False
         frames.append(FrameRaster(raster))
 
     return SyntheticSequence(spec, gt, detections, homographies, frames)

@@ -1,4 +1,5 @@
 import colorsys
+import mmap
 import random
 
 import numpy as np
@@ -175,7 +176,58 @@ class TestPnmIO:
             reader(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("reader, magic, channels", [(read_ppm, b"P6", 3), (read_pgm, b"P5", 1)])
+    @pytest.mark.parametrize("header_only", [False, True], ids=["zero_bytes", "header_only"])
+    def test_empty_or_header_only_file_names_it(self, tmp_path, reader, magic, channels, header_only):
+        # a zero-byte file cannot be mapped; it must still fail as an input error
+        path = tmp_path / "frame.pnm"
+        path.write_bytes(magic + b"\n2 2\n255\n" if header_only else b"")
+        with pytest.raises(InputFormatError) as err:
+            reader(path)
+        message = str(err.value)
+        assert str(path) in message
+        if header_only:
+            assert f"expected {4 * channels} pixel bytes after the header, got 0" in message
+        else:
+            assert f"expected {magic.decode()} magic, got b''" in message
+
+    def test_read_frame_is_a_read_only_view_of_the_file(self, tmp_path):
+        path = tmp_path / "frame.ppm"
+        write_ppm(FrameRaster.filled(FrameDims(4, 3), (1, 2, 3)), path)
+        data = read_ppm(path).data
+        assert type(data) is np.ndarray
+        assert not data.flags.writeable
+        base = data
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+
     def test_raster_is_read_only(self):
         frame = FrameRaster.filled(FrameDims(4, 4), (1, 2, 3))
         with pytest.raises(ValueError):
             frame.data[0, 0, 0] = 9
+
+
+# each wrapper with a source array holding more than one value, and its field
+WRAPPERS = [
+    pytest.param(FrameRaster, lambda: np.arange(18, dtype=np.uint8).reshape(2, 3, 3), "data", id="raster"),
+    pytest.param(BinaryMask, lambda: np.arange(6).reshape(2, 3) % 2 == 0, "bits", id="mask"),
+]
+
+
+class TestWrapperOwnership:
+    @pytest.mark.parametrize("wrapper, make, field", WRAPPERS)
+    def test_writeable_source_is_copied(self, wrapper, make, field):
+        source = make()
+        held = getattr(wrapper(source), field)
+        before = held.copy()
+        source.fill(0)
+        assert np.array_equal(held, before)
+        assert not np.shares_memory(held, source)
+        assert not held.flags.writeable
+
+    @pytest.mark.parametrize("wrapper, make, field", WRAPPERS)
+    def test_read_only_source_is_shared(self, wrapper, make, field):
+        source = make()
+        source.flags.writeable = False
+        assert np.shares_memory(getattr(wrapper(source), field), source)

@@ -6,10 +6,11 @@ import weakref
 import numpy as np
 import pytest
 
+from courttrack.cli import decode_frames
 from courttrack.cost import Features, features
 from courttrack.detect import Detection, Keypoint, SourceStage
 from courttrack.geometry import FrameDims, Homography, Point2
-from courttrack.imaging import FrameRaster
+from courttrack.imaging import FrameRaster, write_ppm
 from courttrack.metrics import eval_mot_records, write_mot_csv
 from courttrack.synth import ScenarioSpec, brute_force_assignment, generate
 from courttrack.track import (
@@ -36,6 +37,14 @@ def det_box(x0, y0, x1, y1) -> Detection:
 def frame_features(*boxes) -> Features:
     """Features of one frame's detections, one per (x0, y0, x1, y1) box."""
     return features([det_box(*b) for b in boxes], Homography.identity(), GRAY)
+
+
+def buffer_owner(arr):
+    """The object at the root of an array's base chain; for a decoded
+    raster, the memoryview of its file's map."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr
 
 
 def frames_by_id(rows) -> dict[int, list[int]]:
@@ -268,6 +277,35 @@ class TestRunTracker:
         assert frames_by_id(rows) == {0: list(range(30)), 1: list(range(10))}
         assert len(alive_before) == 30
         assert max(alive_before) <= 1
+
+    def test_decoded_frames_release_their_mappings(self, tmp_path):
+        # each decoded raster views its own mapped frame file; the same bound
+        # holds for the rasters and for the memoryviews that hold the maps
+        paths = []
+        for t in range(20):
+            paths.append(tmp_path / f"frame_{t:06d}.ppm")
+            write_ppm(FrameRaster.filled(DIMS, (90, 90, 90)), paths[-1])
+        detections = {t: [det_box(50.0, 50.0, 70.0, 90.0)] for t in range(20)}
+        homographies = {t: Homography.identity() for t in range(20)}
+        rasters, maps = [], []
+        alive_before = []
+
+        def frames():
+            for obs in decode_frames(paths, detections, homographies):
+                gc.collect()
+                alive_before.append(
+                    (sum(ref() is not None for ref in rasters), sum(ref() is not None for ref in maps))
+                )
+                rasters.append(weakref.ref(obs.raster.data))
+                maps.append(weakref.ref(buffer_owner(obs.raster.data)))
+                yield obs
+
+        rows = run_tracker(frames(), MatchConfig())
+        assert frames_by_id(rows) == {0: list(range(20))}
+        assert len(alive_before) == 20
+        assert max(max(counts) for counts in alive_before) <= 1
+        gc.collect()
+        assert all(ref() is None for ref in rasters + maps)
 
     def test_id_stability_when_cross_costs_exceed_gate(self):
         # single-frame dropouts only, and a gate below every inter-target
