@@ -33,6 +33,7 @@ from .detect import read_detections_jsonl, write_detections_jsonl
 from .errors import (
     CourtTrackError,
     DegenerateCourt,
+    DegenerateProjection,
     EmptyGroundTruth,
     InputFormatError,
     NoCandidates,
@@ -329,7 +330,11 @@ def cmd_track(args: argparse.Namespace) -> int:
             raise InputFormatError(
                 path, f"{what} reference frames {sorted(bad)} outside 0..{n - 1}"
             )
-    write_mot_csv(run_tracker(decode_frames(paths, detections, homographies), config), args.out)
+    try:
+        rows = run_tracker(decode_frames(paths, detections, homographies), config)
+    except DegenerateProjection as exc:
+        raise InputFormatError(args.homographies, str(exc), field="h") from None
+    write_mot_csv(rows, args.out)
     return 0
 
 

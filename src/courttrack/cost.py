@@ -9,7 +9,13 @@ The tracker extracts each frame's stabilized centroids, stabilized
 boxes and keypoint patches once with features, and cost_matrix fills
 the matrix of two such feature sets with array operations.
 similarity_cost and its three terms are the scalar reference: every
-entry of cost_matrix equals it bit for bit.
+entry of cost_matrix equals it bit for bit. The float terms perform the
+scalar path's IEEE operations in its order, one elementwise numpy
+operation each. The content term's patch sums (summed-area tables and
+sums of pixel minimums) are integers of patch_sum_dtype: uint32 while a
+whole patch's side * side * 3 channel values of at most 255 cannot
+exceed 2**32 - 1, int64 beyond. They are exact, and they are widened to
+int64 before they are added to one another.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ from .errors import EmptyOverlap
 from .geometry import (
     FrameDims,
     Homography,
-    apply_homography,
     iou,
     normalized_centroid_distance,
+    project_points,
     transform_bbox,
 )
 from .imaging import FrameRaster, PatchWindow, keypoint_patches, patch_mean_abs_diff
@@ -123,14 +129,14 @@ def similarity_cost(
 
 
 @dataclass(frozen=True)
-class _PartPatches:
-    """The patches of one keypoint part across a list of observations."""
+class _KeypointPatches:
+    """The keypoint patches of a list of observations, sorted by part id."""
 
     owners: np.ndarray  # (k,) index of the observation each patch belongs to
     patches: np.ndarray  # (k, side * side * 3) uint8, zero outside the frame
     rects: np.ndarray  # (k, 4) in-frame cell rectangle (y0, y1, x0, x1)
-    integral: np.ndarray  # summed-area tables of channel sums, shared by all parts
-    index: np.ndarray  # (k,) index of each patch's table in `integral`
+    integral: np.ndarray  # (k, side + 1, side + 1) summed-area tables of channel sums
+    parts: dict[int, tuple[int, int]]  # part id -> [start, stop) of its patches
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,17 @@ class Features:
 
     centroids: np.ndarray  # (n, 2) stabilized box centroids
     boxes: np.ndarray  # (n, 4) stabilized boxes (x_min, y_min, x_max, y_max)
-    parts: dict[int, _PartPatches]
+    keypoints: _KeypointPatches
+
+
+def patch_sum_dtype(win: PatchWindow) -> type:
+    """The integer type of sums over one patch's channel values: uint32 where it holds them all.
+
+    A patch holds side * side * 3 values of at most 255 each, so uint32
+    is exact while that bound stays below 2**32 (half_extent <= 1184);
+    wider windows sum in int64.
+    """
+    return np.uint32 if win.cell_count * 3 * 255 <= np.iinfo(np.uint32).max else np.int64
 
 
 def features(
@@ -149,59 +165,95 @@ def features(
     win: PatchWindow = PatchWindow(),
 ) -> Features:
     """Extract the stabilized centroid, box and keypoint patches of one frame's detections."""
-    centroids, boxes = [], []
-    owners, part_ids, points = [], [], []
-    for n, det in enumerate(detections):
-        q = apply_homography(homography, det.bbox.centroid)
-        centroids.append((q.x, q.y))
-        b = transform_bbox(homography, det.bbox)
-        boxes.append((b.x_min, b.y_min, b.x_max, b.y_max))
-        for k in det.keypoints:
-            owners.append(n)
-            part_ids.append(k.part_id)
-            points.append(k.position)
+    n = len(detections)
+    box = np.array(
+        [(d.bbox.x_min, d.bbox.y_min, d.bbox.x_max, d.bbox.y_max) for d in detections], dtype=float
+    ).reshape(n, 4)
+    # per box its centroid (BBox.centroid), then transform_bbox's four corners
+    points = np.empty((n, 5, 2))
+    points[:, 0, 0] = (box[:, 0] + box[:, 2]) / 2.0
+    points[:, 0, 1] = (box[:, 1] + box[:, 3]) / 2.0
+    points[:, 1:] = box[:, [0, 1, 2, 1, 2, 3, 0, 3]].reshape(n, 4, 2)
+    stabilized = project_points(homography, points.reshape(-1, 2)).reshape(n, 5, 2)
+    corners = stabilized[:, 1:]
+    boxes = np.concatenate([corners.min(axis=1), corners.max(axis=1)], axis=1)
 
-    patches, rects = keypoint_patches(raster, points, win)
-    integral = np.zeros((len(owners), win.side + 1, win.side + 1), dtype=np.int64)
+    keypoints = [k for det in detections for k in det.keypoints]
+    part_ids = np.array([k.part_id for k in keypoints], dtype=np.int64)
+    order = np.argsort(part_ids, kind="stable")
+    part_ids = part_ids[order]
+    owners = np.repeat(np.arange(n), [len(det.keypoints) for det in detections])[order]
+    xy = np.array([(k.position.x, k.position.y) for k in keypoints], dtype=float).reshape(-1, 2)
+    patches, rects = keypoint_patches(raster, xy[order], win)
+
+    acc = patch_sum_dtype(win)
+    integral = np.zeros((len(owners), win.side + 1, win.side + 1), dtype=acc)
     cells = integral[:, 1:, 1:]
-    np.add(patches[..., 0], patches[..., 1], out=cells, dtype=np.int64)
+    np.add(patches[..., 0], patches[..., 1], out=cells, dtype=acc)
     cells += patches[..., 2]
     np.cumsum(integral, axis=1, out=integral)
     np.cumsum(integral, axis=2, out=integral)
 
-    owners, part_ids = np.array(owners, dtype=np.int64), np.array(part_ids, dtype=np.int64)
+    ids, starts = np.unique(part_ids, return_index=True)
+    stops = [*starts[1:].tolist(), len(part_ids)]
+    parts = dict(zip(ids.tolist(), zip(starts.tolist(), stops)))
     patches = patches.reshape(len(owners), win.cell_count * 3)
-    parts = {}
-    for part_id in np.unique(part_ids).tolist():
-        sel = np.flatnonzero(part_ids == part_id)
-        parts[part_id] = _PartPatches(owners[sel], patches[sel], rects[sel], integral, sel)
-    return Features(
-        np.array(centroids, dtype=float).reshape(-1, 2),
-        np.array(boxes, dtype=float).reshape(-1, 4),
-        parts,
-    )
+    return Features(stabilized[:, 0], boxes, _KeypointPatches(owners, patches, rects, integral, parts))
 
 
-def _part_content(a: _PartPatches, b: _PartPatches) -> np.ndarray:
-    """patch_mean_abs_diff of every pair of two patch stacks; 1.0 where it is empty."""
-    y0 = np.maximum(a.rects[:, None, 0], b.rects[None, :, 0])
-    y1 = np.minimum(a.rects[:, None, 1], b.rects[None, :, 1])
-    x0 = np.maximum(a.rects[:, None, 2], b.rects[None, :, 2])
-    x1 = np.minimum(a.rects[:, None, 3], b.rects[None, :, 3])
+def _part_content(
+    a: _KeypointPatches, b: _KeypointPatches, shared: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """patch_mean_abs_diff of every pair of patches of one shared part; 1.0 where it is empty.
 
-    def overlap_sum(side: _PartPatches, i: np.ndarray) -> np.ndarray:
-        t = side.integral
-        return t[i, y1, x1] - t[i, y0, x1] - t[i, y1, x0] + t[i, y0, x0]
+    Returns, for every pair, part by part and row-major within a part,
+    its patch in a, its patch in b, the index of its part in shared and
+    its value.
+    """
+    ra = np.array([a.parts[p] for p in shared], dtype=np.int64).reshape(-1, 2)
+    rb = np.array([b.parts[p] for p in shared], dtype=np.int64).reshape(-1, 2)
+    nb = rb[:, 1] - rb[:, 0]
+    size = (ra[:, 1] - ra[:, 0]) * nb
+    ends = np.cumsum(size)
+    # the pairs of a part are a row-major block; q is a pair's place in it
+    part = np.repeat(np.arange(len(shared)), size)
+    q = np.arange(size.sum()) - np.repeat(ends - size, size)
+    i = ra[part, 0] + q // nb[part]
+    j = rb[part, 0] + q % nb[part]
 
     # |p - q| = p + q - 2 min(p, q) on the overlap; every other cell is zero
     # in at least one patch, so there min(p, q) = 0 and the sum of mins may
-    # run over the whole window
-    mins = np.minimum(a.patches[:, None], b.patches[None]).sum(axis=2, dtype=np.int64)
-    total = overlap_sum(a, a.index[:, None]) + overlap_sum(b, b.index[None, :]) - 2 * mins
+    # run over the whole window. That sum is at most side * side * 3 * 255,
+    # so it is exact in the tables' patch_sum_dtype, and uint32 adds up
+    # uint8 values about twice as fast as int64.
+    acc = a.integral.dtype
+    mins = np.empty(len(q), dtype=acc)
+    for (a0, a1), (b0, b1), end, n in zip(ra.tolist(), rb.tolist(), ends.tolist(), size.tolist()):
+        np.minimum(a.patches[a0:a1, None], b.patches[None, b0:b1]).sum(
+            axis=2, dtype=acc, out=mins[end - n : end].reshape(a1 - a0, b1 - b0)
+        )
+
+    pa, pb = a.rects[i], b.rects[j]
+    y0 = np.maximum(pa[:, 0], pb[:, 0])
+    y1 = np.minimum(pa[:, 1], pb[:, 1])
+    x0 = np.maximum(pa[:, 2], pb[:, 2])
+    x1 = np.minimum(pa[:, 3], pb[:, 3])
+
+    def overlap_sum(side: _KeypointPatches, k: np.ndarray) -> np.ndarray:
+        stride = side.integral.shape[2]
+        t = side.integral.reshape(-1)
+        top, bottom = (k * stride + y0) * stride, (k * stride + y1) * stride
+        # rows y0..y1 left of x1, less the same rows left of x0: on a
+        # non-empty overlap every step lies in [0, patch bound], so an
+        # unsigned table never wraps
+        return ((t[bottom + x1] - t[top + x1]) - (t[bottom + x0] - t[top + x0])).astype(np.int64)
+
+    total = overlap_sum(a, i) + overlap_sum(b, j) - 2 * mins.astype(np.int64)
     cells = np.maximum(y1 - y0, 0) * np.maximum(x1 - x0, 0)
     empty = cells == 0
     # diff.mean() divides the integer sum by the channel count, then by 255
-    return np.where(empty, 1.0, total / (3 * np.where(empty, 1, cells)) / 255.0)
+    value = np.where(empty, 1.0, total / (3 * np.where(empty, 1, cells)) / 255.0)
+    return i, j, part, value
 
 
 def cost_matrix(rows: Features, cols: Features, weights: CostWeights, dims: FrameDims) -> np.ndarray:
@@ -229,17 +281,15 @@ def cost_matrix(rows: Features, cols: Features, weights: CostWeights, dims: Fram
     union = union + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter
     overlap = np.divide(inter, union, out=np.zeros((n, m)), where=union > 0.0)
 
-    shared = sorted(rows.parts.keys() & cols.parts.keys())
-    per_part = np.zeros((n, m, len(shared)))
-    n_shared = np.zeros((n, m), dtype=np.int64)
-    for k, part_id in enumerate(shared):
-        ra, cb = rows.parts[part_id], cols.parts[part_id]
-        pairs = np.ix_(ra.owners, cb.owners)
-        per_part[pairs + (k,)] = _part_content(ra, cb)
-        n_shared[pairs] += 1
+    ka, kb = rows.keypoints, cols.keypoints
+    shared = sorted(ka.parts.keys() & kb.parts.keys())
+    i, j, part, value = _part_content(ka, kb, shared)
+    pair = ka.owners[i] * m + kb.owners[j]  # an observation has at most one patch per part
+    per_part = np.zeros((n * m, len(shared)))
+    per_part[pair, part] = value
+    n_shared = np.bincount(pair, minlength=n * m).reshape(n, m)
     # a part the pair does not share is a 0.0 here, which leaves fsum unchanged
-    sums = [math.fsum(v) for v in per_part.reshape(n * m, len(shared)).tolist()]
-    sums = np.array(sums, dtype=float).reshape(n, m)
+    sums = np.array([math.fsum(v) for v in per_part.tolist()], dtype=float).reshape(n, m)
     content = np.where(n_shared > 0, sums / np.maximum(n_shared, 1), 1.0)
 
     return weights.alpha * distance + weights.beta * (1.0 - overlap) + weights.gamma * content

@@ -36,7 +36,7 @@ class SourceStage(Enum):
     EXTERNAL = "external"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Keypoint:
     """One anatomical part: id in [0, 16], frame coordinates, confidence."""
 
@@ -60,7 +60,7 @@ def skeleton_bbox(keypoints: Sequence[Keypoint]) -> BBox:
     return BBox(min(xs), min(ys), max(xs), max(ys))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """A person hypothesis: keypoints, and the skeleton box derived from them."""
 

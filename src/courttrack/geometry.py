@@ -16,7 +16,7 @@ from .errors import DegenerateProjection
 SINGULAR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point2:
     """A point in pixel coordinates (origin top-left, y down)."""
 
@@ -81,7 +81,7 @@ class Homography:
         return f"Homography({self.m.tolist()})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BBox:
     """Axis-aligned box in pixel coordinates, corners inclusive."""
 
@@ -170,6 +170,28 @@ def apply_homography(h: Homography, p: Point2) -> Point2:
     if abs(w) <= SINGULAR_TOL:
         raise DegenerateProjection(f"point ({p.x}, {p.y}) maps to the line at infinity")
     return Point2(float(x / w), float(y / w))
+
+
+def project_points(h: Homography, xy: np.ndarray) -> np.ndarray:
+    """apply_homography of every row of an (n, 2) array, as an (n, 2) array.
+
+    Each elementwise numpy operation is one IEEE operation of the scalar
+    path, in the same order, so every coordinate equals apply_homography
+    bit for bit. Where the scalar path raises for some point, the first
+    such point is handed to it, so the same error is raised.
+    """
+    m = h.m
+    x, y = xy[:, 0], xy[:, 1]
+    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+    if (np.abs(w) > SINGULAR_TOL).all():
+        out = np.empty_like(xy, dtype=float)
+        np.divide(m[0, 0] * x + m[0, 1] * y + m[0, 2], w, out=out[:, 0])
+        np.divide(m[1, 0] * x + m[1, 1] * y + m[1, 2], w, out=out[:, 1])
+        if np.isfinite(out).all():
+            return out
+    for px, py in xy.tolist():
+        apply_homography(h, Point2(px, py))
+    raise AssertionError("project_points rejected points that apply_homography accepts")
 
 
 def transform_bbox(h: Homography, b: BBox) -> BBox:

@@ -15,9 +15,9 @@ import mmap
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyOverlap, InputFormatError
 from .geometry import FrameDims, Point2
@@ -166,9 +166,9 @@ def patch_mean_abs_diff(
 
 
 def keypoint_patches(
-    frame: FrameRaster, points: Sequence[Point2], win: PatchWindow = PatchWindow()
+    frame: FrameRaster, xy: np.ndarray, win: PatchWindow = PatchWindow()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One side of patch_mean_abs_diff for many keypoints of one frame.
+    """One side of patch_mean_abs_diff for the (k, 2) keypoint coordinates of one frame.
 
     Returns (k, side, side, 3) uint8 patches, where cell [i, dy + he,
     dx + he] holds the pixel at offset (dx, dy) from the i-th rounded
@@ -180,16 +180,22 @@ def keypoint_patches(
     """
     h, w = frame.data.shape[:2]
     he, side = win.half_extent, win.side
-    xy = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
     # same rounding as _round_half_up; points beyond the window's reach of
     # the frame are clamped there, which keeps their rectangles empty
     xy = np.floor(xy + 0.5).clip(-side, [w + side, h + side]).astype(np.int64)
-    offsets = np.arange(-he, he)
-    cols, rows = xy[:, 0, None] + offsets, xy[:, 1, None] + offsets
-    inside = ((rows >= 0) & (rows < h))[:, :, None] & ((cols >= 0) & (cols < w))[:, None, :]
-    pixels = rows.clip(0, h - 1)[:, :, None] * w + cols.clip(0, w - 1)[:, None, :]
-    patches = frame.data.reshape(-1, 3).take(pixels, axis=0)
-    patches *= inside[..., None]
+    top, left = xy[:, 1] - he, xy[:, 0] - he
+    patches = np.empty((len(xy), side, side, 3), dtype=np.uint8)
+    whole = (top >= 0) & (top <= h - side) & (left >= 0) & (left <= w - side)
+    if whole.any():  # a window wholly inside the frame is one strided copy
+        windows = sliding_window_view(frame.data, (side, side, 3))
+        patches[whole] = windows[top[whole], left[whole], 0]
+    cut = ~whole
+    if cut.any():  # the rest gather pixel by pixel, with zeros outside the frame
+        offsets = np.arange(side)
+        rows, cols = top[cut, None] + offsets, left[cut, None] + offsets
+        inside = ((rows >= 0) & (rows < h))[:, :, None] & ((cols >= 0) & (cols < w))[:, None, :]
+        pixels = rows.clip(0, h - 1)[:, :, None] * w + cols.clip(0, w - 1)[:, None, :]
+        patches[cut] = frame.data.reshape(-1, 3).take(pixels, axis=0) * inside[..., None]
     rects = np.stack(
         [he - xy[:, 1], he + h - xy[:, 1], he - xy[:, 0], he + w - xy[:, 0]], axis=1
     ).clip(0, side)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .cost import CostWeights, Features, cost_matrix, default_weights, features
 from .detect import Detection
+from .errors import DegenerateProjection
 from .geometry import BBox, FrameDims, Homography
 from .imaging import FrameRaster, PatchWindow
 
@@ -169,7 +170,9 @@ def run_tracker(
     The rows come frame by frame in detection order. A detection left
     unmatched gets the next unused id. Distances are normalized by the
     first frame's diagonal. Each frame's detection features are
-    extracted once and kept while the frame is in the window.
+    extracted once and kept while the frame is in the window. A point
+    that a frame's homography sends to infinity is a
+    DegenerateProjection that names the frame.
     """
     rows: list[GroundTruthBox] = []
     next_id = 0
@@ -177,7 +180,10 @@ def run_tracker(
     for t, frame in enumerate(frames):
         if t == 0:
             dims = frame.raster.dims
-        dets = features(frame.detections, frame.homography, frame.raster, cfg.patch)
+        try:
+            dets = features(frame.detections, frame.homography, frame.raster, cfg.patch)
+        except DegenerateProjection as exc:
+            raise DegenerateProjection(f"frame {t}: {exc}") from None
         matched = match_frame(window, dets, cfg, dims)
         owners = []
         for i, det in enumerate(frame.detections):

@@ -273,6 +273,26 @@ class TestTrackCommand:
         assert code == 1
         assert "homographies.json" in err and "frame 0 repeats" in err
 
+    def test_projection_to_infinity_fails_naming_file_frame_and_point(self, tmp_path, capsys):
+        # frame 1's homography sends x = 100 to the line at infinity
+        scen = tmp_path / "scen"
+        (scen / "frames").mkdir(parents=True)
+        frame = FrameRaster.filled(FrameDims(200, 100), (50, 60, 70))
+        keypoints = [{"part": 0, "x": 100.0, "y": 40.0, "c": 0.9}, {"part": 1, "x": 100.0, "y": 60.0, "c": 0.9}]
+        lines = []
+        for t in range(2):
+            write_ppm(frame, scen / "frames" / f"frame_{t:06d}.ppm")
+            lines.append(json.dumps({"frame": t, "keypoints": keypoints, "stage": "external"}) + "\n")
+        (scen / "detections.jsonl").write_text("".join(lines))
+        h = [[1, 0, 0, 0, 1, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0, -0.01, 0, 1]]
+        (scen / "homographies.json").write_text(json.dumps([{"frame": t, "h": h[t]} for t in range(2)]))
+        out_csv = tmp_path / "t.csv"
+        code, _, err = run(capsys, *track_args(scen, out_csv))
+        assert code == 1
+        assert "homographies.json" in err and "frame 1" in err
+        assert "point (100.0, 50.0) maps to the line at infinity" in err
+        assert not out_csv.exists()
+
     def test_nan_gate_fails(self, tmp_path, capsys):
         scen = tmp_path / "scen"
         run(capsys, *synth_args(scen))

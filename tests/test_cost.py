@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from courttrack import cost
 from courttrack.cost import (
     CostWeights,
     Features,
@@ -15,10 +16,11 @@ from courttrack.cost import (
     cost_matrix,
     default_weights,
     features,
+    patch_sum_dtype,
     similarity_cost,
 )
 from courttrack.detect import Detection, Keypoint, SourceStage
-from courttrack.geometry import FrameDims, Homography, Point2
+from courttrack.geometry import FrameDims, Homography, Point2, apply_homography, transform_bbox
 from courttrack.imaging import FrameRaster, PatchWindow
 from tests.test_geometry import compose, rotation
 
@@ -221,7 +223,11 @@ class TestSimilarityCost:
 
 @st.composite
 def frames(draw) -> FrameRaster:
+    """Random pixels, or in a quarter of the draws all 255, where every
+    patch sum is as large as the window allows."""
     w, h = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    if draw(st.integers(0, 3)) == 0:
+        return FrameRaster.filled(FrameDims(w, h), (255, 255, 255))
     pixels = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return FrameRaster(pixels.integers(0, 256, (h, w, 3), dtype=np.uint8))
 
@@ -261,7 +267,7 @@ def observations(draw, frame: FrameRaster, homography: Homography, reach: int) -
 def scored_frames(draw):
     """Detections of one frame against representatives from up to two
     others, each frame as (homography, frame, observations)."""
-    win = draw(st.sampled_from([PatchWindow(1), PatchWindow()]))
+    win = draw(st.sampled_from([PatchWindow(1), PatchWindow(), PatchWindow(40)]))
     reach = win.half_extent + 1
     det_frame, det_h = draw(frames()), draw(homographies)
     dets = draw(st.lists(observations(det_frame, det_h, reach), min_size=1, max_size=4))
@@ -282,17 +288,48 @@ def features_of(homography, frame, observed, win=PatchWindow()) -> Features:
     return features([o.detection for o in observed], homography, frame, win)
 
 
+def assert_equals_similarity_cost(scene):
+    dets, sources, weights, dims, win = scene
+    reps = [r for _, _, observed in sources for r in observed]
+    expected = [[similarity_cost(d, r, weights, dims, win) for r in reps] for d in dets[2]]
+    # one features call per source frame, concatenated as match_frame scores its window
+    rows = features_of(*dets, win)
+    columns = [cost_matrix(rows, features_of(*source, win), weights, dims) for source in sources]
+    assert np.concatenate(columns, axis=1).tolist() == expected
+
+
+class TestFeatures:
+    @given(st.data(), homographies, frames())
+    def test_stabilized_centroids_and_boxes_equal_the_scalar_path(self, data, h, frame):
+        observed = data.draw(st.lists(observations(frame, h, 13), max_size=5))
+        got = features_of(h, frame, observed)
+        boxes = [transform_bbox(h, o.detection.bbox) for o in observed]
+        centroids = [apply_homography(h, o.detection.bbox.centroid) for o in observed]
+        assert got.boxes.tolist() == [[b.x_min, b.y_min, b.x_max, b.y_max] for b in boxes]
+        assert got.centroids.tolist() == [[c.x, c.y] for c in centroids]
+
+    @pytest.mark.parametrize(
+        "half_extent, dtype", [(1, np.uint32), (12, np.uint32), (1184, np.uint32), (1185, np.int64)]
+    )
+    def test_patch_sums_are_uint32_while_a_whole_patch_fits(self, half_extent, dtype):
+        # a patch of side 2 * half_extent sums to at most side**2 * 3 * 255
+        win = PatchWindow(half_extent)
+        assert (win.cell_count * 3 * 255 < 2**32) == (dtype is np.uint32)
+        assert patch_sum_dtype(win) is dtype
+
+
 class TestCostMatrix:
     @given(scored_frames())
-    @settings(max_examples=200)
+    @settings(max_examples=max(200, settings.default.max_examples))
     def test_equals_similarity_cost_bit_for_bit(self, scene):
-        dets, sources, weights, dims, win = scene
-        reps = [r for _, _, observed in sources for r in observed]
-        expected = [[similarity_cost(d, r, weights, dims, win) for r in reps] for d in dets[2]]
-        # one features call per source frame, concatenated as match_frame scores its window
-        rows = features_of(*dets, win)
-        columns = [cost_matrix(rows, features_of(*source, win), weights, dims) for source in sources]
-        assert np.concatenate(columns, axis=1).tolist() == expected
+        assert_equals_similarity_cost(scene)
+
+    @given(scored_frames())
+    def test_int64_patch_sums_equal_similarity_cost_bit_for_bit(self, scene):
+        # the branch that only windows beyond half_extent 1184 take
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cost, "patch_sum_dtype", lambda win: np.int64)
+            assert_equals_similarity_cost(scene)
 
     def test_distance_rounds_like_math_hypot(self):
         # np.hypot(dx, dy) is one ulp above math.hypot here

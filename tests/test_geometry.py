@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from courttrack.errors import DegenerateProjection
 from courttrack.geometry import (
@@ -13,6 +16,7 @@ from courttrack.geometry import (
     apply_homography,
     iou,
     normalized_centroid_distance,
+    project_points,
     transform_bbox,
 )
 
@@ -97,6 +101,48 @@ class TestApplyHomography:
             got = apply_homography(Homography(m), Point2(x, y))
             assert got.x == pytest.approx(ox, abs=1e-9)
             assert got.y == pytest.approx(oy, abs=1e-9)
+
+
+coordinates = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e4, 1e4))
+
+
+@st.composite
+def homographies_and_points(draw) -> tuple[Homography, list[tuple[float, float]]]:
+    """A homography and points; in many draws one point is put on the
+    homography's line at infinity, exactly so when the entries are whole."""
+    entry = st.one_of(st.integers(-2, 2).map(float), st.floats(-5.0, 5.0))
+    try:
+        h = Homography(draw(st.lists(entry, min_size=9, max_size=9)))
+    except ValueError:  # singular
+        h = Homography.identity()
+    points = draw(st.lists(st.tuples(coordinates, coordinates), max_size=12))
+    (_, _, _), (_, _, _), (a, b, c) = h.m.tolist()
+    if abs(b) >= 1e-3 and draw(st.booleans()):
+        x = draw(coordinates)
+        points.insert(draw(st.integers(0, len(points))), (x, -(a * x + c) / b))
+    return h, points
+
+
+class TestProjectPoints:
+    @given(homographies_and_points())
+    def test_equals_apply_homography_bit_for_bit(self, scene):
+        h, points = scene
+        xy = np.array(points, dtype=float).reshape(-1, 2)
+        try:
+            expected = [apply_homography(h, Point2(x, y)) for x, y in points]
+        except DegenerateProjection as exc:
+            with pytest.raises(DegenerateProjection) as raised:
+                project_points(h, xy)
+            assert str(raised.value) == str(exc)
+            return
+        got = project_points(h, xy)
+        assert got.tobytes() == np.array([(p.x, p.y) for p in expected]).reshape(-1, 2).tobytes()
+
+    def test_names_the_first_point_sent_to_infinity(self):
+        h = Homography([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, -0.01, 0.0, 1.0])
+        xy = np.array([[50.0, 10.0], [100.0, 50.0], [100.0, 60.0]])
+        with pytest.raises(DegenerateProjection, match=r"point \(100\.0, 50\.0\)"):
+            project_points(h, xy)
 
 
 class TestHomographyType:
