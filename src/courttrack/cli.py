@@ -377,8 +377,8 @@ def _rows_between(top: Line2, bottom: Line2, dims: FrameDims) -> tuple[int, int]
         for x in (0.0, float(dims.w)):
             if abs(line.b) > 1e-9:
                 ys.append(-(line.a * x + line.c) / line.b)
-    r0 = max(0, int(min(ys)) + 1)
-    r1 = min(dims.h, int(max(ys)) + 1)
+    r0 = max(0, math.floor(min(ys)) + 1)
+    r1 = min(dims.h, math.floor(max(ys)) + 1)
     return r0, r1
 
 
@@ -391,7 +391,7 @@ def cmd_court(args: argparse.Namespace) -> int:
             frame_path = frame_path / (FRAME_FILE_PATTERN % 0)
         frame = read_ppm(frame_path)
         dims = frame.dims
-        candidates = [v.line for v in vote_dominant_lines(segments, dims)[: args.candidates]]
+        candidates = [v.line for v in vote_dominant_lines(segments, args.candidates)]
         match = args.hsv.match_array(frame)
         top = select_boundary_european(candidates, match, Orientation.HORIZONTAL)
         bottom = Line2.horizontal_at(float(dims.h))
@@ -412,7 +412,7 @@ def cmd_court(args: argparse.Namespace) -> int:
     else:
         mask = read_pgm(args.mask)
         dims = mask.dims
-        votes = vote_dominant_lines(segments, dims)[: args.candidates]
+        votes = vote_dominant_lines(segments, args.candidates)
         horiz = [v.line for v in votes if classify_orientation(v.line, dims) == Orientation.HORIZONTAL]
         if not horiz:
             raise NoCandidates("no horizontal dominant line among the top candidates")

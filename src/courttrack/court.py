@@ -20,7 +20,7 @@ from .errors import (
     open_text,
     text_lines,
 )
-from .geometry import FrameDims, Line2, Point2
+from .geometry import SINGULAR_TOL, FrameDims, Line2, Point2
 from .imaging import BinaryMask, FrameRaster, frame_to_hsv
 
 THETA_BIN_DEG = 1.0
@@ -44,7 +44,8 @@ class LineSegment:
     p1: Point2
 
     def __post_init__(self):
-        if self.length <= 0.0:
+        # the bound of Line2.from_points, so that every segment can vote
+        if self.length < SINGULAR_TOL:
             raise ValueError("segment endpoints coincide")
 
     @property
@@ -157,28 +158,32 @@ def _fit_cell_line(segments: list[LineSegment]) -> Line2:
     return Line2(a, b, -(a * mx + b * my))
 
 
-def vote_dominant_lines(segments: list[LineSegment], dims: FrameDims) -> list[LineVote]:
-    """Rank candidate lines by the total length of their supporting segments.
+def vote_dominant_lines(segments: list[LineSegment], limit: int) -> list[LineVote]:
+    """The `limit` best candidate lines, ranked by the total length of
+    their supporting segments.
 
     Each segment votes once, into the accumulator cell of its own
-    supporting line; the returned line of a cell is the weighted
-    least-squares fit of that cell's segments.
+    supporting line. Cells rank by total length, then by cell index.
+    Only the first `limit` cells are fitted: the returned line of a cell
+    is the weighted least-squares fit of that cell's segments.
     """
     if not segments:
         raise NoSegments("dominant-line voting needs at least one segment")
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     cells: dict[tuple[int, int], list[LineSegment]] = {}
     for seg in segments:
         cell = _canonical_cell(Line2.from_points(seg.p0, seg.p1))
         cells.setdefault(cell, []).append(seg)
 
-    votes: list[tuple[tuple[int, int], LineVote]] = []
-    for cell, segs in cells.items():
-        segs = sorted(segs, key=lambda s: (s.p0.x, s.p0.y, s.p1.x, s.p1.y))
-        weight = math.fsum(s.length for s in segs)
-        votes.append((cell, LineVote(_fit_cell_line(segs), weight)))
-
-    votes.sort(key=lambda cv: (-cv[1].weight, cv[0]))
-    return [v for _, v in votes]
+    ranked = sorted(
+        ((-math.fsum(s.length for s in segs), cell) for cell, segs in cells.items())
+    )[:limit]
+    votes = []
+    for neg_weight, cell in ranked:
+        segs = sorted(cells[cell], key=lambda s: (s.p0.x, s.p0.y, s.p1.x, s.p1.y))
+        votes.append(LineVote(_fit_cell_line(segs), -neg_weight))
+    return votes
 
 
 # --- orientation classification --------------------------------------------
@@ -312,6 +317,11 @@ def converge_boundaries_nba(
     is fixed at its previous position. A fraction that starts at zero
     cannot fix its line until it first becomes positive; if the lines
     meet while neither is fixed the court is degenerate.
+
+    A fraction needs two counts on one side of the line: the pixels and
+    the people pixels there. Both come from binary searches in two
+    sorted arrays, the projections of all pixels and those of the people
+    pixels, so they do not depend on how equal projections are ordered.
     """
     if not 1.0 <= step < math.inf:
         raise ValueError(f"step must be a finite number of pixels >= 1, got {step}")
@@ -319,28 +329,43 @@ def converge_boundaries_nba(
     if b < -_EDGE_TOL or (abs(b) <= _EDGE_TOL and a < 0.0):
         a, b = -a, -b
 
+    # Lay the projections out in runs that already ascend (rows along the
+    # dominant axis, each walked in the direction its projection grows),
+    # so that the stable sort (timsort) only merges runs. Each entry is
+    # a*x + b*y bit for bit in either layout: float addition commutes.
     bits = mask.bits
     h, w = bits.shape
-    proj = (a * np.arange(w, dtype=np.float64))[None, :] + (
-        b * np.arange(h, dtype=np.float64)
-    )[:, None]
-    order = np.argsort(proj.reshape(-1), kind="stable")
-    proj_sorted = proj.reshape(-1)[order]
-    people_prefix = np.concatenate(([0], np.cumsum(bits.reshape(-1)[order])))
-    n_pixels = proj_sorted.size
-    total_people = int(people_prefix[-1])
+    xs = np.arange(w, dtype=np.float64)
+    ys = np.arange(h, dtype=np.float64)
+    if a < 0.0:
+        xs, bits = xs[::-1], bits[:, ::-1]
+    if b < 0.0:
+        ys, bits = ys[::-1], bits[::-1]
+    if abs(a) <= abs(b):
+        proj = np.add.outer(b * ys, a * xs).reshape(-1)
+        bits = bits.reshape(-1)
+    else:
+        proj = np.add.outer(a * xs, b * ys).reshape(-1)
+        bits = bits.T.reshape(-1)
+    proj_people = proj[bits]
+    proj.sort(kind="stable")
+    proj_people.sort(kind="stable")
+    n_pixels = proj.size
+    n_people = proj_people.size
 
     def frac_above(rho: float) -> float:
-        k = int(np.searchsorted(proj_sorted, rho, side="left"))
-        return float(people_prefix[k]) / k if k > 0 else 0.0
+        k = int(np.searchsorted(proj, rho, side="left"))
+        people = int(np.searchsorted(proj_people, rho, side="left"))
+        return float(people) / k if k > 0 else 0.0
 
     def frac_below(rho: float) -> float:
-        k = int(np.searchsorted(proj_sorted, rho, side="right"))
+        k = int(np.searchsorted(proj, rho, side="right"))
         count = n_pixels - k
-        return float(total_people - people_prefix[k]) / count if count > 0 else 0.0
+        people = n_people - int(np.searchsorted(proj_people, rho, side="right"))
+        return float(people) / count if count > 0 else 0.0
 
-    rho_top = float(proj_sorted[0])
-    rho_bottom = float(proj_sorted[-1])
+    rho_top = float(proj[0])
+    rho_bottom = float(proj[-1])
     prev_top = frac_above(rho_top)
     prev_bottom = frac_below(rho_bottom)
     seen_top = prev_top > 0.0

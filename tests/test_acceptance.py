@@ -297,7 +297,7 @@ def test_criterion_8_court_recovery():
             ln = rng.uniform(5, 20)
             segments.append(make_seg(x, y, x + ln * math.cos(ang), y + ln * math.sin(ang)))
         rng.shuffle(segments)
-        votes = vote_dominant_lines(segments, FrameDims(1920, 1080))
+        votes = vote_dominant_lines(segments, 1)
         top_vote = votes[0]
         true_line = Line2.from_points(Point2(*on_line(-220)), Point2(*on_line(260)))
         got_angle = math.degrees(math.atan2(top_vote.line.b, top_vote.line.a)) % 180.0

@@ -9,12 +9,13 @@ import pytest
 from courttrack.cli import (
     SETTINGS,
     _build_parser,
+    _rows_between,
     main,
     read_homographies_json,
     resolve_settings,
     scenario_spec,
 )
-from courttrack.geometry import FrameDims
+from courttrack.geometry import FrameDims, Line2
 from courttrack.imaging import BinaryMask, FrameRaster, write_pgm, write_ppm
 from courttrack.metrics import read_mot_csv
 from courttrack.synth import ScenarioSpec
@@ -640,6 +641,22 @@ class TestCourtCommand:
             str(tmp_path / "mask.pgm"),
         )
         assert code == 1
+
+    def test_segment_shorter_than_line_tolerance_is_input_error(self, tmp_path, capsys):
+        # 1e-13 is a nonzero length, but too short to define a line
+        out_json = tmp_path / "court.json"
+        argv = self.planted_nba_args(tmp_path, out_json)
+        (tmp_path / "segments.csv").write_text("0,0,1e-13,0\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert "segments.csv:1" in err and "coincide" in err
+        assert not out_json.exists()
+
+    def test_band_edge_just_above_row_zero_keeps_row_zero(self):
+        dims = FrameDims(100, 50)
+        top, bottom = Line2.horizontal_at(-0.5), Line2.horizontal_at(20.5)
+        assert _rows_between(top, bottom, dims) == (0, 21)
+        assert _rows_between(Line2.horizontal_at(3.0), bottom, dims) == (4, 21)
 
     def test_all_false_mask_is_degenerate(self, tmp_path, capsys):
         bits = np.zeros((200, 100), dtype=bool)

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 
 from courttrack.errors import DegenerateCourt, InputFormatError, NoCandidates, NoSegments
 from courttrack.court import (
+    _EDGE_TOL,
     CourtRegion,
     HsvFilter,
     LineSegment,
+    LineVote,
     Orientation,
+    _canonical_cell,
+    _fit_cell_line,
     _row_runs,
     classify_orientation,
     converge_boundaries_nba,
@@ -39,10 +43,57 @@ def angle_diff_deg(a: float, b: float) -> float:
     return min(d, 180.0 - d)
 
 
+def vote_all_cells_oracle(segments: list[LineSegment]) -> list[LineVote]:
+    """Every cell fitted, then ranked by (-weight, cell)."""
+    cells: dict[tuple[int, int], list[LineSegment]] = {}
+    for s in segments:
+        cells.setdefault(_canonical_cell(Line2.from_points(s.p0, s.p1)), []).append(s)
+    votes = []
+    for cell, segs in cells.items():
+        segs = sorted(segs, key=lambda s: (s.p0.x, s.p0.y, s.p1.x, s.p1.y))
+        votes.append((cell, LineVote(_fit_cell_line(segs), math.fsum(s.length for s in segs))))
+    votes.sort(key=lambda cv: (-cv[1].weight, cv[0]))
+    return [v for _, v in votes]
+
+
+def assert_votes_equal_oracle(segments, limit):
+    got = vote_dominant_lines(segments, limit)
+    want = vote_all_cells_oracle(segments)[:limit]
+    assert [v.weight for v in got] == [v.weight for v in want]
+    assert [v.line.coeffs() for v in got] == [v.line.coeffs() for v in want]
+
+
+# integer endpoints on a small grid: many cells share a total length
+grid_segments = st.lists(
+    st.tuples(*[st.integers(0, 40)] * 4).filter(lambda t: t[:2] != t[2:]).map(lambda t: seg(*t)),
+    min_size=1,
+    max_size=40,
+)
+
+
 class TestVoteDominantLines:
+    @settings(max_examples=max(200, settings.default.max_examples))
+    @given(segments=grid_segments)
+    def test_top_cells_equal_full_fit_oracle(self, segments):
+        for limit in (1, 10, len(segments) + 1):
+            assert_votes_equal_oracle(segments, limit)
+
+    def test_equal_weight_cells_rank_by_cell(self):
+        # twelve length-10 horizontal segments in twelve offset cells
+        segments = [seg(0, 10 * k, 10, 10 * k) for k in range(12)][::-1]
+        for limit in (1, 10, 13):
+            assert_votes_equal_oracle(segments, limit)
+        votes = vote_dominant_lines(segments, 3)
+        assert [round(-v.line.c / v.line.b) for v in votes] == [0, 10, 20]
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError, match="limit"):
+            vote_dominant_lines([seg(0, 0, 10, 0)], limit)
+
     def test_collinear_segments_share_one_cell(self):
         segments = [seg(0, 100, 10, 100), seg(50, 100, 70, 100), seg(200, 100, 230, 100)]
-        votes = vote_dominant_lines(segments, DIMS)
+        votes = vote_dominant_lines(segments, len(segments))
         assert len(votes) == 1
         top = votes[0]
         assert top.weight == pytest.approx(60.0, abs=1e-9)
@@ -57,7 +108,7 @@ class TestVoteDominantLines:
             seg(0, 50, 100, 50),
             seg(400, 200, 415, 200),
         ]
-        votes = vote_dominant_lines(segments, DIMS)
+        votes = vote_dominant_lines(segments, len(segments))
         assert votes[0].weight == pytest.approx(100.0)
         assert votes[1].weight == pytest.approx(40.0)
         assert abs(votes[0].line.signed(Point2(10.0, 50.0))) < 1e-9
@@ -82,7 +133,7 @@ class TestVoteDominantLines:
             )
         rng.shuffle(segments)
 
-        votes = vote_dominant_lines(segments, DIMS)
+        votes = vote_dominant_lines(segments, len(segments))
         top = votes[0]
         assert top.weight == pytest.approx(400.0, abs=1e-6)
         true_line = Line2.from_points(Point2(*on_line(-220)), Point2(*on_line(260)))
@@ -96,7 +147,7 @@ class TestVoteDominantLines:
         for _ in range(60):
             x, y = rng.uniform(0, 1800), rng.uniform(0, 1000)
             segments.append(seg(x, y, x + rng.uniform(1, 60), y + rng.uniform(1, 60)))
-        votes = vote_dominant_lines(segments, DIMS)
+        votes = vote_dominant_lines(segments, len(segments))
         assert sum(v.weight for v in votes) == pytest.approx(
             math.fsum(s.length for s in segments), rel=1e-12
         )
@@ -107,20 +158,20 @@ class TestVoteDominantLines:
         for _ in range(30):
             x, y = rng.uniform(0, 1800), rng.uniform(0, 1000)
             segments.append(seg(x, y, x + rng.uniform(3, 40), y + rng.uniform(3, 40)))
-        votes_a = vote_dominant_lines(segments, DIMS)
+        votes_a = vote_dominant_lines(segments, len(segments))
         shuffled = segments[:]
         rng.shuffle(shuffled)
-        votes_b = vote_dominant_lines(shuffled, DIMS)
+        votes_b = vote_dominant_lines(shuffled, len(shuffled))
         assert [v.weight for v in votes_a] == [v.weight for v in votes_b]
         assert [v.line.coeffs() for v in votes_a] == [v.line.coeffs() for v in votes_b]
 
     def test_empty_input_raises(self):
         with pytest.raises(NoSegments):
-            vote_dominant_lines([], DIMS)
+            vote_dominant_lines([], 1)
 
     def test_vertical_segments_share_one_cell(self):
         segments = [seg(300, 0, 300, 40), seg(300, 100, 300, 160)]
-        votes = vote_dominant_lines(segments, DIMS)
+        votes = vote_dominant_lines(segments, len(segments))
         assert len(votes) == 1
         assert votes[0].weight == pytest.approx(100.0)
 
@@ -411,7 +462,125 @@ def banded_mask(w: int, h: int, top_rows: int, bottom_start: int, sparse: float,
     return BinaryMask(bits)
 
 
+def converge_sorted_oracle(mask, orientation_line, step, drop_tol):
+    """converge_boundaries_nba with one argsort of every pixel's projection
+    and people prefix sums in that order."""
+    if not 1.0 <= step < math.inf:
+        raise ValueError(f"step must be a finite number of pixels >= 1, got {step}")
+    a, b = orientation_line.a, orientation_line.b
+    if b < -_EDGE_TOL or (abs(b) <= _EDGE_TOL and a < 0.0):
+        a, b = -a, -b
+    bits = mask.bits
+    h, w = bits.shape
+    proj = (a * np.arange(w, dtype=np.float64))[None, :] + (
+        b * np.arange(h, dtype=np.float64)
+    )[:, None]
+    order = np.argsort(proj.reshape(-1), kind="stable")
+    proj_sorted = proj.reshape(-1)[order]
+    people_prefix = np.concatenate(([0], np.cumsum(bits.reshape(-1)[order])))
+    n_pixels = proj_sorted.size
+    total_people = int(people_prefix[-1])
+
+    def frac_above(rho):
+        k = int(np.searchsorted(proj_sorted, rho, side="left"))
+        return float(people_prefix[k]) / k if k > 0 else 0.0
+
+    def frac_below(rho):
+        k = int(np.searchsorted(proj_sorted, rho, side="right"))
+        count = n_pixels - k
+        return float(total_people - people_prefix[k]) / count if count > 0 else 0.0
+
+    rho_top = float(proj_sorted[0])
+    rho_bottom = float(proj_sorted[-1])
+    prev_top = frac_above(rho_top)
+    prev_bottom = frac_below(rho_bottom)
+    seen_top = prev_top > 0.0
+    seen_bottom = prev_bottom > 0.0
+    fixed_top = fixed_bottom = False
+    while not (fixed_top and fixed_bottom):
+        if not fixed_top:
+            rho_top += step
+        if not fixed_bottom:
+            rho_bottom -= step
+        if rho_top > rho_bottom:
+            if not fixed_top and not fixed_bottom:
+                raise DegenerateCourt("boundary candidates met before any fraction drop")
+            if fixed_top:
+                rho_bottom = rho_top
+                fixed_bottom = True
+            else:
+                rho_top = rho_bottom
+                fixed_top = True
+            break
+        pct_top = frac_above(rho_top)
+        pct_bottom = frac_below(rho_bottom)
+        if not fixed_top:
+            if seen_top and pct_top < prev_top - drop_tol:
+                rho_top -= step
+                fixed_top = True
+            else:
+                prev_top = pct_top
+                seen_top = seen_top or pct_top > 0.0
+        if not fixed_bottom:
+            if seen_bottom and pct_bottom < prev_bottom - drop_tol:
+                rho_bottom += step
+                fixed_bottom = True
+            else:
+                prev_bottom = pct_bottom
+                seen_bottom = seen_bottom or pct_bottom > 0.0
+    return Line2(a, b, -rho_top), Line2(a, b, -rho_bottom)
+
+
+@st.composite
+def convergence_masks(draw):
+    kind = draw(st.sampled_from(["rows", "cols", "random", "false", "true"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, w = rng.integers(1, 61, size=2)
+    bits = rng.random((h, w)) < draw(st.sampled_from([0.05, 0.5, 0.0]))
+    if kind in ("false", "true"):
+        bits[:] = kind == "true"
+    elif kind in ("rows", "cols"):
+        n = h if kind == "rows" else w
+        lo, hi = sorted(rng.integers(0, n + 1, size=2))
+        outside = np.ones(n, dtype=bool)
+        outside[lo:hi] = False
+        if kind == "rows":
+            bits[outside] = True
+        else:
+            bits[:, outside] = True
+    return BinaryMask(bits)
+
+
+orientation_lines = st.one_of(
+    st.sampled_from(
+        [(0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0), (1.0, 0.0), (-1.0, 0.0),
+         (1.0, -0.0), (-1.0, -0.0), (1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0),
+         (1.0, 1e-10), (-1.0, -1e-10), (1.0, -1e-10), (-1.0, 1e-10), (-3.0, -2.0)]
+    ),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 2).filter(lambda ab: math.hypot(*ab) > 1e-6),
+).map(lambda ab: Line2(ab[0], ab[1], 0.0))
+
+
+def converge_outcome(fn, mask, line, step, drop_tol):
+    try:
+        return [[x.hex() for x in l.coeffs()] for l in fn(mask, line, step, drop_tol)]
+    except (DegenerateCourt, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 class TestConvergeBoundariesNba:
+    @settings(max_examples=max(300, settings.default.max_examples))
+    @given(
+        mask=convergence_masks(),
+        line=orientation_lines,
+        step=st.sampled_from([1.0, 1.5, 2.0, 3.7]),
+        drop_tol=st.sampled_from([0.0, 0.005, 0.1]),
+    )
+    def test_equals_sorted_oracle_bit_for_bit(self, mask, line, step, drop_tol):
+        assert converge_outcome(converge_boundaries_nba, mask, line, step, drop_tol) == (
+            converge_outcome(converge_sorted_oracle, mask, line, step, drop_tol)
+        )
+
     def test_planted_bands_recovered(self):
         mask = banded_mask(192, 1080, top_rows=200, bottom_start=900, sparse=0.05, seed=0)
         top, bottom = converge_boundaries_nba(mask, Line2.horizontal_at(0.0), step=2.0)
