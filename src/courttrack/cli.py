@@ -26,6 +26,7 @@ from .court import (
     classify_orientation,
     converge_boundaries_nba,
     read_segments_csv,
+    row_prefix_sums,
     select_boundary_european,
     vote_dominant_lines,
 )
@@ -392,12 +393,12 @@ def cmd_court(args: argparse.Namespace) -> int:
         frame = read_ppm(frame_path)
         dims = frame.dims
         candidates = [v.line for v in vote_dominant_lines(segments, args.candidates)]
-        match = args.hsv.match_array(frame)
-        top = select_boundary_european(candidates, match, Orientation.HORIZONTAL)
+        prefix = row_prefix_sums(args.hsv.match_array(frame))
+        top = select_boundary_european(candidates, prefix, Orientation.HORIZONTAL)
         bottom = Line2.horizontal_at(float(dims.h))
         left = right = None
         try:
-            side = select_boundary_european(candidates, match, Orientation.VERTICAL)
+            side = select_boundary_european(candidates, prefix, Orientation.VERTICAL)
             # assign by which half of the frame the line crosses at mid-height
             x_mid = (
                 -(side.b * dims.h / 2.0 + side.c) / side.a if abs(side.a) > 1e-9 else dims.w

@@ -39,32 +39,9 @@ class Orientation(Enum):
 
 
 @dataclass(frozen=True)
-class LineSegment:
-    p0: Point2
-    p1: Point2
-
-    def __post_init__(self):
-        # the bound of Line2.from_points, so that every segment can vote
-        if self.length < SINGULAR_TOL:
-            raise ValueError("segment endpoints coincide")
-
-    @property
-    def length(self) -> float:
-        return math.hypot(self.p1.x - self.p0.x, self.p1.y - self.p0.y)
-
-    @property
-    def midpoint(self) -> Point2:
-        return Point2((self.p0.x + self.p1.x) / 2.0, (self.p0.y + self.p1.y) / 2.0)
-
-
-@dataclass(frozen=True)
 class LineVote:
     line: Line2
     weight: float
-
-    def __post_init__(self):
-        if self.weight <= 0.0:
-            raise ValueError("vote weight must be positive")
 
 
 @dataclass(frozen=True)
@@ -90,10 +67,15 @@ class HsvFilter:
 
         A pixel's response depends only on its (r, g, b), so the HSV test
         runs once per distinct colour of the frame and is looked up by
-        each pixel's 24-bit colour key.
+        each pixel's 24-bit colour key. The keys are one uint32 array,
+        shifted and or-ed in place.
         """
-        rgb = frame.data.astype(np.uint32)
-        keys = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+        rgb = frame.data
+        keys = rgb[..., 0].astype(np.uint32)
+        keys <<= 8
+        keys |= rgb[..., 1]
+        keys <<= 8
+        keys |= rgb[..., 2]
         table = np.zeros(1 << 24, dtype=bool)
         table[keys] = True
         colours = np.flatnonzero(table)
@@ -110,44 +92,38 @@ class HsvFilter:
 
 # --- dominant-line voting --------------------------------------------------
 
-def _canonical_cell(line: Line2) -> tuple[int, int]:
-    """Accumulator cell of a line: 1-degree angle bins, 3-px offset bins.
-
-    The normal angle is folded into a half-turn with bin centers on
-    integer degrees, so nearly identical lines never split across the
-    0/180 seam regardless of orientation.
-    """
-    a, b, c = line.a, line.b, line.c
-    theta = math.degrees(math.atan2(b, a))
-    if theta < 0.0:
-        theta += 180.0
-        a, b, c = -a, -b, -c
-    if theta >= 180.0 - THETA_BIN_DEG / 2.0:
-        theta -= 180.0
-        a, b, c = -a, -b, -c
-    t_idx = int(math.floor((theta + THETA_BIN_DEG / 2.0) / THETA_BIN_DEG))
-    r_idx = int(math.floor(-c / RHO_BIN_PX + 0.5))
-    return t_idx, r_idx
+def _segment_lines(segments: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each row's length, the norm |(a, b)| and the normalised line
+    (a, b, c): the IEEE operations of Line2.from_points and
+    Line2.__post_init__ in their order."""
+    x0, y0, x1, y1 = segments.T
+    with np.errstate(all="ignore"):  # read_segments_csv rejects the rows that overflow
+        dx, dy = x1 - x0, y1 - y0
+        a, b = -dy, dx
+        c = -(a * x0 + b * y0)
+        length = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+        norm = np.array(list(map(math.hypot, a.tolist(), b.tolist())))
+        return length, norm, a / norm, b / norm, c / norm
 
 
-def _fit_cell_line(segments: list[LineSegment]) -> Line2:
-    """Length-weighted orthogonal least-squares line through the segments.
+def _fit_cell_line(rows: list[list[float]]) -> Line2:
+    """Length-weighted orthogonal least-squares line through segments
+    (x0, y0, x1, y1).
 
     Each segment contributes its midpoint plus the second moment of a
     uniform mass along its own extent, so collinear segments recover
     their common line exactly.
     """
-    weights = [s.length for s in segments]
+    weights = [math.hypot(x1 - x0, y1 - y0) for x0, y0, x1, y1 in rows]
+    mids = [((x0 + x1) / 2.0, (y0 + y1) / 2.0) for x0, y0, x1, y1 in rows]
     total = math.fsum(weights)
-    mx = math.fsum(w * s.midpoint.x for w, s in zip(weights, segments)) / total
-    my = math.fsum(w * s.midpoint.y for w, s in zip(weights, segments)) / total
+    mx = math.fsum(w * x for w, (x, _) in zip(weights, mids)) / total
+    my = math.fsum(w * y for w, (_, y) in zip(weights, mids)) / total
 
     sxx = sxy = syy = 0.0
-    for w, s in zip(weights, segments):
-        ux = (s.p1.x - s.p0.x) / s.length
-        uy = (s.p1.y - s.p0.y) / s.length
-        dx = s.midpoint.x - mx
-        dy = s.midpoint.y - my
+    for w, (x0, y0, x1, y1), (x, y) in zip(weights, rows, mids):
+        ux, uy = (x1 - x0) / w, (y1 - y0) / w
+        dx, dy = x - mx, y - my
         along = w * w * w / 12.0  # integral of t^2 over the segment, times weight density
         sxx += w * dx * dx + along * ux * ux
         sxy += w * dx * dy + along * ux * uy
@@ -158,31 +134,42 @@ def _fit_cell_line(segments: list[LineSegment]) -> Line2:
     return Line2(a, b, -(a * mx + b * my))
 
 
-def vote_dominant_lines(segments: list[LineSegment], limit: int) -> list[LineVote]:
-    """The `limit` best candidate lines, ranked by the total length of
-    their supporting segments.
+def vote_dominant_lines(segments: np.ndarray, limit: int) -> list[LineVote]:
+    """The `limit` best candidate lines of an (n, 4) segment array,
+    ranked by the total length of their supporting segments.
 
-    Each segment votes once, into the accumulator cell of its own
-    supporting line. Cells rank by total length, then by cell index.
-    Only the first `limit` cells are fitted: the returned line of a cell
-    is the weighted least-squares fit of that cell's segments.
+    Each segment votes once, into the cell of its own line: 1-degree
+    bins of the normal angle folded into [-0.5, 179.5), so that nearly
+    identical lines never split across the seam, and 3-px offset bins.
+    The cells are floored floats, so an offset past int64 still bins.
+    Cells rank by total length, then by cell. Only the first `limit`
+    cells are fitted: a cell's line is the weighted fit of its rows.
     """
-    if not segments:
+    if len(segments) == 0:
         raise NoSegments("dominant-line voting needs at least one segment")
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    cells: dict[tuple[int, int], list[LineSegment]] = {}
-    for seg in segments:
-        cell = _canonical_cell(Line2.from_points(seg.p0, seg.p1))
-        cells.setdefault(cell, []).append(seg)
+    length, _, a, b, c = _segment_lines(segments)
+    theta = np.array(list(map(math.degrees, map(math.atan2, b.tolist(), a.tolist()))))
+    below = theta < 0.0
+    theta, c = np.where(below, theta + 180.0, theta), np.where(below, -c, c)
+    seam = theta >= 180.0 - THETA_BIN_DEG / 2.0
+    theta, c = np.where(seam, theta - 180.0, theta), np.where(seam, -c, c)
+    t_idx = np.floor((theta + THETA_BIN_DEG / 2.0) / THETA_BIN_DEG)
+    r_idx = np.floor(-c / RHO_BIN_PX + 0.5)
 
-    ranked = sorted(
-        ((-math.fsum(s.length for s in segs), cell) for cell, segs in cells.items())
-    )[:limit]
+    # rows grouped by cell, cells in ascending (t_idx, r_idx), rows in input order
+    order = np.lexsort((r_idx, t_idx))
+    t_idx, r_idx = t_idx[order], r_idx[order]
+    starts = np.flatnonzero(np.r_[True, (t_idx[1:] != t_idx[:-1]) | (r_idx[1:] != r_idx[:-1])])
+    stops = np.r_[starts[1:], len(order)]
+    weight = length[order[starts]]
+    for k in np.flatnonzero(stops - starts > 1).tolist():
+        weight[k] = math.fsum(length[order[starts[k] : stops[k]]].tolist())
     votes = []
-    for neg_weight, cell in ranked:
-        segs = sorted(cells[cell], key=lambda s: (s.p0.x, s.p0.y, s.p1.x, s.p1.y))
-        votes.append(LineVote(_fit_cell_line(segs), -neg_weight))
+    for k in np.lexsort((r_idx[starts], t_idx[starts], -weight))[:limit].tolist():
+        rows = sorted(segments[order[starts[k] : stops[k]]].tolist())
+        votes.append(LineVote(_fit_cell_line(rows), float(weight[k])))
     return votes
 
 
@@ -254,29 +241,37 @@ def _row_runs(line: Line2, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(h, dtype=np.int64), lo
 
 
+def row_prefix_sums(match: np.ndarray) -> np.ndarray:
+    """(h, w + 1) int32 table of an (h, w) bool response: [y, x] is the
+    number of matching pixels among the first x of row y. The sums run
+    in place: a bool input would be cast through a full-size copy."""
+    h, w = match.shape
+    prefix = np.zeros((h, w + 1), dtype=np.int32)
+    prefix[:, 1:] = match
+    np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
+    return prefix
+
+
 def select_boundary_european(
-    candidates: list[Line2], match: np.ndarray, axis: Orientation
+    candidates: list[Line2], prefix: np.ndarray, axis: Orientation
 ) -> Line2:
     """Pick the candidate with the largest filter-response contrast.
 
-    `match` is the frame's HSV filter response (HsvFilter.match_array),
-    one bool per pixel. For each candidate of the requested axis, the
-    fraction of filter-matching pixels is computed on each side
-    half-plane; the candidate maximizing the absolute difference wins,
-    first in input order on ties. A side is counted from per-row runs
-    (`_row_runs`) against row prefix sums of `match`, so the counts
-    are those of the full-frame `a*x + b*y + c >= 0` test. A filter
-    that matches no pixel or every pixel is a DegenerateCourt.
+    `prefix` is row_prefix_sums of the frame's HSV filter response
+    (HsvFilter.match_array), built once for both axes. For each
+    candidate of the requested axis, the fraction of filter-matching
+    pixels is computed on each side half-plane; the candidate maximizing
+    the absolute difference wins, first in input order on ties. A side
+    is counted from per-row runs (`_row_runs`) against `prefix`, so the
+    counts are those of the full-frame `a*x + b*y + c >= 0` test. A
+    filter that matches no pixel or every pixel is a DegenerateCourt.
     """
-    dims = FrameDims(match.shape[1], match.shape[0])
+    dims = FrameDims(prefix.shape[1] - 1, prefix.shape[0])
     axis_cands = [c for c in candidates if classify_orientation(c, dims) == axis]
     if not axis_cands:
         raise NoCandidates(f"no candidate line of axis {axis.value}")
 
     rows = np.arange(dims.h)
-    # prefix[y, x] = matching pixels among the first x of row y
-    prefix = np.zeros((dims.h, dims.w + 1), dtype=np.int32)
-    np.cumsum(match, axis=1, out=prefix[:, 1:])
     n_match = int(prefix[:, -1].sum())
     if n_match in (0, dims.w * dims.h):
         # every candidate then has contrast 0: the filter tells no side from the other
@@ -523,30 +518,47 @@ def point_in_court(region: CourtRegion, p: Point2) -> bool:
 
 # --- segment ingestion --------------------------------------------------------
 
-def read_segments_csv(path) -> list[LineSegment]:
-    """Read segments from CSV rows "x0,y0,x1,y1" (no header)."""
-    segments: list[LineSegment] = []
+def _segments_array(path, rows: list[list[float]], linenos: list[int]) -> np.ndarray:
+    """The rows as an (n, 4) array; InputFormatError names the first row
+    that cannot vote: endpoints closer than SINGULAR_TOL (Line2's bound),
+    or a non-finite endpoint, length or line."""
+    segments = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    length, norm, a, b, c = _segment_lines(segments)
+    short = np.minimum(length, norm) < SINGULAR_TOL
+    bad = short | ~np.isfinite(np.column_stack([segments, length, a, b, c])).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        why = "endpoints coincide" if short[i] else "endpoints, length or line not finite"
+        raise InputFormatError(path, f"segment {why}", line=linenos[i])
+    return segments
+
+
+def read_segments_csv(path) -> np.ndarray:
+    """Read segments from CSV rows "x0,y0,x1,y1" (no header) as an
+    (n, 4) float64 array. An error names the first bad row's line."""
+    rows: list[list[float]] = []
+    linenos: list[int] = []
     fields = ("x0", "y0", "x1", "y1")
     with open_text(path, newline="") as fh:
         reader = csv.reader(line for _, line in text_lines(fh, path))
-        for row in reader:
-            lineno = reader.line_num  # a quoted field may span lines
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise InputFormatError(path, f"expected 4 values, got {len(row)}", line=lineno)
-            values = []
-            for name, cell in zip(fields, row):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise InputFormatError(
-                        path, f"not a number: {cell!r}", line=lineno, field=name
-                    ) from None
-            try:
-                segments.append(
-                    LineSegment(Point2(values[0], values[1]), Point2(values[2], values[3]))
-                )
-            except ValueError as exc:
-                raise InputFormatError(path, str(exc), line=lineno) from None
-    return segments
+        try:
+            for row in reader:
+                lineno = reader.line_num  # a quoted field may span lines
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 4:
+                    raise InputFormatError(path, f"expected 4 values, got {len(row)}", line=lineno)
+                values = []
+                for name, cell in zip(fields, row):
+                    try:
+                        values.append(float(cell))
+                    except ValueError:
+                        raise InputFormatError(
+                            path, f"not a number: {cell!r}", line=lineno, field=name
+                        ) from None
+                rows.append(values)
+                linenos.append(lineno)
+        except InputFormatError:
+            _segments_array(path, rows, linenos)  # a bad row read before it comes first
+            raise
+    return _segments_array(path, rows, linenos)

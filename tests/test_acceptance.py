@@ -24,6 +24,7 @@ from courttrack.cost import (
 from courttrack.court import (
     Orientation,
     converge_boundaries_nba,
+    row_prefix_sums,
     select_boundary_european,
     vote_dominant_lines,
 )
@@ -46,7 +47,7 @@ from courttrack.metrics import (
 from courttrack.synth import ScenarioSpec, brute_force_assignment, generate
 from courttrack.track import MatchConfig, run_tracker, solve_assignment
 
-from tests.test_court import banded_mask, seg as make_seg, two_band_frame, GREEN_FILTER
+from tests.test_court import banded_mask, as_rows, seg as make_seg, two_band_frame, GREEN_FILTER
 from tests.test_geometry import pixel_iou_oracle, project_oracle
 
 
@@ -277,8 +278,8 @@ def test_criterion_8_court_recovery():
         decoys = [r for r in (15, 25, 95, 105) if abs(r - row) > 5]
         candidates = [Line2.horizontal_at(float(r)) for r in decoys]
         candidates.insert(rng.randrange(len(candidates)), Line2.horizontal_at(float(row)))
-        match = GREEN_FILTER.match_array(frame)
-        best = select_boundary_european(candidates, match, Orientation.HORIZONTAL)
+        prefix = row_prefix_sums(GREEN_FILTER.match_array(frame))
+        best = select_boundary_european(candidates, prefix, Orientation.HORIZONTAL)
         assert abs(-best.c / best.b - row) < 1e-9
 
     for seed in (5, 6, 7):
@@ -297,7 +298,7 @@ def test_criterion_8_court_recovery():
             ln = rng.uniform(5, 20)
             segments.append(make_seg(x, y, x + ln * math.cos(ang), y + ln * math.sin(ang)))
         rng.shuffle(segments)
-        votes = vote_dominant_lines(segments, 1)
+        votes = vote_dominant_lines(as_rows(segments), 1)
         top_vote = votes[0]
         true_line = Line2.from_points(Point2(*on_line(-220)), Point2(*on_line(260)))
         got_angle = math.degrees(math.atan2(top_vote.line.b, top_vote.line.a)) % 180.0

@@ -652,6 +652,16 @@ class TestCourtCommand:
         assert "segments.csv:1" in err and "coincide" in err
         assert not out_json.exists()
 
+    def test_overflowing_segment_line_is_input_error(self, tmp_path, capsys):
+        # finite endpoints 2e308 apart: the length is inf and the line NaN
+        out_json = tmp_path / "court.json"
+        argv = self.planted_nba_args(tmp_path, out_json)
+        (tmp_path / "segments.csv").write_text("0,200,191,200\n1e308,0,-1e308,0\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert "segments.csv:2" in err and "not finite" in err
+        assert not out_json.exists()
+
     def test_band_edge_just_above_row_zero_keeps_row_zero(self):
         dims = FrameDims(100, 50)
         top, bottom = Line2.horizontal_at(-0.5), Line2.horizontal_at(20.5)

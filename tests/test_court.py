@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from courttrack.errors import DegenerateCourt, InputFormatError, NoCandidates, NoSegments
@@ -11,16 +13,16 @@ from courttrack.court import (
     _EDGE_TOL,
     CourtRegion,
     HsvFilter,
-    LineSegment,
     LineVote,
+    RHO_BIN_PX,
+    THETA_BIN_DEG,
     Orientation,
-    _canonical_cell,
-    _fit_cell_line,
     _row_runs,
     classify_orientation,
     converge_boundaries_nba,
     point_in_court,
     read_segments_csv,
+    row_prefix_sums,
     select_boundary_european,
     vote_dominant_lines,
 )
@@ -30,8 +32,29 @@ from courttrack.imaging import BinaryMask, FrameRaster, frame_to_hsv
 DIMS = FrameDims(1920, 1080)
 
 
+@dataclass(frozen=True)
+class LineSegment:
+    """A segment on the object path of the voting oracle."""
+
+    p0: Point2
+    p1: Point2
+
+    @property
+    def length(self) -> float:
+        return math.hypot(self.p1.x - self.p0.x, self.p1.y - self.p0.y)
+
+    @property
+    def midpoint(self) -> Point2:
+        return Point2((self.p0.x + self.p1.x) / 2.0, (self.p0.y + self.p1.y) / 2.0)
+
+
 def seg(x0, y0, x1, y1):
     return LineSegment(Point2(float(x0), float(y0)), Point2(float(x1), float(y1)))
+
+
+def as_rows(segments: list[LineSegment]) -> np.ndarray:
+    """The (n, 4) array that read_segments_csv returns for these segments."""
+    return np.array([[s.p0.x, s.p0.y, s.p1.x, s.p1.y] for s in segments]).reshape(-1, 4)
 
 
 def normal_angle_deg(line: Line2) -> float:
@@ -43,6 +66,43 @@ def angle_diff_deg(a: float, b: float) -> float:
     return min(d, 180.0 - d)
 
 
+def _canonical_cell(line: Line2) -> tuple[int, int]:
+    """Accumulator cell of a line: 1-degree angle bins, 3-px offset bins,
+    the normal angle folded into [-0.5, 179.5) degrees."""
+    a, b, c = line.a, line.b, line.c
+    theta = math.degrees(math.atan2(b, a))
+    if theta < 0.0:
+        theta += 180.0
+        a, b, c = -a, -b, -c
+    if theta >= 180.0 - THETA_BIN_DEG / 2.0:
+        theta -= 180.0
+        a, b, c = -a, -b, -c
+    t_idx = int(math.floor((theta + THETA_BIN_DEG / 2.0) / THETA_BIN_DEG))
+    r_idx = int(math.floor(-c / RHO_BIN_PX + 0.5))
+    return t_idx, r_idx
+
+
+def fit_cell_line_oracle(segments: list[LineSegment]) -> Line2:
+    """The weighted least-squares fit of a cell, on LineSegment objects."""
+    weights = [s.length for s in segments]
+    total = math.fsum(weights)
+    mx = math.fsum(w * s.midpoint.x for w, s in zip(weights, segments)) / total
+    my = math.fsum(w * s.midpoint.y for w, s in zip(weights, segments)) / total
+    sxx = sxy = syy = 0.0
+    for w, s in zip(weights, segments):
+        ux = (s.p1.x - s.p0.x) / s.length
+        uy = (s.p1.y - s.p0.y) / s.length
+        dx = s.midpoint.x - mx
+        dy = s.midpoint.y - my
+        along = w * w * w / 12.0
+        sxx += w * dx * dx + along * ux * ux
+        sxy += w * dx * dy + along * ux * uy
+        syy += w * dy * dy + along * uy * uy
+    phi = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
+    a, b = -math.sin(phi), math.cos(phi)
+    return Line2(a, b, -(a * mx + b * my))
+
+
 def vote_all_cells_oracle(segments: list[LineSegment]) -> list[LineVote]:
     """Every cell fitted, then ranked by (-weight, cell)."""
     cells: dict[tuple[int, int], list[LineSegment]] = {}
@@ -51,16 +111,19 @@ def vote_all_cells_oracle(segments: list[LineSegment]) -> list[LineVote]:
     votes = []
     for cell, segs in cells.items():
         segs = sorted(segs, key=lambda s: (s.p0.x, s.p0.y, s.p1.x, s.p1.y))
-        votes.append((cell, LineVote(_fit_cell_line(segs), math.fsum(s.length for s in segs))))
+        weight = math.fsum(s.length for s in segs)
+        votes.append((cell, LineVote(fit_cell_line_oracle(segs), weight)))
     votes.sort(key=lambda cv: (-cv[1].weight, cv[0]))
     return [v for _, v in votes]
 
 
+def vote_hex(votes):
+    return [(v.weight.hex(), *(x.hex() for x in v.line.coeffs())) for v in votes]
+
+
 def assert_votes_equal_oracle(segments, limit):
-    got = vote_dominant_lines(segments, limit)
-    want = vote_all_cells_oracle(segments)[:limit]
-    assert [v.weight for v in got] == [v.weight for v in want]
-    assert [v.line.coeffs() for v in got] == [v.line.coeffs() for v in want]
+    got = vote_dominant_lines(as_rows(segments), limit)
+    assert vote_hex(got) == vote_hex(vote_all_cells_oracle(segments)[:limit])
 
 
 # integer endpoints on a small grid: many cells share a total length
@@ -71,10 +134,50 @@ grid_segments = st.lists(
 )
 
 
+@st.composite
+def exact_segments(draw):
+    """One segment with real endpoints in the frame, or up to four pieces
+    of a drawn line whose normal is within 1e-9 degrees of the 179.5
+    degree seam, whose offset is on a rho-bin edge, or whose offset is
+    1e20."""
+    kind = draw(st.sampled_from(["frame", "seam", "edge", "far"]))
+    if kind == "frame":
+        coords = st.tuples(st.floats(0.0, DIMS.w), st.floats(0.0, DIMS.h))
+        (x0, y0), (x1, y1) = draw(coords), draw(coords)
+        assume(math.hypot(x1 - x0, y1 - y0) >= 1e-9)
+        return [seg(x0, y0, x1, y1)]
+    degrees = st.floats(0.0, 180.0)
+    if kind == "seam":
+        degrees = st.floats(-1e-9, 1e-9).map(lambda d: 180.0 - THETA_BIN_DEG / 2.0 + d)
+    theta = math.radians(draw(degrees))
+    a, b = math.cos(theta), math.sin(theta)
+    if kind == "far":
+        rho, extent = draw(st.sampled_from([1e20, -1e20])), 1e20
+    elif kind == "edge":
+        rho, extent = RHO_BIN_PX * (draw(st.integers(-700, 700)) - 0.5), 1000.0
+    else:
+        rho, extent = draw(st.floats(-2000.0, 2000.0)), 1000.0
+    spans = st.lists(st.tuples(*[st.floats(-extent, extent)] * 2), min_size=1, max_size=4)
+    pieces = []
+    for t0, t1 in draw(spans):
+        x0, y0, x1, y1 = rho * a - t0 * b, rho * b + t0 * a, rho * a - t1 * b, rho * b + t1 * a
+        if math.hypot(x1 - x0, y1 - y0) >= 1e-9:
+            pieces.append(seg(x0, y0, x1, y1))
+    assume(pieces)
+    return pieces
+
+
 class TestVoteDominantLines:
     @settings(max_examples=max(200, settings.default.max_examples))
     @given(segments=grid_segments)
     def test_top_cells_equal_full_fit_oracle(self, segments):
+        for limit in (1, 10, len(segments) + 1):
+            assert_votes_equal_oracle(segments, limit)
+
+    @settings(max_examples=max(300, settings.default.max_examples))
+    @given(groups=st.lists(exact_segments(), min_size=1, max_size=12))
+    def test_real_valued_cells_equal_object_oracle_bit_for_bit(self, groups):
+        segments = [s for pieces in groups for s in pieces]
         for limit in (1, 10, len(segments) + 1):
             assert_votes_equal_oracle(segments, limit)
 
@@ -83,17 +186,17 @@ class TestVoteDominantLines:
         segments = [seg(0, 10 * k, 10, 10 * k) for k in range(12)][::-1]
         for limit in (1, 10, 13):
             assert_votes_equal_oracle(segments, limit)
-        votes = vote_dominant_lines(segments, 3)
+        votes = vote_dominant_lines(as_rows(segments), 3)
         assert [round(-v.line.c / v.line.b) for v in votes] == [0, 10, 20]
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_limit_below_one_rejected(self, limit):
         with pytest.raises(ValueError, match="limit"):
-            vote_dominant_lines([seg(0, 0, 10, 0)], limit)
+            vote_dominant_lines(as_rows([seg(0, 0, 10, 0)]), limit)
 
     def test_collinear_segments_share_one_cell(self):
         segments = [seg(0, 100, 10, 100), seg(50, 100, 70, 100), seg(200, 100, 230, 100)]
-        votes = vote_dominant_lines(segments, len(segments))
+        votes = vote_dominant_lines(as_rows(segments), len(segments))
         assert len(votes) == 1
         top = votes[0]
         assert top.weight == pytest.approx(60.0, abs=1e-9)
@@ -108,7 +211,7 @@ class TestVoteDominantLines:
             seg(0, 50, 100, 50),
             seg(400, 200, 415, 200),
         ]
-        votes = vote_dominant_lines(segments, len(segments))
+        votes = vote_dominant_lines(as_rows(segments), len(segments))
         assert votes[0].weight == pytest.approx(100.0)
         assert votes[1].weight == pytest.approx(40.0)
         assert abs(votes[0].line.signed(Point2(10.0, 50.0))) < 1e-9
@@ -133,7 +236,7 @@ class TestVoteDominantLines:
             )
         rng.shuffle(segments)
 
-        votes = vote_dominant_lines(segments, len(segments))
+        votes = vote_dominant_lines(as_rows(segments), len(segments))
         top = votes[0]
         assert top.weight == pytest.approx(400.0, abs=1e-6)
         true_line = Line2.from_points(Point2(*on_line(-220)), Point2(*on_line(260)))
@@ -147,7 +250,7 @@ class TestVoteDominantLines:
         for _ in range(60):
             x, y = rng.uniform(0, 1800), rng.uniform(0, 1000)
             segments.append(seg(x, y, x + rng.uniform(1, 60), y + rng.uniform(1, 60)))
-        votes = vote_dominant_lines(segments, len(segments))
+        votes = vote_dominant_lines(as_rows(segments), len(segments))
         assert sum(v.weight for v in votes) == pytest.approx(
             math.fsum(s.length for s in segments), rel=1e-12
         )
@@ -158,20 +261,20 @@ class TestVoteDominantLines:
         for _ in range(30):
             x, y = rng.uniform(0, 1800), rng.uniform(0, 1000)
             segments.append(seg(x, y, x + rng.uniform(3, 40), y + rng.uniform(3, 40)))
-        votes_a = vote_dominant_lines(segments, len(segments))
+        votes_a = vote_dominant_lines(as_rows(segments), len(segments))
         shuffled = segments[:]
         rng.shuffle(shuffled)
-        votes_b = vote_dominant_lines(shuffled, len(shuffled))
+        votes_b = vote_dominant_lines(as_rows(shuffled), len(shuffled))
         assert [v.weight for v in votes_a] == [v.weight for v in votes_b]
         assert [v.line.coeffs() for v in votes_a] == [v.line.coeffs() for v in votes_b]
 
     def test_empty_input_raises(self):
         with pytest.raises(NoSegments):
-            vote_dominant_lines([], 1)
+            vote_dominant_lines(as_rows([]), 1)
 
     def test_vertical_segments_share_one_cell(self):
         segments = [seg(300, 0, 300, 40), seg(300, 100, 300, 160)]
-        votes = vote_dominant_lines(segments, len(segments))
+        votes = vote_dominant_lines(as_rows(segments), len(segments))
         assert len(votes) == 1
         assert votes[0].weight == pytest.approx(100.0)
 
@@ -219,8 +322,8 @@ class TestSelectBoundaryEuropean:
         dims = FrameDims(100, 100)
         frame = two_band_frame(dims, 30)
         candidates = [Line2.horizontal_at(10.0), Line2.horizontal_at(30.0), Line2.horizontal_at(60.0)]
-        match = GREEN_FILTER.match_array(frame)
-        best = select_boundary_european(candidates, match, Orientation.HORIZONTAL)
+        prefix = row_prefix_sums(GREEN_FILTER.match_array(frame))
+        best = select_boundary_european(candidates, prefix, Orientation.HORIZONTAL)
         assert best is candidates[1]
 
     def test_equal_contrast_ties_to_first(self):
@@ -229,8 +332,8 @@ class TestSelectBoundaryEuropean:
         arr[:20] = GREEN
         arr[40:] = GREEN
         candidates = [Line2.horizontal_at(39.5), Line2.horizontal_at(19.5)]
-        match = GREEN_FILTER.match_array(FrameRaster(arr))
-        best = select_boundary_european(candidates, match, Orientation.HORIZONTAL)
+        prefix = row_prefix_sums(GREEN_FILTER.match_array(FrameRaster(arr)))
+        best = select_boundary_european(candidates, prefix, Orientation.HORIZONTAL)
         assert best is candidates[0]
 
     @pytest.mark.parametrize("colour", [GREEN, GRAY])
@@ -238,23 +341,26 @@ class TestSelectBoundaryEuropean:
         # the filter matches every pixel or none: no candidate has contrast
         frame = FrameRaster.filled(FrameDims(60, 60), colour)
         candidates = [Line2.horizontal_at(20.0), Line2.horizontal_at(40.0)]
-        match = GREEN_FILTER.match_array(frame)
+        prefix = row_prefix_sums(GREEN_FILTER.match_array(frame))
         with pytest.raises(DegenerateCourt):
-            select_boundary_european(candidates, match, Orientation.HORIZONTAL)
+            select_boundary_european(candidates, prefix, Orientation.HORIZONTAL)
 
     def test_single_candidate_returned(self):
         dims = FrameDims(60, 60)
         frame = two_band_frame(dims, 25)
         only = Line2.horizontal_at(13.0)
         match = GREEN_FILTER.match_array(frame)
-        assert select_boundary_european([only], match, Orientation.HORIZONTAL) is only
+        prefix = row_prefix_sums(match)
+        assert select_boundary_european([only], prefix, Orientation.HORIZONTAL) is only
 
     def test_no_candidate_of_axis_raises(self):
         dims = FrameDims(60, 60)
         frame = two_band_frame(dims, 25)
         with pytest.raises(NoCandidates):
             select_boundary_european(
-                [Line2.horizontal_at(10.0)], GREEN_FILTER.match_array(frame), Orientation.VERTICAL
+                [Line2.horizontal_at(10.0)],
+                row_prefix_sums(GREEN_FILTER.match_array(frame)),
+                Orientation.VERTICAL,
             )
 
     def test_seeded_two_region_frames(self):
@@ -268,7 +374,7 @@ class TestSelectBoundaryEuropean:
             candidates = [Line2.horizontal_at(float(r)) for r in decoys]
             candidates.insert(rng.randrange(len(candidates)), Line2.horizontal_at(float(row)))
             best = select_boundary_european(
-                candidates, GREEN_FILTER.match_array(frame), Orientation.HORIZONTAL
+                candidates, row_prefix_sums(GREEN_FILTER.match_array(frame)), Orientation.HORIZONTAL
             )
             assert abs(-best.c / best.b - row) < 1e-9
 
@@ -289,8 +395,8 @@ class TestSelectBoundaryEuropean:
         arr[:, 40:] = GRAY
         frame = FrameRaster(arr)
         candidates = [Line2.vertical_at(20.0), Line2.vertical_at(40.0), Line2.vertical_at(70.0)]
-        match = GREEN_FILTER.match_array(frame)
-        best = select_boundary_european(candidates, match, Orientation.VERTICAL)
+        prefix = row_prefix_sums(GREEN_FILTER.match_array(frame))
+        best = select_boundary_european(candidates, prefix, Orientation.VERTICAL)
         assert best is candidates[1]
 
 
@@ -435,15 +541,28 @@ class TestEuropeanExactness:
     @given(masks_and_lines(), st.sampled_from([Orientation.HORIZONTAL, Orientation.VERTICAL]))
     def test_selection_equals_full_frame_oracle(self, case, axis):
         match, candidates = case
+        prefix = row_prefix_sums(match)
         expected = full_frame_select(candidates, match, axis)
         if expected is None:
             with pytest.raises(NoCandidates):
-                select_boundary_european(candidates, match, axis)
+                select_boundary_european(candidates, prefix, axis)
         elif not match.any() or match.all():
             with pytest.raises(DegenerateCourt):
-                select_boundary_european(candidates, match, axis)
+                select_boundary_european(candidates, prefix, axis)
         else:
-            assert select_boundary_european(candidates, match, axis) is expected
+            assert select_boundary_european(candidates, prefix, axis) is expected
+
+    def test_match_array_peak_on_1080p_below_32_mb(self):
+        # keys (8.3 MB), the colour table (16.8 MB) and the response
+        # (2.1 MB); a frame of few colours, so the palette stays small
+        frame = two_band_frame(DIMS, 540)
+        tracemalloc.start()
+        try:
+            GREEN_FILTER.match_array(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", range(6))
@@ -679,8 +798,8 @@ class TestSegmentsCsv:
         path = tmp_path / "segments.csv"
         path.write_text("0,100,10,100\n5.5,2.25,9,9\n")
         segments = read_segments_csv(path)
-        assert len(segments) == 2
-        assert segments[1].p0 == Point2(5.5, 2.25)
+        assert segments.shape == (2, 4)
+        assert Point2(*segments[1, :2].tolist()) == Point2(5.5, 2.25)
 
     def test_bad_field_reports_location(self, tmp_path):
         path = tmp_path / "segments.csv"
@@ -697,6 +816,23 @@ class TestSegmentsCsv:
         with pytest.raises(InputFormatError) as err:
             read_segments_csv(path)
         assert err.value.line == 3 and err.value.field == "y0" and "seg.csv:3" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, line, words",
+        [
+            ("0,0,inf,0\n", 1, "not finite"),
+            # a row that cannot vote is named before a later unparsable one
+            ("1,1,1,1\n1,2,zzz,4\n", 1, "coincide"),
+            # a finite length whose line offset overflows
+            ("0,200,191,200\n1e200,1e200,2e200,1e200\n", 2, "not finite"),
+        ],
+    )
+    def test_first_row_that_cannot_vote_names_its_line(self, tmp_path, text, line, words):
+        path = tmp_path / "segments.csv"
+        path.write_text(text)
+        with pytest.raises(InputFormatError, match=words) as err:
+            read_segments_csv(path)
+        assert err.value.line == line
 
     def test_wrong_arity_rejected(self, tmp_path):
         path = tmp_path / "segments.csv"
