@@ -8,12 +8,22 @@ Exit codes: 0 success, 1 input/format error, 2 degenerate-result error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
+
+# No command makes a BLAS call that threads would speed up (the only
+# LAPACK call is a 3x3 determinant), but numpy's bundled OpenBLAS starts
+# a worker per CPU when it loads, which costs tens of milliseconds per
+# process. The pin must come before the first numpy import, which is
+# .cost's; a value the user set wins. The package root leaves library
+# users' threading alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .cost import DEFAULT_ALPHA, DEFAULT_BETA, CostWeights
 from .court import (
@@ -508,6 +518,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+
+# Everything imported so far lives until exit: move it out of the
+# collector's generations, so that neither the collections during a run
+# nor the one at interpreter exit walk numpy's and these modules' objects.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

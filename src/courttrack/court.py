@@ -521,14 +521,22 @@ def point_in_court(region: CourtRegion, p: Point2) -> bool:
 def _segments_array(path, rows: list[list[float]], linenos: list[int]) -> np.ndarray:
     """The rows as an (n, 4) array; InputFormatError names the first row
     that cannot vote: endpoints closer than SINGULAR_TOL (Line2's bound),
-    or a non-finite endpoint, length or line."""
+    a non-finite endpoint, length or line, or a length whose cube (the
+    second moment in _fit_cell_line) overflows."""
     segments = np.array(rows, dtype=np.float64).reshape(-1, 4)
     length, norm, a, b, c = _segment_lines(segments)
     short = np.minimum(length, norm) < SINGULAR_TOL
-    bad = short | ~np.isfinite(np.column_stack([segments, length, a, b, c])).all(axis=1)
+    infinite = ~np.isfinite(np.column_stack([segments, length, a, b, c])).all(axis=1)
+    with np.errstate(over="ignore"):
+        too_long = ~np.isfinite(length * length * length)
+    bad = short | infinite | too_long
     if bad.any():
         i = int(np.argmax(bad))
-        why = "endpoints coincide" if short[i] else "endpoints, length or line not finite"
+        why = (
+            "endpoints coincide" if short[i]
+            else "endpoints, length or line not finite" if infinite[i]
+            else f"too long to fit: length {length[i]:g} cubed overflows"
+        )
         raise InputFormatError(path, f"segment {why}", line=linenos[i])
     return segments
 

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import courttrack
 from courttrack.cli import (
     SETTINGS,
     _build_parser,
@@ -662,6 +666,17 @@ class TestCourtCommand:
         assert "segments.csv:2" in err and "not finite" in err
         assert not out_json.exists()
 
+    def test_segment_too_long_to_fit_is_input_error(self, tmp_path, capsys):
+        # finite endpoints, length and line, but the length cubed overflows,
+        # which would fit a NaN line and rank it first
+        out_json = tmp_path / "court.json"
+        argv = self.planted_nba_args(tmp_path, out_json)
+        (tmp_path / "segments.csv").write_text("0,200,191,200\n0,0,1e103,0\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert "segments.csv:2: segment too long to fit" in err
+        assert not out_json.exists()
+
     def test_band_edge_just_above_row_zero_keeps_row_zero(self):
         dims = FrameDims(100, 50)
         top, bottom = Line2.horizontal_at(-0.5), Line2.horizontal_at(20.5)
@@ -931,3 +946,61 @@ class TestCommandSurface:
         code, out, _ = run(capsys, command, "--help")
         assert code == 0
         assert f"courttrack {command}" in out
+
+
+def run_child(code: str, *argv, **env) -> subprocess.CompletedProcess:
+    """`python -c code argv...` in a fresh interpreter that imports
+    courttrack from this checkout, with OPENBLAS_NUM_THREADS unset
+    unless given in `env`."""
+    src = str(Path(courttrack.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        env={**base, **env},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+
+
+class TestStartup:
+    """What `import courttrack.cli` does to a fresh process: one OS
+    thread (OpenBLAS pinned unless the user says otherwise) and the
+    import-time objects frozen out of the collector."""
+
+    @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
+    def test_blas_threads_pinned_unless_set(self, preset, seen):
+        env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+        code = "import os, courttrack.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert run_child(code, **env).stdout.strip() == seen
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+    def test_import_starts_no_thread(self):
+        out = run_child("import os, courttrack.cli; print(len(os.listdir('/proc/self/task')))")
+        assert out.stdout.strip() == "1"
+
+    def test_import_time_objects_are_frozen(self):
+        out = run_child("import gc, courttrack.cli; print(gc.get_freeze_count())")
+        assert int(out.stdout) > 0
+
+    def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        assert run(capsys, *synth_args(scen, targets=6, frames=12, seed=7, pan="2,0"))[0] == 0
+        (tmp_path / "nba").mkdir()  # the helpers write their inputs there
+        (tmp_path / "eu").mkdir()
+        nba = TestCourtCommand.planted_nba_args(tmp_path / "nba", tmp_path / "nba.json")
+        european = TestCourtCommand.planted_european_args(tmp_path / "eu")
+        european += ["--hsv", "90:150,0.4:1,0.2:1", "--out", str(tmp_path / "eu.json")]
+        entry = "import sys; from courttrack.cli import main; sys.exit(main())"
+        outputs = {}
+        for threads in (None, "2"):
+            env = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+            run_child(entry, *track_args(scen, tmp_path / "tracks.csv"), **env)
+            run_child(entry, *nba, **env)
+            run_child(entry, *european, **env)
+            outputs[threads] = [
+                (tmp_path / name).read_bytes() for name in ("tracks.csv", "nba.json", "eu.json")
+            ]
+        assert outputs[None] == outputs["2"]
+        assert all(outputs[None])

@@ -825,6 +825,8 @@ class TestSegmentsCsv:
             ("1,1,1,1\n1,2,zzz,4\n", 1, "coincide"),
             # a finite length whose line offset overflows
             ("0,200,191,200\n1e200,1e200,2e200,1e200\n", 2, "not finite"),
+            # a finite length, but its cube (the fit's second moment) overflows
+            ("0,200,191,200\n0,0,1e103,0\n", 2, "cubed overflows"),
         ],
     )
     def test_first_row_that_cannot_vote_names_its_line(self, tmp_path, text, line, words):
