@@ -511,33 +511,43 @@ class CourtRegion:
         return cls(top_o, bottom_o, left_o, right_o, dims)
 
 
-def point_in_court(region: CourtRegion, p: Point2) -> bool:
-    """Closed-region membership: boundary points count as inside."""
-    return all(line.signed(p) >= -_EDGE_TOL for line in region.boundaries())
-
-
 # --- segment ingestion --------------------------------------------------------
+
+# Bound on a segment endpoint coordinate, chosen so that no weight, moment
+# or product in the line fit can overflow. With every |coordinate| <= B,
+# a segment's dx and dy lie within 2B and its length w within 2*sqrt(2)*B
+# < 3B; its line offset c = -(a*x0 + b*y0) lies within 4B^2, and a
+# weight times a midpoint coordinate within 3B^2. In _fit_cell_line the
+# weighted mean lies within B, so a row's distance to it lies within 2B,
+# and each row adds at most w*(2B)^2 + w^3/12 < 12B^3 + 3B^3 = 15B^3 to a
+# second moment. At B = 1e75 that is 1.5e226: even 1e80 rows sum to
+# 1.5e306, below the float maximum of about 1.8e308.
+MAX_COORD = 1e75
+_SEGMENT_FIELDS = ("x0", "y0", "x1", "y1")
+
 
 def _segments_array(path, rows: list[list[float]], linenos: list[int]) -> np.ndarray:
     """The rows as an (n, 4) array; InputFormatError names the first row
-    that cannot vote: endpoints closer than SINGULAR_TOL (Line2's bound),
-    a non-finite endpoint, length or line, or a length whose cube (the
-    second moment in _fit_cell_line) overflows."""
+    that cannot vote: an endpoint coordinate that is not finite or lies
+    beyond MAX_COORD, or endpoints closer than SINGULAR_TOL (Line2's
+    bound)."""
     segments = np.array(rows, dtype=np.float64).reshape(-1, 4)
-    length, norm, a, b, c = _segment_lines(segments)
+    out_of_range = ~(np.abs(segments) <= MAX_COORD)  # NaN compares False
+    length, norm, _, _, _ = _segment_lines(segments)
     short = np.minimum(length, norm) < SINGULAR_TOL
-    infinite = ~np.isfinite(np.column_stack([segments, length, a, b, c])).all(axis=1)
-    with np.errstate(over="ignore"):
-        too_long = ~np.isfinite(length * length * length)
-    bad = short | infinite | too_long
+    bad = out_of_range.any(axis=1) | short
     if bad.any():
         i = int(np.argmax(bad))
-        why = (
-            "endpoints coincide" if short[i]
-            else "endpoints, length or line not finite" if infinite[i]
-            else f"too long to fit: length {length[i]:g} cubed overflows"
-        )
-        raise InputFormatError(path, f"segment {why}", line=linenos[i])
+        if out_of_range[i].any():
+            j = int(np.argmax(out_of_range[i]))
+            value = segments[i, j].item()
+            raise InputFormatError(
+                path,
+                f"segment endpoint {value!r} not finite or beyond {MAX_COORD:g} in absolute value",
+                line=linenos[i],
+                field=_SEGMENT_FIELDS[j],
+            )
+        raise InputFormatError(path, "segment endpoints coincide", line=linenos[i])
     return segments
 
 
@@ -546,7 +556,6 @@ def read_segments_csv(path) -> np.ndarray:
     (n, 4) float64 array. An error names the first bad row's line."""
     rows: list[list[float]] = []
     linenos: list[int] = []
-    fields = ("x0", "y0", "x1", "y1")
     with open_text(path, newline="") as fh:
         reader = csv.reader(line for _, line in text_lines(fh, path))
         try:
@@ -557,7 +566,7 @@ def read_segments_csv(path) -> np.ndarray:
                 if len(row) != 4:
                     raise InputFormatError(path, f"expected 4 values, got {len(row)}", line=lineno)
                 values = []
-                for name, cell in zip(fields, row):
+                for name, cell in zip(_SEGMENT_FIELDS, row):
                     try:
                         values.append(float(cell))
                     except ValueError:

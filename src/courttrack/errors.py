@@ -28,10 +28,6 @@ class DegenerateCourt(CourtTrackError):
     """Court boundary search collapsed without a usable region."""
 
 
-class EmptyKeypoints(CourtTrackError):
-    """Skeleton box requested for an empty keypoint list."""
-
-
 class EmptyGroundTruth(CourtTrackError):
     """Tracking evaluation requires at least one ground-truth box."""
 

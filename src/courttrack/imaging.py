@@ -29,8 +29,7 @@ def _read_only(data, dtype) -> np.ndarray:
 
     Only a writeable source can change under the wrapper, so only that
     is copied; a read-only view of a mapped file stays a view. A strided
-    view such as a crop is copied too, so that it does not keep its whole
-    parent alive.
+    view is copied too, so that it does not keep its whole parent alive.
     """
     if (
         type(data) is np.ndarray
@@ -200,24 +199,6 @@ def keypoint_patches(
         [he - xy[:, 1], he + h - xy[:, 1], he - xy[:, 0], he + w - xy[:, 0]], axis=1
     ).clip(0, side)
     return patches, rects
-
-
-def resize_nearest(frame: FrameRaster, dims: FrameDims) -> FrameRaster:
-    """Nearest-neighbor resample to the requested dims."""
-    h, w = frame.data.shape[:2]
-    ys = np.minimum((np.arange(dims.h) * h / dims.h).astype(int), h - 1)
-    xs = np.minimum((np.arange(dims.w) * w / dims.w).astype(int), w - 1)
-    arr = frame.data[np.ix_(ys, xs)]
-    arr.flags.writeable = False
-    return FrameRaster(arr)
-
-
-def crop(frame: FrameRaster, x0: int, y0: int, w: int, h: int) -> FrameRaster:
-    """Axis-aligned crop; the window must lie fully inside the frame."""
-    fh, fw = frame.data.shape[:2]
-    if x0 < 0 or y0 < 0 or x0 + w > fw or y0 + h > fh:
-        raise ValueError(f"crop ({x0},{y0},{w},{h}) exceeds frame {fw}x{fh}")
-    return FrameRaster(frame.data[y0 : y0 + h, x0 : x0 + w])
 
 
 # --- PPM / PGM input and output ------------------------------------------

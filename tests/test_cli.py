@@ -355,6 +355,23 @@ class TestEvalCommand:
         report = json.loads(out)
         assert (report["tp"], report["fp"], report["fn"]) == (1, 1, 0)
 
+    @pytest.mark.parametrize("dropout", [None, "0.3"])
+    def test_detection_f1_of_synth_detections_jsonl(self, tmp_path, capsys, dropout):
+        scen = tmp_path / "scen"
+        extra = [] if dropout is None else ["--dropout", dropout, "--jitter", "1.5"]
+        synth = synth_args(scen, targets=5, frames=8, pan="2,1", seed=4)
+        assert run(capsys, *synth, *extra)[0] == 0
+        hyp = scen / "detections.jsonl"
+        code, out, _ = run(capsys, "eval", "--mode", "det", "--gt", str(scen / "gt.csv"), "--hyp", str(hyp))
+        assert code == 0
+        report = json.loads(out)
+        lines = len(hyp.read_text().splitlines())
+        if dropout is None:
+            assert report["f1"] == 1.0 and report["tp"] == lines
+        else:
+            # every planted detection matches its target; dropped ones are misses
+            assert report["fp"] == 0 and report["tp"] == lines and report["fn"] > 0
+
     def test_identical_gt_and_hyp(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
         gt.write_text("0,1,0.0,0.0,10.0,10.0\n1,1,0.0,0.0,10.0,10.0\n")
@@ -667,14 +684,28 @@ class TestCourtCommand:
         assert not out_json.exists()
 
     def test_segment_too_long_to_fit_is_input_error(self, tmp_path, capsys):
-        # finite endpoints, length and line, but the length cubed overflows,
-        # which would fit a NaN line and rank it first
+        # finite endpoints, length and line, but an endpoint beyond the bound:
+        # the length cubed would overflow, fit a NaN line and rank it first
         out_json = tmp_path / "court.json"
         argv = self.planted_nba_args(tmp_path, out_json)
         (tmp_path / "segments.csv").write_text("0,200,191,200\n0,0,1e103,0\n")
         code, out, err = run(capsys, *argv)
         assert code == 1 and not out
-        assert "segments.csv:2: segment too long to fit" in err
+        assert "segments.csv:2 (field 'x1'): segment endpoint 1e+103 not finite or beyond 1e+75" in err
+        assert not out_json.exists()
+
+    def test_far_apart_segments_of_one_cell_are_input_error(self, tmp_path, capsys):
+        # each row's length cubed is finite, but the two far-apart diagonal
+        # rows share a cell, and their distances to the cell's mean would
+        # overflow the fit's moments into a NaN line
+        out_json = tmp_path / "court.json"
+        argv = self.planted_nba_args(tmp_path, out_json)
+        (tmp_path / "segments.csv").write_text(
+            "0,200,191,200\n0,0,1e100,1e100\n1e115,1e115,1.00000000000001e115,1.00000000000001e115\n"
+        )
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert "segments.csv:2 (field 'x1')" in err and "beyond 1e+75" in err
         assert not out_json.exists()
 
     def test_band_edge_just_above_row_zero_keeps_row_zero(self):

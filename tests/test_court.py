@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from courttrack.errors import DegenerateCourt, InputFormatError, NoCandidates, NoSegments
 from courttrack.court import (
     _EDGE_TOL,
+    MAX_COORD,
     CourtRegion,
     HsvFilter,
     LineVote,
@@ -20,7 +21,6 @@ from courttrack.court import (
     _row_runs,
     classify_orientation,
     converge_boundaries_nba,
-    point_in_court,
     read_segments_csv,
     row_prefix_sums,
     select_boundary_european,
@@ -755,14 +755,20 @@ class TestConvergeBoundariesNba:
             converge_boundaries_nba(mask, Line2.horizontal_at(0.0), step=step)
 
 
+def on_court(region: CourtRegion, p: Point2) -> bool:
+    """The orientation `court` writes: every boundary's signed distance
+    is >= 0 on court, and some boundary's is < 0 off it."""
+    return all(line.signed(p) >= 0.0 for line in region.boundaries())
+
+
 class TestCourtRegion:
     def test_membership_full_frame_band(self):
         region = CourtRegion.from_boundaries(
             Line2.horizontal_at(100.0), Line2.horizontal_at(900.0), None, None, DIMS
         )
-        assert point_in_court(region, Point2(960.0, 540.0))
-        assert not point_in_court(region, Point2(960.0, 50.0))
-        assert point_in_court(region, Point2(960.0, 100.0))  # boundary is closed
+        assert on_court(region, Point2(960.0, 540.0))
+        assert not on_court(region, Point2(960.0, 50.0))
+        assert on_court(region, Point2(960.0, 100.0))  # boundary is closed
 
     def test_membership_with_lateral_boundaries(self):
         region = CourtRegion.from_boundaries(
@@ -772,9 +778,9 @@ class TestCourtRegion:
             Line2.vertical_at(1700.0),
             DIMS,
         )
-        assert point_in_court(region, Point2(960.0, 500.0))
-        assert not point_in_court(region, Point2(100.0, 500.0))
-        assert not point_in_court(region, Point2(1800.0, 500.0))
+        assert on_court(region, Point2(960.0, 500.0))
+        assert not on_court(region, Point2(100.0, 500.0))
+        assert not on_court(region, Point2(1800.0, 500.0))
 
     def test_empty_region_rejected(self):
         with pytest.raises(DegenerateCourt):
@@ -824,9 +830,9 @@ class TestSegmentsCsv:
             # a row that cannot vote is named before a later unparsable one
             ("1,1,1,1\n1,2,zzz,4\n", 1, "coincide"),
             # a finite length whose line offset overflows
-            ("0,200,191,200\n1e200,1e200,2e200,1e200\n", 2, "not finite"),
+            ("0,200,191,200\n1e200,1e200,2e200,1e200\n", 2, "beyond 1e\\+75"),
             # a finite length, but its cube (the fit's second moment) overflows
-            ("0,200,191,200\n0,0,1e103,0\n", 2, "cubed overflows"),
+            ("0,200,191,200\n0,0,1e103,0\n", 2, "beyond 1e\\+75"),
         ],
     )
     def test_first_row_that_cannot_vote_names_its_line(self, tmp_path, text, line, words):
@@ -835,6 +841,31 @@ class TestSegmentsCsv:
         with pytest.raises(InputFormatError, match=words) as err:
             read_segments_csv(path)
         assert err.value.line == line
+
+    def test_bound_is_inclusive(self, tmp_path):
+        path = tmp_path / "segments.csv"
+        path.write_text(f"{-MAX_COORD!r},0,{MAX_COORD!r},0\n")
+        assert read_segments_csv(path).tolist() == [[-MAX_COORD, 0.0, MAX_COORD, 0.0]]
+        beyond = math.nextafter(MAX_COORD, math.inf)
+        path.write_text(f"0,200,191,200\n0,{-beyond!r},1,0\n")
+        with pytest.raises(InputFormatError, match="beyond") as err:
+            read_segments_csv(path)
+        assert err.value.line == 2 and err.value.field == "y0"
+
+    @settings(max_examples=max(300, settings.default.max_examples))
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.sampled_from([-MAX_COORD, -MAX_COORD / 3, 0.0, 1.0, MAX_COORD / 7, MAX_COORD])] * 4),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    def test_every_row_within_the_bound_fits_a_finite_line(self, rows):
+        # far-apart segments of one cell are what overflowed the fit's moments
+        segments = np.array(rows, dtype=np.float64)
+        assume((segments[:, :2] != segments[:, 2:]).any(axis=1).all())
+        for vote in vote_dominant_lines(segments, len(rows)):
+            assert all(map(math.isfinite, vote.line.coeffs())) and math.isfinite(vote.weight)
 
     def test_wrong_arity_rejected(self, tmp_path):
         path = tmp_path / "segments.csv"
