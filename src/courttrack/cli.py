@@ -40,7 +40,7 @@ from .court import (
     select_boundary_european,
     vote_dominant_lines,
 )
-from .detect import read_detections_jsonl, write_detections_jsonl
+from .detect import NO_DETECTIONS, read_detections_jsonl, write_detections_jsonl
 from .errors import (
     CourtTrackError,
     DegenerateCourt,
@@ -303,7 +303,7 @@ def decode_frames(paths, detections, homographies) -> Iterator[FrameObservations
         if h is None:
             print(f"warning: no homography for frame {t}, assuming identity", file=sys.stderr)
             h = Homography.identity()
-        yield FrameObservations(detections.get(t, []), h, raster)
+        yield FrameObservations(detections.get(t, NO_DETECTIONS), h, raster)
 
 
 def write_scenario(seq: SyntheticSequence, outdir) -> None:
@@ -368,7 +368,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         per_frame: dict[int, list[BBox]] = {}
         if str(args.hyp).endswith(".jsonl"):
             for t, dets in read_detections_jsonl(args.hyp).items():
-                per_frame[t] = [d.bbox for d in dets]
+                per_frame[t] = [BBox(*box) for box in dets.boxes.tolist()]
         else:
             for rec in read_mot_csv(args.hyp):
                 per_frame.setdefault(rec.frame, []).append(rec.bbox)

@@ -6,8 +6,9 @@ frame raster). All three terms are dissimilarities in [0, 1] for
 in-frame stabilized centroids.
 
 The tracker extracts each frame's stabilized centroids, stabilized
-boxes and keypoint patches once with features, and cost_matrix fills
-the matrix of two such feature sets with array operations.
+boxes and keypoint patches once with features, from the frame's
+detection arrays, and cost_matrix fills the matrix of two such feature
+sets with array operations.
 similarity_cost and its three terms are the scalar reference: every
 entry of cost_matrix equals it bit for bit. The float terms perform the
 scalar path's IEEE operations in its order, one elementwise numpy
@@ -22,15 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .detect import Detection
+from .detect import FrameDetections
 from .errors import EmptyOverlap
 from .geometry import (
+    BBox,
     FrameDims,
     Homography,
+    Point2,
     iou,
     normalized_centroid_distance,
     project_points,
@@ -66,24 +68,25 @@ def default_weights() -> CostWeights:
 
 @dataclass(frozen=True)
 class ObservedBox:
-    """One detection together with its frame's stabilization and pixels."""
+    """What similarity_cost reads of one detection, its skeleton box and
+    the position of each of its parts, with its frame's stabilization
+    and pixels."""
 
-    detection: Detection
+    box: BBox
+    parts: dict[int, Point2]  # part id -> keypoint position
     homography: Homography
     frame: FrameRaster = field(repr=False)
 
 
 def cost_distance(a: ObservedBox, b: ObservedBox, dims: FrameDims) -> float:
     """Stabilized centroid distance, normalized by the frame diagonal."""
-    return normalized_centroid_distance(
-        a.homography, b.homography, a.detection.bbox, b.detection.bbox, dims
-    )
+    return normalized_centroid_distance(a.homography, b.homography, a.box, b.box, dims)
 
 
 def cost_iou(a: ObservedBox, b: ObservedBox) -> float:
     """One minus the overlap of the stabilized boxes, so 0 is a perfect match."""
-    box_a = transform_bbox(a.homography, a.detection.bbox)
-    box_b = transform_bbox(b.homography, b.detection.bbox)
+    box_a = transform_bbox(a.homography, a.box)
+    box_b = transform_bbox(b.homography, b.box)
     return 1.0 - iou(box_a, box_b)
 
 
@@ -93,19 +96,13 @@ def cost_content(a: ObservedBox, b: ObservedBox, win: PatchWindow = PatchWindow(
     A pair with no shared part, or a shared part whose patches have no
     comparable pixels, contributes the maximal difference 1.
     """
-    parts_a = a.detection.parts()
-    parts_b = b.detection.parts()
-    shared = sorted(parts_a.keys() & parts_b.keys())
+    shared = sorted(a.parts.keys() & b.parts.keys())
     if not shared:
         return 1.0
     per_part = []
     for part_id in shared:
         try:
-            per_part.append(
-                patch_mean_abs_diff(
-                    a.frame, parts_a[part_id].position, b.frame, parts_b[part_id].position, win
-                )
-            )
+            per_part.append(patch_mean_abs_diff(a.frame, a.parts[part_id], b.frame, b.parts[part_id], win))
         except EmptyOverlap:
             per_part.append(1.0)
     return math.fsum(per_part) / len(per_part)
@@ -159,16 +156,14 @@ def patch_sum_dtype(win: PatchWindow) -> type:
 
 
 def features(
-    detections: Sequence[Detection],
+    detections: FrameDetections,
     homography: Homography,
     raster: FrameRaster,
     win: PatchWindow = PatchWindow(),
 ) -> Features:
     """Extract the stabilized centroid, box and keypoint patches of one frame's detections."""
-    n = len(detections)
-    box = np.array(
-        [(d.bbox.x_min, d.bbox.y_min, d.bbox.x_max, d.bbox.y_max) for d in detections], dtype=float
-    ).reshape(n, 4)
+    box = detections.boxes
+    n = len(box)
     # per box its centroid (BBox.centroid), then transform_bbox's four corners
     points = np.empty((n, 5, 2))
     points[:, 0, 0] = (box[:, 0] + box[:, 2]) / 2.0
@@ -178,13 +173,10 @@ def features(
     corners = stabilized[:, 1:]
     boxes = np.concatenate([corners.min(axis=1), corners.max(axis=1)], axis=1)
 
-    keypoints = [k for det in detections for k in det.keypoints]
-    part_ids = np.array([k.part_id for k in keypoints], dtype=np.int64)
-    order = np.argsort(part_ids, kind="stable")
-    part_ids = part_ids[order]
-    owners = np.repeat(np.arange(n), [len(det.keypoints) for det in detections])[order]
-    xy = np.array([(k.position.x, k.position.y) for k in keypoints], dtype=float).reshape(-1, 2)
-    patches, rects = keypoint_patches(raster, xy[order], win)
+    order = np.argsort(detections.parts, kind="stable")
+    part_ids = detections.parts[order]
+    owners = detections.owners[order]
+    patches, rects = keypoint_patches(raster, detections.xy[order], win)
 
     acc = patch_sum_dtype(win)
     integral = np.zeros((len(owners), win.side + 1, win.side + 1), dtype=acc)
@@ -260,8 +252,9 @@ def cost_matrix(rows: Features, cols: Features, weights: CostWeights, dims: Fram
     """similarity_cost of every (row, column) observation pair in one batch.
 
     With rows = features(a, ha, fa, win) and cols = features(b, hb, fb,
-    win), entry [i, j] equals similarity_cost(ObservedBox(a[i], ha, fa),
-    ObservedBox(b[j], hb, fb), weights, dims, win) bit for bit: each
+    win), entry [i, j] equals similarity_cost(oa, ob, weights, dims,
+    win) bit for bit, where oa is the ObservedBox of a's detection i
+    under ha and fa, and ob that of b's detection j under hb and fb: each
     float operation of the scalar path happens once per pair in the same
     order, and patch sums are exact integers.
     """

@@ -275,8 +275,9 @@ def read_ppm(path) -> FrameRaster:
 
 def write_ppm(frame: FrameRaster, path) -> None:
     d = frame.dims
-    header = f"P6\n{d.w} {d.h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + frame.data.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(f"P6\n{d.w} {d.h}\n255\n".encode("ascii"))
+        fh.write(frame.data)  # the array's own buffer: C-contiguous, so no copy
 
 
 def read_pgm(path) -> BinaryMask:

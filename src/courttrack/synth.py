@@ -18,9 +18,9 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .detect import Detection, Keypoint, SourceStage
+from .detect import DetectionsBuilder, FrameDetections
 from .errors import TargetOutOfFrame, TooLarge
-from .geometry import BBox, FrameDims, Homography, Point2
+from .geometry import BBox, FrameDims, Homography
 from .imaging import FrameRaster
 from .rng import SplitMix64
 from .track import FrameObservations, GroundTruthBox
@@ -86,14 +86,14 @@ class ScenarioSpec:
 class SyntheticSequence:
     spec: ScenarioSpec
     gt: list[GroundTruthBox]
-    detections: dict[int, list[Detection]]
+    detections: dict[int, FrameDetections]
     homographies: list[Homography]
     frames: list[FrameRaster]
 
     def frame_observations(self) -> list[FrameObservations]:
         """Repackage for run_tracker."""
         return [
-            FrameObservations(self.detections.get(t, []), self.homographies[t], self.frames[t])
+            FrameObservations(self.detections[t], self.homographies[t], self.frames[t])
             for t in range(self.spec.n_frames)
         ]
 
@@ -164,18 +164,6 @@ def _start_positions(spec: ScenarioSpec, motion, box_w: float, box_h: float):
     return starts
 
 
-def _stencil_detection(box: BBox, stage: SourceStage) -> Detection:
-    keypoints = [
-        Keypoint(
-            part_id,
-            Point2(box.x_min + rx * box.width, box.y_min + ry * box.height),
-            0.9,
-        )
-        for part_id, rx, ry in KEYPOINT_STENCIL
-    ]
-    return Detection(tuple(keypoints), stage)
-
-
 def _kept_by_dropout(spec: ScenarioSpec, t: int, i: int) -> bool:
     """Whether the base dropout keeps target i's detection in frame t."""
     return SplitMix64(spec.seed, 0xD809, t, i).uniform() >= spec.dropout_rate
@@ -189,17 +177,19 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
     colors = _target_colors(spec.n_targets, spec.seed)
 
     gt: list[GroundTruthBox] = []
-    detections: dict[int, list[Detection]] = {}
+    detections: dict[int, FrameDetections] = {}
     homographies: list[Homography] = []
     frames: list[FrameRaster] = []
     detected = [True] * spec.n_targets  # each target in the previous frame; frame -1 counts
+    background = np.empty((spec.dims.h, spec.dims.w, 3), dtype=np.uint8)
+    background[:, :] = BACKGROUND_COLOR
+    stencil_parts = [part_id for part_id, _, _ in KEYPOINT_STENCIL]
 
     for t in range(spec.n_frames):
         pan_x, pan_y = spec.pan[0] * t, spec.pan[1] * t
         homographies.append(Homography.translation(pan_x, pan_y))
-        raster = np.empty((spec.dims.h, spec.dims.w, 3), dtype=np.uint8)
-        raster[:, :] = BACKGROUND_COLOR
-        frame_dets: list[Detection] = []
+        raster = background.copy()  # copying is far faster than broadcasting the color again
+        frame_dets = DetectionsBuilder()
         for i in range(spec.n_targets):
             x = starts[i][0] + motion[i][0] * t - pan_x
             y = starts[i][1] + motion[i][1] * t - pan_y
@@ -240,8 +230,10 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
                 if not (math.isfinite(xs[1] - xs[0]) and math.isfinite(ys[1] - ys[0])):
                     raise ValueError(f"jitter_sigma {spec.jitter_sigma} overflows a box at t={t}")
                 det_box = BBox(xs[0], ys[0], xs[1], ys[1])
-            frame_dets.append(_stencil_detection(det_box, SourceStage.EXTERNAL))
-        detections[t] = frame_dets
+            left, top, width, height = det_box.x_min, det_box.y_min, det_box.width, det_box.height
+            stencil = [(left + rx * width, top + ry * height) for _, rx, ry in KEYPOINT_STENCIL]
+            frame_dets.add(stencil_parts, stencil)
+        detections[t] = frame_dets.build()
         raster.flags.writeable = False
         frames.append(FrameRaster(raster))
 

@@ -6,8 +6,11 @@ cost of an id is the best similarity against its detections at t-1 and
 t-2 (the two-frame memory criterion). Gated-out detections get fresh
 ids. Frames stream through: the tracker keeps only the features of the
 last memory_depth frames' detections and the id of each, so an id that
-leaves that window is never matched again. Its output is one
-(frame, id, box) row per detection.
+leaves that window is never matched again. A frame's detections arrive
+as one FrameDetections of arrays: the skeleton boxes, which the output
+and the distance and overlap terms use, and the keypoint positions
+behind the content term. Its output is one (frame, id, box) row per
+detection.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cost import CostWeights, Features, cost_matrix, default_weights, features
-from .detect import Detection
+from .detect import FrameDetections
 from .errors import DegenerateProjection
 from .geometry import BBox, FrameDims, Homography
 from .imaging import FrameRaster, PatchWindow
@@ -155,9 +158,9 @@ def match_frame(
 
 @dataclass(frozen=True)
 class FrameObservations:
-    """Input of one frame: detections plus stabilization and pixels."""
+    """Input of one frame: its detections' arrays plus stabilization and pixels."""
 
-    detections: list[Detection]
+    detections: FrameDetections
     homography: Homography
     raster: FrameRaster
 
@@ -186,11 +189,11 @@ def run_tracker(
             raise DegenerateProjection(f"frame {t}: {exc}") from None
         matched = match_frame(window, dets, cfg, dims)
         owners = []
-        for i, det in enumerate(frame.detections):
+        for i, box in enumerate(frame.detections.boxes.tolist()):
             track_id = matched.get(i)
             if track_id is None:
                 track_id, next_id = next_id, next_id + 1
             owners.append(track_id)
-            rows.append(GroundTruthBox(t, track_id, det.bbox))
+            rows.append(GroundTruthBox(t, track_id, BBox(*box)))
         window.append((dets, owners))
     return rows

@@ -10,6 +10,7 @@ pass lines. Every tolerance is pinned here; nothing is calibrated later.
 import math
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,6 @@ from courttrack.court import (
     select_boundary_european,
     vote_dominant_lines,
 )
-from courttrack.detect import Detection, Keypoint, SourceStage
 from courttrack.geometry import (
     BBox,
     FrameDims,
@@ -50,6 +50,7 @@ from courttrack.metrics import (
 from courttrack.synth import ScenarioSpec, brute_force_assignment, generate
 from courttrack.track import MatchConfig, run_tracker, solve_assignment
 
+from tests.detections import frame_of, observed
 from tests.test_court import banded_mask, as_rows, seg as make_seg, two_band_frame, GREEN_FILTER
 from tests.test_geometry import pixel_iou_oracle, project_oracle
 
@@ -111,13 +112,10 @@ def _random_in_frame_observation(rng: random.Random, frame: FrameRaster) -> Obse
     ids = rng.sample(range(17), rng.randrange(2, 6))
     x0, y0 = rng.uniform(2, 1800), rng.uniform(2, 950)
     x1, y1 = x0 + rng.uniform(10, 100), y0 + rng.uniform(20, 120)
-    parts = [Keypoint(ids[0], Point2(x0, y0), 0.9), Keypoint(ids[1], Point2(x1, y1), 0.9)]
+    parts = [(ids[0], x0, y0), (ids[1], x1, y1)]
     for pid in ids[2:]:
-        parts.append(
-            Keypoint(pid, Point2(rng.uniform(x0, x1), rng.uniform(y0, y1)), 0.9)
-        )
-    det = Detection(tuple(parts), SourceStage.EXTERNAL)
-    return ObservedBox(det, Homography.identity(), frame)
+        parts.append((pid, rng.uniform(x0, x1), rng.uniform(y0, y1)))
+    return observed(frame_of(parts), 0, Homography.identity(), frame)
 
 
 def test_criterion_3_cost_bounds_and_identity():
@@ -208,7 +206,7 @@ def test_criterion_6_stabilization_equivariance():
     seq = generate(spec)
     dims = spec.dims
     observations = [
-        ObservedBox(seq.detections[t][0], seq.homographies[t], seq.frames[t])
+        observed(seq.detections[t], 0, seq.homographies[t], seq.frames[t])
         for t in range(spec.n_frames)
     ]
     for i in range(spec.n_frames):
@@ -217,7 +215,7 @@ def test_criterion_6_stabilization_equivariance():
 
     identity = Homography.identity()
     unstabilized = [
-        ObservedBox(o.detection, identity, o.frame) for o in observations
+        replace(o, homography=identity) for o in observations
     ]
     pan_norm = math.hypot(*pan)
     slope = pan_norm / dims.diagonal

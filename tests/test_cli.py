@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,27 @@ class TestTrackCommand:
         code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
         assert code == 1
         assert f"detections.jsonl:2 (field '{field}')" in err
+
+    def test_overflowing_keypoint_span_fails_naming_its_line(self, tmp_path, capsys):
+        # finite keypoints whose box is too wide for its width to be a float
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen))
+        lines = (scen / "detections.jsonl").read_text().splitlines()
+        bad = json.loads(lines[1])
+        bad["keypoints"] = [
+            {"part": 0, "x": 1e308, "y": -1e308, "c": 0.9},
+            {"part": 1, "x": -1e308, "y": 1e308, "c": 0.9},
+        ]
+        lines[1] = json.dumps(bad)
+        (scen / "detections.jsonl").write_text("\n".join(lines) + "\n")
+        out_csv = tmp_path / "t.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, *track_args(scen, out_csv))
+        assert code == 1
+        assert "detections.jsonl:2 (field 'keypoints'): keypoint span" in err and "is not finite" in err
+        assert caught == []
+        assert not out_csv.exists()
 
     def test_homography_integer_beyond_digit_limit_names_file(self, tmp_path):
         from courttrack.errors import InputFormatError

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,26 +20,23 @@ from courttrack.cost import (
     patch_sum_dtype,
     similarity_cost,
 )
-from courttrack.detect import Detection, Keypoint, SourceStage
-from courttrack.geometry import FrameDims, Homography, Point2, apply_homography, transform_bbox
+from courttrack.geometry import FrameDims, Homography, apply_homography, transform_bbox
 from courttrack.imaging import FrameRaster, PatchWindow
+from tests.detections import frame_of, observed
 from tests.test_geometry import compose, rotation
 
 DIMS = FrameDims(1920, 1080)
-
-
-def det_with_parts(parts: list[tuple[int, float, float]]) -> Detection:
-    kps = [Keypoint(pid, Point2(x, y), 0.9) for pid, x, y in parts]
-    return Detection(tuple(kps), SourceStage.EXTERNAL)
 
 
 def gray(dims=DIMS, value=(90, 90, 90)) -> FrameRaster:
     return FrameRaster.filled(dims, value)
 
 
-def obs(detection, homography=None, frame=None) -> ObservedBox:
-    return ObservedBox(
-        detection,
+def obs(parts: list[tuple[int, float, float]], homography=None, frame=None) -> ObservedBox:
+    """The observation of a detection of (part id, x, y) keypoints."""
+    return observed(
+        frame_of(parts),
+        0,
         homography or Homography.identity(),
         frame if frame is not None else gray(),
     )
@@ -63,12 +61,12 @@ class TestCostWeights:
 
 class TestCostDistance:
     def test_same_box_identity_is_zero(self):
-        a = obs(det_with_parts([(0, 100.0, 100.0), (1, 140.0, 180.0)]))
+        a = obs([(0, 100.0, 100.0), (1, 140.0, 180.0)])
         assert cost_distance(a, a, DIMS) == 0.0
 
     def test_opposite_corners_is_one(self):
-        a = obs(det_with_parts([(0, 0.0, 0.0)]))
-        b = obs(det_with_parts([(0, 1920.0, 1080.0)]))
+        a = obs([(0, 0.0, 0.0)])
+        b = obs([(0, 1920.0, 1080.0)])
         assert cost_distance(a, b, DIMS) == pytest.approx(1.0, rel=1e-15)
 
     def test_pan_cancelling_homographies(self):
@@ -78,7 +76,7 @@ class TestCostDistance:
         for t in range(6):
             shifted = [(pid, x - 7.0 * t, y - 3.0 * t) for pid, x, y in world]
             observations.append(
-                obs(det_with_parts(shifted), Homography.translation(7.0 * t, 3.0 * t))
+                obs(shifted, Homography.translation(7.0 * t, 3.0 * t))
             )
         for i in range(6):
             for j in range(6):
@@ -89,44 +87,44 @@ class TestCostDistance:
         g = compose(rotation(0.3), Homography.translation(12.0, -5.0))
         for _ in range(30):
             a = obs(
-                det_with_parts([(0, rng.uniform(0, 800), rng.uniform(0, 800))]),
+                [(0, rng.uniform(0, 800), rng.uniform(0, 800))],
                 Homography.translation(rng.uniform(-5, 5), rng.uniform(-5, 5)),
             )
             b = obs(
-                det_with_parts([(0, rng.uniform(0, 800), rng.uniform(0, 800))]),
+                [(0, rng.uniform(0, 800), rng.uniform(0, 800))],
                 Homography.translation(rng.uniform(-5, 5), rng.uniform(-5, 5)),
             )
             base = cost_distance(a, b, DIMS)
-            moved_a = ObservedBox(a.detection, compose(g, a.homography), a.frame)
-            moved_b = ObservedBox(b.detection, compose(g, b.homography), b.frame)
+            moved_a = replace(a, homography=compose(g, a.homography))
+            moved_b = replace(b, homography=compose(g, b.homography))
             assert cost_distance(moved_a, moved_b, DIMS) == pytest.approx(base, abs=1e-12)
 
 
 class TestCostIou:
     def test_identical_boxes_zero(self):
-        a = obs(det_with_parts([(0, 10.0, 10.0), (1, 60.0, 120.0)]))
+        a = obs([(0, 10.0, 10.0), (1, 60.0, 120.0)])
         assert cost_iou(a, a) == 0.0
 
     def test_disjoint_boxes_one(self):
-        a = obs(det_with_parts([(0, 0.0, 0.0), (1, 10.0, 10.0)]))
-        b = obs(det_with_parts([(0, 500.0, 500.0), (1, 510.0, 510.0)]))
+        a = obs([(0, 0.0, 0.0), (1, 10.0, 10.0)])
+        b = obs([(0, 500.0, 500.0), (1, 510.0, 510.0)])
         assert cost_iou(a, b) == 1.0
 
     def test_third_overlap_gives_two_thirds(self):
-        a = obs(det_with_parts([(0, 0.0, 0.0), (1, 10.0, 10.0)]))
-        b = obs(det_with_parts([(0, 5.0, 0.0), (1, 15.0, 10.0)]))
+        a = obs([(0, 0.0, 0.0), (1, 10.0, 10.0)])
+        b = obs([(0, 5.0, 0.0), (1, 15.0, 10.0)])
         assert cost_iou(a, b) == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 class TestCostContent:
     def test_same_observation_is_zero(self):
         frame = gray()
-        a = obs(det_with_parts([(0, 100.0, 100.0), (5, 300.0, 300.0)]), frame=frame)
+        a = obs([(0, 100.0, 100.0), (5, 300.0, 300.0)], frame=frame)
         assert cost_content(a, a) == 0.0
 
     def test_no_shared_parts_is_one(self):
-        a = obs(det_with_parts([(0, 100.0, 100.0), (1, 150.0, 150.0)]))
-        b = obs(det_with_parts([(5, 100.0, 100.0), (6, 150.0, 150.0)]))
+        a = obs([(0, 100.0, 100.0), (1, 150.0, 150.0)])
+        b = obs([(5, 100.0, 100.0), (6, 150.0, 150.0)])
         assert cost_content(a, b) == 1.0
 
     def test_two_parts_with_planted_diffs_average(self):
@@ -137,21 +135,21 @@ class TestCostContent:
         arr[:, :300] = 51
         arr[:, 300:] = 102
         f2 = FrameRaster(arr)
-        a = obs(det_with_parts([(0, 100.0, 100.0), (5, 450.0, 100.0)]), frame=f1)
-        b = obs(det_with_parts([(0, 100.0, 100.0), (5, 450.0, 100.0)]), frame=f2)
+        a = obs([(0, 100.0, 100.0), (5, 450.0, 100.0)], frame=f1)
+        b = obs([(0, 100.0, 100.0), (5, 450.0, 100.0)], frame=f2)
         assert cost_content(a, b) == pytest.approx(0.3, rel=1e-12)
 
     def test_part_without_comparable_pixels_counts_as_one(self):
-        a = obs(det_with_parts([(0, -500.0, 50.0)]))
-        b = obs(det_with_parts([(0, 50.0, 50.0)]))
+        a = obs([(0, -500.0, 50.0)])
+        b = obs([(0, 50.0, 50.0)])
         assert cost_content(a, b) == 1.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         f1 = FrameRaster(rng.integers(0, 256, (100, 100, 3), dtype=np.uint8))
         f2 = FrameRaster(rng.integers(0, 256, (100, 100, 3), dtype=np.uint8))
-        a = obs(det_with_parts([(0, 20.0, 20.0), (3, 70.0, 60.0)]), frame=f1)
-        b = obs(det_with_parts([(0, 40.0, 30.0), (3, 60.0, 80.0)]), frame=f2)
+        a = obs([(0, 20.0, 20.0), (3, 70.0, 60.0)], frame=f1)
+        b = obs([(0, 40.0, 30.0), (3, 60.0, 80.0)], frame=f2)
         assert cost_content(a, b) == cost_content(b, a)
 
 
@@ -161,12 +159,12 @@ def random_observation(rng: random.Random, frame: FrameRaster) -> ObservedBox:
     ids = rng.sample(range(17), n_parts)
     for pid in ids:
         parts.append((pid, rng.uniform(5, 1915), rng.uniform(5, 1075)))
-    return ObservedBox(det_with_parts(parts), Homography.identity(), frame)
+    return obs(parts, Homography.identity(), frame)
 
 
 class TestSimilarityCost:
     def test_identical_observation_is_zero(self):
-        a = obs(det_with_parts([(0, 100.0, 100.0), (1, 160.0, 230.0)]))
+        a = obs([(0, 100.0, 100.0), (1, 160.0, 230.0)])
         assert similarity_cost(a, a, default_weights(), DIMS) <= 1e-12
 
     def test_termwise_recomposition(self):
@@ -210,11 +208,11 @@ class TestSimilarityCost:
         # overlap stays 1 (disjoint), content stays 0 (uniform frames)
         f = gray()
         w = default_weights()
-        a = obs(det_with_parts([(0, 100.0, 100.0), (1, 120.0, 140.0)]), frame=f)
+        a = obs([(0, 100.0, 100.0), (1, 120.0, 140.0)], frame=f)
         costs = []
         for shift in (300.0, 500.0, 700.0):
             b = obs(
-                det_with_parts([(0, 100.0 + shift, 100.0), (1, 120.0 + shift, 140.0)]),
+                [(0, 100.0 + shift, 100.0), (1, 120.0 + shift, 140.0)],
                 frame=f,
             )
             costs.append(similarity_cost(a, b, w, DIMS))
@@ -259,8 +257,7 @@ def observations(draw, frame: FrameRaster, homography: Homography, reach: int) -
     snap = rng.integers(0, 3, size=xy.shape)  # 0: as drawn, 1: whole, 2: halves
     scale = np.maximum(snap, 1)
     xy = np.where(snap == 0, xy, np.round(xy * scale) / scale)
-    kps = [Keypoint(p, Point2(float(x), float(y)), 0.9) for p, (x, y) in zip(parts, xy)]
-    return ObservedBox(Detection(tuple(kps), SourceStage.EXTERNAL), homography, frame)
+    return obs([(p, x, y) for p, (x, y) in zip(parts, xy.tolist())], homography, frame)
 
 
 @st.composite
@@ -283,9 +280,10 @@ def scored_frames(draw):
     return (det_h, det_frame, dets), reps, weights, dims, win
 
 
-def features_of(homography, frame, observed, win=PatchWindow()) -> Features:
+def features_of(homography, frame, boxes, win=PatchWindow()) -> Features:
     """features of observations that all lie in `frame` under `homography`."""
-    return features([o.detection for o in observed], homography, frame, win)
+    dets = frame_of(*([(p, q.x, q.y) for p, q in o.parts.items()] for o in boxes))
+    return features(dets, homography, frame, win)
 
 
 def assert_equals_similarity_cost(scene):
@@ -301,10 +299,10 @@ def assert_equals_similarity_cost(scene):
 class TestFeatures:
     @given(st.data(), homographies, frames())
     def test_stabilized_centroids_and_boxes_equal_the_scalar_path(self, data, h, frame):
-        observed = data.draw(st.lists(observations(frame, h, 13), max_size=5))
-        got = features_of(h, frame, observed)
-        boxes = [transform_bbox(h, o.detection.bbox) for o in observed]
-        centroids = [apply_homography(h, o.detection.bbox.centroid) for o in observed]
+        drawn = data.draw(st.lists(observations(frame, h, 13), max_size=5))
+        got = features_of(h, frame, drawn)
+        boxes = [transform_bbox(h, o.box) for o in drawn]
+        centroids = [apply_homography(h, o.box.centroid) for o in drawn]
         assert got.boxes.tolist() == [[b.x_min, b.y_min, b.x_max, b.y_max] for b in boxes]
         assert got.centroids.tolist() == [[c.x, c.y] for c in centroids]
 
@@ -333,15 +331,15 @@ class TestCostMatrix:
 
     def test_distance_rounds_like_math_hypot(self):
         # np.hypot(dx, dy) is one ulp above math.hypot here
-        a = obs(det_with_parts([(0, 7.416754906970224, 24.12183124566043)]))
-        b = obs(det_with_parts([(0, 0.0, 0.0)]))
+        a = obs([(0, 7.416754906970224, 24.12183124566043)])
+        b = obs([(0, 0.0, 0.0)])
         distance_only = CostWeights(1.0, 0.0)
         rows, cols = features_of(a.homography, a.frame, [a]), features_of(b.homography, b.frame, [b])
         scored = cost_matrix(rows, cols, distance_only, DIMS)
         assert scored[0, 0] == cost_distance(a, b, DIMS)
 
     def test_shape_of_an_empty_side(self):
-        a = obs(det_with_parts([(0, 100.0, 100.0)]))
+        a = obs([(0, 100.0, 100.0)])
         a, none = features_of(a.homography, a.frame, [a]), features_of(a.homography, a.frame, [])
         assert cost_matrix(a, none, default_weights(), DIMS).shape == (1, 0)
         assert cost_matrix(none, a, default_weights(), DIMS).shape == (0, 1)

@@ -14,7 +14,7 @@ from courttrack.metrics import (
     write_mot_csv,
 )
 from courttrack.track import FrameObservations, run_tracker
-from tests.test_track import det_box
+from tests.detections import box_det, frame_of
 
 
 def rec(frame, tid, x0, y0, x1, y1):
@@ -140,7 +140,7 @@ class TestEvalMot:
         dims = FrameDims(200, 200)
         gray = FrameRaster.filled(dims, (90, 90, 90))
         frames = [
-            FrameObservations([det_box(50.0, 50.0, 70.0, 90.0)], Homography.identity(), gray)
+            FrameObservations(frame_of(box_det(50.0, 50.0, 70.0, 90.0)), Homography.identity(), gray)
             for _ in range(4)
         ]
         gt = [rec(t, 0, 50, 50, 70, 90) for t in range(4)]

@@ -8,8 +8,7 @@ import pytest
 
 from courttrack.cli import decode_frames
 from courttrack.cost import Features, features
-from courttrack.detect import Detection, Keypoint, SourceStage
-from courttrack.geometry import FrameDims, Homography, Point2
+from courttrack.geometry import BBox, FrameDims, Homography
 from courttrack.imaging import FrameRaster, write_ppm
 from courttrack.metrics import eval_mot_records, write_mot_csv
 from courttrack.synth import ScenarioSpec, brute_force_assignment, generate
@@ -20,6 +19,7 @@ from courttrack.track import (
     run_tracker,
     solve_assignment,
 )
+from tests.detections import box_det, frame_of
 
 DIMS = FrameDims(200, 200)
 GRAY = FrameRaster.filled(DIMS, (90, 90, 90))
@@ -29,14 +29,9 @@ def solve(entries) -> list[tuple[int, int]]:
     return solve_assignment(np.array(entries, dtype=float))
 
 
-def det_box(x0, y0, x1, y1) -> Detection:
-    kps = [Keypoint(0, Point2(x0, y0), 0.9), Keypoint(1, Point2(x1, y1), 0.9)]
-    return Detection(tuple(kps), SourceStage.EXTERNAL)
-
-
 def frame_features(*boxes) -> Features:
     """Features of one frame's detections, one per (x0, y0, x1, y1) box."""
-    return features([det_box(*b) for b in boxes], Homography.identity(), GRAY)
+    return features(frame_of(*(box_det(*b) for b in boxes)), Homography.identity(), GRAY)
 
 
 def buffer_owner(arr):
@@ -159,8 +154,8 @@ class TestMatchFrame:
         window = [(frame_features(near), [0])]
         assert match_frame(window, frame_features(far), MatchConfig(gate=0.05), DIMS) == {}
         frames = [
-            FrameObservations([det_box(*near)], Homography.identity(), GRAY),
-            FrameObservations([det_box(*far)], Homography.identity(), GRAY),
+            FrameObservations(frame_of(box_det(*near)), Homography.identity(), GRAY),
+            FrameObservations(frame_of(box_det(*far)), Homography.identity(), GRAY),
         ]
         rows = run_tracker(frames, MatchConfig(gate=0.05))
         assert [(r.frame, r.id) for r in rows] == [(0, 0), (1, 1)]
@@ -178,7 +173,7 @@ class TestMatchFrame:
 def single_target_sequence(n_frames, skip=frozenset(), dims=DIMS):
     frames = []
     for t in range(n_frames):
-        dets = [] if t in skip else [det_box(50.0, 50.0, 70.0, 90.0)]
+        dets = frame_of() if t in skip else frame_of(box_det(50.0, 50.0, 70.0, 90.0))
         frames.append(FrameObservations(dets, Homography.identity(), GRAY))
     return frames
 
@@ -217,7 +212,7 @@ class TestRunTracker:
         for _ in range(12):
             x, y = rng.uniform(5, 150), rng.uniform(5, 150)
             frames.append(
-                FrameObservations([det_box(x, y, x + 20.0, y + 40.0)], Homography.identity(), GRAY)
+                FrameObservations(frame_of(box_det(x, y, x + 20.0, y + 40.0)), Homography.identity(), GRAY)
             )
         rows = run_tracker(frames, MatchConfig(gate=math.inf))
         assert frames_by_id(rows) == {0: list(range(12))}
@@ -231,7 +226,7 @@ class TestRunTracker:
         seq = generate(spec)
         rows = run_tracker(seq.frame_observations())
         assert [(r.frame, r.bbox) for r in rows] == [
-            (t, det.bbox) for t in range(spec.n_frames) for det in seq.detections[t]
+            (t, BBox(*box)) for t in range(spec.n_frames) for box in seq.detections[t].boxes.tolist()
         ]
         for frames in frames_by_id(rows).values():
             assert all(b - a <= 2 for a, b in zip(frames, frames[1:]))  # gaps <= depth-1 missed
@@ -247,7 +242,7 @@ class TestRunTracker:
     def test_new_ids_follow_detection_order(self):
         frames = [
             FrameObservations(
-                [det_box(10, 10, 30, 50), det_box(100, 100, 120, 140)],
+                frame_of(box_det(10, 10, 30, 50), box_det(100, 100, 120, 140)),
                 Homography.identity(),
                 GRAY,
             )
@@ -268,10 +263,10 @@ class TestRunTracker:
                 alive_before.append(sum(ref() is not None for ref in rasters))
                 raster = FrameRaster.filled(DIMS, (90, 90, 90))
                 rasters.append(weakref.ref(raster.data))
-                dets = [det_box(50.0, 50.0, 70.0, 90.0)]
+                dets = [box_det(50.0, 50.0, 70.0, 90.0)]
                 if t < 10:
-                    dets.append(det_box(120.0, 120.0, 140.0, 160.0))
-                yield FrameObservations(dets, Homography.identity(), raster)
+                    dets.append(box_det(120.0, 120.0, 140.0, 160.0))
+                yield FrameObservations(frame_of(*dets), Homography.identity(), raster)
 
         rows = run_tracker(frames(), MatchConfig())
         assert frames_by_id(rows) == {0: list(range(30)), 1: list(range(10))}
@@ -285,7 +280,7 @@ class TestRunTracker:
         for t in range(20):
             paths.append(tmp_path / f"frame_{t:06d}.ppm")
             write_ppm(FrameRaster.filled(DIMS, (90, 90, 90)), paths[-1])
-        detections = {t: [det_box(50.0, 50.0, 70.0, 90.0)] for t in range(20)}
+        detections = {t: frame_of(box_det(50.0, 50.0, 70.0, 90.0)) for t in range(20)}
         homographies = {t: Homography.identity() for t in range(20)}
         rasters, maps = [], []
         alive_before = []
