@@ -53,7 +53,7 @@ from .errors import (
     open_text,
     text_lines,
 )
-from .geometry import BBox, FrameDims, Homography, Line2
+from .geometry import BBox, FrameDims, Homography, Line2, box_array
 from .imaging import BinaryMask, PatchWindow, read_pgm, read_ppm, write_ppm
 from .metrics import (
     MOT_IOU_THRESHOLD,
@@ -365,13 +365,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         hyp = read_mot_csv(args.hyp, unique_ids=True)
         report = eval_mot_records(gt, hyp, args.mot_iou)
     else:
-        per_frame: dict[int, list[BBox]] = {}
         if str(args.hyp).endswith(".jsonl"):
-            for t, dets in read_detections_jsonl(args.hyp).items():
-                per_frame[t] = [BBox(*box) for box in dets.boxes.tolist()]
+            per_frame = {t: dets.boxes for t, dets in read_detections_jsonl(args.hyp).items()}
         else:
+            by_frame: dict[int, list[BBox]] = {}
             for rec in read_mot_csv(args.hyp):
-                per_frame.setdefault(rec.frame, []).append(rec.bbox)
+                by_frame.setdefault(rec.frame, []).append(rec.bbox)
+            per_frame = {t: box_array(boxes) for t, boxes in by_frame.items()}
         report = eval_detections(gt, per_frame)
     _report_out(report.to_json_dict(), args)
     return 0

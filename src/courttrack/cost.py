@@ -8,37 +8,28 @@ in-frame stabilized centroids.
 The tracker extracts each frame's stabilized centroids, stabilized
 boxes and keypoint patches once with features, from the frame's
 detection arrays, and cost_matrix fills the matrix of two such feature
-sets with array operations.
-similarity_cost and its three terms are the scalar reference: every
-entry of cost_matrix equals it bit for bit. The float terms perform the
-scalar path's IEEE operations in its order, one elementwise numpy
-operation each. The content term's patch sums (summed-area tables and
-sums of pixel minimums) are integers of patch_sum_dtype: uint32 while a
-whole patch's side * side * 3 channel values of at most 255 cannot
-exceed 2**32 - 1, int64 beyond. They are exact, and they are widened to
-int64 before they are added to one another.
+sets with array operations. Every entry of cost_matrix equals, bit for
+bit, the scalar reference that scores one pair of observations at a
+time: similarity_cost in tests/oracles.py, which ships with the tests,
+not the package. The float terms perform its IEEE operations in its
+order, one elementwise numpy operation each; the overlap term is
+geometry.iou_matrix. The content term's patch sums (summed-area
+tables and sums of pixel minimums) are integers of patch_sum_dtype:
+uint32 while a whole patch's side * side * 3 channel values of at most
+255 cannot exceed 2**32 - 1, int64 beyond. They are exact, and they are
+widened to int64 before they are added to one another.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .detect import FrameDetections
-from .errors import EmptyOverlap
-from .geometry import (
-    BBox,
-    FrameDims,
-    Homography,
-    Point2,
-    iou,
-    normalized_centroid_distance,
-    project_points,
-    transform_bbox,
-)
-from .imaging import FrameRaster, PatchWindow, keypoint_patches, patch_mean_abs_diff
+from .geometry import FrameDims, Homography, iou_matrix, project_points
+from .imaging import FrameRaster, PatchWindow, keypoint_patches
 
 DEFAULT_ALPHA = 0.65
 DEFAULT_BETA = 0.05
@@ -64,62 +55,6 @@ class CostWeights:
 
 def default_weights() -> CostWeights:
     return CostWeights(DEFAULT_ALPHA, DEFAULT_BETA)
-
-
-@dataclass(frozen=True)
-class ObservedBox:
-    """What similarity_cost reads of one detection, its skeleton box and
-    the position of each of its parts, with its frame's stabilization
-    and pixels."""
-
-    box: BBox
-    parts: dict[int, Point2]  # part id -> keypoint position
-    homography: Homography
-    frame: FrameRaster = field(repr=False)
-
-
-def cost_distance(a: ObservedBox, b: ObservedBox, dims: FrameDims) -> float:
-    """Stabilized centroid distance, normalized by the frame diagonal."""
-    return normalized_centroid_distance(a.homography, b.homography, a.box, b.box, dims)
-
-
-def cost_iou(a: ObservedBox, b: ObservedBox) -> float:
-    """One minus the overlap of the stabilized boxes, so 0 is a perfect match."""
-    box_a = transform_bbox(a.homography, a.box)
-    box_b = transform_bbox(b.homography, b.box)
-    return 1.0 - iou(box_a, box_b)
-
-
-def cost_content(a: ObservedBox, b: ObservedBox, win: PatchWindow = PatchWindow()) -> float:
-    """Mean patch difference over the keypoint parts detected in both boxes.
-
-    A pair with no shared part, or a shared part whose patches have no
-    comparable pixels, contributes the maximal difference 1.
-    """
-    shared = sorted(a.parts.keys() & b.parts.keys())
-    if not shared:
-        return 1.0
-    per_part = []
-    for part_id in shared:
-        try:
-            per_part.append(patch_mean_abs_diff(a.frame, a.parts[part_id], b.frame, b.parts[part_id], win))
-        except EmptyOverlap:
-            per_part.append(1.0)
-    return math.fsum(per_part) / len(per_part)
-
-
-def similarity_cost(
-    a: ObservedBox,
-    b: ObservedBox,
-    weights: CostWeights,
-    dims: FrameDims,
-    win: PatchWindow = PatchWindow(),
-) -> float:
-    return (
-        weights.alpha * cost_distance(a, b, dims)
-        + weights.beta * cost_iou(a, b)
-        + weights.gamma * cost_content(a, b, win)
-    )
 
 
 # --- batched scoring -------------------------------------------------------------
@@ -164,7 +99,7 @@ def features(
     """Extract the stabilized centroid, box and keypoint patches of one frame's detections."""
     box = detections.boxes
     n = len(box)
-    # per box its centroid (BBox.centroid), then transform_bbox's four corners
+    # per box its centroid, then its four corners, whose stabilized hull is the stabilized box
     points = np.empty((n, 5, 2))
     points[:, 0, 0] = (box[:, 0] + box[:, 2]) / 2.0
     points[:, 0, 1] = (box[:, 1] + box[:, 3]) / 2.0
@@ -196,7 +131,8 @@ def features(
 def _part_content(
     a: _KeypointPatches, b: _KeypointPatches, shared: list[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """patch_mean_abs_diff of every pair of patches of one shared part; 1.0 where it is empty.
+    """The mean absolute difference of every pair of patches of one shared part, over
+    the offsets valid in both; 1.0 where there is none.
 
     Returns, for every pair, part by part and row-major within a part,
     its patch in a, its patch in b, the index of its part in shared and
@@ -249,14 +185,14 @@ def _part_content(
 
 
 def cost_matrix(rows: Features, cols: Features, weights: CostWeights, dims: FrameDims) -> np.ndarray:
-    """similarity_cost of every (row, column) observation pair in one batch.
+    """The combined cost of every (row, column) observation pair in one batch.
 
     With rows = features(a, ha, fa, win) and cols = features(b, hb, fb,
-    win), entry [i, j] equals similarity_cost(oa, ob, weights, dims,
-    win) bit for bit, where oa is the ObservedBox of a's detection i
-    under ha and fa, and ob that of b's detection j under hb and fb: each
-    float operation of the scalar path happens once per pair in the same
-    order, and patch sums are exact integers.
+    win), entry [i, j] is the cost of a's detection i under ha and fa
+    against b's detection j under hb and fb. It equals the scalar
+    reference bit for bit: each float operation of the scalar path
+    happens once per pair in the same order, and patch sums are exact
+    integers.
     """
     n, m = len(rows.centroids), len(cols.centroids)
 
@@ -266,13 +202,7 @@ def cost_matrix(rows: Features, cols: Features, weights: CostWeights, dims: Fram
     hyp = list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()))
     distance = np.array(hyp, dtype=float).reshape(n, m) / dims.diagonal
 
-    a, b = rows.boxes[:, None], cols.boxes[None]
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.maximum(0.0, iw) * np.maximum(0.0, ih)
-    union = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    union = union + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter
-    overlap = np.divide(inter, union, out=np.zeros((n, m)), where=union > 0.0)
+    overlap = iou_matrix(rows.boxes, cols.boxes)
 
     ka, kb = rows.keypoints, cols.keypoints
     shared = sorted(ka.parts.keys() & kb.parts.keys())

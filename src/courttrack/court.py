@@ -6,20 +6,12 @@ segments arrive as CSV rows "x0,y0,x1,y1" and masks as PGM files.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .errors import (
-    DegenerateCourt,
-    InputFormatError,
-    NoCandidates,
-    NoSegments,
-    open_text,
-    text_lines,
-)
+from .errors import DegenerateCourt, InputFormatError, NoCandidates, NoSegments, csv_number_rows
 from .geometry import SINGULAR_TOL, FrameDims, Line2, Point2
 from .imaging import BinaryMask, FrameRaster, frame_to_hsv
 
@@ -94,8 +86,8 @@ class HsvFilter:
 
 def _segment_lines(segments: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each row's length, the norm |(a, b)| and the normalised line
-    (a, b, c): the IEEE operations of Line2.from_points and
-    Line2.__post_init__ in their order."""
+    (a, b, c) through its endpoints: (a, b) = (-dy, dx), c = -(a*x0 +
+    b*y0), then Line2.__post_init__'s IEEE operations in their order."""
     x0, y0, x1, y1 = segments.T
     with np.errstate(all="ignore"):  # read_segments_csv rejects the rows that overflow
         dx, dy = x1 - x0, y1 - y0
@@ -556,26 +548,11 @@ def read_segments_csv(path) -> np.ndarray:
     (n, 4) float64 array. An error names the first bad row's line."""
     rows: list[list[float]] = []
     linenos: list[int] = []
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(line for _, line in text_lines(fh, path))
-        try:
-            for row in reader:
-                lineno = reader.line_num  # a quoted field may span lines
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 4:
-                    raise InputFormatError(path, f"expected 4 values, got {len(row)}", line=lineno)
-                values = []
-                for name, cell in zip(_SEGMENT_FIELDS, row):
-                    try:
-                        values.append(float(cell))
-                    except ValueError:
-                        raise InputFormatError(
-                            path, f"not a number: {cell!r}", line=lineno, field=name
-                        ) from None
-                rows.append(values)
-                linenos.append(lineno)
-        except InputFormatError:
-            _segments_array(path, rows, linenos)  # a bad row read before it comes first
-            raise
+    try:
+        for lineno, _, values in csv_number_rows(path, _SEGMENT_FIELDS):
+            rows.append(values)
+            linenos.append(lineno)
+    except InputFormatError:
+        _segments_array(path, rows, linenos)  # a bad row read before it comes first
+        raise
     return _segments_array(path, rows, linenos)

@@ -1,5 +1,6 @@
-"""Exception types shared across the engine, and the input checks they share."""
+"""Exception types shared across the engine, and the input readers and checks they share."""
 
+import csv
 import math
 import re
 
@@ -9,11 +10,7 @@ class CourtTrackError(Exception):
 
 
 class DegenerateProjection(CourtTrackError):
-    """Homogeneous projection whose third coordinate vanishes."""
-
-
-class EmptyOverlap(CourtTrackError):
-    """Patch comparison with no offset valid in both frames."""
+    """Homogeneous projection whose third coordinate vanishes or whose result is not finite."""
 
 
 class NoSegments(CourtTrackError):
@@ -37,7 +34,7 @@ class TargetOutOfFrame(CourtTrackError):
 
 
 class TooLarge(CourtTrackError):
-    """A request beyond a fixed capacity (brute force, synthetic colours)."""
+    """A request beyond a fixed capacity (synthetic colours)."""
 
 
 class InputFormatError(CourtTrackError):
@@ -104,3 +101,32 @@ def text_lines(fh, path):
         if _NOT_UTF8.search(line):
             raise InputFormatError(path, "not UTF-8 text", line=lineno)
         yield lineno, line
+
+
+def csv_number_rows(path, fields, header=False):
+    """(line number, cells, numbers) of each row of a CSV file of numbers,
+    one cell per name in fields; blank rows are skipped, and with header
+    so is a first line that spells fields.
+
+    A row's line number is the one csv gives its last line, as a quoted
+    field may span lines. A row with another count of cells is an
+    InputFormatError naming its line, and a cell that float() refuses
+    one naming its line and field.
+    """
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(line for _, line in text_lines(fh, path))
+        for row in reader:
+            lineno = reader.line_num
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if header and lineno == 1 and row == list(fields):
+                continue
+            if len(row) != len(fields):
+                raise InputFormatError(path, f"expected {len(fields)} values, got {len(row)}", line=lineno)
+            values = []
+            for name, cell in zip(fields, row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise InputFormatError(path, f"not a number: {cell!r}", line=lineno, field=name) from None
+            yield lineno, row, values

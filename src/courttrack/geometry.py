@@ -105,13 +105,12 @@ class BBox:
     def height(self) -> float:
         return self.y_max - self.y_min
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
 
-    @property
-    def centroid(self) -> Point2:
-        return Point2((self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0)
+def box_array(boxes) -> np.ndarray:
+    """The boxes of an iterable of BBox as an (n, 4) float64 array of
+    rows (x_min, y_min, x_max, y_max)."""
+    rows = [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes]
+    return np.array(rows, dtype=float).reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -136,20 +135,8 @@ class Line2:
             object.__setattr__(self, "c", self.c / n)
 
     @classmethod
-    def from_points(cls, p0: Point2, p1: Point2) -> "Line2":
-        dx, dy = p1.x - p0.x, p1.y - p0.y
-        if math.hypot(dx, dy) < SINGULAR_TOL:
-            raise ValueError("cannot build a line from coincident points")
-        a, b = -dy, dx
-        return cls(a, b, -(a * p0.x + b * p0.y))
-
-    @classmethod
     def horizontal_at(cls, y: float) -> "Line2":
         return cls(0.0, 1.0, -y)
-
-    @classmethod
-    def vertical_at(cls, x: float) -> "Line2":
-        return cls(1.0, 0.0, -x)
 
     def signed(self, p: Point2) -> float:
         return self.a * p.x + self.b * p.y + self.c
@@ -161,68 +148,56 @@ class Line2:
         return (self.a, self.b, self.c)
 
 
-def apply_homography(h: Homography, p: Point2) -> Point2:
-    """Project p through h: homogeneous multiply, then divide by w."""
-    m = h.m
-    x = m[0, 0] * p.x + m[0, 1] * p.y + m[0, 2]
-    y = m[1, 0] * p.x + m[1, 1] * p.y + m[1, 2]
-    w = m[2, 0] * p.x + m[2, 1] * p.y + m[2, 2]
-    if abs(w) <= SINGULAR_TOL:
-        raise DegenerateProjection(f"point ({p.x}, {p.y}) maps to the line at infinity")
-    return Point2(float(x / w), float(y / w))
-
-
 def project_points(h: Homography, xy: np.ndarray) -> np.ndarray:
-    """apply_homography of every row of an (n, 2) array, as an (n, 2) array.
+    """Every row (x, y) of an (n, 2) array projected through h, as an (n, 2) array.
 
-    Each elementwise numpy operation is one IEEE operation of the scalar
-    path, in the same order, so every coordinate equals apply_homography
-    bit for bit. Where the scalar path raises for some point, the first
-    such point is handed to it, so the same error is raised.
+    A point is the homogeneous product (x', y', w) = h (x, y, 1) divided
+    by w, one elementwise operation at a time. The first point whose w
+    lies within SINGULAR_TOL of zero, or whose result is not finite, is
+    a DegenerateProjection; overflow on the way warns of nothing.
     """
     m = h.m
     x, y = xy[:, 0], xy[:, 1]
-    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-    if (np.abs(w) > SINGULAR_TOL).all():
-        out = np.empty_like(xy, dtype=float)
+    out = np.empty_like(xy, dtype=float)
+    with np.errstate(all="ignore"):
+        w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
         np.divide(m[0, 0] * x + m[0, 1] * y + m[0, 2], w, out=out[:, 0])
         np.divide(m[1, 0] * x + m[1, 1] * y + m[1, 2], w, out=out[:, 1])
-        if np.isfinite(out).all():
-            return out
-    for px, py in xy.tolist():
-        apply_homography(h, Point2(px, py))
-    raise AssertionError("project_points rejected points that apply_homography accepts")
+    at_infinity = np.abs(w) <= SINGULAR_TOL
+    bad = at_infinity | ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        px, py = xy[i].tolist()
+        if at_infinity[i]:
+            raise DegenerateProjection(f"point ({px}, {py}) maps to the line at infinity")
+        qx, qy = out[i].tolist()
+        raise DegenerateProjection(f"point ({px}, {py}) maps to the non-finite point ({qx}, {qy})")
+    return out
 
 
-def transform_bbox(h: Homography, b: BBox) -> BBox:
-    """Axis-aligned hull of the four projected corners of b."""
-    corners = (
-        Point2(b.x_min, b.y_min),
-        Point2(b.x_max, b.y_min),
-        Point2(b.x_max, b.y_max),
-        Point2(b.x_min, b.y_max),
-    )
-    pts = [apply_homography(h, p) for p in corners]
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    return BBox(min(xs), min(ys), max(xs), max(ys))
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection over union of every box of a (n, 4) with every box of
+    b (m, 4), rows (x_min, y_min, x_max, y_max), as an (n, m) array; 0.0
+    where the union has zero area.
 
+    Per pair: iw = min(x_max) - max(x_min), likewise ih, inter =
+    max(0, iw) * max(0, ih), union = area(a) + area(b) - inter, each one
+    elementwise operation in that order. min and max keep the first of
+    equal values, as Python's do, so even the sign of a zero is fixed.
+    A product past the float range is inf, as in Python, with no warning.
+    """
+    p, q = a[:, None], b[None]
 
-def iou(b1: BBox, b2: BBox) -> float:
-    """Intersection over union; 0.0 when the union has zero area."""
-    iw = min(b1.x_max, b2.x_max) - max(b1.x_min, b2.x_min)
-    ih = min(b1.y_max, b2.y_max) - max(b1.y_min, b2.y_min)
-    inter = max(0.0, iw) * max(0.0, ih)
-    union = b1.area + b2.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    def low(u, v):
+        return np.where(v < u, v, u)
 
+    def high(u, v):
+        return np.where(v > u, v, u)
 
-def normalized_centroid_distance(
-    h1: Homography, h2: Homography, b1: BBox, b2: BBox, dims: FrameDims
-) -> float:
-    """Distance of the stabilized box centroids over the frame diagonal."""
-    q1 = apply_homography(h1, b1.centroid)
-    q2 = apply_homography(h2, b2.centroid)
-    return math.hypot(q1.x - q2.x, q1.y - q2.y) / dims.diagonal
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = low(p[..., 2], q[..., 2]) - high(p[..., 0], q[..., 0])
+        ih = low(p[..., 3], q[..., 3]) - high(p[..., 1], q[..., 1])
+        inter = high(0.0, iw) * high(0.0, ih)
+        union = (p[..., 2] - p[..., 0]) * (p[..., 3] - p[..., 1])
+        union = union + (q[..., 2] - q[..., 0]) * (q[..., 3] - q[..., 1]) - inter
+        return np.divide(inter, union, out=np.zeros(union.shape), where=~(union <= 0.0))

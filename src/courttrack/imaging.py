@@ -1,7 +1,9 @@
-"""Frame rasters, masks, color conversion and patch comparison.
+"""Frame rasters, masks, color conversion and keypoint patches.
 
 Rasters and masks wrap read-only numpy arrays; every operation here is
-pure, so values can be shared freely across threads.
+pure, so values can be shared freely across threads. keypoint_patches
+cuts the patches that the cost layer compares; the scalar comparison it
+is checked against, patch_mean_abs_diff, is in tests/oracles.py.
 
 PPM (P6) is the conformance format for frames and PGM (P5) for masks.
 A frame file is mapped read-only and its raster is a view of the map, so
@@ -10,17 +12,15 @@ only the pages that a caller touches are ever read.
 
 from __future__ import annotations
 
-import math
 import mmap
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyOverlap, InputFormatError
-from .geometry import FrameDims, Point2
+from .errors import InputFormatError
+from .geometry import FrameDims
 
 
 def _read_only(data, dtype) -> np.ndarray:
@@ -53,13 +53,6 @@ class FrameRaster:
         if arr.ndim != 3 or arr.shape[2] != 3 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"frame raster needs shape (h, w, 3), got {arr.shape}")
         object.__setattr__(self, "data", arr)
-
-    @classmethod
-    def filled(cls, dims: FrameDims, color: tuple[int, int, int]) -> "FrameRaster":
-        arr = np.empty((dims.h, dims.w, 3), dtype=np.uint8)
-        arr[:, :] = color
-        arr.flags.writeable = False
-        return cls(arr)
 
     @property
     def dims(self) -> FrameDims:
@@ -129,45 +122,11 @@ def frame_to_hsv(frame: FrameRaster) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return h, s, maxc
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def patch_mean_abs_diff(
-    f1: FrameRaster, p1: Point2, f2: FrameRaster, p2: Point2, win: PatchWindow = PatchWindow()
-) -> float:
-    """Mean per-pixel color difference of two keypoint-anchored patches.
-
-    Keypoints are rounded to the nearest pixel; an offset contributes
-    only when it lands inside both frames, and the mean runs over the
-    valid offsets. Per pixel the three channel differences are averaged,
-    then scaled by 1/255 so the result lies in [0, 1].
-    """
-    x1, y1 = _round_half_up(p1.x), _round_half_up(p1.y)
-    x2, y2 = _round_half_up(p2.x), _round_half_up(p2.y)
-    he = win.half_extent
-    h1, w1 = f1.data.shape[:2]
-    h2, w2 = f2.data.shape[:2]
-
-    dx_lo = max(-he, -x1, -x2)
-    dx_hi = min(he - 1, w1 - 1 - x1, w2 - 1 - x2)
-    dy_lo = max(-he, -y1, -y2)
-    dy_hi = min(he - 1, h1 - 1 - y1, h2 - 1 - y2)
-    if dx_lo > dx_hi or dy_lo > dy_hi:
-        raise EmptyOverlap(
-            f"no patch offset valid in both frames at ({x1},{y1}) and ({x2},{y2})"
-        )
-
-    patch1 = f1.data[y1 + dy_lo : y1 + dy_hi + 1, x1 + dx_lo : x1 + dx_hi + 1]
-    patch2 = f2.data[y2 + dy_lo : y2 + dy_hi + 1, x2 + dx_lo : x2 + dx_hi + 1]
-    diff = np.abs(patch1.astype(np.int16) - patch2.astype(np.int16))
-    return float(diff.mean() / 255.0)
-
-
 def keypoint_patches(
     frame: FrameRaster, xy: np.ndarray, win: PatchWindow = PatchWindow()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One side of patch_mean_abs_diff for the (k, 2) keypoint coordinates of one frame.
+    """The patches around the (k, 2) keypoint coordinates of one frame,
+    each keypoint rounded half up to its pixel.
 
     Returns (k, side, side, 3) uint8 patches, where cell [i, dy + he,
     dx + he] holds the pixel at offset (dx, dy) from the i-th rounded
@@ -179,7 +138,7 @@ def keypoint_patches(
     """
     h, w = frame.data.shape[:2]
     he, side = win.half_extent, win.side
-    # same rounding as _round_half_up; points beyond the window's reach of
+    # floor(x + 0.5) rounds halves up; points beyond the window's reach of
     # the frame are clamped there, which keeps their rectangles empty
     xy = np.floor(xy + 0.5).clip(-side, [w + side, h + side]).astype(np.int64)
     top, left = xy[:, 1] - he, xy[:, 0] - he
@@ -285,10 +244,3 @@ def read_pgm(path) -> BinaryMask:
     bits = _read_pnm(path, b"P5", 1)[:, :, 0] != 0
     bits.flags.writeable = False
     return BinaryMask(bits)
-
-
-def write_pgm(mask: BinaryMask, path) -> None:
-    d = mask.dims
-    header = f"P5\n{d.w} {d.h}\n255\n".encode("ascii")
-    body = np.where(mask.bits, 255, 0).astype(np.uint8)
-    Path(path).write_bytes(header + body.tobytes())

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGroundTruth, InputFormatError, open_text, text_lines
-from .geometry import BBox, iou
+from .errors import EmptyGroundTruth, InputFormatError, csv_number_rows
+from .geometry import BBox, box_array, iou_matrix
 from .track import GroundTruthBox, solve_assignment
 
 MOT_IOU_THRESHOLD = 0.5
@@ -75,34 +75,31 @@ class MotReport:
         }
 
 
-def eval_detections(gt: list[GroundTruthBox], dets: dict[int, list[BBox]]) -> DetectionReport:
-    """Per-frame greedy max-IoU matching (any IoU > 0), pooled over frames."""
-    gt_by_frame: dict[int, list[GroundTruthBox]] = {}
+def eval_detections(gt: list[GroundTruthBox], dets: dict[int, np.ndarray]) -> DetectionReport:
+    """Per-frame greedy max-IoU matching (any IoU > 0), pooled over frames.
+
+    dets holds each frame's detection boxes as an (n, 4) array of rows
+    (x_min, y_min, x_max, y_max); a frame it leaves out has none.
+    """
+    gt_by_frame: dict[int, list[BBox]] = {}
     for g in gt:
-        gt_by_frame.setdefault(g.frame, []).append(g)
+        gt_by_frame.setdefault(g.frame, []).append(g.bbox)
 
     tp = fp = fn = 0
-    frames = sorted(set(gt_by_frame) | set(dets))
-    for frame in frames:
-        gt_boxes = [g.bbox for g in gt_by_frame.get(frame, [])]
-        det_boxes = dets.get(frame, [])
-        pairs = []
-        for gi, gb in enumerate(gt_boxes):
-            for di, db in enumerate(det_boxes):
-                overlap = iou(gb, db)
-                if overlap > 0.0:
-                    pairs.append((-overlap, gi, di))
-        pairs.sort()
+    for frame in sorted(set(gt_by_frame) | set(dets)):
+        overlap = iou_matrix(box_array(gt_by_frame.get(frame, [])), dets.get(frame, np.empty((0, 4))))
+        gi, di = np.nonzero(overlap > 0.0)
         used_gt: set[int] = set()
         used_det: set[int] = set()
-        for _, gi, di in pairs:
-            if gi in used_gt or di in used_det:
+        for _, g, d in sorted(zip((-overlap[gi, di]).tolist(), gi.tolist(), di.tolist())):
+            if g in used_gt or d in used_det:
                 continue
-            used_gt.add(gi)
-            used_det.add(di)
+            used_gt.add(g)
+            used_det.add(d)
+        n_gt, n_det = overlap.shape
         tp += len(used_gt)
-        fn += len(gt_boxes) - len(used_gt)
-        fp += len(det_boxes) - len(used_det)
+        fn += n_gt - len(used_gt)
+        fp += n_det - len(used_det)
     return DetectionReport.from_counts(tp, fp, fn)
 
 
@@ -117,7 +114,8 @@ def eval_mot_records(
     IoU threshold) are kept; the remainder is matched by an optimal
     assignment maximizing IoU. A ground-truth identity whose hypothesis
     differs from its last known one counts as an id switch. The IoU
-    threshold must lie in [0, 1).
+    threshold must lie in [0, 1). Each frame's overlaps are one
+    iou_matrix of its ground truth against its hypotheses.
     """
     if not 0.0 <= iou_threshold < 1.0:
         raise ValueError(f"IoU threshold must lie in [0, 1), got {iou_threshold}")
@@ -138,16 +136,18 @@ def eval_mot_records(
     last_known: dict[int, int] = {}  # gt id -> hyp id of the latest match ever
 
     for frame in sorted(set(gt_by_frame) | set(hyp_by_frame)):
-        gt_rows = gt_by_frame.get(frame, [])
-        hyp_rows = hyp_by_frame.get(frame, [])
-        gt_left = {g.id: g.bbox for g in gt_rows}
-        hyp_left = {h.id: h.bbox for h in hyp_rows}
+        gt_left = {g.id: g.bbox for g in gt_by_frame.get(frame, [])}
+        hyp_left = {h.id: h.bbox for h in hyp_by_frame.get(frame, [])}
+        # row and column of each id in the frame's overlaps
+        gt_row = {gt_id: i for i, gt_id in enumerate(gt_left)}
+        hyp_col = {hyp_id: j for j, hyp_id in enumerate(hyp_left)}
+        overlaps = iou_matrix(box_array(gt_left.values()), box_array(hyp_left.values()))
 
         frame_matches: dict[int, int] = {}
         # 1. carry forward still-valid correspondences
         for gt_id, hyp_id in current.items():
             if gt_id in gt_left and hyp_id in hyp_left:
-                overlap = iou(gt_left[gt_id], hyp_left[hyp_id])
+                overlap = overlaps[gt_row[gt_id], hyp_col[hyp_id]]
                 if overlap > iou_threshold:
                     frame_matches[gt_id] = hyp_id
                     matched_iou_sum += overlap
@@ -160,12 +160,8 @@ def eval_mot_records(
         free_gt = sorted(gt_left)
         free_hyp = sorted(hyp_left)
         if free_gt and free_hyp:
-            gains = np.zeros((len(free_gt), len(free_hyp)))
-            for i, gid in enumerate(free_gt):
-                for j, hid in enumerate(free_hyp):
-                    overlap = iou(gt_left[gid], hyp_left[hid])
-                    if overlap > iou_threshold:
-                        gains[i, j] = overlap
+            free = overlaps[np.ix_([gt_row[g] for g in free_gt], [hyp_col[h] for h in free_hyp])]
+            gains = np.where(free > iou_threshold, free, 0.0)
             for i, j in solve_assignment(-gains):
                 if gains[i, j] > 0.0:
                     gid, hid = free_gt[i], free_hyp[j]
@@ -197,49 +193,26 @@ def read_mot_csv(path, unique_ids: bool = False) -> list[GroundTruthBox]:
     """
     records: list[GroundTruthBox] = []
     first_row: dict[tuple[int, int], int] = {}
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(line for _, line in text_lines(fh, path))
-        for row in reader:
-            lineno = reader.line_num  # a quoted field may span lines
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1 and row == TRACK_CSV_HEADER:
-                continue
-            if len(row) != 6:
-                raise InputFormatError(path, f"expected 6 values, got {len(row)}", line=lineno)
-            names = TRACK_CSV_HEADER
-            values = []
-            for name, cell in zip(names, row):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise InputFormatError(
-                        path, f"not a number: {cell!r}", line=lineno, field=name
-                    ) from None
-            for name, cell, value in zip(names[:2], row, values):
-                if not value.is_integer():
-                    raise InputFormatError(
-                        path, f"not an integer: {cell!r}", line=lineno, field=name
-                    )
-            frame, track_id = int(values[0]), int(values[1])
-            x, y, w, h = values[2:]
-            if w < 0 or h < 0:
-                raise InputFormatError(path, "negative box size", line=lineno, field="width")
-            try:
-                bbox = BBox(x, y, x + w, y + h)
-            except ValueError as exc:
-                raise InputFormatError(path, str(exc), line=lineno) from None
-            if unique_ids:
-                key = (frame, track_id)
-                if key in first_row:
-                    raise InputFormatError(
-                        path,
-                        f"frame {frame} id {track_id} repeats line {first_row[key]}",
-                        line=lineno,
-                        field="id",
-                    )
-                first_row[key] = lineno
-            records.append(GroundTruthBox(frame, track_id, bbox))
+    for lineno, row, values in csv_number_rows(path, TRACK_CSV_HEADER, header=True):
+        for name, cell, value in zip(TRACK_CSV_HEADER[:2], row, values):
+            if not value.is_integer():
+                raise InputFormatError(path, f"not an integer: {cell!r}", line=lineno, field=name)
+        frame, track_id = int(values[0]), int(values[1])
+        x, y, w, h = values[2:]
+        if w < 0 or h < 0:
+            raise InputFormatError(path, "negative box size", line=lineno, field="width")
+        try:
+            bbox = BBox(x, y, x + w, y + h)
+        except ValueError as exc:
+            raise InputFormatError(path, str(exc), line=lineno) from None
+        if unique_ids:
+            key = (frame, track_id)
+            if key in first_row:
+                raise InputFormatError(
+                    path, f"frame {frame} id {track_id} repeats line {first_row[key]}", line=lineno, field="id"
+                )
+            first_row[key] = lineno
+        records.append(GroundTruthBox(frame, track_id, bbox))
     return records
 
 

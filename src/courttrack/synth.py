@@ -1,4 +1,4 @@
-"""Synthetic tracking scenarios and brute-force oracles.
+"""Synthetic tracking scenarios.
 
 Generated sequences stand in for real annotated footage: targets are
 solid-color rectangles on a flat background, the camera pans at a
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 
@@ -238,33 +238,3 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
         frames.append(FrameRaster(raster))
 
     return SyntheticSequence(spec, gt, detections, homographies, frames)
-
-
-def brute_force_assignment(entries: np.ndarray) -> tuple[list[tuple[int, int]], float]:
-    """Exhaustive minimum over all injections of the smaller side.
-
-    Oracle counterpart of solve_assignment; totals use compensated
-    summation so ties are mathematical ties.
-    """
-    n_rows, n_cols = entries.shape
-    if max(n_rows, n_cols) > 9:
-        raise TooLarge("brute force limited to 9 rows/columns")
-    if n_rows == 0 or n_cols == 0:
-        return [], 0.0
-    best_pairs: list[tuple[int, int]] | None = None
-    best_total = math.inf
-    if n_rows <= n_cols:
-        for perm in permutations(range(n_cols), n_rows):
-            total = math.fsum(entries[i, perm[i]] for i in range(n_rows))
-            if total < best_total:
-                best_total = total
-                best_pairs = [(i, perm[i]) for i in range(n_rows)]
-    else:
-        for perm in permutations(range(n_rows), n_cols):
-            pairs = sorted((perm[j], j) for j in range(n_cols))
-            total = math.fsum(entries[i, j] for i, j in pairs)
-            if total < best_total:
-                best_total = total
-                best_pairs = pairs
-    assert best_pairs is not None
-    return best_pairs, best_total

@@ -13,11 +13,11 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from courttrack.cost import ObservedBox
 from courttrack.detect import DetectionsBuilder, FrameDetections
 from courttrack.errors import InputFormatError, json_int, json_number, open_text, text_lines
 from courttrack.geometry import BBox, Homography, Point2
 from courttrack.imaging import FrameRaster
+from tests.oracles import ObservedBox
 
 
 def frame_of(*detections) -> FrameDetections:

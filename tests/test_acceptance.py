@@ -17,14 +17,7 @@ import numpy as np
 import pytest
 
 from courttrack.cli import main
-from courttrack.cost import (
-    ObservedBox,
-    cost_content,
-    cost_distance,
-    cost_iou,
-    default_weights,
-    similarity_cost,
-)
+from courttrack.cost import default_weights
 from courttrack.court import (
     Orientation,
     converge_boundaries_nba,
@@ -38,8 +31,7 @@ from courttrack.geometry import (
     Homography,
     Line2,
     Point2,
-    apply_homography,
-    iou,
+    box_array,
 )
 from courttrack.imaging import FrameRaster, PatchWindow
 from courttrack.metrics import (
@@ -47,10 +39,21 @@ from courttrack.metrics import (
     eval_detections,
     eval_mot_records,
 )
-from courttrack.synth import ScenarioSpec, brute_force_assignment, generate
+from courttrack.synth import ScenarioSpec, generate
 from courttrack.track import MatchConfig, run_tracker, solve_assignment
 
 from tests.detections import frame_of, observed
+from tests.oracles import (
+    ObservedBox,
+    apply_homography,
+    brute_force_assignment,
+    cost_content,
+    cost_distance,
+    cost_iou,
+    iou,
+    line_from_points,
+    similarity_cost,
+)
 from tests.test_court import banded_mask, as_rows, seg as make_seg, two_band_frame, GREEN_FILTER
 from tests.test_geometry import pixel_iou_oracle, project_oracle
 
@@ -249,7 +252,7 @@ def test_criterion_7_clear_mot_hand_traces():
 
     det_gt = [GroundTruthBox(0, 1, BBox(0, 0, 10, 10))]
     det_report = eval_detections(
-        det_gt, {0: [BBox(0, 5, 10, 15), BBox(0, 2, 10, 10)]}
+        det_gt, {0: box_array([BBox(0, 5, 10, 15), BBox(0, 2, 10, 10)])}
     )
     assert (det_report.tp, det_report.fp, det_report.fn) == (1, 1, 0)
     report(
@@ -301,7 +304,7 @@ def test_criterion_8_court_recovery():
         rng.shuffle(segments)
         votes = vote_dominant_lines(as_rows(segments), 1)
         top_vote = votes[0]
-        true_line = Line2.from_points(Point2(*on_line(-220)), Point2(*on_line(260)))
+        true_line = line_from_points(Point2(*on_line(-220)), Point2(*on_line(260)))
         got_angle = math.degrees(math.atan2(top_vote.line.b, top_vote.line.a)) % 180.0
         want_angle = math.degrees(math.atan2(true_line.b, true_line.a)) % 180.0
         diff = abs(got_angle - want_angle) % 180.0

@@ -22,8 +22,8 @@ import courttrack
 import courttrack.track as track
 from courttrack.cost import Features
 from courttrack.geometry import FrameDims
-from courttrack.synth import brute_force_assignment
 from courttrack.track import MatchConfig, match_frame, solve_assignment
+from tests.oracles import brute_force_assignment
 
 
 @st.composite

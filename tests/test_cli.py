@@ -21,9 +21,10 @@ from courttrack.cli import (
     scenario_spec,
 )
 from courttrack.geometry import FrameDims, Line2
-from courttrack.imaging import BinaryMask, FrameRaster, write_pgm, write_ppm
+from courttrack.imaging import BinaryMask, FrameRaster, write_ppm
 from courttrack.metrics import read_mot_csv
 from courttrack.synth import ScenarioSpec
+from tests.oracles import filled, write_pgm
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -133,7 +134,7 @@ class TestTrackCommand:
         scen = tmp_path / "scen"
         run(capsys, *synth_args(scen, width=320, height=200))
         odd = scen / "frames" / "frame_000002.ppm"
-        write_ppm(FrameRaster.filled(FrameDims(160, 100), (0, 0, 0)), odd)
+        write_ppm(filled(FrameDims(160, 100), (0, 0, 0)), odd)
         out_csv = tmp_path / "t.csv"
         code, _, err = run(capsys, *track_args(scen, out_csv))
         assert code == 1
@@ -304,7 +305,7 @@ class TestTrackCommand:
         # frame 1's homography sends x = 100 to the line at infinity
         scen = tmp_path / "scen"
         (scen / "frames").mkdir(parents=True)
-        frame = FrameRaster.filled(FrameDims(200, 100), (50, 60, 70))
+        frame = filled(FrameDims(200, 100), (50, 60, 70))
         keypoints = [{"part": 0, "x": 100.0, "y": 40.0, "c": 0.9}, {"part": 1, "x": 100.0, "y": 60.0, "c": 0.9}]
         lines = []
         for t in range(2):
@@ -318,6 +319,20 @@ class TestTrackCommand:
         assert code == 1
         assert "homographies.json" in err and "frame 1" in err
         assert "point (100.0, 50.0) maps to the line at infinity" in err
+        assert not out_csv.exists()
+
+    def test_projection_past_the_float_range_fails_naming_file_frame_and_point(self, tmp_path, capsys):
+        # x * 1e307 overflows; a numpy warning would be an error under this suite's settings
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen, width=64, height=48))
+        payload = json.loads((scen / "homographies.json").read_text())
+        payload[1]["h"][0] = 1e307
+        (scen / "homographies.json").write_text(json.dumps(payload))
+        out_csv = tmp_path / "t.csv"
+        code, _, err = run(capsys, *track_args(scen, out_csv))
+        assert code == 1
+        assert "homographies.json (field 'h'): frame 1: point (" in err
+        assert "maps to the non-finite point (inf, " in err and "Warning" not in err
         assert not out_csv.exists()
 
     def test_nan_gate_fails(self, tmp_path, capsys):

@@ -7,29 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from courttrack import cost
-from courttrack.cost import (
-    CostWeights,
-    Features,
+from courttrack.cost import CostWeights, Features, cost_matrix, default_weights, features, patch_sum_dtype
+from courttrack.geometry import FrameDims, Homography
+from courttrack.imaging import FrameRaster, PatchWindow
+from tests.detections import frame_of, observed
+from tests.oracles import (
     ObservedBox,
+    apply_homography,
+    centroid,
     cost_content,
     cost_distance,
     cost_iou,
-    cost_matrix,
-    default_weights,
-    features,
-    patch_sum_dtype,
+    filled,
     similarity_cost,
+    transform_bbox,
 )
-from courttrack.geometry import FrameDims, Homography, apply_homography, transform_bbox
-from courttrack.imaging import FrameRaster, PatchWindow
-from tests.detections import frame_of, observed
 from tests.test_geometry import compose, rotation
 
 DIMS = FrameDims(1920, 1080)
 
 
 def gray(dims=DIMS, value=(90, 90, 90)) -> FrameRaster:
-    return FrameRaster.filled(dims, value)
+    return filled(dims, value)
 
 
 def obs(parts: list[tuple[int, float, float]], homography=None, frame=None) -> ObservedBox:
@@ -225,7 +224,7 @@ def frames(draw) -> FrameRaster:
     patch sum is as large as the window allows."""
     w, h = draw(st.integers(1, 48)), draw(st.integers(1, 48))
     if draw(st.integers(0, 3)) == 0:
-        return FrameRaster.filled(FrameDims(w, h), (255, 255, 255))
+        return filled(FrameDims(w, h), (255, 255, 255))
     pixels = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return FrameRaster(pixels.integers(0, 256, (h, w, 3), dtype=np.uint8))
 
@@ -302,7 +301,7 @@ class TestFeatures:
         drawn = data.draw(st.lists(observations(frame, h, 13), max_size=5))
         got = features_of(h, frame, drawn)
         boxes = [transform_bbox(h, o.box) for o in drawn]
-        centroids = [apply_homography(h, o.box.centroid) for o in drawn]
+        centroids = [apply_homography(h, centroid(o.box)) for o in drawn]
         assert got.boxes.tolist() == [[b.x_min, b.y_min, b.x_max, b.y_max] for b in boxes]
         assert got.centroids.tolist() == [[c.x, c.y] for c in centroids]
 

@@ -28,6 +28,7 @@ from courttrack.court import (
 )
 from courttrack.geometry import FrameDims, Line2, Point2
 from courttrack.imaging import BinaryMask, FrameRaster, frame_to_hsv
+from tests.oracles import filled, line_from_points, vertical_at
 
 DIMS = FrameDims(1920, 1080)
 
@@ -107,7 +108,7 @@ def vote_all_cells_oracle(segments: list[LineSegment]) -> list[LineVote]:
     """Every cell fitted, then ranked by (-weight, cell)."""
     cells: dict[tuple[int, int], list[LineSegment]] = {}
     for s in segments:
-        cells.setdefault(_canonical_cell(Line2.from_points(s.p0, s.p1)), []).append(s)
+        cells.setdefault(_canonical_cell(line_from_points(s.p0, s.p1)), []).append(s)
     votes = []
     for cell, segs in cells.items():
         segs = sorted(segs, key=lambda s: (s.p0.x, s.p0.y, s.p1.x, s.p1.y))
@@ -239,7 +240,7 @@ class TestVoteDominantLines:
         votes = vote_dominant_lines(as_rows(segments), len(segments))
         top = votes[0]
         assert top.weight == pytest.approx(400.0, abs=1e-6)
-        true_line = Line2.from_points(Point2(*on_line(-220)), Point2(*on_line(260)))
+        true_line = line_from_points(Point2(*on_line(-220)), Point2(*on_line(260)))
         assert angle_diff_deg(normal_angle_deg(top.line), normal_angle_deg(true_line)) <= 0.5
         for s in (-220, 260):
             assert abs(top.line.signed(Point2(*on_line(s)))) <= 2.0
@@ -284,14 +285,14 @@ class TestClassifyOrientation:
         assert classify_orientation(Line2.horizontal_at(540.0), DIMS) == Orientation.HORIZONTAL
 
     def test_left_top_crossing_is_vertical(self):
-        line = Line2.from_points(Point2(0.0, 270.0), Point2(640.0, 0.0))
+        line = line_from_points(Point2(0.0, 270.0), Point2(640.0, 0.0))
         assert classify_orientation(line, DIMS) == Orientation.VERTICAL
 
     def test_exactly_vertical_is_vertical(self):
-        assert classify_orientation(Line2.vertical_at(960.0), DIMS) == Orientation.VERTICAL
+        assert classify_orientation(vertical_at(960.0), DIMS) == Orientation.VERTICAL
 
     def test_line_outside_frame_is_neither(self):
-        line = Line2.from_points(Point2(-50.0, -10.0), Point2(-10.0, -50.0))
+        line = line_from_points(Point2(-50.0, -10.0), Point2(-10.0, -50.0))
         assert classify_orientation(line, DIMS) == Orientation.NEITHER
 
     def test_negating_coefficients_does_not_change_class(self):
@@ -301,7 +302,7 @@ class TestClassifyOrientation:
             p1 = Point2(rng.uniform(-500, 2500), rng.uniform(-500, 1500))
             if math.hypot(p1.x - p0.x, p1.y - p0.y) < 1.0:
                 continue
-            line = Line2.from_points(p0, p1)
+            line = line_from_points(p0, p1)
             assert classify_orientation(line, DIMS) == classify_orientation(line.negated(), DIMS)
 
 
@@ -339,7 +340,7 @@ class TestSelectBoundaryEuropean:
     @pytest.mark.parametrize("colour", [GREEN, GRAY])
     def test_uniform_frame_is_degenerate(self, colour):
         # the filter matches every pixel or none: no candidate has contrast
-        frame = FrameRaster.filled(FrameDims(60, 60), colour)
+        frame = filled(FrameDims(60, 60), colour)
         candidates = [Line2.horizontal_at(20.0), Line2.horizontal_at(40.0)]
         prefix = row_prefix_sums(GREEN_FILTER.match_array(frame))
         with pytest.raises(DegenerateCourt):
@@ -394,7 +395,7 @@ class TestSelectBoundaryEuropean:
         arr[:, :40] = GREEN
         arr[:, 40:] = GRAY
         frame = FrameRaster(arr)
-        candidates = [Line2.vertical_at(20.0), Line2.vertical_at(40.0), Line2.vertical_at(70.0)]
+        candidates = [vertical_at(20.0), vertical_at(40.0), vertical_at(70.0)]
         prefix = row_prefix_sums(GREEN_FILTER.match_array(frame))
         best = select_boundary_european(candidates, prefix, Orientation.VERTICAL)
         assert best is candidates[1]
@@ -738,7 +739,7 @@ class TestConvergeBoundariesNba:
         bits[:, :50] = True
         bits[:, 340:] = True
         mask = BinaryMask(bits)
-        left, right = converge_boundaries_nba(mask, Line2.vertical_at(0.0), step=2.0)
+        left, right = converge_boundaries_nba(mask, vertical_at(0.0), step=2.0)
         assert abs(-left.c / left.a - 50.0) <= 4.0
         assert abs(-right.c / right.a - 340.0) <= 4.0
 
@@ -774,8 +775,8 @@ class TestCourtRegion:
         region = CourtRegion.from_boundaries(
             Line2.horizontal_at(100.0),
             Line2.horizontal_at(900.0),
-            Line2.vertical_at(200.0),
-            Line2.vertical_at(1700.0),
+            vertical_at(200.0),
+            vertical_at(1700.0),
             DIMS,
         )
         assert on_court(region, Point2(960.0, 500.0))
@@ -791,7 +792,7 @@ class TestCourtRegion:
     def test_misclassified_boundary_rejected(self):
         with pytest.raises(ValueError):
             CourtRegion(
-                Line2.vertical_at(10.0),
+                vertical_at(10.0),
                 Line2.horizontal_at(900.0),
                 None,
                 None,

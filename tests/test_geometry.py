@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from courttrack.errors import DegenerateProjection
@@ -13,10 +13,16 @@ from courttrack.geometry import (
     Homography,
     Line2,
     Point2,
-    apply_homography,
-    iou,
-    normalized_centroid_distance,
+    box_array,
+    iou_matrix,
     project_points,
+)
+from tests.oracles import (
+    apply_homography,
+    centroid,
+    iou,
+    line_from_points,
+    normalized_centroid_distance,
     transform_bbox,
 )
 
@@ -144,6 +150,13 @@ class TestProjectPoints:
         with pytest.raises(DegenerateProjection, match=r"point \(100\.0, 50\.0\)"):
             project_points(h, xy)
 
+    def test_names_the_first_point_sent_past_the_float_range(self):
+        h = Homography([1e307, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+        xy = np.array([[1.5, 2.0], [20.0, 25.0], [30.0, 5.0]])
+        message = r"point \(20\.0, 25\.0\) maps to the non-finite point \(inf, 25\.0\)"
+        with pytest.raises(DegenerateProjection, match=message):
+            project_points(h, xy)
+
 
 class TestHomographyType:
     def test_singular_matrix_rejected(self):
@@ -198,7 +211,7 @@ class TestTransformBBox:
             )
             x0, y0 = rng.uniform(0, 100), rng.uniform(0, 100)
             b = BBox(x0, y0, x0 + rng.uniform(1, 40), y0 + rng.uniform(1, 40))
-            mapped = apply_homography(h, b.centroid)
+            mapped = apply_homography(h, centroid(b))
             out = transform_bbox(h, b)
             assert out.x_min - 1e-9 <= mapped.x <= out.x_max + 1e-9
             assert out.y_min - 1e-9 <= mapped.y <= out.y_max + 1e-9
@@ -233,6 +246,29 @@ class TestIoU:
             b1 = _random_int_box(rng)
             b2 = _random_int_box(rng)
             assert iou(b1, b2) == pixel_iou_oracle(b1, b2)
+
+
+# whole coordinates make touching, zero-area and equal boxes common; the
+# huge ones overflow the areas to inf, and their union to nan
+box_coordinates = st.one_of(
+    st.integers(-3, 3).map(float), st.sampled_from([-0.0, 1e300, -1e300]), st.floats(-1e3, 1e3)
+)
+
+
+@st.composite
+def boxes(draw, coordinates=box_coordinates) -> BBox:
+    (x0, x1), (y0, y1) = (sorted(draw(st.tuples(coordinates, coordinates))) for _ in "xy")
+    return BBox(x0, y0, x1, y1)
+
+
+class TestIouMatrix:
+    @given(st.lists(boxes(), max_size=5), st.lists(boxes(), max_size=5))
+    @example([BBox(0, 0, 2, 2)], [BBox(2, 0, 3, 2), BBox(1, 1, 1, 1), BBox(5, 5, 6, 6), BBox(-0.0, 0, 2, 2)])
+    def test_equals_iou_bit_for_bit(self, a, b):
+        # touching, zero-area, disjoint and signed-zero boxes in the example
+        got = iou_matrix(box_array(a), box_array(b))
+        assert got.shape == (len(a), len(b))
+        assert [[v.hex() for v in row] for row in got.tolist()] == [[iou(p, q).hex() for q in b] for p in a]
 
 
 def _random_box(rng) -> BBox:
@@ -294,7 +330,7 @@ class TestLine2:
 
     def test_from_points_contains_both(self):
         p0, p1 = Point2(1.0, 2.0), Point2(5.0, -3.0)
-        line = Line2.from_points(p0, p1)
+        line = line_from_points(p0, p1)
         assert line.signed(p0) == pytest.approx(0.0, abs=1e-12)
         assert line.signed(p1) == pytest.approx(0.0, abs=1e-12)
 

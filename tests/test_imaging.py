@@ -5,19 +5,18 @@ import random
 import numpy as np
 import pytest
 
-from courttrack.errors import EmptyOverlap, InputFormatError
+from courttrack.errors import InputFormatError
 from courttrack.geometry import FrameDims, Point2
 from courttrack.imaging import (
     BinaryMask,
     FrameRaster,
     PatchWindow,
     frame_to_hsv,
-    patch_mean_abs_diff,
     read_pgm,
     read_ppm,
-    write_pgm,
     write_ppm,
 )
+from tests.oracles import EmptyOverlap, filled, patch_mean_abs_diff, write_pgm
 
 
 def hsv_of(rgb):
@@ -60,13 +59,13 @@ class TestRgbToHsv:
 
 class TestPatchMeanAbsDiff:
     def test_same_frame_same_point_is_zero(self):
-        frame = FrameRaster.filled(FrameDims(64, 64), (12, 200, 7))
+        frame = filled(FrameDims(64, 64), (12, 200, 7))
         p = Point2(32.0, 32.0)
         assert patch_mean_abs_diff(frame, p, frame, p) == 0.0
 
     def test_black_vs_white_is_one(self):
-        black = FrameRaster.filled(FrameDims(64, 64), (0, 0, 0))
-        white = FrameRaster.filled(FrameDims(64, 64), (255, 255, 255))
+        black = filled(FrameDims(64, 64), (0, 0, 0))
+        white = filled(FrameDims(64, 64), (255, 255, 255))
         p = Point2(32.0, 32.0)
         assert patch_mean_abs_diff(black, p, white, p) == 1.0
 
@@ -96,13 +95,13 @@ class TestPatchMeanAbsDiff:
 
     def test_border_keypoint_uses_valid_offsets_only(self):
         # corner anchors keep just the in-frame quadrant of the window
-        f1 = FrameRaster.filled(FrameDims(30, 30), (10, 10, 10))
-        f2 = FrameRaster.filled(FrameDims(30, 30), (20, 20, 20))
+        f1 = filled(FrameDims(30, 30), (10, 10, 10))
+        f2 = filled(FrameDims(30, 30), (20, 20, 20))
         d = patch_mean_abs_diff(f1, Point2(0.0, 0.0), f2, Point2(0.0, 0.0))
         assert d == pytest.approx(10 / 255, rel=1e-12)
 
     def test_no_valid_offset_raises(self):
-        f = FrameRaster.filled(FrameDims(30, 30), (0, 0, 0))
+        f = filled(FrameDims(30, 30), (0, 0, 0))
         with pytest.raises(EmptyOverlap):
             patch_mean_abs_diff(f, Point2(-100.0, 0.0), f, Point2(0.0, 0.0))
 
@@ -193,7 +192,7 @@ class TestPnmIO:
 
     def test_read_frame_is_a_read_only_view_of_the_file(self, tmp_path):
         path = tmp_path / "frame.ppm"
-        write_ppm(FrameRaster.filled(FrameDims(4, 3), (1, 2, 3)), path)
+        write_ppm(filled(FrameDims(4, 3), (1, 2, 3)), path)
         data = read_ppm(path).data
         assert type(data) is np.ndarray
         assert not data.flags.writeable
@@ -203,7 +202,7 @@ class TestPnmIO:
         assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
 
     def test_raster_is_read_only(self):
-        frame = FrameRaster.filled(FrameDims(4, 4), (1, 2, 3))
+        frame = filled(FrameDims(4, 4), (1, 2, 3))
         with pytest.raises(ValueError):
             frame.data[0, 0, 0] = 9
 

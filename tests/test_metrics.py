@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from courttrack.errors import EmptyGroundTruth, InputFormatError
-from courttrack.geometry import BBox, FrameDims, Homography
-from courttrack.imaging import FrameRaster
+from courttrack.geometry import BBox, FrameDims, Homography, box_array
 from courttrack.metrics import (
     DetectionReport,
     GroundTruthBox,
@@ -15,6 +16,8 @@ from courttrack.metrics import (
 )
 from courttrack.track import FrameObservations, run_tracker
 from tests.detections import box_det, frame_of
+from tests.oracles import filled, greedy_detection_counts
+from tests.test_geometry import boxes
 
 
 def rec(frame, tid, x0, y0, x1, y1):
@@ -24,7 +27,7 @@ def rec(frame, tid, x0, y0, x1, y1):
 class TestEvalDetections:
     def test_perfect_detections(self):
         gt = [rec(0, 1, 0, 0, 10, 10), rec(1, 1, 5, 5, 15, 15)]
-        dets = {0: [gt[0].bbox], 1: [gt[1].bbox]}
+        dets = {0: box_array([gt[0].bbox]), 1: box_array([gt[1].bbox])}
         report = eval_detections(gt, dets)
         assert (report.precision, report.recall, report.f1) == (1.0, 1.0, 1.0)
 
@@ -40,7 +43,7 @@ class TestEvalDetections:
         gt = [rec(0, 1, 0, 0, 10, 10)]
         strong = BBox(0.0, 2.0, 10.0, 10.0)  # IoU 0.8
         weak = BBox(0.0, 5.0, 10.0, 15.0)  # IoU 1/3
-        report = eval_detections(gt, {0: [weak, strong]})
+        report = eval_detections(gt, {0: box_array([weak, strong])})
         assert (report.tp, report.fp, report.fn) == (1, 1, 0)
 
     def test_count_identities(self):
@@ -55,15 +58,24 @@ class TestEvalDetections:
             for _ in range(rng.randrange(0, 5)):
                 x, y = rng.uniform(0, 300), rng.uniform(0, 300)
                 boxes.append(BBox(x, y, x + 20, y + 30))
-            dets[frame] = boxes
+            dets[frame] = box_array(boxes)
         report = eval_detections(gt, dets)
         assert report.tp + report.fn == len(gt)
         assert report.tp + report.fp == sum(len(b) for b in dets.values())
 
     def test_gt_frame_without_detections_counts_misses(self):
         gt = [rec(0, 1, 0, 0, 10, 10), rec(1, 1, 0, 0, 10, 10)]
-        report = eval_detections(gt, {0: [gt[0].bbox]})
+        report = eval_detections(gt, {0: box_array([gt[0].bbox])})
         assert report.fn == 1
+
+    @given(st.lists(st.tuples(*[st.lists(boxes(st.integers(0, 4).map(float)), max_size=5)] * 2), max_size=3))
+    @example([([BBox(0, 0, 2, 2), BBox(2, 0, 4, 2)], [BBox(1, 0, 3, 2), BBox(-1, 0, 1, 2)])])
+    def test_counts_equal_the_scalar_protocol(self, frames):
+        # every pair of the example ties at 1/3; taking detection 0 first leaves gt 1 unmatched
+        gt = [GroundTruthBox(t, i, b) for t, (truth, _) in enumerate(frames) for i, b in enumerate(truth)]
+        report = eval_detections(gt, {t: box_array(found) for t, (_, found) in enumerate(frames)})
+        counts = [greedy_detection_counts(truth, found) for truth, found in frames]
+        assert (report.tp, report.fp, report.fn) == tuple(sum(c) for c in zip((0, 0, 0), *counts))
 
     def test_f1_symmetric_under_precision_recall_swap(self):
         a = DetectionReport.from_counts(tp=6, fp=2, fn=5)
@@ -138,7 +150,7 @@ class TestEvalMot:
 
     def test_accepts_tracker_rows(self):
         dims = FrameDims(200, 200)
-        gray = FrameRaster.filled(dims, (90, 90, 90))
+        gray = filled(dims, (90, 90, 90))
         frames = [
             FrameObservations(frame_of(box_det(50.0, 50.0, 70.0, 90.0)), Homography.identity(), gray)
             for _ in range(4)

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from courttrack.errors import TargetOutOfFrame, TooLarge
-from courttrack.geometry import BBox, FrameDims, apply_homography
+from courttrack.geometry import BBox, FrameDims
 from courttrack.synth import (
     BACKGROUND_COLOR,
     MIN_COLOR_DISTANCE,
     _target_colors,
     ScenarioSpec,
-    brute_force_assignment,
     generate,
 )
 from courttrack.rng import SplitMix64
 from tests.detections import same_detections
+from tests.oracles import apply_homography, brute_force_assignment, centroid
 
 SMALL = ScenarioSpec(n_targets=4, n_frames=10, dims=FrameDims(640, 360), seed=1)
 
@@ -68,7 +68,7 @@ class TestGenerate:
             n_targets=1, n_frames=8, dims=FrameDims(640, 360), pan=(3.0, 0.0), seed=3
         )
         seq = generate(spec)
-        raw = [g.bbox.centroid for g in sorted(seq.gt, key=lambda g: g.frame)]
+        raw = [centroid(g.bbox) for g in sorted(seq.gt, key=lambda g: g.frame)]
         for t in range(1, 8):
             assert raw[t].x - raw[t - 1].x == pytest.approx(-3.0, abs=1e-9)
         stabilized = [
@@ -102,7 +102,7 @@ class TestGenerate:
         colors = set()
         for t, dets in seq.detections.items():
             for box in dets.boxes.tolist():
-                c = BBox(*box).centroid
+                c = centroid(BBox(*box))
                 colors.add(tuple(int(v) for v in seq.frames[t].data[int(c.y), int(c.x)]))
         colors = sorted(colors)
         assert len(colors) == SMALL.n_targets

@@ -9,9 +9,9 @@ import pytest
 from courttrack.cli import decode_frames
 from courttrack.cost import Features, features
 from courttrack.geometry import BBox, FrameDims, Homography
-from courttrack.imaging import FrameRaster, write_ppm
+from courttrack.imaging import write_ppm
 from courttrack.metrics import eval_mot_records, write_mot_csv
-from courttrack.synth import ScenarioSpec, brute_force_assignment, generate
+from courttrack.synth import ScenarioSpec, generate
 from courttrack.track import (
     FrameObservations,
     MatchConfig,
@@ -20,9 +20,10 @@ from courttrack.track import (
     solve_assignment,
 )
 from tests.detections import box_det, frame_of
+from tests.oracles import brute_force_assignment, filled
 
 DIMS = FrameDims(200, 200)
-GRAY = FrameRaster.filled(DIMS, (90, 90, 90))
+GRAY = filled(DIMS, (90, 90, 90))
 
 
 def solve(entries) -> list[tuple[int, int]]:
@@ -261,7 +262,7 @@ class TestRunTracker:
             for t in range(30):
                 gc.collect()
                 alive_before.append(sum(ref() is not None for ref in rasters))
-                raster = FrameRaster.filled(DIMS, (90, 90, 90))
+                raster = filled(DIMS, (90, 90, 90))
                 rasters.append(weakref.ref(raster.data))
                 dets = [box_det(50.0, 50.0, 70.0, 90.0)]
                 if t < 10:
@@ -279,7 +280,7 @@ class TestRunTracker:
         paths = []
         for t in range(20):
             paths.append(tmp_path / f"frame_{t:06d}.ppm")
-            write_ppm(FrameRaster.filled(DIMS, (90, 90, 90)), paths[-1])
+            write_ppm(filled(DIMS, (90, 90, 90)), paths[-1])
         detections = {t: frame_of(box_det(50.0, 50.0, 70.0, 90.0)) for t in range(20)}
         homographies = {t: Homography.identity() for t in range(20)}
         rasters, maps = [], []

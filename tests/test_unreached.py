@@ -1,36 +1,76 @@
-"""No top-level function or class of the package goes unused.
+"""No function, class, method, property or constant of the package goes unused.
 
-A definition counts as reached when some module of `src/courttrack`
-names it: as a bare name, as an attribute or in an import. The only
-unreached ones are the test oracles and fixture writers that the tests
-import directly.
+The roots are `cli.py`'s module code and the README "Using the library"
+example. A definition is reached when reached code uses its name, as a
+bare name or as an attribute; names are matched without types, so a
+use of `.dims` reaches every `dims`. An import reaches nothing by
+itself, and a reached class reaches its dunder methods. The test
+oracles live in `tests/oracles.py`, so no definition is left unreached.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "courttrack"
-TEST_ONLY = {"similarity_cost", "brute_force_assignment", "write_pgm"}
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "courttrack"
+TEST_ONLY: set[str] = set()
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def unreached_definitions(package: Path) -> set[str]:
-    defined: set[str] = set()
-    referenced: set[str] = set()
+def used_names(*nodes) -> set[str]:
+    walked = [n for node in nodes for n in ast.walk(node)]
+    names = {n.id for n in walked if isinstance(n, ast.Name)}
+    return names | {n.attr for n in walked if isinstance(n, ast.Attribute)}
+
+
+def unreached_definitions(package: Path, example: str = "") -> set[str]:
+    """Qualified names of the definitions that no root gets to."""
+    defs: dict[str, list[tuple[str, set[str]]]] = {}  # name -> [(qualified name, names it uses)]
+    pending = used_names(ast.parse(example))
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.name)
-    return defined - referenced
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            qualified = f"{path.stem}.{getattr(node, 'name', '')}"
+            if isinstance(node, DEFS):
+                defs.setdefault(node.name, []).append((qualified, used_names(node)))
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, DEFS) and not m.name.startswith("__")]
+                rest = [*node.decorator_list, *node.bases, *(m for m in node.body if m not in methods)]
+                defs.setdefault(node.name, []).append((qualified, used_names(*rest)))
+                for m in methods:
+                    defs.setdefault(m.name, []).append((f"{qualified}.{m.name}", used_names(m)))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                    if isinstance(target, ast.Name):
+                        defs.setdefault(target.id, []).append((f"{path.stem}.{target.id}", used_names(node)))
+            elif path.stem == "cli" and not isinstance(node, (ast.Import, ast.ImportFrom)):
+                pending |= used_names(node)
+    seen: set[str] = set()
+    while pending:
+        name = pending.pop()
+        seen.add(name)
+        pending |= {n for _, uses in defs.get(name, []) for n in uses} - seen
+    return {qualified for name, found in defs.items() if name not in seen for qualified, _ in found}
 
 
 def test_only_the_test_oracles_are_unreached():
-    assert unreached_definitions(SRC) == TEST_ONLY
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Using the library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    assert unreached_definitions(SRC, example) == TEST_ONLY
 
+
+def test_methods_properties_and_constants_are_seen(tmp_path):
+    (tmp_path / "cli.py").write_text("from .shapes import Box, LIMIT\nprint(Box(LIMIT).width)\n")
+    (tmp_path / "shapes.py").write_text(
+        "LIMIT = 3\nUNUSED = 4\n"
+        "class Box:\n"
+        "    def __init__(self, w):\n        self.w = helper(w)\n"
+        "    @property\n    def width(self):\n        return self.w\n"
+        "    @property\n    def area(self):\n        return self.w * self.w\n"
+        "    @classmethod\n    def square(cls):\n        return cls(1)\n"
+        "def helper(w):\n    return w\n"
+        "def orphan():\n    return UNUSED\n"
+    )
+    orphans = {"shapes.UNUSED", "shapes.orphan"}
+    assert unreached_definitions(tmp_path) == orphans | {"shapes.Box.area", "shapes.Box.square"}
+    assert unreached_definitions(tmp_path, "from shapes import Box\nBox.square().area\n") == orphans
