@@ -53,7 +53,7 @@ from .errors import (
     open_text,
     text_lines,
 )
-from .geometry import BBox, FrameDims, Homography, Line2, box_array
+from .geometry import FrameDims, Homography, Line2
 from .imaging import BinaryMask, PatchWindow, read_pgm, read_ppm, write_ppm
 from .metrics import (
     MOT_IOU_THRESHOLD,
@@ -342,10 +342,10 @@ def cmd_track(args: argparse.Namespace) -> int:
                 path, f"{what} reference frames {sorted(bad)} outside 0..{n - 1}"
             )
     try:
-        rows = run_tracker(decode_frames(paths, detections, homographies), config)
+        tracks = run_tracker(decode_frames(paths, detections, homographies), config)
     except DegenerateProjection as exc:
         raise InputFormatError(args.homographies, str(exc), field="h") from None
-    write_mot_csv(rows, args.out)
+    write_mot_csv(tracks, args.out)
     return 0
 
 
@@ -362,17 +362,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not gt:
         raise EmptyGroundTruth(f"{args.gt} holds no ground-truth boxes")
     if mot:
-        hyp = read_mot_csv(args.hyp, unique_ids=True)
-        report = eval_mot_records(gt, hyp, args.mot_iou)
+        report = eval_mot_records(gt, read_mot_csv(args.hyp, unique_ids=True), args.mot_iou)
     else:
-        if str(args.hyp).endswith(".jsonl"):
-            per_frame = {t: dets.boxes for t, dets in read_detections_jsonl(args.hyp).items()}
-        else:
-            by_frame: dict[int, list[BBox]] = {}
-            for rec in read_mot_csv(args.hyp):
-                by_frame.setdefault(rec.frame, []).append(rec.bbox)
-            per_frame = {t: box_array(boxes) for t, boxes in by_frame.items()}
-        report = eval_detections(gt, per_frame)
+        reader = read_detections_jsonl if str(args.hyp).endswith(".jsonl") else read_mot_csv
+        report = eval_detections(gt, {t: f.boxes for t, f in reader(args.hyp).items()})
     _report_out(report.to_json_dict(), args)
     return 0
 

@@ -1,7 +1,9 @@
-"""Planar homogeneous geometry: points, lines, boxes, homographies, IoU.
+"""Planar homogeneous geometry: points, lines, homographies, projection, IoU.
 
 All types are immutable values and all operations are pure functions,
-working in double precision with continuous pixel coordinates.
+working in double precision with continuous pixel coordinates. A box is
+a row (x_min, y_min, x_max, y_max) of an (n, 4) float64 array, the form
+that detections, tracks and ground truth all take.
 """
 
 from __future__ import annotations
@@ -79,38 +81,6 @@ class Homography:
 
     def __repr__(self) -> str:
         return f"Homography({self.m.tolist()})"
-
-
-@dataclass(frozen=True, slots=True)
-class BBox:
-    """Axis-aligned box in pixel coordinates, corners inclusive."""
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def __post_init__(self):
-        vals = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite box {vals}")
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise ValueError(f"inverted box {vals}")
-
-    @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
-    def height(self) -> float:
-        return self.y_max - self.y_min
-
-
-def box_array(boxes) -> np.ndarray:
-    """The boxes of an iterable of BBox as an (n, 4) float64 array of
-    rows (x_min, y_min, x_max, y_max)."""
-    rows = [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes]
-    return np.array(rows, dtype=float).reshape(-1, 4)
 
 
 @dataclass(frozen=True)

@@ -4,18 +4,25 @@ Detection quality follows the from-scratch per-frame protocol: greedy
 matching by descending IoU with any positive overlap. Tracking quality
 is CLEAR-MOT with correspondence carry-over; MOTP is reported as the
 mean IoU of matched pairs (higher is better).
+
+A track or ground-truth file is one track.FrameBoxes per frame that
+has a row: the rows' ids and boxes, in file order. read_mot_csv,
+run_tracker and synth.generate give that form, write_mot_csv writes it,
+and both evaluations read it.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyGroundTruth, InputFormatError, csv_number_rows
-from .geometry import BBox, box_array, iou_matrix
-from .track import GroundTruthBox, solve_assignment
+from .geometry import iou_matrix
+from .track import NO_BOXES, FrameBoxes, solve_assignment
 
 MOT_IOU_THRESHOLD = 0.5
 TRACK_CSV_HEADER = ["frame", "id", "x_min", "y_min", "width", "height"]
@@ -75,19 +82,15 @@ class MotReport:
         }
 
 
-def eval_detections(gt: list[GroundTruthBox], dets: dict[int, np.ndarray]) -> DetectionReport:
+def eval_detections(gt: dict[int, FrameBoxes], dets: dict[int, np.ndarray]) -> DetectionReport:
     """Per-frame greedy max-IoU matching (any IoU > 0), pooled over frames.
 
     dets holds each frame's detection boxes as an (n, 4) array of rows
     (x_min, y_min, x_max, y_max); a frame it leaves out has none.
     """
-    gt_by_frame: dict[int, list[BBox]] = {}
-    for g in gt:
-        gt_by_frame.setdefault(g.frame, []).append(g.bbox)
-
     tp = fp = fn = 0
-    for frame in sorted(set(gt_by_frame) | set(dets)):
-        overlap = iou_matrix(box_array(gt_by_frame.get(frame, [])), dets.get(frame, np.empty((0, 4))))
+    for frame in sorted(set(gt) | set(dets)):
+        overlap = iou_matrix(gt.get(frame, NO_BOXES).boxes, dets.get(frame, NO_BOXES.boxes))
         gi, di = np.nonzero(overlap > 0.0)
         used_gt: set[int] = set()
         used_det: set[int] = set()
@@ -104,30 +107,25 @@ def eval_detections(gt: list[GroundTruthBox], dets: dict[int, np.ndarray]) -> De
 
 
 def eval_mot_records(
-    gt: list[GroundTruthBox],
-    hyp: list[GroundTruthBox],
+    gt: dict[int, FrameBoxes],
+    hyp: dict[int, FrameBoxes],
     iou_threshold: float = MOT_IOU_THRESHOLD,
 ) -> MotReport:
-    """CLEAR-MOT over box records.
+    """CLEAR-MOT over per-frame ids and boxes.
 
     Correspondences surviving from the previous frame (still above the
     IoU threshold) are kept; the remainder is matched by an optimal
     assignment maximizing IoU. A ground-truth identity whose hypothesis
     differs from its last known one counts as an id switch. The IoU
-    threshold must lie in [0, 1). Each frame's overlaps are one
-    iou_matrix of its ground truth against its hypotheses.
+    threshold must lie in [0, 1), and an id may occur once per frame on
+    each side. Each frame's overlaps are one iou_matrix of its ground
+    truth against its hypotheses.
     """
     if not 0.0 <= iou_threshold < 1.0:
         raise ValueError(f"IoU threshold must lie in [0, 1), got {iou_threshold}")
-    if not gt:
+    gt_count = sum(len(f.ids) for f in gt.values())
+    if not gt_count:
         raise EmptyGroundTruth("tracking evaluation needs ground-truth boxes")
-
-    gt_by_frame: dict[int, list[GroundTruthBox]] = {}
-    for g in gt:
-        gt_by_frame.setdefault(g.frame, []).append(g)
-    hyp_by_frame: dict[int, list[GroundTruthBox]] = {}
-    for h in hyp:
-        hyp_by_frame.setdefault(h.frame, []).append(h)
 
     misses = false_positives = id_switches = 0
     matched_iou_sum = 0.0
@@ -135,26 +133,25 @@ def eval_mot_records(
     current: dict[int, int] = {}  # gt id -> hyp id matched in the previous frame
     last_known: dict[int, int] = {}  # gt id -> hyp id of the latest match ever
 
-    for frame in sorted(set(gt_by_frame) | set(hyp_by_frame)):
-        gt_left = {g.id: g.bbox for g in gt_by_frame.get(frame, [])}
-        hyp_left = {h.id: h.bbox for h in hyp_by_frame.get(frame, [])}
+    for frame in sorted(set(gt) | set(hyp)):
+        truth, guess = gt.get(frame, NO_BOXES), hyp.get(frame, NO_BOXES)
         # row and column of each id in the frame's overlaps
-        gt_row = {gt_id: i for i, gt_id in enumerate(gt_left)}
-        hyp_col = {hyp_id: j for j, hyp_id in enumerate(hyp_left)}
-        overlaps = iou_matrix(box_array(gt_left.values()), box_array(hyp_left.values()))
+        gt_row = _index_of_ids(truth.ids, frame, "ground-truth")
+        hyp_col = _index_of_ids(guess.ids, frame, "hypothesis")
+        overlaps = iou_matrix(truth.boxes, guess.boxes)
+        gt_left, hyp_left = set(gt_row), set(hyp_col)
 
         frame_matches: dict[int, int] = {}
         # 1. carry forward still-valid correspondences
         for gt_id, hyp_id in current.items():
             if gt_id in gt_left and hyp_id in hyp_left:
-                overlap = overlaps[gt_row[gt_id], hyp_col[hyp_id]]
+                overlap = overlaps[gt_row[gt_id], hyp_col[hyp_id]].item()
                 if overlap > iou_threshold:
                     frame_matches[gt_id] = hyp_id
                     matched_iou_sum += overlap
                     matched_count += 1
-        for gt_id, hyp_id in frame_matches.items():
-            del gt_left[gt_id]
-            del hyp_left[hyp_id]
+        gt_left.difference_update(frame_matches)
+        hyp_left.difference_update(frame_matches.values())
 
         # 2. optimal assignment on the remainder, maximizing IoU above threshold
         free_gt = sorted(gt_left)
@@ -162,49 +159,63 @@ def eval_mot_records(
         if free_gt and free_hyp:
             free = overlaps[np.ix_([gt_row[g] for g in free_gt], [hyp_col[h] for h in free_hyp])]
             gains = np.where(free > iou_threshold, free, 0.0)
+            gain = gains.tolist()
             for i, j in solve_assignment(-gains):
-                if gains[i, j] > 0.0:
+                if gain[i][j] > 0.0:
                     gid, hid = free_gt[i], free_hyp[j]
                     frame_matches[gid] = hid
-                    matched_iou_sum += gains[i, j]
+                    matched_iou_sum += gain[i][j]
                     matched_count += 1
                     if gid in last_known and last_known[gid] != hid:
                         id_switches += 1
-                    del gt_left[gid]
-                    del hyp_left[hid]
+                    gt_left.remove(gid)
+                    hyp_left.remove(hid)
 
         misses += len(gt_left)
         false_positives += len(hyp_left)
         current = frame_matches
-        for gid, hid in frame_matches.items():
-            last_known[gid] = hid
+        last_known.update(frame_matches)
 
     motp = matched_iou_sum / matched_count if matched_count else 0.0
-    return MotReport.from_counts(misses, false_positives, id_switches, len(gt), motp)
+    return MotReport.from_counts(misses, false_positives, id_switches, gt_count, motp)
+
+
+def _index_of_ids(ids: np.ndarray, frame: int, side: str) -> dict[int, int]:
+    """Position of each id in a frame's rows; a repeated id is a ValueError."""
+    index = {}
+    for i, track_id in enumerate(ids.tolist()):
+        if track_id in index:
+            raise ValueError(f"frame {frame}: {side} id {track_id} repeats")
+        index[track_id] = i
+    return index
 
 
 # --- MOT-style CSV ingestion ----------------------------------------------------
 
-def read_mot_csv(path, unique_ids: bool = False) -> list[GroundTruthBox]:
+def read_mot_csv(path, unique_ids: bool = False) -> dict[int, FrameBoxes]:
     """Read "frame,id,x_min,y_min,width,height" rows; header optional.
 
-    With unique_ids a (frame, id) pair may occur on one row only, as
-    CLEAR-MOT needs; detection files may repeat ids (MOT uses -1 for all).
+    Returns each frame's ids and boxes, rows in file order; only frames
+    with a row are keys. An id must fit in 64 bits. With unique_ids a
+    (frame, id) pair may occur on one row only, as CLEAR-MOT needs;
+    detection files may repeat ids (MOT uses -1 for all).
     """
-    records: list[GroundTruthBox] = []
+    ids: defaultdict[int, list[int]] = defaultdict(list)
+    boxes: defaultdict[int, list[tuple[float, ...]]] = defaultdict(list)
     first_row: dict[tuple[int, int], int] = {}
     for lineno, row, values in csv_number_rows(path, TRACK_CSV_HEADER, header=True):
         for name, cell, value in zip(TRACK_CSV_HEADER[:2], row, values):
             if not value.is_integer():
                 raise InputFormatError(path, f"not an integer: {cell!r}", line=lineno, field=name)
         frame, track_id = int(values[0]), int(values[1])
+        if not -(2**63) <= track_id < 2**63:
+            raise InputFormatError(path, f"id outside the 64-bit range: {row[1]!r}", line=lineno, field="id")
         x, y, w, h = values[2:]
         if w < 0 or h < 0:
             raise InputFormatError(path, "negative box size", line=lineno, field="width")
-        try:
-            bbox = BBox(x, y, x + w, y + h)
-        except ValueError as exc:
-            raise InputFormatError(path, str(exc), line=lineno) from None
+        box = (x, y, x + w, y + h)
+        if not all(math.isfinite(v) for v in box):
+            raise InputFormatError(path, f"non-finite box {box}", line=lineno)
         if unique_ids:
             key = (frame, track_id)
             if key in first_row:
@@ -212,17 +223,21 @@ def read_mot_csv(path, unique_ids: bool = False) -> list[GroundTruthBox]:
                     path, f"frame {frame} id {track_id} repeats line {first_row[key]}", line=lineno, field="id"
                 )
             first_row[key] = lineno
-        records.append(GroundTruthBox(frame, track_id, bbox))
-    return records
+        ids[frame].append(track_id)
+        boxes[frame].append(box)
+    return {
+        t: FrameBoxes(np.array(ids[t], dtype=np.int64), np.array(boxes[t], dtype=float)) for t in ids
+    }
 
 
-def write_mot_csv(records: list[GroundTruthBox], path) -> None:
-    rows = sorted(records, key=lambda r: (r.frame, r.id))
+def write_mot_csv(per_frame: dict[int, FrameBoxes], path) -> None:
+    """One row per id and box, frames in order and ids ascending within
+    a frame; rows with equal ids keep their order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACK_CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [r.frame, r.id]
-                + [repr(float(v)) for v in (r.bbox.x_min, r.bbox.y_min, r.bbox.width, r.bbox.height)]
-            )
+        for t in sorted(per_frame):
+            rows = per_frame[t]
+            order = np.argsort(rows.ids, kind="stable")
+            for track_id, (x0, y0, x1, y1) in zip(rows.ids[order].tolist(), rows.boxes[order].tolist()):
+                writer.writerow([t, track_id, repr(x0), repr(y0), repr(x1 - x0), repr(y1 - y0)])

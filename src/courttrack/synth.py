@@ -20,10 +20,10 @@ import numpy as np
 
 from .detect import DetectionsBuilder, FrameDetections
 from .errors import TargetOutOfFrame, TooLarge
-from .geometry import BBox, FrameDims, Homography
+from .geometry import FrameDims, Homography
 from .imaging import FrameRaster
 from .rng import SplitMix64
-from .track import FrameObservations, GroundTruthBox
+from .track import FrameBoxes, FrameObservations
 
 # Keypoint stencil: (part_id, relative x, relative y) inside the box. The
 # hull of the stencil spans the whole box, so a detection's skeleton box
@@ -80,12 +80,14 @@ class ScenarioSpec:
             raise ValueError("extra_dropout must lie in [0, 1)")
         if self.motion is not None and len(self.motion) != self.n_targets:
             raise ValueError("motion needs one velocity per target")
+        if self.motion is not None and not all(math.isfinite(v) for vel in self.motion for v in vel):
+            raise ValueError("motion components must be finite")
 
 
 @dataclass
 class SyntheticSequence:
     spec: ScenarioSpec
-    gt: list[GroundTruthBox]
+    gt: dict[int, FrameBoxes]  # every frame: target i's box in row i
     detections: dict[int, FrameDetections]
     homographies: list[Homography]
     frames: list[FrameRaster]
@@ -176,7 +178,8 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
     starts = _start_positions(spec, motion, box_w, box_h)
     colors = _target_colors(spec.n_targets, spec.seed)
 
-    gt: list[GroundTruthBox] = []
+    gt: dict[int, FrameBoxes] = {}
+    target_ids = np.arange(spec.n_targets, dtype=np.int64)
     detections: dict[int, FrameDetections] = {}
     homographies: list[Homography] = []
     frames: list[FrameRaster] = []
@@ -190,16 +193,16 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
         homographies.append(Homography.translation(pan_x, pan_y))
         raster = background.copy()  # copying is far faster than broadcasting the color again
         frame_dets = DetectionsBuilder()
+        gt_boxes = []
         for i in range(spec.n_targets):
             x = starts[i][0] + motion[i][0] * t - pan_x
             y = starts[i][1] + motion[i][1] * t - pan_y
-            box = BBox(x, y, x + box_w, y + box_h)
-            if box.x_min < 0 or box.y_min < 0 or box.x_max > spec.dims.w or box.y_max > spec.dims.h:
+            box = (x, y, x + box_w, y + box_h)
+            if box[0] < 0 or box[1] < 0 or box[2] > spec.dims.w or box[3] > spec.dims.h:
                 raise TargetOutOfFrame(f"target {i} leaves the frame at t={t}")
-            gt.append(GroundTruthBox(t, i, box))
+            gt_boxes.append(box)
 
-            x0, y0 = round(box.x_min), round(box.y_min)
-            x1, y1 = round(box.x_max), round(box.y_max)
+            x0, y0, x1, y1 = (round(v) for v in box)
             raster[max(0, y0) : y1, max(0, x0) : x1] = colors[i]
 
             kept = _kept_by_dropout(spec, t, i) and not (
@@ -210,29 +213,24 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
             detected[i] = kept
             if not kept:
                 continue
-            det_box = box
+            left, top, right, bottom = box
             if spec.jitter_sigma > 0.0:
                 jit = SplitMix64(spec.seed, 0x7177E8, t, i)
                 xs = sorted(
-                    (
-                        box.x_min + jit.gauss(0.0, spec.jitter_sigma),
-                        box.x_max + jit.gauss(0.0, spec.jitter_sigma),
-                    )
+                    (left + jit.gauss(0.0, spec.jitter_sigma), right + jit.gauss(0.0, spec.jitter_sigma))
                 )
                 ys = sorted(
-                    (
-                        box.y_min + jit.gauss(0.0, spec.jitter_sigma),
-                        box.y_max + jit.gauss(0.0, spec.jitter_sigma),
-                    )
+                    (top + jit.gauss(0.0, spec.jitter_sigma), bottom + jit.gauss(0.0, spec.jitter_sigma))
                 )
                 # an infinite corner makes its span non-finite too, and finite
                 # corners can still be too far apart for the span to be finite
                 if not (math.isfinite(xs[1] - xs[0]) and math.isfinite(ys[1] - ys[0])):
                     raise ValueError(f"jitter_sigma {spec.jitter_sigma} overflows a box at t={t}")
-                det_box = BBox(xs[0], ys[0], xs[1], ys[1])
-            left, top, width, height = det_box.x_min, det_box.y_min, det_box.width, det_box.height
+                (left, right), (top, bottom) = xs, ys
+            width, height = right - left, bottom - top
             stencil = [(left + rx * width, top + ry * height) for _, rx, ry in KEYPOINT_STENCIL]
             frame_dets.add(stencil_parts, stencil)
+        gt[t] = FrameBoxes(target_ids, np.array(gt_boxes, dtype=float))
         detections[t] = frame_dets.build()
         raster.flags.writeable = False
         frames.append(FrameRaster(raster))

@@ -9,8 +9,8 @@ last memory_depth frames' detections and the id of each, so an id that
 leaves that window is never matched again. A frame's detections arrive
 as one FrameDetections of arrays: the skeleton boxes, which the output
 and the distance and overlap terms use, and the keypoint positions
-behind the content term. Its output is one (frame, id, box) row per
-detection.
+behind the content term. Its output is one FrameBoxes per frame with
+detections: each detection's id and box, in detection order.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .cost import CostWeights, Features, cost_matrix, default_weights, features
 from .detect import FrameDetections
 from .errors import DegenerateProjection
-from .geometry import BBox, FrameDims, Homography
+from .geometry import FrameDims, Homography
 from .imaging import FrameRaster, PatchWindow
 
 DEFAULT_GATE = 0.5
@@ -47,13 +47,15 @@ class MatchConfig:
             raise ValueError("memory_depth must be 1 or 2")
 
 
-@dataclass(frozen=True, slots=True)
-class GroundTruthBox:
-    """One annotated (or hypothesized) box of one identity in one frame."""
+@dataclass(frozen=True, eq=False)
+class FrameBoxes:
+    """One frame's rows of a track or ground-truth file, in row order."""
 
-    frame: int
-    id: int
-    bbox: BBox
+    ids: np.ndarray  # (n,) int64 identities
+    boxes: np.ndarray  # (n, 4) float64 boxes (x_min, y_min, x_max, y_max)
+
+
+NO_BOXES = FrameBoxes(np.empty(0, dtype=np.int64), np.empty((0, 4)))
 
 
 def solve_assignment(cost) -> list[tuple[int, int]]:
@@ -167,17 +169,19 @@ class FrameObservations:
 
 def run_tracker(
     frames: Iterable[FrameObservations], cfg: MatchConfig = MatchConfig()
-) -> list[GroundTruthBox]:
-    """Stream the matcher over frames 0, 1, ... in order; returns one row per detection.
+) -> dict[int, FrameBoxes]:
+    """Stream the matcher over frames 0, 1, ... in order; returns each
+    frame's detection ids and boxes.
 
-    The rows come frame by frame in detection order. A detection left
-    unmatched gets the next unused id. Distances are normalized by the
-    first frame's diagonal. Each frame's detection features are
-    extracted once and kept while the frame is in the window. A point
-    that a frame's homography sends to infinity is a
-    DegenerateProjection that names the frame.
+    A frame's entry holds its detections' ids and boxes in detection
+    order; a frame without detections has no entry, as a track file
+    cannot hold one. A detection left unmatched gets the next unused
+    id. Distances are normalized by the first frame's diagonal. Each
+    frame's detection features are extracted once and kept while the
+    frame is in the window. A point that a frame's homography sends to
+    infinity is a DegenerateProjection that names the frame.
     """
-    rows: list[GroundTruthBox] = []
+    tracks: dict[int, FrameBoxes] = {}
     next_id = 0
     window: deque[tuple[Features, list[int]]] = deque(maxlen=cfg.memory_depth)
     for t, frame in enumerate(frames):
@@ -189,11 +193,12 @@ def run_tracker(
             raise DegenerateProjection(f"frame {t}: {exc}") from None
         matched = match_frame(window, dets, cfg, dims)
         owners = []
-        for i, box in enumerate(frame.detections.boxes.tolist()):
+        for i in range(len(frame.detections)):
             track_id = matched.get(i)
             if track_id is None:
                 track_id, next_id = next_id, next_id + 1
             owners.append(track_id)
-            rows.append(GroundTruthBox(t, track_id, BBox(*box)))
         window.append((dets, owners))
-    return rows
+        if owners:
+            tracks[t] = FrameBoxes(np.array(owners, dtype=np.int64), frame.detections.boxes)
+    return tracks

@@ -10,14 +10,14 @@ check and message of read_detections_jsonl except the finite-span one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from courttrack.detect import DetectionsBuilder, FrameDetections
 from courttrack.errors import InputFormatError, json_int, json_number, open_text, text_lines
-from courttrack.geometry import BBox, Homography, Point2
+from courttrack.geometry import Homography, Point2
 from courttrack.imaging import FrameRaster
-from tests.oracles import ObservedBox
+from tests.oracles import BBox, ObservedBox
 
 
 def frame_of(*detections) -> FrameDetections:
@@ -44,11 +44,12 @@ def observed(dets: FrameDetections, i: int, homography: Homography, frame: Frame
     return ObservedBox(BBox(*dets.boxes[i].tolist()), parts, homography, frame)
 
 
-def same_detections(a: FrameDetections, b: FrameDetections) -> bool:
-    """Whether two values hold the same arrays, bit for bit."""
-    return all(
-        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-        for x, y in zip((a.boxes, a.parts, a.xy, a.owners), (b.boxes, b.parts, b.xy, b.owners))
+def same_arrays(a, b) -> bool:
+    """Whether two values of one array dataclass, such as FrameDetections
+    or FrameBoxes, hold the same arrays, bit for bit."""
+    pairs = [(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)]
+    return type(a) is type(b) and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in pairs
     )
 
 

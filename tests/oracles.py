@@ -7,6 +7,7 @@ array code must repeat.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -15,11 +16,45 @@ from pathlib import Path
 import numpy as np
 
 from courttrack.cost import CostWeights
-from courttrack.errors import CourtTrackError, DegenerateProjection, TooLarge
-from courttrack.geometry import SINGULAR_TOL, BBox, FrameDims, Homography, Line2, Point2
+from courttrack.errors import CourtTrackError, DegenerateProjection, EmptyGroundTruth, TooLarge
+from courttrack.geometry import SINGULAR_TOL, FrameDims, Homography, Line2, Point2, iou_matrix
 from courttrack.imaging import BinaryMask, FrameRaster, PatchWindow
+from courttrack.metrics import MOT_IOU_THRESHOLD, TRACK_CSV_HEADER, MotReport
+from courttrack.track import FrameBoxes, solve_assignment
 
 # --- geometry ------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class BBox:
+    """Axis-aligned box in pixel coordinates, corners inclusive."""
+
+    x_min: float
+    y_min: float
+    x_max: float
+    y_max: float
+
+    def __post_init__(self):
+        vals = (self.x_min, self.y_min, self.x_max, self.y_max)
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"non-finite box {vals}")
+        if self.x_min > self.x_max or self.y_min > self.y_max:
+            raise ValueError(f"inverted box {vals}")
+
+    @property
+    def width(self) -> float:
+        return self.x_max - self.x_min
+
+    @property
+    def height(self) -> float:
+        return self.y_max - self.y_min
+
+
+def box_array(boxes) -> np.ndarray:
+    """The boxes of an iterable of BBox as an (n, 4) float64 array of
+    rows (x_min, y_min, x_max, y_max)."""
+    rows = [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes]
+    return np.array(rows, dtype=float).reshape(-1, 4)
 
 
 def area(b: BBox) -> float:
@@ -252,3 +287,130 @@ def brute_force_assignment(entries: np.ndarray) -> tuple[list[tuple[int, int]], 
                 best_pairs = pairs
     assert best_pairs is not None
     return best_pairs, best_total
+
+
+# --- tracks and ground truth -----------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class GroundTruthBox:
+    """One annotated (or hypothesized) box of one identity in one frame."""
+
+    frame: int
+    id: int
+    bbox: BBox
+
+
+def frame_boxes(records: list[GroundTruthBox]) -> dict[int, FrameBoxes]:
+    """The records as the package holds them: one FrameBoxes per frame
+    that has a record, rows in record order."""
+    by_frame: dict[int, list[GroundTruthBox]] = {}
+    for r in records:
+        by_frame.setdefault(r.frame, []).append(r)
+    return {
+        t: FrameBoxes(np.array([r.id for r in rows], dtype=np.int64), box_array(r.bbox for r in rows))
+        for t, rows in by_frame.items()
+    }
+
+
+def records_of(per_frame: dict[int, FrameBoxes]) -> list[GroundTruthBox]:
+    """The rows of per-frame ids and boxes as records, frames in order."""
+    return [
+        GroundTruthBox(t, track_id, BBox(*box))
+        for t in sorted(per_frame)
+        for track_id, box in zip(per_frame[t].ids.tolist(), per_frame[t].boxes.tolist())
+    ]
+
+
+def write_mot_objects(records: list[GroundTruthBox], path) -> None:
+    """The MOT CSV writer over records: rows sorted by (frame, id), ties in record order."""
+    rows = sorted(records, key=lambda r: (r.frame, r.id))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACK_CSV_HEADER)
+        for r in rows:
+            writer.writerow(
+                [r.frame, r.id]
+                + [repr(float(v)) for v in (r.bbox.x_min, r.bbox.y_min, r.bbox.width, r.bbox.height)]
+            )
+
+
+def eval_mot_objects(
+    gt: list[GroundTruthBox],
+    hyp: list[GroundTruthBox],
+    iou_threshold: float = MOT_IOU_THRESHOLD,
+) -> MotReport:
+    """CLEAR-MOT over box records.
+
+    Correspondences surviving from the previous frame (still above the
+    IoU threshold) are kept; the remainder is matched by an optimal
+    assignment maximizing IoU. A ground-truth identity whose hypothesis
+    differs from its last known one counts as an id switch. The IoU
+    threshold must lie in [0, 1). Each frame's overlaps are one
+    iou_matrix of its ground truth against its hypotheses. A (frame, id)
+    pair that repeats keeps its last box.
+    """
+    if not 0.0 <= iou_threshold < 1.0:
+        raise ValueError(f"IoU threshold must lie in [0, 1), got {iou_threshold}")
+    if not gt:
+        raise EmptyGroundTruth("tracking evaluation needs ground-truth boxes")
+
+    gt_by_frame: dict[int, list[GroundTruthBox]] = {}
+    for g in gt:
+        gt_by_frame.setdefault(g.frame, []).append(g)
+    hyp_by_frame: dict[int, list[GroundTruthBox]] = {}
+    for h in hyp:
+        hyp_by_frame.setdefault(h.frame, []).append(h)
+
+    misses = false_positives = id_switches = 0
+    matched_iou_sum = 0.0
+    matched_count = 0
+    current: dict[int, int] = {}  # gt id -> hyp id matched in the previous frame
+    last_known: dict[int, int] = {}  # gt id -> hyp id of the latest match ever
+
+    for frame in sorted(set(gt_by_frame) | set(hyp_by_frame)):
+        gt_left = {g.id: g.bbox for g in gt_by_frame.get(frame, [])}
+        hyp_left = {h.id: h.bbox for h in hyp_by_frame.get(frame, [])}
+        # row and column of each id in the frame's overlaps
+        gt_row = {gt_id: i for i, gt_id in enumerate(gt_left)}
+        hyp_col = {hyp_id: j for j, hyp_id in enumerate(hyp_left)}
+        overlaps = iou_matrix(box_array(gt_left.values()), box_array(hyp_left.values()))
+
+        frame_matches: dict[int, int] = {}
+        # 1. carry forward still-valid correspondences
+        for gt_id, hyp_id in current.items():
+            if gt_id in gt_left and hyp_id in hyp_left:
+                overlap = overlaps[gt_row[gt_id], hyp_col[hyp_id]]
+                if overlap > iou_threshold:
+                    frame_matches[gt_id] = hyp_id
+                    matched_iou_sum += overlap
+                    matched_count += 1
+        for gt_id, hyp_id in frame_matches.items():
+            del gt_left[gt_id]
+            del hyp_left[hyp_id]
+
+        # 2. optimal assignment on the remainder, maximizing IoU above threshold
+        free_gt = sorted(gt_left)
+        free_hyp = sorted(hyp_left)
+        if free_gt and free_hyp:
+            free = overlaps[np.ix_([gt_row[g] for g in free_gt], [hyp_col[h] for h in free_hyp])]
+            gains = np.where(free > iou_threshold, free, 0.0)
+            for i, j in solve_assignment(-gains):
+                if gains[i, j] > 0.0:
+                    gid, hid = free_gt[i], free_hyp[j]
+                    frame_matches[gid] = hid
+                    matched_iou_sum += gains[i, j]
+                    matched_count += 1
+                    if gid in last_known and last_known[gid] != hid:
+                        id_switches += 1
+                    del gt_left[gid]
+                    del hyp_left[hid]
+
+        misses += len(gt_left)
+        false_positives += len(hyp_left)
+        current = frame_matches
+        for gid, hid in frame_matches.items():
+            last_known[gid] = hid
+
+    motp = matched_iou_sum / matched_count if matched_count else 0.0
+    return MotReport.from_counts(misses, false_positives, id_switches, len(gt), motp)

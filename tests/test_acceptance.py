@@ -26,16 +26,13 @@ from courttrack.court import (
     vote_dominant_lines,
 )
 from courttrack.geometry import (
-    BBox,
     FrameDims,
     Homography,
     Line2,
     Point2,
-    box_array,
 )
 from courttrack.imaging import FrameRaster, PatchWindow
 from courttrack.metrics import (
-    GroundTruthBox,
     eval_detections,
     eval_mot_records,
 )
@@ -44,12 +41,16 @@ from courttrack.track import MatchConfig, run_tracker, solve_assignment
 
 from tests.detections import frame_of, observed
 from tests.oracles import (
+    BBox,
+    GroundTruthBox,
     ObservedBox,
     apply_homography,
+    box_array,
     brute_force_assignment,
     cost_content,
     cost_distance,
     cost_iou,
+    frame_boxes,
     iou,
     line_from_points,
     similarity_cost,
@@ -236,7 +237,7 @@ def test_criterion_6_stabilization_equivariance():
 def test_criterion_7_clear_mot_hand_traces():
     gt = [GroundTruthBox(t, 7, BBox(0, 0, 10, 10)) for t in range(10)]
     hyp = [GroundTruthBox(t, 1 if t < 5 else 2, BBox(0, 0, 10, 10)) for t in range(10)]
-    switch_report = eval_mot_records(gt, hyp)
+    switch_report = eval_mot_records(frame_boxes(gt), frame_boxes(hyp))
     assert switch_report.id_switches == 1
     assert switch_report.mota == pytest.approx(0.9, rel=1e-12)
     assert switch_report.motp == 1.0
@@ -246,13 +247,13 @@ def test_criterion_7_clear_mot_hand_traces():
     hyp2 = [GroundTruthBox(t, 10, BBox(0, 0, 10, 10)) for t in range(3)]
     hyp2 += [GroundTruthBox(t, 20, BBox(50, 0, 60, 10)) for t in (0, 2)]
     hyp2 += [GroundTruthBox(1, 30, BBox(200, 200, 210, 210))]
-    miss_report = eval_mot_records(gt2, hyp2)
+    miss_report = eval_mot_records(frame_boxes(gt2), frame_boxes(hyp2))
     assert miss_report.mota == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert (miss_report.misses, miss_report.false_positives, miss_report.id_switches) == (1, 1, 0)
 
     det_gt = [GroundTruthBox(0, 1, BBox(0, 0, 10, 10))]
     det_report = eval_detections(
-        det_gt, {0: box_array([BBox(0, 5, 10, 15), BBox(0, 2, 10, 10)])}
+        frame_boxes(det_gt), {0: box_array([BBox(0, 5, 10, 15), BBox(0, 2, 10, 10)])}
     )
     assert (det_report.tp, det_report.fp, det_report.fn) == (1, 1, 0)
     report(

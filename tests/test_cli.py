@@ -105,9 +105,7 @@ class TestSynthTrackEvalRoundTrip:
         run(capsys, *track_args(scen, tracks_csv))
         gt = read_mot_csv(scen / "gt.csv")
         hyp = read_mot_csv(tracks_csv)
-        strip = lambda recs: sorted(
-            (r.frame, r.bbox.x_min, r.bbox.y_min, r.bbox.x_max, r.bbox.y_max) for r in recs
-        )
+        strip = lambda per_frame: sorted((t, *box) for t, f in per_frame.items() for box in f.boxes.tolist())
         assert strip(hyp) == strip(gt)
 
 

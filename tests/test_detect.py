@@ -16,7 +16,7 @@ from courttrack.detect import (
     write_detections_jsonl,
 )
 from courttrack.errors import InputFormatError
-from tests.detections import box_det, frame_of, read_detections_objects, same_detections
+from tests.detections import box_det, frame_of, read_detections_objects, same_arrays
 
 
 def box_of(*detections) -> list[float]:
@@ -85,8 +85,8 @@ class TestDetectionsJsonl:
         write_detections_jsonl(per_frame, path)
         back = read_detections_jsonl(path)
         assert set(back) == {0, 2}
-        assert same_detections(back[0], per_frame[0])
-        assert same_detections(back[2], per_frame[2])
+        assert same_arrays(back[0], per_frame[0])
+        assert same_arrays(back[2], per_frame[2])
 
     def test_every_stage_name_reads_and_a_missing_stage_is_external(self, tmp_path):
         path = tmp_path / "dets.jsonl"
@@ -317,4 +317,4 @@ class TestAgainstTheObjectReader:
         assert str(error) == str(oracle_error)
         if error is None:
             assert list(got) == list(want)
-            assert all(same_detections(dets, object_frame(want[t])) for t, dets in got.items())
+            assert all(same_arrays(dets, object_frame(want[t])) for t, dets in got.items())

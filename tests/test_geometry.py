@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 
 from courttrack.errors import DegenerateProjection
 from courttrack.geometry import (
-    BBox,
     FrameDims,
     Homography,
     Line2,
     Point2,
-    box_array,
     iou_matrix,
     project_points,
 )
 from tests.oracles import (
+    BBox,
     apply_homography,
+    box_array,
     centroid,
     iou,
     line_from_points,

@@ -1,10 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from courttrack.errors import TargetOutOfFrame, TooLarge
-from courttrack.geometry import BBox, FrameDims
+from courttrack.geometry import FrameDims
 from courttrack.synth import (
     BACKGROUND_COLOR,
     MIN_COLOR_DISTANCE,
@@ -13,8 +14,8 @@ from courttrack.synth import (
     generate,
 )
 from courttrack.rng import SplitMix64
-from tests.detections import same_detections
-from tests.oracles import apply_homography, brute_force_assignment, centroid
+from tests.detections import same_arrays
+from tests.oracles import BBox, apply_homography, brute_force_assignment, centroid, records_of
 
 SMALL = ScenarioSpec(n_targets=4, n_frames=10, dims=FrameDims(640, 360), seed=1)
 
@@ -36,14 +37,15 @@ def detections_by_target(seq):
 
 
 def same_frames(a: dict, b: dict) -> bool:
-    """Whether two sequences' detections are equal, frame by frame and bit for bit."""
-    return list(a) == list(b) and all(same_detections(a[t], b[t]) for t in a)
+    """Whether two sequences' detections, or ground truths, are equal,
+    frame by frame and bit for bit."""
+    return list(a) == list(b) and all(same_arrays(a[t], b[t]) for t in a)
 
 
 class TestGenerate:
     def test_clean_detections_equal_ground_truth(self):
         seq = generate(SMALL)
-        gt_boxes = {(g.frame, g.id): g.bbox for g in seq.gt}
+        gt_boxes = {(g.frame, g.id): g.bbox for g in records_of(seq.gt)}
         det_boxes = detections_by_target(seq)
         assert set(det_boxes) == set(gt_boxes)
         for key, box in det_boxes.items():
@@ -52,7 +54,7 @@ class TestGenerate:
     def test_same_seed_bitwise_identical(self):
         a = generate(SMALL)
         b = generate(SMALL)
-        assert a.gt == b.gt
+        assert same_frames(a.gt, b.gt)
         assert same_frames(a.detections, b.detections)
         for fa, fb in zip(a.frames, b.frames):
             assert np.array_equal(fa.data, fb.data)
@@ -61,14 +63,14 @@ class TestGenerate:
 
     def test_different_seed_differs(self):
         other = ScenarioSpec(n_targets=4, n_frames=10, dims=FrameDims(640, 360), seed=2)
-        assert generate(SMALL).gt != generate(other).gt
+        assert not same_frames(generate(SMALL).gt, generate(other).gt)
 
     def test_pan_drifts_raw_but_not_stabilized(self):
         spec = ScenarioSpec(
             n_targets=1, n_frames=8, dims=FrameDims(640, 360), pan=(3.0, 0.0), seed=3
         )
         seq = generate(spec)
-        raw = [centroid(g.bbox) for g in sorted(seq.gt, key=lambda g: g.frame)]
+        raw = [centroid(g.bbox) for g in records_of(seq.gt)]
         for t in range(1, 8):
             assert raw[t].x - raw[t - 1].x == pytest.approx(-3.0, abs=1e-9)
         stabilized = [
@@ -83,7 +85,7 @@ class TestGenerate:
             n_targets=3, n_frames=10, dims=FrameDims(640, 360), dropout_rate=0.4, seed=6
         )
         seq = generate(spec)
-        assert len(seq.gt) == 30
+        assert len(records_of(seq.gt)) == 30
         assert sum(len(d) for d in seq.detections.values()) < 30
 
     def test_many_targets_get_distinct_separated_colors(self):
@@ -121,12 +123,17 @@ class TestGenerate:
         with pytest.raises(TargetOutOfFrame):
             generate(spec)
 
+    @pytest.mark.parametrize("velocity", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_non_finite_motion_rejected(self, velocity):
+        with pytest.raises(ValueError, match="motion components must be finite"):
+            ScenarioSpec(n_targets=1, n_frames=4, motion=(velocity,))
+
     def test_jitter_perturbs_detection_boxes(self):
         spec = ScenarioSpec(
             n_targets=2, n_frames=5, dims=FrameDims(640, 360), jitter_sigma=1.5, seed=4
         )
         seq = generate(spec)
-        gt_boxes = {(g.frame, g.id): g.bbox for g in seq.gt}
+        gt_boxes = {(g.frame, g.id): g.bbox for g in records_of(seq.gt)}
         det_boxes = detections_by_target(seq)
         assert any(det_boxes[k] != gt_boxes[k] for k in det_boxes)
 
@@ -161,7 +168,7 @@ class TestDegrade:
 
     def test_gt_untouched(self):
         out = generate(replace(self.SPEC, extra_dropout=0.2))
-        assert out.gt == self.BASE.gt
+        assert same_frames(out.gt, self.BASE.gt)
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_close_targets_lose_only_drawn_detections(self, seed):

@@ -8,11 +8,12 @@ import pytest
 
 from courttrack.cli import decode_frames
 from courttrack.cost import Features, features
-from courttrack.geometry import BBox, FrameDims, Homography
+from courttrack.geometry import FrameDims, Homography
 from courttrack.imaging import write_ppm
 from courttrack.metrics import eval_mot_records, write_mot_csv
 from courttrack.synth import ScenarioSpec, generate
 from courttrack.track import (
+    NO_BOXES,
     FrameObservations,
     MatchConfig,
     match_frame,
@@ -20,7 +21,7 @@ from courttrack.track import (
     solve_assignment,
 )
 from tests.detections import box_det, frame_of
-from tests.oracles import brute_force_assignment, filled
+from tests.oracles import BBox, brute_force_assignment, filled, records_of
 
 DIMS = FrameDims(200, 200)
 GRAY = filled(DIMS, (90, 90, 90))
@@ -43,12 +44,13 @@ def buffer_owner(arr):
     return arr
 
 
-def frames_by_id(rows) -> dict[int, list[int]]:
+def frames_by_id(tracks) -> dict[int, list[int]]:
     """The frames of each id's rows, ids in order."""
     frames: dict[int, list[int]] = {}
-    for row in sorted(rows, key=lambda r: (r.id, r.frame)):
-        frames.setdefault(row.id, []).append(row.frame)
-    return frames
+    for t in sorted(tracks):
+        for track_id in tracks[t].ids.tolist():
+            frames.setdefault(track_id, []).append(t)
+    return dict(sorted(frames.items()))
 
 
 class TestSolveAssignment:
@@ -158,8 +160,8 @@ class TestMatchFrame:
             FrameObservations(frame_of(box_det(*near)), Homography.identity(), GRAY),
             FrameObservations(frame_of(box_det(*far)), Homography.identity(), GRAY),
         ]
-        rows = run_tracker(frames, MatchConfig(gate=0.05))
-        assert [(r.frame, r.id) for r in rows] == [(0, 0), (1, 1)]
+        tracks = run_tracker(frames, MatchConfig(gate=0.05))
+        assert [(t, f.ids.tolist()) for t, f in tracks.items()] == [(0, [0]), (1, [1])]
 
     def test_empty_frame_still_retires(self):
         # two frames without detections push the id out of a depth-2 window
@@ -203,6 +205,14 @@ class TestRunTracker:
         rows = run_tracker(single_target_sequence(10, skip={5}), MatchConfig(memory_depth=2))
         assert frames_by_id(rows) == {0: [0, 1, 2, 3, 4, 6, 7, 8, 9]}
 
+    def test_frames_without_detections_have_no_entry(self):
+        frames = single_target_sequence(6, skip={0, 3})
+        tracks = run_tracker(frames)
+        assert list(tracks) == [1, 2, 4, 5]
+        for t, f in tracks.items():
+            assert f.ids.dtype == np.int64 and f.ids.shape == (1,)
+            assert f.boxes is frames[t].detections.boxes
+
     def test_single_frame_dropout_splits_without_memory(self):
         rows = run_tracker(single_target_sequence(10, skip={5}), MatchConfig(memory_depth=1))
         assert frames_by_id(rows) == {0: [0, 1, 2, 3, 4], 1: [6, 7, 8, 9]}
@@ -226,7 +236,7 @@ class TestRunTracker:
         spec = ScenarioSpec(n_targets=4, n_frames=15, dims=FrameDims(640, 360), seed=2, dropout_rate=0.15)
         seq = generate(spec)
         rows = run_tracker(seq.frame_observations())
-        assert [(r.frame, r.bbox) for r in rows] == [
+        assert [(r.frame, r.bbox) for r in records_of(rows)] == [
             (t, BBox(*box)) for t in range(spec.n_frames) for box in seq.detections[t].boxes.tolist()
         ]
         for frames in frames_by_id(rows).values():
@@ -235,9 +245,9 @@ class TestRunTracker:
     def test_no_duplicate_track_per_frame(self):
         spec = ScenarioSpec(n_targets=5, n_frames=12, dims=FrameDims(640, 360), seed=9)
         seq = generate(spec)
-        rows = run_tracker(seq.frame_observations())
+        tracks = run_tracker(seq.frame_observations())
         for t in range(spec.n_frames):
-            ids = [r.id for r in rows if r.frame == t]
+            ids = tracks.get(t, NO_BOXES).ids.tolist()
             assert len(ids) == len(set(ids))
 
     def test_new_ids_follow_detection_order(self):
@@ -249,7 +259,7 @@ class TestRunTracker:
             )
         ]
         rows = run_tracker(frames)
-        assert [(r.frame, r.id, r.bbox.x_min) for r in rows] == [(0, 0, 10), (0, 1, 100)]
+        assert [(r.frame, r.id, r.bbox.x_min) for r in records_of(rows)] == [(0, 0, 10), (0, 1, 100)]
 
     def test_streamed_frames_release_their_rasters(self):
         # one target stays for all 30 frames, one leaves after frame 9 and
