@@ -2,7 +2,7 @@
 
 Subcommands: track, eval, court, synth. Every command is deterministic
 given its input files and flags; outputs are byte-stable across runs.
-Exit codes: 0 success, 1 input/format error, 2 degenerate-result error.
+Exit codes: 0 success, 2 DegenerateCourt, 1 other CourtTrackError or OSError.
 """
 
 from __future__ import annotations
@@ -45,9 +45,7 @@ from .errors import (
     CourtTrackError,
     DegenerateCourt,
     DegenerateProjection,
-    EmptyGroundTruth,
     InputFormatError,
-    NoCandidates,
     json_int,
     json_number,
     open_text,
@@ -189,6 +187,8 @@ def read_config_file(path, names) -> dict:
             if key in values:
                 first = values[key][1]
                 raise InputFormatError(path, f"repeated key, first set on line {first}", line=lineno, field=key)
+            if "\0" in value:  # no path may hold one, and no number or word does
+                raise InputFormatError(path, "value holds a NUL byte", line=lineno, field=key)
             try:
                 values[key] = (SETTINGS[key].kind(value.strip()), lineno)
             except ValueError:
@@ -360,7 +360,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     mot = args.mode == "mot"
     gt = read_mot_csv(args.gt, unique_ids=mot)
     if not gt:
-        raise EmptyGroundTruth(f"{args.gt} holds no ground-truth boxes")
+        raise InputFormatError(args.gt, "holds no ground-truth boxes")
     if mot:
         report = eval_mot_records(gt, read_mot_csv(args.hyp, unique_ids=True), args.mot_iou)
     else:
@@ -410,7 +410,7 @@ def cmd_court(args: argparse.Namespace) -> int:
                 left = side
             else:
                 right = side
-        except NoCandidates:
+        except DegenerateCourt:  # no vertical candidate; the filter passed the horizontal call
             pass
         region = CourtRegion.from_boundaries(top, bottom, left, right, dims)
     else:
@@ -419,7 +419,7 @@ def cmd_court(args: argparse.Namespace) -> int:
         votes = vote_dominant_lines(segments, args.candidates)
         horiz = [v.line for v in votes if classify_orientation(v.line, dims) == Orientation.HORIZONTAL]
         if not horiz:
-            raise NoCandidates("no horizontal dominant line among the top candidates")
+            raise DegenerateCourt("no horizontal dominant line among the top candidates")
         top, bottom = converge_boundaries_nba(mask, horiz[0], args.step, args.drop_tol)
         left = right = None
         vert = [v.line for v in votes if classify_orientation(v.line, dims) == Orientation.VERTICAL]
@@ -504,10 +504,10 @@ def main(argv=None) -> int:
     try:
         resolve_settings(args)
         return COMMANDS[args.command](args)
-    except (DegenerateCourt, NoCandidates) as exc:
+    except DegenerateCourt as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CourtTrackError, OSError, ValueError) as exc:
+    except (CourtTrackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .errors import DegenerateCourt, InputFormatError, NoCandidates, NoSegments, csv_number_rows
+from .errors import DegenerateCourt, InputFormatError, csv_number_rows
 from .geometry import SINGULAR_TOL, FrameDims, Line2, Point2
 from .imaging import BinaryMask, FrameRaster, frame_to_hsv
 
@@ -138,7 +138,7 @@ def vote_dominant_lines(segments: np.ndarray, limit: int) -> list[LineVote]:
     cells are fitted: a cell's line is the weighted fit of its rows.
     """
     if len(segments) == 0:
-        raise NoSegments("dominant-line voting needs at least one segment")
+        raise ValueError("dominant-line voting needs at least one segment")
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     length, _, a, b, c = _segment_lines(segments)
@@ -255,13 +255,14 @@ def select_boundary_european(
     pixels is computed on each side half-plane; the candidate maximizing
     the absolute difference wins, first in input order on ties. A side
     is counted from per-row runs (`_row_runs`) against `prefix`, so the
-    counts are those of the full-frame `a*x + b*y + c >= 0` test. A
-    filter that matches no pixel or every pixel is a DegenerateCourt.
+    counts are those of the full-frame `a*x + b*y + c >= 0` test. No
+    candidate of the axis, or a filter that matches no pixel or every
+    pixel, is a DegenerateCourt.
     """
     dims = FrameDims(prefix.shape[1] - 1, prefix.shape[0])
     axis_cands = [c for c in candidates if classify_orientation(c, dims) == axis]
     if not axis_cands:
-        raise NoCandidates(f"no candidate line of axis {axis.value}")
+        raise DegenerateCourt(f"no candidate line of axis {axis.value}")
 
     rows = np.arange(dims.h)
     n_match = int(prefix[:, -1].sum())
@@ -453,12 +454,12 @@ class CourtRegion:
 
     def __post_init__(self):
         if classify_orientation(self.top, self.dims) != Orientation.HORIZONTAL:
-            raise ValueError("top boundary must classify as horizontal")
+            raise DegenerateCourt("top boundary must classify as horizontal")
         if classify_orientation(self.bottom, self.dims) != Orientation.HORIZONTAL:
-            raise ValueError("bottom boundary must classify as horizontal")
+            raise DegenerateCourt("bottom boundary must classify as horizontal")
         for side in (self.left, self.right):
             if side is not None and classify_orientation(side, self.dims) != Orientation.VERTICAL:
-                raise ValueError("lateral boundary must classify as vertical")
+                raise DegenerateCourt("lateral boundary must classify as vertical")
         if _polygon_area(self._clip_frame()) <= 1e-9:
             raise DegenerateCourt("court boundaries enclose an empty region")
 
@@ -545,7 +546,8 @@ def _segments_array(path, rows: list[list[float]], linenos: list[int]) -> np.nda
 
 def read_segments_csv(path) -> np.ndarray:
     """Read segments from CSV rows "x0,y0,x1,y1" (no header) as an
-    (n, 4) float64 array. An error names the first bad row's line."""
+    (n, 4) float64 array. An error names the first bad row's line, or
+    only the file when it has no row."""
     rows: list[list[float]] = []
     linenos: list[int] = []
     try:
@@ -555,4 +557,6 @@ def read_segments_csv(path) -> np.ndarray:
     except InputFormatError:
         _segments_array(path, rows, linenos)  # a bad row read before it comes first
         raise
+    if not rows:
+        raise InputFormatError(path, "no segments: dominant-line voting needs at least one")
     return _segments_array(path, rows, linenos)

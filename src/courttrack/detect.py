@@ -51,7 +51,7 @@ class DetectionsBuilder:
         positions. No part, a repeated part or a box whose width or height
         is not finite is a ValueError."""
         if not parts:
-            raise ValueError("detection needs at least one keypoint")
+            raise ValueError("detection without keypoints")
         if len(set(parts)) != len(parts):
             raise ValueError(f"duplicate part ids in detection: {sorted(parts)}")
         xs, ys = zip(*xy)
@@ -132,8 +132,6 @@ def read_detections_jsonl(path) -> dict[int, FrameDetections]:
                     ) from None
                 parts.append(part)
                 xy.append((x, y))
-            if not parts:
-                raise InputFormatError(path, "detection without keypoints", line=lineno, field="keypoints")
             try:
                 per_frame[frame_idx].add(parts, xy)
             except ValueError as exc:

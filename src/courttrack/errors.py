@@ -1,4 +1,8 @@
-"""Exception types shared across the engine, and the input readers and checks they share."""
+"""Exception types shared across the engine, and the input readers and checks they share.
+
+The type alone decides a command's exit code: 2 for DegenerateCourt, 1
+for any other CourtTrackError. A ValueError is a caller's mistake.
+"""
 
 import csv
 import math
@@ -7,34 +11,6 @@ import re
 
 class CourtTrackError(Exception):
     """Base class for all engine errors."""
-
-
-class DegenerateProjection(CourtTrackError):
-    """Homogeneous projection whose third coordinate vanishes or whose result is not finite."""
-
-
-class NoSegments(CourtTrackError):
-    """Line voting invoked with an empty segment list."""
-
-
-class NoCandidates(CourtTrackError):
-    """Boundary selection with no candidate of the requested axis."""
-
-
-class DegenerateCourt(CourtTrackError):
-    """Court boundary search collapsed without a usable region."""
-
-
-class EmptyGroundTruth(CourtTrackError):
-    """Tracking evaluation requires at least one ground-truth box."""
-
-
-class TargetOutOfFrame(CourtTrackError):
-    """Synthetic scenario cannot keep every target inside the frame."""
-
-
-class TooLarge(CourtTrackError):
-    """A request beyond a fixed capacity (synthetic colours)."""
 
 
 class InputFormatError(CourtTrackError):
@@ -50,6 +26,18 @@ class InputFormatError(CourtTrackError):
         if field is not None:
             loc += f" (field '{field}')"
         super().__init__(f"{loc}: {message}")
+
+
+class DegenerateProjection(CourtTrackError):
+    """Homogeneous projection whose third coordinate vanishes or whose result is not finite."""
+
+
+class DegenerateCourt(CourtTrackError):
+    """Valid court inputs that give no usable region."""
+
+
+class InfeasibleScenario(CourtTrackError):
+    """A synthetic scenario that cannot be drawn."""
 
 
 def json_int(value, path, field, line=None, entry=None) -> int:
@@ -111,22 +99,26 @@ def csv_number_rows(path, fields, header=False):
     A row's line number is the one csv gives its last line, as a quoted
     field may span lines. A row with another count of cells is an
     InputFormatError naming its line, and a cell that float() refuses
-    one naming its line and field.
+    one naming its line and field; so is a row that csv cannot split,
+    such as one with a field beyond csv's size limit.
     """
     with open_text(path, newline="") as fh:
         reader = csv.reader(line for _, line in text_lines(fh, path))
-        for row in reader:
-            lineno = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if header and lineno == 1 and row == list(fields):
-                continue
-            if len(row) != len(fields):
-                raise InputFormatError(path, f"expected {len(fields)} values, got {len(row)}", line=lineno)
-            values = []
-            for name, cell in zip(fields, row):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise InputFormatError(path, f"not a number: {cell!r}", line=lineno, field=name) from None
-            yield lineno, row, values
+        try:
+            for row in reader:
+                lineno = reader.line_num
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if header and lineno == 1 and row == list(fields):
+                    continue
+                if len(row) != len(fields):
+                    raise InputFormatError(path, f"expected {len(fields)} values, got {len(row)}", line=lineno)
+                values = []
+                for name, cell in zip(fields, row):
+                    try:
+                        values.append(float(cell))
+                    except ValueError:
+                        raise InputFormatError(path, f"not a number: {cell!r}", line=lineno, field=name) from None
+                yield lineno, row, values
+        except csv.Error as exc:
+            raise InputFormatError(path, str(exc), line=reader.line_num) from None

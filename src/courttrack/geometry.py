@@ -62,7 +62,9 @@ class Homography:
         arr = arr.reshape(3, 3)
         if not np.all(np.isfinite(arr)):
             raise ValueError("homography entries must be finite")
-        if abs(np.linalg.det(arr)) <= SINGULAR_TOL:
+        with np.errstate(divide="ignore"):  # numpy warns on a subnormal pivot, and gives det 0.0
+            det = np.linalg.det(arr)
+        if abs(det) <= SINGULAR_TOL:
             raise ValueError("homography matrix is singular")
         arr.flags.writeable = False
         object.__setattr__(self, "m", arr)

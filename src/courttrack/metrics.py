@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGroundTruth, InputFormatError, csv_number_rows
+from .errors import InputFormatError, csv_number_rows
 from .geometry import iou_matrix
 from .track import NO_BOXES, FrameBoxes, solve_assignment
 
@@ -117,15 +117,16 @@ def eval_mot_records(
     IoU threshold) are kept; the remainder is matched by an optimal
     assignment maximizing IoU. A ground-truth identity whose hypothesis
     differs from its last known one counts as an id switch. The IoU
-    threshold must lie in [0, 1), and an id may occur once per frame on
-    each side. Each frame's overlaps are one iou_matrix of its ground
-    truth against its hypotheses.
+    threshold must lie in [0, 1), the ground truth must hold a box, and
+    an id may occur once per frame on each side; each is a ValueError.
+    Each frame's overlaps are one iou_matrix of its ground truth against
+    its hypotheses.
     """
     if not 0.0 <= iou_threshold < 1.0:
         raise ValueError(f"IoU threshold must lie in [0, 1), got {iou_threshold}")
     gt_count = sum(len(f.ids) for f in gt.values())
     if not gt_count:
-        raise EmptyGroundTruth("tracking evaluation needs ground-truth boxes")
+        raise ValueError("tracking evaluation needs ground-truth boxes")
 
     misses = false_positives = id_switches = 0
     matched_iou_sum = 0.0

@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .detect import DetectionsBuilder, FrameDetections
-from .errors import TargetOutOfFrame, TooLarge
+from .errors import InfeasibleScenario
 from .geometry import FrameDims, Homography
 from .imaging import FrameRaster
 from .rng import SplitMix64
@@ -125,7 +125,7 @@ def _target_colors(n: int, seed: int) -> list[tuple[int, int, int]]:
         lattice = product(COLOR_LATTICE, repeat=3)  # its points are MIN_COLOR_DISTANCE apart
         colors = [BACKGROUND_COLOR] + [c for c in lattice if separated(c, [BACKGROUND_COLOR])]
         if len(colors) <= n:
-            raise TooLarge(f"{n} targets: the color lattice holds {len(colors) - 1}")
+            raise InfeasibleScenario(f"{n} targets: the color lattice holds {len(colors) - 1}")
     return colors[1 : n + 1]
 
 
@@ -153,9 +153,7 @@ def _start_positions(spec: ScenarioSpec, motion, box_w: float, box_h: float):
         y_lo = max(0.0, -dvy * t_last)
         y_hi = spec.dims.h - box_h - max(0.0, dvy * t_last)
         if x_lo > x_hi or y_lo > y_hi:
-            raise TargetOutOfFrame(
-                f"target {i} cannot stay in frame with drift ({dvx}, {dvy})/frame"
-            )
+            raise InfeasibleScenario(f"target {i} cannot stay in frame with drift ({dvx}, {dvy})/frame")
         col = i % n_cols
         row = i // n_cols
         fx = (col + 0.5) / n_cols + rng.uniform(-0.08, 0.08)
@@ -184,7 +182,10 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
     homographies: list[Homography] = []
     frames: list[FrameRaster] = []
     detected = [True] * spec.n_targets  # each target in the previous frame; frame -1 counts
-    background = np.empty((spec.dims.h, spec.dims.w, 3), dtype=np.uint8)
+    try:
+        background = np.empty((spec.dims.h, spec.dims.w, 3), dtype=np.uint8)
+    except (ValueError, MemoryError):  # more bytes than an array can index, or than memory holds
+        raise InfeasibleScenario(f"a {spec.dims.w}x{spec.dims.h} frame does not fit in memory") from None
     background[:, :] = BACKGROUND_COLOR
     stencil_parts = [part_id for part_id, _, _ in KEYPOINT_STENCIL]
 
@@ -199,7 +200,7 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
             y = starts[i][1] + motion[i][1] * t - pan_y
             box = (x, y, x + box_w, y + box_h)
             if box[0] < 0 or box[1] < 0 or box[2] > spec.dims.w or box[3] > spec.dims.h:
-                raise TargetOutOfFrame(f"target {i} leaves the frame at t={t}")
+                raise InfeasibleScenario(f"target {i} leaves the frame at t={t}")
             gt_boxes.append(box)
 
             x0, y0, x1, y1 = (round(v) for v in box)
@@ -225,7 +226,7 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
                 # an infinite corner makes its span non-finite too, and finite
                 # corners can still be too far apart for the span to be finite
                 if not (math.isfinite(xs[1] - xs[0]) and math.isfinite(ys[1] - ys[0])):
-                    raise ValueError(f"jitter_sigma {spec.jitter_sigma} overflows a box at t={t}")
+                    raise InfeasibleScenario(f"jitter_sigma {spec.jitter_sigma} overflows a box at t={t}")
                 (left, right), (top, bottom) = xs, ys
             width, height = right - left, bottom - top
             stencil = [(left + rx * width, top + ry * height) for _, rx, ry in KEYPOINT_STENCIL]

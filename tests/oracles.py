@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from courttrack.cost import CostWeights
-from courttrack.errors import CourtTrackError, DegenerateProjection, EmptyGroundTruth, TooLarge
+from courttrack.errors import CourtTrackError, DegenerateProjection
 from courttrack.geometry import SINGULAR_TOL, FrameDims, Homography, Line2, Point2, iou_matrix
 from courttrack.imaging import BinaryMask, FrameRaster, PatchWindow
 from courttrack.metrics import MOT_IOU_THRESHOLD, TRACK_CSV_HEADER, MotReport
@@ -267,7 +267,7 @@ def brute_force_assignment(entries: np.ndarray) -> tuple[list[tuple[int, int]], 
     """
     n_rows, n_cols = entries.shape
     if max(n_rows, n_cols) > 9:
-        raise TooLarge("brute force limited to 9 rows/columns")
+        raise ValueError("brute force limited to 9 rows/columns")
     if n_rows == 0 or n_cols == 0:
         return [], 0.0
     best_pairs: list[tuple[int, int]] | None = None
@@ -353,7 +353,7 @@ def eval_mot_objects(
     if not 0.0 <= iou_threshold < 1.0:
         raise ValueError(f"IoU threshold must lie in [0, 1), got {iou_threshold}")
     if not gt:
-        raise EmptyGroundTruth("tracking evaluation needs ground-truth boxes")
+        raise ValueError("tracking evaluation needs ground-truth boxes")
 
     gt_by_frame: dict[int, list[GroundTruthBox]] = {}
     for g in gt:

@@ -428,6 +428,19 @@ class TestEvalCommand:
         )
         assert code == 1
         assert "ground-truth" in err
+        assert f"{gt}: holds no ground-truth boxes" in err
+
+    @pytest.mark.parametrize("side", ["gt", "hyp"])
+    def test_field_beyond_the_csv_limit_is_input_error(self, tmp_path, capsys, side):
+        files = {name: tmp_path / f"{name}.csv" for name in ("gt", "hyp")}
+        for path in files.values():
+            path.write_text("0,1,0.0,0.0,10.0,10.0\n")
+        files[side].write_text("0,1,0.0,0.0,10.0,10.0\n" + "1" * 200_000 + ",1,0.0,0.0,10.0,10.0\n")
+        code, out, err = run(
+            capsys, "eval", "--mode", "mot", "--gt", str(files["gt"]), "--hyp", str(files["hyp"])
+        )
+        assert code == 1 and not out
+        assert f"{files[side]}:2: field larger than field limit" in err
 
     def test_memory_ablation_ordering(self, tmp_path, capsys):
         scen = tmp_path / "scen"
@@ -697,6 +710,48 @@ class TestCourtCommand:
             str(tmp_path / "mask.pgm"),
         )
         assert code == 1
+        assert f"{tmp_path / 'segments.csv'}: no segments" in err
+
+    def test_field_beyond_the_csv_limit_is_input_error(self, tmp_path, capsys):
+        out_json = tmp_path / "court.json"
+        argv = self.planted_nba_args(tmp_path, out_json)
+        (tmp_path / "segments.csv").write_text("0,200,191,200\n" + "1" * 200_000 + ",0,1,0\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert f"{tmp_path / 'segments.csv'}:2: field larger than field limit" in err
+        assert not out_json.exists()
+
+    @pytest.mark.parametrize(
+        "people, boundary",
+        [
+            # the converged top line leaves through the frame's top right corner
+            (((0, 2, 192, 200), (80, 100, 0, 200)), "top"),
+            # the mirror image: the bottom line leaves through the bottom left corner
+            (((0, 20, 0, 200), (98, 100, 0, 8)), "bottom"),
+        ],
+    )
+    def test_boundary_clipping_a_corner_is_degenerate(self, tmp_path, capsys, people, boundary):
+        bits = np.zeros((100, 200), dtype=bool)
+        for y0, y1, x0, x1 in people:
+            bits[y0:y1, x0:x1] = True
+        write_pgm(BinaryMask(bits), tmp_path / "mask.pgm")
+        (tmp_path / "segments.csv").write_text("0,10,199,30\n")
+        out_json = tmp_path / "court.json"
+        code, out, err = run(
+            capsys,
+            "court",
+            "--court",
+            "nba",
+            "--segments",
+            str(tmp_path / "segments.csv"),
+            "--mask",
+            str(tmp_path / "mask.pgm"),
+            "--out",
+            str(out_json),
+        )
+        assert code == 2 and not out
+        assert f"{boundary} boundary must classify as horizontal" in err
+        assert not out_json.exists()
 
     def test_segment_shorter_than_line_tolerance_is_input_error(self, tmp_path, capsys):
         # 1e-13 is a nonzero length, but too short to define a line
@@ -783,6 +838,14 @@ class TestSynthCommand:
         code, _, err = run(capsys, *synth_args(scen), flag, value)
         assert code == 1
         assert flag.lstrip("-").replace("-", "_") in err
+        assert not scen.exists()
+
+    def test_frame_too_large_for_an_array_fails(self, tmp_path, capsys):
+        # 3e20 bytes: numpy refuses the shape before allocating anything
+        scen = tmp_path / "scen"
+        code, _, err = run(capsys, *synth_args(scen, width=10**10, height=10**10))
+        assert code == 1
+        assert "10000000000x10000000000 frame does not fit" in err
         assert not scen.exists()
 
     def test_defaults_are_the_default_scenario(self, tmp_path):
@@ -944,6 +1007,13 @@ class TestConfigPrecedence:
         with pytest.raises(InputFormatError, match="UTF-8") as err:
             resolve_settings(args)
         assert err.value.line == 2 and "run.cfg:2" in str(err.value)
+
+    def test_nul_byte_in_a_config_path_reports_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("mode=mot\ngt=g\0t.csv\n")
+        code, stdout, err = run(capsys, "eval", "--hyp", str(tmp_path / "hyp.csv"), "--config", str(config))
+        assert code == 1 and stdout == ""
+        assert "run.cfg:2 (field 'gt'): value holds a NUL byte" in err
 
     @pytest.mark.parametrize(
         "command, lines, key",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from courttrack.errors import DegenerateCourt, InputFormatError, NoCandidates, NoSegments
+from courttrack.errors import DegenerateCourt, InputFormatError
 from courttrack.court import (
     _EDGE_TOL,
     MAX_COORD,
@@ -270,7 +270,7 @@ class TestVoteDominantLines:
         assert [v.line.coeffs() for v in votes_a] == [v.line.coeffs() for v in votes_b]
 
     def test_empty_input_raises(self):
-        with pytest.raises(NoSegments):
+        with pytest.raises(ValueError, match="at least one segment"):
             vote_dominant_lines(as_rows([]), 1)
 
     def test_vertical_segments_share_one_cell(self):
@@ -357,7 +357,7 @@ class TestSelectBoundaryEuropean:
     def test_no_candidate_of_axis_raises(self):
         dims = FrameDims(60, 60)
         frame = two_band_frame(dims, 25)
-        with pytest.raises(NoCandidates):
+        with pytest.raises(DegenerateCourt, match="no candidate line"):
             select_boundary_european(
                 [Line2.horizontal_at(10.0)],
                 row_prefix_sums(GREEN_FILTER.match_array(frame)),
@@ -545,7 +545,7 @@ class TestEuropeanExactness:
         prefix = row_prefix_sums(match)
         expected = full_frame_select(candidates, match, axis)
         if expected is None:
-            with pytest.raises(NoCandidates):
+            with pytest.raises(DegenerateCourt, match="no candidate line"):
                 select_boundary_european(candidates, prefix, axis)
         elif not match.any() or match.all():
             with pytest.raises(DegenerateCourt):
@@ -790,7 +790,7 @@ class TestCourtRegion:
             )
 
     def test_misclassified_boundary_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateCourt, match="top boundary must classify as horizontal"):
             CourtRegion(
                 vertical_at(10.0),
                 Line2.horizontal_at(900.0),
@@ -867,6 +867,20 @@ class TestSegmentsCsv:
         assume((segments[:, :2] != segments[:, 2:]).any(axis=1).all())
         for vote in vote_dominant_lines(segments, len(rows)):
             assert all(map(math.isfinite, vote.line.coeffs())) and math.isfinite(vote.weight)
+
+    def test_field_beyond_the_csv_limit_names_file_and_line(self, tmp_path):
+        path = tmp_path / "segments.csv"
+        path.write_text("0,100,10,100\n" + "1" * 200_000 + ",2,3,4\n")
+        with pytest.raises(InputFormatError, match="field larger than field limit") as err:
+            read_segments_csv(path)
+        assert err.value.path == str(path) and err.value.line == 2
+
+    def test_file_without_rows_names_it(self, tmp_path):
+        path = tmp_path / "segments.csv"
+        path.write_text("\n \n")
+        with pytest.raises(InputFormatError, match="no segments") as err:
+            read_segments_csv(path)
+        assert err.value.path == str(path) and err.value.line is None
 
     def test_wrong_arity_rejected(self, tmp_path):
         path = tmp_path / "segments.csv"

@@ -163,6 +163,11 @@ class TestHomographyType:
         with pytest.raises(ValueError):
             Homography([[1, 0, 0], [2, 0, 0], [0, 0, 1]])
 
+    def test_subnormal_pivot_is_singular_without_a_warning(self):
+        # np.linalg.det warns "divide by zero" on this pivot, an error under this suite's settings
+        with pytest.raises(ValueError, match="singular"):
+            Homography([[0.0, 2.22507386e-313, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
     def test_matrix_is_read_only(self):
         h = Homography.identity()
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from courttrack.errors import EmptyGroundTruth, InputFormatError
+from courttrack.errors import InputFormatError
 from courttrack.geometry import FrameDims, Homography
 from courttrack.metrics import (
     DetectionReport,
@@ -176,7 +176,7 @@ class TestEvalMot:
         assert eval_mot_records(frame_boxes(gt), frame_boxes(gt), 0.0).mota == 1.0
 
     def test_empty_ground_truth_rejected(self):
-        with pytest.raises(EmptyGroundTruth):
+        with pytest.raises(ValueError, match="ground-truth"):
             eval_mot_records({}, frame_boxes([rec(0, 1, 0, 0, 5, 5)]))
 
     def test_accepts_tracker_rows(self):
@@ -240,6 +240,13 @@ class TestMotCsv:
         path.write_text("0,1,5.0,6.0,20.0,40.0\n")
         back = read_mot_csv(path)
         assert records_of(back) == [rec(0, 1, 5, 6, 25, 46)]
+
+    def test_field_beyond_the_csv_limit_names_file_and_line(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("frame,id,x_min,y_min,width,height\n" + "1" * 200_000 + ",1,5.0,6.0,20.0,40.0\n")
+        with pytest.raises(InputFormatError, match="field larger than field limit") as err:
+            read_mot_csv(path)
+        assert err.value.path == str(path) and err.value.line == 2
 
     def test_bad_cell_reports_field(self, tmp_path):
         path = tmp_path / "gt.csv"

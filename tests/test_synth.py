@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from courttrack.errors import TargetOutOfFrame, TooLarge
+from courttrack.errors import InfeasibleScenario
 from courttrack.geometry import FrameDims
 from courttrack.synth import (
     BACKGROUND_COLOR,
@@ -96,7 +96,7 @@ class TestGenerate:
                 assert max(abs(x - y) for x, y in zip(a, b)) >= MIN_COLOR_DISTANCE
 
     def test_targets_beyond_color_capacity_rejected(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(InfeasibleScenario, match="color lattice"):
             _target_colors(57, seed=7)
 
     def test_target_colors_well_separated(self):
@@ -120,7 +120,7 @@ class TestGenerate:
             motion=((40.0, 0.0),),
             seed=0,
         )
-        with pytest.raises(TargetOutOfFrame):
+        with pytest.raises(InfeasibleScenario, match="cannot stay in frame"):
             generate(spec)
 
     @pytest.mark.parametrize("velocity", [(math.nan, 0.0), (0.0, math.inf)])
@@ -212,7 +212,7 @@ class TestBruteForceAssignment:
         assert total == 2.0
 
     def test_rejects_large_matrices(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(ValueError, match="limited to 9"):
             brute_force_assignment(np.zeros((10, 3)))
 
     def test_rectangular_injection(self):
