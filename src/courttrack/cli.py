@@ -288,13 +288,24 @@ def list_frame_files(frames_dir) -> list[Path]:
     return [indexed[i] for i in expected]
 
 
-def decode_frames(paths, detections, homographies) -> Iterator[FrameObservations]:
-    """Read one frame at a time and pair it with its detections and homography."""
+def decode_frames(paths, detections, homographies, patch: PatchWindow) -> Iterator[FrameObservations]:
+    """Read one frame at a time and pair it with its detections and homography.
+
+    A patch half-extent beyond frame 0's larger side is an input error,
+    raised before frame 0 is yielded: its patches would be mostly
+    outside the frame, and they would take (2 * half_extent)**2 * 3
+    bytes each.
+    """
     for t, path in enumerate(paths):
         raster = read_ppm(path)
         # the tracker normalizes every distance by frame 0's diagonal
         if t == 0:
             first = raster.dims
+            if not patch.fits(first):
+                raise InputFormatError(
+                    "patch", f"half-extent {patch.half_extent} exceeds frame 0's larger side, "
+                    f"{max(first.w, first.h)} px"
+                )
         elif raster.dims != first:
             raise InputFormatError(
                 path, f"frame is {raster.dims.w}x{raster.dims.h}, frame 0 is {first.w}x{first.h}"
@@ -342,7 +353,7 @@ def cmd_track(args: argparse.Namespace) -> int:
                 path, f"{what} reference frames {sorted(bad)} outside 0..{n - 1}"
             )
     try:
-        tracks = run_tracker(decode_frames(paths, detections, homographies), config)
+        tracks = run_tracker(decode_frames(paths, detections, homographies, config.patch), config)
     except DegenerateProjection as exc:
         raise InputFormatError(args.homographies, str(exc), field="h") from None
     write_mot_csv(tracks, args.out)

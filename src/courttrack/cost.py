@@ -13,17 +13,30 @@ bit, the scalar reference that scores one pair of observations at a
 time: similarity_cost in tests/oracles.py, which ships with the tests,
 not the package. The float terms perform its IEEE operations in its
 order, one elementwise numpy operation each; the overlap term is
-geometry.iou_matrix. The content term's patch sums (summed-area
-tables and sums of pixel minimums) are integers of patch_sum_dtype:
-uint32 while a whole patch's side * side * 3 channel values of at most
-255 cannot exceed 2**32 - 1, int64 beyond. They are exact, and they are
-widened to int64 before they are added to one another.
+geometry.iou_matrix.
+
+The content term of a pair of patches is the sum of |p - q| over the
+offsets valid in both, their overlap rectangle, and it is computed as
+sum(p) + sum(q) - 2 * sum(min(p, q)). A patch is zero outside the frame,
+so the sum of minimums may run over the whole window. features keeps
+one channel sum per patch; where the frame edge cuts neither patch, the
+overlap is the whole window and these are the pair's two sums. Only the
+pairs with a cut patch sum slices of the other patch. The pixel
+minimums of a part's pairs pass through one uint8 buffer of at most
+MINIMUMS_BYTES per cost_matrix call (or of one pair of patches, where
+that is larger), in chunks of rows. All these sums are integers of
+patch_sum_dtype: uint32 while a whole patch's side * side * 3 channel
+values of at most 255 cannot exceed 2**32 - 1, int64 beyond. They are
+exact, and they are widened to int64 before they are added to one
+another, so each value is an exact integer before its one float
+division.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,6 +46,9 @@ from .imaging import FrameRaster, PatchWindow, keypoint_patches
 
 DEFAULT_ALPHA = 0.65
 DEFAULT_BETA = 0.05
+# bytes of pixel minimums that one cost_matrix call holds at once (more only
+# where a single pair of patches is larger)
+MINIMUMS_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -65,9 +81,10 @@ class _KeypointPatches:
     """The keypoint patches of a list of observations, sorted by part id."""
 
     owners: np.ndarray  # (k,) index of the observation each patch belongs to
-    patches: np.ndarray  # (k, side * side * 3) uint8, zero outside the frame
+    patches: np.ndarray  # (k, side, side, 3) uint8, zero outside the frame
     rects: np.ndarray  # (k, 4) in-frame cell rectangle (y0, y1, x0, x1)
-    integral: np.ndarray  # (k, side + 1, side + 1) summed-area tables of channel sums
+    sums: np.ndarray  # (k,) sum of each patch's channel values, of patch_sum_dtype
+    whole: np.ndarray  # (k,) bool: the rectangle is the whole window, no frame edge cuts it
     parts: dict[int, tuple[int, int]]  # part id -> [start, stop) of its patches
 
 
@@ -112,20 +129,19 @@ def features(
     part_ids = detections.parts[order]
     owners = detections.owners[order]
     patches, rects = keypoint_patches(raster, detections.xy[order], win)
-
-    acc = patch_sum_dtype(win)
-    integral = np.zeros((len(owners), win.side + 1, win.side + 1), dtype=acc)
-    cells = integral[:, 1:, 1:]
-    np.add(patches[..., 0], patches[..., 1], out=cells, dtype=acc)
-    cells += patches[..., 2]
-    np.cumsum(integral, axis=1, out=integral)
-    np.cumsum(integral, axis=2, out=integral)
+    sums = patches.sum(axis=(1, 2, 3), dtype=patch_sum_dtype(win))
+    whole = (rects == [0, win.side, 0, win.side]).all(axis=1)
 
     ids, starts = np.unique(part_ids, return_index=True)
     stops = [*starts[1:].tolist(), len(part_ids)]
     parts = dict(zip(ids.tolist(), zip(starts.tolist(), stops)))
-    patches = patches.reshape(len(owners), win.cell_count * 3)
-    return Features(stabilized[:, 0], boxes, _KeypointPatches(owners, patches, rects, integral, parts))
+    return Features(stabilized[:, 0], boxes, _KeypointPatches(owners, patches, rects, sums, whole, parts))
+
+
+def _rect_sums(kp: _KeypointPatches, start: int, stop: int, rect: np.ndarray) -> np.ndarray:
+    """The channel sums of patches [start, stop) over one cell rectangle."""
+    y0, y1, x0, x1 = rect.tolist()
+    return kp.patches[start:stop, y0:y1, x0:x1].sum(axis=(1, 2, 3), dtype=kp.sums.dtype)
 
 
 def _part_content(
@@ -142,42 +158,60 @@ def _part_content(
     rb = np.array([b.parts[p] for p in shared], dtype=np.int64).reshape(-1, 2)
     nb = rb[:, 1] - rb[:, 0]
     size = (ra[:, 1] - ra[:, 0]) * nb
-    ends = np.cumsum(size)
+    sizes = size.tolist()
+    starts = list(accumulate(sizes, initial=0))
     # the pairs of a part are a row-major block; q is a pair's place in it
     part = np.repeat(np.arange(len(shared)), size)
-    q = np.arange(size.sum()) - np.repeat(ends - size, size)
+    q = np.arange(starts[-1]) - np.repeat(np.array(starts[:-1], dtype=np.int64), size)
     i = ra[part, 0] + q // nb[part]
     j = rb[part, 0] + q % nb[part]
 
     # |p - q| = p + q - 2 min(p, q) on the overlap; every other cell is zero
     # in at least one patch, so there min(p, q) = 0 and the sum of mins may
     # run over the whole window. That sum is at most side * side * 3 * 255,
-    # so it is exact in the tables' patch_sum_dtype, and uint32 adds up
+    # so it is exact in the patches' patch_sum_dtype, and uint32 adds up
     # uint8 values about twice as fast as int64.
-    acc = a.integral.dtype
+    acc = a.sums.dtype
     mins = np.empty(len(q), dtype=acc)
-    for (a0, a1), (b0, b1), end, n in zip(ra.tolist(), rb.tolist(), ends.tolist(), size.tolist()):
-        np.minimum(a.patches[a0:a1, None], b.patches[None, b0:b1]).sum(
-            axis=2, dtype=acc, out=mins[end - n : end].reshape(a1 - a0, b1 - b0)
-        )
+    # a patch is zero outside its rectangle, so its sum over the overlap is
+    # its sum over the other patch's rectangle: its whole sum unless the
+    # frame edge cuts the other patch
+    over_a, over_b = a.sums[i].astype(np.int64), b.sums[j].astype(np.int64)
+    cut_a, cut_b = np.flatnonzero(~a.whole).tolist(), np.flatnonzero(~b.whole).tolist()
+    side = a.patches.shape[1]
+    length = side * side * 3
+    flat_a, flat_b = a.patches.reshape(-1, length), b.patches.reshape(-1, length)
+    # the pixel minimums pass through one buffer of at most MINIMUMS_BYTES (or
+    # one pair): whole rows of a part's block while a row fits, else runs of
+    # columns of one row
+    fits = max(1, min(max(sizes, default=0), MINIMUMS_BYTES // length))
+    buf = np.empty(fits * length, dtype=np.uint8)
+    for (a0, a1), (b0, b1), start, stop in zip(ra.tolist(), rb.tolist(), starts, starts[1:]):
+        pa, pb = flat_a[a0:a1], flat_b[b0:b1]
+        shape = (a1 - a0, b1 - b0)
+        block = mins[start:stop].reshape(shape)
+        rows, cols = max(1, fits // (b1 - b0)), min(b1 - b0, fits)
+        for r in range(0, a1 - a0, rows):
+            for c in range(0, b1 - b0, cols):
+                chunk = block[r : r + rows, c : c + cols]
+                tmp = buf[: chunk.size * length].reshape(*chunk.shape, length)
+                np.minimum(pa[r : r + rows, None], pb[None, c : c + cols], out=tmp)
+                tmp.sum(axis=2, dtype=acc, out=chunk)
+        for c in (c for c in cut_b if b0 <= c < b1):
+            over_a[start:stop].reshape(shape)[:, c - b0] = _rect_sums(a, a0, a1, b.rects[c])
+        for r in (r for r in cut_a if a0 <= r < a1):
+            over_b[start:stop].reshape(shape)[r - a0] = _rect_sums(b, b0, b1, a.rects[r])
 
-    pa, pb = a.rects[i], b.rects[j]
-    y0 = np.maximum(pa[:, 0], pb[:, 0])
-    y1 = np.minimum(pa[:, 1], pb[:, 1])
-    x0 = np.maximum(pa[:, 2], pb[:, 2])
-    x1 = np.minimum(pa[:, 3], pb[:, 3])
+    # two whole patches overlap on the whole window; only the other pairs
+    # intersect their rectangles
+    cells = np.full(len(q), side * side)
+    odd = np.flatnonzero(~(a.whole[i] & b.whole[j]))
+    rect_a, rect_b = a.rects[i[odd]], b.rects[j[odd]]
+    height = np.minimum(rect_a[:, 1], rect_b[:, 1]) - np.maximum(rect_a[:, 0], rect_b[:, 0])
+    width = np.minimum(rect_a[:, 3], rect_b[:, 3]) - np.maximum(rect_a[:, 2], rect_b[:, 2])
+    cells[odd] = np.maximum(height, 0) * np.maximum(width, 0)
 
-    def overlap_sum(side: _KeypointPatches, k: np.ndarray) -> np.ndarray:
-        stride = side.integral.shape[2]
-        t = side.integral.reshape(-1)
-        top, bottom = (k * stride + y0) * stride, (k * stride + y1) * stride
-        # rows y0..y1 left of x1, less the same rows left of x0: on a
-        # non-empty overlap every step lies in [0, patch bound], so an
-        # unsigned table never wraps
-        return ((t[bottom + x1] - t[top + x1]) - (t[bottom + x0] - t[top + x0])).astype(np.int64)
-
-    total = overlap_sum(a, i) + overlap_sum(b, j) - 2 * mins.astype(np.int64)
-    cells = np.maximum(y1 - y0, 0) * np.maximum(x1 - x0, 0)
+    total = over_a + over_b - 2 * mins.astype(np.int64)
     empty = cells == 0
     # diff.mean() divides the integer sum by the channel count, then by 255
     value = np.where(empty, 1.0, total / (3 * np.where(empty, 1, cells)) / 255.0)

@@ -87,8 +87,14 @@ class PatchWindow:
     half_extent: int = 12
 
     def __post_init__(self):
+        if isinstance(self.half_extent, bool) or not isinstance(self.half_extent, int):
+            raise ValueError(f"half_extent must be an int, got {self.half_extent!r}")
         if self.half_extent < 1:
             raise ValueError("half_extent must be >= 1")
+
+    def fits(self, dims: FrameDims) -> bool:
+        """Whether the half-extent is at most the larger side of a frame of dims."""
+        return self.half_extent <= max(dims.w, dims.h)
 
     @property
     def side(self) -> int:

@@ -179,7 +179,9 @@ def run_tracker(
     id. Distances are normalized by the first frame's diagonal. Each
     frame's detection features are extracted once and kept while the
     frame is in the window. A point that a frame's homography sends to
-    infinity is a DegenerateProjection that names the frame.
+    infinity is a DegenerateProjection that names the frame. A patch
+    half-extent beyond the larger side of the first frame is a
+    ValueError, raised before any patch is cut.
     """
     tracks: dict[int, FrameBoxes] = {}
     next_id = 0
@@ -187,6 +189,11 @@ def run_tracker(
     for t, frame in enumerate(frames):
         if t == 0:
             dims = frame.raster.dims
+            if not cfg.patch.fits(dims):
+                raise ValueError(
+                    f"patch half-extent {cfg.patch.half_extent} exceeds frame 0's larger side, "
+                    f"{max(dims.w, dims.h)} px"
+                )
         try:
             dets = features(frame.detections, frame.homography, frame.raster, cfg.patch)
         except DegenerateProjection as exc:

@@ -376,6 +376,32 @@ class TestTrackCommand:
             assert f"run.cfg:1 (field '{name}'): {SETTINGS[name].need}, got {value}" in err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("patch", [65, 5000, 10**9, 10**29])
+    def test_patch_beyond_the_larger_side_is_input_error(self, tmp_path, capsys, patch):
+        # half-extent 5000 would ask for 11.2 GiB of patches, 10**9 for more
+        # than numpy can shape and 10**29 for more than a C long holds
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen, targets=2, frames=3, width=64, height=48))
+        out_csv = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, *track_args(scen, out_csv), "--patch", str(patch))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert f"error: patch: half-extent {patch} exceeds frame 0's larger side, 64 px" in err
+        assert peak < 16 * 2**20
+        assert not out_csv.exists()
+
+    def test_patch_equal_to_the_larger_side_runs(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen, targets=2, frames=3, width=64, height=48))
+        out_csv = tmp_path / "t.csv"
+        code, _, err = run(capsys, *track_args(scen, out_csv), "--patch", "64")
+        assert (code, err) == (0, "")
+        assert len(read_mot_csv(out_csv)) == 3
+
 
 class TestEvalCommand:
     def test_detection_fixture(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -342,3 +343,95 @@ class TestCostMatrix:
         a, none = features_of(a.homography, a.frame, [a]), features_of(a.homography, a.frame, [])
         assert cost_matrix(a, none, default_weights(), DIMS).shape == (1, 0)
         assert cost_matrix(none, a, default_weights(), DIMS).shape == (0, 1)
+
+
+def noise(dims: FrameDims, seed: int) -> FrameRaster:
+    return FrameRaster(np.random.default_rng(seed).integers(0, 256, (dims.h, dims.w, 3), dtype=np.uint8))
+
+
+def scattered(n: int, parts, dims: FrameDims, seed: int, margin: float = 0.0) -> list[list[tuple]]:
+    """n detections with one keypoint per part, `margin` pixels or more inside the frame."""
+    rng = np.random.default_rng(seed)
+    lo, hi = [margin, margin], [dims.w - 1 - margin, dims.h - 1 - margin]
+    return [[(p, *rng.uniform(lo, hi).tolist()) for p in parts] for _ in range(n)]
+
+
+def scene_of(rows, cols, win, dims, seeds=(1, 2)):
+    """A scene of assert_equals_similarity_cost: (part, x, y) detections in
+    two noise frames of dims, under identity homographies."""
+    h = Homography.identity()
+    frame_a, frame_b = noise(dims, seeds[0]), noise(dims, seeds[1])
+    dets = [obs(d, h, frame_a) for d in rows]
+    reps = [obs(d, h, frame_b) for d in cols]
+    return (h, frame_a, dets), [(h, frame_b, reps)], default_weights(), dims, win
+
+
+class TestContentKernel:
+    """Explicit scenes for the branches that random draws reach only by luck."""
+
+    def test_part_block_larger_than_the_buffer_goes_through_it_in_row_chunks(self):
+        win, dims = PatchWindow(), FrameDims(200, 120)
+        row_bytes = 21 * win.cell_count * 3
+        assert 22 * row_bytes > cost.MINIMUMS_BYTES >= 2 * row_bytes
+        rows = scattered(22, [0], dims, 3, margin=12)
+        cols = scattered(21, [0], dims, 4, margin=12)
+        assert_equals_similarity_cost(scene_of(rows, cols, win, dims))
+
+    def test_row_larger_than_the_buffer_goes_through_it_in_column_runs(self):
+        win, dims = PatchWindow(40), FrameDims(200, 120)
+        pair_bytes = win.cell_count * 3
+        assert 21 * pair_bytes > cost.MINIMUMS_BYTES >= 2 * pair_bytes
+        rows = scattered(3, [0, 4], dims, 5)
+        cols = scattered(21, [0, 4], dims, 6)
+        assert_equals_similarity_cost(scene_of(rows, cols, win, dims))
+
+    def test_pair_larger_than_the_buffer_goes_through_it_alone(self):
+        win, dims = PatchWindow(160), FrameDims(400, 330)
+        assert win.cell_count * 3 > cost.MINIMUMS_BYTES
+        rows = [[(1, 200.0, 165.0)], [(1, 30.0, 300.0)]]
+        cols = [[(1, 205.5, 160.0)], [(1, 390.0, 10.0)], [(1, 180.0, 170.0)]]
+        assert_equals_similarity_cost(scene_of(rows, cols, win, dims))
+
+    def test_patches_cut_at_each_edge_and_corner(self):
+        win, dims = PatchWindow(), FrameDims(61, 49)
+        xs, ys = (0.0, 30.0, 60.0), (0.0, 24.0, 48.0)
+        # every corner, every edge midpoint and the centre, then one patch
+        # wholly outside the frame; the columns sit a few pixels off
+        spots = [(x, y) for y in ys for x in xs] + [(-40.0, 24.0)]
+        rows = [[(0, x, y), (6, 60.0 - x, y)] for x, y in spots]
+        cols = [[(0, x + 4.0, y - 3.0), (6, x - 5.5, 48.0 - y)] for x, y in spots]
+        scene = scene_of(rows, cols, win, dims)
+        h, frame, dets = scene[0]
+        whole = features_of(h, frame, dets, win).keypoints.whole
+        assert whole.any() and not whole.all()
+        assert_equals_similarity_cost(scene)
+
+    def test_features_hold_about_their_patch_bytes(self):
+        # a crowd-sized frame: 24 detections of 5 keypoints in a 960x540 frame
+        dims = FrameDims(960, 540)
+        raster = noise(dims, 7)
+        dets = frame_of(*scattered(24, [0, 3, 5, 9, 16], dims, 8, margin=12))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = features(dets, Homography.identity(), raster)
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert size <= 1.25 * held.keypoints.patches.nbytes
+
+    def test_cost_matrix_peak_is_bounded(self):
+        # the whole part block of pixel minimums would be 22 * 21 * 1728
+        # bytes (798 KB); through the buffer, a call peaks at about 520 KB
+        dims = FrameDims(960, 540)
+        parts = [0, 3, 5, 9, 16]
+        rows = features(frame_of(*scattered(22, parts, dims, 9)), Homography.identity(), noise(dims, 1))
+        cols = features(frame_of(*scattered(21, parts, dims, 10)), Homography.identity(), noise(dims, 2))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cost_matrix(rows, cols, default_weights(), dims)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 640 * 1024

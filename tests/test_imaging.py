@@ -111,6 +111,23 @@ class TestPatchMeanAbsDiff:
         assert win.cell_count == 576
 
 
+class TestPatchWindow:
+    @pytest.mark.parametrize("half_extent", [2.5, 2.0, True, False, "3", None, np.int64(3)])
+    def test_window_half_extent_must_be_an_int(self, half_extent):
+        with pytest.raises(ValueError, match="half_extent must be an int"):
+            PatchWindow(half_extent)
+
+    @pytest.mark.parametrize("half_extent", [0, -1])
+    def test_window_half_extent_must_be_positive(self, half_extent):
+        with pytest.raises(ValueError, match="half_extent must be >= 1"):
+            PatchWindow(half_extent)
+
+    def test_window_fits_a_frame_up_to_its_larger_side(self):
+        dims = FrameDims(7, 5)
+        assert PatchWindow(7).fits(dims) and PatchWindow(1).fits(dims)
+        assert not PatchWindow(8).fits(dims)
+
+
 class TestPnmIO:
     def test_ppm_round_trip_and_header(self, tmp_path):
         rng = np.random.default_rng(1)

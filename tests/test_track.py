@@ -6,10 +6,11 @@ import weakref
 import numpy as np
 import pytest
 
+from courttrack import track
 from courttrack.cli import decode_frames
 from courttrack.cost import Features, features
 from courttrack.geometry import FrameDims, Homography
-from courttrack.imaging import write_ppm
+from courttrack.imaging import PatchWindow, write_ppm
 from courttrack.metrics import eval_mot_records, write_mot_csv
 from courttrack.synth import ScenarioSpec, generate
 from courttrack.track import (
@@ -228,6 +229,20 @@ class TestRunTracker:
         rows = run_tracker(frames, MatchConfig(gate=math.inf))
         assert frames_by_id(rows) == {0: list(range(12))}
 
+    def test_patch_beyond_the_first_frame_rejected_before_any_patch(self, monkeypatch):
+        raster = filled(FrameDims(7, 5), (9, 9, 9))
+        small = FrameObservations(frame_of(box_det(5.0, 5.0, 9.0, 9.0)), Homography.identity(), raster)
+        called = []
+        monkeypatch.setattr(track, "features", lambda *args: called.append(args))
+        with pytest.raises(ValueError, match="patch half-extent 8 exceeds frame 0's larger side, 7 px"):
+            run_tracker([small], MatchConfig(patch=PatchWindow(8)))
+        assert not called
+
+    def test_patch_equal_to_the_larger_side_tracks(self):
+        raster = filled(FrameDims(7, 5), (9, 9, 9))
+        frames = [FrameObservations(frame_of(box_det(1.0, 1.0, 5.0, 4.0)), Homography.identity(), raster)] * 3
+        assert frames_by_id(run_tracker(frames, MatchConfig(patch=PatchWindow(7)))) == {0: [0, 1, 2]}
+
     def test_nan_gate_rejected(self):
         with pytest.raises(ValueError):
             MatchConfig(gate=math.nan)
@@ -297,7 +312,7 @@ class TestRunTracker:
         alive_before = []
 
         def frames():
-            for obs in decode_frames(paths, detections, homographies):
+            for obs in decode_frames(paths, detections, homographies, PatchWindow()):
                 gc.collect()
                 alive_before.append(
                     (sum(ref() is not None for ref in rasters), sum(ref() is not None for ref in maps))
