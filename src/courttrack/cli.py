@@ -3,12 +3,18 @@
 Subcommands: track, eval, court, synth. Every command is deterministic
 given its input files and flags; outputs are byte-stable across runs.
 Exit codes: 0 success, 2 DegenerateCourt, 1 other CourtTrackError or OSError.
+
+Importing this module loads no numpy: the settings' defaults come from
+the numpy-free defaults module, and a command's modules are imported
+when it runs, so --help and a usage or config-file error cost no more
+than the interpreter and argparse.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import json
 import math
 import os
@@ -21,56 +27,100 @@ from typing import Callable, Iterator, NamedTuple
 # LAPACK call is a 3x3 determinant), but numpy's bundled OpenBLAS starts
 # a worker per CPU when it loads, which costs tens of milliseconds per
 # process. The pin must come before the first numpy import, which is
-# .cost's; a value the user set wins. The package root leaves library
+# _load's; a value the user set wins. The package root leaves library
 # users' threading alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .cost import DEFAULT_ALPHA, DEFAULT_BETA, CostWeights
-from .court import (
+from .defaults import (
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
     DEFAULT_CANDIDATES,
     DEFAULT_DROP_TOL,
+    DEFAULT_GATE,
+    DEFAULT_HALF_EXTENT,
+    DEFAULT_MEMORY_DEPTH,
     DEFAULT_STEP_PX,
-    CourtRegion,
-    HsvFilter,
-    Orientation,
-    classify_orientation,
-    converge_boundaries_nba,
-    read_segments_csv,
-    row_prefix_sums,
-    select_boundary_european,
-    vote_dominant_lines,
+    MOT_IOU_THRESHOLD,
+    SCENE_DROPOUT,
+    SCENE_EXTRA_DROPOUT,
+    SCENE_FRAMES,
+    SCENE_HEIGHT,
+    SCENE_JITTER,
+    SCENE_PAN,
+    SCENE_SEED,
+    SCENE_TARGETS,
+    SCENE_WIDTH,
 )
-from .detect import NO_DETECTIONS, read_detections_jsonl, write_detections_jsonl
 from .errors import (
     CourtTrackError,
     DegenerateCourt,
     DegenerateProjection,
     InputFormatError,
+    check_hsv_bounds,
     json_int,
     json_number,
     open_text,
     text_lines,
 )
-from .geometry import FrameDims, Homography, Line2
-from .imaging import BinaryMask, PatchWindow, read_pgm, read_ppm, write_ppm
-from .metrics import (
-    MOT_IOU_THRESHOLD,
-    eval_detections,
-    eval_mot_records,
-    read_mot_csv,
-    write_mot_csv,
-)
-from .synth import ScenarioSpec, SyntheticSequence, generate
-from .track import DEFAULT_GATE, FrameObservations, MatchConfig, run_tracker
+
+# The names that the commands take from the numpy modules, by module. A
+# name is bound in this module's globals on first use: by _load, for a
+# command or a helper, or as an attribute of this module (__getattr__),
+# so a caller that replaces one here before main runs is what main calls.
+IMPORTED = {
+    "cost": ("CostWeights",),
+    "court": (
+        "CourtRegion", "HsvFilter", "Orientation", "classify_orientation", "converge_boundaries_nba",
+        "read_segments_csv", "row_prefix_sums", "select_boundary_european", "vote_dominant_lines",
+    ),
+    "detect": ("NO_DETECTIONS", "read_detections_jsonl", "write_detections_jsonl"),
+    "geometry": ("FrameDims", "Homography", "Line2"),
+    "imaging": ("BinaryMask", "PatchWindow", "read_pgm", "read_ppm", "write_ppm"),
+    "metrics": ("eval_detections", "eval_mot_records", "read_mot_csv", "write_mot_csv"),
+    "synth": ("ScenarioSpec", "generate"),
+    "track": ("FrameObservations", "MatchConfig", "run_tracker"),
+}
+HOME = {name: module for module, names in IMPORTED.items() for name in names}
+# command -> the modules whose names it uses; court loads no tracker
+# module, and track no court or synth module
+COMMAND_MODULES = {
+    "track": ("cost", "detect", "geometry", "imaging", "metrics", "track"),
+    "eval": ("detect", "metrics"),
+    "court": ("court", "geometry", "imaging"),
+    "synth": ("detect", "geometry", "imaging", "metrics", "synth"),
+}
+
+
+def __getattr__(name: str):
+    """A name of IMPORTED, imported from its module and kept (PEP 562)."""
+    module = HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __package__), name)
+    return value
+
+
+def _load(command: str) -> bool:
+    """Bind every name that the command uses and that is not bound yet;
+    whether there was one. A name already bound, such as a wrapper, stays."""
+    missing = [
+        name for module in COMMAND_MODULES[command] for name in IMPORTED[module] if name not in globals()
+    ]
+    for name in missing:
+        __getattr__(name)
+    return bool(missing)
+
 
 FRAME_FILE_PATTERN = "frame_%06d.ppm"
 FRAME_FILE_RE = re.compile(r"frame_(\d{6})\.ppm")
 
 
-def parse_hsv_filter(text: str) -> HsvFilter:
-    """Parse "h0:h1,s0:s1,v0:v1" into an HsvFilter."""
+def parse_hsv_filter(text: str) -> tuple[float, ...]:
+    """Parse "h0:h1,s0:s1,v0:v1" into the bounds of an HsvFilter, checked as it checks them."""
     (h_lo, h_hi), (s_lo, s_hi), (v_lo, v_hi) = (part.split(":") for part in text.split(","))
-    return HsvFilter(*map(float, (h_lo, h_hi, s_lo, s_hi, v_lo, v_hi)))
+    bounds = tuple(map(float, (h_lo, h_hi, s_lo, s_hi, v_lo, v_hi)))
+    check_hsv_bounds(bounds)
+    return bounds
 
 
 def parse_pan(text: str) -> tuple[float, float]:
@@ -110,7 +160,6 @@ class Setting(NamedTuple):
 AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 UNIT_INTERVAL = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
 WEIGHT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
-SCENE = ScenarioSpec()  # the defaults of synth's settings
 
 # every setting of every command; a flag and a config-file value both go
 # through the type and the range
@@ -127,9 +176,9 @@ SETTINGS = {
     "beta": Setting(float, DEFAULT_BETA, "overlap-term weight", *WEIGHT),
     "gate": Setting(float, DEFAULT_GATE, "maximum acceptable matching cost",
                     lambda v: v > 0.0, "must be positive"),
-    "memory": Setting(int, MatchConfig.memory_depth, "memory depth in frames, 1 or 2",
+    "memory": Setting(int, DEFAULT_MEMORY_DEPTH, "memory depth in frames, 1 or 2",
                       lambda v: v in (1, 2), "must be 1 or 2"),
-    "patch": Setting(int, PatchWindow.half_extent, "patch half-extent in pixels", *AT_LEAST_1),
+    "patch": Setting(int, DEFAULT_HALF_EXTENT, "patch half-extent in pixels", *AT_LEAST_1),
     "mode": Setting(one_of("det", "mot"), None, "evaluation mode, det or mot"),
     "mot_iou": Setting(float, MOT_IOU_THRESHOLD, "CLEAR-MOT IoU threshold", *UNIT_INTERVAL),
     "court": Setting(one_of("european", "nba"), None, "court variant, european or nba"),
@@ -138,17 +187,17 @@ SETTINGS = {
     "step": Setting(float, DEFAULT_STEP_PX, "NBA convergence step in pixels",
                     lambda v: 1.0 <= v < math.inf, "must be a finite number of pixels >= 1"),
     "drop_tol": Setting(float, DEFAULT_DROP_TOL, "NBA drop tolerance", *UNIT_INTERVAL),
-    "seed": Setting(int, SCENE.seed, "random seed"),
-    "targets": Setting(int, SCENE.n_targets, "number of targets", *AT_LEAST_1),
-    "num_frames": Setting(int, SCENE.n_frames, "number of frames", lambda v: v >= 2, "must be at least 2"),
-    "width": Setting(int, SCENE.dims.w, "frame width in pixels", *AT_LEAST_1),
-    "height": Setting(int, SCENE.dims.h, "frame height in pixels", *AT_LEAST_1),
-    "pan": Setting(parse_pan, SCENE.pan, "camera pan 'px,py' in pixels/frame",
+    "seed": Setting(int, SCENE_SEED, "random seed"),
+    "targets": Setting(int, SCENE_TARGETS, "number of targets", *AT_LEAST_1),
+    "num_frames": Setting(int, SCENE_FRAMES, "number of frames", lambda v: v >= 2, "must be at least 2"),
+    "width": Setting(int, SCENE_WIDTH, "frame width in pixels", *AT_LEAST_1),
+    "height": Setting(int, SCENE_HEIGHT, "frame height in pixels", *AT_LEAST_1),
+    "pan": Setting(parse_pan, SCENE_PAN, "camera pan 'px,py' in pixels/frame",
                    lambda v: all(map(math.isfinite, v)), "components must be finite"),
-    "dropout": Setting(float, SCENE.dropout_rate, "share of detections dropped", *UNIT_INTERVAL),
-    "jitter": Setting(float, SCENE.jitter_sigma, "box-corner jitter sigma in pixels",
+    "dropout": Setting(float, SCENE_DROPOUT, "share of detections dropped", *UNIT_INTERVAL),
+    "jitter": Setting(float, SCENE_JITTER, "box-corner jitter sigma in pixels",
                       lambda v: 0.0 <= v < math.inf, "must be finite and >= 0"),
-    "extra_dropout": Setting(float, SCENE.extra_dropout, "share of single-frame drops", *UNIT_INTERVAL),
+    "extra_dropout": Setting(float, SCENE_EXTRA_DROPOUT, "share of single-frame drops", *UNIT_INTERVAL),
 }
 
 # court variant -> (the settings it requires, the others it reads); a
@@ -244,6 +293,7 @@ def write_homographies_json(homographies: list[Homography], path) -> None:
 
 
 def read_homographies_json(path) -> dict[int, Homography]:
+    _load("track")
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # non-UTF-8, over-long integer, deep nesting
@@ -296,6 +346,7 @@ def decode_frames(paths, detections, homographies, patch: PatchWindow) -> Iterat
     outside the frame, and they would take (2 * half_extent)**2 * 3
     bytes each.
     """
+    _load("track")
     for t, path in enumerate(paths):
         raster = read_ppm(path)
         # the tracker normalizes every distance by frame 0's diagonal
@@ -319,6 +370,7 @@ def decode_frames(paths, detections, homographies, patch: PatchWindow) -> Iterat
 
 def write_scenario(seq: SyntheticSequence, outdir) -> None:
     """Persist a synthetic scenario in the standard pipeline formats."""
+    _load("synth")
     root = Path(outdir)
     (root / "frames").mkdir(parents=True, exist_ok=True)
     for t, frame in enumerate(seq.frames):
@@ -407,7 +459,7 @@ def cmd_court(args: argparse.Namespace) -> int:
         frame = read_ppm(frame_path)
         dims = frame.dims
         candidates = [v.line for v in vote_dominant_lines(segments, args.candidates)]
-        prefix = row_prefix_sums(args.hsv.match_array(frame))
+        prefix = row_prefix_sums(HsvFilter(*args.hsv).match_array(frame))
         top = select_boundary_european(candidates, prefix, Orientation.HORIZONTAL)
         bottom = Line2.horizontal_at(float(dims.h))
         left = right = None
@@ -458,6 +510,7 @@ def cmd_court(args: argparse.Namespace) -> int:
 
 def scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
     """The ScenarioSpec that the synth command's resolved settings ask for."""
+    _load("synth")
     return ScenarioSpec(
         n_targets=args.targets,
         n_frames=args.num_frames,
@@ -514,6 +567,12 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         resolve_settings(args)
+        if _load(args.command):
+            # What the command's imports made lives until exit: move it out
+            # of the collector's generations, so that neither the
+            # collections during the run nor the one at exit walk numpy's
+            # and these modules' objects.
+            gc.freeze()
         return COMMANDS[args.command](args)
     except DegenerateCourt as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -522,11 +581,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-# Everything imported so far lives until exit: move it out of the
-# collector's generations, so that neither the collections during a run
-# nor the one at interpreter exit walk numpy's and these modules' objects.
-gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -40,12 +40,11 @@ from itertools import accumulate
 
 import numpy as np
 
+from .defaults import DEFAULT_ALPHA, DEFAULT_BETA
 from .detect import FrameDetections
 from .geometry import FrameDims, Homography, iou_matrix, project_points
 from .imaging import FrameRaster, PatchWindow, keypoint_patches
 
-DEFAULT_ALPHA = 0.65
-DEFAULT_BETA = 0.05
 # bytes of pixel minimums that one cost_matrix call holds at once (more only
 # where a single pair of patches is larger)
 MINIMUMS_BYTES = 1 << 18
@@ -144,15 +143,29 @@ def _rect_sums(kp: _KeypointPatches, start: int, stop: int, rect: np.ndarray) ->
     return kp.patches[start:stop, y0:y1, x0:x1].sum(axis=(1, 2, 3), dtype=kp.sums.dtype)
 
 
+def _min_sums(pa: np.ndarray, pb: np.ndarray, out: np.ndarray, buf: np.ndarray) -> None:
+    """out[r, c] = the sum of min(pa[r], pb[c]) over their flat channel
+    values, with the minimums in buf: whole rows of out while one fits,
+    else runs of columns of one row."""
+    length = pa.shape[1]
+    fits = len(buf) // length
+    rows, cols = max(1, fits // len(pb)), min(len(pb), fits)
+    for r in range(0, len(pa), rows):
+        for c in range(0, len(pb), cols):
+            chunk = out[r : r + rows, c : c + cols]
+            tmp = buf[: chunk.size * length].reshape(*chunk.shape, length)
+            np.minimum(pa[r : r + rows, None], pb[None, c : c + cols], out=tmp)
+            tmp.sum(axis=2, dtype=out.dtype, out=chunk)
+
+
 def _part_content(
     a: _KeypointPatches, b: _KeypointPatches, shared: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The mean absolute difference of every pair of patches of one shared part, over
     the offsets valid in both; 1.0 where there is none.
 
     Returns, for every pair, part by part and row-major within a part,
-    its patch in a, its patch in b, the index of its part in shared and
-    its value.
+    its patch in a, its patch in b and its value.
     """
     ra = np.array([a.parts[p] for p in shared], dtype=np.int64).reshape(-1, 2)
     rb = np.array([b.parts[p] for p in shared], dtype=np.int64).reshape(-1, 2)
@@ -171,8 +184,7 @@ def _part_content(
     # run over the whole window. That sum is at most side * side * 3 * 255,
     # so it is exact in the patches' patch_sum_dtype, and uint32 adds up
     # uint8 values about twice as fast as int64.
-    acc = a.sums.dtype
-    mins = np.empty(len(q), dtype=acc)
+    mins = np.empty(len(q), dtype=a.sums.dtype)
     # a patch is zero outside its rectangle, so its sum over the overlap is
     # its sum over the other patch's rectangle: its whole sum unless the
     # frame edge cuts the other patch
@@ -181,26 +193,17 @@ def _part_content(
     side = a.patches.shape[1]
     length = side * side * 3
     flat_a, flat_b = a.patches.reshape(-1, length), b.patches.reshape(-1, length)
-    # the pixel minimums pass through one buffer of at most MINIMUMS_BYTES (or
-    # one pair): whole rows of a part's block while a row fits, else runs of
-    # columns of one row
+    # the pixel minimums pass through one buffer of at most MINIMUMS_BYTES (or one pair)
     fits = max(1, min(max(sizes, default=0), MINIMUMS_BYTES // length))
     buf = np.empty(fits * length, dtype=np.uint8)
     for (a0, a1), (b0, b1), start, stop in zip(ra.tolist(), rb.tolist(), starts, starts[1:]):
-        pa, pb = flat_a[a0:a1], flat_b[b0:b1]
         shape = (a1 - a0, b1 - b0)
-        block = mins[start:stop].reshape(shape)
-        rows, cols = max(1, fits // (b1 - b0)), min(b1 - b0, fits)
-        for r in range(0, a1 - a0, rows):
-            for c in range(0, b1 - b0, cols):
-                chunk = block[r : r + rows, c : c + cols]
-                tmp = buf[: chunk.size * length].reshape(*chunk.shape, length)
-                np.minimum(pa[r : r + rows, None], pb[None, c : c + cols], out=tmp)
-                tmp.sum(axis=2, dtype=acc, out=chunk)
+        _min_sums(flat_a[a0:a1], flat_b[b0:b1], mins[start:stop].reshape(shape), buf)
         for c in (c for c in cut_b if b0 <= c < b1):
             over_a[start:stop].reshape(shape)[:, c - b0] = _rect_sums(a, a0, a1, b.rects[c])
         for r in (r for r in cut_a if a0 <= r < a1):
             over_b[start:stop].reshape(shape)[r - a0] = _rect_sums(b, b0, b1, a.rects[r])
+    del buf  # the largest array here; the pair arrays below need not sit beside it
 
     # two whole patches overlap on the whole window; only the other pairs
     # intersect their rectangles
@@ -215,7 +218,7 @@ def _part_content(
     empty = cells == 0
     # diff.mean() divides the integer sum by the channel count, then by 255
     value = np.where(empty, 1.0, total / (3 * np.where(empty, 1, cells)) / 255.0)
-    return i, j, part, value
+    return i, j, value
 
 
 def cost_matrix(rows: Features, cols: Features, weights: CostWeights, dims: FrameDims) -> np.ndarray:
@@ -240,13 +243,16 @@ def cost_matrix(rows: Features, cols: Features, weights: CostWeights, dims: Fram
 
     ka, kb = rows.keypoints, cols.keypoints
     shared = sorted(ka.parts.keys() & kb.parts.keys())
-    i, j, part, value = _part_content(ka, kb, shared)
+    i, j, value = _part_content(ka, kb, shared)
     pair = ka.owners[i] * m + kb.owners[j]  # an observation has at most one patch per part
-    per_part = np.zeros((n * m, len(shared)))
-    per_part[pair, part] = value
-    n_shared = np.bincount(pair, minlength=n * m).reshape(n, m)
-    # a part the pair does not share is a 0.0 here, which leaves fsum unchanged
-    sums = np.array([math.fsum(v) for v in per_part.tolist()], dtype=float).reshape(n, m)
-    content = np.where(n_shared > 0, sums / np.maximum(n_shared, 1), 1.0)
+    # the values of a pair that shares a part are a run of these, in part
+    # order; fsum rounds their exact sum once, in any order
+    values = value[np.argsort(pair, kind="stable")].tolist()
+    n_shared = np.bincount(pair, minlength=n * m)
+    shares = n_shared > 0
+    stops = list(accumulate(n_shared[shares].tolist()))
+    sums = [math.fsum(values[start:stop]) for start, stop in zip([0, *stops], stops)]
+    content = np.ones(n * m)
+    content[shares] = np.array(sums) / n_shared[shares]
 
-    return weights.alpha * distance + weights.beta * (1.0 - overlap) + weights.gamma * content
+    return weights.alpha * distance + weights.beta * (1.0 - overlap) + weights.gamma * content.reshape(n, m)

@@ -11,15 +11,13 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .errors import DegenerateCourt, InputFormatError, csv_number_rows
+from .defaults import DEFAULT_DROP_TOL, DEFAULT_STEP_PX
+from .errors import DegenerateCourt, InputFormatError, check_hsv_bounds, csv_number_rows
 from .geometry import SINGULAR_TOL, FrameDims, Line2, Point2
 from .imaging import BinaryMask, FrameRaster, frame_to_hsv
 
 THETA_BIN_DEG = 1.0
 RHO_BIN_PX = 3.0
-DEFAULT_STEP_PX = 2.0
-DEFAULT_DROP_TOL = 0.005
-DEFAULT_CANDIDATES = 10
 
 _EDGE_TOL = 1e-9
 
@@ -48,11 +46,7 @@ class HsvFilter:
     v_hi: float = 1.0
 
     def __post_init__(self):
-        bounds = (self.h_lo, self.h_hi, self.s_lo, self.s_hi, self.v_lo, self.v_hi)
-        if not all(math.isfinite(x) for x in bounds):
-            raise ValueError(f"HSV bounds must be finite, got {bounds}")
-        if self.s_lo > self.s_hi or self.v_lo > self.v_hi:
-            raise ValueError("saturation/value bounds must satisfy lo <= hi")
+        check_hsv_bounds((self.h_lo, self.h_hi, self.s_lo, self.s_hi, self.v_lo, self.v_hi))
 
     def match_array(self, frame: FrameRaster) -> np.ndarray:
         """Per-pixel filter response as an (h, w) bool array.

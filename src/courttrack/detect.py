@@ -95,7 +95,7 @@ def read_detections_jsonl(path) -> dict[int, FrameDetections]:
 
     The first bad line is an InputFormatError naming it: a keypoint
     needs an integer part in [0, 16] and finite x, y and c with c in
-    [0, 1], and a detection distinct parts and a box of finite size.
+    (0, 1], and a detection distinct parts and a box of finite size.
     """
     per_frame: defaultdict[int, DetectionsBuilder] = defaultdict(DetectionsBuilder)
     with open_text(path) as fh:
@@ -126,6 +126,8 @@ def read_detections_jsonl(path) -> dict[int, FrameDetections]:
                         raise ValueError(f"part_id {part} outside [0, 16]")
                     if not 0.0 <= c <= 1.0:
                         raise ValueError(f"confidence {c} outside [0, 1]")
+                    if c == 0.0:  # as OpenPose writes a part it did not find, at x = y = 0
+                        raise ValueError(f"confidence {c} marks an undetected part; leave the part out")
                 except (KeyError, TypeError, ValueError) as exc:
                     raise InputFormatError(
                         path, f"bad keypoint: {exc}", line=lineno, field="keypoints"

@@ -73,6 +73,16 @@ def json_number(value, path, field, line=None, entry=None) -> float:
     raise InputFormatError(path, f"{where}expected a finite number, got {value!r}", line=line, field=field)
 
 
+def check_hsv_bounds(bounds: tuple[float, ...]) -> None:
+    """ValueError unless the HSV filter bounds (h_lo, h_hi, s_lo, s_hi,
+    v_lo, v_hi) are finite, with lo <= hi for saturation and value."""
+    if not all(math.isfinite(x) for x in bounds):
+        raise ValueError(f"HSV bounds must be finite, got {bounds}")
+    _, _, s_lo, s_hi, v_lo, v_hi = bounds
+    if s_lo > s_hi or v_lo > v_hi:
+        raise ValueError("saturation/value bounds must satisfy lo <= hi")
+
+
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what errors="surrogateescape" makes of a bad byte
 
 

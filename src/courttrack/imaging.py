@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .defaults import DEFAULT_HALF_EXTENT
 from .errors import InputFormatError
 from .geometry import FrameDims
 
@@ -84,7 +85,7 @@ class PatchWindow:
     convention anchors the grid on the keypoint's pixel.
     """
 
-    half_extent: int = 12
+    half_extent: int = DEFAULT_HALF_EXTENT
 
     def __post_init__(self):
         if isinstance(self.half_extent, bool) or not isinstance(self.half_extent, int):
@@ -148,21 +149,20 @@ def keypoint_patches(
     # the frame are clamped there, which keeps their rectangles empty
     xy = np.floor(xy + 0.5).clip(-side, [w + side, h + side]).astype(np.int64)
     top, left = xy[:, 1] - he, xy[:, 0] - he
+    rects = np.stack(
+        [he - xy[:, 1], he + h - xy[:, 1], he - xy[:, 0], he + w - xy[:, 0]], axis=1
+    ).clip(0, side)
     patches = np.empty((len(xy), side, side, 3), dtype=np.uint8)
     whole = (top >= 0) & (top <= h - side) & (left >= 0) & (left <= w - side)
     if whole.any():  # a window wholly inside the frame is one strided copy
         windows = sliding_window_view(frame.data, (side, side, 3))
         patches[whole] = windows[top[whole], left[whole], 0]
-    cut = ~whole
-    if cut.any():  # the rest gather pixel by pixel, with zeros outside the frame
-        offsets = np.arange(side)
-        rows, cols = top[cut, None] + offsets, left[cut, None] + offsets
-        inside = ((rows >= 0) & (rows < h))[:, :, None] & ((cols >= 0) & (cols < w))[:, None, :]
-        pixels = rows.clip(0, h - 1)[:, :, None] * w + cols.clip(0, w - 1)[:, None, :]
-        patches[cut] = frame.data.reshape(-1, 3).take(pixels, axis=0) * inside[..., None]
-    rects = np.stack(
-        [he - xy[:, 1], he + h - xy[:, 1], he - xy[:, 0], he + w - xy[:, 0]], axis=1
-    ).clip(0, side)
+    # a patch that the frame edge cuts is zero but for its rectangle, copied from the frame
+    for k in np.flatnonzero(~whole).tolist():
+        y0, y1, x0, x1 = rects[k].tolist()
+        patches[k] = 0
+        if y0 < y1 and x0 < x1:
+            patches[k, y0:y1, x0:x1] = frame.data[top[k] + y0 : top[k] + y1, left[k] + x0 : left[k] + x1]
     return patches, rects
 
 

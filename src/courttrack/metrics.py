@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import MOT_IOU_THRESHOLD
 from .errors import InputFormatError, csv_number_rows
 from .geometry import iou_matrix
 from .track import NO_BOXES, FrameBoxes, solve_assignment
 
-MOT_IOU_THRESHOLD = 0.5
 TRACK_CSV_HEADER = ["frame", "id", "x_min", "y_min", "width", "height"]
 
 

@@ -18,6 +18,17 @@ from itertools import product
 
 import numpy as np
 
+from .defaults import (
+    SCENE_DROPOUT,
+    SCENE_EXTRA_DROPOUT,
+    SCENE_FRAMES,
+    SCENE_HEIGHT,
+    SCENE_JITTER,
+    SCENE_PAN,
+    SCENE_SEED,
+    SCENE_TARGETS,
+    SCENE_WIDTH,
+)
 from .detect import DetectionsBuilder, FrameDetections
 from .errors import InfeasibleScenario
 from .geometry import FrameDims, Homography
@@ -55,15 +66,15 @@ class ScenarioSpec:
     perturbs detection box corners; none touches the ground truth.
     """
 
-    n_targets: int = 10
-    n_frames: int = 40
-    dims: FrameDims = field(default_factory=lambda: FrameDims(640, 360))
+    n_targets: int = SCENE_TARGETS
+    n_frames: int = SCENE_FRAMES
+    dims: FrameDims = field(default_factory=lambda: FrameDims(SCENE_WIDTH, SCENE_HEIGHT))
     motion: tuple[tuple[float, float], ...] | None = None
-    pan: tuple[float, float] = (0.0, 0.0)
-    dropout_rate: float = 0.0
-    jitter_sigma: float = 0.0
-    extra_dropout: float = 0.0
-    seed: int = 0
+    pan: tuple[float, float] = SCENE_PAN
+    dropout_rate: float = SCENE_DROPOUT
+    jitter_sigma: float = SCENE_JITTER
+    extra_dropout: float = SCENE_EXTRA_DROPOUT
+    seed: int = SCENE_SEED
 
     def __post_init__(self):
         if self.n_targets < 1:

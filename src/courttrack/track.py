@@ -23,12 +23,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cost import CostWeights, Features, cost_matrix, default_weights, features
+from .defaults import DEFAULT_GATE, DEFAULT_MEMORY_DEPTH
 from .detect import FrameDetections
 from .errors import DegenerateProjection
 from .geometry import FrameDims, Homography
 from .imaging import FrameRaster, PatchWindow
-
-DEFAULT_GATE = 0.5
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,7 @@ class MatchConfig:
     """Gate, memory depth and cost parameters of the matcher."""
 
     gate: float = DEFAULT_GATE
-    memory_depth: int = 2
+    memory_depth: int = DEFAULT_MEMORY_DEPTH
     weights: CostWeights = field(default_factory=default_weights)
     patch: PatchWindow = field(default_factory=PatchWindow)
 

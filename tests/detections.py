@@ -74,6 +74,8 @@ class Keypoint:
             raise ValueError(f"part_id {self.part_id} outside [0, 16]")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+        if self.confidence == 0.0:
+            raise ValueError(f"confidence {self.confidence} marks an undetected part; leave the part out")
 
 
 @dataclass(frozen=True, slots=True)

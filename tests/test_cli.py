@@ -1126,25 +1126,128 @@ def run_child(code: str, *argv, **env) -> subprocess.CompletedProcess:
     )
 
 
+# main(argv) in a fresh process with every command wrapped to note, as
+# it starts, the numpy and courttrack modules whose objects the
+# collector still tracks; the last stdout line reports that, the exit
+# code, the OS threads, the OpenBLAS setting and the modules loaded.
+PROBE = """
+import gc, json, os, sys
+import courttrack.cli as cli
+
+unfrozen = []
+
+def probing(command):
+    def probe(args):
+        tracked = {id(o) for o in gc.get_objects()}
+        unfrozen.extend(name for name, module in list(sys.modules.items())
+                        if name.partition(".")[0] in ("numpy", "courttrack") and id(vars(module)) in tracked)
+        return command(args)
+    return probe
+
+cli.COMMANDS = {name: probing(command) for name, command in cli.COMMANDS.items()}
+rc = cli.main(sys.argv[1:])
+print(json.dumps({
+    "rc": rc,
+    "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
+    "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "numpy": "numpy" in sys.modules,
+    "modules": sorted(m.partition(".")[2] for m in sys.modules if m.startswith("courttrack.")),
+    "unfrozen": sorted(unfrozen),
+}))
+"""
+
+
 class TestStartup:
-    """What `import courttrack.cli` does to a fresh process: one OS
-    thread (OpenBLAS pinned unless the user says otherwise) and the
-    import-time objects frozen out of the collector."""
+    """What a command does to a fresh process: one OS thread (OpenBLAS
+    pinned unless the user says otherwise), its modules loaded and frozen
+    out of the collector before it runs, and no module it does not use.
+    Importing courttrack.cli, --help and the errors found before a
+    command runs load no numpy."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """argv of a court and a track run on small inputs."""
+        tmp = tmp_path_factory.mktemp("startup")
+        assert main(synth_args(tmp / "scen", targets=4, frames=6, seed=7, pan="2,0")) == 0
+        return {
+            "court": TestCourtCommand.planted_nba_args(tmp, tmp / "court.json"),
+            "track": track_args(tmp / "scen", tmp / "tracks.csv"),
+        }
+
+    @staticmethod
+    def probe(*argv, **env) -> dict:
+        return json.loads(run_child(PROBE, *argv, **env).stdout.splitlines()[-1])
 
     @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
-    def test_blas_threads_pinned_unless_set(self, preset, seen):
+    def test_blas_threads_pinned_unless_set(self, runs, preset, seen):
         env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
-        code = "import os, courttrack.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
-        assert run_child(code, **env).stdout.strip() == seen
+        assert self.probe(*runs["court"], **env)["blas"] == seen
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
-    def test_import_starts_no_thread(self):
-        out = run_child("import os, courttrack.cli; print(len(os.listdir('/proc/self/task')))")
-        assert out.stdout.strip() == "1"
+    @pytest.mark.parametrize("command", ["court", "track"])
+    def test_command_starts_no_thread(self, runs, command):
+        # OpenBLAS starts its workers when numpy loads, so this fails if
+        # numpy is imported before the pin (on a machine of 2 or more CPUs)
+        seen = self.probe(*runs[command])
+        assert seen["rc"] == 0 and seen["numpy"]
+        assert seen["threads"] == 1
 
-    def test_import_time_objects_are_frozen(self):
-        out = run_child("import gc, courttrack.cli; print(gc.get_freeze_count())")
-        assert int(out.stdout) > 0
+    @pytest.mark.parametrize("command", ["court", "track"])
+    def test_command_modules_are_frozen_before_it_runs(self, runs, command):
+        seen = self.probe(*runs[command])
+        assert seen["rc"] == 0 and seen["numpy"]
+        assert seen["unfrozen"] == []
+
+    def test_court_loads_no_tracker_module(self, runs):
+        seen = self.probe(*runs["court"])
+        assert seen["rc"] == 0 and "court" in seen["modules"]
+        assert not {"cost", "detect", "track", "metrics", "synth", "rng"} & set(seen["modules"])
+
+    def test_track_loads_no_court_or_synth_module(self, runs):
+        seen = self.probe(*runs["track"])
+        assert seen["rc"] == 0 and "track" in seen["modules"]
+        assert not {"court", "synth", "rng"} & set(seen["modules"])
+
+    def test_import_loads_no_numpy(self):
+        out = run_child("import sys, courttrack.cli; print('numpy' in sys.modules)")
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0), (["track", "--help"], 0), (["track", "--gate", "abc"], 1), ([], 1),
+         (["eval", "--config", "{cfg}"], 1), (["court", "--hsv", "nan:1,0:1,0:1"], 1)],
+        ids=["help", "command-help", "usage", "no-command", "config-file", "hsv"],
+    )
+    def test_no_numpy_before_a_command_runs(self, tmp_path, argv, code):
+        (tmp_path / "bad.cfg").write_text("bogus=1\n")
+        seen = self.probe(*(arg.format(cfg=tmp_path / "bad.cfg") for arg in argv))
+        assert seen["rc"] == code
+        assert not seen["numpy"]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "cli.scenario_spec(SimpleNamespace(targets=2, num_frames=3, width=64, height=48, pan=(0.0, 0.0), "
+            "dropout=0.0, jitter=0.0, extra_dropout=0.0, seed=1))",
+            "cli.write_scenario(generate(ScenarioSpec(n_targets=2, n_frames=2, dims=FrameDims(64, 48))), scen)",
+            "cli.read_homographies_json(scen / 'homographies.json')",
+            "list(cli.decode_frames(cli.list_frame_files(scen / 'frames'), {}, {}, PatchWindow()))",
+        ],
+    )
+    def test_helpers_run_before_main(self, runs, tmp_path, call):
+        # each in a fresh process, so no other call has bound its names
+        scen = Path(runs["track"][2]).parent
+        if call.startswith("cli.write_scenario"):
+            scen = tmp_path
+        code = (
+            "import sys; from pathlib import Path; from types import SimpleNamespace\n"
+            "import courttrack.cli as cli\n"
+            "from courttrack.geometry import FrameDims\n"
+            "from courttrack.imaging import PatchWindow\n"
+            "from courttrack.synth import ScenarioSpec, generate\n"
+            f"scen = Path(sys.argv[1])\n{call}\nprint('ran')"
+        )
+        assert run_child(code, scen).stdout.strip() == "ran"
 
     def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path, capsys):
         scen = tmp_path / "scen"

@@ -179,6 +179,19 @@ class TestDetectionsJsonl:
         assert err.value.line == 2 and err.value.field == field
         assert "dets.jsonl:2" in str(err.value)
 
+    @pytest.mark.parametrize("zero", ["0", "0.0", "-0.0"])
+    def test_undetected_part_reports_line(self, tmp_path, zero):
+        # OpenPose writes a part it did not find at x = y = 0 with c = 0,
+        # which would stretch the skeleton box to the frame corner
+        path = tmp_path / "dets.jsonl"
+        good = '{"frame": 0, "keypoints": [{"part": 0, "x": 1, "y": 2, "c": 0.5}]}'
+        bad = f'{{"frame": 1, "keypoints": [{{"part": 0, "x": 50, "y": 60, "c": 0.8}}, {{"part": 3, "x": 0, "y": 0, "c": {zero}}}]}}'
+        path.write_text(f"{good}\n{bad}\n")
+        with pytest.raises(InputFormatError, match="undetected part; leave the part out") as err:
+            read_detections_jsonl(path)
+        assert err.value.line == 2 and err.value.field == "keypoints"
+        assert "dets.jsonl:2 (field 'keypoints')" in str(err.value)
+
     def test_overflowing_keypoint_span_reports_line(self, tmp_path):
         path = tmp_path / "dets.jsonl"
         good = '{"frame": 0, "keypoints": [{"part": 0, "x": 1, "y": 2, "c": 0.5}]}'
@@ -205,7 +218,7 @@ VALID_KEYPOINTS = st.fixed_dictionaries(
         "part": st.integers(0, 16),
         "x": COORDINATES,
         "y": COORDINATES,
-        "c": st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, -0.0])),
+        "c": st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from([1, 5e-324])),
     }
 )
 # any field may be missing, of the wrong kind or out of range
@@ -219,7 +232,8 @@ KEYPOINTS = st.fixed_dictionaries(
     },
 )
 OUT_OF_RANGE_KEYPOINTS = st.fixed_dictionaries(
-    {"part": st.integers(-2, 18), "x": COORDINATES, "y": COORDINATES, "c": st.floats(-0.5, 1.5)}
+    {"part": st.integers(-2, 18), "x": COORDINATES, "y": COORDINATES,
+     "c": st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0, -0.0]))}
 )
 # valid but for the values, which may be beyond float range or span it
 FAR_KEYPOINTS = st.fixed_dictionaries(

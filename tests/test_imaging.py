@@ -1,6 +1,8 @@
 import colorsys
+import math
 import mmap
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from courttrack.imaging import (
     FrameRaster,
     PatchWindow,
     frame_to_hsv,
+    keypoint_patches,
     read_pgm,
     read_ppm,
     write_ppm,
@@ -126,6 +129,51 @@ class TestPatchWindow:
         dims = FrameDims(7, 5)
         assert PatchWindow(7).fits(dims) and PatchWindow(1).fits(dims)
         assert not PatchWindow(8).fits(dims)
+
+
+def pixel_patch(frame: FrameRaster, x: float, y: float, win: PatchWindow) -> np.ndarray:
+    """The patch around (x, y), cell by cell: the pixel at each offset
+    from the keypoint rounded half up, or zero outside the frame."""
+    h, w = frame.data.shape[:2]
+    kx, ky = math.floor(x + 0.5), math.floor(y + 0.5)
+    patch = np.zeros((win.side, win.side, 3), dtype=np.uint8)
+    for r in range(win.side):
+        for c in range(win.side):
+            py, px = ky - win.half_extent + r, kx - win.half_extent + c
+            if 0 <= py < h and 0 <= px < w:
+                patch[r, c] = frame.data[py, px]
+    return patch
+
+
+class TestKeypointPatches:
+    FRAME = FrameRaster(np.random.default_rng(3).integers(0, 256, (180, 320, 3), dtype=np.uint8))
+    # inside, on each edge and corner, half a pixel off, beyond the window's reach, and far outside
+    SPOTS = [(160.0, 90.0), (0.0, 90.0), (319.0, 90.0), (160.0, 0.0), (160.0, 179.0), (0.0, 0.0),
+             (319.4, 179.5), (-0.5, 12.5), (-11.0, 50.0), (-12.0, 50.0), (330.0, 200.0), (-1e6, 1e6)]
+
+    @pytest.mark.parametrize("half_extent", [1, 12, 160])
+    def test_each_patch_is_its_pixels(self, half_extent):
+        win = PatchWindow(half_extent)
+        patches, rects = keypoint_patches(self.FRAME, np.array(self.SPOTS), win)
+        for (x, y), patch, (y0, y1, x0, x1) in zip(self.SPOTS, patches, rects.tolist()):
+            want = pixel_patch(self.FRAME, x, y, win)
+            assert patch.tobytes() == want.tobytes(), (x, y)
+            inside = np.zeros((win.side, win.side), dtype=bool)
+            inside[y0:y1, x0:x1] = True
+            assert not want[~inside].any()
+
+    def test_cut_patches_take_about_their_own_bytes(self):
+        # at half-extent 160 every patch of a 320x180 frame is cut; a
+        # gather through a (k, side, side) int64 index took 8 times that
+        xy = np.array([(x, y) for x in (0.0, 100.0, 319.0) for y in (0.0, 90.0, 179.0)])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            patches, _ = keypoint_patches(self.FRAME, xy, PatchWindow(160))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * patches.nbytes
 
 
 class TestPnmIO:

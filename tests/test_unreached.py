@@ -4,8 +4,10 @@ The roots are `cli.py`'s module code and the README "Using the library"
 example. A definition is reached when reached code uses its name, as a
 bare name or as an attribute; names are matched without types, so a
 use of `.dims` reaches every `dims`. An import reaches nothing by
-itself, and a reached class reaches its dunder methods. The test
-oracles live in `tests/oracles.py`, so no definition is left unreached.
+itself, a reached class reaches its dunder methods, and a reached
+module (`cli.py`, or one with a reached definition) reaches its
+module-level `__getattr__`. The test oracles live in `tests/oracles.py`,
+so no definition is left unreached.
 """
 
 import ast
@@ -27,11 +29,14 @@ def used_names(*nodes) -> set[str]:
 def unreached_definitions(package: Path, example: str = "") -> set[str]:
     """Qualified names of the definitions that no root gets to."""
     defs: dict[str, list[tuple[str, set[str]]]] = {}  # name -> [(qualified name, names it uses)]
+    hooks: dict[str, tuple[str, set[str]]] = {}  # module -> its __getattr__: (qualified name, names it uses)
     pending = used_names(ast.parse(example))
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             qualified = f"{path.stem}.{getattr(node, 'name', '')}"
-            if isinstance(node, DEFS):
+            if isinstance(node, DEFS) and node.name == "__getattr__":
+                hooks[path.stem] = (qualified, used_names(node))
+            elif isinstance(node, DEFS):
                 defs.setdefault(node.name, []).append((qualified, used_names(node)))
             elif isinstance(node, ast.ClassDef):
                 methods = [m for m in node.body if isinstance(m, DEFS) and not m.name.startswith("__")]
@@ -45,12 +50,16 @@ def unreached_definitions(package: Path, example: str = "") -> set[str]:
                         defs.setdefault(target.id, []).append((f"{path.stem}.{target.id}", used_names(node)))
             elif path.stem == "cli" and not isinstance(node, (ast.Import, ast.ImportFrom)):
                 pending |= used_names(node)
+    pending |= hooks.pop("cli", ("", set()))[1]
     seen: set[str] = set()
     while pending:
         name = pending.pop()
         seen.add(name)
-        pending |= {n for _, uses in defs.get(name, []) for n in uses} - seen
-    return {qualified for name, found in defs.items() if name not in seen for qualified, _ in found}
+        for qualified, uses in defs.get(name, []):
+            pending |= uses | hooks.pop(qualified.partition(".")[0], ("", set()))[1]
+        pending -= seen
+    unreached = {qualified for name, found in defs.items() if name not in seen for qualified, _ in found}
+    return unreached | {qualified for qualified, _ in hooks.values()}
 
 
 def test_only_the_test_oracles_are_unreached():
@@ -74,3 +83,25 @@ def test_methods_properties_and_constants_are_seen(tmp_path):
     orphans = {"shapes.UNUSED", "shapes.orphan"}
     assert unreached_definitions(tmp_path) == orphans | {"shapes.Box.area", "shapes.Box.square"}
     assert unreached_definitions(tmp_path, "from shapes import Box\nBox.square().area\n") == orphans
+
+
+def test_a_reached_module_reaches_its_module_getattr(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "from .shapes import area\nprint(area(2))\n"
+        "NAMES = {'Box': 'shapes'}\n"
+        "def __getattr__(name):\n    return load(NAMES[name])\n"
+        "def load(module):\n    return module\n"
+    )
+    (tmp_path / "shapes.py").write_text(
+        "def area(w):\n    return w * w\n"
+        "def __getattr__(name):\n    return lazy(name)\n"
+        "def lazy(name):\n    return name\n"
+    )
+    (tmp_path / "unused.py").write_text(
+        "def orphan():\n    return 1\n"
+        "def __getattr__(name):\n    return hidden(name)\n"
+        "def hidden(name):\n    return name\n"
+    )
+    unused = {"unused.orphan", "unused.__getattr__", "unused.hidden"}
+    assert unreached_definitions(tmp_path) == unused
+    assert unreached_definitions(tmp_path, "from unused import orphan\norphan()\n") == set()
