@@ -13,6 +13,7 @@ than the interpreter and argparse.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import importlib
 import json
@@ -73,7 +74,7 @@ IMPORTED = {
         "CourtRegion", "HsvFilter", "Orientation", "classify_orientation", "converge_boundaries_nba",
         "read_segments_csv", "row_prefix_sums", "select_boundary_european", "vote_dominant_lines",
     ),
-    "detect": ("NO_DETECTIONS", "read_detections_jsonl", "write_detections_jsonl"),
+    "detect": ("NO_DETECTIONS", "iter_detections_jsonl", "read_detections_jsonl", "write_detections_jsonl"),
     "geometry": ("FrameDims", "Homography", "Line2"),
     "imaging": ("BinaryMask", "PatchWindow", "read_pgm", "read_ppm", "write_ppm"),
     "metrics": ("eval_detections", "eval_mot_records", "read_mot_csv", "write_mot_csv"),
@@ -341,12 +342,20 @@ def list_frame_files(frames_dir) -> list[Path]:
 def decode_frames(paths, detections, homographies, patch: PatchWindow) -> Iterator[FrameObservations]:
     """Read one frame at a time and pair it with its detections and homography.
 
+    detections are (frame, FrameDetections) pairs in increasing frame
+    order, each frame in 0..len(paths)-1, as detections_in_range yields
+    them; a frame without a pair has no detections. The pair after
+    frame t's is taken before frame t is yielded, so an error that a
+    later pair raises surfaces then.
+
     A patch half-extent beyond frame 0's larger side is an input error,
     raised before frame 0 is yielded: its patches would be mostly
     outside the frame, and they would take (2 * half_extent)**2 * 3
     bytes each.
     """
     _load("track")
+    pairs = iter(detections)
+    upcoming = next(pairs, None)
     for t, path in enumerate(paths):
         raster = read_ppm(path)
         # the tracker normalizes every distance by frame 0's diagonal
@@ -365,7 +374,39 @@ def decode_frames(paths, detections, homographies, patch: PatchWindow) -> Iterat
         if h is None:
             print(f"warning: no homography for frame {t}, assuming identity", file=sys.stderr)
             h = Homography.identity()
-        yield FrameObservations(detections.get(t, NO_DETECTIONS), h, raster)
+        dets = NO_DETECTIONS
+        if upcoming is not None and upcoming[0] == t:
+            dets, upcoming = upcoming[1], next(pairs, None)
+        yield FrameObservations(dets, h, raster)
+
+
+def outside_frames(path, what: str, frames: list[int], n: int) -> InputFormatError:
+    """The error for a file whose frames (ascending) lie outside 0..n-1."""
+    return InputFormatError(path, f"{what} reference frames {frames} outside 0..{n - 1}")
+
+
+def detections_in_range(pairs, n: int, path) -> Iterator[tuple[int, FrameDetections]]:
+    """The (frame, FrameDetections) pairs of iter_detections_jsonl(path), each frame in 0..n-1.
+
+    The first frame outside that range stops them: the rest of the file
+    is read, and one InputFormatError lists every frame outside the
+    range. Frames ascend, so a negative frame is found before frame 0's
+    pair and one beyond n - 1 after frame n - 1's.
+    """
+    for t, dets in pairs:
+        if not 0 <= t < n:
+            raise outside_frames(path, "detections", [t, *(u for u, _ in pairs if not 0 <= u < n)], n)
+        yield t, dets
+
+
+def check_output_file(path) -> None:
+    """Raise the OSError that opening path for writing would, where path
+    names a directory or lies in a missing one; no file is made."""
+    out = Path(path)
+    if out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not out.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
 
 
 def write_scenario(seq: SyntheticSequence, outdir) -> None:
@@ -383,6 +424,7 @@ def write_scenario(seq: SyntheticSequence, outdir) -> None:
 # --- commands --------------------------------------------------------------------
 
 def cmd_track(args: argparse.Namespace) -> int:
+    check_output_file(args.out)  # before any frame is decoded
     try:
         weights = CostWeights(args.alpha, args.beta)
     except ValueError as exc:
@@ -390,20 +432,14 @@ def cmd_track(args: argparse.Namespace) -> int:
     config = MatchConfig(
         gate=args.gate, memory_depth=args.memory, weights=weights, patch=PatchWindow(args.patch)
     )
-    detections = read_detections_jsonl(args.detections)
     homographies = read_homographies_json(args.homographies)
     paths = list_frame_files(args.frames)
-
     n = len(paths)
-    for path, per_frame, what in (
-        (args.detections, detections, "detections"),
-        (args.homographies, homographies, "homographies"),
-    ):
-        bad = [t for t in per_frame if not 0 <= t < n]
-        if bad:
-            raise InputFormatError(
-                path, f"{what} reference frames {sorted(bad)} outside 0..{n - 1}"
-            )
+    bad = sorted(t for t in homographies if not 0 <= t < n)
+    if bad:
+        raise outside_frames(args.homographies, "homographies", bad, n)
+    # each frame's detections are parsed when the tracker reaches that frame
+    detections = detections_in_range(iter_detections_jsonl(args.detections), n, args.detections)
     try:
         tracks = run_tracker(decode_frames(paths, detections, homographies, config.patch), config)
     except DegenerateProjection as exc:

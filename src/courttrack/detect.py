@@ -5,14 +5,19 @@ one JSON object per detection. The tracker reads a detection's skeleton
 box, the tight axis-aligned box over its keypoint positions with no
 padding, and its part positions; the confidence and stage that a file
 gives are checked and not kept.
+
+Frame numbers in a detections file do not decrease, so each frame's
+lines are consecutive: iter_detections_jsonl parses one frame's lines
+when its caller reaches that frame and holds no other frame, and
+read_detections_jsonl collects every frame at once.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from collections import defaultdict
 from dataclasses import dataclass
+from math import isfinite
+from typing import Iterator
 
 import numpy as np
 
@@ -56,7 +61,7 @@ class DetectionsBuilder:
             raise ValueError(f"duplicate part ids in detection: {sorted(parts)}")
         xs, ys = zip(*xy)
         box = (min(xs), min(ys), max(xs), max(ys))
-        if not (math.isfinite(box[2] - box[0]) and math.isfinite(box[3] - box[1])):
+        if not (isfinite(box[2] - box[0]) and isfinite(box[3] - box[1])):
             raise ValueError(f"keypoint span from ({box[0]}, {box[1]}) to ({box[2]}, {box[3]}) is not finite")
         self.boxes.append(box)
         self.parts += parts
@@ -90,14 +95,18 @@ def write_detections_jsonl(per_frame: dict[int, FrameDetections], path) -> None:
                 fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def read_detections_jsonl(path) -> dict[int, FrameDetections]:
-    """The detections of each frame that the file names, in file order.
+def iter_detections_jsonl(path) -> Iterator[tuple[int, FrameDetections]]:
+    """Each frame that the file names and its detections, in file order,
+    one frame at a time: a frame's lines are parsed when the caller asks
+    for it, and each line once.
 
-    The first bad line is an InputFormatError naming it: a keypoint
-    needs an integer part in [0, 16] and finite x, y and c with c in
-    (0, 1], and a detection distinct parts and a box of finite size.
+    Frame numbers must not decrease from line to line, so a frame's
+    lines are consecutive. The first bad line is an InputFormatError
+    naming it: a frame below the one before it; a keypoint without an
+    integer part in [0, 16] and finite x, y and c with c in (0, 1]; or a
+    detection without distinct parts and a box of finite size.
     """
-    per_frame: defaultdict[int, DetectionsBuilder] = defaultdict(DetectionsBuilder)
+    frame = builder = None
     with open_text(path) as fh:
         for lineno, raw in text_lines(fh, path):
             raw = raw.strip()
@@ -112,6 +121,11 @@ def read_detections_jsonl(path) -> dict[int, FrameDetections]:
             except (KeyError, TypeError):
                 raise InputFormatError(path, "missing field", line=lineno, field="frame") from None
             frame_idx = json_int(raw_frame, path, "frame", line=lineno)
+            if frame is not None and frame_idx < frame:
+                raise InputFormatError(
+                    path, f"frame {frame_idx} after frame {frame}; frames must not decrease",
+                    line=lineno, field="frame",
+                )
             if obj.get("stage", "external") not in STAGES:
                 raise InputFormatError(path, f"unknown stage {obj.get('stage')!r}", line=lineno, field="stage")
             raw_kps = obj.get("keypoints", [])
@@ -119,9 +133,21 @@ def read_detections_jsonl(path) -> dict[int, FrameDetections]:
                 raise InputFormatError(path, "keypoints must be a list", line=lineno, field="keypoints")
             parts, xy = [], []
             for k in raw_kps:
+                # json.loads gives an int or a float for a number; any other
+                # value goes to the helper, which converts it or raises
                 try:
-                    part = json_int(k["part"], path, "part", line=lineno)
-                    x, y, c = (json_number(k[name], path, name, line=lineno) for name in "xyc")
+                    part = k["part"]
+                    if type(part) is not int:
+                        part = json_int(part, path, "part", line=lineno)
+                    x = k["x"]
+                    if type(x) is not float or not isfinite(x):
+                        x = json_number(x, path, "x", line=lineno)
+                    y = k["y"]
+                    if type(y) is not float or not isfinite(y):
+                        y = json_number(y, path, "y", line=lineno)
+                    c = k["c"]
+                    if type(c) is not float or not isfinite(c):
+                        c = json_number(c, path, "c", line=lineno)
                     if not 0 <= part <= 16:
                         raise ValueError(f"part_id {part} outside [0, 16]")
                     if not 0.0 <= c <= 1.0:
@@ -134,8 +160,18 @@ def read_detections_jsonl(path) -> dict[int, FrameDetections]:
                     ) from None
                 parts.append(part)
                 xy.append((x, y))
+            if frame_idx != frame:
+                if frame is not None:
+                    yield frame, builder.build()
+                frame, builder = frame_idx, DetectionsBuilder()
             try:
-                per_frame[frame_idx].add(parts, xy)
+                builder.add(parts, xy)
             except ValueError as exc:
                 raise InputFormatError(path, str(exc), line=lineno, field="keypoints") from None
-    return {t: frame.build() for t, frame in per_frame.items()}
+    if frame is not None:
+        yield frame, builder.build()
+
+
+def read_detections_jsonl(path) -> dict[int, FrameDetections]:
+    """Every frame's detections at once, as iter_detections_jsonl reads them."""
+    return dict(iter_detections_jsonl(path))

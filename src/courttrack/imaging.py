@@ -1,19 +1,24 @@
 """Frame rasters, masks, color conversion and keypoint patches.
 
-Rasters and masks wrap read-only numpy arrays; every operation here is
-pure, so values can be shared freely across threads. keypoint_patches
+Rasters and masks wrap read-only numpy arrays; no operation here changes
+a value (releasing a mapped frame's rows changes only what is resident),
+so values can be shared freely across threads. keypoint_patches
 cuts the patches that the cost layer compares; the scalar comparison it
 is checked against, patch_mean_abs_diff, is in tests/oracles.py.
 
 PPM (P6) is the conformance format for frames and PGM (P5) for masks.
 A frame file is mapped read-only and its raster is a view of the map, so
-only the pages that a caller touches are ever read.
+only the pages that a caller touches are ever read. keypoint_patches
+cuts a frame's patches in order of their top row and gives the pages of
+the rows it has passed back to the kernel (FrameRaster.release_rows), so
+a mapped frame stays resident only about one band of rows at a time.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +27,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .defaults import DEFAULT_HALF_EXTENT
 from .errors import InputFormatError
 from .geometry import FrameDims
+
+# the largest page-cache folio, a PMD of 4 KiB pages on x86-64: a mapped
+# frame's rows are released in spans of this size
+FOLIO_BYTES = 1 << 21
 
 
 def _read_only(data, dtype) -> np.ndarray:
@@ -45,19 +54,58 @@ def _read_only(data, dtype) -> np.ndarray:
 
 
 class FrameRaster:
-    """RGB frame stored as a read-only (h, w, 3) uint8 array."""
+    """RGB frame stored as a read-only (h, w, 3) uint8 array.
 
-    __slots__ = ("data",)
+    A raster read from a file views that file's read-only map, which it
+    keeps as file_map, with the pixels at the map's end; an in-memory
+    raster has file_map None.
+    """
 
-    def __init__(self, data) -> None:
+    __slots__ = ("data", "file_map", "released")
+
+    def __init__(self, data, file_map: mmap.mmap | None = None) -> None:
         arr = _read_only(data, np.uint8)
         if arr.ndim != 3 or arr.shape[2] != 3 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"frame raster needs shape (h, w, 3), got {arr.shape}")
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "file_map", file_map)
+        object.__setattr__(self, "released", 0)  # bytes of the map given back so far
 
     @property
     def dims(self) -> FrameDims:
         return FrameDims(self.data.shape[1], self.data.shape[0])
+
+    def release_bounds(self) -> list[int]:
+        """The rows at which release_rows gives back one more span of
+        FOLIO_BYTES: for each span boundary inside the file, the first
+        row that starts at or past it. Empty where release_rows does
+        nothing."""
+        if self.file_map is None or not hasattr(mmap, "MADV_DONTNEED"):
+            return []
+        offset, row = len(self.file_map) - self.data.nbytes, self.data.strides[0]
+        return [-(-(edge - offset) // row) for edge in range(FOLIO_BYTES, len(self.file_map), FOLIO_BYTES)]
+
+    def release_rows(self, y: int) -> None:
+        """Give the resident pages of rows [0, y) back to the kernel, in
+        whole spans of FOLIO_BYTES.
+
+        The pixels do not change: this is madvise(MADV_DONTNEED) on a
+        read-only file map, so a later read of those rows pages them in
+        again from the file. A page fault maps the whole page-cache
+        folio it lands in, which is at most FOLIO_BYTES and aligned to
+        its size, so a span is released only once every row that
+        starts in it is passed: a folio that a later read touches would
+        be mapped again whole. It does nothing for an in-memory raster,
+        where DONTNEED would zero the data, or on a platform without
+        madvise.
+        """
+        if self.file_map is None or not hasattr(mmap, "MADV_DONTNEED"):
+            return
+        end = len(self.file_map) - self.data.nbytes + max(0, min(y, len(self.data))) * self.data.strides[0]
+        end -= end % FOLIO_BYTES
+        if end > self.released:
+            self.file_map.madvise(mmap.MADV_DONTNEED, self.released, end - self.released)
+            object.__setattr__(self, "released", end)
 
 
 class BinaryMask:
@@ -142,6 +190,12 @@ def keypoint_patches(
     it. A rectangle is empty (y0 >= y1 or x0 >= x1) when no offset lands
     in the frame. The valid offsets of a pair of patches are the
     intersection of their two rectangles.
+
+    The patches are cut by their top row, a band at a time: the rows
+    that start in one FOLIO_BYTES span of a mapped frame's file
+    (FrameRaster.release_bounds). Before each band the rows above it
+    are released (FrameRaster.release_rows), as no later patch reads
+    them. An in-memory frame is one band.
     """
     h, w = frame.data.shape[:2]
     he, side = win.half_extent, win.side
@@ -154,15 +208,33 @@ def keypoint_patches(
     ).clip(0, side)
     patches = np.empty((len(xy), side, side, 3), dtype=np.uint8)
     whole = (top >= 0) & (top <= h - side) & (left >= 0) & (left <= w - side)
-    if whole.any():  # a window wholly inside the frame is one strided copy
+    # the whole windows and the cut ones, each by top row
+    order = np.argsort(top, kind="stable")
+    inside = order[whole[order]]
+    in_top, in_left, in_tops = top[inside], left[inside], top[inside].tolist()
+    if len(inside):
         windows = sliding_window_view(frame.data, (side, side, 3))
-        patches[whole] = windows[top[whole], left[whole], 0]
-    # a patch that the frame edge cuts is zero but for its rectangle, copied from the frame
-    for k in np.flatnonzero(~whole).tolist():
-        y0, y1, x0, x1 = rects[k].tolist()
-        patches[k] = 0
-        if y0 < y1 and x0 < x1:
-            patches[k, y0:y1, x0:x1] = frame.data[top[k] + y0 : top[k] + y1, left[k] + x0 : left[k] + x1]
+    cut = order[~whole[order]].tolist()
+    cut_tops = top[cut].tolist()
+    tops = top[order].tolist()
+    bounds = frame.release_bounds() + [h + side]  # the last lies below every top
+    i = 0
+    while i < len(tops):
+        band_top = tops[i]
+        if i:  # the rows above the first band were not read here
+            frame.release_rows(band_top)
+        stop = bounds[bisect_right(bounds, band_top)]
+        i = bisect_left(tops, stop, i)
+        # a window wholly inside the frame is one strided copy
+        a, b = bisect_left(in_tops, band_top), bisect_left(in_tops, stop)
+        if a < b:
+            patches[inside[a:b]] = windows[in_top[a:b], in_left[a:b], 0]
+        # a patch that the frame edge cuts is zero but for its rectangle, copied from the frame
+        for k in cut[bisect_left(cut_tops, band_top) : bisect_left(cut_tops, stop)]:
+            y0, y1, x0, x1 = rects[k].tolist()
+            patches[k] = 0
+            if y0 < y1 and x0 < x1:
+                patches[k, y0:y1, x0:x1] = frame.data[top[k] + y0 : top[k] + y1, left[k] + x0 : left[k] + x1]
     return patches, rects
 
 
@@ -213,12 +285,13 @@ def _read_pnm_header(data: bytes | mmap.mmap, path, magic: bytes) -> tuple[int, 
     return w, h, i + 1
 
 
-def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
+def _read_pnm(path, magic: bytes, channels: int) -> tuple[np.ndarray, mmap.mmap]:
     """The (h, w, channels) uint8 pixels of a binary PNM file that holds
-    exactly one image: any other byte count after the header is an error.
+    exactly one image, and the file's read-only map: any other byte
+    count after the header is an error.
 
-    The result is a read-only view of the file mapped read-only; the map
-    is released with the last array that views it.
+    The pixels are a read-only view of the map's last bytes; the map is
+    unmapped with the last object that holds it.
     """
     with open(path, "rb") as fh:
         # mmap refuses an empty file; the header check then names the path
@@ -230,12 +303,12 @@ def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
     need, got = w * h * channels, len(data) - offset
     if got != need:
         raise InputFormatError(path, f"expected {need} pixel bytes after the header, got {got}")
-    return np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(h, w, channels)
+    return np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(h, w, channels), data
 
 
 def read_ppm(path) -> FrameRaster:
-    """Read a binary PPM (P6, maxval 255) frame."""
-    return FrameRaster(_read_pnm(path, b"P6", 3))
+    """Read a binary PPM (P6, maxval 255) frame, a view of its file map."""
+    return FrameRaster(*_read_pnm(path, b"P6", 3))
 
 
 def write_ppm(frame: FrameRaster, path) -> None:
@@ -247,6 +320,6 @@ def write_ppm(frame: FrameRaster, path) -> None:
 
 def read_pgm(path) -> BinaryMask:
     """Read a binary PGM (P5) mask; any nonzero byte is a people-pixel."""
-    bits = _read_pnm(path, b"P5", 1)[:, :, 0] != 0
+    bits = _read_pnm(path, b"P5", 1)[0][:, :, 0] != 0
     bits.flags.writeable = False
     return BinaryMask(bits)

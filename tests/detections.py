@@ -4,7 +4,8 @@ reader that the array reader is checked against.
 The oracle is the reader as it was when a detection was an object: a
 Detection of Keypoint objects, each a part id, a Point2 and a
 confidence, whose box is derived from its keypoints. It keeps every
-check and message of read_detections_jsonl except the finite-span one.
+check and message of read_detections_jsonl except the finite-span one
+and the rule that frame numbers do not decrease.
 """
 
 from __future__ import annotations

@@ -156,6 +156,71 @@ class TestTrackCommand:
             assert code == 0
         assert peaks[40] / peaks[10] < 1.5
 
+    def test_peak_memory_grows_only_by_what_track_keeps_per_frame(self, tmp_path, capsys):
+        # Each frame's detections are parsed when the tracker reaches it. What
+        # 810 more frames still add is kept for the whole clip: each frame's
+        # homography (about 0.45 KB) and its rows of results (about 0.7 KB),
+        # 0.9 MB in all; the slack leaves 0.6 MB above that. Parsing every
+        # frame's detections before frame 0 added 3.5 MB here.
+        peaks = {}
+        for n in (90, 900):
+            scen = tmp_path / f"scen{n}"
+            assert run(capsys, *synth_args(scen, targets=4, frames=n, width=96, height=64))[0] == 0
+            tracemalloc.start()
+            try:
+                code = main(track_args(scen, tmp_path / f"tracks{n}.csv", memory=1) + ["--patch", "1"])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[900] - peaks[90] < 1.5e6
+
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    def test_unusable_out_path_fails_before_frame_0_is_read(self, tmp_path, capsys, monkeypatch, where):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen))
+        out = tmp_path / "missing" / "t.csv" if where == "missing_directory" else tmp_path
+        before = sorted(tmp_path.rglob("*"))
+
+        def read_ppm(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(courttrack.cli, "read_ppm", read_ppm, raising=False)
+        code, _, err = run(capsys, *track_args(scen, out))
+        assert code == 1
+        reason = "No such file or directory" if where == "missing_directory" else "Is a directory"
+        assert f"error: [Errno " in err and f"{reason}: '{out}'" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("frames", [[-2, 0, 1, 6, 9], [0, 6], [-1]])
+    def test_detection_frames_outside_frames_fail_listing_each(self, tmp_path, capsys, frames):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen, frames=6))
+        kps = [{"part": 0, "x": 10.0, "y": 20.0, "c": 0.9}]
+        (scen / "detections.jsonl").write_text("".join(json.dumps({"frame": t, "keypoints": kps}) + "\n" for t in frames))
+        out_csv = tmp_path / "t.csv"
+        code, _, err = run(capsys, *track_args(scen, out_csv))
+        assert code == 1
+        bad = [t for t in frames if not 0 <= t < 6]
+        assert f"detections.jsonl: detections reference frames {bad} outside 0..5" in err
+        assert not out_csv.exists()
+
+    def test_decreasing_detection_frame_fails_naming_its_line(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen))
+        lines = (scen / "detections.jsonl").read_text().splitlines()
+        first = lines.pop(0)
+        at = next(i for i, line in enumerate(lines) if json.loads(line)["frame"] == 2)
+        lines.insert(at, first)  # a frame 0 line just before frame 2's
+        before = json.loads(lines[at - 1])["frame"]
+        assert json.loads(first)["frame"] == 0 < before
+        (scen / "detections.jsonl").write_text("\n".join(lines) + "\n")
+        out_csv = tmp_path / "t.csv"
+        code, _, err = run(capsys, *track_args(scen, out_csv))
+        assert code == 1
+        assert f"detections.jsonl:{at + 1} (field 'frame'): frame 0 after frame {before}; frames must not decrease" in err
+        assert not out_csv.exists()
+
     def test_empty_detections_writes_header_only(self, tmp_path, capsys):
         scen = tmp_path / "scen"
         run(capsys, *synth_args(scen))

@@ -12,6 +12,7 @@ from courttrack.detect import (
     STAGES,
     DetectionsBuilder,
     FrameDetections,
+    iter_detections_jsonl,
     read_detections_jsonl,
     write_detections_jsonl,
 )
@@ -192,6 +193,27 @@ class TestDetectionsJsonl:
         assert err.value.line == 2 and err.value.field == "keypoints"
         assert "dets.jsonl:2 (field 'keypoints')" in str(err.value)
 
+    def test_decreasing_frame_reports_line(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        kps = '"keypoints": [{"part": 0, "x": 1, "y": 2, "c": 0.5}]'
+        path.write_text("".join(f'{{"frame": {t}, {kps}}}\n' for t in (0, 2, 2, 1, 3)))
+        with pytest.raises(InputFormatError) as err:
+            read_detections_jsonl(path)
+        assert err.value.line == 4 and err.value.field == "frame"
+        assert "dets.jsonl:4 (field 'frame'): frame 1 after frame 2; frames must not decrease" in str(err.value)
+
+    def test_frames_are_read_one_at_a_time(self, tmp_path):
+        # frame 0 arrives before the line that breaks frame 1 is parsed
+        path = tmp_path / "dets.jsonl"
+        kps = '"keypoints": [{"part": 0, "x": 1, "y": 2, "c": 0.5}]'
+        path.write_text(f'{{"frame": 0, {kps}}}\n{{"frame": 0, {kps}}}\n{{"frame": 1, {kps}}}\nnot json\n')
+        frames = iter_detections_jsonl(path)
+        t, dets = next(frames)
+        assert t == 0 and len(dets) == 2
+        with pytest.raises(InputFormatError) as err:
+            next(frames)
+        assert err.value.line == 4
+
     def test_overflowing_keypoint_span_reports_line(self, tmp_path):
         path = tmp_path / "dets.jsonl"
         good = '{"frame": 0, "keypoints": [{"part": 0, "x": 1, "y": 2, "c": 0.5}]}'
@@ -247,15 +269,17 @@ OVERFLOWING_SPAN = json.dumps(
 
 @st.composite
 def detection_lines(draw) -> list[str]:
-    """Lines of a detections file, frames in any order: most well formed,
-    some with a fault of one kind."""
+    """Lines of a detections file, frames not decreasing: most well formed,
+    some with a fault of one kind, one of which is a frame below the last."""
     lines = []
+    frame = draw(st.integers(-2, 3))
     for _ in range(draw(st.integers(0, 8))):
-        fault = draw(st.integers(0, 24))  # 1 to 8 name a fault, the rest none
+        fault = draw(st.integers(0, 24))  # 1 to 9 name a fault, the rest none
         if fault == 1:
             lines.append(draw(st.sampled_from(["", "not json", "[1]", "{}", '"x"', "3", '{"frame": 1'])))
             continue
-        obj = {"frame": draw(st.one_of(st.integers(-2, 5), st.just(1.0)))}
+        frame += -draw(st.integers(1, 2)) if fault == 9 else draw(st.integers(0, 2))
+        obj = {"frame": frame if draw(st.integers(0, 7)) else float(frame)}
         if fault == 2:
             obj["frame"] = draw(st.sampled_from([1.5, True, "1", None, 2**70 + 0.5]))
             if draw(st.booleans()):
@@ -312,7 +336,7 @@ def lines_file(tmp_path_factory):
 class TestAgainstTheObjectReader:
     @given(detection_lines())
     @example([OVERFLOWING_SPAN])
-    @example(['{"frame": 3, "keypoints": [{"part": 2, "x": -0.0, "y": 0.0, "c": 1}]}', OVERFLOWING_SPAN, "bad"])
+    @example(['{"frame": 0, "keypoints": [{"part": 2, "x": -0.0, "y": 0.0, "c": 1}]}', OVERFLOWING_SPAN, "bad"])
     @example([json.dumps({"frame": 0, "keypoints": [{"part": 2, "x": 0.0, "y": -0.0, "c": 1},
                                                     {"part": 3, "x": -0.0, "y": 0, "c": 1}]})])
     def test_same_arrays_or_same_error(self, lines_file, lines):
@@ -326,6 +350,15 @@ class TestAgainstTheObjectReader:
             assert oracle_error is None
             box = want[int(json.loads(lines[error.line - 1])["frame"])][-1].bbox
             assert not (math.isfinite(box.width) and math.isfinite(box.height))
+            return
+        if error is not None and "frames must not decrease" in str(error):
+            # the rule the object reader lacks: the lines before this one read
+            # alike, and its frame is below the last frame they name
+            lines_file.write_text("".join(line + "\n" for line in lines[: error.line - 1]))
+            want, oracle_error = outcome(read_detections_objects, lines_file)
+            assert oracle_error is None
+            frame = int(json.loads(lines[error.line - 1])["frame"])
+            assert frame < list(want)[-1] and f"frame {frame} after frame {list(want)[-1]};" in str(error)
             return
         want, oracle_error = outcome(read_detections_objects, lines_file)
         assert str(error) == str(oracle_error)

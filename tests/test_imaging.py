@@ -2,11 +2,13 @@ import colorsys
 import math
 import mmap
 import random
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from courttrack import imaging
 from courttrack.errors import InputFormatError
 from courttrack.geometry import FrameDims, Point2
 from courttrack.imaging import (
@@ -174,6 +176,108 @@ class TestKeypointPatches:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * patches.nbytes
+
+
+class TestBandWalk:
+    """keypoint_patches cuts patches by top row and releases the rows above each band."""
+
+    DIMS = FrameDims(320, 180)
+
+    def spots(self, seed):
+        """Keypoints in shuffled order: some sharing a top row, cut at each
+        of the four edges, beyond the window's reach and far outside."""
+        rng = random.Random(seed)
+        spots = [(rng.uniform(-30, 350), rng.uniform(-30, 210)) for _ in range(40)]
+        spots += [(x, 77.0) for x in (5.0, 100.0, 160.0, 315.0)]  # one top row, edge cuts included
+        spots += [(160.0, -3.0), (160.0, 182.0), (-3.0, 90.0), (322.0, 90.0), (-1e6, 50.0), (50.0, 1e6)]
+        rng.shuffle(spots)
+        return np.array(spots)
+
+    @pytest.mark.parametrize("step", [1, 7, 50, None], ids=["bands-1", "bands-7", "bands-50", "one-band"])
+    @pytest.mark.parametrize("half_extent", [1, 12, 40])
+    def test_patches_equal_the_cell_oracle_and_read_no_released_row(self, monkeypatch, step, half_extent):
+        # bands of `step` rows; release_rows here overwrites the rows it is
+        # given with other values, so a patch that read a released row would
+        # differ from the oracle
+        pixels = np.random.default_rng(half_extent).integers(0, 256, (self.DIMS.h, self.DIMS.w, 3), dtype=np.uint8)
+        clean = FrameRaster(pixels.copy())
+        view = pixels.view()
+        view.flags.writeable = False
+        frame = FrameRaster(view)  # shares pixels' memory
+        released = []
+
+        def release_rows(raster, y):
+            assert raster is frame
+            released.append(y)
+            pixels[: max(y, 0)] = ~clean.data[: max(y, 0)]
+
+        bounds = [] if step is None else list(range(step, self.DIMS.h, step))
+        monkeypatch.setattr(FrameRaster, "release_bounds", lambda raster: list(bounds))
+        monkeypatch.setattr(FrameRaster, "release_rows", release_rows)
+        win = PatchWindow(half_extent)
+        xy = self.spots(half_extent)
+        patches, rects = keypoint_patches(frame, xy, win)
+        for (x, y), patch, (y0, y1, x0, x1) in zip(xy.tolist(), patches, rects.tolist()):
+            assert patch.tobytes() == pixel_patch(clean, x, y, win).tobytes(), (x, y)
+            assert (y0, y1, x0, x1) == tuple(keypoint_patches(clean, np.array([(x, y)]), win)[1][0].tolist())
+        assert released == sorted(released)
+        assert (len(released) > 1) == (step is not None)
+
+    def test_in_memory_raster_keeps_its_bytes(self):
+        # madvise(MADV_DONTNEED) on anonymous memory would zero it
+        source = np.random.default_rng(5).integers(0, 256, (2000, 64, 3), dtype=np.uint8)
+        source.flags.writeable = False
+        frame = FrameRaster(source)
+        assert frame.file_map is None and frame.release_bounds() == []
+        assert np.shares_memory(frame.data, source)
+        before = source.tobytes()
+        frame.release_rows(2000)
+        xy = np.array([(32.0, float(y)) for y in range(0, 2000, 7)])
+        keypoint_patches(frame, xy)
+        assert source.tobytes() == before
+
+    def test_mapped_frame_releases_whole_folio_spans_and_reads_them_back(self, tmp_path):
+        # 3 MB of pixels after a 17-byte header: one span boundary, at 2 MiB
+        pixels = np.random.default_rng(6).integers(0, 256, (1000, 1000, 3), dtype=np.uint8)
+        write_ppm(FrameRaster(pixels), tmp_path / "frame.ppm")
+        frame = read_ppm(tmp_path / "frame.ppm")
+        assert isinstance(frame.file_map, mmap.mmap)
+        offset = len(frame.file_map) - frame.data.nbytes
+        (bound,) = frame.release_bounds()
+        assert offset + (bound - 1) * 3000 < imaging.FOLIO_BYTES <= offset + bound * 3000
+        frame.release_rows(bound - 1)  # the span is not passed yet
+        assert frame.released == 0
+        frame.release_rows(1000)
+        assert frame.released == imaging.FOLIO_BYTES
+        assert frame.data.tobytes() == pixels.tobytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads RssFile from /proc/self/status")
+    def test_cutting_every_row_of_a_4k_frame_keeps_a_band_resident(self, tmp_path, monkeypatch):
+        # the whole frame is 24.9 MB; the cut keeps the folio spans of about
+        # one band of rows resident, two spans of 2 MiB where a band's patches reach the next
+        dims = FrameDims(3840, 2160)
+        write_ppm(filled(dims, (30, 60, 90)), tmp_path / "frame.ppm")
+        frame = read_ppm(tmp_path / "frame.ppm")
+        size_kb = frame.data.nbytes // 1024
+
+        def rss_file_kb() -> int:
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("RssFile:"))
+
+        samples = []
+        release = getattr(FrameRaster, "release_rows", None)
+
+        def sampled(raster, y):
+            samples.append(rss_file_kb())
+            release(raster, y)
+
+        if release is not None:
+            monkeypatch.setattr(FrameRaster, "release_rows", sampled)
+        xy = np.array([(float(x), float(y)) for y in range(0, 2160, 8) for x in (100.0, 1900.0, 3700.0)])
+        before = rss_file_kb()
+        keypoint_patches(frame, xy)
+        samples.append(rss_file_kb())
+        assert max(samples) - before < size_kb / 4
 
 
 class TestPnmIO:

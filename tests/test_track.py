@@ -312,7 +312,7 @@ class TestRunTracker:
         alive_before = []
 
         def frames():
-            for obs in decode_frames(paths, detections, homographies, PatchWindow()):
+            for obs in decode_frames(paths, detections.items(), homographies, PatchWindow()):
                 gc.collect()
                 alive_before.append(
                     (sum(ref() is not None for ref in rasters), sum(ref() is not None for ref in maps))
