@@ -293,7 +293,8 @@ def write_homographies_json(homographies: list[Homography], path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def read_homographies_json(path) -> dict[int, Homography]:
+def read_homographies_json(path, n_frames: int | None = None) -> dict[int, Homography]:
+    """{frame: Homography}; a frame outside 0..n_frames-1, where given, is an error naming its entry."""
     _load("track")
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -310,6 +311,8 @@ def read_homographies_json(path) -> dict[int, Homography]:
         frame = json_int(raw_frame, path, "frame", entry=idx)
         if frame in out:
             raise InputFormatError(path, f"entry {idx}: frame {frame} repeats", field="frame")
+        if n_frames is not None and not 0 <= frame < n_frames:
+            raise InputFormatError(path, f"entry {idx}: frame {frame} outside 0..{n_frames - 1}", field="frame")
         if not isinstance(matrix, list) or len(matrix) != 9:
             raise InputFormatError(path, f"entry {idx}: expected a flat array of 9 numbers", field="h")
         try:
@@ -343,10 +346,10 @@ def decode_frames(paths, detections, homographies, patch: PatchWindow) -> Iterat
     """Read one frame at a time and pair it with its detections and homography.
 
     detections are (frame, FrameDetections) pairs in increasing frame
-    order, each frame in 0..len(paths)-1, as detections_in_range yields
-    them; a frame without a pair has no detections. The pair after
-    frame t's is taken before frame t is yielded, so an error that a
-    later pair raises surfaces then.
+    order, each frame in 0..len(paths)-1, as iter_detections_jsonl(path,
+    len(paths)) yields them; a frame without a pair has no detections.
+    The pair after frame t's is taken before frame t is yielded, so an
+    error that a later pair raises surfaces then.
 
     A patch half-extent beyond frame 0's larger side is an input error,
     raised before frame 0 is yielded: its patches would be mostly
@@ -380,25 +383,6 @@ def decode_frames(paths, detections, homographies, patch: PatchWindow) -> Iterat
         yield FrameObservations(dets, h, raster)
 
 
-def outside_frames(path, what: str, frames: list[int], n: int) -> InputFormatError:
-    """The error for a file whose frames (ascending) lie outside 0..n-1."""
-    return InputFormatError(path, f"{what} reference frames {frames} outside 0..{n - 1}")
-
-
-def detections_in_range(pairs, n: int, path) -> Iterator[tuple[int, FrameDetections]]:
-    """The (frame, FrameDetections) pairs of iter_detections_jsonl(path), each frame in 0..n-1.
-
-    The first frame outside that range stops them: the rest of the file
-    is read, and one InputFormatError lists every frame outside the
-    range. Frames ascend, so a negative frame is found before frame 0's
-    pair and one beyond n - 1 after frame n - 1's.
-    """
-    for t, dets in pairs:
-        if not 0 <= t < n:
-            raise outside_frames(path, "detections", [t, *(u for u, _ in pairs if not 0 <= u < n)], n)
-        yield t, dets
-
-
 def check_output_file(path) -> None:
     """Raise the OSError that opening path for writing would, where path
     names a directory or lies in a missing one; no file is made."""
@@ -407,6 +391,14 @@ def check_output_file(path) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     if not out.parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+
+
+def check_output_dir(path) -> None:
+    """Raise the NotADirectoryError that making directory path would,
+    where path or the nearest of its ancestors that exists is no directory."""
+    existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
 
 
 def write_scenario(seq: SyntheticSequence, outdir) -> None:
@@ -432,14 +424,10 @@ def cmd_track(args: argparse.Namespace) -> int:
     config = MatchConfig(
         gate=args.gate, memory_depth=args.memory, weights=weights, patch=PatchWindow(args.patch)
     )
-    homographies = read_homographies_json(args.homographies)
     paths = list_frame_files(args.frames)
-    n = len(paths)
-    bad = sorted(t for t in homographies if not 0 <= t < n)
-    if bad:
-        raise outside_frames(args.homographies, "homographies", bad, n)
+    homographies = read_homographies_json(args.homographies, len(paths))
     # each frame's detections are parsed when the tracker reaches that frame
-    detections = detections_in_range(iter_detections_jsonl(args.detections), n, args.detections)
+    detections = iter_detections_jsonl(args.detections, len(paths))
     try:
         tracks = run_tracker(decode_frames(paths, detections, homographies, config.patch), config)
     except DegenerateProjection as exc:
@@ -456,6 +444,8 @@ def _report_out(payload: dict, args: argparse.Namespace) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.out:
+        check_output_file(args.out)
     mot = args.mode == "mot"
     gt = read_mot_csv(args.gt, unique_ids=mot)
     if not gt:
@@ -486,6 +476,8 @@ def _rows_between(top: Line2, bottom: Line2, dims: FrameDims) -> tuple[int, int]
 
 
 def cmd_court(args: argparse.Namespace) -> int:
+    if args.out:
+        check_output_file(args.out)
     segments = read_segments_csv(args.segments)
 
     if args.court == "european":
@@ -560,6 +552,7 @@ def scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    check_output_dir(args.out)
     # frames left over from a longer scenario would be read by track as part of this one
     frames_dir = Path(args.out) / "frames"
     if frames_dir.is_dir() and any(FRAME_FILE_RE.fullmatch(p.name) for p in frames_dir.iterdir()):

@@ -15,28 +15,27 @@ not the package. The float terms perform its IEEE operations in its
 order, one elementwise numpy operation each; the overlap term is
 geometry.iou_matrix.
 
-The content term of a pair of patches is the sum of |p - q| over the
-offsets valid in both, their overlap rectangle, and it is computed as
-sum(p) + sum(q) - 2 * sum(min(p, q)). A patch is zero outside the frame,
-so the sum of minimums may run over the whole window. features keeps
-one channel sum per patch; where the frame edge cuts neither patch, the
-overlap is the whole window and these are the pair's two sums. Only the
-pairs with a cut patch sum slices of the other patch. The pixel
-minimums of a part's pairs pass through one uint8 buffer of at most
-MINIMUMS_BYTES per cost_matrix call (or of one pair of patches, where
-that is larger), in chunks of rows. All these sums are integers of
-patch_sum_dtype: uint32 while a whole patch's side * side * 3 channel
-values of at most 255 cannot exceed 2**32 - 1, int64 beyond. They are
-exact, and they are widened to int64 before they are added to one
-another, so each value is an exact integer before its one float
-division.
+The content term of a pair is the mean of its shared parts' values, or
+1.0 where it shares none. A part's value is the mean of |p - q| over the
+offsets valid in both patches, their overlap (1.0 where it is empty),
+and its sum is sum(p) + sum(q) - 2 * sum(min(p, q)): a patch is zero
+outside the frame, so the minimums may run over the whole window.
+_part_content scores one shared part at a time, as a block of its row
+patches against its column patches. Where no frame edge cuts either
+patch, the overlap is the whole window and the first two sums are the
+patches' own, kept by features; only the rows and columns of a cut
+patch sum slices of the other patch. The pixel minimums pass through
+one uint8 buffer of at most MINIMUMS_BYTES per cost_matrix call (or of
+one pair of patches, where that is larger). All these sums are exact
+integers of patch_sum_dtype, widened to int64 before they are added
+together. cost_matrix adds the blocks into two-term sums that round
+each pair's total once, as math.fsum does (_add_exact).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -83,7 +82,7 @@ class _KeypointPatches:
     patches: np.ndarray  # (k, side, side, 3) uint8, zero outside the frame
     rects: np.ndarray  # (k, 4) in-frame cell rectangle (y0, y1, x0, x1)
     sums: np.ndarray  # (k,) sum of each patch's channel values, of patch_sum_dtype
-    whole: np.ndarray  # (k,) bool: the rectangle is the whole window, no frame edge cuts it
+    cut: list[int]  # ascending, the patches whose rectangle the frame edge cuts
     parts: dict[int, tuple[int, int]]  # part id -> [start, stop) of its patches
 
 
@@ -129,12 +128,12 @@ def features(
     owners = detections.owners[order]
     patches, rects = keypoint_patches(raster, detections.xy[order], win)
     sums = patches.sum(axis=(1, 2, 3), dtype=patch_sum_dtype(win))
-    whole = (rects == [0, win.side, 0, win.side]).all(axis=1)
+    cut = np.flatnonzero((rects != [0, win.side, 0, win.side]).any(axis=1)).tolist()
 
     ids, starts = np.unique(part_ids, return_index=True)
     stops = [*starts[1:].tolist(), len(part_ids)]
     parts = dict(zip(ids.tolist(), zip(starts.tolist(), stops)))
-    return Features(stabilized[:, 0], boxes, _KeypointPatches(owners, patches, rects, sums, whole, parts))
+    return Features(stabilized[:, 0], boxes, _KeypointPatches(owners, patches, rects, sums, cut, parts))
 
 
 def _rect_sums(kp: _KeypointPatches, start: int, stop: int, rect: np.ndarray) -> np.ndarray:
@@ -159,66 +158,55 @@ def _min_sums(pa: np.ndarray, pb: np.ndarray, out: np.ndarray, buf: np.ndarray) 
 
 
 def _part_content(
-    a: _KeypointPatches, b: _KeypointPatches, shared: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mean absolute difference of every pair of patches of one shared part, over
-    the offsets valid in both; 1.0 where there is none.
-
-    Returns, for every pair, part by part and row-major within a part,
-    its patch in a, its patch in b and its value.
-    """
-    ra = np.array([a.parts[p] for p in shared], dtype=np.int64).reshape(-1, 2)
-    rb = np.array([b.parts[p] for p in shared], dtype=np.int64).reshape(-1, 2)
-    nb = rb[:, 1] - rb[:, 0]
-    size = (ra[:, 1] - ra[:, 0]) * nb
-    sizes = size.tolist()
-    starts = list(accumulate(sizes, initial=0))
-    # the pairs of a part are a row-major block; q is a pair's place in it
-    part = np.repeat(np.arange(len(shared)), size)
-    q = np.arange(starts[-1]) - np.repeat(np.array(starts[:-1], dtype=np.int64), size)
-    i = ra[part, 0] + q // nb[part]
-    j = rb[part, 0] + q % nb[part]
-
-    # |p - q| = p + q - 2 min(p, q) on the overlap; every other cell is zero
-    # in at least one patch, so there min(p, q) = 0 and the sum of mins may
-    # run over the whole window. That sum is at most side * side * 3 * 255,
-    # so it is exact in the patches' patch_sum_dtype, and uint32 adds up
-    # uint8 values about twice as fast as int64.
-    mins = np.empty(len(q), dtype=a.sums.dtype)
+    a: _KeypointPatches, b: _KeypointPatches, ra: tuple[int, int], rb: tuple[int, int], buf: np.ndarray
+) -> np.ndarray:
+    """The block of one shared part: [r, c] is the mean absolute difference of
+    patches ra[0] + r of a and rb[0] + c of b over the offsets valid in
+    both, or 1.0 where there is none. The pixel minimums pass through buf."""
+    (a0, a1), (b0, b1) = ra, rb
+    # a sum of minimums is at most side * side * 3 * 255, so it is exact in
+    # patch_sum_dtype; uint32 adds up uint8 values about twice as fast as int64
+    mins = np.empty((a1 - a0, b1 - b0), dtype=a.sums.dtype)
+    _min_sums(a.patches[a0:a1].reshape(a1 - a0, -1), b.patches[b0:b1].reshape(b1 - b0, -1), mins, buf)
+    total = a.sums[a0:a1, None].astype(np.int64) + b.sums[b0:b1] - 2 * mins.astype(np.int64)
     # a patch is zero outside its rectangle, so its sum over the overlap is
-    # its sum over the other patch's rectangle: its whole sum unless the
-    # frame edge cuts the other patch
-    over_a, over_b = a.sums[i].astype(np.int64), b.sums[j].astype(np.int64)
-    cut_a, cut_b = np.flatnonzero(~a.whole).tolist(), np.flatnonzero(~b.whole).tolist()
-    side = a.patches.shape[1]
-    length = side * side * 3
-    flat_a, flat_b = a.patches.reshape(-1, length), b.patches.reshape(-1, length)
-    # the pixel minimums pass through one buffer of at most MINIMUMS_BYTES (or one pair)
-    fits = max(1, min(max(sizes, default=0), MINIMUMS_BYTES // length))
-    buf = np.empty(fits * length, dtype=np.uint8)
-    for (a0, a1), (b0, b1), start, stop in zip(ra.tolist(), rb.tolist(), starts, starts[1:]):
-        shape = (a1 - a0, b1 - b0)
-        _min_sums(flat_a[a0:a1], flat_b[b0:b1], mins[start:stop].reshape(shape), buf)
-        for c in (c for c in cut_b if b0 <= c < b1):
-            over_a[start:stop].reshape(shape)[:, c - b0] = _rect_sums(a, a0, a1, b.rects[c])
-        for r in (r for r in cut_a if a0 <= r < a1):
-            over_b[start:stop].reshape(shape)[r - a0] = _rect_sums(b, b0, b1, a.rects[r])
-    del buf  # the largest array here; the pair arrays below need not sit beside it
+    # its sum over the other patch's rectangle: less than its whole sum only
+    # where the frame edge cuts the other patch
+    cut_a, cut_b = [r - a0 for r in a.cut if a0 <= r < a1], [c - b0 for c in b.cut if b0 <= c < b1]
+    for c in cut_b:
+        total[:, c] -= a.sums[a0:a1] - _rect_sums(a, a0, a1, b.rects[b0 + c])
+    for r in cut_a:
+        total[r] -= b.sums[b0:b1] - _rect_sums(b, b0, b1, a.rects[a0 + r])
 
-    # two whole patches overlap on the whole window; only the other pairs
-    # intersect their rectangles
-    cells = np.full(len(q), side * side)
-    odd = np.flatnonzero(~(a.whole[i] & b.whole[j]))
-    rect_a, rect_b = a.rects[i[odd]], b.rects[j[odd]]
-    height = np.minimum(rect_a[:, 1], rect_b[:, 1]) - np.maximum(rect_a[:, 0], rect_b[:, 0])
-    width = np.minimum(rect_a[:, 3], rect_b[:, 3]) - np.maximum(rect_a[:, 2], rect_b[:, 2])
-    cells[odd] = np.maximum(height, 0) * np.maximum(width, 0)
-
-    total = over_a + over_b - 2 * mins.astype(np.int64)
-    empty = cells == 0
     # diff.mean() divides the integer sum by the channel count, then by 255
-    value = np.where(empty, 1.0, total / (3 * np.where(empty, 1, cells)) / 255.0)
-    return i, j, value
+    if not (cut_a or cut_b):  # two whole patches overlap on the whole window
+        return total / (3 * a.patches.shape[1] ** 2) / 255.0
+    rect_a, rect_b = a.rects[a0:a1, None], b.rects[None, b0:b1]
+    height = np.minimum(rect_a[..., 1], rect_b[..., 1]) - np.maximum(rect_a[..., 0], rect_b[..., 0])
+    width = np.minimum(rect_a[..., 3], rect_b[..., 3]) - np.maximum(rect_a[..., 2], rect_b[..., 2])
+    cells = np.maximum(height, 0) * np.maximum(width, 0)
+    empty = cells == 0
+    return np.where(empty, 1.0, total / (3 * np.where(empty, 1, cells)) / 255.0)
+
+
+def _add_exact(s: np.ndarray, e: np.ndarray, at, v: np.ndarray) -> None:
+    """Add v to the two-term sums s[at] + e[at] with TwoSum (Shewchuk,
+    "Adaptive Precision Floating-Point Arithmetic", 1997): s takes the
+    rounded sum and e the exact rounding error.
+
+    e never rounds, so fl(s + e) is the correctly rounded sum, as
+    math.fsum gives. A part value is 0, 1 or at least 2**-44 (for any
+    window side below about 150,000 px), so values, sums and errors are
+    multiples of 2**-96. A pair shares at most 17 parts (ids 0 to 16),
+    so s < 32 and each error is at most 2**-49; at most 16 errors add
+    into e, and any sum of them is a multiple of 2**-96 of at most
+    2**-45, which fits in 53 bits.
+    """
+    s_at = s[at]
+    t = s_at + v
+    bp = t - s_at
+    e[at] += (s_at - (t - bp)) + (v - bp)
+    s[at] = t
 
 
 def cost_matrix(rows: Features, cols: Features, weights: CostWeights, dims: FrameDims) -> np.ndarray:
@@ -228,8 +216,8 @@ def cost_matrix(rows: Features, cols: Features, weights: CostWeights, dims: Fram
     win), entry [i, j] is the cost of a's detection i under ha and fa
     against b's detection j under hb and fb. It equals the scalar
     reference bit for bit: each float operation of the scalar path
-    happens once per pair in the same order, and patch sums are exact
-    integers.
+    happens once per pair in the same order, patch sums are exact
+    integers, and part values are summed exactly.
     """
     n, m = len(rows.centroids), len(cols.centroids)
 
@@ -242,17 +230,18 @@ def cost_matrix(rows: Features, cols: Features, weights: CostWeights, dims: Fram
     overlap = iou_matrix(rows.boxes, cols.boxes)
 
     ka, kb = rows.keypoints, cols.keypoints
-    shared = sorted(ka.parts.keys() & kb.parts.keys())
-    i, j, value = _part_content(ka, kb, shared)
-    pair = ka.owners[i] * m + kb.owners[j]  # an observation has at most one patch per part
-    # the values of a pair that shares a part are a run of these, in part
-    # order; fsum rounds their exact sum once, in any order
-    values = value[np.argsort(pair, kind="stable")].tolist()
-    n_shared = np.bincount(pair, minlength=n * m)
-    shares = n_shared > 0
-    stops = list(accumulate(n_shared[shares].tolist()))
-    sums = [math.fsum(values[start:stop]) for start, stop in zip([0, *stops], stops)]
-    content = np.ones(n * m)
-    content[shares] = np.array(sums) / n_shared[shares]
+    blocks = [(ka.parts[p], kb.parts[p]) for p in sorted(ka.parts.keys() & kb.parts.keys())]
+    # the pixel minimums pass through one buffer of at most MINIMUMS_BYTES (or one pair)
+    length = math.prod(ka.patches.shape[1:])
+    pairs = max(((a1 - a0) * (b1 - b0) for (a0, a1), (b0, b1) in blocks), default=0)
+    buf = np.empty(max(1, min(pairs, MINIMUMS_BYTES // length)) * length, dtype=np.uint8)
+    s, e, count = np.zeros(n * m), np.zeros(n * m), np.zeros(n * m, dtype=np.int64)
+    for ra, rb in blocks:
+        # the flat pair index of each block entry; an observation has at most
+        # one patch per part, so no pair repeats in a block
+        at = ka.owners[ra[0] : ra[1], None] * m + kb.owners[rb[0] : rb[1]]
+        _add_exact(s, e, at, _part_content(ka, kb, ra, rb, buf))
+        count[at] += 1
+    content = np.divide(s + e, count, out=np.ones(n * m), where=count > 0).reshape(n, m)
 
-    return weights.alpha * distance + weights.beta * (1.0 - overlap) + weights.gamma * content.reshape(n, m)
+    return weights.alpha * distance + weights.beta * (1.0 - overlap) + weights.gamma * content

@@ -25,6 +25,9 @@ from .errors import InputFormatError, json_int, json_number, open_text, text_lin
 
 # the detector stages a detection file may name; a missing stage is "external"
 STAGES = ("coarse", "refined", "sliding", "external")
+# the keys a detection line may hold, and those each of its keypoints holds
+LINE_KEYS = frozenset({"frame", "keypoints", "stage"})
+KEYPOINT_KEYS = frozenset({"part", "x", "y", "c"})
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,16 +98,18 @@ def write_detections_jsonl(per_frame: dict[int, FrameDetections], path) -> None:
                 fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def iter_detections_jsonl(path) -> Iterator[tuple[int, FrameDetections]]:
+def iter_detections_jsonl(path, n_frames: int | None = None) -> Iterator[tuple[int, FrameDetections]]:
     """Each frame that the file names and its detections, in file order,
     one frame at a time: a frame's lines are parsed when the caller asks
     for it, and each line once.
 
     Frame numbers must not decrease from line to line, so a frame's
     lines are consecutive. The first bad line is an InputFormatError
-    naming it: a frame below the one before it; a keypoint without an
-    integer part in [0, 16] and finite x, y and c with c in (0, 1]; or a
-    detection without distinct parts and a box of finite size.
+    naming it: a key other than those of LINE_KEYS and KEYPOINT_KEYS; a
+    frame outside 0..n_frames-1, where n_frames is given, or below the
+    one before it; a keypoint without an integer part in [0, 16] and
+    finite x, y and c with c in (0, 1]; or a detection without distinct
+    parts and a box of finite size.
     """
     frame = builder = None
     with open_text(path) as fh:
@@ -121,6 +126,13 @@ def iter_detections_jsonl(path) -> Iterator[tuple[int, FrameDetections]]:
             except (KeyError, TypeError):
                 raise InputFormatError(path, "missing field", line=lineno, field="frame") from None
             frame_idx = json_int(raw_frame, path, "frame", line=lineno)
+            if not obj.keys() <= LINE_KEYS:
+                key = next(k for k in obj if k not in LINE_KEYS)
+                raise InputFormatError(path, f"unknown key {key!r}", line=lineno, field=key)
+            if n_frames is not None and not 0 <= frame_idx < n_frames:
+                raise InputFormatError(
+                    path, f"frame {frame_idx} outside 0..{n_frames - 1}", line=lineno, field="frame"
+                )
             if frame is not None and frame_idx < frame:
                 raise InputFormatError(
                     path, f"frame {frame_idx} after frame {frame}; frames must not decrease",
@@ -148,6 +160,8 @@ def iter_detections_jsonl(path) -> Iterator[tuple[int, FrameDetections]]:
                     c = k["c"]
                     if type(c) is not float or not isfinite(c):
                         c = json_number(c, path, "c", line=lineno)
+                    if len(k) != len(KEYPOINT_KEYS):  # it has all four
+                        raise ValueError(f"unknown key {next(n for n in k if n not in KEYPOINT_KEYS)!r}")
                     if not 0 <= part <= 16:
                         raise ValueError(f"part_id {part} outside [0, 16]")
                     if not 0.0 <= c <= 1.0:

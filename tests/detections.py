@@ -112,6 +112,9 @@ def read_detections_objects(path) -> dict[int, list[Detection]]:
             except (KeyError, TypeError):
                 raise InputFormatError(path, "missing field", line=lineno, field="frame") from None
             frame_idx = json_int(raw_frame, path, "frame", line=lineno)
+            unknown = [key for key in obj if key not in ("frame", "keypoints", "stage")]
+            if unknown:
+                raise InputFormatError(path, f"unknown key {unknown[0]!r}", line=lineno, field=unknown[0])
             try:
                 stage = SourceStage(obj.get("stage", "external"))
             except ValueError:
@@ -128,6 +131,9 @@ def read_detections_objects(path) -> dict[int, list[Detection]]:
                 try:
                     part = json_int(k["part"], path, "part", line=lineno)
                     x, y, c = (json_number(k[name], path, name, line=lineno) for name in "xyc")
+                    unknown = [key for key in k if key not in ("part", "x", "y", "c")]
+                    if unknown:
+                        raise ValueError(f"unknown key {unknown[0]!r}")
                     kps.append(Keypoint(part, Point2(x, y), c))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise InputFormatError(

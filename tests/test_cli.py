@@ -193,7 +193,7 @@ class TestTrackCommand:
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("frames", [[-2, 0, 1, 6, 9], [0, 6], [-1]])
-    def test_detection_frames_outside_frames_fail_listing_each(self, tmp_path, capsys, frames):
+    def test_detection_frame_outside_frames_fails_naming_its_line(self, tmp_path, capsys, frames):
         scen = tmp_path / "scen"
         run(capsys, *synth_args(scen, frames=6))
         kps = [{"part": 0, "x": 10.0, "y": 20.0, "c": 0.9}]
@@ -201,8 +201,8 @@ class TestTrackCommand:
         out_csv = tmp_path / "t.csv"
         code, _, err = run(capsys, *track_args(scen, out_csv))
         assert code == 1
-        bad = [t for t in frames if not 0 <= t < 6]
-        assert f"detections.jsonl: detections reference frames {bad} outside 0..5" in err
+        line = next(i for i, t in enumerate(frames, 1) if not 0 <= t < 6)
+        assert f"detections.jsonl:{line} (field 'frame'): frame {frames[line - 1]} outside 0..5" in err
         assert not out_csv.exists()
 
     def test_decreasing_detection_frame_fails_naming_its_line(self, tmp_path, capsys):
@@ -262,7 +262,8 @@ class TestTrackCommand:
         (scen / "homographies.json").write_text(json.dumps(payload))
         code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
         assert code == 1
-        assert "homographies.json" in err and f"[{frame}]" in err
+        entry = len(payload) - 1
+        assert f"homographies.json (field 'frame'): entry {entry}: frame {frame} outside 0..5" in err
 
     @pytest.mark.parametrize("frame", [1.5, True, "1"])
     def test_non_integer_homography_frame_fails(self, tmp_path, capsys, frame):
@@ -481,6 +482,21 @@ class TestEvalCommand:
         report = json.loads(out)
         assert (report["tp"], report["fp"], report["fn"]) == (1, 1, 0)
 
+    def test_out_in_a_missing_directory_fails_before_any_input_is_read(self, tmp_path, capsys, monkeypatch):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("0,1,0.0,0.0,10.0,10.0\n")
+        out_json = tmp_path / "missing" / "report.json"
+        before = sorted(tmp_path.rglob("*"))
+
+        def read_mot_csv(path, **kw):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(courttrack.cli, "read_mot_csv", read_mot_csv, raising=False)
+        code, out, err = run(capsys, "eval", "--mode", "mot", "--gt", str(gt), "--hyp", str(gt), "--out", str(out_json))
+        assert code == 1 and out == ""
+        assert f"No such file or directory: '{out_json}'" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("dropout", [None, "0.3"])
     def test_detection_f1_of_synth_detections_jsonl(self, tmp_path, capsys, dropout):
         scen = tmp_path / "scen"
@@ -623,6 +639,20 @@ class TestCourtCommand:
         a, b, c = payload["bottom"]
         assert abs(abs(c / b) - 320.0) <= 4.0
         assert payload["left"] is None and payload["right"] is None
+
+    def test_out_in_a_missing_directory_fails_before_any_input_is_read(self, tmp_path, capsys, monkeypatch):
+        out_json = tmp_path / "missing" / "court.json"
+        argv = self.planted_nba_args(tmp_path, out_json)
+        before = sorted(tmp_path.rglob("*"))
+
+        def read_segments_csv(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(courttrack.cli, "read_segments_csv", read_segments_csv, raising=False)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert f"No such file or directory: '{out_json}'" in err
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("candidates", ["0", "-1"])
     def test_candidates_below_one_is_input_error(self, tmp_path, capsys, candidates):
@@ -943,6 +973,20 @@ class TestSynthCommand:
         args = _build_parser().parse_args(["synth", "--out", str(tmp_path / "scen")])
         resolve_settings(args)
         assert scenario_spec(args) == ScenarioSpec()
+
+    @pytest.mark.parametrize("out", ["file", "file/scen"])
+    def test_out_at_or_under_a_file_fails_before_any_frame_is_drawn(self, tmp_path, capsys, monkeypatch, out):
+        (tmp_path / "file").write_text("kept\n")
+        before = sorted(tmp_path.rglob("*"))
+
+        def generate(spec):
+            raise AssertionError("a scenario was drawn")
+
+        monkeypatch.setattr(courttrack.cli, "generate", generate, raising=False)
+        code, stdout, err = run(capsys, *synth_args(tmp_path / out))
+        assert code == 1 and stdout == ""
+        assert f"Not a directory: '{tmp_path / out}'" in err
+        assert sorted(tmp_path.rglob("*")) == before and (tmp_path / "file").read_text() == "kept\n"
 
     def test_directory_with_frames_fails_before_writing(self, tmp_path, capsys):
         scen = tmp_path / "scen"

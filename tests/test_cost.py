@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -338,6 +339,14 @@ class TestCostMatrix:
         scored = cost_matrix(rows, cols, distance_only, DIMS)
         assert scored[0, 0] == cost_distance(a, b, DIMS)
 
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(2.0**-44, 1.0)), min_size=1, max_size=17))
+    def test_two_term_part_sums_equal_fsum_bit_for_bit(self, values):
+        # the part values of a pair: 0, 1 or at least 2**-44, at most 17 of them
+        s, e = np.zeros(1), np.zeros(1)
+        for v in values:
+            cost._add_exact(s, e, np.array([0]), np.array([v]))
+        assert (s + e)[0] == math.fsum(values)
+
     def test_shape_of_an_empty_side(self):
         a = obs([(0, 100.0, 100.0)])
         a, none = features_of(a.homography, a.frame, [a]), features_of(a.homography, a.frame, [])
@@ -402,9 +411,25 @@ class TestContentKernel:
         cols = [[(0, x + 4.0, y - 3.0), (6, x - 5.5, 48.0 - y)] for x, y in spots]
         scene = scene_of(rows, cols, win, dims)
         h, frame, dets = scene[0]
-        whole = features_of(h, frame, dets, win).keypoints.whole
-        assert whole.any() and not whole.all()
+        keypoints = features_of(h, frame, dets, win).keypoints
+        assert 0 < len(keypoints.cut) < len(keypoints.patches)
         assert_equals_similarity_cost(scene)
+
+    def test_pairs_sharing_all_17_parts_mix_empty_overlaps_and_a_large_window(self):
+        # each pair sums 17 part values: 1.0 for an empty overlap, or a mean
+        # over up to 80 * 80 cells, some of them cut by the frame edge
+        win, dims = PatchWindow(40), FrameDims(200, 120)
+        parts = range(17)
+        rows = [[(p, x, y) for p, (x, y) in zip(parts, spots)] for spots in (
+            [(100.0, 60.0)] * 17,
+            [(-90.0, 60.0)] * 6 + [(5.0, 5.0)] * 6 + [(150.0, 100.0)] * 5,
+        )]
+        cols = [[(p, x, y) for p, (x, y) in zip(parts, spots)] for spots in (
+            [(100.5, 60.0)] * 17,
+            [(300.0, -100.0)] * 9 + [(195.0, 118.0)] * 8,
+            [(100.0 + p, 60.0 - p) for p in parts],
+        )]
+        assert_equals_similarity_cost(scene_of(rows, cols, win, dims))
 
     def test_features_hold_about_their_patch_bytes(self):
         # a crowd-sized frame: 24 detections of 5 keypoints in a 960x540 frame
@@ -422,9 +447,9 @@ class TestContentKernel:
 
     def test_cost_matrix_peak_is_bounded(self):
         # the whole part block of pixel minimums would be 22 * 21 * 1728
-        # bytes (798 KB); through the buffer, freed before the per-pair
-        # arrays are made, a call peaks at about 440 KB (536 KB while the
-        # buffer stayed beside them)
+        # bytes (798 KB); through the 256 KiB buffer, with the blocks of
+        # one part at a time beside it, a call peaks at about 339 KB (440 KB
+        # while the values of every pair were flattened into one array)
         dims = FrameDims(960, 540)
         parts = [0, 3, 5, 9, 16]
         rows = features(frame_of(*scattered(22, parts, dims, 9)), Homography.identity(), noise(dims, 1))
@@ -436,4 +461,4 @@ class TestContentKernel:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 480 * 1024
+        assert peak <= 370 * 1024

@@ -113,6 +113,36 @@ class TestDetectionsJsonl:
         assert err.value.line == 2 and err.value.field == "stage"
         assert "dets.jsonl:2 (field 'stage')" in str(err.value)
 
+    def test_unknown_line_key_reports_line_and_key(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        kps = '"keypoints": [{"part": 0, "x": 1, "y": 2, "c": 0.5}]'
+        path.write_text(f'{{"frame": 0, {kps}}}\n{{"frame": 1, {kps}, "score": 0.8, "id": 3}}\n')
+        with pytest.raises(InputFormatError) as err:
+            read_detections_jsonl(path)
+        assert err.value.line == 2 and err.value.field == "score"
+        assert str(err.value).endswith("dets.jsonl:2 (field 'score'): unknown key 'score'")
+
+    def test_unknown_keypoint_key_reports_line_and_key(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        good = '{"part": 0, "x": 1, "y": 2, "c": 0.5}'
+        path.write_text(f'{{"frame": 0, "keypoints": [{good}]}}\n'
+                        f'{{"frame": 1, "keypoints": [{good}, {{"part": 1, "x": 1, "y": 2, "z": 7, "c": 0.5}}]}}\n')
+        with pytest.raises(InputFormatError) as err:
+            read_detections_jsonl(path)
+        assert err.value.line == 2 and err.value.field == "keypoints"
+        assert str(err.value).endswith("dets.jsonl:2 (field 'keypoints'): bad keypoint: unknown key 'z'")
+
+    @pytest.mark.parametrize("frames, line", [([0, 0, 3, 4], 4), ([-1, 0], 1)])
+    def test_frame_outside_the_frame_count_reports_its_line(self, tmp_path, frames, line):
+        path = tmp_path / "dets.jsonl"
+        kps = '"keypoints": [{"part": 0, "x": 1, "y": 2, "c": 0.5}]'
+        path.write_text("".join(f'{{"frame": {t}, {kps}}}\n' for t in frames))
+        assert list(dict(iter_detections_jsonl(path))) == sorted(set(frames))  # no count, no range
+        with pytest.raises(InputFormatError) as err:
+            list(iter_detections_jsonl(path, 4))
+        assert err.value.line == line and err.value.field == "frame"
+        assert f"dets.jsonl:{line} (field 'frame'): frame {frames[line - 1]} outside 0..3" in str(err.value)
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "dets.jsonl"
         path.write_text('{"frame": 0, "keypoints": [{"part": 0, "x": 1, "y": 2, "c": 0.5}], "stage": "external"}\nnot json\n')
@@ -274,7 +304,7 @@ def detection_lines(draw) -> list[str]:
     lines = []
     frame = draw(st.integers(-2, 3))
     for _ in range(draw(st.integers(0, 8))):
-        fault = draw(st.integers(0, 24))  # 1 to 9 name a fault, the rest none
+        fault = draw(st.integers(0, 24))  # 1 to 10 name a fault, the rest none
         if fault == 1:
             lines.append(draw(st.sampled_from(["", "not json", "[1]", "{}", '"x"', "3", '{"frame": 1'])))
             continue
@@ -305,6 +335,9 @@ def detection_lines(draw) -> list[str]:
         else:
             kps = st.lists(VALID_KEYPOINTS, min_size=1, max_size=5, unique_by=lambda k: k["part"])
             obj["keypoints"] = draw(kps)
+        if fault == 10:  # a key the format does not name, on the line or on one of its keypoints
+            holder = draw(st.sampled_from([obj, *obj["keypoints"]]))
+            holder[draw(st.sampled_from(["score", "box", "Frame", "z", ""]))] = 1
         lines.append(json.dumps(obj))
     return lines
 
