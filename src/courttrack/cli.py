@@ -71,8 +71,8 @@ from .errors import (
 IMPORTED = {
     "cost": ("CostWeights",),
     "court": (
-        "CourtRegion", "HsvFilter", "Orientation", "classify_orientation", "converge_boundaries_nba",
-        "read_segments_csv", "row_prefix_sums", "select_boundary_european", "vote_dominant_lines",
+        "CourtRegion", "HsvFilter", "converge_boundaries_nba", "lines_by_axis", "read_segments_csv",
+        "row_prefix_sums", "select_boundary_european", "vote_dominant_lines",
     ),
     "detect": ("NO_DETECTIONS", "iter_detections_jsonl", "read_detections_jsonl", "write_detections_jsonl"),
     "geometry": ("FrameDims", "Homography", "Line2"),
@@ -479,52 +479,45 @@ def cmd_court(args: argparse.Namespace) -> int:
     if args.out:
         check_output_file(args.out)
     segments = read_segments_csv(args.segments)
-
     if args.court == "european":
         frame_path = Path(args.frames)
         if frame_path.is_dir():
             frame_path = frame_path / (FRAME_FILE_PATTERN % 0)
         frame = read_ppm(frame_path)
         dims = frame.dims
-        candidates = [v.line for v in vote_dominant_lines(segments, args.candidates)]
+    else:
+        mask = read_pgm(args.mask)
+        dims = mask.dims
+    votes = vote_dominant_lines(segments, args.candidates)
+    horizontal, vertical = lines_by_axis([v.line for v in votes], dims)
+    if not horizontal:
+        raise DegenerateCourt("no candidate line of axis horizontal")
+
+    left = right = None
+    if args.court == "european":
         prefix = row_prefix_sums(HsvFilter(*args.hsv).match_array(frame))
-        top = select_boundary_european(candidates, prefix, Orientation.HORIZONTAL)
+        top = select_boundary_european(horizontal, prefix)
         bottom = Line2.horizontal_at(float(dims.h))
-        left = right = None
-        try:
-            side = select_boundary_european(candidates, prefix, Orientation.VERTICAL)
+        if vertical:
+            side = select_boundary_european(vertical, prefix)
             # assign by which half of the frame the line crosses at mid-height
-            x_mid = (
-                -(side.b * dims.h / 2.0 + side.c) / side.a if abs(side.a) > 1e-9 else dims.w
-            )
+            x_mid = -(side.b * dims.h / 2.0 + side.c) / side.a if abs(side.a) > 1e-9 else dims.w
             if x_mid <= dims.w / 2.0:
                 left = side
             else:
                 right = side
-        except DegenerateCourt:  # no vertical candidate; the filter passed the horizontal call
-            pass
-        region = CourtRegion.from_boundaries(top, bottom, left, right, dims)
     else:
-        mask = read_pgm(args.mask)
-        dims = mask.dims
-        votes = vote_dominant_lines(segments, args.candidates)
-        horiz = [v.line for v in votes if classify_orientation(v.line, dims) == Orientation.HORIZONTAL]
-        if not horiz:
-            raise DegenerateCourt("no horizontal dominant line among the top candidates")
-        top, bottom = converge_boundaries_nba(mask, horiz[0], args.step, args.drop_tol)
-        left = right = None
-        vert = [v.line for v in votes if classify_orientation(v.line, dims) == Orientation.VERTICAL]
-        if vert:
-            r0, r1 = _rows_between(top, bottom, dims)
-            if r1 - r0 >= 2:
-                band = BinaryMask(mask.bits[r0:r1])
-                try:
-                    l_raw, r_raw = converge_boundaries_nba(band, vert[0], args.step, args.drop_tol)
-                    left = Line2(l_raw.a, l_raw.b, l_raw.c - l_raw.b * r0)
-                    right = Line2(r_raw.a, r_raw.b, r_raw.c - r_raw.b * r0)
-                except DegenerateCourt:
-                    pass
-        region = CourtRegion.from_boundaries(top, bottom, left, right, dims)
+        top, bottom = converge_boundaries_nba(mask, horizontal[0], args.step, args.drop_tol)
+        r0, r1 = _rows_between(top, bottom, dims)
+        if vertical and r1 - r0 >= 2:
+            band = BinaryMask(mask.bits[r0:r1])
+            try:
+                l_raw, r_raw = converge_boundaries_nba(band, vertical[0], args.step, args.drop_tol)
+                left = Line2(l_raw.a, l_raw.b, l_raw.c - l_raw.b * r0)
+                right = Line2(r_raw.a, r_raw.b, r_raw.c - r_raw.b * r0)
+            except DegenerateCourt:
+                pass
+    region = CourtRegion.from_boundaries(top, bottom, left, right, dims)
 
     payload = {
         "top": _line_json(region.top),

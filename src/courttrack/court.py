@@ -14,7 +14,7 @@ import numpy as np
 from .defaults import DEFAULT_DROP_TOL, DEFAULT_STEP_PX
 from .errors import DegenerateCourt, InputFormatError, check_hsv_bounds, csv_number_rows
 from .geometry import SINGULAR_TOL, FrameDims, Line2, Point2
-from .imaging import BinaryMask, FrameRaster, frame_to_hsv
+from .imaging import BinaryMask, FrameRaster
 
 THETA_BIN_DEG = 1.0
 RHO_BIN_PX = 3.0
@@ -66,14 +66,30 @@ class HsvFilter:
         table[keys] = True
         colours = np.flatnonzero(table)
         palette = np.stack([colours >> 16, (colours >> 8) & 0xFF, colours & 0xFF], axis=-1)
-        h, s, v = frame_to_hsv(FrameRaster(palette[None]))
+        h, s, v = frame_to_hsv(palette)
         if self.h_lo <= self.h_hi:
             hue_ok = (h >= self.h_lo) & (h <= self.h_hi)
         else:
             hue_ok = (h >= self.h_lo) | (h <= self.h_hi)
         ok = hue_ok & (s >= self.s_lo) & (s <= self.s_hi) & (v >= self.v_lo) & (v <= self.v_hi)
-        table[colours] = ok[0]
+        table[colours] = ok
         return table[keys]
+
+
+def frame_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized hexcone conversion of an (..., 3) array of 0..255
+    colours; returns (h, s, v) float arrays of its leading shape."""
+    rgb = rgb.astype(np.float64) / 255.0
+    r, g, b = np.moveaxis(rgb, -1, 0)
+    maxc = rgb.max(axis=-1)
+    delta = maxc - rgb.min(axis=-1)
+    chrom = delta > 0.0
+    safe = np.where(chrom, delta, 1.0)
+    rc, gc, bc = ((maxc - c) / safe for c in (r, g, b))
+    h = np.select([~chrom, maxc == r, maxc == g], [0.0, bc - gc, 2.0 + rc - bc], 4.0 + gc - rc)
+    h = (h / 6.0) % 1.0 * 360.0
+    s = delta / np.where(maxc > 0.0, maxc, 1.0)  # maxc == 0 leaves delta == 0
+    return h, s, maxc
 
 
 # --- dominant-line voting --------------------------------------------------
@@ -200,6 +216,15 @@ def classify_orientation(line: Line2, dims: FrameDims) -> Orientation:
     return Orientation.NEITHER
 
 
+def lines_by_axis(lines: list[Line2], dims: FrameDims) -> tuple[list[Line2], list[Line2]]:
+    """The horizontal and the vertical lines among `lines`, each list in
+    input order; every line is classified once."""
+    by_axis: dict[Orientation, list[Line2]] = {axis: [] for axis in Orientation}
+    for line in lines:
+        by_axis[classify_orientation(line, dims)].append(line)
+    return by_axis[Orientation.HORIZONTAL], by_axis[Orientation.VERTICAL]
+
+
 # --- boundary selection: European HSV variant -------------------------------
 
 def _row_runs(line: Line2, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -238,26 +263,22 @@ def row_prefix_sums(match: np.ndarray) -> np.ndarray:
     return prefix
 
 
-def select_boundary_european(
-    candidates: list[Line2], prefix: np.ndarray, axis: Orientation
-) -> Line2:
+def select_boundary_european(candidates: list[Line2], prefix: np.ndarray) -> Line2:
     """Pick the candidate with the largest filter-response contrast.
 
     `prefix` is row_prefix_sums of the frame's HSV filter response
     (HsvFilter.match_array), built once for both axes. For each
-    candidate of the requested axis, the fraction of filter-matching
-    pixels is computed on each side half-plane; the candidate maximizing
-    the absolute difference wins, first in input order on ties. A side
-    is counted from per-row runs (`_row_runs`) against `prefix`, so the
-    counts are those of the full-frame `a*x + b*y + c >= 0` test. No
-    candidate of the axis, or a filter that matches no pixel or every
-    pixel, is a DegenerateCourt.
+    candidate, the fraction of filter-matching pixels is computed on
+    each side half-plane; the candidate maximizing the absolute
+    difference wins, first in input order on ties. A side is counted
+    from per-row runs (`_row_runs`) against `prefix`, so the counts are
+    those of the full-frame `a*x + b*y + c >= 0` test. No candidate is
+    a ValueError; a filter that matches no pixel or every pixel is a
+    DegenerateCourt.
     """
+    if not candidates:
+        raise ValueError("boundary selection needs at least one candidate line")
     dims = FrameDims(prefix.shape[1] - 1, prefix.shape[0])
-    axis_cands = [c for c in candidates if classify_orientation(c, dims) == axis]
-    if not axis_cands:
-        raise DegenerateCourt(f"no candidate line of axis {axis.value}")
-
     rows = np.arange(dims.h)
     n_match = int(prefix[:, -1].sum())
     if n_match in (0, dims.w * dims.h):
@@ -266,7 +287,7 @@ def select_boundary_european(
 
     best: Line2 | None = None
     best_contrast = -1.0
-    for cand in axis_cands:
+    for cand in candidates:
         start, stop = _row_runs(cand, dims.h, dims.w)
         n_side = int((stop - start).sum())
         m_side = int((prefix[rows, stop] - prefix[rows, start]).sum())
@@ -307,6 +328,8 @@ def converge_boundaries_nba(
     """
     if not 1.0 <= step < math.inf:
         raise ValueError(f"step must be a finite number of pixels >= 1, got {step}")
+    if not 0.0 <= drop_tol < 1.0:
+        raise ValueError(f"drop_tol must lie in [0, 1), got {drop_tol}")
     a, b = orientation_line.a, orientation_line.b
     if b < -_EDGE_TOL or (abs(b) <= _EDGE_TOL and a < 0.0):
         a, b = -a, -b

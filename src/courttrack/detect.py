@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import InputFormatError, json_int, json_number, open_text, text_lines
 
-# the detector stages a detection file may name; a missing stage is "external"
-STAGES = ("coarse", "refined", "sliding", "external")
+# the stage a detection file may name (an upstream detector's); a missing stage is "external"
+STAGES = ("external",)
 # the keys a detection line may hold, and those each of its keypoints holds
 LINE_KEYS = frozenset({"frame", "keypoints", "stage"})
 KEYPOINT_KEYS = frozenset({"part", "x", "y", "c"})

@@ -1,4 +1,4 @@
-"""Frame rasters, masks, color conversion and keypoint patches.
+"""Frame rasters, masks and keypoint patches.
 
 Rasters and masks wrap read-only numpy arrays; no operation here changes
 a value (releasing a mapped frame's rows changes only what is resident),
@@ -152,29 +152,6 @@ class PatchWindow:
     @property
     def cell_count(self) -> int:
         return self.side * self.side
-
-
-def frame_to_hsv(frame: FrameRaster) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized hexcone conversion; returns (h, s, v) float arrays."""
-    rgb = frame.data.astype(np.float64) / 255.0
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    maxc = np.max(rgb, axis=-1)
-    minc = np.min(rgb, axis=-1)
-    delta = maxc - minc
-    chrom = delta > 0.0
-
-    h = np.zeros_like(maxc)
-    safe = np.where(chrom, delta, 1.0)
-    rc = (maxc - r) / safe
-    gc = (maxc - g) / safe
-    bc = (maxc - b) / safe
-    h = np.where((maxc == r) & chrom, bc - gc, h)
-    h = np.where((maxc == g) & chrom & (maxc != r), 2.0 + rc - bc, h)
-    h = np.where((maxc == b) & chrom & (maxc != r) & (maxc != g), 4.0 + gc - rc, h)
-    h = (h / 6.0) % 1.0 * 360.0
-
-    s = np.where(maxc > 0.0, delta / np.where(maxc > 0.0, maxc, 1.0), 0.0)
-    return h, s, maxc
 
 
 def keypoint_patches(

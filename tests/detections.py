@@ -58,9 +58,6 @@ def same_arrays(a, b) -> bool:
 
 
 class SourceStage(Enum):
-    COARSE = "coarse"
-    REFINED = "refined"
-    SLIDING = "sliding"
     EXTERNAL = "external"
 
 

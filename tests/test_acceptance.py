@@ -19,7 +19,6 @@ import pytest
 from courttrack.cli import main
 from courttrack.cost import default_weights
 from courttrack.court import (
-    Orientation,
     converge_boundaries_nba,
     row_prefix_sums,
     select_boundary_european,
@@ -284,7 +283,7 @@ def test_criterion_8_court_recovery():
         candidates = [Line2.horizontal_at(float(r)) for r in decoys]
         candidates.insert(rng.randrange(len(candidates)), Line2.horizontal_at(float(row)))
         prefix = row_prefix_sums(GREEN_FILTER.match_array(frame))
-        best = select_boundary_european(candidates, prefix, Orientation.HORIZONTAL)
+        best = select_boundary_european(candidates, prefix)
         assert abs(-best.c / best.b - row) < 1e-9
 
     for seed in (5, 6, 7):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import courttrack
+import courttrack.court
 from courttrack.cli import (
     SETTINGS,
     _build_parser,
@@ -20,6 +21,9 @@ from courttrack.cli import (
     resolve_settings,
     scenario_spec,
 )
+from courttrack.court import read_segments_csv, vote_dominant_lines
+from courttrack.defaults import DEFAULT_CANDIDATES
+from courttrack.errors import DegenerateCourt
 from courttrack.geometry import FrameDims, Line2
 from courttrack.imaging import BinaryMask, FrameRaster, write_ppm
 from courttrack.metrics import read_mot_csv
@@ -356,6 +360,53 @@ class TestTrackCommand:
         assert code == 1
         assert "detections.jsonl:2" in err and "invalid JSON" in err
 
+    @pytest.mark.parametrize(
+        "layout, message",
+        [
+            ("file", "not a directory of frames"),
+            ("empty", "no frame_%06d.ppm files found"),
+            ("gap", "frame files are not consecutive from 0"),
+        ],
+    )
+    def test_unusable_frame_directory_fails_naming_it(self, tmp_path, capsys, layout, message):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen))
+        frames = scen / "frames"
+        if layout == "file":
+            frames = scen / "gt.csv"
+        elif layout == "empty":
+            frames = tmp_path / "no-frames"
+            frames.mkdir()
+            (frames / "frame_0.ppm").write_bytes((scen / "frames" / "frame_000000.ppm").read_bytes())
+        else:
+            (frames / "frame_000003.ppm").unlink()
+        argv = track_args(scen, tmp_path / "t.csv")
+        argv[argv.index("--frames") + 1] = str(frames)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert f"error: {frames}: {message}\n" in err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_homographies_object_fails_naming_the_file(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen))
+        path = scen / "homographies.json"
+        path.write_text(json.dumps({"frame": 0, "h": [1, 0, 0, 0, 1, 0, 0, 0, 1]}))
+        code, out, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
+        assert code == 1 and not out
+        assert f"error: {path}: expected a JSON array\n" in err
+
+    def test_singular_homography_fails_naming_its_entry(self, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        run(capsys, *synth_args(scen))
+        path = scen / "homographies.json"
+        payload = json.loads(path.read_text())
+        payload[1]["h"] = [1, 0, 0, 0, 0, 0, 0, 0, 1]
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
+        assert code == 1 and not out
+        assert f"error: {path} (field 'h'): entry 1: homography matrix is singular\n" in err
+
     def test_repeated_homography_frame_fails(self, tmp_path, capsys):
         scen = tmp_path / "scen"
         run(capsys, *synth_args(scen))
@@ -513,6 +564,15 @@ class TestEvalCommand:
         else:
             # every planted detection matches its target; dropped ones are misses
             assert report["fp"] == 0 and report["tp"] == lines and report["fn"] > 0
+
+    def test_negative_box_width_fails_naming_its_line(self, tmp_path, capsys):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("0,1,0.0,0.0,10.0,10.0\n")
+        hyp = tmp_path / "hyp.csv"
+        hyp.write_text("frame,id,x_min,y_min,width,height\n0,1,0.0,0.0,10.0,10.0\n1,1,0.0,0.0,-10.0,10.0\n")
+        code, out, err = run(capsys, "eval", "--mode", "mot", "--gt", str(gt), "--hyp", str(hyp))
+        assert code == 1 and not out
+        assert f"error: {hyp}:3 (field 'width'): negative box size\n" in err
 
     def test_identical_gt_and_hyp(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
@@ -764,6 +824,71 @@ class TestCourtCommand:
         assert payload[other] is None
         a, b, c = payload[side]
         assert abs(-c / a - side_x) < 1e-6
+
+    def test_european_frames_directory_reads_its_frame_0(self, tmp_path, capsys):
+        argv = self.planted_european_args(tmp_path) + ["--hsv", "90:150,0.4:1,0.2:1", "--out"]
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        (frames / "frame_000000.ppm").write_bytes((tmp_path / "frame.ppm").read_bytes())
+        assert run(capsys, *argv, str(tmp_path / "from-file.json"))[0] == 0
+        argv[argv.index("--frames") + 1] = str(frames)
+        assert run(capsys, *argv, str(tmp_path / "from-dir.json"))[0] == 0
+        assert (tmp_path / "from-dir.json").read_bytes() == (tmp_path / "from-file.json").read_bytes()
+
+    def test_pgm_comment_without_end_fails_naming_the_mask(self, tmp_path, capsys):
+        out_json = tmp_path / "court.json"
+        argv = self.planted_nba_args(tmp_path, out_json)
+        (tmp_path / "mask.pgm").write_bytes(b"P5\n4 3\n# people, with no newline after")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert f"error: {tmp_path / 'mask.pgm'}: unterminated comment\n" in err
+        assert not out_json.exists()
+
+    def test_degenerate_vertical_convergence_leaves_no_lateral_side(self, tmp_path, capsys, monkeypatch):
+        # no person between the crowd bands, so the vertical lines meet before any fraction drops
+        bits = np.zeros((400, 192), dtype=bool)
+        bits[:80] = True
+        bits[320:] = True
+        out_json = tmp_path / "court.json"
+        argv = self.planted_nba_args(tmp_path, out_json)
+        write_pgm(BinaryMask(bits), tmp_path / "mask.pgm")
+        (tmp_path / "segments.csv").write_text("0,200,191,200\n96,0,96,399\n")
+        outcomes = []
+        converge = courttrack.court.converge_boundaries_nba
+
+        def recording(*args):
+            try:
+                found = converge(*args)
+            except DegenerateCourt as exc:
+                outcomes.append(exc)
+                raise
+            outcomes.append(found)
+            return found
+
+        monkeypatch.setattr(courttrack.cli, "converge_boundaries_nba", recording, raising=False)
+        assert run(capsys, *argv)[0] == 0
+        assert len(outcomes) == 2 and isinstance(outcomes[1], DegenerateCourt)
+        payload = json.loads(out_json.read_text())
+        assert payload["left"] is None and payload["right"] is None
+        assert -payload["top"][2] / payload["top"][1] == 80.0
+
+    @pytest.mark.parametrize("variant", ["european", "nba"])
+    def test_each_voted_line_is_classified_once(self, tmp_path, capsys, monkeypatch, variant):
+        out_json = tmp_path / "court.json"
+        argv = self.variant_args(tmp_path, variant, out_json)
+        votes = len(vote_dominant_lines(read_segments_csv(tmp_path / "segments.csv"), DEFAULT_CANDIDATES))
+        calls = []
+        classify = courttrack.court.classify_orientation
+
+        def counting(line, dims):
+            calls.append(line)
+            return classify(line, dims)
+
+        monkeypatch.setattr(courttrack.court, "classify_orientation", counting)
+        assert run(capsys, *argv)[0] == 0
+        # CourtRegion checks each boundary it is given once more
+        boundaries = sum(line is not None for line in json.loads(out_json.read_text()).values())
+        assert len(calls) == votes + boundaries
 
     def variant_args(self, tmp_path, variant, out_json):
         """A court run of `variant` on its planted input that exits 0."""

@@ -21,13 +21,15 @@ from courttrack.court import (
     _row_runs,
     classify_orientation,
     converge_boundaries_nba,
+    frame_to_hsv,
+    lines_by_axis,
     read_segments_csv,
     row_prefix_sums,
     select_boundary_european,
     vote_dominant_lines,
 )
 from courttrack.geometry import FrameDims, Line2, Point2
-from courttrack.imaging import BinaryMask, FrameRaster, frame_to_hsv
+from courttrack.imaging import BinaryMask, FrameRaster
 from tests.oracles import filled, line_from_points, vertical_at
 
 DIMS = FrameDims(1920, 1080)
@@ -305,6 +307,15 @@ class TestClassifyOrientation:
             line = line_from_points(p0, p1)
             assert classify_orientation(line, DIMS) == classify_orientation(line.negated(), DIMS)
 
+    def test_lines_by_axis_keeps_order_and_drops_neither(self):
+        h0, h1 = Line2.horizontal_at(540.0), Line2.horizontal_at(100.0)
+        v0 = vertical_at(960.0)
+        v1 = line_from_points(Point2(0.0, 270.0), Point2(640.0, 0.0))
+        outside = line_from_points(Point2(-50.0, -10.0), Point2(-10.0, -50.0))
+        horizontal, vertical = lines_by_axis([v0, h0, outside, v1, h1], DIMS)
+        assert horizontal == [h0, h1]
+        assert vertical == [v0, v1]
+
 
 GREEN = (40, 180, 60)
 GRAY = (120, 120, 130)
@@ -324,7 +335,7 @@ class TestSelectBoundaryEuropean:
         frame = two_band_frame(dims, 30)
         candidates = [Line2.horizontal_at(10.0), Line2.horizontal_at(30.0), Line2.horizontal_at(60.0)]
         prefix = row_prefix_sums(GREEN_FILTER.match_array(frame))
-        best = select_boundary_european(candidates, prefix, Orientation.HORIZONTAL)
+        best = select_boundary_european(candidates, prefix)
         assert best is candidates[1]
 
     def test_equal_contrast_ties_to_first(self):
@@ -334,7 +345,7 @@ class TestSelectBoundaryEuropean:
         arr[40:] = GREEN
         candidates = [Line2.horizontal_at(39.5), Line2.horizontal_at(19.5)]
         prefix = row_prefix_sums(GREEN_FILTER.match_array(FrameRaster(arr)))
-        best = select_boundary_european(candidates, prefix, Orientation.HORIZONTAL)
+        best = select_boundary_european(candidates, prefix)
         assert best is candidates[0]
 
     @pytest.mark.parametrize("colour", [GREEN, GRAY])
@@ -344,7 +355,7 @@ class TestSelectBoundaryEuropean:
         candidates = [Line2.horizontal_at(20.0), Line2.horizontal_at(40.0)]
         prefix = row_prefix_sums(GREEN_FILTER.match_array(frame))
         with pytest.raises(DegenerateCourt):
-            select_boundary_european(candidates, prefix, Orientation.HORIZONTAL)
+            select_boundary_european(candidates, prefix)
 
     def test_single_candidate_returned(self):
         dims = FrameDims(60, 60)
@@ -352,17 +363,13 @@ class TestSelectBoundaryEuropean:
         only = Line2.horizontal_at(13.0)
         match = GREEN_FILTER.match_array(frame)
         prefix = row_prefix_sums(match)
-        assert select_boundary_european([only], prefix, Orientation.HORIZONTAL) is only
+        assert select_boundary_european([only], prefix) is only
 
     def test_no_candidate_of_axis_raises(self):
-        dims = FrameDims(60, 60)
-        frame = two_band_frame(dims, 25)
-        with pytest.raises(DegenerateCourt, match="no candidate line"):
-            select_boundary_european(
-                [Line2.horizontal_at(10.0)],
-                row_prefix_sums(GREEN_FILTER.match_array(frame)),
-                Orientation.VERTICAL,
-            )
+        frame = two_band_frame(FrameDims(60, 60), 25)
+        _, vertical = lines_by_axis([Line2.horizontal_at(10.0)], frame.dims)
+        with pytest.raises(ValueError, match="at least one candidate"):
+            select_boundary_european(vertical, row_prefix_sums(GREEN_FILTER.match_array(frame)))
 
     def test_seeded_two_region_frames(self):
         # planted transition among decoys, response difference >= 0.2
@@ -374,9 +381,7 @@ class TestSelectBoundaryEuropean:
             decoys = [r for r in (15, 25, 95, 105) if abs(r - row) > 5]
             candidates = [Line2.horizontal_at(float(r)) for r in decoys]
             candidates.insert(rng.randrange(len(candidates)), Line2.horizontal_at(float(row)))
-            best = select_boundary_european(
-                candidates, row_prefix_sums(GREEN_FILTER.match_array(frame)), Orientation.HORIZONTAL
-            )
+            best = select_boundary_european(candidates, row_prefix_sums(GREEN_FILTER.match_array(frame)))
             assert abs(-best.c / best.b - row) < 1e-9
 
     def test_wrapping_hue_interval(self):
@@ -397,7 +402,7 @@ class TestSelectBoundaryEuropean:
         frame = FrameRaster(arr)
         candidates = [vertical_at(20.0), vertical_at(40.0), vertical_at(70.0)]
         prefix = row_prefix_sums(GREEN_FILTER.match_array(frame))
-        best = select_boundary_european(candidates, prefix, Orientation.VERTICAL)
+        best = select_boundary_european(candidates, prefix)
         assert best is candidates[1]
 
 
@@ -405,7 +410,7 @@ class TestSelectBoundaryEuropean:
 
 def full_frame_match(hsv_filter: HsvFilter, frame: FrameRaster) -> np.ndarray:
     """The filter's thresholds applied to frame_to_hsv on every pixel."""
-    h, s, v = frame_to_hsv(frame)
+    h, s, v = frame_to_hsv(frame.data)
     if hsv_filter.h_lo <= hsv_filter.h_hi:
         hue_ok = (h >= hsv_filter.h_lo) & (h <= hsv_filter.h_hi)
     else:
@@ -458,7 +463,7 @@ def frames_and_filters(draw):
     h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     arr = np.array(draw(st.lists(pixels, min_size=h * w, max_size=h * w)), dtype=np.uint8)
     frame = FrameRaster(arr.reshape(h, w, 3))
-    hue, sat, val = (c.ravel().tolist() for c in frame_to_hsv(frame))
+    hue, sat, val = (c.ravel().tolist() for c in frame_to_hsv(frame.data))
 
     def bound(seen, lo, hi):
         # a bound equal to some pixel's own value tests the closed ends
@@ -544,14 +549,16 @@ class TestEuropeanExactness:
         match, candidates = case
         prefix = row_prefix_sums(match)
         expected = full_frame_select(candidates, match, axis)
+        horizontal, vertical = lines_by_axis(candidates, FrameDims(match.shape[1], match.shape[0]))
+        axis_cands = horizontal if axis == Orientation.HORIZONTAL else vertical
         if expected is None:
-            with pytest.raises(DegenerateCourt, match="no candidate line"):
-                select_boundary_european(candidates, prefix, axis)
+            with pytest.raises(ValueError, match="at least one candidate"):
+                select_boundary_european(axis_cands, prefix)
         elif not match.any() or match.all():
             with pytest.raises(DegenerateCourt):
-                select_boundary_european(candidates, prefix, axis)
+                select_boundary_european(axis_cands, prefix)
         else:
-            assert select_boundary_european(candidates, prefix, axis) is expected
+            assert select_boundary_european(axis_cands, prefix) is expected
 
     def test_match_array_peak_on_1080p_below_32_mb(self):
         # keys (8.3 MB), the colour table (16.8 MB) and the response
@@ -755,6 +762,18 @@ class TestConvergeBoundariesNba:
         with pytest.raises(ValueError, match="finite"):
             converge_boundaries_nba(mask, Line2.horizontal_at(0.0), step=step)
 
+    @pytest.mark.parametrize("drop_tol", [-0.5, math.nan, 1.5])
+    def test_drop_tol_outside_unit_interval_rejected(self, drop_tol):
+        # -0.5 would fix each line at its first step, 1.5 never, and NaN never
+        bits = np.zeros((400, 192), dtype=bool)
+        bits[:100] = True
+        bits[300:] = True
+        mask = BinaryMask(bits)
+        top, bottom = converge_boundaries_nba(mask, Line2.horizontal_at(0.0), step=1.0)
+        assert (-top.c / top.b, -bottom.c / bottom.b) == (100.0, 299.0)
+        with pytest.raises(ValueError, match=r"drop_tol must lie in \[0, 1\)"):
+            converge_boundaries_nba(mask, Line2.horizontal_at(0.0), step=1.0, drop_tol=drop_tol)
+
 
 def on_court(region: CourtRegion, p: Point2) -> bool:
     """The orientation `court` writes: every boundary's signed distance
@@ -787,6 +806,22 @@ class TestCourtRegion:
         with pytest.raises(DegenerateCourt):
             CourtRegion.from_boundaries(
                 Line2.horizontal_at(500.0), Line2.horizontal_at(500.0), None, None, DIMS
+            )
+
+    def test_boundaries_enclosing_no_area_rejected(self):
+        # both lateral lines cut the bottom left corner and face each other
+        # below row 700, so nothing of the band between rows 100 and 300 is left
+        left = line_from_points(Point2(0.0, 900.0), Point2(300.0, 1080.0))
+        right = line_from_points(Point2(0.0, 700.0), Point2(900.0, 1080.0))
+        with pytest.raises(DegenerateCourt, match="court boundaries enclose an empty region"):
+            CourtRegion.from_boundaries(
+                Line2.horizontal_at(100.0), Line2.horizontal_at(300.0), left, right, DIMS
+            )
+
+    def test_horizontal_lateral_boundary_rejected(self):
+        with pytest.raises(DegenerateCourt, match="lateral boundary must classify as vertical"):
+            CourtRegion.from_boundaries(
+                Line2.horizontal_at(100.0), Line2.horizontal_at(900.0), Line2.horizontal_at(500.0), None, DIMS
             )
 
     def test_misclassified_boundary_rejected(self):

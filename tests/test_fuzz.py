@@ -37,7 +37,7 @@ READERS = {
     "detections": (
         read_detections_jsonl,
         b'{"frame": 0, "keypoints": [{"part": 0, "x": 1.5, "y": 2, "c": 0.9}, '
-        b'{"part": 5, "x": 4, "y": 8.25, "c": 1}], "stage": "refined"}\n'
+        b'{"part": 5, "x": 4, "y": 8.25, "c": 1}], "stage": "external"}\n'
         b'{"frame": 2, "keypoints": [{"part": 16, "x": -3, "y": 1e3, "c": 0.05}]}\n',
     ),
     "homographies": (

@@ -11,11 +11,11 @@ import pytest
 from courttrack import imaging
 from courttrack.errors import InputFormatError
 from courttrack.geometry import FrameDims, Point2
+from courttrack.court import frame_to_hsv
 from courttrack.imaging import (
     BinaryMask,
     FrameRaster,
     PatchWindow,
-    frame_to_hsv,
     keypoint_patches,
     read_pgm,
     read_ppm,
@@ -25,8 +25,8 @@ from tests.oracles import EmptyOverlap, filled, patch_mean_abs_diff, write_pgm
 
 
 def hsv_of(rgb):
-    h, s, v = frame_to_hsv(FrameRaster(np.array(rgb, dtype=np.uint8).reshape(1, 1, 3)))
-    return h[0, 0], s[0, 0], v[0, 0]
+    h, s, v = frame_to_hsv(np.array(rgb, dtype=np.uint8))
+    return float(h), float(s), float(v)
 
 
 class TestRgbToHsv:
@@ -52,8 +52,7 @@ class TestRgbToHsv:
         pixels = [
             (rng.randrange(256), rng.randrange(256), rng.randrange(256)) for _ in range(64)
         ]
-        frame = FrameRaster(np.array(pixels, dtype=np.uint8).reshape(8, 8, 3))
-        h, s, v = frame_to_hsv(frame)
+        h, s, v = frame_to_hsv(np.array(pixels, dtype=np.uint8).reshape(8, 8, 3))
         for idx, (r, g, b) in enumerate(pixels):
             eh, es, ev = colorsys.rgb_to_hsv(r / 255.0, g / 255.0, b / 255.0)
             y, x = divmod(idx, 8)
