@@ -201,19 +201,23 @@ SETTINGS = {
     "extra_dropout": Setting(float, SCENE_EXTRA_DROPOUT, "share of single-frame drops", *UNIT_INTERVAL),
 }
 
-# court variant -> (the settings it requires, the others it reads); a
-# court run rejects the settings that only the other variant reads
-COURT_VARIANTS = {
-    "european": (("frames", "hsv"), ()),
-    "nba": (("mask",), ("step", "drop_tol")),
+# command -> (the setting that picks its variant, variant -> (the settings
+# it requires, the others it reads)); a run rejects the settings that only
+# its command's other variants read
+VARIANTS = {
+    "court": ("court", {"european": (("frames", "hsv"), ()), "nba": (("mask",), ("step", "drop_tol"))}),
+    "eval": ("mode", {"det": ((), ()), "mot": ((), ("mot_iou",))}),
 }
-VARIANT_SETTINGS = tuple(name for needs, reads in COURT_VARIANTS.values() for name in needs + reads)
+VARIANT_SETTINGS = {
+    command: tuple(name for needs, reads in variants.values() for name in needs + reads)
+    for command, (_, variants) in VARIANTS.items()
+}
 
 # command -> (the settings it requires, the others it reads), as flags and as config-file keys
 COMMAND_SETTINGS = {
     "track": (("frames", "detections", "homographies", "out"), ("alpha", "beta", "gate", "memory", "patch")),
-    "eval": (("mode", "gt", "hyp"), ("out", "mot_iou")),
-    "court": (("court", "segments"), ("candidates", "out") + VARIANT_SETTINGS),
+    "eval": (("mode", "gt", "hyp"), ("out",) + VARIANT_SETTINGS["eval"]),
+    "court": (("court", "segments"), ("candidates", "out") + VARIANT_SETTINGS["court"]),
     "synth": (("out",), ("seed", "targets", "num_frames", "width", "height", "pan", "dropout", "jitter",
                          "extra_dropout")),
 }
@@ -251,19 +255,21 @@ def resolve_settings(args: argparse.Namespace) -> None:
 
     An unset required setting, or a flag or config-file value out of its
     range, is an InputFormatError; a config-file one names file, line and key.
-    A court run requires its variant's settings, and a flag or config-file
-    value of a setting only the other variant reads is an InputFormatError.
+    A court or eval run requires its variant's settings, and a flag or
+    config-file value of a setting only another variant reads is an
+    InputFormatError.
     """
     required, optional = COMMAND_SETTINGS[args.command]
     from_file = read_config_file(args.config, required + optional) if args.config else {}
     for name, (value, line) in from_file.items():
         SETTINGS[name].check(value, args.config, line, field=name)
     run = f"the {args.command} command"
-    if args.command == "court" and (args.court or "court" in from_file):
-        variant = args.court or from_file["court"][0]
-        needs, reads = COURT_VARIANTS[variant]
-        run = f"court --court {variant}"
-        for name in VARIANT_SETTINGS:
+    pick, variants = VARIANTS.get(args.command, (None, {}))
+    variant = pick and (getattr(args, pick) or from_file.get(pick, (None,))[0])
+    if variant:
+        needs, reads = variants[variant]
+        run = f"{args.command} --{pick} {variant}"
+        for name in VARIANT_SETTINGS[args.command]:
             if name in needs + reads:
                 continue
             if getattr(args, name) is not None:
@@ -271,7 +277,7 @@ def resolve_settings(args: argparse.Namespace) -> None:
             if name in from_file:
                 raise InputFormatError(args.config, f"not read by {run}", line=from_file[name][1], field=name)
         required += needs
-        optional = tuple(name for name in optional if name not in VARIANT_SETTINGS) + reads
+        optional = tuple(name for name in optional if name not in VARIANT_SETTINGS[args.command]) + reads
     for name in required + optional:
         value = getattr(args, name)
         if value is None:
@@ -293,8 +299,8 @@ def write_homographies_json(homographies: list[Homography], path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def read_homographies_json(path, n_frames: int | None = None) -> dict[int, Homography]:
-    """{frame: Homography}; a frame outside 0..n_frames-1, where given, is an error naming its entry."""
+def read_homographies_json(path, n_frames: int) -> dict[int, Homography]:
+    """{frame: Homography}; a frame outside 0..n_frames-1 is an error naming its entry."""
     _load("track")
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -311,7 +317,7 @@ def read_homographies_json(path, n_frames: int | None = None) -> dict[int, Homog
         frame = json_int(raw_frame, path, "frame", entry=idx)
         if frame in out:
             raise InputFormatError(path, f"entry {idx}: frame {frame} repeats", field="frame")
-        if n_frames is not None and not 0 <= frame < n_frames:
+        if not 0 <= frame < n_frames:
             raise InputFormatError(path, f"entry {idx}: frame {frame} outside 0..{n_frames - 1}", field="frame")
         if not isinstance(matrix, list) or len(matrix) != 9:
             raise InputFormatError(path, f"entry {idx}: expected a flat array of 9 numbers", field="h")

@@ -5,10 +5,10 @@ matching by descending IoU with any positive overlap. Tracking quality
 is CLEAR-MOT with correspondence carry-over; MOTP is reported as the
 mean IoU of matched pairs (higher is better).
 
-A track or ground-truth file is one track.FrameBoxes per frame that
-has a row: the rows' ids and boxes, in file order. read_mot_csv,
-run_tracker and synth.generate give that form, write_mot_csv writes it,
-and both evaluations read it.
+A track or ground-truth file is one FrameBoxes per frame that has a
+row: the rows' ids and boxes, in file order. read_mot_csv, run_tracker
+and synth.generate give that form, write_mot_csv writes it, and both
+evaluations read it. The tracker also solves with solve_assignment.
 """
 
 from __future__ import annotations
@@ -23,9 +23,89 @@ import numpy as np
 from .defaults import MOT_IOU_THRESHOLD
 from .errors import InputFormatError, csv_number_rows
 from .geometry import iou_matrix
-from .track import NO_BOXES, FrameBoxes, solve_assignment
 
 TRACK_CSV_HEADER = ["frame", "id", "x_min", "y_min", "width", "height"]
+
+
+@dataclass(frozen=True, eq=False)
+class FrameBoxes:
+    """One frame's rows of a track or ground-truth file, in row order."""
+
+    ids: np.ndarray  # (n,) int64 identities
+    boxes: np.ndarray  # (n, 4) float64 boxes (x_min, y_min, x_max, y_max)
+
+
+NO_BOXES = FrameBoxes(np.empty(0, dtype=np.int64), np.empty((0, 4)))
+
+
+def solve_assignment(cost) -> list[tuple[int, int]]:
+    """Minimum-cost rectangular assignment: its (row, column) pairs, sorted by row.
+
+    scipy's rectangular LSAP solver written out on Python lists:
+    Crouse's shortest augmenting path ("On implementing 2D rectangular
+    assignment algorithms", IEEE TAES 2016; Jonker & Volgenant 1987).
+    It keeps scipy's tie rules, so it picks the same pairs, ties
+    included: the remaining columns are scanned in swap-remove order, an
+    unassigned column wins an equal path length, and a tall matrix is
+    solved transposed. Every row of a wide matrix, and every column of a
+    tall one, is matched. +inf is a forbidden cell; a matrix that is not
+    2-d, holds nan or -inf, or has no complete finite matching is a
+    ValueError.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2:
+        raise ValueError("cost matrix must be 2-dimensional")
+    if np.isnan(c).any() or (c == -np.inf).any():
+        raise ValueError("cost matrix contains nan or -inf entries")
+    transpose = c.shape[1] < c.shape[0]
+    rows = (c.T if transpose else c).tolist()
+    nr, nc = sorted(c.shape)  # solved with no more rows than columns
+    u = [0.0] * nr
+    v = [0.0] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    path = [-1] * nc
+    for cur_row in range(nr):
+        # Dijkstra over reduced costs from cur_row to the nearest unassigned column
+        dist = [math.inf] * nc
+        remaining = list(range(nc - 1, -1, -1))  # reversed: a constant matrix gives the identity
+        scanned = []
+        min_val = 0.0
+        i = cur_row
+        while True:
+            row, ui = rows[i], u[i]
+            lowest, index = math.inf, -1
+            for k, j in enumerate(remaining):
+                d = min_val + row[j] - ui - v[j]
+                if d < dist[j]:
+                    path[j] = i
+                    dist[j] = d
+                else:
+                    d = dist[j]
+                if d < lowest or (d == lowest and row4col[j] == -1):
+                    lowest, index = d, k
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            remaining[index], remaining[-1] = remaining[-1], remaining[index]
+            j = remaining.pop()
+            if row4col[j] == -1:
+                break
+            scanned.append(j)
+            i = row4col[j]
+        u[cur_row] += min_val
+        for k in scanned:  # the columns passed on the way and the rows that held them
+            u[row4col[k]] += min_val - dist[k]
+            v[k] -= min_val - dist[k]
+        while True:  # augment along the path back to cur_row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        return sorted((r, k) for k, r in enumerate(col4row))
+    return list(enumerate(col4row))
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,9 @@ from .detect import DetectionsBuilder, FrameDetections
 from .errors import InfeasibleScenario
 from .geometry import FrameDims, Homography
 from .imaging import FrameRaster
+from .metrics import FrameBoxes
 from .rng import SplitMix64
-from .track import FrameBoxes, FrameObservations
+from .track import FrameObservations
 
 # Keypoint stencil: (part_id, relative x, relative y) inside the box. The
 # hull of the stencil spans the whole box, so a detection's skeleton box

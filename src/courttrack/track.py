@@ -9,13 +9,12 @@ last memory_depth frames' detections and the id of each, so an id that
 leaves that window is never matched again. A frame's detections arrive
 as one FrameDetections of arrays: the skeleton boxes, which the output
 and the distance and overlap terms use, and the keypoint positions
-behind the content term. Its output is one FrameBoxes per frame with
-detections: each detection's id and box, in detection order.
+behind the content term. Its output is one metrics.FrameBoxes per frame
+with detections: each detection's id and box, in detection order.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -28,6 +27,7 @@ from .detect import FrameDetections
 from .errors import DegenerateProjection
 from .geometry import FrameDims, Homography
 from .imaging import FrameRaster, PatchWindow
+from .metrics import FrameBoxes, solve_assignment
 
 
 @dataclass(frozen=True)
@@ -44,87 +44,6 @@ class MatchConfig:
             raise ValueError("gate must be positive")
         if self.memory_depth not in (1, 2):
             raise ValueError("memory_depth must be 1 or 2")
-
-
-@dataclass(frozen=True, eq=False)
-class FrameBoxes:
-    """One frame's rows of a track or ground-truth file, in row order."""
-
-    ids: np.ndarray  # (n,) int64 identities
-    boxes: np.ndarray  # (n, 4) float64 boxes (x_min, y_min, x_max, y_max)
-
-
-NO_BOXES = FrameBoxes(np.empty(0, dtype=np.int64), np.empty((0, 4)))
-
-
-def solve_assignment(cost) -> list[tuple[int, int]]:
-    """Minimum-cost rectangular assignment: its (row, column) pairs, sorted by row.
-
-    scipy's rectangular LSAP solver written out on Python lists:
-    Crouse's shortest augmenting path ("On implementing 2D rectangular
-    assignment algorithms", IEEE TAES 2016; Jonker & Volgenant 1987).
-    It keeps scipy's tie rules, so it picks the same pairs, ties
-    included: the remaining columns are scanned in swap-remove order, an
-    unassigned column wins an equal path length, and a tall matrix is
-    solved transposed. Every row of a wide matrix, and every column of a
-    tall one, is matched. +inf is a forbidden cell; a matrix that is not
-    2-d, holds nan or -inf, or has no complete finite matching is a
-    ValueError.
-    """
-    c = np.asarray(cost, dtype=float)
-    if c.ndim != 2:
-        raise ValueError("cost matrix must be 2-dimensional")
-    if np.isnan(c).any() or (c == -np.inf).any():
-        raise ValueError("cost matrix contains nan or -inf entries")
-    transpose = c.shape[1] < c.shape[0]
-    rows = (c.T if transpose else c).tolist()
-    nr, nc = sorted(c.shape)  # solved with no more rows than columns
-    u = [0.0] * nr
-    v = [0.0] * nc
-    col4row = [-1] * nr
-    row4col = [-1] * nc
-    path = [-1] * nc
-    for cur_row in range(nr):
-        # Dijkstra over reduced costs from cur_row to the nearest unassigned column
-        dist = [math.inf] * nc
-        remaining = list(range(nc - 1, -1, -1))  # reversed: a constant matrix gives the identity
-        scanned = []
-        min_val = 0.0
-        i = cur_row
-        while True:
-            row, ui = rows[i], u[i]
-            lowest, index = math.inf, -1
-            for k, j in enumerate(remaining):
-                d = min_val + row[j] - ui - v[j]
-                if d < dist[j]:
-                    path[j] = i
-                    dist[j] = d
-                else:
-                    d = dist[j]
-                if d < lowest or (d == lowest and row4col[j] == -1):
-                    lowest, index = d, k
-            min_val = lowest
-            if min_val == math.inf:
-                raise ValueError("cost matrix is infeasible")
-            remaining[index], remaining[-1] = remaining[-1], remaining[index]
-            j = remaining.pop()
-            if row4col[j] == -1:
-                break
-            scanned.append(j)
-            i = row4col[j]
-        u[cur_row] += min_val
-        for k in scanned:  # the columns passed on the way and the rows that held them
-            u[row4col[k]] += min_val - dist[k]
-            v[k] -= min_val - dist[k]
-        while True:  # augment along the path back to cur_row
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur_row:
-                break
-    if transpose:
-        return sorted((r, k) for k, r in enumerate(col4row))
-    return list(enumerate(col4row))
 
 
 def match_frame(
@@ -180,7 +99,8 @@ def run_tracker(
     frame is in the window. A point that a frame's homography sends to
     infinity is a DegenerateProjection that names the frame. A patch
     half-extent beyond the larger side of the first frame is a
-    ValueError, raised before any patch is cut.
+    ValueError, raised before any patch is cut, and so is a frame whose
+    size is not the first frame's, raised before its patches are cut.
     """
     tracks: dict[int, FrameBoxes] = {}
     next_id = 0
@@ -193,6 +113,9 @@ def run_tracker(
                     f"patch half-extent {cfg.patch.half_extent} exceeds frame 0's larger side, "
                     f"{max(dims.w, dims.h)} px"
                 )
+        elif frame.raster.dims != dims:
+            size = frame.raster.dims
+            raise ValueError(f"frame {t} is {size.w}x{size.h}, frame 0 is {dims.w}x{dims.h}")
         try:
             dets = features(frame.detections, frame.homography, frame.raster, cfg.patch)
         except DegenerateProjection as exc:

@@ -19,8 +19,7 @@ from courttrack.cost import CostWeights
 from courttrack.errors import CourtTrackError, DegenerateProjection
 from courttrack.geometry import SINGULAR_TOL, FrameDims, Homography, Line2, Point2, iou_matrix
 from courttrack.imaging import BinaryMask, FrameRaster, PatchWindow
-from courttrack.metrics import MOT_IOU_THRESHOLD, TRACK_CSV_HEADER, MotReport
-from courttrack.track import FrameBoxes, solve_assignment
+from courttrack.metrics import MOT_IOU_THRESHOLD, TRACK_CSV_HEADER, FrameBoxes, MotReport, solve_assignment
 
 # --- geometry ------------------------------------------------------------------------
 

@@ -34,9 +34,10 @@ from courttrack.imaging import FrameRaster, PatchWindow
 from courttrack.metrics import (
     eval_detections,
     eval_mot_records,
+    solve_assignment,
 )
 from courttrack.synth import ScenarioSpec, generate
-from courttrack.track import MatchConfig, run_tracker, solve_assignment
+from courttrack.track import MatchConfig, run_tracker
 
 from tests.detections import frame_of, observed
 from tests.oracles import (

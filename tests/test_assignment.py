@@ -22,7 +22,8 @@ import courttrack
 import courttrack.track as track
 from courttrack.cost import Features
 from courttrack.geometry import FrameDims
-from courttrack.track import MatchConfig, match_frame, solve_assignment
+from courttrack.metrics import solve_assignment
+from courttrack.track import MatchConfig, match_frame
 from tests.oracles import brute_force_assignment
 
 

@@ -339,7 +339,7 @@ class TestTrackCommand:
         h = ["1" * 5000] + ["0"] * 3 + ["1"] + ["0"] * 3 + ["1"]
         path.write_text('[{"frame": 0, "h": [' + ", ".join(h) + "]}]")
         with pytest.raises(InputFormatError) as err:
-            read_homographies_json(path)
+            read_homographies_json(path, 1)
         assert str(path) in str(err.value)
 
     def test_deeply_nested_homographies_fail_naming_the_file(self, tmp_path, capsys):
@@ -657,6 +657,26 @@ class TestEvalCommand:
         assert code == 1
         assert out == ""
         assert "mot_iou: must lie in [0, 1)" in err
+
+    def test_mot_iou_flag_rejected_by_det_mode(self, tmp_path, capsys):
+        gt, out_json = tmp_path / "gt.csv", tmp_path / "report.json"
+        gt.write_text("0,1,0.0,0.0,10.0,10.0\n")
+        argv = ["eval", "--mode", "det", "--gt", str(gt), "--hyp", str(gt), "--out", str(out_json)]
+        code, out, err = run(capsys, *argv, "--mot-iou", "0.9")
+        assert code == 1 and not out
+        assert err == "error: mot_iou: not read by eval --mode det\n"
+        assert not out_json.exists()
+
+    @pytest.mark.parametrize("mode_in_config", [False, True])
+    def test_mot_iou_config_key_rejected_by_det_mode(self, tmp_path, capsys, mode_in_config):
+        gt, out_json, config = tmp_path / "gt.csv", tmp_path / "report.json", tmp_path / "run.cfg"
+        gt.write_text("0,1,0.0,0.0,10.0,10.0\n")
+        config.write_text(("mode=det\n" if mode_in_config else "# det mode\n") + "mot-iou=0.3\n")
+        argv = ["eval", "--gt", str(gt), "--hyp", str(gt), "--out", str(out_json), "--config", str(config)]
+        code, out, err = run(capsys, *argv, *([] if mode_in_config else ["--mode", "det"]))
+        assert code == 1 and not out
+        assert err == f"error: {config}:2 (field 'mot_iou'): not read by eval --mode det\n"
+        assert not out_json.exists()
 
     def test_det_mode_accepts_repeated_ids(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
@@ -1400,12 +1420,14 @@ class TestStartup:
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
-        """argv of a court and a track run on small inputs."""
+        """argv of a court, a track and an eval run on small inputs."""
         tmp = tmp_path_factory.mktemp("startup")
         assert main(synth_args(tmp / "scen", targets=4, frames=6, seed=7, pan="2,0")) == 0
+        gt = str(tmp / "scen" / "gt.csv")
         return {
             "court": TestCourtCommand.planted_nba_args(tmp, tmp / "court.json"),
             "track": track_args(tmp / "scen", tmp / "tracks.csv"),
+            "eval": ["eval", "--mode", "mot", "--gt", gt, "--hyp", gt],
         }
 
     @staticmethod
@@ -1426,7 +1448,7 @@ class TestStartup:
         assert seen["rc"] == 0 and seen["numpy"]
         assert seen["threads"] == 1
 
-    @pytest.mark.parametrize("command", ["court", "track"])
+    @pytest.mark.parametrize("command", ["court", "track", "eval"])
     def test_command_modules_are_frozen_before_it_runs(self, runs, command):
         seen = self.probe(*runs[command])
         assert seen["rc"] == 0 and seen["numpy"]
@@ -1441,6 +1463,11 @@ class TestStartup:
         seen = self.probe(*runs["track"])
         assert seen["rc"] == 0 and "track" in seen["modules"]
         assert not {"court", "synth", "rng"} & set(seen["modules"])
+
+    def test_eval_loads_no_tracker_module(self, runs):
+        seen = self.probe(*runs["eval"])
+        assert seen["rc"] == 0 and "metrics" in seen["modules"]
+        assert not {"track", "cost", "imaging", "court", "synth", "rng"} & set(seen["modules"])
 
     def test_import_loads_no_numpy(self):
         out = run_child("import sys, courttrack.cli; print('numpy' in sys.modules)")
@@ -1464,7 +1491,7 @@ class TestStartup:
             "cli.scenario_spec(SimpleNamespace(targets=2, num_frames=3, width=64, height=48, pan=(0.0, 0.0), "
             "dropout=0.0, jitter=0.0, extra_dropout=0.0, seed=1))",
             "cli.write_scenario(generate(ScenarioSpec(n_targets=2, n_frames=2, dims=FrameDims(64, 48))), scen)",
-            "cli.read_homographies_json(scen / 'homographies.json')",
+            "cli.read_homographies_json(scen / 'homographies.json', 6)",
             "list(cli.decode_frames(cli.list_frame_files(scen / 'frames'), {}, {}, PatchWindow()))",
         ],
     )

@@ -41,7 +41,7 @@ READERS = {
         b'{"frame": 2, "keypoints": [{"part": 16, "x": -3, "y": 1e3, "c": 0.05}]}\n',
     ),
     "homographies": (
-        read_homographies_json,
+        lambda path: read_homographies_json(path, 2),
         b'[{"frame": 0, "h": [1, 0, 0, 0, 1, 0, 0, 0, 1]},\n'
         b' {"frame": 1, "h": [1.0, 0.0, -2.5, 0.0, 1.0, 3.0, 0.0, 0.0, 1.0]}]\n',
     ),

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -11,16 +12,9 @@ from courttrack.cli import decode_frames
 from courttrack.cost import Features, features
 from courttrack.geometry import FrameDims, Homography
 from courttrack.imaging import PatchWindow, write_ppm
-from courttrack.metrics import eval_mot_records, write_mot_csv
+from courttrack.metrics import NO_BOXES, eval_mot_records, solve_assignment, write_mot_csv
 from courttrack.synth import ScenarioSpec, generate
-from courttrack.track import (
-    NO_BOXES,
-    FrameObservations,
-    MatchConfig,
-    match_frame,
-    run_tracker,
-    solve_assignment,
-)
+from courttrack.track import FrameObservations, MatchConfig, match_frame, run_tracker
 from tests.detections import box_det, frame_of
 from tests.oracles import BBox, brute_force_assignment, filled, records_of
 
@@ -237,6 +231,21 @@ class TestRunTracker:
         with pytest.raises(ValueError, match="patch half-extent 8 exceeds frame 0's larger side, 7 px"):
             run_tracker([small], MatchConfig(patch=PatchWindow(8)))
         assert not called
+
+    def test_frame_of_another_size_rejected_before_its_patches(self, monkeypatch):
+        seq = generate(ScenarioSpec(n_targets=3, n_frames=3, dims=FrameDims(160, 90), seed=1))
+        frames = seq.frame_observations()
+        frames[1] = dataclasses.replace(frames[1], raster=filled(FrameDims(500, 300), (9, 9, 9)))
+        cut, extract = [], track.features
+
+        def recording(dets, homography, raster, patch):
+            cut.append(raster.dims)
+            return extract(dets, homography, raster, patch)
+
+        monkeypatch.setattr(track, "features", recording)
+        with pytest.raises(ValueError, match=r"^frame 1 is 500x300, frame 0 is 160x90$"):
+            run_tracker(frames)
+        assert cut == [FrameDims(160, 90)]
 
     def test_patch_equal_to_the_larger_side_tracks(self):
         raster = filled(FrameDims(7, 5), (9, 9, 9))
