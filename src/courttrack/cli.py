@@ -58,8 +58,6 @@ from .errors import (
     DegenerateProjection,
     InputFormatError,
     check_hsv_bounds,
-    json_int,
-    json_number,
     open_text,
     text_lines,
 )
@@ -75,7 +73,7 @@ IMPORTED = {
         "row_prefix_sums", "select_boundary_european", "vote_dominant_lines",
     ),
     "detect": ("NO_DETECTIONS", "iter_detections_jsonl", "read_detections_jsonl", "write_detections_jsonl"),
-    "geometry": ("FrameDims", "Homography", "Line2"),
+    "geometry": ("FrameDims", "Homography", "Line2", "read_homographies_json", "write_homographies_json"),
     "imaging": ("BinaryMask", "PatchWindow", "read_pgm", "read_ppm", "write_ppm"),
     "metrics": ("eval_detections", "eval_mot_records", "read_mot_csv", "write_mot_csv"),
     "synth": ("ScenarioSpec", "generate"),
@@ -287,45 +285,6 @@ def resolve_settings(args: argparse.Namespace) -> None:
         if value is None and name in required:
             raise InputFormatError(name, f"required for {run}")
         setattr(args, name, value)
-
-
-# --- homographies JSON ---------------------------------------------------------
-
-def write_homographies_json(homographies: list[Homography], path) -> None:
-    """Array of {"frame": int, "h": [9 numbers row-major]}."""
-    payload = [
-        {"frame": t, "h": h.flat()} for t, h in enumerate(homographies)
-    ]
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-
-
-def read_homographies_json(path, n_frames: int) -> dict[int, Homography]:
-    """{frame: Homography}; a frame outside 0..n_frames-1 is an error naming its entry."""
-    _load("track")
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # non-UTF-8, over-long integer, deep nesting
-        raise InputFormatError(path, f"invalid JSON: {exc}") from None
-    if not isinstance(payload, list):
-        raise InputFormatError(path, "expected a JSON array")
-    out: dict[int, Homography] = {}
-    for idx, entry in enumerate(payload):
-        try:
-            raw_frame, matrix = entry["frame"], entry["h"]
-        except (KeyError, TypeError):
-            raise InputFormatError(path, f"entry {idx} needs 'frame' and 'h'", field="frame") from None
-        frame = json_int(raw_frame, path, "frame", entry=idx)
-        if frame in out:
-            raise InputFormatError(path, f"entry {idx}: frame {frame} repeats", field="frame")
-        if not 0 <= frame < n_frames:
-            raise InputFormatError(path, f"entry {idx}: frame {frame} outside 0..{n_frames - 1}", field="frame")
-        if not isinstance(matrix, list) or len(matrix) != 9:
-            raise InputFormatError(path, f"entry {idx}: expected a flat array of 9 numbers", field="h")
-        try:
-            out[frame] = Homography([json_number(v, path, "h", entry=idx) for v in matrix])
-        except ValueError as exc:
-            raise InputFormatError(path, f"entry {idx}: {exc}", field="h") from None
-    return out
 
 
 # --- frame directory -----------------------------------------------------------

@@ -3,17 +3,21 @@
 All types are immutable values and all operations are pure functions,
 working in double precision with continuous pixel coordinates. A box is
 a row (x_min, y_min, x_max, y_max) of an (n, 4) float64 array, the form
-that detections, tracks and ground truth all take.
+that detections, tracks and ground truth all take. The homographies
+file format, read and written next to Homography, is the one part that
+touches files.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateProjection
+from .errors import DegenerateProjection, InputFormatError, json_int, json_number
 
 SINGULAR_TOL = 1e-12
 
@@ -83,6 +87,44 @@ class Homography:
 
     def __repr__(self) -> str:
         return f"Homography({self.m.tolist()})"
+
+
+def write_homographies_json(homographies: list[Homography], path) -> None:
+    """Array of {"frame": int, "h": [9 numbers row-major]}."""
+    payload = [{"frame": t, "h": h.flat()} for t, h in enumerate(homographies)]
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
+def read_homographies_json(path, n_frames: int) -> dict[int, Homography]:
+    """{frame: Homography}; a frame outside 0..n_frames-1, or a key other
+    than "frame" and "h", is an error naming its entry."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # non-UTF-8, over-long integer, deep nesting
+        raise InputFormatError(path, f"invalid JSON: {exc}") from None
+    if not isinstance(payload, list):
+        raise InputFormatError(path, "expected a JSON array")
+    out: dict[int, Homography] = {}
+    for idx, entry in enumerate(payload):
+        try:
+            raw_frame, matrix = entry["frame"], entry["h"]
+        except (KeyError, TypeError):
+            raise InputFormatError(path, f"entry {idx} needs 'frame' and 'h'", field="frame") from None
+        unknown = next((key for key in entry if key not in ("frame", "h")), None)
+        if unknown is not None:
+            raise InputFormatError(path, f"entry {idx}: unknown key {unknown!r}", field=unknown)
+        frame = json_int(raw_frame, path, "frame", entry=idx)
+        if frame in out:
+            raise InputFormatError(path, f"entry {idx}: frame {frame} repeats", field="frame")
+        if not 0 <= frame < n_frames:
+            raise InputFormatError(path, f"entry {idx}: frame {frame} outside 0..{n_frames - 1}", field="frame")
+        if not isinstance(matrix, list) or len(matrix) != 9:
+            raise InputFormatError(path, f"entry {idx}: expected a flat array of 9 numbers", field="h")
+        try:
+            out[frame] = Homography([json_number(v, path, "h", entry=idx) for v in matrix])
+        except ValueError as exc:
+            raise InputFormatError(path, f"entry {idx}: {exc}", field="h") from None
+    return out
 
 
 @dataclass(frozen=True)

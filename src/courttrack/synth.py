@@ -35,7 +35,6 @@ from .geometry import FrameDims, Homography
 from .imaging import FrameRaster
 from .metrics import FrameBoxes
 from .rng import SplitMix64
-from .track import FrameObservations
 
 # Keypoint stencil: (part_id, relative x, relative y) inside the box. The
 # hull of the stencil spans the whole box, so a detection's skeleton box
@@ -103,13 +102,6 @@ class SyntheticSequence:
     detections: dict[int, FrameDetections]
     homographies: list[Homography]
     frames: list[FrameRaster]
-
-    def frame_observations(self) -> list[FrameObservations]:
-        """Repackage for run_tracker."""
-        return [
-            FrameObservations(self.detections[t], self.homographies[t], self.frames[t])
-            for t in range(self.spec.n_frames)
-        ]
 
 
 def _target_colors(n: int, seed: int) -> list[tuple[int, int, int]]:

@@ -20,6 +20,7 @@ from courttrack.errors import CourtTrackError, DegenerateProjection
 from courttrack.geometry import SINGULAR_TOL, FrameDims, Homography, Line2, Point2, iou_matrix
 from courttrack.imaging import BinaryMask, FrameRaster, PatchWindow
 from courttrack.metrics import MOT_IOU_THRESHOLD, TRACK_CSV_HEADER, FrameBoxes, MotReport, solve_assignment
+from courttrack.track import FrameObservations
 
 # --- geometry ------------------------------------------------------------------------
 
@@ -152,6 +153,12 @@ def filled(dims: FrameDims, color: tuple[int, int, int]) -> FrameRaster:
     arr = np.repeat(np.full((1, dims.w, 3), color, dtype=np.uint8), dims.h, axis=0)
     arr.flags.writeable = False
     return FrameRaster(arr)
+
+
+def observations(seq) -> list[FrameObservations]:
+    """A synthetic sequence's frames as run_tracker takes them."""
+    frames = zip(seq.homographies, seq.frames)
+    return [FrameObservations(seq.detections[t], h, raster) for t, (h, raster) in enumerate(frames)]
 
 
 def _round_half_up(x: float) -> int:

@@ -53,6 +53,7 @@ from tests.oracles import (
     frame_boxes,
     iou,
     line_from_points,
+    observations,
     similarity_cost,
 )
 from tests.test_court import banded_mask, as_rows, seg as make_seg, two_band_frame, GREEN_FILTER
@@ -162,7 +163,7 @@ CLEAN_SPEC = ScenarioSpec(
 def test_criterion_4_clean_scenario_perfection():
     start = time.perf_counter()
     seq = generate(CLEAN_SPEC)
-    mot = eval_mot_records(seq.gt, run_tracker(seq.frame_observations(), MatchConfig()))
+    mot = eval_mot_records(seq.gt, run_tracker(observations(seq), MatchConfig()))
     elapsed = time.perf_counter() - start
     assert mot.mota == 1.0, f"MOTA {mot.mota}"
     assert mot.motp >= 0.999, f"MOTP {mot.motp}"
@@ -191,7 +192,7 @@ def test_criterion_5_memory_ablation_ordering():
         assert removed > 0, "degradation must remove at least one detection"
         reports = {}
         for depth in (1, 2):
-            rows = run_tracker(degraded.frame_observations(), MatchConfig(memory_depth=depth))
+            rows = run_tracker(observations(degraded), MatchConfig(memory_depth=depth))
             reports[depth] = eval_mot_records(degraded.gt, rows)
         assert reports[2].mota > reports[1].mota, f"seed {seed}: {reports}"
         assert reports[2].id_switches < reports[1].id_switches, f"seed {seed}: {reports}"

@@ -7,10 +7,6 @@ keep scipy's tie rules.
 """
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment as scipy_lsap
 
-import courttrack
 import courttrack.track as track
 from courttrack.cost import Features
 from courttrack.geometry import FrameDims
@@ -153,10 +148,3 @@ class TestMatchFrameAssignment:
         rows, cols = scipy_lsap(np.where(np.array(raw) <= 0.5, raw, 5.0))
         assert self.match(monkeypatch, raw) == dict(zip(rows.tolist(), cols.tolist())) == {0: 0, 2: 1}
 
-
-def test_cli_import_loads_no_scipy():
-    src = Path(courttrack.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = "import sys, courttrack.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"

@@ -1,34 +1,27 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 import courttrack
 import courttrack.court
-from courttrack.cli import (
-    SETTINGS,
-    _build_parser,
-    _rows_between,
-    main,
-    read_homographies_json,
-    resolve_settings,
-    scenario_spec,
-)
+from courttrack.cli import SETTINGS, _build_parser, _rows_between, main, resolve_settings, scenario_spec
 from courttrack.court import read_segments_csv, vote_dominant_lines
 from courttrack.defaults import DEFAULT_CANDIDATES
 from courttrack.errors import DegenerateCourt
-from courttrack.geometry import FrameDims, Line2
+from courttrack.geometry import FrameDims, Line2, read_homographies_json
 from courttrack.imaging import BinaryMask, FrameRaster, write_ppm
 from courttrack.metrics import read_mot_csv
 from courttrack.synth import ScenarioSpec
-from tests.oracles import filled, write_pgm
+from tests.oracles import write_pgm
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -76,6 +69,170 @@ def track_args(scen, out, memory=2):
     ]
 
 
+# --- input faults ----------------------------------------------------------------------
+#
+# Each command's input faults are one table of rows. A row copies the
+# shared valid inputs (the `inputs` fixture) that its argv or its edit
+# names, edits them, runs its command there with its change to the
+# command's base argv, and asserts its exit code, an empty stdout, its
+# `error:` line as the whole of stderr (argparse prints its usage first)
+# and that no file under the copy changed, so nothing was written at
+# --out. Paths are relative to the copy. A row keeps the id of the test
+# it stands for; the rows of one id run in turn, as one test.
+
+FRAMES, HOM, DET = "scen/frames", "scen/homographies.json", "scen/detections.jsonl"
+EYE = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+GREEN = "90:150,0.4:1,0.2:1"  # the European planted frame's court colour
+BOX_ROWS = "0,1,0.0,0.0,10.0,10.0\n1,1,0.0,0.0,10.0,10.0\n"  # eval's gt.csv and hyp.csv
+
+BASE = {
+    "track": ["track", "--frames", FRAMES, "--detections", DET, "--homographies", HOM, "--out", "tracks.csv"],
+    "eval": ["eval", "--mode", "mot", "--gt", "gt.csv", "--hyp", "hyp.csv", "--out", "report.json"],
+    "nba": ["court", "--court", "nba", "--segments", "nba/segments.csv", "--mask", "nba/mask.pgm", "--out", "court.json"],
+    "european": ["court", "--court", "european", "--segments", "eu/segments.csv", "--frames", "eu/frame.ppm",
+                 "--hsv", GREEN, "--out", "court.json"],
+    "synth": ["synth", "--out", "new", "--targets", "3", "--num-frames", "6", "--width", "320", "--height", "180"],
+}
+
+
+class Fault(NamedTuple):
+    id: str  # the test's name, with its case in brackets if it has cases
+    base: str  # the key of the command's argv in BASE
+    edit: dict  # path -> text or bytes to write, None to delete it, or a function that edits it
+    args: tuple  # flag, value pairs: a value replaces the base's, None drops the flag, a new flag is added
+    code: int
+    message: str  # the line on stderr
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The valid inputs that the fault rows edit: a synth scenario, the
+    planted NBA and European court inputs, and eval's gt.csv and hyp.csv."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert main(synth_args(root / "scen")) == 0
+    (root / "nba").mkdir()
+    (root / "eu").mkdir()
+    TestCourtCommand.planted_nba_args(root / "nba", root / "court.json")  # these write the inputs there
+    TestCourtCommand.planted_european_args(root / "eu")
+    (root / "gt.csv").write_text(BOX_ROWS)
+    (root / "hyp.csv").write_text(BOX_ROWS)
+    return root
+
+
+def fault_argv(fault: Fault) -> list[str]:
+    argv = list(BASE[fault.base])
+    for flag, value in zip(fault.args[::2], fault.args[1::2]):
+        at = argv.index(flag) if flag in argv else len(argv)
+        argv[at : at + 2] = [] if value is None else [flag, value]
+    return argv
+
+
+def files_under(root: Path) -> dict:
+    return {path: path.is_file() and path.read_bytes() for path in root.rglob("*")}
+
+
+def check_faults(faults, inputs, tmp_path, capsys, monkeypatch) -> None:
+    for n, fault in enumerate(faults):
+        root, argv = tmp_path / str(n), fault_argv(fault)
+        root.mkdir()
+        monkeypatch.chdir(root)
+        named = {name.partition("/")[0] for name in [*argv, *fault.edit]}
+        for entry in inputs.iterdir():
+            if entry.name in named:
+                (shutil.copytree if entry.is_dir() else shutil.copy)(entry, entry.name)
+        for name, value in fault.edit.items():
+            path = root / name
+            if value is None:
+                path.unlink()
+            elif callable(value):
+                value(path)
+            else:
+                path.parent.mkdir(exist_ok=True)
+                path.write_bytes(value if isinstance(value, bytes) else value.encode())
+        before = files_under(root)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (fault.code, ""), err
+        if fault.message.startswith("error: "):
+            assert err == fault.message + "\n"
+        else:  # an argparse usage error
+            assert err.startswith("usage: courttrack ") and err.endswith("\n" + fault.message + "\n"), err
+        assert files_under(root) == before
+
+
+def fault_tests(faults: list[Fault]) -> Callable[[type], type]:
+    """Class decorator: one test per name among the faults' ids, with one
+    case per bracketed case of that name."""
+
+    def add(cls: type) -> type:
+        by_name: dict[str, dict[str, list[Fault]]] = {}
+        for fault in faults:
+            name, _, case = fault.id.partition("[")
+            by_name.setdefault(name, {}).setdefault(case.removesuffix("]"), []).append(fault)
+        for name, cases in by_name.items():
+            if list(cases) == [""]:
+                def test(self, inputs, tmp_path, capsys, monkeypatch, rows=cases[""]):
+                    check_faults(rows, inputs, tmp_path, capsys, monkeypatch)
+            else:
+                @pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))
+                def test(self, rows, inputs, tmp_path, capsys, monkeypatch):
+                    check_faults(rows, inputs, tmp_path, capsys, monkeypatch)
+            test.__name__, test.__qualname__ = name, f"{cls.__name__}.{name}"
+            setattr(cls, name, test)
+        return cls
+
+    return add
+
+
+def config(text) -> dict:
+    return {"run.cfg": text}
+
+
+def out_of_range(id: str, base: str, name: str, value: str, said: str, head: str = "") -> list[Fault]:
+    """Two rows of one id: the setting's value as a flag, then as a line of
+    a config file after head, with the flag dropped from the base argv."""
+    flag, line = "--" + name.replace("_", "-"), head.count("\n") + 1
+    return [
+        Fault(id, base, {}, (flag, value), 1, f"error: {name}: {said}"),
+        Fault(id, base, config(f"{head}{name}={value}\n"), (flag, None, "--config", "run.cfg"), 1,
+              f"error: run.cfg:{line} (field '{name}'): {said}"),
+    ]
+
+
+KEYPOINT = {"part": 0, "x": 10.0, "y": 20.0, "c": 0.9}
+
+
+def detections(*lines) -> dict:
+    """An edit that writes the scenario's detections, one line per item:
+    its text, or its frame and its keypoints as changes of KEYPOINT (one
+    unchanged keypoint if none is given)."""
+
+    def text(line):
+        if isinstance(line, str):
+            return line
+        frame, *keypoints = line
+        return json.dumps({"frame": frame, "keypoints": [{**KEYPOINT, **kp} for kp in keypoints or [{}]]})
+
+    return {DET: "".join(text(line) + "\n" for line in lines)}
+
+
+def homographies(change) -> dict:
+    """An edit of the scenario's homographies: change(array) gives the array to write."""
+    return {HOM: lambda path: path.write_text(json.dumps(change(json.loads(path.read_text()))))}
+
+
+def entry(i: int, **keys) -> dict:
+    """An edit that sets keys of the scenario's homography entry i."""
+    return homographies(lambda payload: [*payload[:i], {**payload[i], **keys}, *payload[i + 1 :]])
+
+
+def people(h: int, w: int, *boxes) -> Callable[[Path], None]:
+    """A writer of an h x w people mask, true in each box (y0, y1, x0, x1)."""
+    bits = np.zeros((h, w), dtype=bool)
+    for y0, y1, x0, x1 in boxes:
+        bits[y0:y1, x0:x1] = True
+    return lambda path: write_pgm(BinaryMask(bits), path)
+
+
 class TestSynthTrackEvalRoundTrip:
     def test_clean_scenario_reaches_perfect_mota(self, tmp_path, capsys):
         scen = tmp_path / "scen"
@@ -113,37 +270,105 @@ class TestSynthTrackEvalRoundTrip:
         assert strip(hyp) == strip(gt)
 
 
+INFINITE_AT_X_100 = ({"x": 100.0, "y": 40.0}, {"part": 1, "x": 100.0, "y": 60.0})  # centroid (100, 50)
+
+TRACK_FAULTS = [
+    Fault("test_missing_homography_file_fails", "track", {}, ("--homographies", "scen/nope.json"), 1,
+          "error: [Errno 2] No such file or directory: 'scen/nope.json'"),
+    Fault("test_frame_of_other_size_fails_naming_it", "track",
+          {f"{FRAMES}/frame_000002.ppm": b"P6\n160 100\n255\n" + bytes(160 * 100 * 3)}, (), 1,
+          f"error: {FRAMES}/frame_000002.ppm: frame is 160x100, frame 0 is 320x180"),
+    Fault("test_detection_frame_outside_frames_fails_naming_its_line[frames0]", "track",
+          detections((-2,), (0,), (1,), (6,), (9,)), (), 1, f"error: {DET}:1 (field 'frame'): frame -2 outside 0..5"),
+    Fault("test_detection_frame_outside_frames_fails_naming_its_line[frames1]", "track",
+          detections((0,), (6,)), (), 1, f"error: {DET}:2 (field 'frame'): frame 6 outside 0..5"),
+    Fault("test_detection_frame_outside_frames_fails_naming_its_line[frames2]", "track",
+          detections((-1,)), (), 1, f"error: {DET}:1 (field 'frame'): frame -1 outside 0..5"),
+    Fault("test_decreasing_detection_frame_fails_naming_its_line", "track", detections((0,), (1,), (0,)), (), 1,
+          f"error: {DET}:3 (field 'frame'): frame 0 after frame 1; frames must not decrease"),
+    Fault("test_homography_frame_outside_frames_fails[-1]", "track",
+          homographies(lambda p: p + [{"frame": -1, "h": EYE}]), (), 1,
+          f"error: {HOM} (field 'frame'): entry 6: frame -1 outside 0..5"),
+    Fault("test_homography_frame_outside_frames_fails[6]", "track",
+          homographies(lambda p: p + [{"frame": 6, "h": EYE}]), (), 1,
+          f"error: {HOM} (field 'frame'): entry 6: frame 6 outside 0..5"),
+    Fault("test_non_integer_homography_frame_fails[1.5]", "track", entry(1, frame=1.5), (), 1,
+          f"error: {HOM} (field 'frame'): entry 1: expected an integer, got 1.5"),
+    Fault("test_non_integer_homography_frame_fails[True]", "track", entry(1, frame=True), (), 1,
+          f"error: {HOM} (field 'frame'): entry 1: expected an integer, got True"),
+    Fault("test_non_integer_homography_frame_fails[1]", "track", entry(1, frame="1"), (), 1,
+          f"error: {HOM} (field 'frame'): entry 1: expected an integer, got '1'"),
+    Fault("test_homography_entries_must_be_nine_numbers[h0]", "track", entry(1, h=["1", *EYE[1:]]), (), 1,
+          f"error: {HOM} (field 'h'): entry 1: expected a finite number, got '1'"),
+    Fault("test_homography_entries_must_be_nine_numbers[h1]", "track", entry(1, h=[True, *EYE[1:]]), (), 1,
+          f"error: {HOM} (field 'h'): entry 1: expected a finite number, got True"),
+    Fault("test_homography_entries_must_be_nine_numbers[h2]", "track", entry(1, h=[EYE[:3], EYE[3:6], EYE[6:]]), (), 1,
+          f"error: {HOM} (field 'h'): entry 1: expected a flat array of 9 numbers"),
+    Fault("test_unknown_homography_key_fails_naming_it", "track", entry(1, x=5), (), 1,
+          f"error: {HOM} (field 'x'): entry 1: unknown key 'x'"),
+    Fault("test_non_number_keypoint_fails_naming_its_line[x-12]", "track", detections((0,), (1, {"x": "12"})), (), 1,
+          f"error: {DET}:2 (field 'x'): expected a finite number, got '12'"),
+    Fault("test_non_number_keypoint_fails_naming_its_line[y-False]", "track", detections((0,), (1, {"y": False})), (),
+          1, f"error: {DET}:2 (field 'y'): expected a finite number, got False"),
+    Fault("test_non_number_keypoint_fails_naming_its_line[c-True]", "track", detections((0,), (1, {"c": True})), (), 1,
+          f"error: {DET}:2 (field 'c'): expected a finite number, got True"),
+    # finite keypoints whose box is too wide for its width to be a float; a
+    # numpy warning on the way would be an error under this suite's settings
+    Fault("test_overflowing_keypoint_span_fails_naming_its_line", "track",
+          detections((0,), (1, {"x": 1e308, "y": -1e308}, {"part": 1, "x": -1e308, "y": 1e308})), (), 1,
+          f"error: {DET}:2 (field 'keypoints'): keypoint span from (-1e+308, -1e+308) to (1e+308, 1e+308) is not finite"),
+    Fault("test_deeply_nested_homographies_fail_naming_the_file", "track", {HOM: "[" * 100000 + "]" * 100000}, (), 1,
+          f"error: {HOM}: invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode "
+          "string"),
+    Fault("test_deeply_nested_keypoints_fail_naming_their_line", "track",
+          detections((0,), '{"frame": 1, "keypoints": ' + "[" * 100000 + "]" * 100000 + "}"), (), 1,
+          f"error: {DET}:2: invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode "
+          "string"),
+    Fault("test_unusable_frame_directory_fails_naming_it[file-not a directory of frames]", "track", {},
+          ("--frames", "scen/gt.csv"), 1, "error: scen/gt.csv: not a directory of frames"),
+    Fault("test_unusable_frame_directory_fails_naming_it[empty-no frame_%06d.ppm files found]", "track",
+          {"no-frames/frame_0.ppm": ""}, ("--frames", "no-frames"), 1, "error: no-frames: no frame_%06d.ppm files found"),
+    Fault("test_unusable_frame_directory_fails_naming_it[gap-frame files are not consecutive from 0]", "track",
+          {f"{FRAMES}/frame_000003.ppm": None}, (), 1, f"error: {FRAMES}: frame files are not consecutive from 0"),
+    Fault("test_homographies_object_fails_naming_the_file", "track", {HOM: json.dumps({"frame": 0, "h": EYE})}, (), 1,
+          f"error: {HOM}: expected a JSON array"),
+    Fault("test_singular_homography_fails_naming_its_entry", "track", entry(1, h=[1, 0, 0, 0, 0, 0, 0, 0, 1]), (), 1,
+          f"error: {HOM} (field 'h'): entry 1: homography matrix is singular"),
+    Fault("test_repeated_homography_frame_fails", "track", homographies(lambda p: p + p[:1]), (), 1,
+          f"error: {HOM} (field 'frame'): entry 6: frame 0 repeats"),
+    # frame 1's homography sends x = 100 to the line at infinity
+    Fault("test_projection_to_infinity_fails_naming_file_frame_and_point", "track",
+          {**detections((0, *INFINITE_AT_X_100), (1, *INFINITE_AT_X_100)), **entry(1, h=[1, 0, 0, 0, 1, 0, -0.01, 0, 1])},
+          (), 1, f"error: {HOM} (field 'h'): frame 1: point (100.0, 50.0) maps to the line at infinity"),
+    Fault("test_projection_past_the_float_range_fails_naming_file_frame_and_point", "track",
+          entry(1, h=[1e307, *EYE[1:]]), (), 1,
+          f"error: {HOM} (field 'h'): frame 1: point (100.32992105988177, 58.81168914290795) maps to the non-finite "
+          "point (inf, 58.81168914290795)"),
+    Fault("test_nan_gate_fails", "track", {}, ("--gate", "nan"), 1, "error: gate: must be positive, got nan"),
+    *(
+        fault
+        for case, name, value, said in [
+            ("flags0-memory", "memory", "3", "must be 1 or 2, got 3"),
+            ("flags1-memory", "memory", "0", "must be 1 or 2, got 0"),
+            ("flags2-patch", "patch", "0", "must be at least 1, got 0"),
+            ("flags3-gate", "gate", "0", "must be positive, got 0.0"),
+            ("flags4-gate", "gate", "-1", "must be positive, got -1.0"),
+            ("flags5-alpha", "alpha", "1.5", "must lie in [0, 1], got 1.5"),
+            ("flags6-beta", "beta", "-0.1", "must lie in [0, 1], got -0.1"),
+        ]
+        for fault in out_of_range(f"test_out_of_range_track_setting_is_input_error[{case}]", "track", name, value, said)
+    ),
+    # the joint bound is the command's, so it names no line
+    Fault("test_out_of_range_track_setting_is_input_error[flags7-alpha/beta]", "track", {},
+          ("--alpha", "0.7", "--beta", "0.5"), 1,
+          "error: alpha/beta: gamma = 1 - (alpha + beta) must be >= 0, got 0.7 and 0.5"),
+    Fault("test_out_of_range_track_setting_is_input_error[flags7-alpha/beta]", "track", config("alpha=0.7\nbeta=0.5\n"),
+          ("--config", "run.cfg"), 1, "error: alpha/beta: gamma = 1 - (alpha + beta) must be >= 0, got 0.7 and 0.5"),
+]
+
+
+@fault_tests(TRACK_FAULTS)
 class TestTrackCommand:
-    def test_missing_homography_file_fails(self, tmp_path, capsys):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen))
-        code, _, err = run(
-            capsys,
-            "track",
-            "--frames",
-            str(scen / "frames"),
-            "--detections",
-            str(scen / "detections.jsonl"),
-            "--homographies",
-            str(scen / "nope.json"),
-            "--out",
-            str(tmp_path / "t.csv"),
-        )
-        assert code == 1
-        assert "nope.json" in err
-
-    def test_frame_of_other_size_fails_naming_it(self, tmp_path, capsys):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen, width=320, height=200))
-        odd = scen / "frames" / "frame_000002.ppm"
-        write_ppm(filled(FrameDims(160, 100), (0, 0, 0)), odd)
-        out_csv = tmp_path / "t.csv"
-        code, _, err = run(capsys, *track_args(scen, out_csv))
-        assert code == 1
-        assert "frame_000002.ppm" in err
-        assert "160x100" in err and "320x200" in err
-        assert not out_csv.exists()
-
     def test_peak_memory_does_not_grow_with_frame_count(self, tmp_path, capsys):
         # frames are decoded one at a time, so 40 frames peak near what 10 do
         peaks = {}
@@ -196,35 +421,6 @@ class TestTrackCommand:
         assert f"error: [Errno " in err and f"{reason}: '{out}'" in err
         assert sorted(tmp_path.rglob("*")) == before
 
-    @pytest.mark.parametrize("frames", [[-2, 0, 1, 6, 9], [0, 6], [-1]])
-    def test_detection_frame_outside_frames_fails_naming_its_line(self, tmp_path, capsys, frames):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen, frames=6))
-        kps = [{"part": 0, "x": 10.0, "y": 20.0, "c": 0.9}]
-        (scen / "detections.jsonl").write_text("".join(json.dumps({"frame": t, "keypoints": kps}) + "\n" for t in frames))
-        out_csv = tmp_path / "t.csv"
-        code, _, err = run(capsys, *track_args(scen, out_csv))
-        assert code == 1
-        line = next(i for i, t in enumerate(frames, 1) if not 0 <= t < 6)
-        assert f"detections.jsonl:{line} (field 'frame'): frame {frames[line - 1]} outside 0..5" in err
-        assert not out_csv.exists()
-
-    def test_decreasing_detection_frame_fails_naming_its_line(self, tmp_path, capsys):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen))
-        lines = (scen / "detections.jsonl").read_text().splitlines()
-        first = lines.pop(0)
-        at = next(i for i, line in enumerate(lines) if json.loads(line)["frame"] == 2)
-        lines.insert(at, first)  # a frame 0 line just before frame 2's
-        before = json.loads(lines[at - 1])["frame"]
-        assert json.loads(first)["frame"] == 0 < before
-        (scen / "detections.jsonl").write_text("\n".join(lines) + "\n")
-        out_csv = tmp_path / "t.csv"
-        code, _, err = run(capsys, *track_args(scen, out_csv))
-        assert code == 1
-        assert f"detections.jsonl:{at + 1} (field 'frame'): frame 0 after frame {before}; frames must not decrease" in err
-        assert not out_csv.exists()
-
     def test_empty_detections_writes_header_only(self, tmp_path, capsys):
         scen = tmp_path / "scen"
         run(capsys, *synth_args(scen))
@@ -256,82 +452,6 @@ class TestTrackCommand:
         assert "warning" in err
         assert "identity" in err
 
-
-    @pytest.mark.parametrize("frame", [-1, 6])
-    def test_homography_frame_outside_frames_fails(self, tmp_path, capsys, frame):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen, frames=6))
-        payload = json.loads((scen / "homographies.json").read_text())
-        payload.append({"frame": frame, "h": [1, 0, 0, 0, 1, 0, 0, 0, 1]})
-        (scen / "homographies.json").write_text(json.dumps(payload))
-        code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
-        assert code == 1
-        entry = len(payload) - 1
-        assert f"homographies.json (field 'frame'): entry {entry}: frame {frame} outside 0..5" in err
-
-    @pytest.mark.parametrize("frame", [1.5, True, "1"])
-    def test_non_integer_homography_frame_fails(self, tmp_path, capsys, frame):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen))
-        payload = json.loads((scen / "homographies.json").read_text())
-        payload[1]["frame"] = frame
-        (scen / "homographies.json").write_text(json.dumps(payload))
-        code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
-        assert code == 1
-        assert "homographies.json" in err and "'frame'" in err and "entry 1" in err
-
-    @pytest.mark.parametrize(
-        "h",
-        [
-            ["1", 0, 0, 0, 1, 0, 0, 0, 1],
-            [True, 0, 0, 0, 1, 0, 0, 0, 1],
-            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        ],
-    )
-    def test_homography_entries_must_be_nine_numbers(self, tmp_path, capsys, h):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen))
-        payload = json.loads((scen / "homographies.json").read_text())
-        payload[1]["h"] = h
-        (scen / "homographies.json").write_text(json.dumps(payload))
-        code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
-        assert code == 1
-        assert "homographies.json" in err and "'h'" in err and "entry 1" in err
-
-    @pytest.mark.parametrize("field, value", [("x", "12"), ("y", False), ("c", True)])
-    def test_non_number_keypoint_fails_naming_its_line(self, tmp_path, capsys, field, value):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen))
-        lines = (scen / "detections.jsonl").read_text().splitlines()
-        bad = json.loads(lines[1])
-        bad["keypoints"][0][field] = value
-        lines[1] = json.dumps(bad)
-        (scen / "detections.jsonl").write_text("\n".join(lines) + "\n")
-        code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
-        assert code == 1
-        assert f"detections.jsonl:2 (field '{field}')" in err
-
-    def test_overflowing_keypoint_span_fails_naming_its_line(self, tmp_path, capsys):
-        # finite keypoints whose box is too wide for its width to be a float
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen))
-        lines = (scen / "detections.jsonl").read_text().splitlines()
-        bad = json.loads(lines[1])
-        bad["keypoints"] = [
-            {"part": 0, "x": 1e308, "y": -1e308, "c": 0.9},
-            {"part": 1, "x": -1e308, "y": 1e308, "c": 0.9},
-        ]
-        lines[1] = json.dumps(bad)
-        (scen / "detections.jsonl").write_text("\n".join(lines) + "\n")
-        out_csv = tmp_path / "t.csv"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, _, err = run(capsys, *track_args(scen, out_csv))
-        assert code == 1
-        assert "detections.jsonl:2 (field 'keypoints'): keypoint span" in err and "is not finite" in err
-        assert caught == []
-        assert not out_csv.exists()
-
     def test_homography_integer_beyond_digit_limit_names_file(self, tmp_path):
         from courttrack.errors import InputFormatError
 
@@ -341,157 +461,6 @@ class TestTrackCommand:
         with pytest.raises(InputFormatError) as err:
             read_homographies_json(path, 1)
         assert str(path) in str(err.value)
-
-    def test_deeply_nested_homographies_fail_naming_the_file(self, tmp_path, capsys):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen))
-        (scen / "homographies.json").write_text("[" * 100000 + "]" * 100000)
-        code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
-        assert code == 1
-        assert "homographies.json" in err and "invalid JSON" in err
-
-    def test_deeply_nested_keypoints_fail_naming_their_line(self, tmp_path, capsys):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen))
-        lines = (scen / "detections.jsonl").read_text().splitlines()
-        lines[1] = '{"frame": 1, "keypoints": ' + "[" * 100000 + "]" * 100000 + "}"
-        (scen / "detections.jsonl").write_text("\n".join(lines) + "\n")
-        code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
-        assert code == 1
-        assert "detections.jsonl:2" in err and "invalid JSON" in err
-
-    @pytest.mark.parametrize(
-        "layout, message",
-        [
-            ("file", "not a directory of frames"),
-            ("empty", "no frame_%06d.ppm files found"),
-            ("gap", "frame files are not consecutive from 0"),
-        ],
-    )
-    def test_unusable_frame_directory_fails_naming_it(self, tmp_path, capsys, layout, message):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen))
-        frames = scen / "frames"
-        if layout == "file":
-            frames = scen / "gt.csv"
-        elif layout == "empty":
-            frames = tmp_path / "no-frames"
-            frames.mkdir()
-            (frames / "frame_0.ppm").write_bytes((scen / "frames" / "frame_000000.ppm").read_bytes())
-        else:
-            (frames / "frame_000003.ppm").unlink()
-        argv = track_args(scen, tmp_path / "t.csv")
-        argv[argv.index("--frames") + 1] = str(frames)
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and not out
-        assert f"error: {frames}: {message}\n" in err
-        assert not (tmp_path / "t.csv").exists()
-
-    def test_homographies_object_fails_naming_the_file(self, tmp_path, capsys):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen))
-        path = scen / "homographies.json"
-        path.write_text(json.dumps({"frame": 0, "h": [1, 0, 0, 0, 1, 0, 0, 0, 1]}))
-        code, out, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
-        assert code == 1 and not out
-        assert f"error: {path}: expected a JSON array\n" in err
-
-    def test_singular_homography_fails_naming_its_entry(self, tmp_path, capsys):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen))
-        path = scen / "homographies.json"
-        payload = json.loads(path.read_text())
-        payload[1]["h"] = [1, 0, 0, 0, 0, 0, 0, 0, 1]
-        path.write_text(json.dumps(payload))
-        code, out, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
-        assert code == 1 and not out
-        assert f"error: {path} (field 'h'): entry 1: homography matrix is singular\n" in err
-
-    def test_repeated_homography_frame_fails(self, tmp_path, capsys):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen))
-        payload = json.loads((scen / "homographies.json").read_text())
-        (scen / "homographies.json").write_text(json.dumps(payload + payload[:1]))
-        code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
-        assert code == 1
-        assert "homographies.json" in err and "frame 0 repeats" in err
-
-    def test_projection_to_infinity_fails_naming_file_frame_and_point(self, tmp_path, capsys):
-        # frame 1's homography sends x = 100 to the line at infinity
-        scen = tmp_path / "scen"
-        (scen / "frames").mkdir(parents=True)
-        frame = filled(FrameDims(200, 100), (50, 60, 70))
-        keypoints = [{"part": 0, "x": 100.0, "y": 40.0, "c": 0.9}, {"part": 1, "x": 100.0, "y": 60.0, "c": 0.9}]
-        lines = []
-        for t in range(2):
-            write_ppm(frame, scen / "frames" / f"frame_{t:06d}.ppm")
-            lines.append(json.dumps({"frame": t, "keypoints": keypoints, "stage": "external"}) + "\n")
-        (scen / "detections.jsonl").write_text("".join(lines))
-        h = [[1, 0, 0, 0, 1, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0, -0.01, 0, 1]]
-        (scen / "homographies.json").write_text(json.dumps([{"frame": t, "h": h[t]} for t in range(2)]))
-        out_csv = tmp_path / "t.csv"
-        code, _, err = run(capsys, *track_args(scen, out_csv))
-        assert code == 1
-        assert "homographies.json" in err and "frame 1" in err
-        assert "point (100.0, 50.0) maps to the line at infinity" in err
-        assert not out_csv.exists()
-
-    def test_projection_past_the_float_range_fails_naming_file_frame_and_point(self, tmp_path, capsys):
-        # x * 1e307 overflows; a numpy warning would be an error under this suite's settings
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen, width=64, height=48))
-        payload = json.loads((scen / "homographies.json").read_text())
-        payload[1]["h"][0] = 1e307
-        (scen / "homographies.json").write_text(json.dumps(payload))
-        out_csv = tmp_path / "t.csv"
-        code, _, err = run(capsys, *track_args(scen, out_csv))
-        assert code == 1
-        assert "homographies.json (field 'h'): frame 1: point (" in err
-        assert "maps to the non-finite point (inf, " in err and "Warning" not in err
-        assert not out_csv.exists()
-
-    def test_nan_gate_fails(self, tmp_path, capsys):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen))
-        out_csv = tmp_path / "t.csv"
-        code, _, err = run(capsys, *track_args(scen, out_csv), "--gate", "nan")
-        assert code == 1
-        assert "gate" in err
-        assert not out_csv.exists()
-
-    @pytest.mark.parametrize(
-        "flags, name",
-        [
-            (["--memory", "3"], "memory"),
-            (["--memory", "0"], "memory"),
-            (["--patch", "0"], "patch"),
-            (["--gate", "0"], "gate"),
-            (["--gate", "-1"], "gate"),
-            (["--alpha", "1.5"], "alpha"),
-            (["--beta", "-0.1"], "beta"),
-            (["--alpha", "0.7", "--beta", "0.5"], "alpha/beta"),
-        ],
-    )
-    def test_out_of_range_track_setting_is_input_error(self, tmp_path, capsys, flags, name):
-        scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen))
-        out_csv = tmp_path / "t.csv"
-        code, _, err = run(capsys, *track_args(scen, out_csv), *flags)
-        assert code == 1
-        assert f"{name}:" in err
-        assert not out_csv.exists()
-
-        config = tmp_path / "run.cfg"
-        config.write_text("".join(f"{k[2:]}={v}\n" for k, v in zip(flags[::2], flags[1::2])))
-        argv = track_args(scen, out_csv)[:-2]  # without "--memory 2", which would beat the file
-        code, _, err = run(capsys, *argv, "--config", str(config))
-        assert code == 1
-        if name == "alpha/beta":  # the joint bound is the command's and names no line
-            assert "alpha/beta: gamma = 1 - (alpha + beta) must be >= 0" in err
-        else:
-            value = SETTINGS[name].kind(flags[1])
-            assert f"run.cfg:1 (field '{name}'): {SETTINGS[name].need}, got {value}" in err
-        assert not out_csv.exists()
 
     @pytest.mark.parametrize("patch", [65, 5000, 10**9, 10**29])
     def test_patch_beyond_the_larger_side_is_input_error(self, tmp_path, capsys, patch):
@@ -520,6 +489,38 @@ class TestTrackCommand:
         assert len(read_mot_csv(out_csv)) == 3
 
 
+BOX_ROW = "0,1,0.0,0.0,10.0,10.0\n"
+LONG_FIELD_ROW = "1" * 200_000 + ",1,0.0,0.0,10.0,10.0\n"  # beyond the csv module's field limit
+
+EVAL_FAULTS = [
+    Fault("test_negative_box_width_fails_naming_its_line", "eval",
+          {"hyp.csv": f"frame,id,x_min,y_min,width,height\n{BOX_ROW}1,1,0.0,0.0,-10.0,10.0\n"}, (), 1,
+          "error: hyp.csv:3 (field 'width'): negative box size"),
+    Fault("test_empty_ground_truth_fails", "eval", {"gt.csv": ""}, (), 1, "error: gt.csv: holds no ground-truth boxes"),
+    Fault("test_field_beyond_the_csv_limit_is_input_error[gt]", "eval", {"gt.csv": BOX_ROW + LONG_FIELD_ROW}, (), 1,
+          "error: gt.csv:2: field larger than field limit (131072)"),
+    Fault("test_field_beyond_the_csv_limit_is_input_error[hyp]", "eval", {"hyp.csv": BOX_ROW + LONG_FIELD_ROW}, (), 1,
+          "error: hyp.csv:2: field larger than field limit (131072)"),
+    Fault("test_repeated_mot_row_fails_naming_its_line[gt]", "eval", {"gt.csv": BOX_ROWS + BOX_ROW}, (), 1,
+          "error: gt.csv:3 (field 'id'): frame 0 id 1 repeats line 1"),
+    Fault("test_repeated_mot_row_fails_naming_its_line[hyp]", "eval", {"hyp.csv": BOX_ROWS + BOX_ROW}, (), 1,
+          "error: hyp.csv:3 (field 'id'): frame 0 id 1 repeats line 1"),
+    Fault("test_mot_iou_outside_unit_interval_fails[1.5]", "eval", {}, ("--mot-iou", "1.5"), 1,
+          "error: mot_iou: must lie in [0, 1), got 1.5"),
+    Fault("test_mot_iou_outside_unit_interval_fails[-1]", "eval", {}, ("--mot-iou", "-1"), 1,
+          "error: mot_iou: must lie in [0, 1), got -1.0"),
+    Fault("test_mot_iou_outside_unit_interval_fails[nan]", "eval", {}, ("--mot-iou", "nan"), 1,
+          "error: mot_iou: must lie in [0, 1), got nan"),
+    Fault("test_mot_iou_flag_rejected_by_det_mode", "eval", {}, ("--mode", "det", "--mot-iou", "0.9"), 1,
+          "error: mot_iou: not read by eval --mode det"),
+    Fault("test_mot_iou_config_key_rejected_by_det_mode[False]", "eval", config("# det mode\nmot-iou=0.3\n"),
+          ("--mode", "det", "--config", "run.cfg"), 1, "error: run.cfg:2 (field 'mot_iou'): not read by eval --mode det"),
+    Fault("test_mot_iou_config_key_rejected_by_det_mode[True]", "eval", config("mode=det\nmot-iou=0.3\n"),
+          ("--mode", None, "--config", "run.cfg"), 1, "error: run.cfg:2 (field 'mot_iou'): not read by eval --mode det"),
+]
+
+
+@fault_tests(EVAL_FAULTS)
 class TestEvalCommand:
     def test_detection_fixture(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
@@ -565,15 +566,6 @@ class TestEvalCommand:
             # every planted detection matches its target; dropped ones are misses
             assert report["fp"] == 0 and report["tp"] == lines and report["fn"] > 0
 
-    def test_negative_box_width_fails_naming_its_line(self, tmp_path, capsys):
-        gt = tmp_path / "gt.csv"
-        gt.write_text("0,1,0.0,0.0,10.0,10.0\n")
-        hyp = tmp_path / "hyp.csv"
-        hyp.write_text("frame,id,x_min,y_min,width,height\n0,1,0.0,0.0,10.0,10.0\n1,1,0.0,0.0,-10.0,10.0\n")
-        code, out, err = run(capsys, "eval", "--mode", "mot", "--gt", str(gt), "--hyp", str(hyp))
-        assert code == 1 and not out
-        assert f"error: {hyp}:3 (field 'width'): negative box size\n" in err
-
     def test_identical_gt_and_hyp(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
         gt.write_text("0,1,0.0,0.0,10.0,10.0\n1,1,0.0,0.0,10.0,10.0\n")
@@ -584,30 +576,6 @@ class TestEvalCommand:
         report = json.loads(out)
         assert report["mota"] == 1.0
         assert report["motp"] == 1.0
-
-    def test_empty_ground_truth_fails(self, tmp_path, capsys):
-        gt = tmp_path / "gt.csv"
-        gt.write_text("")
-        hyp = tmp_path / "hyp.csv"
-        hyp.write_text("0,1,0.0,0.0,10.0,10.0\n")
-        code, _, err = run(
-            capsys, "eval", "--mode", "mot", "--gt", str(gt), "--hyp", str(hyp)
-        )
-        assert code == 1
-        assert "ground-truth" in err
-        assert f"{gt}: holds no ground-truth boxes" in err
-
-    @pytest.mark.parametrize("side", ["gt", "hyp"])
-    def test_field_beyond_the_csv_limit_is_input_error(self, tmp_path, capsys, side):
-        files = {name: tmp_path / f"{name}.csv" for name in ("gt", "hyp")}
-        for path in files.values():
-            path.write_text("0,1,0.0,0.0,10.0,10.0\n")
-        files[side].write_text("0,1,0.0,0.0,10.0,10.0\n" + "1" * 200_000 + ",1,0.0,0.0,10.0,10.0\n")
-        code, out, err = run(
-            capsys, "eval", "--mode", "mot", "--gt", str(files["gt"]), "--hyp", str(files["hyp"])
-        )
-        assert code == 1 and not out
-        assert f"{files[side]}:2: field larger than field limit" in err
 
     def test_memory_ablation_ordering(self, tmp_path, capsys):
         scen = tmp_path / "scen"
@@ -634,50 +602,6 @@ class TestEvalCommand:
         assert motas[2]["mota"] > motas[1]["mota"]
         assert motas[2]["id_switches"] < motas[1]["id_switches"]
 
-
-    @pytest.mark.parametrize("repeated", ["gt", "hyp"])
-    def test_repeated_mot_row_fails_naming_its_line(self, tmp_path, capsys, repeated):
-        row = "0,1,0.0,0.0,10.0,10.0\n"
-        files = {"gt": tmp_path / "gt.csv", "hyp": tmp_path / "hyp.csv"}
-        for name, path in files.items():
-            path.write_text(row + "1,1,0.0,0.0,10.0,10.0\n" + (row if name == repeated else ""))
-        code, _, err = run(
-            capsys, "eval", "--mode", "mot", "--gt", str(files["gt"]), "--hyp", str(files["hyp"])
-        )
-        assert code == 1
-        assert f"{repeated}.csv:3" in err
-
-    @pytest.mark.parametrize("threshold", ["1.5", "-1", "nan"])
-    def test_mot_iou_outside_unit_interval_fails(self, tmp_path, capsys, threshold):
-        gt = tmp_path / "gt.csv"
-        gt.write_text("0,1,0.0,0.0,10.0,10.0\n1,1,0.0,0.0,10.0,10.0\n")
-        code, out, err = run(
-            capsys, "eval", "--mode", "mot", "--gt", str(gt), "--hyp", str(gt), "--mot-iou", threshold
-        )
-        assert code == 1
-        assert out == ""
-        assert "mot_iou: must lie in [0, 1)" in err
-
-    def test_mot_iou_flag_rejected_by_det_mode(self, tmp_path, capsys):
-        gt, out_json = tmp_path / "gt.csv", tmp_path / "report.json"
-        gt.write_text("0,1,0.0,0.0,10.0,10.0\n")
-        argv = ["eval", "--mode", "det", "--gt", str(gt), "--hyp", str(gt), "--out", str(out_json)]
-        code, out, err = run(capsys, *argv, "--mot-iou", "0.9")
-        assert code == 1 and not out
-        assert err == "error: mot_iou: not read by eval --mode det\n"
-        assert not out_json.exists()
-
-    @pytest.mark.parametrize("mode_in_config", [False, True])
-    def test_mot_iou_config_key_rejected_by_det_mode(self, tmp_path, capsys, mode_in_config):
-        gt, out_json, config = tmp_path / "gt.csv", tmp_path / "report.json", tmp_path / "run.cfg"
-        gt.write_text("0,1,0.0,0.0,10.0,10.0\n")
-        config.write_text(("mode=det\n" if mode_in_config else "# det mode\n") + "mot-iou=0.3\n")
-        argv = ["eval", "--gt", str(gt), "--hyp", str(gt), "--out", str(out_json), "--config", str(config)]
-        code, out, err = run(capsys, *argv, *([] if mode_in_config else ["--mode", "det"]))
-        assert code == 1 and not out
-        assert err == f"error: {config}:2 (field 'mot_iou'): not read by eval --mode det\n"
-        assert not out_json.exists()
-
     def test_det_mode_accepts_repeated_ids(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
         gt.write_text("0,-1,0.0,0.0,10.0,10.0\n0,-1,50.0,50.0,10.0,10.0\n")
@@ -689,6 +613,105 @@ class TestEvalCommand:
         assert (report["tp"], report["fp"], report["fn"]) == (1, 1, 1)
 
 
+def segments(text: str) -> dict:
+    return {"nba/segments.csv": text}
+
+
+COURT_FAULTS = [
+    Fault("test_candidates_below_one_is_input_error[0]", "nba", {}, ("--candidates", "0"), 1,
+          "error: candidates: must be at least 1, got 0"),
+    Fault("test_candidates_below_one_is_input_error[-1]", "nba", {}, ("--candidates", "-1"), 1,
+          "error: candidates: must be at least 1, got -1"),
+    Fault("test_out_of_range_nba_setting_is_input_error[--step-nan-step]", "nba", {}, ("--step", "nan"), 1,
+          "error: step: must be a finite number of pixels >= 1, got nan"),
+    Fault("test_out_of_range_nba_setting_is_input_error[--step-inf-step]", "nba", {}, ("--step", "inf"), 1,
+          "error: step: must be a finite number of pixels >= 1, got inf"),
+    Fault("test_out_of_range_nba_setting_is_input_error[--step-0.5-step]", "nba", {}, ("--step", "0.5"), 1,
+          "error: step: must be a finite number of pixels >= 1, got 0.5"),
+    Fault("test_out_of_range_nba_setting_is_input_error[--drop-tol-nan-drop_tol]", "nba", {}, ("--drop-tol", "nan"), 1,
+          "error: drop_tol: must lie in [0, 1), got nan"),
+    Fault("test_out_of_range_nba_setting_is_input_error[--drop-tol--1-drop_tol]", "nba", {}, ("--drop-tol", "-1"), 1,
+          "error: drop_tol: must lie in [0, 1), got -1.0"),
+    Fault("test_out_of_range_nba_setting_is_input_error[--drop-tol-1-drop_tol]", "nba", {}, ("--drop-tol", "1"), 1,
+          "error: drop_tol: must lie in [0, 1), got 1.0"),
+    *(
+        fault
+        for hsv in ("nan:150,0.4:1,0.2:1", "90:150,nan:1,0.2:1", "90:inf,0.4:1,0.2:1")
+        for fault in (
+            Fault(f"test_non_finite_hsv_bound_is_input_error[{hsv}]", "european", {}, ("--hsv", hsv), 1,
+                  f"courttrack court: error: argument --hsv: invalid parse_hsv_filter value: '{hsv}'"),
+            Fault(f"test_non_finite_hsv_bound_is_input_error[{hsv}]", "european", config(f"hsv={hsv}\n"),
+                  ("--hsv", None, "--config", "run.cfg"), 1, f"error: run.cfg:1 (field 'hsv'): bad value '{hsv}'"),
+        )
+    ),
+    # hue never exceeds 360, and the full ranges hold every colour
+    Fault("test_filter_matching_no_or_every_pixel_is_degenerate[400:500,0.4:1,0.2:1]", "european", {},
+          ("--hsv", "400:500,0.4:1,0.2:1"), 2, "error: the HSV filter matches no pixel"),
+    Fault("test_filter_matching_no_or_every_pixel_is_degenerate[0:360,0:1,0:1]", "european", {},
+          ("--hsv", "0:360,0:1,0:1"), 2, "error: the HSV filter matches every pixel"),
+    Fault("test_pgm_comment_without_end_fails_naming_the_mask", "nba",
+          {"nba/mask.pgm": b"P5\n4 3\n# people, with no newline after"}, (), 1,
+          "error: nba/mask.pgm: unterminated comment"),
+    Fault("test_other_variant_flag_rejected[european---mask-mask.pgm]", "european", {}, ("--mask", "mask.pgm"), 1,
+          "error: mask: not read by court --court european"),
+    Fault("test_other_variant_flag_rejected[european---step-7]", "european", {}, ("--step", "7"), 1,
+          "error: step: not read by court --court european"),
+    Fault("test_other_variant_flag_rejected[european---drop-tol-0.2]", "european", {}, ("--drop-tol", "0.2"), 1,
+          "error: drop_tol: not read by court --court european"),
+    Fault("test_other_variant_flag_rejected[nba---frames-frame.ppm]", "nba", {}, ("--frames", "frame.ppm"), 1,
+          "error: frames: not read by court --court nba"),
+    Fault(f"test_other_variant_flag_rejected[nba---hsv-{GREEN}]", "nba", {}, ("--hsv", GREEN), 1,
+          "error: hsv: not read by court --court nba"),
+    Fault("test_other_variant_config_key_rejected[european-drop_tol=0.2]", "european",
+          config("candidates=4\ndrop_tol=0.2\n"), ("--config", "run.cfg"), 1,
+          "error: run.cfg:2 (field 'drop_tol'): not read by court --court european"),
+    Fault("test_other_variant_config_key_rejected[nba-frames=frame.ppm]", "nba",
+          config("candidates=4\nframes=frame.ppm\n"), ("--config", "run.cfg"), 1,
+          "error: run.cfg:2 (field 'frames'): not read by court --court nba"),
+    *(
+        Fault(f"test_variant_setting_required[{in_config}-{variant}---{dropped}]", variant,
+              config(f"court={variant}\n") if in_config else {},
+              (f"--{dropped}", None) + (("--court", None, "--config", "run.cfg") if in_config else ()), 1,
+              f"error: {dropped}: required for court --court {variant}")
+        for in_config in (False, True)
+        for variant, dropped in (("european", "hsv"), ("european", "frames"), ("nba", "mask"))
+    ),
+    Fault("test_no_segments_is_input_error", "nba", segments(""), (), 1,
+          "error: nba/segments.csv: no segments: dominant-line voting needs at least one"),
+    Fault("test_field_beyond_the_csv_limit_is_input_error", "nba",
+          segments("0,200,191,200\n" + "1" * 200_000 + ",0,1,0\n"), (), 1,
+          "error: nba/segments.csv:2: field larger than field limit (131072)"),
+    # the converged top line leaves through the frame's top right corner
+    Fault("test_boundary_clipping_a_corner_is_degenerate[people0-top]", "nba",
+          {"nba/mask.pgm": people(100, 200, (0, 2, 192, 200), (80, 100, 0, 200)), **segments("0,10,199,30\n")}, (), 2,
+          "error: top boundary must classify as horizontal"),
+    # the mirror image: the bottom line leaves through the bottom left corner
+    Fault("test_boundary_clipping_a_corner_is_degenerate[people1-bottom]", "nba",
+          {"nba/mask.pgm": people(100, 200, (0, 20, 0, 200), (98, 100, 0, 8)), **segments("0,10,199,30\n")}, (), 2,
+          "error: bottom boundary must classify as horizontal"),
+    # 1e-13 is a nonzero length, but too short to define a line
+    Fault("test_segment_shorter_than_line_tolerance_is_input_error", "nba", segments("0,0,1e-13,0\n"), (), 1,
+          "error: nba/segments.csv:1: segment endpoints coincide"),
+    # finite endpoints 2e308 apart: the length is inf and the line NaN
+    Fault("test_overflowing_segment_line_is_input_error", "nba", segments("0,200,191,200\n1e308,0,-1e308,0\n"), (), 1,
+          "error: nba/segments.csv:2 (field 'x0'): segment endpoint 1e+308 not finite or beyond 1e+75 in absolute value"),
+    # finite endpoints, length and line, but an endpoint beyond the bound:
+    # the length cubed would overflow, fit a NaN line and rank it first
+    Fault("test_segment_too_long_to_fit_is_input_error", "nba", segments("0,200,191,200\n0,0,1e103,0\n"), (), 1,
+          "error: nba/segments.csv:2 (field 'x1'): segment endpoint 1e+103 not finite or beyond 1e+75 in absolute value"),
+    # each row's length cubed is finite, but the two far-apart diagonal rows
+    # share a cell, and their distances to the cell's mean would overflow the
+    # fit's moments into a NaN line
+    Fault("test_far_apart_segments_of_one_cell_are_input_error", "nba",
+          segments("0,200,191,200\n0,0,1e100,1e100\n1e115,1e115,1.00000000000001e115,1.00000000000001e115\n"), (), 1,
+          "error: nba/segments.csv:2 (field 'x1'): segment endpoint 1e+100 not finite or beyond 1e+75 in absolute value"),
+    Fault("test_all_false_mask_is_degenerate", "nba",
+          {"nba/mask.pgm": people(200, 100), **segments("0,100,99,100\n")}, (), 2,
+          "error: boundary candidates met before any fraction drop"),
+]
+
+
+@fault_tests(COURT_FAULTS)
 class TestCourtCommand:
     @staticmethod
     def planted_nba_args(tmp_path, out_json):
@@ -734,34 +757,6 @@ class TestCourtCommand:
         assert f"No such file or directory: '{out_json}'" in err
         assert sorted(tmp_path.rglob("*")) == before
 
-    @pytest.mark.parametrize("candidates", ["0", "-1"])
-    def test_candidates_below_one_is_input_error(self, tmp_path, capsys, candidates):
-        out_json = tmp_path / "court.json"
-        argv = self.planted_nba_args(tmp_path, out_json) + ["--candidates", candidates]
-        code, _, err = run(capsys, *argv)
-        assert code == 1
-        assert "candidates" in err
-        assert not out_json.exists()
-
-    @pytest.mark.parametrize(
-        "flag, value, name",
-        [
-            ("--step", "nan", "step"),
-            ("--step", "inf", "step"),
-            ("--step", "0.5", "step"),
-            ("--drop-tol", "nan", "drop_tol"),
-            ("--drop-tol", "-1", "drop_tol"),
-            ("--drop-tol", "1", "drop_tol"),
-        ],
-    )
-    def test_out_of_range_nba_setting_is_input_error(self, tmp_path, capsys, flag, value, name):
-        out_json = tmp_path / "court.json"
-        argv = self.planted_nba_args(tmp_path, out_json) + [flag, value]
-        code, _, err = run(capsys, *argv)
-        assert code == 1
-        assert name in err
-        assert not out_json.exists()
-
     @staticmethod
     def planted_european_args(tmp_path):
         arr = np.empty((100, 100, 3), dtype=np.uint8)
@@ -778,30 +773,6 @@ class TestCourtCommand:
             "--frames",
             str(tmp_path / "frame.ppm"),
         ]
-
-    @pytest.mark.parametrize("hsv", ["nan:150,0.4:1,0.2:1", "90:150,nan:1,0.2:1", "90:inf,0.4:1,0.2:1"])
-    def test_non_finite_hsv_bound_is_input_error(self, tmp_path, capsys, hsv):
-        code, out, err = run(capsys, *self.planted_european_args(tmp_path), "--hsv", hsv)
-        assert code == 1 and not out
-        assert "--hsv" in err
-
-        config = tmp_path / "run.cfg"
-        config.write_text(f"hsv={hsv}\n")
-        code, out, err = run(
-            capsys, *self.planted_european_args(tmp_path), "--config", str(config)
-        )
-        assert code == 1 and not out
-        assert "run.cfg:1" in err and "hsv" in err
-
-    @pytest.mark.parametrize("hsv", ["400:500,0.4:1,0.2:1", "0:360,0:1,0:1"])
-    def test_filter_matching_no_or_every_pixel_is_degenerate(self, tmp_path, capsys, hsv):
-        # hue never exceeds 360, and the full ranges hold every colour
-        out_json = tmp_path / "court.json"
-        argv = self.planted_european_args(tmp_path) + ["--hsv", hsv, "--out", str(out_json)]
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and not out
-        assert "HSV filter" in err
-        assert not out_json.exists()
 
     def test_european_planted_frame(self, tmp_path, capsys):
         code, out, _ = run(
@@ -855,15 +826,6 @@ class TestCourtCommand:
         assert run(capsys, *argv, str(tmp_path / "from-dir.json"))[0] == 0
         assert (tmp_path / "from-dir.json").read_bytes() == (tmp_path / "from-file.json").read_bytes()
 
-    def test_pgm_comment_without_end_fails_naming_the_mask(self, tmp_path, capsys):
-        out_json = tmp_path / "court.json"
-        argv = self.planted_nba_args(tmp_path, out_json)
-        (tmp_path / "mask.pgm").write_bytes(b"P5\n4 3\n# people, with no newline after")
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and not out
-        assert f"error: {tmp_path / 'mask.pgm'}: unterminated comment\n" in err
-        assert not out_json.exists()
-
     def test_degenerate_vertical_convergence_leaves_no_lateral_side(self, tmp_path, capsys, monkeypatch):
         # no person between the crowd bands, so the vertical lines meet before any fraction drops
         bits = np.zeros((400, 192), dtype=bool)
@@ -916,204 +878,36 @@ class TestCourtCommand:
             return self.planted_nba_args(tmp_path, out_json)
         return self.planted_european_args(tmp_path) + ["--hsv", "90:150,0.4:1,0.2:1", "--out", str(out_json)]
 
-    @pytest.mark.parametrize(
-        "variant, flag, value",
-        [
-            ("european", "--mask", "mask.pgm"),
-            ("european", "--step", "7"),
-            ("european", "--drop-tol", "0.2"),
-            ("nba", "--frames", "frame.ppm"),
-            ("nba", "--hsv", "90:150,0.4:1,0.2:1"),
-        ],
-    )
-    def test_other_variant_flag_rejected(self, tmp_path, capsys, variant, flag, value):
-        out_json = tmp_path / "court.json"
-        code, out, err = run(capsys, *self.variant_args(tmp_path, variant, out_json), flag, value)
-        assert code == 1 and not out
-        assert flag.lstrip("-").replace("-", "_") in err and f"--court {variant}" in err
-        assert not out_json.exists()
-
-    @pytest.mark.parametrize("variant, key", [("european", "drop_tol=0.2"), ("nba", "frames=frame.ppm")])
-    def test_other_variant_config_key_rejected(self, tmp_path, capsys, variant, key):
-        out_json = tmp_path / "court.json"
-        config = tmp_path / "run.cfg"
-        config.write_text(f"candidates=4\n{key}\n")
-        argv = self.variant_args(tmp_path, variant, out_json) + ["--config", str(config)]
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and not out
-        assert "run.cfg:2" in err and key.partition("=")[0] in err
-        assert not out_json.exists()
-
-    @pytest.mark.parametrize("variant, dropped", [("european", "--hsv"), ("european", "--frames"), ("nba", "--mask")])
-    @pytest.mark.parametrize("variant_in_config", [False, True])
-    def test_variant_setting_required(self, tmp_path, capsys, variant, dropped, variant_in_config):
-        out_json = tmp_path / "court.json"
-        argv = self.variant_args(tmp_path, variant, out_json)
-        at = argv.index(dropped)
-        del argv[at : at + 2]
-        if variant_in_config:
-            config = tmp_path / "run.cfg"
-            config.write_text(f"court={variant}\n")
-            at = argv.index("--court")
-            argv[at : at + 2] = ["--config", str(config)]
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and not out
-        assert dropped.lstrip("-") in err and f"--court {variant}" in err
-        assert not out_json.exists()
-
-    def test_no_segments_is_input_error(self, tmp_path, capsys):
-        (tmp_path / "segments.csv").write_text("")
-        bits = np.ones((50, 50), dtype=bool)
-        write_pgm(BinaryMask(bits), tmp_path / "mask.pgm")
-        code, _, err = run(
-            capsys,
-            "court",
-            "--court",
-            "nba",
-            "--segments",
-            str(tmp_path / "segments.csv"),
-            "--mask",
-            str(tmp_path / "mask.pgm"),
-        )
-        assert code == 1
-        assert f"{tmp_path / 'segments.csv'}: no segments" in err
-
-    def test_field_beyond_the_csv_limit_is_input_error(self, tmp_path, capsys):
-        out_json = tmp_path / "court.json"
-        argv = self.planted_nba_args(tmp_path, out_json)
-        (tmp_path / "segments.csv").write_text("0,200,191,200\n" + "1" * 200_000 + ",0,1,0\n")
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and not out
-        assert f"{tmp_path / 'segments.csv'}:2: field larger than field limit" in err
-        assert not out_json.exists()
-
-    @pytest.mark.parametrize(
-        "people, boundary",
-        [
-            # the converged top line leaves through the frame's top right corner
-            (((0, 2, 192, 200), (80, 100, 0, 200)), "top"),
-            # the mirror image: the bottom line leaves through the bottom left corner
-            (((0, 20, 0, 200), (98, 100, 0, 8)), "bottom"),
-        ],
-    )
-    def test_boundary_clipping_a_corner_is_degenerate(self, tmp_path, capsys, people, boundary):
-        bits = np.zeros((100, 200), dtype=bool)
-        for y0, y1, x0, x1 in people:
-            bits[y0:y1, x0:x1] = True
-        write_pgm(BinaryMask(bits), tmp_path / "mask.pgm")
-        (tmp_path / "segments.csv").write_text("0,10,199,30\n")
-        out_json = tmp_path / "court.json"
-        code, out, err = run(
-            capsys,
-            "court",
-            "--court",
-            "nba",
-            "--segments",
-            str(tmp_path / "segments.csv"),
-            "--mask",
-            str(tmp_path / "mask.pgm"),
-            "--out",
-            str(out_json),
-        )
-        assert code == 2 and not out
-        assert f"{boundary} boundary must classify as horizontal" in err
-        assert not out_json.exists()
-
-    def test_segment_shorter_than_line_tolerance_is_input_error(self, tmp_path, capsys):
-        # 1e-13 is a nonzero length, but too short to define a line
-        out_json = tmp_path / "court.json"
-        argv = self.planted_nba_args(tmp_path, out_json)
-        (tmp_path / "segments.csv").write_text("0,0,1e-13,0\n")
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and not out
-        assert "segments.csv:1" in err and "coincide" in err
-        assert not out_json.exists()
-
-    def test_overflowing_segment_line_is_input_error(self, tmp_path, capsys):
-        # finite endpoints 2e308 apart: the length is inf and the line NaN
-        out_json = tmp_path / "court.json"
-        argv = self.planted_nba_args(tmp_path, out_json)
-        (tmp_path / "segments.csv").write_text("0,200,191,200\n1e308,0,-1e308,0\n")
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and not out
-        assert "segments.csv:2" in err and "not finite" in err
-        assert not out_json.exists()
-
-    def test_segment_too_long_to_fit_is_input_error(self, tmp_path, capsys):
-        # finite endpoints, length and line, but an endpoint beyond the bound:
-        # the length cubed would overflow, fit a NaN line and rank it first
-        out_json = tmp_path / "court.json"
-        argv = self.planted_nba_args(tmp_path, out_json)
-        (tmp_path / "segments.csv").write_text("0,200,191,200\n0,0,1e103,0\n")
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and not out
-        assert "segments.csv:2 (field 'x1'): segment endpoint 1e+103 not finite or beyond 1e+75" in err
-        assert not out_json.exists()
-
-    def test_far_apart_segments_of_one_cell_are_input_error(self, tmp_path, capsys):
-        # each row's length cubed is finite, but the two far-apart diagonal
-        # rows share a cell, and their distances to the cell's mean would
-        # overflow the fit's moments into a NaN line
-        out_json = tmp_path / "court.json"
-        argv = self.planted_nba_args(tmp_path, out_json)
-        (tmp_path / "segments.csv").write_text(
-            "0,200,191,200\n0,0,1e100,1e100\n1e115,1e115,1.00000000000001e115,1.00000000000001e115\n"
-        )
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and not out
-        assert "segments.csv:2 (field 'x1')" in err and "beyond 1e+75" in err
-        assert not out_json.exists()
-
     def test_band_edge_just_above_row_zero_keeps_row_zero(self):
         dims = FrameDims(100, 50)
         top, bottom = Line2.horizontal_at(-0.5), Line2.horizontal_at(20.5)
         assert _rows_between(top, bottom, dims) == (0, 21)
         assert _rows_between(Line2.horizontal_at(3.0), bottom, dims) == (4, 21)
 
-    def test_all_false_mask_is_degenerate(self, tmp_path, capsys):
-        bits = np.zeros((200, 100), dtype=bool)
-        write_pgm(BinaryMask(bits), tmp_path / "mask.pgm")
-        (tmp_path / "segments.csv").write_text("0,100,99,100\n")
-        code, _, err = run(
-            capsys,
-            "court",
-            "--court",
-            "nba",
-            "--segments",
-            str(tmp_path / "segments.csv"),
-            "--mask",
-            str(tmp_path / "mask.pgm"),
-        )
-        assert code == 2
+
+SYNTH_FAULTS = [
+    Fault("test_out_of_range_noise_fails[--jitter-nan]", "synth", {}, ("--jitter", "nan"), 1,
+          "error: jitter: must be finite and >= 0, got nan"),
+    Fault("test_out_of_range_noise_fails[--jitter-inf]", "synth", {}, ("--jitter", "inf"), 1,
+          "error: jitter: must be finite and >= 0, got inf"),
+    Fault("test_out_of_range_noise_fails[--jitter-1e308]", "synth", {}, ("--jitter", "1e308"), 1,
+          "error: jitter_sigma 1e+308 overflows a box at t=0"),
+    Fault("test_out_of_range_noise_fails[--pan-nan,0]", "synth", {}, ("--pan", "nan,0"), 1,
+          "error: pan: components must be finite, got (nan, 0.0)"),
+    Fault("test_out_of_range_noise_fails[--extra-dropout--0.5]", "synth", {}, ("--extra-dropout", "-0.5"), 1,
+          "error: extra_dropout: must lie in [0, 1), got -0.5"),
+    Fault("test_out_of_range_noise_fails[--extra-dropout-nan]", "synth", {}, ("--extra-dropout", "nan"), 1,
+          "error: extra_dropout: must lie in [0, 1), got nan"),
+    # 3e20 bytes: numpy refuses the shape before allocating anything
+    Fault("test_frame_too_large_for_an_array_fails", "synth", {}, ("--width", "10000000000", "--height", "10000000000"),
+          1, "error: a 10000000000x10000000000 frame does not fit in memory"),
+    Fault("test_directory_with_frames_fails_before_writing", "synth", {}, ("--out", "scen", "--num-frames", "5"), 1,
+          "error: scen/frames: already holds frame files; synth needs a fresh directory"),
+]
 
 
+@fault_tests(SYNTH_FAULTS)
 class TestSynthCommand:
-    @pytest.mark.parametrize(
-        "flag, value",
-        [
-            ("--jitter", "nan"),
-            ("--jitter", "inf"),
-            ("--jitter", "1e308"),
-            ("--pan", "nan,0"),
-            ("--extra-dropout", "-0.5"),
-            ("--extra-dropout", "nan"),
-        ],
-    )
-    def test_out_of_range_noise_fails(self, tmp_path, capsys, flag, value):
-        scen = tmp_path / "scen"
-        code, _, err = run(capsys, *synth_args(scen), flag, value)
-        assert code == 1
-        assert flag.lstrip("-").replace("-", "_") in err
-        assert not scen.exists()
-
-    def test_frame_too_large_for_an_array_fails(self, tmp_path, capsys):
-        # 3e20 bytes: numpy refuses the shape before allocating anything
-        scen = tmp_path / "scen"
-        code, _, err = run(capsys, *synth_args(scen, width=10**10, height=10**10))
-        assert code == 1
-        assert "10000000000x10000000000 frame does not fit" in err
-        assert not scen.exists()
-
     def test_defaults_are_the_default_scenario(self, tmp_path):
         args = _build_parser().parse_args(["synth", "--out", str(tmp_path / "scen")])
         resolve_settings(args)
@@ -1132,15 +926,6 @@ class TestSynthCommand:
         assert code == 1 and stdout == ""
         assert f"Not a directory: '{tmp_path / out}'" in err
         assert sorted(tmp_path.rglob("*")) == before and (tmp_path / "file").read_text() == "kept\n"
-
-    def test_directory_with_frames_fails_before_writing(self, tmp_path, capsys):
-        scen = tmp_path / "scen"
-        assert run(capsys, *synth_args(scen, frames=10))[0] == 0
-        before = {p: p.read_bytes() for p in scen.rglob("*") if p.is_file()}
-        code, _, err = run(capsys, *synth_args(scen, frames=5, seed=2))
-        assert code == 1
-        assert str(scen / "frames") in err
-        assert {p: p.read_bytes() for p in scen.rglob("*") if p.is_file()} == before
 
 
 class TestDeterminism:
@@ -1195,67 +980,61 @@ class TestDeterminism:
         assert hashlib.sha256(detections).hexdigest() == digest
 
 
-# one out-of-range value of each ranged setting, by command
+# one out-of-range value of each ranged setting, by command, and what its error says of it
 OUT_OF_RANGE = [
-    ("track", "alpha", "1.5"),
-    ("track", "beta", "-0.1"),
-    ("track", "gate", "-1"),
-    ("track", "memory", "3"),
-    ("track", "patch", "0"),
-    ("eval", "mot_iou", "2"),
-    ("court", "candidates", "0"),
-    ("court", "step", "0.5"),
-    ("court", "drop_tol", "1"),
-    ("synth", "targets", "0"),
-    ("synth", "num_frames", "1"),
-    ("synth", "width", "0"),
-    ("synth", "height", "0"),
-    ("synth", "dropout", "1"),
-    ("synth", "jitter", "-1"),
-    ("synth", "extra_dropout", "1"),
-    ("synth", "pan", "nan,0"),
+    ("track", "alpha", "1.5", "must lie in [0, 1], got 1.5"),
+    ("track", "beta", "-0.1", "must lie in [0, 1], got -0.1"),
+    ("track", "gate", "-1", "must be positive, got -1.0"),
+    ("track", "memory", "3", "must be 1 or 2, got 3"),
+    ("track", "patch", "0", "must be at least 1, got 0"),
+    ("eval", "mot_iou", "2", "must lie in [0, 1), got 2.0"),
+    ("court", "candidates", "0", "must be at least 1, got 0"),
+    ("court", "step", "0.5", "must be a finite number of pixels >= 1, got 0.5"),
+    ("court", "drop_tol", "1", "must lie in [0, 1), got 1.0"),
+    ("synth", "targets", "0", "must be at least 1, got 0"),
+    ("synth", "num_frames", "1", "must be at least 2, got 1"),
+    ("synth", "width", "0", "must be at least 1, got 0"),
+    ("synth", "height", "0", "must be at least 1, got 0"),
+    ("synth", "dropout", "1", "must lie in [0, 1), got 1.0"),
+    ("synth", "jitter", "-1", "must be finite and >= 0, got -1.0"),
+    ("synth", "extra_dropout", "1", "must lie in [0, 1), got 1.0"),
+    ("synth", "pan", "nan,0", "components must be finite, got (nan, 0.0)"),
+]
+
+SETTING_FAULTS = [
+    fault
+    for command, name, value, said in OUT_OF_RANGE
+    for fault in out_of_range(f"test_flag_and_config_value_out_of_range_fail_alike[{command}-{name}-{value}]",
+                              "nba" if command == "court" else command, name, value, said, "# line 2 is out of range\n")
 ]
 
 
+@fault_tests(SETTING_FAULTS)
 class TestSettingRanges:
     def test_every_ranged_setting_is_covered(self):
-        assert {name for _, name, _ in OUT_OF_RANGE} == {n for n, s in SETTINGS.items() if s.need}
-
-    @staticmethod
-    def command_args(tmp_path, capsys, command):
-        """argv of a run of `command` that writes only `out`, and `out`."""
-        if command == "track":
-            scen, out = tmp_path / "scen", tmp_path / "tracks.csv"
-            assert run(capsys, *synth_args(scen))[0] == 0
-            return track_args(scen, out)[:-2], out  # without "--memory 2"
-        if command == "eval":
-            gt, out = tmp_path / "gt.csv", tmp_path / "report.json"
-            gt.write_text("0,1,0.0,0.0,10.0,10.0\n1,1,0.0,0.0,10.0,10.0\n")
-            return ["eval", "--mode", "mot", "--gt", str(gt), "--hyp", str(gt), "--out", str(out)], out
-        if command == "court":
-            out = tmp_path / "court.json"
-            return TestCourtCommand.planted_nba_args(tmp_path, out), out
-        out = tmp_path / "scen"
-        return ["synth", "--out", str(out)], out
-
-    @pytest.mark.parametrize("command, name, value", OUT_OF_RANGE)
-    def test_flag_and_config_value_out_of_range_fail_alike(self, tmp_path, capsys, command, name, value):
-        argv, out = self.command_args(tmp_path, capsys, command)
-        need = SETTINGS[name].need
-
-        code, stdout, err = run(capsys, *argv, "--" + name.replace("_", "-"), value)
-        assert code == 1 and stdout == ""
-        assert f"{name}: {need}" in err
-        assert not out.exists()
-
-        config = tmp_path / "run.cfg"
-        config.write_text(f"# line 2 is out of range\n{name}={value}\n")
-        code, stdout, err = run(capsys, *argv, "--config", str(config))
-        assert code == 1 and stdout == ""
-        assert f"run.cfg:2 (field '{name}'): {need}" in err
-        assert not out.exists()
+        assert {name for _, name, _, _ in OUT_OF_RANGE} == {n for n, s in SETTINGS.items() if s.need}
 
 
+CONFIG_FAULTS = [
+    Fault("test_unknown_config_key_rejected", "track", config("bogus=1\n"), ("--config", "run.cfg"), 1,
+          "error: run.cfg:1 (field 'bogus'): unknown key 'bogus'"),
+    Fault("test_non_utf8_config_byte_reports_line", "track", config(b"gate=0.9\nalpha=\xff\xfe\n"),
+          ("--config", "run.cfg"), 1, "error: run.cfg:2: not UTF-8 text"),
+    Fault("test_nul_byte_in_a_config_path_reports_line", "eval", config("mode=mot\ngt=g\0t.csv\n"),
+          ("--mode", None, "--gt", None, "--config", "run.cfg"), 1,
+          "error: run.cfg:2 (field 'gt'): value holds a NUL byte"),
+    Fault("test_repeated_config_key_rejected[command0-lines0-gate]", "track",
+          config("gate=0.9\n# comment line\ngate=0.3\n"), ("--config", "run.cfg"), 1,
+          "error: run.cfg:3 (field 'gate'): repeated key, first set on line 1"),
+    Fault("test_repeated_config_key_rejected[command1-lines1-extra_dropout]", "synth",
+          config("extra-dropout=0.1\nseed=3\nextra_dropout=0.2\n"), ("--config", "run.cfg"), 1,
+          "error: run.cfg:3 (field 'extra_dropout'): repeated key, first set on line 1"),
+    Fault("test_bad_hsv_flag_is_input_error", "european", {}, ("--hsv", "not-a-filter"), 1,
+          "courttrack court: error: argument --hsv: invalid parse_hsv_filter value: 'not-a-filter'"),
+]
+
+
+@fault_tests(CONFIG_FAULTS)
 class TestConfigPrecedence:
     def test_flag_beats_config_beats_default(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -1269,94 +1048,30 @@ class TestConfigPrecedence:
         assert args.gate == 0.9  # config wins over default
         assert args.beta == 0.05  # default
 
-    def test_unknown_config_key_rejected(self, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text("bogus=1\n")
-        args = _build_parser().parse_args(["track", "--config", str(config)])
-        from courttrack.errors import InputFormatError
 
-        with pytest.raises(InputFormatError):
-            resolve_settings(args)
-
-    def test_non_utf8_config_byte_reports_line(self, tmp_path):
-        from courttrack.errors import InputFormatError
-
-        config = tmp_path / "run.cfg"
-        config.write_bytes(b"gate=0.9\nalpha=\xff\xfe\n")
-        args = _build_parser().parse_args(["track", "--config", str(config)])
-        with pytest.raises(InputFormatError, match="UTF-8") as err:
-            resolve_settings(args)
-        assert err.value.line == 2 and "run.cfg:2" in str(err.value)
-
-    def test_nul_byte_in_a_config_path_reports_line(self, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_text("mode=mot\ngt=g\0t.csv\n")
-        code, stdout, err = run(capsys, "eval", "--hyp", str(tmp_path / "hyp.csv"), "--config", str(config))
-        assert code == 1 and stdout == ""
-        assert "run.cfg:2 (field 'gt'): value holds a NUL byte" in err
-
-    @pytest.mark.parametrize(
-        "command, lines, key",
-        [
-            (["track"], ["gate=0.9", "# comment line", "gate=0.3"], "gate"),
-            (["synth"], ["extra-dropout=0.1", "seed=3", "extra_dropout=0.2"], "extra_dropout"),
-        ],
-    )
-    def test_repeated_config_key_rejected(self, tmp_path, capsys, command, lines, key):
-        config = tmp_path / "run.cfg"
-        config.write_text("".join(line + "\n" for line in lines))
-        code, stdout, err = run(capsys, *command, "--config", str(config))
-        assert code == 1 and stdout == ""
-        assert f"run.cfg:3 (field '{key}'): repeated key, first set on line 1" in err
-
-    def test_bad_hsv_flag_is_input_error(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys,
-            "court",
-            "--court",
-            "european",
-            "--segments",
-            str(tmp_path / "nope.csv"),
-            "--hsv",
-            "not-a-filter",
-        )
-        assert code == 1
-
-
-class TestCommandSurface:
-    COMMANDS = {
-        "track": ["track"],
-        "eval": ["eval", "--mode", "mot"],
-        "court": ["court"],
-        "synth": ["synth"],
-    }
-
-    @pytest.mark.parametrize(
-        "command, flag, value",
-        [
-            ("track", "--court", "nba"),
-            ("eval", "--alpha", "0.1"),
-            ("court", "--gate", "0.3"),
-            ("synth", "--mot-iou", "0.5"),
+# BASE[base][0] is the command's name
+SURFACE_FAULTS = [
+    *(
+        Fault(f"test_flag_of_another_command_rejected[{BASE[base][0]}-{flag}-{value}]", base, {}, (flag, value), 1,
+              f"courttrack: error: unrecognized arguments: {flag} {value}")
+        for base, flag, value in [
+            ("track", "--court", "nba"), ("eval", "--alpha", "0.1"), ("nba", "--gate", "0.3"),
+            ("synth", "--mot-iou", "0.5"), ("track", "--dup-iou", "0.5"), ("eval", "--dup-iou", "0.5"),
+            ("nba", "--dup-iou", "0.5"), ("synth", "--dup-iou", "0.5"),
         ]
-        + [(command, "--dup-iou", "0.5") for command in ("track", "eval", "court", "synth")],
-    )
-    def test_flag_of_another_command_rejected(self, capsys, command, flag, value):
-        code, _, err = run(capsys, *self.COMMANDS[command], flag, value)
-        assert code == 1
-        assert f"unrecognized arguments: {flag}" in err
+    ),
+    *(
+        Fault(f"test_config_key_of_another_command_rejected[{BASE[base][0]}-{key}={value}]", base,
+              config(f"out=x\n{key}={value}\n"), ("--config", "run.cfg"), 1,
+              f"error: run.cfg:2 (field '{key}'): unknown key '{key}'")
+        for base, key, value in [("track", "court", "nba"), ("eval", "alpha", "0.1"), ("nba", "gate", "0.3"),
+                                 ("synth", "mot_iou", "0.5")]
+    ),
+]
 
-    @pytest.mark.parametrize(
-        "command, key",
-        [("track", "court=nba"), ("eval", "alpha=0.1"), ("court", "gate=0.3"), ("synth", "mot_iou=0.5")],
-    )
-    def test_config_key_of_another_command_rejected(self, tmp_path, capsys, command, key):
-        config = tmp_path / "run.cfg"
-        config.write_text(f"out={tmp_path / 'x'}\n{key}\n")
-        code, _, err = run(capsys, *self.COMMANDS[command], "--config", str(config))
-        assert code == 1
-        assert "run.cfg:2" in err and key.partition("=")[0] in err
 
+@fault_tests(SURFACE_FAULTS)
+class TestCommandSurface:
     @pytest.mark.parametrize("command", ["track", "eval", "court", "synth"])
     def test_help_exits_zero(self, capsys, command):
         code, out, _ = run(capsys, command, "--help")
@@ -1405,6 +1120,7 @@ print(json.dumps({
     "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
     "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
     "numpy": "numpy" in sys.modules,
+    "scipy": any(m.partition(".")[0] == "scipy" for m in sys.modules),
     "modules": sorted(m.partition(".")[2] for m in sys.modules if m.startswith("courttrack.")),
     "unfrozen": sorted(unfrozen),
 }))
@@ -1414,13 +1130,13 @@ print(json.dumps({
 class TestStartup:
     """What a command does to a fresh process: one OS thread (OpenBLAS
     pinned unless the user says otherwise), its modules loaded and frozen
-    out of the collector before it runs, and no module it does not use.
-    Importing courttrack.cli, --help and the errors found before a
-    command runs load no numpy."""
+    out of the collector before it runs, and no module it does not use,
+    scipy, a test dependency, included. Importing courttrack.cli, --help
+    and the errors found before a command runs load no numpy."""
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
-        """argv of a court, a track and an eval run on small inputs."""
+        """argv of a court, a track, an eval and a synth run on small inputs."""
         tmp = tmp_path_factory.mktemp("startup")
         assert main(synth_args(tmp / "scen", targets=4, frames=6, seed=7, pan="2,0")) == 0
         gt = str(tmp / "scen" / "gt.csv")
@@ -1428,46 +1144,59 @@ class TestStartup:
             "court": TestCourtCommand.planted_nba_args(tmp, tmp / "court.json"),
             "track": track_args(tmp / "scen", tmp / "tracks.csv"),
             "eval": ["eval", "--mode", "mot", "--gt", gt, "--hyp", gt],
+            "synth": synth_args(tmp / "synth", targets=2, frames=2, width=64, height=48),
         }
+
+    @pytest.fixture(scope="class")
+    def probed(self, runs):
+        """What the probe saw of each run, each run once."""
+        return {command: self.probe(*argv) for command, argv in runs.items()}
 
     @staticmethod
     def probe(*argv, **env) -> dict:
-        return json.loads(run_child(PROBE, *argv, **env).stdout.splitlines()[-1])
+        seen = json.loads(run_child(PROBE, *argv, **env).stdout.splitlines()[-1])
+        assert not seen["scipy"]
+        return seen
 
     @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
-    def test_blas_threads_pinned_unless_set(self, runs, preset, seen):
-        env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
-        assert self.probe(*runs["court"], **env)["blas"] == seen
+    def test_blas_threads_pinned_unless_set(self, runs, probed, preset, seen):
+        court = probed["court"] if preset is None else self.probe(*runs["court"], OPENBLAS_NUM_THREADS=preset)
+        assert court["blas"] == seen
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
     @pytest.mark.parametrize("command", ["court", "track"])
-    def test_command_starts_no_thread(self, runs, command):
+    def test_command_starts_no_thread(self, probed, command):
         # OpenBLAS starts its workers when numpy loads, so this fails if
         # numpy is imported before the pin (on a machine of 2 or more CPUs)
-        seen = self.probe(*runs[command])
+        seen = probed[command]
         assert seen["rc"] == 0 and seen["numpy"]
         assert seen["threads"] == 1
 
-    @pytest.mark.parametrize("command", ["court", "track", "eval"])
-    def test_command_modules_are_frozen_before_it_runs(self, runs, command):
-        seen = self.probe(*runs[command])
+    @pytest.mark.parametrize("command", ["court", "track", "eval", "synth"])
+    def test_command_modules_are_frozen_before_it_runs(self, probed, command):
+        seen = probed[command]
         assert seen["rc"] == 0 and seen["numpy"]
         assert seen["unfrozen"] == []
 
-    def test_court_loads_no_tracker_module(self, runs):
-        seen = self.probe(*runs["court"])
+    def test_court_loads_no_tracker_module(self, probed):
+        seen = probed["court"]
         assert seen["rc"] == 0 and "court" in seen["modules"]
         assert not {"cost", "detect", "track", "metrics", "synth", "rng"} & set(seen["modules"])
 
-    def test_track_loads_no_court_or_synth_module(self, runs):
-        seen = self.probe(*runs["track"])
+    def test_track_loads_no_court_or_synth_module(self, probed):
+        seen = probed["track"]
         assert seen["rc"] == 0 and "track" in seen["modules"]
         assert not {"court", "synth", "rng"} & set(seen["modules"])
 
-    def test_eval_loads_no_tracker_module(self, runs):
-        seen = self.probe(*runs["eval"])
+    def test_eval_loads_no_tracker_module(self, probed):
+        seen = probed["eval"]
         assert seen["rc"] == 0 and "metrics" in seen["modules"]
         assert not {"track", "cost", "imaging", "court", "synth", "rng"} & set(seen["modules"])
+
+    def test_synth_loads_no_tracker_or_court_module(self, probed):
+        seen = probed["synth"]
+        assert seen["rc"] == 0 and "synth" in seen["modules"]
+        assert not {"track", "cost", "court"} & set(seen["modules"])
 
     def test_import_loads_no_numpy(self):
         out = run_child("import sys, courttrack.cli; print('numpy' in sys.modules)")
@@ -1509,6 +1238,15 @@ class TestStartup:
             f"scen = Path(sys.argv[1])\n{call}\nprint('ran')"
         )
         assert run_child(code, scen).stdout.strip() == "ran"
+
+    def test_homographies_reader_loads_only_geometry(self, runs):
+        code = (
+            "import sys, courttrack.cli as cli\n"
+            "cli.read_homographies_json(sys.argv[1], 6)\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('courttrack.'))))"
+        )
+        loaded = run_child(code, Path(runs["track"][2]).parent / "homographies.json").stdout.split()
+        assert loaded == ["courttrack.cli", "courttrack.defaults", "courttrack.errors", "courttrack.geometry"]
 
     def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path, capsys):
         scen = tmp_path / "scen"

@@ -18,10 +18,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from courttrack.cli import SETTINGS, main, read_config_file, read_homographies_json
+from courttrack.cli import SETTINGS, main, read_config_file
 from courttrack.court import read_segments_csv
 from courttrack.detect import read_detections_jsonl
 from courttrack.errors import InputFormatError
+from courttrack.geometry import read_homographies_json
 from courttrack.imaging import BinaryMask, FrameRaster, read_pgm, read_ppm, write_ppm
 from courttrack.metrics import read_mot_csv
 from tests.oracles import write_pgm

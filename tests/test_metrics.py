@@ -24,6 +24,7 @@ from tests.oracles import (
     filled,
     frame_boxes,
     greedy_detection_counts,
+    observations,
     records_of,
     write_mot_objects,
 )
@@ -338,7 +339,7 @@ class TestMotCsv:
         seq = generate(ScenarioSpec(n_targets=2, n_frames=12, dropout_rate=0.5, seed=3))
         empty = [t for t, dets in seq.detections.items() if not len(dets)]
         assert empty, "the scenario must hold a frame without detections"
-        tracks = run_tracker(seq.frame_observations())
+        tracks = run_tracker(observations(seq))
         assert sorted(tracks) == [t for t in range(12) if t not in empty]
         write_mot_csv(seq.gt, tmp_path / "gt.csv")
         write_mot_csv(tracks, tmp_path / "tracks.csv")

@@ -16,7 +16,7 @@ from courttrack.metrics import NO_BOXES, eval_mot_records, solve_assignment, wri
 from courttrack.synth import ScenarioSpec, generate
 from courttrack.track import FrameObservations, MatchConfig, match_frame, run_tracker
 from tests.detections import box_det, frame_of
-from tests.oracles import BBox, brute_force_assignment, filled, records_of
+from tests.oracles import BBox, brute_force_assignment, filled, observations, records_of
 
 DIMS = FrameDims(200, 200)
 GRAY = filled(DIMS, (90, 90, 90))
@@ -190,7 +190,7 @@ class TestRunTracker:
             seed=5,
         )
         seq = generate(spec)
-        rows = run_tracker(seq.frame_observations())
+        rows = run_tracker(observations(seq))
         assert len(frames_by_id(rows)) == 2
         report = eval_mot_records(seq.gt, rows)
         assert report.mota == 1.0
@@ -234,7 +234,7 @@ class TestRunTracker:
 
     def test_frame_of_another_size_rejected_before_its_patches(self, monkeypatch):
         seq = generate(ScenarioSpec(n_targets=3, n_frames=3, dims=FrameDims(160, 90), seed=1))
-        frames = seq.frame_observations()
+        frames = observations(seq)
         frames[1] = dataclasses.replace(frames[1], raster=filled(FrameDims(500, 300), (9, 9, 9)))
         cut, extract = [], track.features
 
@@ -259,7 +259,7 @@ class TestRunTracker:
     def test_every_detection_in_exactly_one_track(self):
         spec = ScenarioSpec(n_targets=4, n_frames=15, dims=FrameDims(640, 360), seed=2, dropout_rate=0.15)
         seq = generate(spec)
-        rows = run_tracker(seq.frame_observations())
+        rows = run_tracker(observations(seq))
         assert [(r.frame, r.bbox) for r in records_of(rows)] == [
             (t, BBox(*box)) for t in range(spec.n_frames) for box in seq.detections[t].boxes.tolist()
         ]
@@ -269,7 +269,7 @@ class TestRunTracker:
     def test_no_duplicate_track_per_frame(self):
         spec = ScenarioSpec(n_targets=5, n_frames=12, dims=FrameDims(640, 360), seed=9)
         seq = generate(spec)
-        tracks = run_tracker(seq.frame_observations())
+        tracks = run_tracker(observations(seq))
         for t in range(spec.n_frames):
             ids = tracks.get(t, NO_BOXES).ids.tolist()
             assert len(ids) == len(set(ids))
@@ -345,7 +345,7 @@ class TestRunTracker:
         )
         seq = generate(spec)
         cfg = MatchConfig(gate=0.1, memory_depth=2)
-        rows = run_tracker(seq.frame_observations(), cfg)
+        rows = run_tracker(observations(seq), cfg)
         report = eval_mot_records(seq.gt, rows)
         assert report.id_switches == 0
 
