@@ -56,6 +56,7 @@ from .errors import (
     CourtTrackError,
     DegenerateCourt,
     DegenerateProjection,
+    InfeasibleScenario,
     InputFormatError,
     check_hsv_bounds,
     open_text,
@@ -81,10 +82,11 @@ IMPORTED = {
 }
 HOME = {name: module for module, names in IMPORTED.items() for name in names}
 # command -> the modules whose names it uses; court loads no tracker
-# module, and track no court or synth module
+# module, track no court or synth module, and eval loads detect only for
+# a det run on a JSONL hypothesis (cmd_eval)
 COMMAND_MODULES = {
     "track": ("cost", "detect", "geometry", "imaging", "metrics", "track"),
-    "eval": ("detect", "metrics"),
+    "eval": ("metrics",),
     "court": ("court", "geometry", "imaging"),
     "synth": ("detect", "geometry", "imaging", "metrics", "synth"),
 }
@@ -128,18 +130,6 @@ def parse_pan(text: str) -> tuple[float, float]:
     return float(px), float(py)
 
 
-def one_of(*options: str) -> Callable[[str], str]:
-    """Parse type that accepts only one of `options`."""
-
-    def parse(text: str) -> str:
-        if text not in options:
-            raise ValueError(text)
-        return text
-
-    parse.__name__ = " or ".join(options)  # argparse names the type in its error
-    return parse
-
-
 class Setting(NamedTuple):
     """A CLI setting: parse type, default (None: unset unless given), help
     and, where it has one, its range as a test and the words for it."""
@@ -150,10 +140,18 @@ class Setting(NamedTuple):
     in_range: Callable[[object], bool] = lambda value: True
     need: str = ""
 
-    def check(self, value, path, line=None, field=None) -> None:
-        """InputFormatError at path (line, field) when value is out of range."""
+    def parse(self, text: str, path, line=None, field=None):
+        """text's value, or an InputFormatError at path (line, field) when
+        it does not parse or lies out of range."""
+        if "\0" in text:  # no path may hold one, and no number or word does
+            raise InputFormatError(path, "value holds a NUL byte", line=line, field=field)
+        try:
+            value = self.kind(text)
+        except ValueError:
+            raise InputFormatError(path, f"bad value {text!r}", line=line, field=field) from None
         if not self.in_range(value):
             raise InputFormatError(path, f"{self.need}, got {value}", line=line, field=field)
+        return value
 
 
 AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
@@ -161,7 +159,7 @@ UNIT_INTERVAL = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
 WEIGHT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 
 # every setting of every command; a flag and a config-file value both go
-# through the type and the range
+# through Setting.parse
 SETTINGS = {
     "frames": Setting(str, None, "frame directory (frame_%%06d.ppm); court also takes one PPM"),
     "detections": Setting(str, None, "detections JSONL file"),
@@ -178,9 +176,10 @@ SETTINGS = {
     "memory": Setting(int, DEFAULT_MEMORY_DEPTH, "memory depth in frames, 1 or 2",
                       lambda v: v in (1, 2), "must be 1 or 2"),
     "patch": Setting(int, DEFAULT_HALF_EXTENT, "patch half-extent in pixels", *AT_LEAST_1),
-    "mode": Setting(one_of("det", "mot"), None, "evaluation mode, det or mot"),
+    "mode": Setting(str, None, "evaluation mode, det or mot", lambda v: v in ("det", "mot"), "must be det or mot"),
     "mot_iou": Setting(float, MOT_IOU_THRESHOLD, "CLEAR-MOT IoU threshold", *UNIT_INTERVAL),
-    "court": Setting(one_of("european", "nba"), None, "court variant, european or nba"),
+    "court": Setting(str, None, "court variant, european or nba", lambda v: v in ("european", "nba"),
+                     "must be european or nba"),
     "hsv": Setting(parse_hsv_filter, None, "HSV filter 'h0:h1,s0:s1,v0:v1'"),
     "candidates": Setting(int, DEFAULT_CANDIDATES, "dominant lines fed to boundary search", *AT_LEAST_1),
     "step": Setting(float, DEFAULT_STEP_PX, "NBA convergence step in pixels",
@@ -199,31 +198,23 @@ SETTINGS = {
     "extra_dropout": Setting(float, SCENE_EXTRA_DROPOUT, "share of single-frame drops", *UNIT_INTERVAL),
 }
 
-# command -> (the setting that picks its variant, variant -> (the settings
-# it requires, the others it reads)); a run rejects the settings that only
-# its command's other variants read
-VARIANTS = {
-    "court": ("court", {"european": (("frames", "hsv"), ()), "nba": (("mask",), ("step", "drop_tol"))}),
-    "eval": ("mode", {"det": ((), ()), "mot": ((), ("mot_iou",))}),
-}
-VARIANT_SETTINGS = {
-    command: tuple(name for needs, reads in variants.values() for name in needs + reads)
-    for command, (_, variants) in VARIANTS.items()
-}
-
-# command -> (the settings it requires, the others it reads), as flags and as config-file keys
-COMMAND_SETTINGS = {
+# run -> (the settings it requires, the others it reads), as flags and as
+# config-file keys; a court or an eval run is the variant its PICKS setting names
+RUNS = {
     "track": (("frames", "detections", "homographies", "out"), ("alpha", "beta", "gate", "memory", "patch")),
-    "eval": (("mode", "gt", "hyp"), ("out",) + VARIANT_SETTINGS["eval"]),
-    "court": (("court", "segments"), ("candidates", "out") + VARIANT_SETTINGS["court"]),
+    "eval --mode det": (("mode", "gt", "hyp"), ("out",)),
+    "eval --mode mot": (("mode", "gt", "hyp"), ("out", "mot_iou")),
+    "court --court european": (("court", "segments", "frames", "hsv"), ("candidates", "out")),
+    "court --court nba": (("court", "segments", "mask"), ("candidates", "out", "step", "drop_tol")),
     "synth": (("out",), ("seed", "targets", "num_frames", "width", "height", "pan", "dropout", "jitter",
                          "extra_dropout")),
 }
+PICKS = {"eval": "mode", "court": "court"}
 
 
-def read_config_file(path, names) -> dict:
-    """Flat key=value configuration of the settings `names` as {key: (value,
-    line)}; '#' starts a comment line, and a key may appear once."""
+def read_config_file(path) -> dict:
+    """Flat key=value configuration as {setting: (value text, line)}; '#'
+    starts a comment line, a key is a setting's name, and it may appear once."""
     values = {}
     with open_text(path) as fh:
         for lineno, raw in text_lines(fh, path):
@@ -234,57 +225,48 @@ def read_config_file(path, names) -> dict:
                 raise InputFormatError(path, "expected key=value", line=lineno)
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in names:
+            if key not in SETTINGS:
                 raise InputFormatError(path, f"unknown key {key!r}", line=lineno, field=key)
             if key in values:
-                first = values[key][1]
-                raise InputFormatError(path, f"repeated key, first set on line {first}", line=lineno, field=key)
-            if "\0" in value:  # no path may hold one, and no number or word does
-                raise InputFormatError(path, "value holds a NUL byte", line=lineno, field=key)
-            try:
-                values[key] = (SETTINGS[key].kind(value.strip()), lineno)
-            except ValueError:
-                raise InputFormatError(path, f"bad value {value.strip()!r}", line=lineno, field=key) from None
+                raise InputFormatError(path, f"repeated key, first set on line {values[key][1]}", lineno, key)
+            values[key] = (value.strip(), lineno)
     return values
 
 
 def resolve_settings(args: argparse.Namespace) -> None:
-    """Fill each of the command's settings in args: flag > config file > default.
+    """Fill each setting that the run reads in args: flag > config file > default.
 
-    An unset required setting, or a flag or config-file value out of its
-    range, is an InputFormatError; a config-file one names file, line and key.
-    A court or eval run requires its variant's settings, and a flag or
-    config-file value of a setting only another variant reads is an
-    InputFormatError.
+    Once the variant is known, a flag or config value of a setting that
+    the run does not read, then one that does not parse or lies out of
+    range, then an unset required setting is an InputFormatError naming
+    the setting, or the config file's path, line and key.
     """
-    required, optional = COMMAND_SETTINGS[args.command]
-    from_file = read_config_file(args.config, required + optional) if args.config else {}
-    for name, (value, line) in from_file.items():
-        SETTINGS[name].check(value, args.config, line, field=name)
-    run = f"the {args.command} command"
-    pick, variants = VARIANTS.get(args.command, (None, {}))
-    variant = pick and (getattr(args, pick) or from_file.get(pick, (None,))[0])
-    if variant:
-        needs, reads = variants[variant]
-        run = f"{args.command} --{pick} {variant}"
-        for name in VARIANT_SETTINGS[args.command]:
-            if name in needs + reads:
-                continue
-            if getattr(args, name) is not None:
-                raise InputFormatError(name, f"not read by {run}")
-            if name in from_file:
-                raise InputFormatError(args.config, f"not read by {run}", line=from_file[name][1], field=name)
-        required += needs
-        optional = tuple(name for name in optional if name not in VARIANT_SETTINGS[args.command]) + reads
+    from_file = read_config_file(args.config) if args.config else {}
+
+    def value(name):
+        if getattr(args, name) is not None:
+            return SETTINGS[name].parse(getattr(args, name), name)
+        if name in from_file:
+            text, line = from_file[name]
+            return SETTINGS[name].parse(text, args.config, line, field=name)
+        return SETTINGS[name].default
+
+    pick = PICKS.get(args.command)
+    run = f"{args.command} --{pick} {value(pick)}" if pick else args.command
+    if run not in RUNS:  # the variant is unset
+        raise InputFormatError(pick, f"required for the {args.command} command")
+    required, optional = RUNS[run]
+    run = run if pick else f"the {run} command"
+    for name in (name for name in SETTINGS if name not in required + optional):
+        if getattr(args, name) is not None:
+            raise InputFormatError(name, f"not read by {run}")
+        if name in from_file:
+            raise InputFormatError(args.config, f"not read by {run}", line=from_file[name][1], field=name)
     for name in required + optional:
-        value = getattr(args, name)
-        if value is None:
-            value = from_file.get(name, (SETTINGS[name].default,))[0]
-        else:
-            SETTINGS[name].check(value, name)
-        if value is None and name in required:
+        setattr(args, name, value(name))
+    for name in required:
+        if getattr(args, name) is None:
             raise InputFormatError(name, f"required for {run}")
-        setattr(args, name, value)
 
 
 # --- frame directory -----------------------------------------------------------
@@ -418,7 +400,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if mot:
         report = eval_mot_records(gt, read_mot_csv(args.hyp, unique_ids=True), args.mot_iou)
     else:
-        reader = read_detections_jsonl if str(args.hyp).endswith(".jsonl") else read_mot_csv
+        reader = read_mot_csv
+        if str(args.hyp).endswith(".jsonl"):  # the one run that loads detect, on first use (__getattr__)
+            reader = sys.modules[__name__].read_detections_jsonl
         report = eval_detections(gt, {t: f.boxes for t, f in reader(args.hyp).items()})
     _report_out(report.to_json_dict(), args)
     return 0
@@ -494,6 +478,10 @@ def cmd_court(args: argparse.Namespace) -> int:
     return 0
 
 
+# the synth setting behind each ScenarioSpec field that an InfeasibleScenario names
+SPEC_SETTINGS = {"dims": "width/height", "jitter_sigma": "jitter"}
+
+
 def scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
     """The ScenarioSpec that the synth command's resolved settings ask for."""
     _load("synth")
@@ -515,7 +503,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     frames_dir = Path(args.out) / "frames"
     if frames_dir.is_dir() and any(FRAME_FILE_RE.fullmatch(p.name) for p in frames_dir.iterdir()):
         raise InputFormatError(frames_dir, "already holds frame files; synth needs a fresh directory")
-    write_scenario(generate(scenario_spec(args)), args.out)
+    try:
+        seq = generate(scenario_spec(args))
+    except InfeasibleScenario as exc:
+        if exc.field is None:
+            raise
+        raise InputFormatError(SPEC_SETTINGS[exc.field], exc.reason) from None
+    write_scenario(seq, args.out)
     return 0
 
 
@@ -525,6 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="courttrack",
         description="Tracking-by-detection pipeline for single-camera basketball video",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
@@ -533,12 +528,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "court": "estimate the court region",
         "synth": "generate a synthetic scenario",
     }
-    for command, (required, optional) in COMMAND_SETTINGS.items():
-        p = sub.add_parser(command, help=helps[command])
+    # argparse only splits argv, and a flag must be spelled in full: every command
+    # takes every setting's flag, for resolve_settings to parse or reject, and
+    # --help lists only those that the command reads
+    for command in helps:
+        p = sub.add_parser(command, help=helps[command], allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file")
-        for name in required + optional:
-            setting = SETTINGS[name]
-            p.add_argument("--" + name.replace("_", "-"), dest=name, type=setting.kind, help=setting.help)
+        read = {name for run, settings in RUNS.items() if run.split()[0] == command for name in sum(settings, ())}
+        for name, setting in SETTINGS.items():
+            shown = setting.help if name in read else argparse.SUPPRESS
+            p.add_argument("--" + name.replace("_", "-"), dest=name, help=shown)
     return parser
 
 

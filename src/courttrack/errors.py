@@ -37,7 +37,13 @@ class DegenerateCourt(CourtTrackError):
 
 
 class InfeasibleScenario(CourtTrackError):
-    """A synthetic scenario that cannot be drawn."""
+    """A synthetic scenario that cannot be drawn; field names the
+    ScenarioSpec field at fault, where one alone is."""
+
+    def __init__(self, reason, field=None):
+        self.reason = reason
+        self.field = field
+        super().__init__(reason if field is None else f"{field}: {reason}")
 
 
 def json_int(value, path, field, line=None, entry=None) -> int:

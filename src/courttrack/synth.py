@@ -189,7 +189,7 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
     try:
         background = np.empty((spec.dims.h, spec.dims.w, 3), dtype=np.uint8)
     except (ValueError, MemoryError):  # more bytes than an array can index, or than memory holds
-        raise InfeasibleScenario(f"a {spec.dims.w}x{spec.dims.h} frame does not fit in memory") from None
+        raise InfeasibleScenario(f"a {spec.dims.w}x{spec.dims.h} frame does not fit in memory", "dims") from None
     background[:, :] = BACKGROUND_COLOR
     stencil_parts = [part_id for part_id, _, _ in KEYPOINT_STENCIL]
 
@@ -230,7 +230,7 @@ def generate(spec: ScenarioSpec) -> SyntheticSequence:
                 # an infinite corner makes its span non-finite too, and finite
                 # corners can still be too far apart for the span to be finite
                 if not (math.isfinite(xs[1] - xs[0]) and math.isfinite(ys[1] - ys[0])):
-                    raise InfeasibleScenario(f"jitter_sigma {spec.jitter_sigma} overflows a box at t={t}")
+                    raise InfeasibleScenario(f"{spec.jitter_sigma} overflows a box at t={t}", "jitter_sigma")
                 (left, right), (top, bottom) = xs, ys
             width, height = right - left, bottom - top
             stencil = [(left + rx * width, top + ry * height) for _, rx, ry in KEYPOINT_STENCIL]

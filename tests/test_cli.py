@@ -639,7 +639,7 @@ COURT_FAULTS = [
         for hsv in ("nan:150,0.4:1,0.2:1", "90:150,nan:1,0.2:1", "90:inf,0.4:1,0.2:1")
         for fault in (
             Fault(f"test_non_finite_hsv_bound_is_input_error[{hsv}]", "european", {}, ("--hsv", hsv), 1,
-                  f"courttrack court: error: argument --hsv: invalid parse_hsv_filter value: '{hsv}'"),
+                  f"error: hsv: bad value '{hsv}'"),
             Fault(f"test_non_finite_hsv_bound_is_input_error[{hsv}]", "european", config(f"hsv={hsv}\n"),
                   ("--hsv", None, "--config", "run.cfg"), 1, f"error: run.cfg:1 (field 'hsv'): bad value '{hsv}'"),
         )
@@ -891,7 +891,7 @@ SYNTH_FAULTS = [
     Fault("test_out_of_range_noise_fails[--jitter-inf]", "synth", {}, ("--jitter", "inf"), 1,
           "error: jitter: must be finite and >= 0, got inf"),
     Fault("test_out_of_range_noise_fails[--jitter-1e308]", "synth", {}, ("--jitter", "1e308"), 1,
-          "error: jitter_sigma 1e+308 overflows a box at t=0"),
+          "error: jitter: 1e+308 overflows a box at t=0"),
     Fault("test_out_of_range_noise_fails[--pan-nan,0]", "synth", {}, ("--pan", "nan,0"), 1,
           "error: pan: components must be finite, got (nan, 0.0)"),
     Fault("test_out_of_range_noise_fails[--extra-dropout--0.5]", "synth", {}, ("--extra-dropout", "-0.5"), 1,
@@ -900,7 +900,7 @@ SYNTH_FAULTS = [
           "error: extra_dropout: must lie in [0, 1), got nan"),
     # 3e20 bytes: numpy refuses the shape before allocating anything
     Fault("test_frame_too_large_for_an_array_fails", "synth", {}, ("--width", "10000000000", "--height", "10000000000"),
-          1, "error: a 10000000000x10000000000 frame does not fit in memory"),
+          1, "error: width/height: a 10000000000x10000000000 frame does not fit in memory"),
     Fault("test_directory_with_frames_fails_before_writing", "synth", {}, ("--out", "scen", "--num-frames", "5"), 1,
           "error: scen/frames: already holds frame files; synth needs a fresh directory"),
 ]
@@ -987,7 +987,9 @@ OUT_OF_RANGE = [
     ("track", "gate", "-1", "must be positive, got -1.0"),
     ("track", "memory", "3", "must be 1 or 2, got 3"),
     ("track", "patch", "0", "must be at least 1, got 0"),
+    ("eval", "mode", "both", "must be det or mot, got both"),
     ("eval", "mot_iou", "2", "must lie in [0, 1), got 2.0"),
+    ("court", "court", "fiba", "must be european or nba, got fiba"),
     ("court", "candidates", "0", "must be at least 1, got 0"),
     ("court", "step", "0.5", "must be a finite number of pixels >= 1, got 0.5"),
     ("court", "drop_tol", "1", "must lie in [0, 1), got 1.0"),
@@ -1029,8 +1031,12 @@ CONFIG_FAULTS = [
     Fault("test_repeated_config_key_rejected[command1-lines1-extra_dropout]", "synth",
           config("extra-dropout=0.1\nseed=3\nextra_dropout=0.2\n"), ("--config", "run.cfg"), 1,
           "error: run.cfg:3 (field 'extra_dropout'): repeated key, first set on line 1"),
+    *out_of_range("test_value_that_does_not_parse_is_input_error", "track", "gate", "abc", "bad value 'abc'"),
     Fault("test_bad_hsv_flag_is_input_error", "european", {}, ("--hsv", "not-a-filter"), 1,
-          "courttrack court: error: argument --hsv: invalid parse_hsv_filter value: 'not-a-filter'"),
+          "error: hsv: bad value 'not-a-filter'"),
+    Fault("test_bad_hsv_flag_is_input_error", "european", config("court=european\nhsv=not-a-filter\n"),
+          ("--court", None, "--hsv", None, "--config", "run.cfg"), 1,
+          "error: run.cfg:2 (field 'hsv'): bad value 'not-a-filter'"),
 ]
 
 
@@ -1049,23 +1055,37 @@ class TestConfigPrecedence:
         assert args.beta == 0.05  # default
 
 
+# what each base argv runs, as a "not read by" error names it
+RUN = {"track": "the track command", "eval": "eval --mode mot", "nba": "court --court nba",
+       "synth": "the synth command"}
+# a setting of another command, as a flag and as a config key: (base, setting, value)
+OTHER_COMMAND = [("track", "court", "nba"), ("eval", "alpha", "0.1"), ("nba", "gate", "0.3"),
+                 ("synth", "mot_iou", "0.5")]
+
 # BASE[base][0] is the command's name
 SURFACE_FAULTS = [
     *(
         Fault(f"test_flag_of_another_command_rejected[{BASE[base][0]}-{flag}-{value}]", base, {}, (flag, value), 1,
-              f"courttrack: error: unrecognized arguments: {flag} {value}")
-        for base, flag, value in [
-            ("track", "--court", "nba"), ("eval", "--alpha", "0.1"), ("nba", "--gate", "0.3"),
-            ("synth", "--mot-iou", "0.5"), ("track", "--dup-iou", "0.5"), ("eval", "--dup-iou", "0.5"),
-            ("nba", "--dup-iou", "0.5"), ("synth", "--dup-iou", "0.5"),
-        ]
+              f"error: {name}: not read by {RUN[base]}")
+        for base, name, value in OTHER_COMMAND
+        for flag in ["--" + name.replace("_", "-")]
+    ),
+    # no command has this flag
+    *(
+        Fault(f"test_flag_of_another_command_rejected[{BASE[base][0]}---dup-iou-0.5]", base, {}, ("--dup-iou", "0.5"), 1,
+              "courttrack: error: unrecognized arguments: --dup-iou 0.5")
+        for base in ("track", "eval", "nba", "synth")
     ),
     *(
         Fault(f"test_config_key_of_another_command_rejected[{BASE[base][0]}-{key}={value}]", base,
               config(f"out=x\n{key}={value}\n"), ("--config", "run.cfg"), 1,
-              f"error: run.cfg:2 (field '{key}'): unknown key '{key}'")
-        for base, key, value in [("track", "court", "nba"), ("eval", "alpha", "0.1"), ("nba", "gate", "0.3"),
-                                 ("synth", "mot_iou", "0.5")]
+              f"error: run.cfg:2 (field '{key}'): not read by {RUN[base]}")
+        for base, key, value in OTHER_COMMAND
+    ),
+    *(
+        Fault(f"test_abbreviated_flag_rejected[{BASE[base][0]}-{flag}]", base, {}, (flag, value), 1,
+              f"courttrack: error: unrecognized arguments: {flag} {value}")
+        for base, flag, value in [("track", "--pat", "3"), ("synth", "--num", "3"), ("eval", "--mot", "0.5")]
     ),
 ]
 
@@ -1077,6 +1097,22 @@ class TestCommandSurface:
         code, out, _ = run(capsys, command, "--help")
         assert code == 0
         assert f"courttrack {command}" in out
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("track", "--frames --detections --homographies --out --alpha --beta --gate --memory --patch"),
+            ("eval", "--gt --hyp --out --mode --mot-iou"),
+            ("court", "--frames --segments --mask --out --court --hsv --candidates --step --drop-tol"),
+            ("synth", "--out --seed --targets --num-frames --width --height --pan --dropout --jitter --extra-dropout"),
+        ],
+    )
+    def test_help_lists_the_flags_that_the_command_reads(self, capsys, command, flags):
+        code, out, _ = run(capsys, command, "--help")
+        listed = [word for line in out.partition("options:")[2].splitlines() for word in line.split()[:2]
+                  if word.startswith("--")]
+        assert code == 0
+        assert listed == ["--help", "--config", *flags.split()]
 
 
 def run_child(code: str, *argv, **env) -> subprocess.CompletedProcess:
@@ -1189,9 +1225,14 @@ class TestStartup:
         assert not {"court", "synth", "rng"} & set(seen["modules"])
 
     def test_eval_loads_no_tracker_module(self, probed):
-        seen = probed["eval"]
+        seen = probed["eval"]  # a --mode mot run
         assert seen["rc"] == 0 and "metrics" in seen["modules"]
-        assert not {"track", "cost", "imaging", "court", "synth", "rng"} & set(seen["modules"])
+        assert not {"detect", "track", "cost", "imaging", "court", "synth", "rng"} & set(seen["modules"])
+
+    def test_eval_loads_detect_for_a_jsonl_hypothesis(self, runs):
+        scen = Path(runs["track"][2]).parent
+        seen = self.probe("eval", "--mode", "det", "--gt", scen / "gt.csv", "--hyp", scen / "detections.jsonl")
+        assert seen["rc"] == 0 and "detect" in seen["modules"]
 
     def test_synth_loads_no_tracker_or_court_module(self, probed):
         seen = probed["synth"]
@@ -1205,12 +1246,14 @@ class TestStartup:
     @pytest.mark.parametrize(
         "argv, code",
         [(["--help"], 0), (["track", "--help"], 0), (["track", "--gate", "abc"], 1), ([], 1),
-         (["eval", "--config", "{cfg}"], 1), (["court", "--hsv", "nan:1,0:1,0:1"], 1)],
-        ids=["help", "command-help", "usage", "no-command", "config-file", "hsv"],
+         (["eval", "--config", "{cfg}"], 1), (["court", "--court", "european", "--hsv", "nan:1,0:1,0:1"], 1),
+         (["track", "--court", "nba"], 1), (["track", "--config", "{other}"], 1)],
+        ids=["help", "command-help", "usage", "no-command", "config-file", "hsv", "flag-not-read", "key-not-read"],
     )
     def test_no_numpy_before_a_command_runs(self, tmp_path, argv, code):
         (tmp_path / "bad.cfg").write_text("bogus=1\n")
-        seen = self.probe(*(arg.format(cfg=tmp_path / "bad.cfg") for arg in argv))
+        (tmp_path / "other.cfg").write_text("court=nba\n")  # a key of another command
+        seen = self.probe(*(arg.format(cfg=tmp_path / "bad.cfg", other=tmp_path / "other.cfg") for arg in argv))
         assert seen["rc"] == code
         assert not seen["numpy"]
 

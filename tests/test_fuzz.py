@@ -2,7 +2,8 @@
 on random valid inputs.
 
 A reader either returns a value or raises an InputFormatError naming the
-file it read; any other exception is a defect. A court run on valid
+file it read; any other exception is a defect. The config reader is
+followed by the parse of every value it read, as a command does. A court run on valid
 inputs either writes a region (exit 0) or finds none (exit 2): exit 1
 would call valid inputs malformed.
 """
@@ -52,7 +53,12 @@ READERS = {
         b"0,1,5.0,6.0,20,40\n0,2,50,6,20,40\n3,1,7,8,20.5,40\n",
     ),
     "segments": (read_segments_csv, b"0,100,10,100\n5.5,2.25,9,9\n"),
-    "config": (lambda path: read_config_file(path, tuple(SETTINGS)), b"# run\nalpha=0.5\ngate = 0.4\nhsv=90:150,0.4:1,0.2:1\n"),
+    "config": (
+        lambda path: {
+            key: SETTINGS[key].parse(text, path, line, field=key) for key, (text, line) in read_config_file(path).items()
+        },
+        b"# run\nalpha=0.5\ngate = 0.4\nhsv=90:150,0.4:1,0.2:1\nmode=mot\npan=2,-1\n",
+    ),
 }
 
 # byte strings that readers treat specially

@@ -12,18 +12,14 @@ from courttrack.cli import decode_frames
 from courttrack.cost import Features, features
 from courttrack.geometry import FrameDims, Homography
 from courttrack.imaging import PatchWindow, write_ppm
-from courttrack.metrics import NO_BOXES, eval_mot_records, solve_assignment, write_mot_csv
+from courttrack.metrics import NO_BOXES, eval_mot_records, write_mot_csv
 from courttrack.synth import ScenarioSpec, generate
 from courttrack.track import FrameObservations, MatchConfig, match_frame, run_tracker
 from tests.detections import box_det, frame_of
-from tests.oracles import BBox, brute_force_assignment, filled, observations, records_of
+from tests.oracles import BBox, filled, observations, records_of
 
 DIMS = FrameDims(200, 200)
 GRAY = filled(DIMS, (90, 90, 90))
-
-
-def solve(entries) -> list[tuple[int, int]]:
-    return solve_assignment(np.array(entries, dtype=float))
 
 
 def frame_features(*boxes) -> Features:
@@ -46,69 +42,6 @@ def frames_by_id(tracks) -> dict[int, list[int]]:
         for track_id in tracks[t].ids.tolist():
             frames.setdefault(track_id, []).append(t)
     return dict(sorted(frames.items()))
-
-
-class TestSolveAssignment:
-    def test_single_cell(self):
-        assert solve([[0.2]]) == [(0, 0)]
-
-    def test_diagonal_dominance(self):
-        assert solve([[1.0, 10.0], [10.0, 1.0]]) == [(0, 0), (1, 1)]
-
-    def test_anti_diagonal(self):
-        assert solve([[10.0, 1.0], [1.0, 10.0]]) == [(0, 1), (1, 0)]
-
-    def test_matches_brute_force_on_random_matrices(self):
-        rng = random.Random(2024)
-        for _ in range(80):
-            rows = rng.randrange(1, 8)
-            cols = rng.randrange(1, 8)
-            entries = [[rng.random() for _ in range(cols)] for _ in range(rows)]
-            m = np.array(entries)
-            pairs = solve_assignment(m)
-            total = math.fsum(m[r, c] for r, c in pairs)
-            _, oracle_total = brute_force_assignment(m)
-            assert total == oracle_total
-
-    def test_row_constant_shift_moves_total_by_constant(self):
-        entries = [[3.0, 7.0, 1.0], [4.0, 2.0, 9.0], [8.0, 5.0, 6.0]]
-        base = np.array(entries)
-        base_total = sum(base[r, c] for r, c in solve(base))
-        shifted = [row[:] for row in entries]
-        shifted[1] = [v + 11.0 for v in shifted[1]]
-        new = np.array(shifted)
-        new_total = sum(new[r, c] for r, c in solve(new))
-        assert new_total == base_total + 11.0
-
-    def test_column_constant_shift_moves_total_by_constant(self):
-        entries = [[3.0, 7.0, 1.0], [4.0, 2.0, 9.0], [8.0, 5.0, 6.0]]
-        base = np.array(entries)
-        base_total = sum(base[r, c] for r, c in solve(base))
-        shifted = [[v + (5.0 if c == 2 else 0.0) for c, v in enumerate(row)] for row in entries]
-        new = np.array(shifted)
-        new_total = sum(new[r, c] for r, c in solve(new))
-        assert new_total == base_total + 5.0
-
-    def test_ties_resolve_lexicographically(self):
-        # scipy's tie rules give the identity on a constant matrix
-        assert solve([[1.0, 1.0], [1.0, 1.0]]) == [(0, 0), (1, 1)]
-        assert solve([[0.0] * 3] * 3) == [(0, 0), (1, 1), (2, 2)]
-
-    def test_wide_matrix_excludes_dummy_rows(self):
-        pairs = solve([[1.0, 5.0, 0.1], [5.0, 0.2, 9.0]])
-        assert pairs == [(0, 2), (1, 1)]
-
-    def test_tall_matrix_excludes_dummy_columns(self):
-        pairs = solve([[9.0, 9.0], [0.1, 9.0], [9.0, 0.2]])
-        assert pairs == [(1, 0), (2, 1)]
-
-    def test_empty_matrix(self):
-        assert solve(np.zeros((0, 3))) == []
-
-    def test_nonfinite_entries_rejected(self):
-        with pytest.raises(ValueError):
-            solve([[1.0, float("nan")]])
-        assert solve([[float("inf"), 1.0], [0.5, 2.0]]) == [(0, 1), (1, 0)]
 
 
 A = (50, 50, 70, 90)
