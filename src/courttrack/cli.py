@@ -5,9 +5,11 @@ given its input files and flags; outputs are byte-stable across runs.
 Exit codes: 0 success, 2 DegenerateCourt, 1 other CourtTrackError or OSError.
 
 Importing this module loads no numpy: the settings' defaults come from
-the numpy-free defaults module, and a command's modules are imported
-when it runs, so --help and a usage or config-file error cost no more
-than the interpreter and argparse.
+the numpy-free defaults module, and the commands read each name they
+take from the numpy modules as an attribute of this module, cli.<name>,
+which imports its module on first use (__getattr__). So --help and a
+usage or config-file error cost no more than the interpreter and
+argparse, and a run loads only the modules whose names it touches.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from typing import Callable, Iterator, NamedTuple
 # No command makes a BLAS call that threads would speed up (the only
 # LAPACK call is a 3x3 determinant), but numpy's bundled OpenBLAS starts
 # a worker per CPU when it loads, which costs tens of milliseconds per
-# process. The pin must come before the first numpy import, which is
-# _load's; a value the user set wins. The package root leaves library
-# users' threading alone.
+# process. The pin must come before the first numpy import, which is the
+# first __getattr__ call's; a value the user set wins. The package root
+# leaves library users' threading alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .defaults import (
@@ -63,10 +65,10 @@ from .errors import (
     text_lines,
 )
 
-# The names that the commands take from the numpy modules, by module. A
-# name is bound in this module's globals on first use: by _load, for a
-# command or a helper, or as an attribute of this module (__getattr__),
-# so a caller that replaces one here before main runs is what main calls.
+# The names that the commands take from the numpy modules, by module. The
+# commands read each as cli.<name>, so it is bound in this module's
+# globals on first use (__getattr__), and a caller that replaces one here
+# before main runs is what main calls.
 IMPORTED = {
     "cost": ("CostWeights",),
     "court": (
@@ -81,35 +83,22 @@ IMPORTED = {
     "track": ("FrameObservations", "MatchConfig", "run_tracker"),
 }
 HOME = {name: module for module, names in IMPORTED.items() for name in names}
-# command -> the modules whose names it uses; court loads no tracker
-# module, track no court or synth module, and eval loads detect only for
-# a det run on a JSONL hypothesis (cmd_eval)
-COMMAND_MODULES = {
-    "track": ("cost", "detect", "geometry", "imaging", "metrics", "track"),
-    "eval": ("metrics",),
-    "court": ("court", "geometry", "imaging"),
-    "synth": ("detect", "geometry", "imaging", "metrics", "synth"),
-}
+cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    """A name of IMPORTED, imported from its module and kept (PEP 562)."""
+    """A name of IMPORTED, imported from its module and kept (PEP 562).
+
+    What the import made lives until exit: gc.freeze() moves it out of
+    the collector's generations, so that neither the collections during
+    the run nor the one at exit walk numpy's and these modules' objects.
+    """
     module = HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(importlib.import_module(f".{module}", __package__), name)
+    gc.freeze()
     return value
-
-
-def _load(command: str) -> bool:
-    """Bind every name that the command uses and that is not bound yet;
-    whether there was one. A name already bound, such as a wrapper, stays."""
-    missing = [
-        name for module in COMMAND_MODULES[command] for name in IMPORTED[module] if name not in globals()
-    ]
-    for name in missing:
-        __getattr__(name)
-    return bool(missing)
 
 
 FRAME_FILE_PATTERN = "frame_%06d.ppm"
@@ -236,11 +225,17 @@ def read_config_file(path) -> dict:
 def resolve_settings(args: argparse.Namespace) -> None:
     """Fill each setting that the run reads in args: flag > config file > default.
 
-    Once the variant is known, a flag or config value of a setting that
-    the run does not read, then one that does not parse or lies out of
-    range, then an unset required setting is an InputFormatError naming
-    the setting, or the config file's path, line and key.
+    A flag given twice is an InputFormatError naming it. Once the variant
+    is known, a flag or config value of a setting that the run does not
+    read, then one that does not parse or lies out of range, then an
+    unset required setting is one naming the setting, or the config
+    file's path, line and key.
     """
+    for name, given in list(vars(args).items()):
+        if isinstance(given, list):  # a flag's values, in argv order
+            if len(given) > 1:
+                raise InputFormatError(name, f"flag given {len(given)} times")
+            setattr(args, name, given[0])
     from_file = read_config_file(args.config) if args.config else {}
 
     def value(name):
@@ -303,11 +298,10 @@ def decode_frames(paths, detections, homographies, patch: PatchWindow) -> Iterat
     outside the frame, and they would take (2 * half_extent)**2 * 3
     bytes each.
     """
-    _load("track")
     pairs = iter(detections)
     upcoming = next(pairs, None)
     for t, path in enumerate(paths):
-        raster = read_ppm(path)
+        raster = cli.read_ppm(path)
         # the tracker normalizes every distance by frame 0's diagonal
         if t == 0:
             first = raster.dims
@@ -323,11 +317,11 @@ def decode_frames(paths, detections, homographies, patch: PatchWindow) -> Iterat
         h = homographies.get(t)
         if h is None:
             print(f"warning: no homography for frame {t}, assuming identity", file=sys.stderr)
-            h = Homography.identity()
-        dets = NO_DETECTIONS
+            h = cli.Homography.identity()
+        dets = cli.NO_DETECTIONS
         if upcoming is not None and upcoming[0] == t:
             dets, upcoming = upcoming[1], next(pairs, None)
-        yield FrameObservations(dets, h, raster)
+        yield cli.FrameObservations(dets, h, raster)
 
 
 def check_output_file(path) -> None:
@@ -350,14 +344,13 @@ def check_output_dir(path) -> None:
 
 def write_scenario(seq: SyntheticSequence, outdir) -> None:
     """Persist a synthetic scenario in the standard pipeline formats."""
-    _load("synth")
     root = Path(outdir)
     (root / "frames").mkdir(parents=True, exist_ok=True)
     for t, frame in enumerate(seq.frames):
-        write_ppm(frame, root / "frames" / (FRAME_FILE_PATTERN % t))
-    write_detections_jsonl(seq.detections, root / "detections.jsonl")
-    write_homographies_json(seq.homographies, root / "homographies.json")
-    write_mot_csv(seq.gt, root / "gt.csv")
+        cli.write_ppm(frame, root / "frames" / (FRAME_FILE_PATTERN % t))
+    cli.write_detections_jsonl(seq.detections, root / "detections.jsonl")
+    cli.write_homographies_json(seq.homographies, root / "homographies.json")
+    cli.write_mot_csv(seq.gt, root / "gt.csv")
 
 
 # --- commands --------------------------------------------------------------------
@@ -365,21 +358,21 @@ def write_scenario(seq: SyntheticSequence, outdir) -> None:
 def cmd_track(args: argparse.Namespace) -> int:
     check_output_file(args.out)  # before any frame is decoded
     try:
-        weights = CostWeights(args.alpha, args.beta)
+        weights = cli.CostWeights(args.alpha, args.beta)
     except ValueError as exc:
         raise InputFormatError("alpha/beta", f"{exc}, got {args.alpha} and {args.beta}") from None
-    config = MatchConfig(
-        gate=args.gate, memory_depth=args.memory, weights=weights, patch=PatchWindow(args.patch)
+    config = cli.MatchConfig(
+        gate=args.gate, memory_depth=args.memory, weights=weights, patch=cli.PatchWindow(args.patch)
     )
     paths = list_frame_files(args.frames)
-    homographies = read_homographies_json(args.homographies, len(paths))
+    homographies = cli.read_homographies_json(args.homographies, len(paths))
     # each frame's detections are parsed when the tracker reaches that frame
-    detections = iter_detections_jsonl(args.detections, len(paths))
+    detections = cli.iter_detections_jsonl(args.detections, len(paths))
     try:
-        tracks = run_tracker(decode_frames(paths, detections, homographies, config.patch), config)
+        tracks = cli.run_tracker(decode_frames(paths, detections, homographies, config.patch), config)
     except DegenerateProjection as exc:
         raise InputFormatError(args.homographies, str(exc), field="h") from None
-    write_mot_csv(tracks, args.out)
+    cli.write_mot_csv(tracks, args.out)
     return 0
 
 
@@ -394,16 +387,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.out:
         check_output_file(args.out)
     mot = args.mode == "mot"
-    gt = read_mot_csv(args.gt, unique_ids=mot)
+    gt = cli.read_mot_csv(args.gt, unique_ids=mot)
     if not gt:
         raise InputFormatError(args.gt, "holds no ground-truth boxes")
     if mot:
-        report = eval_mot_records(gt, read_mot_csv(args.hyp, unique_ids=True), args.mot_iou)
+        report = cli.eval_mot_records(gt, cli.read_mot_csv(args.hyp, unique_ids=True), args.mot_iou)
     else:
-        reader = read_mot_csv
-        if str(args.hyp).endswith(".jsonl"):  # the one run that loads detect, on first use (__getattr__)
-            reader = sys.modules[__name__].read_detections_jsonl
-        report = eval_detections(gt, {t: f.boxes for t, f in reader(args.hyp).items()})
+        # a JSONL hypothesis is the one eval run that loads detect
+        reader = cli.read_detections_jsonl if str(args.hyp).endswith(".jsonl") else cli.read_mot_csv
+        report = cli.eval_detections(gt, {t: f.boxes for t, f in reader(args.hyp).items()})
     _report_out(report.to_json_dict(), args)
     return 0
 
@@ -427,28 +419,28 @@ def _rows_between(top: Line2, bottom: Line2, dims: FrameDims) -> tuple[int, int]
 def cmd_court(args: argparse.Namespace) -> int:
     if args.out:
         check_output_file(args.out)
-    segments = read_segments_csv(args.segments)
+    segments = cli.read_segments_csv(args.segments)
     if args.court == "european":
         frame_path = Path(args.frames)
         if frame_path.is_dir():
             frame_path = frame_path / (FRAME_FILE_PATTERN % 0)
-        frame = read_ppm(frame_path)
+        frame = cli.read_ppm(frame_path)
         dims = frame.dims
     else:
-        mask = read_pgm(args.mask)
+        mask = cli.read_pgm(args.mask)
         dims = mask.dims
-    votes = vote_dominant_lines(segments, args.candidates)
-    horizontal, vertical = lines_by_axis([v.line for v in votes], dims)
+    votes = cli.vote_dominant_lines(segments, args.candidates)
+    horizontal, vertical = cli.lines_by_axis([v.line for v in votes], dims)
     if not horizontal:
         raise DegenerateCourt("no candidate line of axis horizontal")
 
     left = right = None
     if args.court == "european":
-        prefix = row_prefix_sums(HsvFilter(*args.hsv).match_array(frame))
-        top = select_boundary_european(horizontal, prefix)
-        bottom = Line2.horizontal_at(float(dims.h))
+        prefix = cli.row_prefix_sums(cli.HsvFilter(*args.hsv).match_array(frame))
+        top = cli.select_boundary_european(horizontal, prefix)
+        bottom = cli.Line2.horizontal_at(float(dims.h))
         if vertical:
-            side = select_boundary_european(vertical, prefix)
+            side = cli.select_boundary_european(vertical, prefix)
             # assign by which half of the frame the line crosses at mid-height
             x_mid = -(side.b * dims.h / 2.0 + side.c) / side.a if abs(side.a) > 1e-9 else dims.w
             if x_mid <= dims.w / 2.0:
@@ -456,17 +448,17 @@ def cmd_court(args: argparse.Namespace) -> int:
             else:
                 right = side
     else:
-        top, bottom = converge_boundaries_nba(mask, horizontal[0], args.step, args.drop_tol)
+        top, bottom = cli.converge_boundaries_nba(mask, horizontal[0], args.step, args.drop_tol)
         r0, r1 = _rows_between(top, bottom, dims)
         if vertical and r1 - r0 >= 2:
-            band = BinaryMask(mask.bits[r0:r1])
+            band = cli.BinaryMask(mask.bits[r0:r1])
             try:
-                l_raw, r_raw = converge_boundaries_nba(band, vertical[0], args.step, args.drop_tol)
-                left = Line2(l_raw.a, l_raw.b, l_raw.c - l_raw.b * r0)
-                right = Line2(r_raw.a, r_raw.b, r_raw.c - r_raw.b * r0)
+                l_raw, r_raw = cli.converge_boundaries_nba(band, vertical[0], args.step, args.drop_tol)
+                left = cli.Line2(l_raw.a, l_raw.b, l_raw.c - l_raw.b * r0)
+                right = cli.Line2(r_raw.a, r_raw.b, r_raw.c - r_raw.b * r0)
             except DegenerateCourt:
                 pass
-    region = CourtRegion.from_boundaries(top, bottom, left, right, dims)
+    region = cli.CourtRegion.from_boundaries(top, bottom, left, right, dims)
 
     payload = {
         "top": _line_json(region.top),
@@ -478,17 +470,17 @@ def cmd_court(args: argparse.Namespace) -> int:
     return 0
 
 
-# the synth setting behind each ScenarioSpec field that an InfeasibleScenario names
-SPEC_SETTINGS = {"dims": "width/height", "jitter_sigma": "jitter"}
+# the synth settings behind each ScenarioSpec field that an InfeasibleScenario names
+SPEC_SETTINGS = {"n_targets": "targets", "n_frames": "num_frames", "dims": "width/height", "pan": "pan",
+                 "jitter_sigma": "jitter"}
 
 
 def scenario_spec(args: argparse.Namespace) -> ScenarioSpec:
     """The ScenarioSpec that the synth command's resolved settings ask for."""
-    _load("synth")
-    return ScenarioSpec(
+    return cli.ScenarioSpec(
         n_targets=args.targets,
         n_frames=args.num_frames,
-        dims=FrameDims(args.width, args.height),
+        dims=cli.FrameDims(args.width, args.height),
         pan=args.pan,
         dropout_rate=args.dropout,
         jitter_sigma=args.jitter,
@@ -504,11 +496,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if frames_dir.is_dir() and any(FRAME_FILE_RE.fullmatch(p.name) for p in frames_dir.iterdir()):
         raise InputFormatError(frames_dir, "already holds frame files; synth needs a fresh directory")
     try:
-        seq = generate(scenario_spec(args))
+        seq = cli.generate(scenario_spec(args))
     except InfeasibleScenario as exc:
         if exc.field is None:
             raise
-        raise InputFormatError(SPEC_SETTINGS[exc.field], exc.reason) from None
+        raise InputFormatError("/".join(SPEC_SETTINGS[field] for field in exc.field.split("/")), exc.reason) from None
     write_scenario(seq, args.out)
     return 0
 
@@ -529,15 +521,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "synth": "generate a synthetic scenario",
     }
     # argparse only splits argv, and a flag must be spelled in full: every command
-    # takes every setting's flag, for resolve_settings to parse or reject, and
-    # --help lists only those that the command reads
+    # takes every setting's flag, each time it is given, for resolve_settings to
+    # parse or reject, and --help lists only those that the command reads
     for command in helps:
         p = sub.add_parser(command, help=helps[command], allow_abbrev=False)
-        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--config", action="append", help="flat key=value config file")
         read = {name for run, settings in RUNS.items() if run.split()[0] == command for name in sum(settings, ())}
         for name, setting in SETTINGS.items():
             shown = setting.help if name in read else argparse.SUPPRESS
-            p.add_argument("--" + name.replace("_", "-"), dest=name, help=shown)
+            p.add_argument("--" + name.replace("_", "-"), dest=name, action="append", help=shown)
     return parser
 
 
@@ -553,12 +545,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         resolve_settings(args)
-        if _load(args.command):
-            # What the command's imports made lives until exit: move it out
-            # of the collector's generations, so that neither the
-            # collections during the run nor the one at exit walk numpy's
-            # and these modules' objects.
-            gc.freeze()
         return COMMANDS[args.command](args)
     except DegenerateCourt as exc:
         print(f"error: {exc}", file=sys.stderr)

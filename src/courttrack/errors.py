@@ -38,7 +38,8 @@ class DegenerateCourt(CourtTrackError):
 
 class InfeasibleScenario(CourtTrackError):
     """A synthetic scenario that cannot be drawn; field names the
-    ScenarioSpec field at fault, where one alone is."""
+    ScenarioSpec field at fault, or the fields at fault together, joined
+    by "/", where that can be told."""
 
     def __init__(self, reason, field=None):
         self.reason = reason
@@ -116,12 +117,21 @@ def csv_number_rows(path, fields, header=False):
     field may span lines. A row with another count of cells is an
     InputFormatError naming its line, and a cell that float() refuses
     one naming its line and field; so is a row that csv cannot split,
-    such as one with a field beyond csv's size limit.
+    such as one with a field beyond csv's size limit, whose field is
+    named where the row is one line without quotes.
     """
     with open_text(path, newline="") as fh:
-        reader = csv.reader(line for _, line in text_lines(fh, path))
+        row_lines = []  # the lines of the row being split
+
+        def lines():
+            for _, line in text_lines(fh, path):
+                row_lines.append(line)
+                yield line
+
+        reader = csv.reader(lines())
         try:
             for row in reader:
+                row_lines.clear()
                 lineno = reader.line_num
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
@@ -137,4 +147,9 @@ def csv_number_rows(path, fields, header=False):
                         raise InputFormatError(path, f"not a number: {cell!r}", line=lineno, field=name) from None
                 yield lineno, row, values
         except csv.Error as exc:
-            raise InputFormatError(path, str(exc), line=reader.line_num) from None
+            field = None
+            if len(row_lines) == 1 and '"' not in row_lines[0]:  # its cells are what split(",") gives
+                cells = row_lines[0].rstrip("\r\n").split(",")
+                limit = csv.field_size_limit()
+                field = next((name for name, cell in zip(fields, cells) if len(cell) > limit), None)
+            raise InputFormatError(path, str(exc), line=reader.line_num, field=field) from None

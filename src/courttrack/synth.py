@@ -129,7 +129,7 @@ def _target_colors(n: int, seed: int) -> list[tuple[int, int, int]]:
         lattice = product(COLOR_LATTICE, repeat=3)  # its points are MIN_COLOR_DISTANCE apart
         colors = [BACKGROUND_COLOR] + [c for c in lattice if separated(c, [BACKGROUND_COLOR])]
         if len(colors) <= n:
-            raise InfeasibleScenario(f"{n} targets: the color lattice holds {len(colors) - 1}")
+            raise InfeasibleScenario(f"the color lattice holds {len(colors) - 1} colors, got {n}", "n_targets")
     return colors[1 : n + 1]
 
 
@@ -149,6 +149,7 @@ def _start_positions(spec: ScenarioSpec, motion, box_w: float, box_h: float):
     n_cols = math.ceil(math.sqrt(spec.n_targets))
     n_rows = math.ceil(spec.n_targets / n_cols)
     starts = []
+    at_fault = "pan/n_frames/dims" if spec.motion is None else "motion/pan/n_frames/dims"
     for i in range(spec.n_targets):
         dvx = motion[i][0] - spec.pan[0]
         dvy = motion[i][1] - spec.pan[1]
@@ -157,7 +158,7 @@ def _start_positions(spec: ScenarioSpec, motion, box_w: float, box_h: float):
         y_lo = max(0.0, -dvy * t_last)
         y_hi = spec.dims.h - box_h - max(0.0, dvy * t_last)
         if x_lo > x_hi or y_lo > y_hi:
-            raise InfeasibleScenario(f"target {i} cannot stay in frame with drift ({dvx}, {dvy})/frame")
+            raise InfeasibleScenario(f"target {i} cannot stay in frame with drift ({dvx}, {dvy})/frame", at_fault)
         col = i % n_cols
         row = i // n_cols
         fx = (col + 0.5) / n_cols + rng.uniform(-0.08, 0.08)

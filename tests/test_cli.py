@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import courttrack
 import courttrack.court
-from courttrack.cli import SETTINGS, _build_parser, _rows_between, main, resolve_settings, scenario_spec
+from courttrack.cli import HOME, SETTINGS, _build_parser, _rows_between, main, resolve_settings, scenario_spec
 from courttrack.court import read_segments_csv, vote_dominant_lines
 from courttrack.defaults import DEFAULT_CANDIDATES
 from courttrack.errors import DegenerateCourt
@@ -53,7 +54,8 @@ def synth_args(outdir, **kw):
     return args
 
 
-def track_args(scen, out, memory=2):
+def track_args(scen, out, memory=None):
+    """argv of a track run on a synth scenario; --memory only where memory is given."""
     return [
         "track",
         "--frames",
@@ -64,8 +66,7 @@ def track_args(scen, out, memory=2):
         str(Path(scen) / "homographies.json"),
         "--out",
         str(out),
-        "--memory",
-        str(memory),
+        *(() if memory is None else ("--memory", str(memory))),
     ]
 
 
@@ -99,7 +100,8 @@ class Fault(NamedTuple):
     id: str  # the test's name, with its case in brackets if it has cases
     base: str  # the key of the command's argv in BASE
     edit: dict  # path -> text or bytes to write, None to delete it, or a function that edits it
-    args: tuple  # flag, value pairs: a value replaces the base's, None drops the flag, a new flag is added
+    args: tuple  # flag, value pairs: a value replaces the base's (a tuple of them repeats the flag),
+    # None drops the flag, a new flag is added
     code: int
     message: str  # the line on stderr
 
@@ -123,7 +125,8 @@ def fault_argv(fault: Fault) -> list[str]:
     argv = list(BASE[fault.base])
     for flag, value in zip(fault.args[::2], fault.args[1::2]):
         at = argv.index(flag) if flag in argv else len(argv)
-        argv[at : at + 2] = [] if value is None else [flag, value]
+        values = value if isinstance(value, tuple) else () if value is None else (value,)
+        argv[at : at + 2] = [arg for each in values for arg in (flag, each)]
     return argv
 
 
@@ -444,13 +447,19 @@ class TestTrackCommand:
 
     def test_missing_homography_entry_warns_and_assumes_identity(self, tmp_path, capsys):
         scen = tmp_path / "scen"
-        run(capsys, *synth_args(scen))
+        assert run(capsys, *synth_args(scen, pan="2,0"))[0] == 0
         payload = json.loads((scen / "homographies.json").read_text())
-        (scen / "homographies.json").write_text(json.dumps(payload[:-1]))
-        code, _, err = run(capsys, *track_args(scen, tmp_path / "t.csv"))
-        assert code == 0
-        assert "warning" in err
-        assert "identity" in err
+        assert payload[2]["frame"] == 2 and payload[2]["h"] != EYE  # the pan moves frame 2
+        seen = {}
+        for name, frame_2 in (("pan", payload[2:3]), ("identity", [{"frame": 2, "h": EYE}]), ("missing", [])):
+            (scen / "homographies.json").write_text(json.dumps([*payload[:2], *frame_2, *payload[3:]]))
+            # a gate this tight ends every track at frame 2 unless its homography is the pan's
+            code, _, err = run(capsys, *track_args(scen, tmp_path / f"{name}.csv"), "--gate", "0.02")
+            assert code == 0
+            seen[name] = (err, (tmp_path / f"{name}.csv").read_bytes())
+        assert seen["identity"][0] == ""
+        assert seen["missing"][0] == "warning: no homography for frame 2, assuming identity\n"
+        assert seen["missing"][1] == seen["identity"][1] != seen["pan"][1]
 
     def test_homography_integer_beyond_digit_limit_names_file(self, tmp_path):
         from courttrack.errors import InputFormatError
@@ -498,9 +507,9 @@ EVAL_FAULTS = [
           "error: hyp.csv:3 (field 'width'): negative box size"),
     Fault("test_empty_ground_truth_fails", "eval", {"gt.csv": ""}, (), 1, "error: gt.csv: holds no ground-truth boxes"),
     Fault("test_field_beyond_the_csv_limit_is_input_error[gt]", "eval", {"gt.csv": BOX_ROW + LONG_FIELD_ROW}, (), 1,
-          "error: gt.csv:2: field larger than field limit (131072)"),
+          "error: gt.csv:2 (field 'frame'): field larger than field limit (131072)"),
     Fault("test_field_beyond_the_csv_limit_is_input_error[hyp]", "eval", {"hyp.csv": BOX_ROW + LONG_FIELD_ROW}, (), 1,
-          "error: hyp.csv:2: field larger than field limit (131072)"),
+          "error: hyp.csv:2 (field 'frame'): field larger than field limit (131072)"),
     Fault("test_repeated_mot_row_fails_naming_its_line[gt]", "eval", {"gt.csv": BOX_ROWS + BOX_ROW}, (), 1,
           "error: gt.csv:3 (field 'id'): frame 0 id 1 repeats line 1"),
     Fault("test_repeated_mot_row_fails_naming_its_line[hyp]", "eval", {"hyp.csv": BOX_ROWS + BOX_ROW}, (), 1,
@@ -680,7 +689,7 @@ COURT_FAULTS = [
           "error: nba/segments.csv: no segments: dominant-line voting needs at least one"),
     Fault("test_field_beyond_the_csv_limit_is_input_error", "nba",
           segments("0,200,191,200\n" + "1" * 200_000 + ",0,1,0\n"), (), 1,
-          "error: nba/segments.csv:2: field larger than field limit (131072)"),
+          "error: nba/segments.csv:2 (field 'x0'): field larger than field limit (131072)"),
     # the converged top line leaves through the frame's top right corner
     Fault("test_boundary_clipping_a_corner_is_degenerate[people0-top]", "nba",
           {"nba/mask.pgm": people(100, 200, (0, 2, 192, 200), (80, 100, 0, 200)), **segments("0,10,199,30\n")}, (), 2,
@@ -901,6 +910,11 @@ SYNTH_FAULTS = [
     # 3e20 bytes: numpy refuses the shape before allocating anything
     Fault("test_frame_too_large_for_an_array_fails", "synth", {}, ("--width", "10000000000", "--height", "10000000000"),
           1, "error: width/height: a 10000000000x10000000000 frame does not fit in memory"),
+    Fault("test_infeasible_scenario_names_its_settings[drift]", "synth", {},
+          ("--targets", "2", "--num-frames", "40", "--width", "64", "--height", "48", "--pan", "5,0"), 1,
+          "error: pan/num_frames/width/height: target 0 cannot stay in frame with drift (-5.0, 0.0)/frame"),
+    Fault("test_infeasible_scenario_names_its_settings[colors]", "synth", {}, ("--targets", "60"), 1,
+          "error: targets: the color lattice holds 56 colors, got 60"),
     Fault("test_directory_with_frames_fails_before_writing", "synth", {}, ("--out", "scen", "--num-frames", "5"), 1,
           "error: scen/frames: already holds frame files; synth needs a fresh directory"),
 ]
@@ -1004,10 +1018,18 @@ OUT_OF_RANGE = [
 ]
 
 SETTING_FAULTS = [
-    fault
-    for command, name, value, said in OUT_OF_RANGE
-    for fault in out_of_range(f"test_flag_and_config_value_out_of_range_fail_alike[{command}-{name}-{value}]",
-                              "nba" if command == "court" else command, name, value, said, "# line 2 is out of range\n")
+    *(
+        fault
+        for command, name, value, said in OUT_OF_RANGE
+        for fault in out_of_range(f"test_flag_and_config_value_out_of_range_fail_alike[{command}-{name}-{value}]",
+                                  "nba" if command == "court" else command, name, value, said,
+                                  "# line 2 is out of range\n")
+    ),
+    # argparse would keep the last value; a config key set twice fails alike (read_config_file)
+    Fault("test_flag_given_twice_fails[gate]", "track", {}, ("--gate", ("0.9", "0.3")), 1,
+          "error: gate: flag given 2 times"),
+    Fault("test_flag_given_twice_fails[config]", "track", config("gate=0.9\n"), ("--config", ("run.cfg", "run.cfg")), 1,
+          "error: config: flag given 2 times"),
 ]
 
 
@@ -1132,7 +1154,7 @@ def run_child(code: str, *argv, **env) -> subprocess.CompletedProcess:
 
 
 # main(argv) in a fresh process with every command wrapped to note, as
-# it starts, the numpy and courttrack modules whose objects the
+# it returns, the numpy and courttrack modules whose objects the
 # collector still tracks; the last stdout line reports that, the exit
 # code, the OS threads, the OpenBLAS setting and the modules loaded.
 PROBE = """
@@ -1143,10 +1165,11 @@ unfrozen = []
 
 def probing(command):
     def probe(args):
+        rc = command(args)
         tracked = {id(o) for o in gc.get_objects()}
         unfrozen.extend(name for name, module in list(sys.modules.items())
                         if name.partition(".")[0] in ("numpy", "courttrack") and id(vars(module)) in tracked)
-        return command(args)
+        return rc
     return probe
 
 cli.COMMANDS = {name: probing(command) for name, command in cli.COMMANDS.items()}
@@ -1163,10 +1186,26 @@ print(json.dumps({
 """
 
 
+def bare_lazy_reads(source: str) -> list[str]:
+    """The names of cli.IMPORTED that source uses as bare names, outside
+    annotations, which are never evaluated (from __future__ import annotations)."""
+    tree = ast.parse(source)
+    hints = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            hints += [arg.annotation for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if arg]
+            hints.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            hints.append(node.annotation)
+    exempt = {id(n) for hint in hints if hint is not None for n in ast.walk(hint)}
+    return [n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id in HOME and id(n) not in exempt]
+
+
 class TestStartup:
     """What a command does to a fresh process: one OS thread (OpenBLAS
-    pinned unless the user says otherwise), its modules loaded and frozen
-    out of the collector before it runs, and no module it does not use,
+    pinned unless the user says otherwise), each module it loads frozen
+    out of the collector once imported, and no module it does not use,
     scipy, a test dependency, included. Importing courttrack.cli, --help
     and the errors found before a command runs load no numpy."""
 
@@ -1209,7 +1248,7 @@ class TestStartup:
         assert seen["threads"] == 1
 
     @pytest.mark.parametrize("command", ["court", "track", "eval", "synth"])
-    def test_command_modules_are_frozen_before_it_runs(self, probed, command):
+    def test_command_modules_are_frozen_when_it_returns(self, probed, command):
         seen = probed[command]
         assert seen["rc"] == 0 and seen["numpy"]
         assert seen["unfrozen"] == []
@@ -1239,6 +1278,13 @@ class TestStartup:
         assert seen["rc"] == 0 and "synth" in seen["modules"]
         assert not {"track", "cost", "court"} & set(seen["modules"])
 
+    def test_commands_read_the_lazy_names_as_cli_attributes(self):
+        # a bare read would be a NameError where no test reaches, or a call
+        # that a wrapper set on courttrack.cli before main runs does not see
+        assert bare_lazy_reads(Path(courttrack.cli.__file__).read_text(encoding="utf-8")) == []
+        planted = "def f(path: PatchWindow) -> FrameRaster:\n    return read_ppm(path), cli.read_pgm(path)\n"
+        assert bare_lazy_reads(planted) == ["read_ppm"]
+
     def test_import_loads_no_numpy(self):
         out = run_child("import sys, courttrack.cli; print('numpy' in sys.modules)")
         assert out.stdout.strip() == "False"
@@ -1247,8 +1293,10 @@ class TestStartup:
         "argv, code",
         [(["--help"], 0), (["track", "--help"], 0), (["track", "--gate", "abc"], 1), ([], 1),
          (["eval", "--config", "{cfg}"], 1), (["court", "--court", "european", "--hsv", "nan:1,0:1,0:1"], 1),
-         (["track", "--court", "nba"], 1), (["track", "--config", "{other}"], 1)],
-        ids=["help", "command-help", "usage", "no-command", "config-file", "hsv", "flag-not-read", "key-not-read"],
+         (["track", "--court", "nba"], 1), (["track", "--config", "{other}"], 1),
+         (["track", "--gate", "0.9", "--gate", "0.3"], 1)],
+        ids=["help", "command-help", "usage", "no-command", "config-file", "hsv", "flag-not-read", "key-not-read",
+             "flag-twice"],
     )
     def test_no_numpy_before_a_command_runs(self, tmp_path, argv, code):
         (tmp_path / "bad.cfg").write_text("bogus=1\n")

@@ -908,7 +908,7 @@ class TestSegmentsCsv:
         path.write_text("0,100,10,100\n" + "1" * 200_000 + ",2,3,4\n")
         with pytest.raises(InputFormatError, match="field larger than field limit") as err:
             read_segments_csv(path)
-        assert err.value.path == str(path) and err.value.line == 2
+        assert err.value.path == str(path) and err.value.line == 2 and err.value.field == "x0"
 
     def test_file_without_rows_names_it(self, tmp_path):
         path = tmp_path / "segments.csv"

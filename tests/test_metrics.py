@@ -247,7 +247,12 @@ class TestMotCsv:
         path.write_text("frame,id,x_min,y_min,width,height\n" + "1" * 200_000 + ",1,5.0,6.0,20.0,40.0\n")
         with pytest.raises(InputFormatError, match="field larger than field limit") as err:
             read_mot_csv(path)
-        assert err.value.path == str(path) and err.value.line == 2
+        assert err.value.path == str(path) and err.value.line == 2 and err.value.field == "frame"
+        # a quoted cell that spans lines: its field is not told
+        path.write_text('frame,id,x_min,y_min,width,height\n0,1,"5\n' + "1" * 200_000 + '",6.0,20.0,40.0\n')
+        with pytest.raises(InputFormatError, match="field larger than field limit") as err:
+            read_mot_csv(path)
+        assert err.value.line == 3 and err.value.field is None
 
     def test_bad_cell_reports_field(self, tmp_path):
         path = tmp_path / "gt.csv"

@@ -96,8 +96,9 @@ class TestGenerate:
                 assert max(abs(x - y) for x, y in zip(a, b)) >= MIN_COLOR_DISTANCE
 
     def test_targets_beyond_color_capacity_rejected(self):
-        with pytest.raises(InfeasibleScenario, match="color lattice"):
+        with pytest.raises(InfeasibleScenario, match="color lattice") as err:
             _target_colors(57, seed=7)
+        assert err.value.field == "n_targets"
 
     def test_target_colors_well_separated(self):
         seq = generate(SMALL)
@@ -120,8 +121,9 @@ class TestGenerate:
             motion=((40.0, 0.0),),
             seed=0,
         )
-        with pytest.raises(InfeasibleScenario, match="cannot stay in frame"):
+        with pytest.raises(InfeasibleScenario, match="cannot stay in frame") as err:
             generate(spec)
+        assert err.value.field == "motion/pan/n_frames/dims"
 
     @pytest.mark.parametrize("velocity", [(math.nan, 0.0), (0.0, math.inf)])
     def test_non_finite_motion_rejected(self, velocity):
