@@ -20,6 +20,9 @@ THETA_BIN_DEG = 1.0
 RHO_BIN_PX = 3.0
 
 _EDGE_TOL = 1e-9
+# candidates per bisection in select_boundary_european: at 1080p each
+# (k, h) run array then holds about 0.5 MB, whatever their number
+_RUN_BLOCK = 64
 
 
 class Orientation(Enum):
@@ -95,17 +98,16 @@ def frame_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # --- dominant-line voting --------------------------------------------------
 
 def _segment_lines(segments: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each row's length, the norm |(a, b)| and the normalised line
-    (a, b, c) through its endpoints: (a, b) = (-dy, dx), c = -(a*x0 +
-    b*y0), then Line2.__post_init__'s IEEE operations in their order."""
+    """Each row's length and the normalised line (a, b, c) through its
+    endpoints: (a, b) = (-dy, dx), c = -(a*x0 + b*y0), then
+    Line2.__post_init__'s IEEE operations in their order."""
     x0, y0, x1, y1 = segments.T
-    with np.errstate(all="ignore"):  # read_segments_csv rejects the rows that overflow
-        dx, dy = x1 - x0, y1 - y0
-        a, b = -dy, dx
-        c = -(a * x0 + b * y0)
-        length = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
-        norm = np.array(list(map(math.hypot, a.tolist(), b.tolist())))
-        return length, norm, a / norm, b / norm, c / norm
+    dx, dy = x1 - x0, y1 - y0
+    a, b = -dy, dx
+    c = -(a * x0 + b * y0)
+    length = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+    norm = np.array(list(map(math.hypot, a.tolist(), b.tolist())))
+    return length, a / norm, b / norm, c / norm
 
 
 def _fit_cell_line(rows: list[list[float]]) -> Line2:
@@ -151,7 +153,7 @@ def vote_dominant_lines(segments: np.ndarray, limit: int) -> list[LineVote]:
         raise ValueError("dominant-line voting needs at least one segment")
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    length, _, a, b, c = _segment_lines(segments)
+    length, a, b, c = _segment_lines(segments)
     theta = np.array(list(map(math.degrees, map(math.atan2, b.tolist(), a.tolist()))))
     below = theta < 0.0
     theta, c = np.where(below, theta + 180.0, theta), np.where(below, -c, c)
@@ -227,29 +229,28 @@ def lines_by_axis(lines: list[Line2], dims: FrameDims) -> tuple[list[Line2], lis
 
 # --- boundary selection: European HSV variant -------------------------------
 
-def _row_runs(line: Line2, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row y, the run [start[y], stop[y]) of x with `signed >= 0`.
+def _row_runs(lines: list[Line2], h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per line k and row y, the run [start[k, y], stop[k, y]) of x with
+    `signed >= 0`, as two (k, h) arrays.
 
     In a row, `(a*x + b*y) + c` is monotone in x under IEEE rounding, so
     those pixels form one run at one end of the row: [end, w) when
     a >= 0 (a == 0, -0.0 included, gives the whole row or none of it)
-    and [0, end) when a < 0. The end is found by a bisection over
-    integer x that evaluates the same float expression in the same
-    order as a full-frame `a*xs + b*ys + c`, so every run is exact.
+    and [0, end) when a < 0. One bisection over integer x finds every
+    line's and row's end; it evaluates the same float expression in the
+    same order as a full-frame `a*xs + b*ys + c`, so every run is exact.
     """
-    a, c = line.a, line.c
-    by = line.b * np.arange(h, dtype=np.float64)
+    a, b, c = np.array([line.coeffs() for line in lines]).T[..., None]  # each (k, 1)
+    by = b * np.arange(h, dtype=np.float64)
     want = a >= 0.0  # the test's value on [end, w)
-    lo = np.zeros(h, dtype=np.int64)
-    hi = np.full(h, w, dtype=np.int64)
+    lo = np.zeros(by.shape, dtype=np.int64)
+    hi = np.full(by.shape, w, dtype=np.int64)
     while (open_ := lo < hi).any():
         mid = (lo + hi) // 2
         at_or_past = ((a * mid.astype(np.float64) + by) + c >= 0.0) == want
         hi = np.where(open_ & at_or_past, mid, hi)
         lo = np.where(open_ & ~at_or_past, mid + 1, lo)
-    if want:
-        return lo, np.full(h, w, dtype=np.int64)
-    return np.zeros(h, dtype=np.int64), lo
+    return np.where(want, lo, 0), np.where(want, w, lo)
 
 
 def row_prefix_sums(match: np.ndarray) -> np.ndarray:
@@ -272,34 +273,30 @@ def select_boundary_european(candidates: list[Line2], prefix: np.ndarray) -> Lin
     each side half-plane; the candidate maximizing the absolute
     difference wins, first in input order on ties. A side is counted
     from per-row runs (`_row_runs`) against `prefix`, so the counts are
-    those of the full-frame `a*x + b*y + c >= 0` test. No candidate is
-    a ValueError; a filter that matches no pixel or every pixel is a
-    DegenerateCourt.
+    those of the full-frame `a*x + b*y + c >= 0` test; the runs of
+    _RUN_BLOCK candidates at a time come from one bisection. No
+    candidate is a ValueError; a filter that matches no pixel or every
+    pixel is a DegenerateCourt.
     """
     if not candidates:
         raise ValueError("boundary selection needs at least one candidate line")
-    dims = FrameDims(prefix.shape[1] - 1, prefix.shape[0])
-    rows = np.arange(dims.h)
+    h, w = prefix.shape[0], prefix.shape[1] - 1
+    rows = np.arange(h)
     n_match = int(prefix[:, -1].sum())
-    if n_match in (0, dims.w * dims.h):
+    if n_match in (0, w * h):
         # every candidate then has contrast 0: the filter tells no side from the other
         raise DegenerateCourt(f"the HSV filter matches {'no' if n_match == 0 else 'every'} pixel")
 
-    best: Line2 | None = None
-    best_contrast = -1.0
-    for cand in candidates:
-        start, stop = _row_runs(cand, dims.h, dims.w)
-        n_side = int((stop - start).sum())
-        m_side = int((prefix[rows, stop] - prefix[rows, start]).sum())
-        n_other = dims.w * dims.h - n_side
-        frac_side = float(m_side) / n_side if n_side else 0.0
-        frac_other = float(n_match - m_side) / n_other if n_other else 0.0
-        contrast = abs(frac_side - frac_other)
-        if contrast > best_contrast:
-            best_contrast = contrast
-            best = cand
-    assert best is not None
-    return best
+    contrasts = []
+    for i in range(0, len(candidates), _RUN_BLOCK):
+        start, stop = _row_runs(candidates[i : i + _RUN_BLOCK], h, w)
+        n_side = (stop - start).sum(axis=1)
+        m_side = (prefix[rows, stop] - prefix[rows, start]).sum(axis=1)
+        # an empty side holds no match, so its fraction is 0 / 1
+        frac_side = m_side / np.maximum(n_side, 1)
+        frac_other = (n_match - m_side) / np.maximum(w * h - n_side, 1)
+        contrasts.append(np.abs(frac_side - frac_other))
+    return candidates[int(np.argmax(np.concatenate(contrasts)))]  # argmax keeps the first of ties
 
 
 # --- boundary convergence: NBA people-mask variant ---------------------------
@@ -536,44 +533,23 @@ MAX_COORD = 1e75
 _SEGMENT_FIELDS = ("x0", "y0", "x1", "y1")
 
 
-def _segments_array(path, rows: list[list[float]], linenos: list[int]) -> np.ndarray:
-    """The rows as an (n, 4) array; InputFormatError names the first row
-    that cannot vote: an endpoint coordinate that is not finite or lies
-    beyond MAX_COORD, or endpoints closer than SINGULAR_TOL (Line2's
-    bound)."""
-    segments = np.array(rows, dtype=np.float64).reshape(-1, 4)
-    out_of_range = ~(np.abs(segments) <= MAX_COORD)  # NaN compares False
-    length, norm, _, _, _ = _segment_lines(segments)
-    short = np.minimum(length, norm) < SINGULAR_TOL
-    bad = out_of_range.any(axis=1) | short
-    if bad.any():
-        i = int(np.argmax(bad))
-        if out_of_range[i].any():
-            j = int(np.argmax(out_of_range[i]))
-            value = segments[i, j].item()
-            raise InputFormatError(
-                path,
-                f"segment endpoint {value!r} not finite or beyond {MAX_COORD:g} in absolute value",
-                line=linenos[i],
-                field=_SEGMENT_FIELDS[j],
-            )
-        raise InputFormatError(path, "segment endpoints coincide", line=linenos[i])
-    return segments
-
-
 def read_segments_csv(path) -> np.ndarray:
     """Read segments from CSV rows "x0,y0,x1,y1" (no header) as an
-    (n, 4) float64 array. An error names the first bad row's line, or
-    only the file when it has no row."""
+    (n, 4) float64 array. Each row is checked as it is read: one with an
+    endpoint coordinate that is not finite or lies beyond MAX_COORD, or
+    with endpoints closer than SINGULAR_TOL (Line2's bound), cannot vote.
+    An error names the first bad row's line, or only the file when it
+    has no row."""
     rows: list[list[float]] = []
-    linenos: list[int] = []
-    try:
-        for lineno, _, values in csv_number_rows(path, _SEGMENT_FIELDS):
-            rows.append(values)
-            linenos.append(lineno)
-    except InputFormatError:
-        _segments_array(path, rows, linenos)  # a bad row read before it comes first
-        raise
+    for lineno, _, values in csv_number_rows(path, _SEGMENT_FIELDS):
+        for name, value in zip(_SEGMENT_FIELDS, values):
+            if not abs(value) <= MAX_COORD:  # NaN compares False
+                reason = f"segment endpoint {value!r} not finite or beyond {MAX_COORD:g} in absolute value"
+                raise InputFormatError(path, reason, line=lineno, field=name)
+        x0, y0, x1, y1 = values
+        if math.hypot(x1 - x0, y1 - y0) < SINGULAR_TOL:
+            raise InputFormatError(path, "segment endpoints coincide", line=lineno)
+        rows.append(values)
     if not rows:
         raise InputFormatError(path, "no segments: dominant-line voting needs at least one")
-    return _segments_array(path, rows, linenos)
+    return np.array(rows, dtype=np.float64)

@@ -66,7 +66,9 @@ class Homography:
         arr = arr.reshape(3, 3)
         if not np.all(np.isfinite(arr)):
             raise ValueError("homography entries must be finite")
-        with np.errstate(divide="ignore"):  # numpy warns on a subnormal pivot, and gives det 0.0
+        # numpy warns on a subnormal pivot, and gives det 0.0; and on a det
+        # beyond the float range, which is inf: large, so not singular
+        with np.errstate(divide="ignore", over="ignore"):
             det = np.linalg.det(arr)
         if abs(det) <= SINGULAR_TOL:
             raise ValueError("homography matrix is singular")

@@ -461,6 +461,15 @@ class TestTrackCommand:
         assert seen["missing"][0] == "warning: no homography for frame 2, assuming identity\n"
         assert seen["missing"][1] == seen["identity"][1] != seen["pan"][1]
 
+    def test_homography_whose_determinant_overflows_tracks_quietly(self, tmp_path, capsys):
+        # finite and nonsingular, though np.linalg.det of it overflows to inf
+        scen = tmp_path / "scen"
+        assert run(capsys, *synth_args(scen, targets=2, frames=3, width=64, height=48))[0] == 0
+        payload = json.loads((scen / "homographies.json").read_text())
+        payload[1]["h"] = [1e200, 0, 0, 0, 1e200, 0, 0, 0, 1]
+        (scen / "homographies.json").write_text(json.dumps(payload))
+        assert run(capsys, *track_args(scen, tmp_path / "tracks.csv")) == (0, "", "")
+
     def test_homography_integer_beyond_digit_limit_names_file(self, tmp_path):
         from courttrack.errors import InputFormatError
 

@@ -18,6 +18,7 @@ from courttrack.court import (
     RHO_BIN_PX,
     THETA_BIN_DEG,
     Orientation,
+    _RUN_BLOCK,
     _row_runs,
     classify_orientation,
     converge_boundaries_nba,
@@ -348,6 +349,28 @@ class TestSelectBoundaryEuropean:
         best = select_boundary_european(candidates, prefix)
         assert best is candidates[0]
 
+    def test_winner_in_the_last_block(self):
+        # candidates are scored _RUN_BLOCK at a time: the planted transition
+        # at row 30 comes last, after two full blocks of decoys
+        frame = two_band_frame(FrameDims(100, 100), 30)
+        decoys = [Line2.horizontal_at(50.0 + (k % 40)) for k in range(2 * _RUN_BLOCK)]
+        candidates = decoys + [Line2.horizontal_at(30.0)]
+        prefix = row_prefix_sums(GREEN_FILTER.match_array(frame))
+        assert select_boundary_european(candidates, prefix) is candidates[-1]
+
+    def test_tie_across_blocks_goes_to_the_first(self):
+        # the frame of test_equal_contrast_ties_to_first: rows 19.5 and 39.5
+        # tie, one in the second block and one in the third; every decoy
+        # at row 30 has contrast 0
+        arr = np.full((60, 60, 3), GRAY, dtype=np.uint8)
+        arr[:20] = GREEN
+        arr[40:] = GREEN
+        candidates = [Line2.horizontal_at(30.0) for _ in range(2 * _RUN_BLOCK + 1)]
+        candidates[_RUN_BLOCK + 3] = Line2.horizontal_at(19.5)
+        candidates[-1] = Line2.horizontal_at(39.5)
+        prefix = row_prefix_sums(GREEN_FILTER.match_array(FrameRaster(arr)))
+        assert select_boundary_european(candidates, prefix) is candidates[_RUN_BLOCK + 3]
+
     @pytest.mark.parametrize("colour", [GREEN, GRAY])
     def test_uniform_frame_is_degenerate(self, colour):
         # the filter matches every pixel or none: no candidate has contrast
@@ -428,6 +451,16 @@ def full_frame_side(line: Line2, h: int, w: int) -> np.ndarray:
     xs = np.arange(w, dtype=np.float64)
     ys = np.arange(h, dtype=np.float64)
     return line.a * xs[None, :] + line.b * ys[:, None] + line.c >= 0.0
+
+
+def assert_runs_equal_full_frame(lines: list[Line2], h: int, w: int) -> None:
+    """_row_runs of all the lines in one call gives each line's full-frame half-plane."""
+    start, stop = _row_runs(lines, h, w)
+    assert start.shape == stop.shape == (len(lines), h)
+    xs = np.arange(w)[None, :]
+    for line, line_start, line_stop in zip(lines, start, stop):
+        runs = (xs >= line_start[:, None]) & (xs < line_stop[:, None])
+        assert np.array_equal(runs, full_frame_side(line, h, w))
 
 
 def full_frame_select(candidates, match, axis):
@@ -537,11 +570,26 @@ class TestEuropeanExactness:
     def test_row_runs_equal_full_frame_half_plane(self, case):
         match, candidates = case
         h, w = match.shape
-        xs = np.arange(w)[None, :]
-        for line in candidates:
-            start, stop = _row_runs(line, h, w)
-            runs = (xs >= start[:, None]) & (xs < stop[:, None])
-            assert np.array_equal(runs, full_frame_side(line, h, w))
+        assert_runs_equal_full_frame(candidates, h, w)
+
+    def test_row_runs_of_mixed_signs_in_one_call(self):
+        # a > 0, a < 0, a = +0.0, a = -0.0 (whole rows or none), and lines
+        # that miss the frame on either side, through pixel centres where
+        # rounding decides the side
+        h, w = 7, 11
+        candidates = [
+            line_from_points(Point2(3.0, 0.0), Point2(8.0, 6.0)),  # a < 0
+            line_from_points(Point2(8.0, 6.0), Point2(3.0, 0.0)),  # the same line, a > 0
+            line_from_points(Point2(2.0, 6.0), Point2(8.0, 0.0)),  # a > 0, b > 0
+            Line2(0.0, 1.0, -3.0),
+            Line2(-0.0, -1.0, 3.0),
+            Line2(0.0, -1.0, 3.0),
+            Line2(-0.0, 1.0, -3.0),
+            Line2(0.6, 0.8, 1e6),
+            Line2(-0.6, 0.8, 1e6),
+            Line2(0.6, -0.8, -1e6),
+        ]
+        assert_runs_equal_full_frame(candidates, h, w)
 
     @settings(max_examples=300)
     @given(masks_and_lines(), st.sampled_from([Orientation.HORIZONTAL, Orientation.VERTICAL]))

@@ -1,31 +1,35 @@
-"""Every input reader on arbitrary and mutated bytes, and the court command
-on random valid inputs.
+"""Every input reader on arbitrary and mutated bytes, and the court and
+track commands on random valid inputs.
 
 A reader either returns a value or raises an InputFormatError naming the
 file it read; any other exception is a defect. The config reader is
 followed by the parse of every value it read, as a command does. A court run on valid
 inputs either writes a region (exit 0) or finds none (exit 2): exit 1
-would call valid inputs malformed.
+would call valid inputs malformed. A track run on valid inputs writes
+tracks (exit 0), unless a homography sends a detection to infinity: that
+is the one exit 1 it may give.
 """
 
 import contextlib
 import io
+import json
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from courttrack.cli import SETTINGS, main, read_config_file
+from courttrack.cli import SETTINGS, main, read_config_file, write_scenario
 from courttrack.court import read_segments_csv
 from courttrack.detect import read_detections_jsonl
 from courttrack.errors import InputFormatError
-from courttrack.geometry import read_homographies_json
+from courttrack.geometry import FrameDims, Homography, read_homographies_json
 from courttrack.imaging import BinaryMask, FrameRaster, read_pgm, read_ppm, write_ppm
 from courttrack.metrics import read_mot_csv
+from courttrack.synth import ScenarioSpec, generate
 from tests.oracles import write_pgm
 
 # csv refuses a field longer than 131072 characters
@@ -167,3 +171,100 @@ def test_court_on_valid_inputs_finds_a_region_or_none(case):
         ):
             code, err = run_quietly(common + variant)
             assert code in (0, 2), (variant[1], err)
+
+
+# --- the track command on valid inputs --------------------------------------------
+
+# a finite offset or scale, from none to far beyond the frame; at 1e307 a
+# point right of x = 18 projects beyond the float range
+MOVES = st.one_of(st.just(0.0), st.floats(-100.0, 100.0), st.sampled_from([-1e12, 1e12]))
+SCALES = st.one_of(st.just(1.0), st.floats(0.01, 100.0), st.sampled_from([-1.0, 1e-6, 1e6, 1e307]))
+# the first messages a DegenerateProjection gives, as project_points words them
+AT_INFINITY = ("maps to the line at infinity", "maps to the non-finite point")
+
+
+@st.composite
+def homography_entries(draw):
+    """A perturbed homography that the reader accepts: scales, a shift and
+    a projective row; a last entry of 1e-13 sends every point to infinity."""
+    tilt = st.one_of(st.just(0.0), st.floats(-0.1, 0.1))
+    s, tx, ty = draw(SCALES), draw(MOVES), draw(MOVES)
+    m = [s, 0.0, tx, 0.0, draw(SCALES), ty, draw(tilt), draw(tilt), draw(st.sampled_from([1.0, 1e-3, -1.0, 1e-13]))]
+    try:
+        Homography(m)
+    except ValueError:  # singular
+        assume(False)
+    return m
+
+
+@st.composite
+def track_inputs(draw):
+    """A synth scenario of at most 6 frames of 64 x 48 px, and edits of its
+    detections (each line kept, dropped or moved, or a keypoint moved) and
+    of its homographies (each entry kept, dropped or replaced)."""
+    spec = ScenarioSpec(
+        n_targets=draw(st.integers(1, 4)),
+        n_frames=draw(st.integers(2, 6)),
+        dims=FrameDims(64, 48),
+        pan=(draw(st.integers(-2, 2)), draw(st.integers(-2, 2))),
+        dropout_rate=draw(st.sampled_from([0.0, 0.2])),
+        jitter_sigma=draw(st.sampled_from([0.0, 1.0])),
+        seed=draw(st.integers(0, 1 << 16)),
+    )
+    line_edit = st.one_of(
+        st.just(None),
+        st.just("drop"),
+        st.tuples(MOVES, MOVES),
+        st.tuples(st.integers(0, 4), MOVES, MOVES),
+    )
+    entry_edit = st.one_of(st.just(None), st.just("drop"), homography_entries())
+    return spec, draw(st.lists(line_edit, max_size=30)), draw(st.lists(entry_edit, max_size=6))
+
+
+def edit_detections(path: Path, edits) -> None:
+    """Drop a line, move its keypoints by (dx, dy), or move its keypoint k."""
+    lines = []
+    for i, text in enumerate(path.read_text().splitlines()):
+        edit = edits[i] if i < len(edits) else None
+        if edit == "drop":
+            continue
+        obj = json.loads(text)
+        if edit is not None:
+            *k, dx, dy = edit
+            keypoints = obj["keypoints"]
+            for kp in [keypoints[k[0] % len(keypoints)]] if k else keypoints:
+                kp["x"] += dx
+                kp["y"] += dy
+        lines.append(json.dumps(obj) + "\n")
+    path.write_text("".join(lines))
+
+
+def edit_homographies(path: Path, edits) -> None:
+    """Drop an entry (the frame then assumes identity) or replace its matrix."""
+    entries = []
+    for i, entry in enumerate(json.loads(path.read_text())):
+        edit = edits[i] if i < len(edits) else None
+        if edit != "drop":
+            entries.append(entry if edit is None else {"frame": entry["frame"], "h": edit})
+    path.write_text(json.dumps(entries))
+
+
+# each example runs synth and track: 20 examples in tier-1, 200 under the deep profile
+@settings(max_examples=settings.default.max_examples // 5)
+@given(track_inputs())
+def test_track_on_valid_inputs_writes_tracks_or_names_a_point_at_infinity(case):
+    spec, detection_edits, homography_edits = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_scenario(generate(spec), root)
+        edit_detections(root / "detections.jsonl", detection_edits)
+        edit_homographies(root / "homographies.json", homography_edits)
+        code, err = run_quietly(
+            ["track", "--frames", str(root / "frames"), "--detections", str(root / "detections.jsonl"),
+             "--homographies", str(root / "homographies.json"), "--out", str(root / "tracks.csv")]
+        )
+    lines = err.splitlines()
+    if code != 0:
+        error = lines.pop()
+        assert code == 1 and error.startswith("error: ") and any(words in error for words in AT_INFINITY), err
+    assert all(line.startswith("warning: no homography for frame ") for line in lines), err

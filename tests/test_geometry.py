@@ -168,6 +168,11 @@ class TestHomographyType:
         with pytest.raises(ValueError, match="singular"):
             Homography([[0.0, 2.22507386e-313, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
 
+    def test_determinant_beyond_the_float_range_is_not_singular_and_warns_of_nothing(self):
+        # np.linalg.det warns "overflow" and gives inf, an error under this suite's settings
+        h = Homography([1e200, 0, 0, 0, 1e200, 0, 0, 0, 1])
+        assert h.m[0, 0] == h.m[1, 1] == 1e200
+
     def test_matrix_is_read_only(self):
         h = Homography.identity()
         with pytest.raises(ValueError):
