@@ -71,13 +71,10 @@ from .errors import (
 # before main runs is what main calls.
 IMPORTED = {
     "cost": ("CostWeights",),
-    "court": (
-        "CourtRegion", "HsvFilter", "converge_boundaries_nba", "lines_by_axis", "read_segments_csv",
-        "row_prefix_sums", "select_boundary_european", "vote_dominant_lines",
-    ),
+    "court": ("european_region", "nba_region", "read_segments_csv"),
     "detect": ("NO_DETECTIONS", "iter_detections_jsonl", "read_detections_jsonl", "write_detections_jsonl"),
-    "geometry": ("FrameDims", "Homography", "Line2", "read_homographies_json", "write_homographies_json"),
-    "imaging": ("BinaryMask", "PatchWindow", "read_pgm", "read_ppm", "write_ppm"),
+    "geometry": ("FrameDims", "Homography", "read_homographies_json", "write_homographies_json"),
+    "imaging": ("PatchWindow", "read_pgm", "read_ppm", "write_ppm"),
     "metrics": ("eval_detections", "eval_mot_records", "read_mot_csv", "write_mot_csv"),
     "synth": ("ScenarioSpec", "generate"),
     "track": ("FrameObservations", "MatchConfig", "run_tracker"),
@@ -400,22 +397,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _line_json(line: Line2 | None):
-    return None if line is None else list(line.coeffs())
-
-
-def _rows_between(top: Line2, bottom: Line2, dims: FrameDims) -> tuple[int, int]:
-    """Bounding row range of the band between two near-horizontal lines."""
-    ys = []
-    for line in (top, bottom):
-        for x in (0.0, float(dims.w)):
-            if abs(line.b) > 1e-9:
-                ys.append(-(line.a * x + line.c) / line.b)
-    r0 = max(0, math.floor(min(ys)) + 1)
-    r1 = min(dims.h, math.floor(max(ys)) + 1)
-    return r0, r1
-
-
 def cmd_court(args: argparse.Namespace) -> int:
     if args.out:
         check_output_file(args.out)
@@ -424,49 +405,10 @@ def cmd_court(args: argparse.Namespace) -> int:
         frame_path = Path(args.frames)
         if frame_path.is_dir():
             frame_path = frame_path / (FRAME_FILE_PATTERN % 0)
-        frame = cli.read_ppm(frame_path)
-        dims = frame.dims
+        region = cli.european_region(segments, cli.read_ppm(frame_path), args.hsv, args.candidates)
     else:
-        mask = cli.read_pgm(args.mask)
-        dims = mask.dims
-    votes = cli.vote_dominant_lines(segments, args.candidates)
-    horizontal, vertical = cli.lines_by_axis([v.line for v in votes], dims)
-    if not horizontal:
-        raise DegenerateCourt("no candidate line of axis horizontal")
-
-    left = right = None
-    if args.court == "european":
-        prefix = cli.row_prefix_sums(cli.HsvFilter(*args.hsv).match_array(frame))
-        top = cli.select_boundary_european(horizontal, prefix)
-        bottom = cli.Line2.horizontal_at(float(dims.h))
-        if vertical:
-            side = cli.select_boundary_european(vertical, prefix)
-            # assign by which half of the frame the line crosses at mid-height
-            x_mid = -(side.b * dims.h / 2.0 + side.c) / side.a if abs(side.a) > 1e-9 else dims.w
-            if x_mid <= dims.w / 2.0:
-                left = side
-            else:
-                right = side
-    else:
-        top, bottom = cli.converge_boundaries_nba(mask, horizontal[0], args.step, args.drop_tol)
-        r0, r1 = _rows_between(top, bottom, dims)
-        if vertical and r1 - r0 >= 2:
-            band = cli.BinaryMask(mask.bits[r0:r1])
-            try:
-                l_raw, r_raw = cli.converge_boundaries_nba(band, vertical[0], args.step, args.drop_tol)
-                left = cli.Line2(l_raw.a, l_raw.b, l_raw.c - l_raw.b * r0)
-                right = cli.Line2(r_raw.a, r_raw.b, r_raw.c - r_raw.b * r0)
-            except DegenerateCourt:
-                pass
-    region = cli.CourtRegion.from_boundaries(top, bottom, left, right, dims)
-
-    payload = {
-        "top": _line_json(region.top),
-        "bottom": _line_json(region.bottom),
-        "left": _line_json(region.left),
-        "right": _line_json(region.right),
-    }
-    _report_out(payload, args)
+        region = cli.nba_region(segments, cli.read_pgm(args.mask), args.candidates, args.step, args.drop_tol)
+    _report_out(region.to_json_dict(), args)
     return 0
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .defaults import DEFAULT_DROP_TOL, DEFAULT_STEP_PX
+from .defaults import DEFAULT_CANDIDATES, DEFAULT_DROP_TOL, DEFAULT_STEP_PX
 from .errors import DegenerateCourt, InputFormatError, check_hsv_bounds, csv_number_rows
 from .geometry import SINGULAR_TOL, FrameDims, Line2, Point2
 from .imaging import BinaryMask, FrameRaster
@@ -102,10 +102,18 @@ def _segment_lines(segments: np.ndarray) -> tuple[np.ndarray, ...]:
     endpoints: (a, b) = (-dy, dx), c = -(a*x0 + b*y0), then
     Line2.__post_init__'s IEEE operations in their order."""
     x0, y0, x1, y1 = segments.T
-    dx, dy = x1 - x0, y1 - y0
+    beyond = ~(np.abs(segments) <= MAX_COORD)  # NaN compares False
+    with np.errstate(invalid="ignore", over="ignore"):  # such rows are rejected below
+        dx, dy = x1 - x0, y1 - y0
+    length = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+    bad = beyond.any(axis=1) | (length < SINGULAR_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        why = (f"endpoint {segments[i][beyond[i]][0].item()!r} not finite or beyond {MAX_COORD:g} in absolute value"
+               if beyond[i].any() else "endpoints coincide")
+        raise ValueError(f"segment row {i}: {why}")
     a, b = -dy, dx
     c = -(a * x0 + b * y0)
-    length = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
     norm = np.array(list(map(math.hypot, a.tolist(), b.tolist())))
     return length, a / norm, b / norm, c / norm
 
@@ -140,7 +148,9 @@ def _fit_cell_line(rows: list[list[float]]) -> Line2:
 
 def vote_dominant_lines(segments: np.ndarray, limit: int) -> list[LineVote]:
     """The `limit` best candidate lines of an (n, 4) segment array,
-    ranked by the total length of their supporting segments.
+    ranked by the total length of their supporting segments. A row with
+    a coordinate that is not finite or lies beyond MAX_COORD, or with
+    endpoints closer than SINGULAR_TOL, is a ValueError naming its index.
 
     Each segment votes once, into the cell of its own line: 1-degree
     bins of the normal angle folded into [-0.5, 179.5), so that nearly
@@ -417,18 +427,16 @@ def _closest_point_on_line(line: Line2, p: Point2) -> Point2:
     return Point2(p.x - d * line.a, p.y - d * line.b)
 
 
-def _orient_towards(line: Line2, witness: Point2) -> Line2:
-    return line if line.signed(witness) >= 0.0 else line.negated()
-
-
-def _orient_facing(line: Line2, other: Line2, center: Point2) -> Line2:
-    """Orient `line` toward its paired boundary; coincident pairs have no
-    interior between them and are rejected."""
-    witness = _closest_point_on_line(other, center)
-    d = line.signed(witness)
-    if abs(d) <= _EDGE_TOL:
+def _orient(line: Line2 | None, other: Line2 | None, center: Point2) -> Line2 | None:
+    """`line` pointed toward its paired boundary `other`, or toward `center`
+    when it has none; coincident pairs have no interior between them and
+    are rejected."""
+    if line is None:
+        return None
+    d = line.signed(center if other is None else _closest_point_on_line(other, center))
+    if other is not None and abs(d) <= _EDGE_TOL:
         raise DegenerateCourt("paired court boundaries coincide")
-    return line if d > 0.0 else line.negated()
+    return line if d >= 0.0 else line.negated()
 
 
 def _clip_halfplane(poly: list[Point2], line: Line2) -> list[Point2]:
@@ -480,6 +488,10 @@ class CourtRegion:
     def boundaries(self) -> list[Line2]:
         return [l for l in (self.top, self.bottom, self.left, self.right) if l is not None]
 
+    def to_json_dict(self) -> dict:
+        sides = {"top": self.top, "bottom": self.bottom, "left": self.left, "right": self.right}
+        return {name: None if line is None else list(line.coeffs()) for name, line in sides.items()}
+
     def _clip_frame(self) -> list[Point2]:
         w, h = float(self.dims.w), float(self.dims.h)
         poly = [Point2(0.0, 0.0), Point2(w, 0.0), Point2(w, h), Point2(0.0, h)]
@@ -491,31 +503,65 @@ class CourtRegion:
 
     @classmethod
     def from_boundaries(
-        cls,
-        top: Line2,
-        bottom: Line2,
-        left: Line2 | None,
-        right: Line2 | None,
-        dims: FrameDims,
+        cls, top: Line2, bottom: Line2, left: Line2 | None, right: Line2 | None, dims: FrameDims
     ) -> "CourtRegion":
         """Build a region, orienting each boundary toward the court side."""
         center = Point2(dims.w / 2.0, dims.h / 2.0)
-        top_o = _orient_facing(top, bottom, center)
-        bottom_o = _orient_facing(bottom, top, center)
-        left_o = right_o = None
-        if left is not None:
-            left_o = (
-                _orient_facing(left, right, center)
-                if right is not None
-                else _orient_towards(left, center)
-            )
-        if right is not None:
-            right_o = (
-                _orient_facing(right, left, center)
-                if left is not None
-                else _orient_towards(right, center)
-            )
-        return cls(top_o, bottom_o, left_o, right_o, dims)
+        pairs = ((top, bottom), (bottom, top), (left, right), (right, left))
+        return cls(*(_orient(line, other, center) for line, other in pairs), dims)
+
+
+# --- court estimate -------------------------------------------------------------
+
+def _candidates_by_axis(segments: np.ndarray, dims: FrameDims, candidates: int) -> tuple[list[Line2], list[Line2]]:
+    """lines_by_axis of the voted candidates; no horizontal one is a DegenerateCourt."""
+    horizontal, vertical = lines_by_axis([v.line for v in vote_dominant_lines(segments, candidates)], dims)
+    if not horizontal:
+        raise DegenerateCourt("no candidate line of axis horizontal")
+    return horizontal, vertical
+
+
+def european_region(segments: np.ndarray, frame: FrameRaster, hsv: tuple[float, ...],
+                    candidates: int = DEFAULT_CANDIDATES) -> CourtRegion:
+    """The court of a frame by the contrast of HsvFilter(*hsv): the top and
+    one lateral side by select_boundary_european, left when it crosses the
+    middle row in the frame's left half; the bottom is the frame's edge."""
+    dims = frame.dims
+    horizontal, vertical = _candidates_by_axis(segments, dims, candidates)
+    prefix = row_prefix_sums(HsvFilter(*hsv).match_array(frame))
+    top = select_boundary_european(horizontal, prefix)
+    left = right = None
+    if vertical:
+        side = select_boundary_european(vertical, prefix)
+        x_mid = -(side.b * dims.h / 2.0 + side.c) / side.a if abs(side.a) > 1e-9 else dims.w
+        left, right = (side, None) if x_mid <= dims.w / 2.0 else (None, side)
+    return CourtRegion.from_boundaries(top, Line2.horizontal_at(float(dims.h)), left, right, dims)
+
+
+def _rows_between(top: Line2, bottom: Line2, dims: FrameDims) -> tuple[int, int]:
+    """Bounding row range of the band between two near-horizontal lines."""
+    ys = [-(line.a * x + line.c) / line.b
+          for line in (top, bottom) for x in (0.0, float(dims.w)) if abs(line.b) > 1e-9]
+    return max(0, math.floor(min(ys)) + 1), min(dims.h, math.floor(max(ys)) + 1)
+
+
+def nba_region(segments: np.ndarray, mask: BinaryMask, candidates: int = DEFAULT_CANDIDATES,
+               step: float = DEFAULT_STEP_PX, drop_tol: float = DEFAULT_DROP_TOL) -> CourtRegion:
+    """The court of a people mask by converge_boundaries_nba: top and bottom
+    along the first horizontal candidate, then left and right along the
+    first vertical one in the rows between them, or None for both."""
+    dims = mask.dims
+    horizontal, vertical = _candidates_by_axis(segments, dims, candidates)
+    top, bottom = converge_boundaries_nba(mask, horizontal[0], step, drop_tol)
+    left = right = None
+    r0, r1 = _rows_between(top, bottom, dims)
+    if vertical and r1 - r0 >= 2:
+        try:
+            sides = converge_boundaries_nba(BinaryMask(mask.bits[r0:r1]), vertical[0], step, drop_tol)
+            left, right = (Line2(s.a, s.b, s.c - s.b * r0) for s in sides)  # band row 0 is frame row r0
+        except DegenerateCourt:
+            pass
+    return CourtRegion.from_boundaries(top, bottom, left, right, dims)
 
 
 # --- segment ingestion --------------------------------------------------------

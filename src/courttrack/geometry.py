@@ -134,7 +134,8 @@ class Line2:
     """Homogeneous line a*x + b*y + c = 0, normalized so a^2 + b^2 = 1.
 
     The constructor renormalizes, so a*x + b*y + c is the signed
-    distance from (x, y) to the line.
+    distance from (x, y) to the line. A coefficient that is not finite,
+    given or once normalized, is a ValueError.
     """
 
     a: float
@@ -142,6 +143,7 @@ class Line2:
     c: float
 
     def __post_init__(self):
+        given = (self.a, self.b, self.c)
         n = math.hypot(self.a, self.b)
         if n < SINGULAR_TOL:
             raise ValueError("line direction (a, b) must be nonzero")
@@ -149,6 +151,8 @@ class Line2:
             object.__setattr__(self, "a", self.a / n)
             object.__setattr__(self, "b", self.b / n)
             object.__setattr__(self, "c", self.c / n)
+        if not all(map(math.isfinite, self.coeffs())):
+            raise ValueError(f"line coefficients must be finite, got {given}")
 
     @classmethod
     def horizontal_at(cls, y: float) -> "Line2":

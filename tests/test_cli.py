@@ -14,11 +14,10 @@ import pytest
 
 import courttrack
 import courttrack.court
-from courttrack.cli import HOME, SETTINGS, _build_parser, _rows_between, main, resolve_settings, scenario_spec
+from courttrack.cli import HOME, SETTINGS, _build_parser, main, resolve_settings, scenario_spec
 from courttrack.court import read_segments_csv, vote_dominant_lines
 from courttrack.defaults import DEFAULT_CANDIDATES
-from courttrack.errors import DegenerateCourt
-from courttrack.geometry import FrameDims, Line2, read_homographies_json
+from courttrack.geometry import read_homographies_json
 from courttrack.imaging import BinaryMask, FrameRaster, write_ppm
 from courttrack.metrics import read_mot_csv
 from courttrack.synth import ScenarioSpec
@@ -844,34 +843,6 @@ class TestCourtCommand:
         assert run(capsys, *argv, str(tmp_path / "from-dir.json"))[0] == 0
         assert (tmp_path / "from-dir.json").read_bytes() == (tmp_path / "from-file.json").read_bytes()
 
-    def test_degenerate_vertical_convergence_leaves_no_lateral_side(self, tmp_path, capsys, monkeypatch):
-        # no person between the crowd bands, so the vertical lines meet before any fraction drops
-        bits = np.zeros((400, 192), dtype=bool)
-        bits[:80] = True
-        bits[320:] = True
-        out_json = tmp_path / "court.json"
-        argv = self.planted_nba_args(tmp_path, out_json)
-        write_pgm(BinaryMask(bits), tmp_path / "mask.pgm")
-        (tmp_path / "segments.csv").write_text("0,200,191,200\n96,0,96,399\n")
-        outcomes = []
-        converge = courttrack.court.converge_boundaries_nba
-
-        def recording(*args):
-            try:
-                found = converge(*args)
-            except DegenerateCourt as exc:
-                outcomes.append(exc)
-                raise
-            outcomes.append(found)
-            return found
-
-        monkeypatch.setattr(courttrack.cli, "converge_boundaries_nba", recording, raising=False)
-        assert run(capsys, *argv)[0] == 0
-        assert len(outcomes) == 2 and isinstance(outcomes[1], DegenerateCourt)
-        payload = json.loads(out_json.read_text())
-        assert payload["left"] is None and payload["right"] is None
-        assert -payload["top"][2] / payload["top"][1] == 80.0
-
     @pytest.mark.parametrize("variant", ["european", "nba"])
     def test_each_voted_line_is_classified_once(self, tmp_path, capsys, monkeypatch, variant):
         out_json = tmp_path / "court.json"
@@ -895,12 +866,6 @@ class TestCourtCommand:
         if variant == "nba":
             return self.planted_nba_args(tmp_path, out_json)
         return self.planted_european_args(tmp_path) + ["--hsv", "90:150,0.4:1,0.2:1", "--out", str(out_json)]
-
-    def test_band_edge_just_above_row_zero_keeps_row_zero(self):
-        dims = FrameDims(100, 50)
-        top, bottom = Line2.horizontal_at(-0.5), Line2.horizontal_at(20.5)
-        assert _rows_between(top, bottom, dims) == (0, 21)
-        assert _rows_between(Line2.horizontal_at(3.0), bottom, dims) == (4, 21)
 
 
 SYNTH_FAULTS = [

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -20,16 +21,19 @@ from courttrack.court import (
     Orientation,
     _RUN_BLOCK,
     _row_runs,
+    _rows_between,
     classify_orientation,
     converge_boundaries_nba,
+    european_region,
     frame_to_hsv,
     lines_by_axis,
+    nba_region,
     read_segments_csv,
     row_prefix_sums,
     select_boundary_european,
     vote_dominant_lines,
 )
-from courttrack.geometry import FrameDims, Line2, Point2
+from courttrack.geometry import SINGULAR_TOL, FrameDims, Line2, Point2
 from courttrack.imaging import BinaryMask, FrameRaster
 from tests.oracles import filled, line_from_points, vertical_at
 
@@ -275,6 +279,27 @@ class TestVoteDominantLines:
     def test_empty_input_raises(self):
         with pytest.raises(ValueError, match="at least one segment"):
             vote_dominant_lines(as_rows([]), 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [
+            ([[0, 0, 0, 0], [0, 0, 10, 0]], "segment row 0: endpoints coincide"),
+            ([[0, 0, 10, 0], [5, 5, 5, 5 + 1e-13]], "segment row 1: endpoints coincide"),
+            ([[0, 0, math.nan, 0]], "segment row 0: endpoint nan not finite or beyond 1e+75 in absolute value"),
+            ([[0, 0, 10, 0], [0, -math.inf, 1, 1]], "segment row 1: endpoint -inf not finite"),
+            ([[0, 0, 1e300, 0]], "segment row 0: endpoint 1e+300 not finite"),
+            ([[1, 1, 1, 1], [0, 0, 1e300, 0]], "segment row 0: endpoints coincide"),
+        ],
+    )
+    def test_row_that_cannot_vote_is_named(self, rows, reason):
+        # read_segments_csv's bounds, checked before any arithmetic that could warn
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            vote_dominant_lines(np.array(rows, dtype=np.float64), 1)
+
+    def test_rows_on_the_bounds_vote(self):
+        rows = np.array([[-MAX_COORD, 0.0, MAX_COORD, 0.0], [0.0, 0.0, SINGULAR_TOL, 0.0]])
+        assert all(map(math.isfinite, vote_dominant_lines(rows, 2)[0].line.coeffs()))
 
     def test_vertical_segments_share_one_cell(self):
         segments = [seg(300, 0, 300, 40), seg(300, 100, 300, 160)]
@@ -881,6 +906,97 @@ class TestCourtRegion:
                 None,
                 DIMS,
             )
+
+
+def planted_court(seed: int):
+    """Segments, frame, people mask and the planted {side: row or column
+    where it crosses the frame's middle column or row} of a court like the
+    benchmark's clips: a green floor inside the four boundaries, crowd
+    around it, dashed segments along each boundary among short noise
+    segments, and sparse people on the floor. Both lateral sides lean by
+    the same 15-30 px over the court's height, so that the lateral lines
+    of the NBA variant, found in a band of rows, must be shifted back."""
+    rng = np.random.default_rng(seed)
+    w, h = 480, 270
+    top, bottom = int(rng.integers(40, 70)), int(rng.integers(215, 240))
+    left, right = int(rng.integers(40, 70)), w - int(rng.integers(40, 70))
+    shear = rng.choice([-1.0, 1.0]) * rng.uniform(15.0, 30.0) / (bottom - top)
+    ys, xs = np.mgrid[0:h, 0:w]
+    lean = shear * (ys - top)
+    floor = (ys >= top) & (ys < bottom) & (xs >= left + lean) & (xs < right + lean)
+    rgb = np.full((h, w, 3), 100, dtype=np.uint8)
+    rgb[bottom:] = (120, 80, 50)
+    rgb[floor] = (40, 140, 60)
+    people = ~floor | (rng.random((h, w)) < 0.02)
+    segments = []
+    dx = shear * (bottom - top)
+    for x0, y0, x1, y1 in ((0, top, w, top), (0, bottom, w, bottom), (left, top, left + dx, bottom),
+                           (right, top, right + dx, bottom)):
+        for f in np.arange(0.0, 1.0, 0.1):  # dashes over 70% of the line
+            segments.append((x0 + f * (x1 - x0), y0 + f * (y1 - y0),
+                             x0 + (f + 0.07) * (x1 - x0), y0 + (f + 0.07) * (y1 - y0)))
+    for _ in range(300):
+        x, y = rng.uniform(10.0, w - 10.0), rng.uniform(10.0, h - 10.0)
+        angle, length = rng.uniform(0.0, math.pi), rng.uniform(5.0, 15.0)
+        segments.append((x, y, x + length * math.cos(angle), y + length * math.sin(angle)))
+    mid = shear * (h / 2.0 - top)
+    planted = {"top": top, "bottom": bottom, "left": left + mid, "right": right + mid}
+    return np.array(segments), FrameRaster(rgb), BinaryMask(people), planted
+
+
+def side_offset(region: CourtRegion, side: str) -> float:
+    """Where a side crosses the frame's middle column (top, bottom) or row (left, right)."""
+    a, b, c = region.to_json_dict()[side]
+    if side in ("top", "bottom"):
+        return -(a * region.dims.w / 2.0 + c) / b
+    return -(b * region.dims.h / 2.0 + c) / a
+
+
+class TestCourtEstimate:
+    STEP = 2.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nba_recovers_every_planted_side(self, seed):
+        segments, _, mask, planted = planted_court(seed)
+        region = nba_region(segments, mask, step=self.STEP)
+        for side, at in planted.items():
+            assert abs(side_offset(region, side) - at) <= 2 * self.STEP, side
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_european_recovers_top_and_one_lateral_side(self, seed):
+        segments, frame, _, planted = planted_court(seed)
+        region = european_region(segments, frame, (90.0, 150.0, 0.4, 1.0, 0.2, 1.0))
+        assert abs(side_offset(region, "top") - planted["top"]) <= 2 * self.STEP
+        # the bottom is the frame's edge, and only the lateral side of larger contrast is found
+        assert side_offset(region, "bottom") == frame.dims.h
+        found = [side for side in ("left", "right") if region.to_json_dict()[side] is not None]
+        assert len(found) == 1
+        assert abs(side_offset(region, found[0]) - planted[found[0]]) <= 2 * self.STEP
+
+    def test_degenerate_vertical_convergence_leaves_no_lateral_side(self):
+        # no person between the crowd bands, so the vertical lines meet before any fraction drops
+        bits = np.zeros((400, 192), dtype=bool)
+        bits[:80] = True
+        bits[320:] = True
+        segments = np.array([[0.0, 200.0, 191.0, 200.0], [96.0, 0.0, 96.0, 399.0]])
+        region = nba_region(segments, BinaryMask(bits))
+        assert region.left is None and region.right is None
+        assert -region.top.c / region.top.b == 80.0
+        r0, r1 = _rows_between(region.top, region.bottom, region.dims)
+        assert r1 - r0 >= 2
+        with pytest.raises(DegenerateCourt, match="met before any fraction drop"):
+            converge_boundaries_nba(BinaryMask(bits[r0:r1]), vertical_at(96.0))
+
+    def test_band_edge_just_above_row_zero_keeps_row_zero(self):
+        dims = FrameDims(100, 50)
+        top, bottom = Line2.horizontal_at(-0.5), Line2.horizontal_at(20.5)
+        assert _rows_between(top, bottom, dims) == (0, 21)
+        assert _rows_between(Line2.horizontal_at(3.0), bottom, dims) == (4, 21)
+
+    def test_no_horizontal_candidate_is_degenerate(self):
+        segments = np.array([[96.0, 0.0, 96.0, 399.0]])
+        with pytest.raises(DegenerateCourt, match="no candidate line of axis horizontal"):
+            nba_region(segments, BinaryMask(np.ones((400, 192), dtype=bool)))
 
 
 class TestSegmentsCsv:

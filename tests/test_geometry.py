@@ -348,6 +348,12 @@ class TestLine2:
         with pytest.raises(ValueError):
             Line2(0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("coeffs", [(math.nan, 1.0, 0.0), (1.0, 0.0, math.inf)])
+    def test_non_finite_coefficient_rejected(self, coeffs):
+        # json.dumps would write NaN or Infinity, which is not JSON
+        with pytest.raises(ValueError, match="finite"):
+            Line2(*coeffs)
+
 
 class TestValidation:
     def test_inverted_box_rejected(self):
